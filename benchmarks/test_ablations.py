@@ -13,14 +13,16 @@ Quantifies the individual ingredients the paper motivates qualitatively:
 * **compiled vs generic factorized propagation** — the factor programs
   generated from the IR (direct index lookups, fused join_project, shared
   probe cache) vs the IR-interpreter reference;
-* **NumPy kernel backend vs generated source** — the batched array
-  execution of the delta-program IR (payload columns packed, products and
-  ``Ring.sum`` folds as grouped array reductions) vs the per-tuple
-  generated triggers, on the fig7 retailer cofactor batch workload.
+* **array vs scalar triggers** — the batched array execution of the
+  delta-program IR the engine selects for large deltas (payload columns
+  packed, products and ``Ring.sum`` folds as grouped array reductions) vs
+  the per-tuple generated triggers it would otherwise run, on the fig7
+  retailer cofactor batch workload.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
@@ -33,7 +35,7 @@ from repro.datasets import housing, retailer, round_robin_stream
 from repro.datasets.matrices import random_matrix, rank_r_update, row_update
 from repro.rings import INT_RING
 
-from benchmarks.conftest import SCALE, report
+from benchmarks.conftest import SCALE, report, scalar_triggers
 
 
 def test_ablation_chain_collapsing(benchmark):
@@ -192,13 +194,13 @@ def test_ablation_compiled_factorized(benchmark):
     def experiment():
         rows = []
         outputs = []
-        for compiled in (True, False):
-            chain, seconds = timed_chain_rank_one(mats, terms, compiled)
+        for interpreted in (False, True):
+            engine, seconds = timed_chain_rank_one(mats, terms, interpreted)
             rows.append([
-                "compiled" if compiled else "generic", seconds
+                "generic" if interpreted else "compiled", seconds
             ])
-            outputs.append(chain.result_matrix())
-        assert np.allclose(outputs[0], outputs[1]), \
+            outputs.append(engine.result())
+        assert outputs[0].same_as(outputs[1]), \
             "ablation must not change results"
         return rows
 
@@ -222,71 +224,77 @@ def test_ablation_compiled_factorized(benchmark):
 
 
 def test_ablation_kernel_backend(benchmark):
-    """NumPy kernel backend vs generated source triggers on the fig7
-    retailer cofactor batch workload (degree-43 ring, batched listing
-    deltas).  The kernel backend runs the same IR programs but executes
-    them over packed arrays; with columnar views the payloads *live* in
-    packed blocks end-to-end — gathers append row ids resolved by one
-    array take, view absorbs are grouped scatter-adds, and each trigger's
-    reduced block passes straight through to the parent's absorb and the
-    next gather (zero-pack) — so the per-tuple ``CofactorTriple``
-    arithmetic that dominates the source backend's profile disappears
-    from the hot path entirely.  The stack must clear the source backend
+    """Array vs scalar triggers on the fig7 retailer cofactor batch
+    workload (degree-43 ring, batched listing deltas), both on the
+    default engine.  The engine picks the array form of a trigger for
+    deltas of at least ``MIN_VECTOR_ROWS`` rows — the same IR program
+    executed over packed arrays, so the per-tuple ``CofactorTriple``
+    arithmetic that dominates the scalar triggers' profile leaves the hot
+    path.  The scalar arm is the same engine constructed with that
+    threshold out of reach.  The selection must clear the scalar triggers
     by a wide margin (recorded for the perf trajectory and ratcheted in
-    CI)."""
+    CI).
+
+    Both arms keep the default dict views, and both leave the lift-only
+    leaf programs on scalar triggers (the memory rule of
+    docs/architecture.md §3) — on this round-robin stream that is where
+    the dimension tables' many-variable leaves spend their time.  Until
+    the keyword went away the ablation set kernels on every node over
+    *columnar* views against source over dict views: 5–6.7×, floor 4.0.
+    The selection measures 2.9–3.85× over sixteen runs; the floor keeps
+    the old floor's two-thirds share of the typical value."""
     workload = retailer.generate(scale=3.0 * SCALE, seed=21)
     stream = round_robin_stream(
         workload.schemas, workload.tables, batch_size=max(100, int(600 * SCALE))
     )
 
     def experiment():
-        best = {"kernels": 0.0, "source": 0.0}
+        best = {"array": 0.0, "scalar": 0.0}
         reference = None
         for _ in range(3):  # interleaved best-of-three damps scheduler noise
-            for backend, storage in (
-                ("kernels", "columnar"), ("source", "dict")
+            for arm, pin in (
+                ("array", contextlib.nullcontext), ("scalar", scalar_triggers)
             ):
-                model = CofactorModel(
-                    "retailer_kb", workload.schemas,
-                    workload.numeric_variables,
-                    order=workload.variable_order, backend=backend,
-                    storage=storage,
-                )
+                with pin():
+                    engine = CofactorModel(
+                        "retailer_kb", workload.schemas,
+                        workload.numeric_variables,
+                        order=workload.variable_order,
+                    ).engine
                 result = run_stream(
-                    backend, model.engine, stream, model.query.ring,
-                    checkpoints=2,
+                    arm, engine, stream, engine.query.ring, checkpoints=2,
                 )
-                best[backend] = max(best[backend], result.average_throughput)
+                best[arm] = max(best[arm], result.average_throughput)
                 if reference is None:
-                    reference = model.engine.result()
+                    reference = engine.result()
                 else:
-                    assert model.engine.result().same_as(reference), (
+                    assert engine.result().same_as(reference), (
                         "ablation must not change results"
                     )
         return best
 
     best = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    speedup = best["kernels"] / best["source"]
+    speedup = best["array"] / best["scalar"]
     rows = [
-        ["kernels", f"{best['kernels']:.0f}"],
-        ["source", f"{best['source']:.0f}"],
+        ["array", f"{best['array']:.0f}"],
+        ["scalar", f"{best['scalar']:.0f}"],
     ]
     table = format_table(
-        "Ablation: NumPy kernel backend vs generated source "
+        "Ablation: array vs scalar triggers "
         "(Retailer cofactor, batched stream)",
-        ["backend", "tuples/sec"],
+        ["triggers", "tuples/sec"],
         rows,
     )
     report(
         "ablation_kernel_backend",
-        table + f"\nkernel-backend speedup: {speedup:.2f}x",
+        table + f"\narray-trigger speedup: {speedup:.2f}x",
         data={
-            "headers": ["backend", "throughput"],
+            "headers": ["triggers", "throughput"],
             "rows": rows,
             "speedup": speedup,
         },
     )
-    assert speedup >= 4.0, f"kernel backend only {speedup:.2f}x source"
+    assert speedup >= 2.0, f"array triggers only {speedup:.2f}x scalar"
 
 
 def test_ablation_factorized_vs_listing_updates(benchmark):

@@ -13,6 +13,14 @@ bench-regression ratchet.  Differential guard: every configuration's
 maintained cofactor triple must equal the unsharded engine's.  The
 parallel-speedup assertion is enforced only on hosts with ≥ 4 CPUs —
 speedup needs hardware — while the merge guard always holds.
+
+Every engine here — the direct references and the forked shard workers —
+runs the scalar trigger form (``scalar_triggers``), whose cost per delta
+row is flat.  The array form the engine would select for these batches
+gets cheaper per row as deltas grow, and hash partitioning cuts each
+delta S ways, so on the default the S=4/S=1 and routed/direct ratios
+would measure that economy of scale (the ablation's subject) on top of
+what this bench is about: routing, transport and merge.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from repro.core.sharded import ShardedFIVMEngine
 from repro.datasets import retailer, round_robin_stream
 from repro.datasets.streams import single_relation_stream
 
-from benchmarks.conftest import SCALE, report
+from benchmarks.conftest import SCALE, report, scalar_triggers
 
 SHARD_COUNTS = (1, 2, 4, 8)
 MIN_SPEEDUP_S4 = 1.5
@@ -115,7 +123,10 @@ def test_fig_shard_scaling(benchmark):
                     engine.close()
         return results, totals
 
-    results, totals = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    with scalar_triggers():
+        results, totals = benchmark.pedantic(
+            experiment, rounds=1, iterations=1
+        )
 
     # Ring-merge soundness: every configuration maintained the same triple.
     for scenario, per_config in totals.items():

@@ -41,6 +41,8 @@ __all__ = [
     "matrix_chain_order",
     "chain_variable_order",
     "chain_query",
+    "chain_database",
+    "rank_one_update",
     "MatrixChainIVM",
     "DenseChainFIVM",
     "DenseChainFirstOrder",
@@ -113,6 +115,28 @@ def chain_query(k: int, ring=REAL_RING) -> Query:
     )
 
 
+def chain_database(matrices: Sequence[np.ndarray], ring=REAL_RING) -> Database:
+    """The chain's matrices as relations ``A1..Ak`` over ``X1..X{k+1}``."""
+    return Database(
+        matrix_as_relation(f"A{i + 1}", matrix, f"X{i + 1}", f"X{i + 2}", ring)
+        for i, matrix in enumerate(matrices)
+    )
+
+
+def rank_one_update(
+    index: int, u: np.ndarray, v: np.ndarray, ring=REAL_RING
+) -> FactorizedUpdate:
+    """``δA_index = u vᵀ`` as a factorizable update."""
+    name = f"A{index}"
+    return FactorizedUpdate.rank_one(
+        name,
+        [
+            vector_as_relation(f"{name}_u", u, f"X{index}", ring),
+            vector_as_relation(f"{name}_v", v, f"X{index + 1}", ring),
+        ],
+    )
+
+
 class MatrixChainIVM:
     """Ring-relational maintenance of a matrix chain product."""
 
@@ -122,8 +146,6 @@ class MatrixChainIVM:
         updatable: Optional[Sequence[str]] = None,
         use_optimal_order: bool = True,
         ring=REAL_RING,
-        compiled: bool = True,
-        backend=None,
     ):
         self.k = len(matrices)
         if self.k < 1:
@@ -138,26 +160,16 @@ class MatrixChainIVM:
         order = chain_variable_order(
             self.k, self.dims if use_optimal_order else None
         )
-        db = Database(
-            matrix_as_relation(f"A{i + 1}", matrix, f"X{i + 1}", f"X{i + 2}", ring)
-            for i, matrix in enumerate(matrices)
-        )
         self.engine = FIVMEngine(
-            self.query, order, updatable=updatable, db=db, compiled=compiled,
-            backend=backend,
+            self.query, order, updatable=updatable,
+            db=chain_database(matrices, ring),
         )
 
     def apply_rank_one(self, index: int, u: np.ndarray, v: np.ndarray) -> None:
         """Apply ``δA_index = u vᵀ`` as a factorizable update."""
-        name = f"A{index}"
-        update = FactorizedUpdate.rank_one(
-            name,
-            [
-                vector_as_relation(f"{name}_u", u, f"X{index}", self.query.ring),
-                vector_as_relation(f"{name}_v", v, f"X{index + 1}", self.query.ring),
-            ],
+        self.engine.apply_factorized_update(
+            rank_one_update(index, u, v, self.query.ring)
         )
-        self.engine.apply_factorized_update(update)
 
     def apply_rank_r(
         self, index: int, terms: Sequence[Tuple[np.ndarray, np.ndarray]]

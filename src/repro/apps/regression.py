@@ -117,8 +117,6 @@ class CofactorModel:
         updatable: Optional[Iterable[str]] = None,
         tree: Optional[ViewTree] = None,
         db: Optional[Database] = None,
-        compiled: bool = True,
-        backend: Optional[str] = None,
         storage: Optional[str] = None,
     ):
         self.query = cofactor_query(name, relations, numeric_variables, free)
@@ -128,7 +126,7 @@ class CofactorModel:
         }
         self.engine = FIVMEngine(
             self.query, order=order, updatable=updatable, tree=tree, db=db,
-            compiled=compiled, backend=backend, storage=storage,
+            storage=storage,
         )
 
     # ------------------------------------------------------------------

@@ -39,16 +39,25 @@ def timed_per_update(fn: Callable[[], object], repeats: int) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def timed_chain_rank_one(mats, terms, compiled: bool, index: int = 2):
+def timed_chain_rank_one(mats, terms, interpreted: bool, index: int = 2):
     """Seconds per rank-1 update to ``A<index>`` of a hash-engine matrix
-    chain, plus the driven chain (so callers can compare end states).
+    chain, plus the driven engine (so callers can compare end states).
 
     The one protocol shared by the factorized ablation and the CI smoke's
     factorized column: the first update is burned off the clock (it pays
     the lazy factor-program compilation), the rest are timed through
     :func:`timed_per_update` — so at least two terms are required.
+    The engine is the one :class:`~repro.apps.MatrixChainIVM` builds, or
+    with ``interpreted`` the reference IR interpreter over the same tree
+    (the arm the generated factor programs are measured against).
     """
-    from repro.apps.matrix_chain import MatrixChainIVM
+    from repro.apps.matrix_chain import (
+        chain_database,
+        chain_query,
+        chain_variable_order,
+        rank_one_update,
+    )
+    from repro.core.engine import FIVMEngine
 
     if len(terms) < 2:
         raise ValueError(
@@ -56,15 +65,22 @@ def timed_chain_rank_one(mats, terms, compiled: bool, index: int = 2):
             "the compilation warm-up"
         )
 
-    chain = MatrixChainIVM(mats, updatable=[f"A{index}"], compiled=compiled)
+    dims = [mats[0].shape[0], *(matrix.shape[1] for matrix in mats)]
+    engine = FIVMEngine(
+        chain_query(len(mats)),
+        chain_variable_order(len(mats), dims),
+        updatable=[f"A{index}"],
+        db=chain_database(mats),
+        backend="interpreter" if interpreted else None,
+    )
     queue = iter(terms)
 
     def one_update():
         u, v = next(queue)
-        chain.apply_rank_one(index, u, v)
+        engine.apply_factorized_update(rank_one_update(index, u, v))
 
     one_update()
-    return chain, timed_per_update(one_update, len(terms) - 1)
+    return engine, timed_per_update(one_update, len(terms) - 1)
 
 
 @dataclass

@@ -7,11 +7,12 @@ a regression beyond the tolerance band.
 
 What is ratcheted — and what deliberately is not:
 
-* **Ratio metrics** (compiled/interpreter, compiled/generic, sharded
-  S=4/S=1) are dimensionless and survive a hardware change, so they are
-  compared directly: ``fresh >= baseline * (1 - tolerance)`` or the check
-  fails.  This is the throughput-regression ratchet — a strategy slipping
-  >15% against its in-run reference trips it on any machine.
+* **Ratio metrics** (compiled/interpreter, compiled/generic, array/scalar
+  triggers, sharded S=4/S=1) are dimensionless and survive a hardware
+  change, so they are compared directly:
+  ``fresh >= baseline * (1 - tolerance)`` or the check fails.  This is
+  the throughput-regression ratchet — a strategy slipping >15% against
+  its in-run reference trips it on any machine.
 * **Flag metrics** (``merge_equal``, ``ok``) must simply stay truthy.
 * **Parallel-scaling ratios** additionally require the fresh host to have
   at least the baseline's core count (``cpu_guard``): a 1-core laptop
@@ -32,10 +33,10 @@ Exit status 0 when every present metric holds, 1 otherwise.  Fresh files
 without a committed baseline (a brand-new bench), and baselines written
 before a newly added metric existed, pass with a warn-and-record notice —
 commit the fresh JSON (or run with ``--update-baselines``, which copies
-every registered fresh file over the baseline directory) to start
-ratcheting.  A baseline that exists but cannot be *parsed* is the
-dangerous case — the ratchet silently stops ratcheting — so ``--strict``
-(CI mode) makes that a hard failure instead of a warn.
+every fresh report over the baseline directory) to start ratcheting.  A
+baseline that exists but cannot be *parsed* is the dangerous case — the
+ratchet silently stops ratcheting — so ``--strict`` (CI mode) makes that
+a hard failure instead of a warn.
 """
 
 from __future__ import annotations
@@ -199,20 +200,20 @@ def compare(
 
 
 def update_baselines(fresh_dir: Path, baseline_dir: Path) -> List[str]:
-    """Copy every registered fresh ``BENCH_*.json`` over the baselines.
+    """Copy every fresh report (``BENCH_*.json`` and the ``.txt`` tables
+    next to them) over the baselines.
 
     The explicit refresh path for intentional perf-trajectory changes
-    (new metrics, reworked strategies): after this, the next ratchet run
+    (new metrics, reworked strategies) — the benchmarks themselves never
+    write into the baseline directory: after this, the next ratchet run
     compares against today's numbers.  Returns the copied filenames.
     """
     baseline_dir.mkdir(parents=True, exist_ok=True)
     copied: List[str] = []
-    for filename in METRICS:
-        fresh_path = fresh_dir / filename
-        if not fresh_path.exists():
-            continue
-        (baseline_dir / filename).write_text(fresh_path.read_text())
-        copied.append(filename)
+    for pattern in ("BENCH_*.json", "*.txt"):
+        for fresh_path in sorted(fresh_dir.glob(pattern)):
+            (baseline_dir / fresh_path.name).write_text(fresh_path.read_text())
+            copied.append(fresh_path.name)
     return copied
 
 
@@ -232,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--update-baselines", action="store_true",
-        help="copy the registered fresh files over the baseline directory "
+        help="copy the fresh reports over the baseline directory "
         "(prints the comparison for context, then exits 0)",
     )
     parser.add_argument(

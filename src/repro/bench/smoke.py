@@ -5,15 +5,15 @@ enough to catch a compiled-path performance regression; prints a JSON
 report so the numbers are machine-readable):
 
 * **flat path** — a tiny retailer stream, twice: the cofactor ring
-  through the generated source backend and the batched ``apply_batch``
-  trigger (throughput context for the trajectory), and a COUNT query
-  (ℤ ring) through the source and IR-interpreter backends.  The
+  through the default engine and the batched ``apply_batch`` trigger
+  (throughput context for the trajectory), and a COUNT query (ℤ ring)
+  through the default engine and the reference IR interpreter.  The
   ratcheted ``compiled_over_interpreter`` ratio comes from the COUNT
   run: there trigger overhead — the thing code generation removes —
   dominates, so the generated path must clear ``MIN_RATIO`` × the
-  interpreter with real headroom (on the cofactor ring both backends
-  pay the same ring arithmetic and sit within noise of each other,
-  which would make a floor there pure coin-flipping);
+  interpreter with real headroom (on the cofactor ring small deltas
+  pay the same ring arithmetic either way and sit within noise of each
+  other, which would make a floor there pure coin-flipping);
 * **factorized path** — rank-1 updates to the middle of a small matrix
   chain through the generated factor programs vs the IR-interpreter
   factor path; the compiled path must reach at least
@@ -37,7 +37,7 @@ from repro.datasets.streams import round_robin_stream
 
 __all__ = ["run_smoke", "run_factorized_smoke", "main"]
 
-#: The generated source backend must reach at least this multiple of the
+#: The generated triggers must reach at least this multiple of the
 #: IR interpreter's throughput on the COUNT workload (measured ~2x; the
 #: floor leaves noise headroom while still catching a compiled path that
 #: loses its edge over the reference semantics).
@@ -48,13 +48,12 @@ MIN_RATIO = 1.2
 MIN_FACTORIZED_RATIO = 1.0
 
 
-def _model(workload, compiled: bool = True) -> CofactorModel:
+def _model(workload) -> CofactorModel:
     return CofactorModel(
         "smoke",
         workload.schemas,
         workload.numeric_variables,
         order=workload.variable_order,
-        compiled=compiled,
     )
 
 
@@ -75,7 +74,7 @@ def run_smoke(scale: float = 0.08, batch_size: int = 10, repeats: int = 5) -> di
         workload.schemas, workload.tables, batch_size=batch_size
     )
 
-    def count_engine(backend: str) -> FIVMEngine:
+    def count_engine(backend=None) -> FIVMEngine:
         query = Query("smoke_count", workload.schemas, ring=INT_RING)
         return FIVMEngine(query, workload.variable_order, backend=backend)
 
@@ -99,7 +98,7 @@ def run_smoke(scale: float = 0.08, batch_size: int = 10, repeats: int = 5) -> di
         best["batched"] = max(best["batched"], result.average_throughput)
 
         for name, backend in (
-            ("count_compiled", "source"), ("count_interpreter", "interpreter")
+            ("count_compiled", None), ("count_interpreter", "interpreter")
         ):
             engine = count_engine(backend)
             result = run_stream(name, engine, stream, INT_RING, checkpoints=2)
@@ -128,8 +127,8 @@ def run_factorized_smoke(n: int = 32, updates: int = 12, repeats: int = 3) -> di
     terms = rank_r_update(n, 1, rng) * updates
     best = {"compiled": float("inf"), "generic": float("inf")}
     for _ in range(repeats):
-        for name, compiled in (("compiled", True), ("generic", False)):
-            _, seconds = timed_chain_rank_one(mats, terms, compiled)
+        for name, interpreted in (("compiled", False), ("generic", True)):
+            _, seconds = timed_chain_rank_one(mats, terms, interpreted)
             best[name] = min(best[name], seconds)
     ratio = (
         best["generic"] / best["compiled"]

@@ -12,7 +12,6 @@ from repro.core.checkpoint import (
     take_snapshot,
 )
 from repro.core.engine import (
-    BACKENDS,
     MATERIALIZATIONS,
     STORAGES,
     DeferredRelation,
@@ -44,7 +43,6 @@ from repro.core.view_tree import ViewNode, ViewTree, build_view_tree, compute_vi
 
 __all__ = [
     "FIVMEngine",
-    "BACKENDS",
     "STORAGES",
     "MATERIALIZATIONS",
     "ActiveSet",

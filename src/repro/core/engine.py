@@ -18,7 +18,8 @@ Ties the pieces together (Sections 3–5 of the paper):
 Plan compilation pipeline
 -------------------------
 
-Delta propagation runs in three stages, all fixed at construction time:
+Delta propagation runs in three stages; plans and IR are fixed at
+construction time:
 
 1. **plan** — :meth:`_compile_plans` builds, per ``(node, source)`` entry
    point, a greedy left-deep probe order over the node's stored siblings
@@ -27,26 +28,25 @@ Delta propagation runs in three stages, all fixed at construction time:
 2. **IR** — each plan is lowered once to the typed delta-program IR of
    :mod:`repro.core.ir` (:func:`~repro.core.ir.lower_delta_plan`): every
    live attribute gets an explicit register, every probe an explicit op;
-3. **backend** — the IR is realized by the engine's *backend* (the
-   ``backend=`` parameter):
-
-   * ``"source"`` (default; ``compiled=True``) — generated Python
-     triggers (:mod:`repro.core.plan_exec`), zero dict allocation per
-     delta tuple, shard-shareable through a
-     :class:`~repro.core.plan_exec.ProgramLibrary`;
-   * ``"interpreter"`` (``compiled=False``) — the IR walked directly
-     (:mod:`repro.core.ir`), the executable reference semantics the
-     differential tests hold the other backends to;
-   * ``"kernels"`` — vectorized NumPy execution
-     (:mod:`repro.core.kernels`) for rings exposing array hooks
-     (``Ring.kernel_ops``); nodes over other rings fall back to
-     ``"source"`` per the backend policy.
+3. **execution** — every IR program is generated as a specialized
+   Python trigger (:mod:`repro.core.plan_exec`: zero dict allocation per
+   delta tuple, shard-shareable through a
+   :class:`~repro.core.plan_exec.ProgramLibrary`).  Where the payload
+   ring's array hooks (``Ring.kernel_ops``) beat its scalar arithmetic
+   *and* the program joins at least two payloads that carry lifted
+   variables, the same IR also has an array form
+   (:mod:`repro.core.kernels`), built the first time a delta of at least
+   :data:`~repro.core.kernels.MIN_VECTOR_ROWS` rows reaches the node;
+   :meth:`FIVMEngine._delta_at_node` picks between the two from the size
+   of the delta it is handed.  ``backend="interpreter"`` instead walks
+   the IR directly (:mod:`repro.core.ir`) — the executable reference
+   semantics the differential tests hold both trigger forms to.
 
 The factorized path is compiled the same way: each rank-1 term of a
 :class:`FactorizedUpdate` runs through one *factor program* per node,
 lowered lazily per ``(node, source, factor partition)`` since partitions
-depend on the update stream, and realized by the same backend (the
-kernels backend reuses the generated-source factor programs).  Sibling
+depend on the update stream, and always generated as source (rank-1 term
+factors are tiny delta vectors, so arrays would not pay).  Sibling
 collapses — including partial-match bucket probes, reduced to their
 surviving extends — are memoized in a per-view **probe cache** shared
 across the terms of one update, the relations of one :meth:`apply_batch`
@@ -99,6 +99,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.factorized_update import FactorizedUpdate
+from repro.core import kernels
 from repro.core.ir import (
     InterpreterDeltaProgram,
     InterpreterFactorProgram,
@@ -125,24 +126,18 @@ __all__ = [
     "FIVMEngine",
     "check_delta",
     "check_factorized",
-    "BACKENDS",
     "STORAGES",
     "MATERIALIZATIONS",
-    "resolve_backend",
     "resolve_storage",
     "resolve_materialization",
 ]
-
-#: The trigger backends a :class:`FIVMEngine` can execute its delta
-#: programs with (see the module docstring).
-BACKENDS = ("interpreter", "source", "kernels")
 
 #: How materialized views store their payloads: ``"dict"`` keeps the
 #: classic ``{key: payload}`` maps, ``"columnar"`` stores packed ring
 #: blocks behind a dict-compatible facade
 #: (:class:`repro.data.columnar.ColumnarRelation`) — absorbs, index
-#: maintenance, and (under the kernels backend) the trigger programs
-#: themselves then run over arrays end-to-end.
+#: maintenance, and the array form of the triggers then run over packed
+#: blocks end-to-end.
 STORAGES = ("dict", "columnar")
 
 #: How much of the view tree is maintained: ``"full"`` keeps every
@@ -150,21 +145,6 @@ STORAGES = ("dict", "columnar")
 #: root view only for actively served keys (see the module docstring and
 #: :mod:`repro.core.serving`).
 MATERIALIZATIONS = ("full", "partial")
-
-
-def resolve_backend(backend: Optional[str], compiled: bool) -> str:
-    """The one place the ``backend=`` / legacy ``compiled`` parameters are
-    reconciled and validated: ``backend`` wins; ``compiled`` maps ``True``
-    → ``"source"`` and ``False`` → ``"interpreter"``.  Shared by
-    :class:`FIVMEngine` and the sharding facade so the two can never
-    disagree about what a parameter combination means."""
-    if backend is None:
-        backend = "source" if compiled else "interpreter"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 def resolve_storage(storage: Optional[str]) -> str:
@@ -324,6 +304,14 @@ class FIVMEngine:
     db:
         Initial database contents; omitted means starting from empty
         relations (the streaming scenario).
+    backend:
+        ``"interpreter"`` executes the IR with the reference walker of
+        :mod:`repro.core.ir` (what the differential tests compare
+        against); omitted, triggers run as generated code in scalar or
+        array form, chosen per delta (see the module docstring).  The two
+        former backend names select nothing any more; they stay accepted
+        as spellings of the default only because the frozen substitution
+        probe of ``benchmarks/e2e`` constructs them.
     """
 
     def __init__(
@@ -336,7 +324,6 @@ class FIVMEngine:
         collapse_chains: bool = True,
         materialize: str = "auto",
         group_aware: bool = True,
-        compiled: bool = True,
         backend: Optional[str] = None,
         storage: Optional[str] = None,
         materialization: Optional[str] = None,
@@ -356,12 +343,17 @@ class FIVMEngine:
         #: re-bound per shard; libraries must not be shared between
         #: differently configured engines (see :mod:`repro.core.plan_exec`).
         self._library = program_library
-        #: The trigger backend realizing the delta-program IR (see the
-        #: module docstring and :func:`resolve_backend`).
-        self.backend = resolve_backend(backend, compiled)
-        #: Legacy view of the backend choice (kept for callers of the old
-        #: two-way API): every backend except the IR interpreter compiles.
-        self.compiled = backend != "interpreter"
+        if backend not in (None, "interpreter", "kernels", "source"):
+            raise ValueError(
+                f"unknown backend {backend!r}; the only selectable one is "
+                "the reference 'interpreter'"
+            )
+        #: Whether the IR is walked by the reference interpreter instead
+        #: of running as generated triggers.
+        self._interpreted = backend == "interpreter"
+        #: Deltas of at least this many rows run a node's array program
+        #: where it has one (read once, so an engine's choice is stable).
+        self._vector_rows = kernels.MIN_VECTOR_ROWS
         #: Whether probes may read per-bucket payload sums (group-aware
         #: joins).  On by default; exposed for ablation benchmarks.
         self.group_aware = group_aware
@@ -437,11 +429,16 @@ class FIVMEngine:
         }
         self._plans: Dict[Tuple[str, Source], List[_PlanStep]] = {}
         #: Lowered IR per (node, source) — the single program every
-        #: backend realizes (:mod:`repro.core.ir`).
+        #: executor realizes (:mod:`repro.core.ir`).
         self._ir: Dict[Tuple[str, Source], object] = {}
-        #: Executable delta programs per (node, source), built by the
-        #: selected backend; every program answers ``run(delta)``.
+        #: Executable delta programs per (node, source): the generated
+        #: scalar triggers (or the interpreter's); each answers
+        #: ``run(delta)``.
         self._programs: Dict[Tuple[str, Source], object] = {}
+        #: Array programs for the (node, source) entries that have an
+        #: array form — ``None`` until a delta of ``_vector_rows`` rows
+        #: first reaches the node (see :meth:`_delta_at_node`).
+        self._kernel_programs: Dict[Tuple[str, Source], object] = {}
         #: Factor programs, lowered+built lazily per (node, source, factor
         #: partition) the first time a rank-1 term with that shape passes
         #: through — partitions depend on the updates, not the tree.
@@ -489,53 +486,64 @@ class FIVMEngine:
                     node, ("ind", i)
                 )
         # Second pass, after every plan has registered its indexes: lower
-        # each plan to IR once, then hand it to the backend
-        # (plan → IR → backend program).
+        # each plan to IR once and build its scalar program.  The array
+        # form is for programs with a product to vectorize (see
+        # :meth:`_joins_payloads`) over rings whose arrays beat their
+        # scalar arithmetic.
         by_name = {node.name: node for node in self.tree.nodes}
-        for (node_name, source), plan in self._plans.items():
-            node = by_name[node_name]
-            targets = [self._plan_target_relation(node, step) for step in plan]
+        kops = self.query.ring.kernel_ops()
+        has_arrays = (
+            not self._interpreted
+            and kops is not None
+            and kops.vectorizes_triggers
+        )
+        for key, plan in self._plans.items():
+            node = by_name[key[0]]
+            targets = self._plan_targets(node, plan)
             ir = lower_delta_plan(
-                node, source, plan, tuple(t.schema for t in targets),
+                node, key[1], plan, tuple(t.schema for t in targets),
                 self.query,
             )
-            self._ir[(node_name, source)] = ir
-            self._programs[(node_name, source)] = self._build_delta_program(
-                ir, targets
-            )
+            self._ir[key] = ir
+            if self._interpreted:
+                program = InterpreterDeltaProgram(ir, targets, self.query)
+            else:
+                program = compile_slot_program(
+                    ir, targets, self.query, library=self._library
+                )
+            self._programs[key] = program
+            if has_arrays and self._joins_payloads(node, key[1], plan):
+                self._kernel_programs[key] = None
 
-    def _build_delta_program(self, ir, targets):
-        """Realize one flat IR program with the selected backend.
+    def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
+        return [self._plan_target_relation(node, step) for step in plan]
 
-        The backend *policy*: the interpreter and source backends apply to
-        every node; the kernels backend applies per node where the payload
-        ring exposes array hooks (``Ring.kernel_ops``) and falls back to
-        the generated-source program elsewhere, so mixed trees stay fully
-        functional.
+    def _joins_payloads(self, node: ViewNode, source: Source, plan) -> bool:
+        """Whether the node's payload product has something to vectorize:
+        at least two of its view factors (the delta's source and the
+        probed siblings) come from subtrees that lift a variable.
+
+        A factor from a subtree without lifts is the ring image of a
+        multiplicity, and a lift is a memoized singleton; multiplying by
+        either is a scaling the scalar trigger does in about a
+        microsecond per row, which packing cannot beat.  The products
+        that cost are those between two aggregated payloads.  This also
+        keeps lift-only programs (no sibling at all) scalar, whose
+        memoized lifted payloads are shared across keys where the array
+        form would unpack fresh objects per key.
         """
-        if self.backend == "interpreter":
-            return InterpreterDeltaProgram(ir, targets, self.query)
-        if self.backend == "kernels":
-            from repro.core.kernels import kernel_delta_program
+        lifting = self.query.lifting
 
-            program = kernel_delta_program(
-                ir, targets, self.query, library=self._library
-            )
-            if program is not None:
-                return program
-        return compile_slot_program(
-            ir, targets, self.query, library=self._library
-        )
+        def lifts(view: ViewNode) -> bool:
+            """Whether any variable marginalized in the subtree is lifted."""
+            return any(
+                lifting.get(var) is not None for var in view.marginalized
+            ) or any(lifts(child) for child in view.children)
 
-    def _build_factor_program(self, ir, targets):
-        """Realize one factor IR program with the selected backend (the
-        kernels backend reuses the generated-source factor programs —
-        rank-1 terms are tiny, so the flat path is where arrays pay)."""
-        if self.backend == "interpreter":
-            return InterpreterFactorProgram(ir, targets, self.query)
-        return compile_factor_program(
-            ir, targets, self.query, library=self._library
-        )
+        children = [step.index for step in plan if step.kind == "child"]
+        if source[0] == "child":
+            children.append(source[1])
+        return sum(lifts(node.children[i]) for i in children) >= 2
 
     def _plan(self, node: ViewNode, source: Source) -> List[_PlanStep]:
         kind, idx = source
@@ -1018,8 +1026,26 @@ class FIVMEngine:
         self, node: ViewNode, source: Source, delta: Relation
     ) -> Relation:
         """Evaluate the node's delta view for a delta entering at
-        ``source`` through the backend's program for that entry point."""
-        return self._programs[(node.name, source)].run(delta)
+        ``source``: through the entry point's array program when it has
+        one and the delta is large enough for arrays to pay, through its
+        scalar program otherwise."""
+        key = (node.name, source)
+        if (
+            len(delta._data) >= self._vector_rows
+            and key in self._kernel_programs
+        ):
+            program = self._kernel_programs[key]
+            if program is None:
+                program = kernels.kernel_delta_program(
+                    self._ir[key],
+                    self._plan_targets(node, self._plans[key]),
+                    self.query,
+                    library=self._library,
+                )
+                self._kernel_programs[key] = program
+        else:
+            program = self._programs[key]
+        return program.run(delta)
 
     def apply_decomposed_update(self, delta: Relation) -> Relation:
         """Decompose a listing delta into factors, then propagate factored.
@@ -1051,11 +1077,9 @@ class FIVMEngine:
         absorb the delta (typically just the root).  Requires a commutative
         ring (factor reordering).
 
-        On a compiled engine each rank-1 term runs through a factor slot
-        program per node (compiled lazily per factor-schema partition); the
-        ``compiled=False`` interpreter path below stays as the reference
-        semantics.  A rank-0 update returns the ring-zero root delta, like
-        a no-op :meth:`apply_update`.
+        Each rank-1 term runs through a factor program per node (built
+        lazily per factor-schema partition).  A rank-0 update returns the
+        ring-zero root delta, like a no-op :meth:`apply_update`.
         """
         if not self.query.ring.is_commutative:
             raise ValueError(
@@ -1092,8 +1116,8 @@ class FIVMEngine:
 
     def _factor_program(self, node: ViewNode, source: Source, partition: tuple):
         """The factor program for this entry point and partition, lowered
-        to IR and built by the backend on first use (partitions depend on
-        the update stream).  Callers pass the *canonicalized* partition
+        to IR and built on first use (partitions depend on the update
+        stream).  Callers pass the *canonicalized* partition
         (factor schemas sorted, see
         :func:`repro.core.plan_exec.canonical_partition`), so permuted
         factor orders of one decomposition share one program."""
@@ -1117,15 +1141,20 @@ class FIVMEngine:
                 self.query,
                 self.group_aware,
             )
-            program = self._build_factor_program(ir, targets)
+            if self._interpreted:
+                program = InterpreterFactorProgram(ir, targets, self.query)
+            else:
+                program = compile_factor_program(
+                    ir, targets, self.query, library=self._library
+                )
             self._factor_programs[key] = program
         return program
 
     def _propagate_factored(
         self, leaf: ViewNode, factors: List[Relation]
     ) -> Relation:
-        """Propagate one rank-1 term leaf-to-root: one backend factor
-        program per node, factor *dicts* flowing between them, sibling
+        """Propagate one rank-1 term leaf-to-root: one factor program per
+        node, factor *dicts* flowing between them, sibling
         collapses shared through the probe cache."""
         ring = self.query.ring
         root = self.tree.root

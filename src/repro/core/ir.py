@@ -1,4 +1,4 @@
-"""A typed delta-program IR: one lowering, many trigger backends.
+"""A typed delta-program IR: one lowering, several executors.
 
 The engine's planner (:meth:`FIVMEngine._compile_plans`) fixes, per
 ``(node, source)`` delta entry point, a greedy probe order over the node's
@@ -7,18 +7,19 @@ three separate times — a dict-binding interpreter, a flat slot-program
 generator, and a factor-program generator — so every new capability had to
 be wired into each path by hand.  This module is the seam that unifies
 them: the plan is lowered **once** into a small typed IR, and every
-executor is a *backend* over the same program:
+executor realizes the same program:
 
 * :class:`InterpreterDeltaProgram` / :class:`InterpreterFactorProgram`
   (this module) walk the IR directly — the executable reference semantics
-  (``FIVMEngine(backend="interpreter")``, the old ``compiled=False``);
+  (``FIVMEngine(backend="interpreter")``);
 * :mod:`repro.core.plan_exec` generates specialized Python source from the
-  IR (``backend="source"``, the default) — DBToaster-style triggers with
-  the generate/bind split that lets sharded engines share code objects;
+  IR — the scalar triggers every engine builds, DBToaster-style, with the
+  generate/bind split that lets sharded engines share code objects;
 * :mod:`repro.core.kernels` executes the IR with vectorized NumPy kernels
-  for rings that expose array hooks (``backend="kernels"``) — keys packed
-  into arrays, payload products and ``Ring.sum`` folds replaced by stacked
-  array arithmetic and grouped reductions.
+  for rings that expose array hooks — the array form the engine switches
+  to for large deltas: keys packed into arrays, payload products and
+  ``Ring.sum`` folds replaced by stacked array arithmetic and grouped
+  reductions.
 
 Flat programs (listing deltas)
 ------------------------------
@@ -632,8 +633,6 @@ class InterpreterDeltaProgram:
     to by the differential suites.
     """
 
-    backend = "interpreter"
-
     __slots__ = ("ir", "ring", "_targets", "_lift_fns")
 
     def __init__(self, ir: DeltaProgram, targets, query):
@@ -742,8 +741,6 @@ class InterpreterFactorProgram:
     ``run(fdatas, cache) -> (out_dicts, flat_or_None)`` with
     ``(None, None)`` when a factor cancelled to empty.
     """
-
-    backend = "interpreter"
 
     __slots__ = (
         "ir", "ring", "out_partition", "_targets", "_lift_table", "_sites",

@@ -1,12 +1,17 @@
-"""The NumPy kernel backend: IR delta programs over packed arrays.
+"""The array form of a trigger: IR delta programs over packed arrays.
 
-The third realization of the delta-program IR (:mod:`repro.core.ir`),
-selected with ``FIVMEngine(backend="kernels")``.  Where the source backend
-multiplies and folds payloads tuple by tuple, this backend splits a
-trigger into two phases:
+The second generated realization of the delta-program IR
+(:mod:`repro.core.ir`).  The engine runs it instead of the scalar trigger
+of :mod:`repro.core.plan_exec` when a delta of at least
+:data:`MIN_VECTOR_ROWS` rows reaches a node that has one (a payload ring
+whose ``Ring.kernel_ops`` say ``vectorizes_triggers`` and a join of at
+least two lifted payloads to multiply; see
+:meth:`FIVMEngine._delta_at_node`).
+Where the scalar trigger multiplies and folds payloads tuple by tuple,
+this one splits the work into two phases:
 
 1. **gather** — a generated probe loop (the same specialization the
-   source backend emits, shared through the :class:`ProgramLibrary`) that
+   scalar trigger emits, shared through the :class:`ProgramLibrary`) that
    walks the delta and the sibling probes but *defers all ring
    arithmetic*: instead of multiplying payloads it appends, per match
    row, the output key and each payload factor to per-column lists (plus
@@ -38,22 +43,14 @@ columnar engines can share one library.
 The two phases compute exactly the scalar semantics: the product order
 within a row is the IR's reference order, and regrouping the additions is
 sound because ring addition is commutative by the ring axioms.  Rings
-without array hooks never reach this module — the engine's backend policy
-falls back to the source backend per node — and batches whose payload
-columns cannot pack (mixed cofactor supports) fall back to the scalar
-fold inside :meth:`KernelDeltaProgram.run`, so the backend is always
+without array hooks never reach this module, and a batch whose payload
+columns do not pack (mixed cofactor supports) takes the exact scalar
+fold inside :meth:`KernelDeltaProgram.run`, so the array form is always
 exact, never approximate.
 
-Tiny deltas whose factor columns hold payload *objects* (dict-storage
-gathers) skip the array path (:data:`MIN_VECTOR_ROWS`): below a handful
-of rows the fixed cost of packing outweighs the vectorized arithmetic,
-and the scalar fold is faster.  Columns gathered as row ids from packed
-stores always vectorize — the scalar fold would have to unpack those
-rows into objects first, inverting the trade.
-
 The factorized path is not vectorized here: rank-1 term factors are tiny
-delta vectors, so the engine reuses the generated-source factor programs
-under this backend (see :meth:`FIVMEngine._build_factor_program`).
+delta vectors, so the engine always runs the generated-source factor
+programs.
 """
 
 from __future__ import annotations
@@ -74,13 +71,11 @@ from repro.data.relation import Relation
 
 __all__ = ["KernelDeltaProgram", "kernel_delta_program", "MIN_VECTOR_ROWS"]
 
-#: Below this many gathered rows the scalar fold beats array packing —
-#: for payload-object columns only: gathers resolved from packed stores
-#: (columnar targets, passthrough deltas) vectorize at any size.
+#: Below this many delta rows the scalar trigger beats the array one:
+#: the fixed cost of packing columns outweighs the vectorized arithmetic.
+#: Read by :class:`~repro.core.engine.FIVMEngine`, which selects per
+#: delta; measured on the Retailer cofactor stream (docs/architecture.md).
 MIN_VECTOR_ROWS = 8
-
-#: Backwards-compatible alias (pre-columnar name).
-_MIN_VECTOR_ROWS = MIN_VECTOR_ROWS
 
 
 class _KernelDelta(Relation):
@@ -124,13 +119,12 @@ def _storage_signature(targets) -> tuple:
 
 def kernel_delta_program(
     ir: DeltaProgram, targets, query, library: Optional[ProgramLibrary] = None
-) -> Optional["KernelDeltaProgram"]:
-    """Build the kernel program for one IR program, or ``None`` when the
-    payload ring exposes no array hooks (the engine then falls back to the
-    source backend for this node)."""
+) -> "KernelDeltaProgram":
+    """Build the array program for one IR program over a ring with array
+    hooks (``query.ring.kernel_ops()`` must not be ``None``; whether the
+    array form *pays* for the ring is the engine's question, not asked
+    here)."""
     kops = query.ring.kernel_ops()
-    if kops is None:
-        return None
     columnar = _storage_signature(targets)
     key = ("kernel", ir, columnar)
     generated = library.lookup(key) if library is not None else None
@@ -290,11 +284,9 @@ def _generate_gather(ir: DeltaProgram, columnar: tuple) -> _Generated:
 class KernelDeltaProgram:
     """A flat delta trigger executed as gather + array kernel."""
 
-    backend = "kernels"
-
     __slots__ = (
         "node_name", "out_schema", "ring", "_kops", "_gather", "_lift_fns",
-        "_n_factors", "source_text", "_specs", "_stores", "_any_store",
+        "_n_factors", "source_text", "_specs", "_stores",
     )
 
     def __init__(self, ir, query, kops, gather, generated, targets, columnar):
@@ -320,11 +312,6 @@ class KernelDeltaProgram:
             else:
                 stores.append(None)
         self._stores = stores
-        #: Whether any factor column resolves from a packed store.  The
-        #: scalar fold would have to *unpack* those rows into payload
-        #: objects first, so the :data:`MIN_VECTOR_ROWS` cutoff only pays
-        #: on payload-object columns — packed gathers always vectorize.
-        self._any_store = any(store is not None for store in stores)
 
     def _materialize(self, factor_cols, delta_packed):
         """Resolve row/gid columns to payload objects (scalar fallback)."""
@@ -342,9 +329,9 @@ class KernelDeltaProgram:
         return out_cols
 
     def _finish_scalar(self, keys, factor_cols, lift_cols, out):
-        """The exact scalar fold (used under ``MIN_VECTOR_ROWS`` and when
-        a column cannot pack): row-wise reference-order products, per-key
-        contribution lists, one ``ring.sum`` per key, zeros dropped."""
+        """The exact scalar fold (used when a column cannot pack):
+        row-wise reference-order products, per-key contribution lists,
+        one ``ring.sum`` per key, zeros dropped."""
         ring = self.ring
         mul = ring.mul
         acc = {}
@@ -397,17 +384,6 @@ class KernelDeltaProgram:
         n = len(keys)
         if n == 0:
             return out
-        if (
-            n < MIN_VECTOR_ROWS
-            and not self._any_store
-            and delta_packed is None
-        ):
-            return self._finish_scalar(
-                keys,
-                self._materialize(factor_cols, delta_packed),
-                lift_cols,
-                out,
-            )
         kops = self._kops
         packed = None
         for spec, store, col in zip(self._specs, self._stores, factor_cols):
@@ -437,9 +413,8 @@ class KernelDeltaProgram:
                     lift_cols,
                     out,
                 )
-            packed = p if packed is None else kops.mul_packed(packed, p, n)
-        if packed is None:
-            packed = kops.identity(n)
+            # (never the first factor: the delta's own payload always is)
+            packed = kops.mul_packed(packed, p, n)
         # Group rows by output key (ids assigned first-seen, so every id in
         # range(n_groups) occurs — the reduce hooks rely on that).
         group_of: dict = {}

@@ -163,7 +163,7 @@ class MultiViewEngine:
 
     Parameters
     ----------
-    backend, storage:
+    storage:
         Passed to every per-view and shared engine (see
         :class:`~repro.core.engine.FIVMEngine`); all engines share one
         :class:`~repro.core.plan_exec.ProgramLibrary`.
@@ -185,7 +185,6 @@ class MultiViewEngine:
 
     def __init__(
         self,
-        backend: Optional[str] = None,
         storage: Optional[str] = None,
         *,
         sharing: bool = True,
@@ -193,7 +192,6 @@ class MultiViewEngine:
         clock: Callable[[], float] = time.monotonic,
         program_library: Optional[ProgramLibrary] = None,
     ):
-        self.backend = backend
         self.storage = storage
         self.sharing = sharing
         self.recompute_fraction = recompute_fraction
@@ -360,7 +358,6 @@ class MultiViewEngine:
         )
         engine = FIVMEngine(
             sub_query,
-            backend=self.backend,
             storage=self.storage,
             program_library=self._library,
         )
@@ -428,7 +425,6 @@ class MultiViewEngine:
         view.engine = FIVMEngine(
             rewritten,
             order=order,
-            backend=self.backend,
             storage=self.storage,
             program_library=self._library,
         )

@@ -1,9 +1,9 @@
-"""The source-codegen backend: IR delta programs as generated Python.
+"""Source codegen: IR delta programs as generated Python triggers.
 
 The engine lowers every delta plan to the typed IR of
-:mod:`repro.core.ir`; this module is the backend that turns an IR program
-into a specialized Python trigger in the style of DBToaster's generated
-code (the default, ``FIVMEngine(backend="source")``):
+:mod:`repro.core.ir`; this module turns an IR program into a specialized
+Python trigger in the style of DBToaster's generated code — the scalar
+form every engine builds for every entry point:
 
 * every IR register becomes a local ``r<i>`` of the generated function
   (the lowering already withheld registers from dead attributes);
@@ -27,10 +27,10 @@ creates all view/indicator relations before compiling and ``Relation``
 mutates its primary map and index dicts strictly in place (``clear``
 empties them, it never replaces them).
 
-The IR interpreter remains available via ``FIVMEngine(compiled=False)`` /
-``backend="interpreter"`` as the executable reference semantics; the
-differential tests hold the backends (and full recomputation) key-for-key
-equal across rings.
+The IR interpreter remains available via
+``FIVMEngine(backend="interpreter")`` as the executable reference
+semantics; the differential tests hold the generated triggers (and full
+recomputation) key-for-key equal to it across rings.
 
 Factor programs
 ---------------
@@ -247,8 +247,6 @@ def _bind_env(generated: _Generated, targets, query) -> dict:
 class SlotProgram:
     """A compiled delta trigger for one ``(node, source)`` IR program."""
 
-    backend = "source"
-
     __slots__ = ("node_name", "out_schema", "ring", "_fn", "source_text")
 
     def __init__(self, node_name, out_schema, ring, fn, source_text):
@@ -464,8 +462,6 @@ def _make_finalize(rsum, iszero):
 class FactorProgram:
     """A compiled factorized-delta trigger for one ``(node, source)`` entry
     point and one factor-schema partition."""
-
-    backend = "source"
 
     __slots__ = ("node_name", "out_partition", "ring", "_fn", "source_text")
 

@@ -119,7 +119,6 @@ from repro.core.engine import (
     FIVMEngine,
     check_delta,
     check_factorized,
-    resolve_backend,
     resolve_storage,
 )
 from repro.core.factorized_update import FactorizedUpdate, decompose
@@ -1312,10 +1311,6 @@ class ShardedFIVMEngine:
         deterministic crash/hang/error injection for the crash-recovery
         oracle.  Restarted workers never inherit it.  Rejected with
         ``shard_addresses`` (arm remote hosts on their side).
-    backend:
-        Trigger backend inherited unchanged by every shard engine
-        (``"interpreter"``, ``"source"``, or ``"kernels"``; overrides the
-        legacy ``compiled`` flag — see :class:`FIVMEngine`).
     storage:
         View storage engine inherited by every shard engine (``"dict"``
         or ``"columnar"`` — see :class:`FIVMEngine`).  Partitioned
@@ -1337,8 +1332,6 @@ class ShardedFIVMEngine:
         collapse_chains: bool = True,
         materialize: str = "auto",
         group_aware: bool = True,
-        compiled: bool = True,
-        backend: Optional[str] = None,
         storage: Optional[str] = None,
         hasher: Callable[[object], int] = stable_hash,
         recv_timeout: Optional[float] = None,
@@ -1444,19 +1437,12 @@ class ShardedFIVMEngine:
                 collapse_chains=collapse_chains,
                 materialize=materialize,
                 group_aware=group_aware,
-                compiled=compiled,
-                backend=backend,
                 storage=storage,
                 program_library=library,
             )
 
-        #: The per-shard engines inherit the trigger backend unchanged —
-        #: the backend policy is node-local, so it composes with sharding.
-        #: Resolved (and validated) here, before any worker forks, through
-        #: the same helper the shard engines themselves use.
-        self.backend = resolve_backend(backend, compiled)
-        #: Per-shard view storage ("dict" or "columnar"), validated up
-        #: front like the backend; the coordinator itself holds no views.
+        #: Per-shard view storage ("dict" or "columnar"), validated here,
+        #: before any worker forks; the coordinator itself holds no views.
         self.storage = resolve_storage(storage)
 
         factories = [factory] * self.shards

@@ -115,8 +115,8 @@ class Ring(ABC):
         return self.mul(self.from_int(n), a)
 
     def kernel_ops(self):
-        """Array-execution hooks for the NumPy kernel backend and the
-        columnar relation store.
+        """Array-execution hooks for the array form of the triggers
+        (:mod:`repro.core.kernels`) and the columnar relation store.
 
         Rings that can pack payload columns into arrays return an object
         with the packed-column protocol shared by
@@ -128,12 +128,22 @@ class Ring(ABC):
           sends that batch down the scalar fallback);
         * ``payload_layout(payload)`` — the hashable layout key a payload
           packs under (used to group a mixed column into packable runs);
-        * ``mul_packed(a, b, n)`` / ``add_packed`` / ``neg_packed`` /
-          ``identity(n)`` — vectorized ring arithmetic on packed columns;
+        * ``add_packed(a, b)`` / ``neg_packed(a)`` — vectorized ring
+          addition on packed columns;
         * ``reduce(packed, group_ids, n_groups)`` — the grouped
           ``Ring.sum`` fold (group ids assigned first-seen);
         * ``zero_mask(packed)`` — per-row ``is_zero`` as one bool array
           (tolerance-aware for float-backed rings);
+        * ``vectorizes_triggers`` — whether running a trigger over packed
+          columns beats the ring's scalar arithmetic on large deltas.
+          True where one scalar product is itself array work (cofactor,
+          degree); false for machine scalars and tuples of them, whose
+          Python arithmetic is a single operation per row (measured
+          0.4–0.8× the scalar triggers at 8 to 5000 rows), so those
+          rings' triggers always run scalar — and ℤ stays unbounded
+          Python ints, never int64.  Hooks that say true also provide
+          the packed product ``mul_packed(a, b, n)``, which only the
+          array triggers call;
         * store hooks ``alloc(cap, layout)`` / ``grow(block, used,
           cap)`` / ``take(block, rows)`` / ``put`` / ``add_at`` /
           ``zero_rows`` — preallocated payload blocks with in-place row
@@ -141,9 +151,9 @@ class Ring(ABC):
           :class:`repro.data.columnar.ColumnarRelation`.
 
         All of it is semantically equal to the scalar ``mul``/``sum``
-        fold.  ``None`` (the default) means the kernel backend falls back
-        to generated source for nodes over this ring and columnar
-        relations keep payloads as an object column.
+        fold.  ``None`` (the default) means triggers over this ring only
+        run in scalar form and columnar relations keep payloads as an
+        object column.
         """
         return None
 

@@ -519,6 +519,8 @@ class CofactorKernelOps:
 
     __slots__ = ("ring", "degree")
 
+    vectorizes_triggers = True
+
     def __init__(self, ring: "CofactorRing"):
         self.ring = ring
         self.degree = ring.degree
@@ -595,25 +597,6 @@ class CofactorKernelOps:
         flat[:, flat_ba] += cross.transpose(0, 2, 1).reshape(n, -1)
         return (count, sums, flat.reshape(n, k, k), union)
 
-    def combine(self, n: int, factor_cols, lift_cols):
-        """Row-wise product of all payload columns (lift columns map their
-        raw key values through the memoizing lift first); ``None`` falls
-        back to the scalar path."""
-        packed = None
-        for col in factor_cols:
-            p = self.pack(col, n)
-            if p is None:
-                return None
-            packed = p if packed is None else self._mul(packed, p, n)
-        for lift, col in lift_cols:
-            p = self.pack([lift(value) for value in col], n)
-            if p is None:  # pragma: no cover - lifts share one support
-                return None
-            packed = p if packed is None else self._mul(packed, p, n)
-        if packed is None:
-            packed = (np.ones(n), None, None, ())
-        return packed
-
     # -- grouped reduction ---------------------------------------------
 
     def reduce(self, packed, group_ids, n_groups: int):
@@ -661,9 +644,6 @@ class CofactorKernelOps:
 
     def mul_packed(self, a, b, n: int):
         return self._mul(a, b, n)
-
-    def identity(self, n: int):
-        return (np.ones(n), None, None, ())
 
     def _embed(self, packed, union):
         """Re-express a packed column on a superset support (zero-filled)."""

@@ -40,9 +40,9 @@ class DegreeKernelOps:
 
     * addition is matrix addition after adapting both operands onto the
       union vocabulary,
-    * the truncated product is one ``(n, P)·(P, M_out)`` matmul against a
-      memoized 0/1 scatter matrix enumerating all monomial pairs of total
-      degree ≤ 2, and
+    * the truncated product gathers all monomial pairs of total degree
+      ≤ 2 (memoized, grouped by the monomial they land on), multiplies
+      them column-wise and sums each group with one ``reduceat``, and
     * the grouped ``Ring.sum`` is one ``np.add.at`` over group ids.
 
     Truncation semantics: the dict payloads drop sub-tolerance coefficients
@@ -53,6 +53,8 @@ class DegreeKernelOps:
     """
 
     __slots__ = ("tolerance", "_adapt_cache", "_mul_cache")
+
+    vectorizes_triggers = True
 
     def __init__(self, ring: "DegreeRing"):
         self.tolerance = ring.tolerance
@@ -132,9 +134,6 @@ class DegreeKernelOps:
             return va
         return tuple(sorted(set(va) | set(vb)))
 
-    def identity(self, n):
-        return (np.ones((n, 1), dtype=np.float64), ((),))
-
     def add_packed(self, a, b):
         union = self._union(a[1], b[1])
         return (self._adapt(a, union) + self._adapt(b, union), union)
@@ -143,35 +142,35 @@ class DegreeKernelOps:
         return (-a[0], a[1])
 
     def mul_packed(self, a, b, n):
-        """Truncated polynomial product: one matmul per column pair."""
+        """Truncated polynomial product: the column-pair products, summed
+        per output monomial (pairs are laid out grouped by the monomial
+        they land on, so the sum is one ``reduceat`` along the columns)."""
         mat_a, va = a
         mat_b, vb = b
         key = (va, vb)
         hit = self._mul_cache.get(key)
         if hit is None:
-            pairs = []
-            out_vocab_set = set()
-            for ia, ma in enumerate(va):
-                for ib, mb in enumerate(vb):
-                    if len(ma) + len(mb) > 2:
-                        continue  # quotient: monomials of degree ≥ 3 vanish
-                    monomial = tuple(sorted(ma + mb))
-                    pairs.append((ia, ib, monomial))
-                    out_vocab_set.add(monomial)
-            out_vocab = tuple(sorted(out_vocab_set))
-            where = {monomial: j for j, monomial in enumerate(out_vocab)}
-            scatter = np.zeros((len(pairs), len(out_vocab)), dtype=np.float64)
-            ia_arr = np.array([p[0] for p in pairs], dtype=np.intp)
-            ib_arr = np.array([p[1] for p in pairs], dtype=np.intp)
-            for row, (_, _, monomial) in enumerate(pairs):
-                scatter[row, where[monomial]] = 1.0
-            hit = (out_vocab, ia_arr, ib_arr, scatter)
+            pairs = sorted(
+                (tuple(sorted(ma + mb)), ia, ib)
+                for ia, ma in enumerate(va)
+                for ib, mb in enumerate(vb)
+                if len(ma) + len(mb) <= 2  # quotient: degree ≥ 3 vanishes
+            )
+            out_vocab = tuple(sorted({pair[0] for pair in pairs}))
+            starts = np.array(
+                [i for i, pair in enumerate(pairs)
+                 if i == 0 or pair[0] != pairs[i - 1][0]],
+                dtype=np.intp,
+            )
+            ia_arr = np.array([pair[1] for pair in pairs], dtype=np.intp)
+            ib_arr = np.array([pair[2] for pair in pairs], dtype=np.intp)
+            hit = (out_vocab, ia_arr, ib_arr, starts)
             self._mul_cache[key] = hit
-        out_vocab, ia_arr, ib_arr, scatter = hit
+        out_vocab, ia_arr, ib_arr, starts = hit
         if not out_vocab:
             return (np.zeros((n, 0), dtype=np.float64), out_vocab)
         prod = mat_a[:, ia_arr] * mat_b[:, ib_arr]
-        return (prod @ scatter, out_vocab)
+        return (np.add.reduceat(prod, starts, axis=1), out_vocab)
 
     def reduce(self, packed, group_ids, n_groups):
         mat, vocab = packed

@@ -27,41 +27,28 @@ __all__ = [
 
 
 class ScalarKernelOps:
-    """Array pack/unpack hooks for scalar rings (the kernel backend).
+    """Array hooks for scalar rings: what columnar storage needs.
 
-    Payload columns become one NumPy array each; the payload product is an
-    element-wise array multiply, lifting maps the raw key values before
-    packing, and the per-output-key ``Ring.sum`` fold becomes one grouped
-    reduction (``np.bincount`` over the group-id vector).  Semantically
-    identical to the scalar fold — addition and multiplication of machine
-    scalars are exact within the dtype (ℤ payloads ride int64: overflow
-    beyond 2⁶³ is out of scope for multiplicity counting).
+    A payload column (and a store block) is one NumPy array: rows are
+    written and accumulated in place, the per-key ``Ring.sum`` fold is one
+    grouped reduction over a group-id vector, and zero detection is a
+    vectorized mask.  Exact within the dtype — ℤ blocks ride int64
+    (overflow beyond 2⁶³ is out of scope for stored multiplicities).  The
+    scalar layout is trivial (``()``): every payload packs the same way.
 
-    Beyond the original combine/reduce/unpack protocol this implements the
-    *store* hooks (:mod:`repro.data.columnar`): a payload block is one
-    preallocated array, rows are written/accumulated in place, and zero
-    detection is a vectorized mask.  The scalar layout is trivial
-    (``()``) — every payload packs the same way.
+    Triggers never run over these hooks (``vectorizes_triggers``): one
+    Python ``*`` per row already beats packing, so there is no packed
+    product here — only the store side of the protocol
+    (:mod:`repro.data.columnar`).
     """
 
     __slots__ = ("dtype", "tolerance")
 
+    vectorizes_triggers = False
+
     def __init__(self, dtype, tolerance: float = 0.0):
         self.dtype = dtype
         self.tolerance = tolerance
-
-    def combine(self, n, factor_cols, lift_cols):
-        """The row-wise payload product of all columns (length-``n``)."""
-        arr = None
-        for col in factor_cols:
-            a = np.asarray(col, dtype=self.dtype)
-            arr = a if arr is None else arr * a
-        for lift, col in lift_cols:
-            a = np.asarray([lift(value) for value in col], dtype=self.dtype)
-            arr = a if arr is None else arr * a
-        if arr is None:
-            arr = np.ones(n, dtype=self.dtype)
-        return arr
 
     def reduce(self, packed, group_ids, n_groups):
         """Fold rows onto their output keys (one grouped reduction)."""
@@ -74,19 +61,13 @@ class ScalarKernelOps:
     def unpack(self, reduced):
         return reduced.tolist()
 
-    # -- packed-column protocol (zero-pack kernels + columnar storage) --
+    # -- packed-column protocol (columnar storage) ---------------------
 
     def pack(self, column, n):
         return np.asarray(column, dtype=self.dtype)
 
     def payload_layout(self, payload):
         return ()
-
-    def mul_packed(self, a, b, n):
-        return a * b
-
-    def identity(self, n):
-        return np.ones(n, dtype=self.dtype)
 
     def add_packed(self, a, b):
         return a + b

@@ -32,6 +32,13 @@ class ProductKernelOps:
     def __init__(self, component_ops):
         self.ops = tuple(component_ops)
 
+    @property
+    def vectorizes_triggers(self) -> bool:
+        """Triggers run over arrays only when every component's do: one
+        scalar component (ℤ, ℝ) keeps the product's triggers scalar —
+        and its integers unbounded — and has no packed product to call."""
+        return all(ops.vectorizes_triggers for ops in self.ops)
+
     def pack(self, column, n):
         packed = []
         for i, ops in enumerate(self.ops):
@@ -48,9 +55,6 @@ class ProductKernelOps:
 
     def unpack(self, packed):
         return list(zip(*(ops.unpack(comp) for ops, comp in zip(self.ops, packed))))
-
-    def identity(self, n):
-        return tuple(ops.identity(n) for ops in self.ops)
 
     def mul_packed(self, a, b, n):
         return tuple(

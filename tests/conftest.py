@@ -2,14 +2,55 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
-from repro.core import Query, VariableOrder, build_view_tree
+from repro.core import (
+    FIVMEngine,
+    Query,
+    VariableOrder,
+    build_view_tree,
+    kernels,
+)
 from repro.data import Database, Relation
 from repro.rings import INT_RING
+
+#: The trigger forms the differential tests compare: the two generated
+#: forms (see :func:`pinned`) plus the reference interpreter.
+FORMS = ("scalar", "array", "interpreter")
+
+
+@contextlib.contextmanager
+def pinned(form: str):
+    """Engines *constructed* inside run one generated trigger form only.
+
+    The engine reads ``kernels.MIN_VECTOR_ROWS`` once, at construction, as
+    the delta size from which it picks array over scalar triggers:
+    ``"scalar"`` puts it out of reach, ``"array"`` at one row.  The array
+    pin also overrides the engine's rule that keeps cheap products scalar
+    — a performance rule, not a semantic one — so that the array code is
+    held to the interpreter on every program shape, not only on joins of
+    lifted payloads (rings whose arrays never pay still run scalar).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if form == "scalar":
+            patch.setattr(kernels, "MIN_VECTOR_ROWS", sys.maxsize)
+        else:
+            patch.setattr(kernels, "MIN_VECTOR_ROWS", 1)
+            patch.setattr(FIVMEngine, "_joins_payloads", lambda *args: True)
+        yield
+
+
+def make_engine(form: str, query: Query, order=None, **kwargs) -> FIVMEngine:
+    """An engine of one trigger form (see :data:`FORMS`)."""
+    if form == "interpreter":
+        return FIVMEngine(query, order, backend="interpreter", **kwargs)
+    with pinned(form):
+        return FIVMEngine(query, order, **kwargs)
 
 
 def recompute(query: Query, db: Database, order: VariableOrder = None) -> Relation:

@@ -4,18 +4,26 @@ A seeded generator draws random cases — schemas, variable orders (via the
 heuristic), free variables, lifting assignments — and random update
 *streams* mixing single-relation deltas, multi-relation ``apply_batch``
 groups (including factorized items), factorized rank-r updates, and
-``apply_decomposed_update`` calls.  Every trigger backend must agree on
+``apply_decomposed_update`` calls.  Every trigger form must agree on
 every per-update root delta and on the final state of every materialized
 view:
 
-* one :class:`FIVMEngine` per IR backend — ``"source"`` (generated
-  triggers, including the compiled factorized path and its shared probe
-  cache), ``"kernels"`` (vectorized NumPy execution where the ring packs,
-  generated source elsewhere), and ``"interpreter"`` (the IR walker, the
-  reference semantics),
+* one :class:`FIVMEngine` per trigger form — ``"scalar"`` (pinned to the
+  generated scalar triggers, including the compiled factorized path and
+  its shared probe cache), ``"array"`` (pinned to the vectorized NumPy
+  programs on every node over the cofactor and degree rings; scalar on
+  rings whose arrays never pay), and ``"interpreter"`` (the IR walker,
+  the reference semantics).  The engine normally picks scalar or array
+  per delta from its size; these streams' deltas are tiny, so the pins
+  are what hold *both* forms to the interpreter on every stream: each
+  engine is constructed under :func:`tests.conftest.pinned`, which sets
+  the size threshold it reads once at construction to "never" /
+  "always" (and, for the array pin, lifts the engine's rule that keeps
+  cheap products scalar),
 * the hash-partitioned :class:`ShardedFIVMEngine` (three shards,
-  shard-key defaulted to the variable-order root, inheriting the primary
-  backend) — per-update merged root deltas and final merged views.  The
+  shard-key defaulted to the variable-order root, unpinned — the default
+  size-based selection) — per-update merged root deltas and final merged
+  views.  The
   executor defaults to ``inline``; ``FIVM_SHARD_EXECUTOR`` (with
   ``FIVM_SHARD_PIPELINE`` for the send-ahead window) swaps in the
   process or socket transport so CI sweeps the wire protocol too,
@@ -29,7 +37,7 @@ persists — and fails with the minimal stream printed, ready to paste into a
 regression test.
 
 **Partial materialization** rides along as a served-key oracle: one
-partial-mode engine (eviction-sized active-set budget) per backend ×
+partial-mode engine (eviction-sized active-set budget) per form ×
 storage configuration replays the same stream, and after every event a
 random sample of keys is looked up through its :class:`ViewClient` and
 compared against the full primary engine's root view.  The sample mixes
@@ -45,17 +53,16 @@ value at every later step, and again after the stream ends.
 ``FIVM_DIFF_STREAMS_PER_RING`` scales the stream count per ring family
 (default 40 → 200 streams total); the scheduled nightly CI job elevates it
 to 200 (1000 streams) to sweep a wider seed range than per-push CI can
-afford.  ``FIVM_BACKEND`` narrows the backend set to one primary backend
-(the interpreter rides along as the reference) — the CI tier-1 matrix
-runs the suite once per backend that way.  ``FIVM_STORAGE`` does the same
-for the view-storage dimension (``"dict"`` or ``"columnar"``): unset, every
-backend runs on both storages; set, the chosen storage runs with the dict
-reference alongside.  Either way the dict/interpreter engine is always in
-the pool, so every backend × storage combination is differentially held to
-the reference semantics on every stream.  ``FIVM_MATERIALIZATION``
-narrows the materialization dimension the same way: ``"full"`` drops the
-partial riders, ``"partial"`` keeps them (the full engines always run —
-they are the oracle), unset runs both.
+afford.  ``FIVM_STORAGE`` narrows the view-storage dimension (``"dict"``
+or ``"columnar"``): unset, every form runs on both storages; set, the
+scalar and array engines run on the chosen storage with the
+dict/interpreter reference alongside — the CI tier-1 matrix runs the
+suite once per storage × materialization that way.  Either way the
+dict/interpreter engine is always in the pool, so both trigger forms are
+differentially held to the reference semantics on every stream.
+``FIVM_MATERIALIZATION`` narrows the materialization dimension the same
+way: ``"full"`` drops the partial riders, ``"partial"`` keeps them (the
+full engines always run — they are the oracle), unset runs both.
 """
 
 from __future__ import annotations
@@ -90,37 +97,24 @@ from repro.rings import (
     SquareMatrixRing,
 )
 
-from tests.conftest import recompute
+from tests.conftest import FORMS, make_engine, pinned, recompute
 
 #: Fixed base seed: every CI run replays the exact same ≥200 streams.
 BASE_SEED = 0xF1B2
 
-#: Trigger backends under differential test.  ``FIVM_BACKEND=<name>``
-#: narrows the set to that backend plus the interpreter reference, which
-#: is how the CI matrix runs the suite once per backend.
-_ENV_BACKEND = os.environ.get("FIVM_BACKEND", "").strip()
-if _ENV_BACKEND:
-    BACKENDS = tuple(dict.fromkeys((_ENV_BACKEND, "interpreter")))
-else:
-    BACKENDS = ("source", "kernels", "interpreter")
-#: View storages under differential test, narrowed by ``FIVM_STORAGE``
-#: the same way.  The dict storage always rides along as the reference.
+#: Engine configurations (form, storage): the full product — except when
+#: ``FIVM_STORAGE`` pins a storage (the CI matrix runs one per job), where
+#: the pool is both generated forms on it plus the interpreter/dict
+#: reference.
 _ENV_STORAGE = os.environ.get("FIVM_STORAGE", "").strip()
 if _ENV_STORAGE:
-    STORAGES = tuple(dict.fromkeys((_ENV_STORAGE, "dict")))
-else:
-    STORAGES = ("dict", "columnar")
-#: Engine configurations: the backend × storage product — except when
-#: both envs pin a single combination, where the pool is trimmed to the
-#: pinned pair plus the interpreter/dict reference (the CI matrix runs
-#: one such pair per job rather than re-checking the full product).
-if _ENV_BACKEND and _ENV_STORAGE:
-    CONFIGS = tuple(dict.fromkeys(
-        ((_ENV_BACKEND, _ENV_STORAGE), ("interpreter", "dict"))
-    ))
+    CONFIGS = (
+        ("scalar", _ENV_STORAGE), ("array", _ENV_STORAGE),
+        ("interpreter", "dict"),
+    )
 else:
     CONFIGS = tuple(
-        (backend, storage) for backend in BACKENDS for storage in STORAGES
+        (form, storage) for form in FORMS for storage in ("dict", "columnar")
     )
 #: Materialization modes, narrowed by ``FIVM_MATERIALIZATION``: the full
 #: engines always run (they are the oracle every other mode is held to);
@@ -324,7 +318,7 @@ def _as_factorized(rel: str, ring, terms) -> FactorizedUpdate:
 
 
 def run_case(case: dict, ring_family) -> Optional[str]:
-    """Replay one case through every backend and oracle; returns a
+    """Replay one case through every form and oracle; returns a
     divergence description, or None when they all agree."""
     schemas = case["schemas"]
     attrs = tuple(sorted({a for s in schemas.values() for a in s}))
@@ -339,15 +333,13 @@ def run_case(case: dict, ring_family) -> Optional[str]:
 
     order = VariableOrder.auto(make_query("o"))
     primary = "/".join(CONFIGS[0])
-    primary_backend, _ = CONFIGS[0]
     engines = {
-        f"{backend}/{storage}": FIVMEngine(
-            make_query(f"{backend}_{storage}"), order,
-            backend=backend, storage=storage,
+        f"{form}/{storage}": make_engine(
+            form, make_query(f"{form}_{storage}"), order, storage=storage
         )
-        for backend, storage in CONFIGS
+        for form, storage in CONFIGS
     }
-    # Partial-materialization riders: the same backend × storage pool in
+    # Partial-materialization riders: the same form × storage pool in
     # ``materialization="partial"`` mode, under an eviction-sized budget
     # (roughly three root entries at COUNT-payload cost) so the LRU churns
     # and re-served keys routinely take the upquery path.  They replay the
@@ -356,16 +348,16 @@ def run_case(case: dict, ring_family) -> Optional[str]:
     partial_clients: Dict[str, ViewClient] = {}
     if "partial" in MATERIALIZATIONS:
         budget = 3 * (1 + payload_scalars(ring.from_int(1)))
-        for backend, storage in CONFIGS:
-            partial_clients[f"partial/{backend}/{storage}"] = ViewClient(
-                FIVMEngine(
-                    make_query(f"p_{backend}_{storage}"), order,
-                    backend=backend, storage=storage,
+        for form, storage in CONFIGS:
+            partial_clients[f"partial/{form}/{storage}"] = ViewClient(
+                make_engine(
+                    form, make_query(f"p_{form}_{storage}"), order,
+                    storage=storage,
                     materialization="partial", partial_budget=budget,
                 )
             )
-    # The sharded engine inherits the primary backend; its shards run on
-    # columnar storage whenever columnar is in the pool, so the sharded
+    # The sharded engine keeps the default size-based selection; its
+    # shards run on columnar storage whenever columnar is in the pool, so the sharded
     # wire protocol is exercised against array-native fragments too.
     sharded_storage = (
         "columnar" if any(s == "columnar" for _, s in CONFIGS) else "dict"
@@ -378,7 +370,7 @@ def run_case(case: dict, ring_family) -> Optional[str]:
     )
     sharded = ShardedFIVMEngine(
         make_query("s"), order, shards=3, executor=sharded_executor,
-        backend=primary_backend, storage=sharded_storage,
+        storage=sharded_storage,
     )
     try:
         recursive = RecursiveIVM(make_query("r")) if commutative else None
@@ -682,7 +674,7 @@ def test_multiview_differential(ring_name):
 
     ring_family = RING_FAMILIES[ring_name]
     ring_offset = sorted(RING_FAMILIES).index(ring_name)
-    backend, storage = CONFIGS[0]
+    storage = CONFIGS[0][1]
     n_cases = max(2, STREAMS_PER_RING // 10)
     for i in range(n_cases):
         seed = BASE_SEED * 2000 + ring_offset * 1000 + i
@@ -716,17 +708,20 @@ def test_multiview_differential(ring_name):
             )
 
         mv = MultiViewEngine(
-            backend=backend,
             storage=storage,
             recompute_fraction=rng.choice([0.0, 0.3, 1e9]),
             clock=lambda: clock_now[0],
         )
         oracles: Dict[str, FIVMEngine] = {}
         for query in queries:
-            mv.register(
-                query, target_lag=rng.choice([0.0, 0.0, 5.0, 50.0])
-            )
-            oracle = FIVMEngine(query, backend=backend, storage=storage)
+            # The multi-view engine builds its per-view and shared
+            # engines at registration: pin those to the array form and
+            # the independent oracles to the scalar one.
+            with pinned("array"):
+                mv.register(
+                    query, target_lag=rng.choice([0.0, 0.0, 5.0, 50.0])
+                )
+            oracle = make_engine("scalar", query, storage=storage)
             oracle.initialize(
                 Database(
                     Relation(rel, schema, ring)

@@ -50,8 +50,8 @@ def drive_alternating(make_engine, steps=25, seed=0xFAC):
     and interpreted engines; sibling views change mid-stream, so stale
     probe-cache entries would surface immediately."""
     rng = random.Random(seed)
-    compiled = make_engine(True)
-    interp = make_engine(False)
+    compiled = make_engine()
+    interp = make_engine("interpreter")
     ring = compiled.query.ring
     for step in range(steps):
         if step % 2 == 0:
@@ -85,9 +85,9 @@ class TestAggregatedMerges:
     def test_bucket_sum_merge_compiled_and_correct(self):
         """No lifts: the dropped sibling extends read the index bucket sum
         (one ``_ss`` lookup replaces iterating the bucket)."""
-        def make(compiled):
+        def make(backend=None):
             q = Query("c", COLLAPSE_SCHEMAS, free=("A",), ring=INT_RING)
-            return FIVMEngine(q, collapse_order(), compiled=compiled)
+            return FIVMEngine(q, collapse_order(), backend=backend)
 
         compiled = drive_alternating(make)
         sources = [p.source_text for p in compiled._factor_programs.values()]
@@ -97,14 +97,14 @@ class TestAggregatedMerges:
     def test_cached_lifted_merge_compiled_and_correct(self):
         """A lift on the dropped extend forces the folded-sum probe-cache
         site (index sums cannot apply lifts)."""
-        def make(compiled):
+        def make(backend=None):
             ring = DegreeRing(2)
             lifting = Lifting(ring, {"V": ring.lift(0), "W": ring.lift(1)})
             q = Query(
                 "c", COLLAPSE_SCHEMAS, free=("A",), ring=ring,
                 lifting=lifting,
             )
-            return FIVMEngine(q, collapse_order(), compiled=compiled)
+            return FIVMEngine(q, collapse_order(), backend=backend)
 
         compiled = drive_alternating(make)
         sources = [p.source_text for p in compiled._factor_programs.values()]
@@ -112,10 +112,10 @@ class TestAggregatedMerges:
             "expected a cached lifted bucket collapse"
 
     def test_group_aware_off_disables_aggregation_but_agrees(self):
-        def make(compiled):
+        def make(backend=None):
             q = Query("c", COLLAPSE_SCHEMAS, free=("A",), ring=INT_RING)
             return FIVMEngine(
-                q, collapse_order(), compiled=compiled, group_aware=False
+                q, collapse_order(), backend=backend, group_aware=False
             )
 
         compiled = drive_alternating(make)
@@ -125,13 +125,13 @@ class TestAggregatedMerges:
 
 
 class TestProbeCacheContract:
-    def _engine(self, compiled=True):
+    def _engine(self, backend=None):
         ring = DegreeRing(2)
         lifting = Lifting(ring, {"V": ring.lift(0), "W": ring.lift(1)})
         q = Query(
             "c", COLLAPSE_SCHEMAS, free=("A",), ring=ring, lifting=lifting
         )
-        return FIVMEngine(q, collapse_order(), compiled=compiled)
+        return FIVMEngine(q, collapse_order(), backend=backend)
 
     def test_cache_fills_on_factorized_and_invalidates_on_sibling_write(self):
         engine = self._engine()
@@ -151,7 +151,7 @@ class TestProbeCacheContract:
         ))
         assert sibling not in engine._probe_cache
         # ...and the next factorized update recomputes correctly.
-        interp = self._engine(compiled=False)
+        interp = self._engine("interpreter")
         seed_s(interp)
         interp.apply_factorized_update(
             rank_one_r(ring, {(7,): 1}, {(1,): 1, (2,): 1})
@@ -208,13 +208,13 @@ class TestPartialMatchMemo:
     with *surviving* extends is reduced (rows pre-aggregated per surviving
     key) and memoized per subkey, shared by every backend."""
 
-    def _make(self, compiled=True):
+    def _make(self, backend=None):
         # W is free, so the merge of S(V, W) into the V-factor keeps W:
         # extends survive and the probe compiles to the "memo" mode.
         q = Query(
             "pm", COLLAPSE_SCHEMAS, free=("A", "W"), ring=INT_RING
         )
-        return FIVMEngine(q, collapse_order(), compiled=compiled)
+        return FIVMEngine(q, collapse_order(), backend=backend)
 
     def test_memo_mode_compiled_and_differentially_correct(self):
         compiled = drive_alternating(self._make)
@@ -248,7 +248,7 @@ class TestPartialMatchMemo:
             "S", ("V", "W"), ring, {(1, 5): ring.from_int(3)}
         ))
         assert sibling not in engine._probe_cache
-        interp = self._make(compiled=False)
+        interp = self._make("interpreter")
         seed_s(interp)
         interp.apply_factorized_update(rank_one_r(ring, {(7,): 1}, {(1,): 1}))
         interp.apply_factorized_update(
@@ -354,18 +354,18 @@ class TestCanonicalPartitions:
         other must hit one compiled program per node, not two: the engine
         canonicalizes the partition (factor schemas sorted) before the
         cache lookup.  Results stay differentially equal either way."""
-        def make(compiled):
+        def make(backend=None):
             q = Query(
                 "perm", {"R": ("A", "V", "W"), "S": ("V", "W")},
                 free=("A",), ring=INT_RING,
             )
             return FIVMEngine(
                 q, VariableOrder.from_spec(("A", [("W", ["V"])])),
-                compiled=compiled,
+                backend=backend,
             )
 
-        compiled = make(True)
-        interp = make(False)
+        compiled = make()
+        interp = make("interpreter")
         ring = INT_RING
         compiled.apply_update(Relation(
             "S", ("V", "W"), ring, {(1, 5): 1, (2, 6): 2}

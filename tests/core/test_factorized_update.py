@@ -269,7 +269,7 @@ class TestEnginePropagation:
 
     def test_rank_zero_interpreted_matches(self):
         q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        engine = FIVMEngine(q, paper_variable_order(), compiled=False)
+        engine = FIVMEngine(q, paper_variable_order(), backend="interpreter")
         root_delta = engine.apply_factorized_update(
             FactorizedUpdate("S", [], ring=INT_RING)
         )

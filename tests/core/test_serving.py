@@ -8,7 +8,7 @@ later), the memory-budget ceiling (measured with the same logical-scalar
 accounting as :mod:`repro.bench.memory`), the initialize/write
 choke-point regression (stale probe-cache entries after a reload), and
 the asyncio front door (many readers, one writer, epoch handoff — no
-torn reads across an ``apply_batch``).  The randomized cross-backend
+torn reads across an ``apply_batch``).  The randomized cross-form
 sweep lives in ``test_differential_random.py``; these tests pin down
 each mechanism with hand-built streams small enough to read.
 """
@@ -29,15 +29,17 @@ from repro.serve import EpochLock, ViewServer
 from tests.conftest import (
     PAPER_SCHEMAS,
     figure2_database,
+    make_engine,
     paper_variable_order,
     recompute,
 )
 
+#: (trigger form, storage) — forms as in ``tests.conftest.FORMS``.
 COMBOS = [
     ("interpreter", "dict"),
-    ("source", "dict"),
-    ("source", "columnar"),
-    ("kernels", "columnar"),
+    ("scalar", "dict"),
+    ("scalar", "columnar"),
+    ("array", "columnar"),
 ]
 
 
@@ -45,14 +47,12 @@ def paper_query(tag: str = "Q") -> Query:
     return Query(tag, PAPER_SCHEMAS, free=("A",), ring=INT_RING)
 
 
-def make_pair(backend="source", storage="dict", budget=None):
+def make_pair(form="scalar", storage="dict", budget=None):
     """A (full, partial) engine pair over the paper query."""
     order = paper_variable_order()
-    full = FIVMEngine(
-        paper_query("Qf"), order, backend=backend, storage=storage
-    )
-    part = FIVMEngine(
-        paper_query("Qp"), order, backend=backend, storage=storage,
+    full = make_engine(form, paper_query("Qf"), order, storage=storage)
+    part = make_engine(
+        form, paper_query("Qp"), order, storage=storage,
         materialization="partial", partial_budget=budget,
     )
     return full, part
@@ -77,11 +77,11 @@ def random_stream(seed: int, steps: int = 30, domain: int = 4):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend,storage", COMBOS)
-def test_cold_key_upquery_matches_full_engine(backend, storage):
+@pytest.mark.parametrize("form,storage", COMBOS)
+def test_cold_key_upquery_matches_full_engine(form, storage):
     """Every key is looked up cold first (upquery), then hot (maintained
     entry) — both reads must equal the fully maintained value."""
-    full, part = make_pair(backend, storage)
+    full, part = make_pair(form, storage)
     client = ViewClient(part)
     root = part.tree.root.name
     keys = [(f"a{i}",) for i in range(5)]
@@ -253,17 +253,15 @@ def test_unregistered_deltas_drop_with_a_record():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend,storage", COMBOS)
-def test_initialize_after_updates_serves_fresh_values(backend, storage):
+@pytest.mark.parametrize("form,storage", COMBOS)
+def test_initialize_after_updates_serves_fresh_values(form, storage):
     """Regression: `initialize` used to absorb into views without the
     probe-cache invalidation the delta paths use, so a reload after
     updates could leave memoized sibling collapses pointing at dead
     state.  All writes now share `_write_view`; a post-reload update
     must produce exactly what a fresh engine produces."""
     order = paper_variable_order()
-    engine = FIVMEngine(
-        paper_query("Qa"), order, backend=backend, storage=storage
-    )
+    engine = make_engine(form, paper_query("Qa"), order, storage=storage)
     # Populate the probe cache: propagation memoizes sibling collapses.
     for delta in random_stream(71, steps=8):
         engine.apply_update(delta)
@@ -271,9 +269,7 @@ def test_initialize_after_updates_serves_fresh_values(backend, storage):
     db = figure2_database()
     engine.initialize(db)
 
-    fresh = FIVMEngine(
-        paper_query("Qb"), order, backend=backend, storage=storage
-    )
+    fresh = make_engine(form, paper_query("Qb"), order, storage=storage)
     fresh.initialize(db)
 
     probe = Relation("S", PAPER_SCHEMAS["S"], INT_RING, {

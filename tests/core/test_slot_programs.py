@@ -3,9 +3,9 @@
 Three implementations must agree key-for-key on random queries and random
 insert/delete streams:
 
-* the compiled slot executor (``FIVMEngine(compiled=True)``, the default),
-* the dict-binding interpreter (``compiled=False``, the reference
-  semantics the programs are compiled from),
+* the compiled slot executor (the default ``FIVMEngine``),
+* the IR interpreter (``backend="interpreter"``, the reference semantics
+  the programs are compiled from),
 * full recomputation (``RecursiveIVM`` and from-scratch evaluation).
 
 Runs across the ℤ, cofactor, and (non-commutative) matrix rings — the
@@ -73,16 +73,16 @@ def drive_differentially(
     from repro.core.ir import InterpreterDeltaProgram
     from repro.core.plan_exec import SlotProgram
 
-    compiled = FIVMEngine(query, order, compiled=True)
-    interpreted = FIVMEngine(query, order, compiled=False)
+    compiled = FIVMEngine(query, order)
+    interpreted = FIVMEngine(query, order, backend="interpreter")
     assert compiled._programs, "compiled engine must hold slot programs"
     assert all(
         isinstance(p, SlotProgram) for p in compiled._programs.values()
-    ), "compiled=True must realize the IR through the source backend"
+    ), "the default engine must realize the IR as generated triggers"
     assert interpreted._programs and all(
         isinstance(p, InterpreterDeltaProgram)
         for p in interpreted._programs.values()
-    ), "compiled=False must realize the IR through the interpreter backend"
+    ), "backend='interpreter' must realize the IR through the interpreter"
     db = Database(
         Relation(rel, schema, query.ring) for rel, schema in schemas.items()
     )
@@ -131,11 +131,10 @@ class TestCompiledMatchesReference:
 
     def test_group_aware_off_still_agrees(self, rng):
         q = int_query("Q", PAPER_SCHEMAS)
-        compiled = FIVMEngine(
-            q, paper_variable_order(), group_aware=False, compiled=True
-        )
+        compiled = FIVMEngine(q, paper_variable_order(), group_aware=False)
         interpreted = FIVMEngine(
-            q, paper_variable_order(), group_aware=False, compiled=False
+            q, paper_variable_order(), group_aware=False,
+            backend="interpreter",
         )
         for _ in range(20):
             rel = rng.choice(list(PAPER_SCHEMAS))
@@ -149,7 +148,7 @@ class TestCompiledMatchesFullRecompute:
     def test_against_recursive_ivm(self, rng):
         """Third reference: the DBToaster-style recursive baseline."""
         q = int_query("Q", PAPER_SCHEMAS)
-        compiled = FIVMEngine(q, paper_variable_order(), compiled=True)
+        compiled = FIVMEngine(q, paper_variable_order())
         dbt = RecursiveIVM(int_query("Qd", PAPER_SCHEMAS))
         for _ in range(30):
             rel = rng.choice(list(PAPER_SCHEMAS))
@@ -163,7 +162,7 @@ class TestCompiledMatchesFullRecompute:
     def test_cofactor_against_recursive_ivm(self, rng):
         q = cofactor_paper_query()
         ring = q.ring
-        compiled = FIVMEngine(q, paper_variable_order(), compiled=True)
+        compiled = FIVMEngine(q, paper_variable_order())
         dbt = RecursiveIVM(cofactor_paper_query())
         for _ in range(15):
             rel = rng.choice(list(PAPER_SCHEMAS))
@@ -178,15 +177,15 @@ class TestCompiledMatchesFullRecompute:
 class TestIndicatorPrograms:
     def test_triangle_with_indicators(self, rng):
         """Indicator-source slot programs agree with the interpreter."""
-        def adorned_engine(compiled):
+        def adorned_engine(backend=None):
             q = int_query("tri", TRIANGLE_SCHEMAS)
             tree = add_indicator_projections(
                 build_view_tree(q, VariableOrder.chain(("A", "B", "C")))
             )
-            return FIVMEngine(q, tree=tree, compiled=compiled)
+            return FIVMEngine(q, tree=tree, backend=backend)
 
-        compiled = adorned_engine(True)
-        interpreted = adorned_engine(False)
+        compiled = adorned_engine()
+        interpreted = adorned_engine("interpreter")
         db = Database(
             Relation(rel, schema, INT_RING)
             for rel, schema in TRIANGLE_SCHEMAS.items()
