@@ -184,7 +184,10 @@ def test_ablation_compiled_factorized(benchmark):
     runtimes; identical update sequences).  The generated path replaces
     the per-op IR walk and its per-combination bindings with fused,
     specialized loop nests, so it must clear the interpreter by a real
-    margin."""
+    margin (``speedup``: scalar form over interpreter, the ratcheted
+    ratio).  The array row is the default engine, whose factor programs
+    run on packed factors at this size (``array_speedup``: over the
+    scalar form)."""
     rng = np.random.default_rng(34)
     n = int(48 * SCALE)
     updates = 10
@@ -194,18 +197,22 @@ def test_ablation_compiled_factorized(benchmark):
     def experiment():
         rows = []
         outputs = []
-        for interpreted in (False, True):
-            engine, seconds = timed_chain_rank_one(mats, terms, interpreted)
-            rows.append([
-                "generic" if interpreted else "compiled", seconds
-            ])
+        for name, form in (
+            ("compiled", "scalar"), ("generic", "interpreter"),
+            ("array", "default"),
+        ):
+            engine, seconds = timed_chain_rank_one(mats, terms, form)
+            rows.append([name, seconds])
             outputs.append(engine.result())
         assert outputs[0].same_as(outputs[1]), \
+            "ablation must not change results"
+        assert outputs[2].same_as(outputs[1]), \
             "ablation must not change results"
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     speedup = rows[1][1] / rows[0][1]
+    array_speedup = rows[0][1] / rows[2][1]
     table = format_table(
         f"Ablation: compiled vs generic factorized propagation (n = {n})",
         ["factorized path", "sec/rank-1 update"],
@@ -213,14 +220,17 @@ def test_ablation_compiled_factorized(benchmark):
     )
     report(
         "ablation_compiled_factorized",
-        table + f"\ncompiled speedup: {speedup:.2f}x",
+        table + f"\ncompiled speedup: {speedup:.2f}x"
+        f"\narray over compiled: {array_speedup:.2f}x",
         data={
             "headers": ["path", "sec_per_update"],
             "rows": rows,
             "speedup": speedup,
+            "array_speedup": array_speedup,
         },
     )
     assert speedup >= 1.2, f"compiled factorized path only {speedup:.2f}x"
+    assert array_speedup >= 1.5, f"array factor programs only {array_speedup:.2f}x"
 
 
 def test_ablation_kernel_backend(benchmark):

@@ -9,6 +9,7 @@ it are marked timed out and report the fraction they reached.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -39,7 +40,7 @@ def timed_per_update(fn: Callable[[], object], repeats: int) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def timed_chain_rank_one(mats, terms, interpreted: bool, index: int = 2):
+def timed_chain_rank_one(mats, terms, form: str = "default", index: int = 2):
     """Seconds per rank-1 update to ``A<index>`` of a hash-engine matrix
     chain, plus the driven engine (so callers can compare end states).
 
@@ -47,9 +48,11 @@ def timed_chain_rank_one(mats, terms, interpreted: bool, index: int = 2):
     factorized column: the first update is burned off the clock (it pays
     the lazy factor-program compilation), the rest are timed through
     :func:`timed_per_update` — so at least two terms are required.
-    The engine is the one :class:`~repro.apps.MatrixChainIVM` builds, or
-    with ``interpreted`` the reference IR interpreter over the same tree
-    (the arm the generated factor programs are measured against).
+    ``form`` picks the engine over :class:`~repro.apps.MatrixChainIVM`'s
+    tree: ``"default"`` (factor programs in array form from
+    ``kernels.MIN_VECTOR_ROWS`` factor rows up), ``"scalar"`` (that
+    threshold out of reach: the generated source only) or
+    ``"interpreter"`` (the reference both are measured against).
     """
     from repro.apps.matrix_chain import (
         chain_database,
@@ -57,6 +60,7 @@ def timed_chain_rank_one(mats, terms, interpreted: bool, index: int = 2):
         chain_variable_order,
         rank_one_update,
     )
+    from repro.core import kernels
     from repro.core.engine import FIVMEngine
 
     if len(terms) < 2:
@@ -66,13 +70,19 @@ def timed_chain_rank_one(mats, terms, interpreted: bool, index: int = 2):
         )
 
     dims = [mats[0].shape[0], *(matrix.shape[1] for matrix in mats)]
-    engine = FIVMEngine(
-        chain_query(len(mats)),
-        chain_variable_order(len(mats), dims),
-        updatable=[f"A{index}"],
-        db=chain_database(mats),
-        backend="interpreter" if interpreted else None,
-    )
+    threshold = kernels.MIN_VECTOR_ROWS
+    if form == "scalar":
+        kernels.MIN_VECTOR_ROWS = sys.maxsize  # read once, at construction
+    try:
+        engine = FIVMEngine(
+            chain_query(len(mats)),
+            chain_variable_order(len(mats), dims),
+            updatable=[f"A{index}"],
+            db=chain_database(mats),
+            backend="interpreter" if form == "interpreter" else None,
+        )
+    finally:
+        kernels.MIN_VECTOR_ROWS = threshold
     queue = iter(terms)
 
     def one_update():

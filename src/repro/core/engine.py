@@ -45,8 +45,11 @@ construction time:
 The factorized path is compiled the same way: each rank-1 term of a
 :class:`FactorizedUpdate` runs through one *factor program* per node,
 lowered lazily per ``(node, source, factor partition)`` since partitions
-depend on the update stream, and always generated as source (rank-1 term
-factors are tiny delta vectors, so arrays would not pay).  Sibling
+depend on the update stream, generated as source and — over ℝ, for the
+matrix–vector-shaped programs — also realized over packed factors
+(:class:`~repro.core.kernels.ArrayFactorProgram`), which
+:meth:`FIVMEngine._propagate_factored` picks at a node some factor reaches
+with :data:`~repro.core.kernels.MIN_VECTOR_ROWS` rows.  Sibling
 collapses — including partial-match bucket probes, reduced to their
 surviving extends — are memoized in a per-view **probe cache** shared
 across the terms of one update, the relations of one :meth:`apply_batch`
@@ -119,7 +122,7 @@ from repro.core.view_tree import ViewNode, ViewTree, build_view_tree, compute_vi
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import Database
 from repro.data.indicator import IndicatorView
-from repro.data.relation import Relation
+from repro.data.relation import DeferredRelation, Relation
 
 __all__ = [
     "DeferredRelation",
@@ -170,57 +173,6 @@ def resolve_materialization(materialization: Optional[str]) -> str:
             f"expected one of {MATERIALIZATIONS}"
         )
     return materialization
-
-#: The slot descriptor behind ``Relation._data``, captured before
-#: :class:`DeferredRelation` shadows it with a resolving property.
-_DATA_SLOT = Relation.__dict__["_data"]
-
-
-class DeferredRelation(Relation):
-    """A relation whose contents materialize lazily, on first access.
-
-    The deferred-delta facade of the pipelined shard executor: a
-    pipelined ``apply_update`` returns one of these immediately — name,
-    schema, and ring are known up front; the payload map is produced by
-    ``resolver()`` (typically: drain the in-flight acks and ring-merge
-    the per-shard root deltas) the first time anything touches ``_data``.
-    Callers that ignore the return value (streaming benchmarks, fire-and
-    -forget writers) therefore never pay the round trip; callers that
-    read it get the exact eager semantics, just later.
-
-    Implementation: the parent class stores payloads in a ``_data``
-    slot; this subclass shadows that slot descriptor with a property
-    whose getter runs the resolver once and writes the result through
-    the captured slot, so every inherited method (``payload``, ``join``,
-    ``same_as``, iteration, …) transparently forces resolution.
-    """
-
-    __slots__ = ("_resolver",)
-
-    def __init__(self, name: str, schema, ring, resolver):
-        self._resolver = None  # __init__'s _data write must not resolve
-        super().__init__(name, schema, ring)
-        self._resolver = resolver
-
-    @property
-    def _data(self):
-        """The payload map, resolving on first access."""
-        resolver = self._resolver
-        if resolver is not None:
-            self._resolver = None
-            _DATA_SLOT.__set__(self, resolver())
-        return _DATA_SLOT.__get__(self)
-
-    @_data.setter
-    def _data(self, value):
-        self._resolver = None
-        _DATA_SLOT.__set__(self, value)
-
-    @property
-    def resolved(self) -> bool:
-        """True once the payload map has materialized (reads force it)."""
-        return self._resolver is None
-
 
 #: A delta source at a node: ("child", i) for the i-th child subtree,
 #: ("ind", i) for the i-th hosted indicator projection.
@@ -443,6 +395,15 @@ class FIVMEngine:
         #: partition) the first time a rank-1 term with that shape passes
         #: through — partitions depend on the updates, not the tree.
         self._factor_programs: Dict[tuple, object] = {}
+        #: Their array forms (:mod:`repro.core.kernels`), same keys, built
+        #: when a term of ``_vector_rows`` factor rows first reaches the
+        #: entry point — ``None`` for a program that has no array form.
+        self._array_factor_programs: Dict[tuple, object] = {}
+        #: The ring's array hooks if factors pack as float64 columns (ℝ).
+        self._factor_kops = (
+            None if self._interpreted
+            else kernels.factor_column_ops(query.ring)
+        )
         #: Shared probe cache: view name → per-site memoized sibling
         #: collapses (see :mod:`repro.core.plan_exec`).  Entries stay valid
         #: until the view absorbs a delta; every write path below calls
@@ -1101,7 +1062,7 @@ class FIVMEngine:
             return self.apply_update(update.flatten(leaf.keys, name=rel))
 
         base_stored = leaf.name in self.views
-        total = Relation(root.name, root.keys, self.query.ring)
+        total = None
         for term in update.terms:
             if base_stored:
                 self._write_view(
@@ -1111,19 +1072,30 @@ class FIVMEngine:
                     ),
                 )
             contribution = self._propagate_factored(leaf, list(term))
-            total = total.union(contribution, name=root.name)
+            # One term's root delta is returned as propagated (read-only,
+            # possibly still packed); only further terms pay a merge.
+            total = (
+                contribution if total is None
+                else total.union(contribution, name=root.name)
+            )
         return total
 
-    def _factor_program(self, node: ViewNode, source: Source, partition: tuple):
+    def _factor_program(
+        self, node: ViewNode, source: Source, partition: tuple,
+        packed: bool = False,
+    ):
         """The factor program for this entry point and partition, lowered
         to IR and built on first use (partitions depend on the update
-        stream).  Callers pass the *canonicalized* partition
+        stream) — its array form when ``packed``, which is ``None`` for a
+        program that has none.  Callers pass the *canonicalized* partition
         (factor schemas sorted, see
         :func:`repro.core.plan_exec.canonical_partition`), so permuted
         factor orders of one decomposition share one program."""
         key = (node.name, source, partition)
-        program = self._factor_programs.get(key)
-        if program is None:
+        programs = (
+            self._array_factor_programs if packed else self._factor_programs
+        )
+        if key not in programs:
             idx = source[1]
             targets = [
                 self.views[child.name]
@@ -1141,29 +1113,37 @@ class FIVMEngine:
                 self.query,
                 self.group_aware,
             )
-            if self._interpreted:
+            if packed:
+                program = kernels.array_factor_program(
+                    ir, targets, self.query, self._factor_kops
+                )
+            elif self._interpreted:
                 program = InterpreterFactorProgram(ir, targets, self.query)
             else:
                 program = compile_factor_program(
                     ir, targets, self.query, library=self._library
                 )
-            self._factor_programs[key] = program
-        return program
+            programs[key] = program
+        return programs[key]
 
     def _propagate_factored(
         self, leaf: ViewNode, factors: List[Relation]
     ) -> Relation:
         """Propagate one rank-1 term leaf-to-root: one factor program per
-        node, factor *dicts* flowing between them, sibling
-        collapses shared through the probe cache."""
+        node, the factors flowing between them as dicts or — over a ring
+        that packs, into every node some factor reaches with at least
+        ``_vector_rows`` rows and whose program has an array form — as
+        ``(key tuple, column)`` pairs; sibling collapses are shared
+        through the probe cache."""
         ring = self.query.ring
         root = self.tree.root
+        root_delta = Relation(root.name, root.keys, ring)
         if not factors:
-            return Relation(root.name, root.keys, ring)
+            return root_delta
         partition = tuple(f.schema for f in factors)
-        fdatas = tuple(f._data for f in factors)
+        kops = self._factor_kops
+        fdatas = tuple((kops and f._packed_form) or f._data for f in factors)
         cache = self._probe_cache
-        flat_data: Optional[dict] = None
         prev, node = leaf, leaf.parent
         while node is not None:
             source: Source = ("child", self._child_pos[node.name][prev.name])
@@ -1174,22 +1154,38 @@ class FIVMEngine:
                 partition, perm = canonical_partition(partition)
                 if perm != tuple(range(len(perm))):
                     fdatas = tuple(fdatas[i] for i in perm)
-            program = self._factor_program(node, source, partition)
-            fdatas, node_flat = program.run(fdatas, cache)
+            # Chosen per node, from the rows it is handed: a one-row factor
+            # of one node is an n-row factor of the next.
+            program = None
+            if kops is not None and self._vector_rows <= max(
+                len(f) if type(f) is dict else len(f[0]) for f in fdatas
+            ):
+                program = self._factor_program(
+                    node, source, partition, packed=True
+                )
+            packed = program is not None
+            if packed:
+                fdatas = tuple(kernels.packed_factor(f, kops) for f in fdatas)
+            else:
+                program = self._factor_program(node, source, partition)
+                if kops is not None:
+                    fdatas = tuple(kernels.factor_dict(f, kops) for f in fdatas)
+            fdatas, flat = program.run(fdatas, cache)
             if fdatas is None:
                 return Relation(root.name, root.keys, ring)
             partition = program.out_partition
-            if node_flat is not None:
-                if node_flat:
-                    delta = Relation(node.name, node.keys, ring)
-                    delta._data = node_flat
-                    delta = self._write_view(node.name, delta)
-                    node_flat = delta._data
-                flat_data = node_flat
-            if any(not d for d in fdatas) and node is not self.tree.root:
+            if flat is not None:
+                if not packed:
+                    flat_data, flat = flat, Relation(node.name, node.keys, ring)
+                    flat._data = flat_data
+                if packed or flat_data:
+                    flat = self._write_view(node.name, flat)
+                root_delta = flat
+            if (
+                not packed
+                and any(not d for d in fdatas)
+                and node is not self.tree.root
+            ):
                 return Relation(root.name, root.keys, ring)
             prev, node = node, node.parent
-        out = Relation(root.name, root.keys, ring)
-        out._data = flat_data if flat_data is not None else {}
-        return out
-
+        return root_delta

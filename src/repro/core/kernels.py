@@ -48,18 +48,33 @@ columns do not pack (mixed cofactor supports) takes the exact scalar
 fold inside :meth:`KernelDeltaProgram.run`, so the array form is always
 exact, never approximate.
 
-The factorized path is not vectorized here: rank-1 term factors are tiny
-delta vectors, so the engine always runs the generated-source factor
-programs.
+Array factor programs
+---------------------
+
+The factorized path has an array form too, over ℝ
+(:class:`ArrayFactorProgram`; docs/architecture.md §3 has the measurements).
+It pays where the flat ℝ triggers do not because its packed operand — the
+memoized sibling rows — lives in the probe cache across updates, so
+nothing but the delta's own factors is packed per update.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, product, repeat
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.ir import DeltaProgram, IndexProbe, Probe
+from repro.core.ir import (
+    DeltaProgram,
+    FactorProgramIR,
+    IndexProbe,
+    Probe,
+    SiblingMerge,
+    cache_site,
+    reduce_bucket,
+)
 from repro.core.plan_exec import (
     ProgramLibrary,
     _bind_env,
@@ -67,9 +82,19 @@ from repro.core.plan_exec import (
     _tuple_display,
 )
 from repro.data.columnar import ColumnarRelation
-from repro.data.relation import Relation
+from repro.data.relation import DeferredRelation, Relation
+from repro.rings.numeric import ScalarKernelOps
 
-__all__ = ["KernelDeltaProgram", "kernel_delta_program", "MIN_VECTOR_ROWS"]
+__all__ = [
+    "KernelDeltaProgram",
+    "kernel_delta_program",
+    "ArrayFactorProgram",
+    "array_factor_program",
+    "factor_column_ops",
+    "packed_factor",
+    "factor_dict",
+    "MIN_VECTOR_ROWS",
+]
 
 #: Below this many delta rows the scalar trigger beats the array one:
 #: the fixed cost of packing columns outweighs the vectorized arithmetic.
@@ -439,3 +464,185 @@ class KernelDeltaProgram:
             data[key] = payload
         out._kernel_packed = reduced if unique_keys else None
         return out
+
+
+# ----------------------------------------------------------------------
+# Array factor programs (the factorized-update path over ℝ)
+# ----------------------------------------------------------------------
+
+
+def packed_factor(factor, kops) -> tuple:
+    """A term factor — a dict, or packed already — as ``(key tuple,
+    payload column)``."""
+    if type(factor) is dict:
+        return tuple(factor), kops.pack(list(factor.values()), len(factor))
+    return factor
+
+
+def factor_dict(factor, kops) -> dict:
+    """The inverse of :func:`packed_factor`."""
+    if type(factor) is dict:
+        return factor
+    keys, column = factor
+    return dict(zip(keys, kops.unpack(column)))
+
+
+def _merges_packed(op) -> bool:
+    """Whether a factor-program op is the matrix–vector shape the array
+    form realizes: a memoized partial-match merge of one factor, keyed
+    exactly by the probe, whose attributes all sum out inside the merge —
+    so the output is keyed by the sibling's surviving extends alone."""
+    return (
+        isinstance(op, SiblingMerge)
+        and op.mode == "memo"
+        and len(op.inputs) == 1
+        and op.inputs[0].schema == op.probe_attrs
+        and op.out.schema == op.kept_extends
+        and not op.row_lifts
+    )
+
+
+def factor_column_ops(ring):
+    """The ring's array hooks when a payload packs as one exact float64
+    (ℝ), else ``None``: ℤ stays on unbounded Python ints, compound rings
+    on their scalar factor programs."""
+    kops = ring.kernel_ops()
+    if isinstance(kops, ScalarKernelOps) and kops.dtype is np.float64:
+        return kops
+    return None
+
+
+def array_factor_program(
+    ir: FactorProgramIR, targets, query, kops
+) -> Optional["ArrayFactorProgram"]:
+    """The array form of a factor program over ``kops`` columns
+    (:func:`factor_column_ops`), or ``None`` when an op has no array
+    realization (see :func:`_merges_packed`; flattens always have one)."""
+    if ir.margs or not all(_merges_packed(op) for op in ir.ops):
+        return None
+    return ArrayFactorProgram(ir, targets, query, kops)
+
+
+class ArrayFactorProgram:
+    """A :class:`~repro.core.ir.FactorProgramIR` executed over packed
+    factors — the run contract of
+    :class:`~repro.core.plan_exec.FactorProgram` with ``(key tuple,
+    column)`` pairs for the factor dicts and a packed
+    :class:`~repro.data.relation.DeferredRelation` for the flat dict."""
+
+    __slots__ = (
+        "ir", "out_partition", "ring", "_kops", "_lifts", "_merges",
+        "_flat_from", "_table",
+    )
+
+    def __init__(self, ir, targets, query, kops):
+        self.ir = ir
+        self.out_partition = ir.out_partition
+        self.ring = query.ring
+        self._kops = kops
+        self._lifts = query.lifting.table()
+        #: Per merge: the op, the sibling's bucket index it probes, and
+        #: this binding's own probe-cache site (its memo rows are arrays,
+        #: the scalar program's are tuples).
+        self._merges = []
+        for op in ir.ops:
+            target = targets[op.target]
+            target.register_index(op.probe_attrs)
+            self._merges.append(
+                (op, target._indexes[op.probe_attrs][1], object())
+            )
+        if ir.flatten is not None:
+            attrs = [a for slot in ir.flatten.inputs for a in slot.schema]
+            #: Where each output key component sits in the concatenated
+            #: factor keys.
+            self._flat_from = [attrs.index(a) for a in ir.flatten.out_keys]
+        #: The last flatten's factor key tuples and the output key table
+        #: built from them (dense updates present the same keys each time).
+        self._table = (None, ())
+
+    def _memo_row(self, op, bucket, slot_of):
+        """A sibling bucket reduced to its surviving extends
+        (:func:`~repro.core.ir.reduce_bucket`), as the output slots it
+        lands on and its payload column."""
+        rows = reduce_bucket(bucket, op, self.ring, self._lifts) if bucket else ()
+        slots = [slot_of.setdefault(key, len(slot_of)) for key, _ in rows]
+        return (
+            np.array(slots, dtype=np.intp),
+            self._kops.pack([payload for _, payload in rows], len(rows)),
+        )
+
+    def _merge(self, op, buckets, site, keys, column):
+        """``out[extends] = Σ_key column[key] · sibling[key, extends]``;
+        ``None`` when the result is the ring zero."""
+        # Besides the memo rows the site holds, under ``None``: the
+        # numbering of output keys (first-seen order; it lives and dies
+        # with the rows that refer to it) and the rows of the last factor
+        # key tuple laid end to end — dense updates present the same keys
+        # every time, and then the merge is one grouped sum.
+        if not keys:
+            return None
+        state = site.get(None)
+        if state is None:
+            state = site[None] = [{}, None, None]
+        slot_of = state[0]
+        if keys != state[1]:
+            rows = list(map(site.get, keys))
+            for i, row in enumerate(rows):
+                if row is None:
+                    rows[i] = site[keys[i]] = self._memo_row(
+                        op, buckets.get(keys[i]), slot_of
+                    )
+            state[1] = keys
+            state[2] = (
+                np.concatenate([slots for slots, _ in rows]),
+                np.concatenate([payloads for _, payloads in rows]),
+                np.array([len(slots) for slots, _ in rows]),
+            )
+        slots, payloads, counts = state[2]
+        acc = np.bincount(
+            slots, payloads * np.repeat(column, counts), len(slot_of)
+        )
+        live = ~self._kops.zero_mask(acc)
+        if not live.any():
+            return None
+        if live.all():
+            return tuple(slot_of), acc
+        return tuple(compress(slot_of, live.tolist())), acc[live]
+
+    def _flatten(self, factors):
+        """The factor product as a packed delta in the node's key order."""
+        flatten = self.ir.flatten
+        key_lists = tuple(keys for keys, _ in factors)
+        if key_lists != self._table[0]:
+            take = self._flat_from
+            self._table = (key_lists, tuple(
+                tuple([flat[i] for i in take])
+                for flat in map(sum, product(*key_lists), repeat(()))
+            ))
+        table = self._table[1]
+        column = reduce(np.multiply.outer, [col for _, col in factors]).ravel()
+        # Products of non-zeros can still cancel: explicit zeros, which
+        # neither the packed absorb nor the resolved map lets through.
+        column = np.where(self._kops.zero_mask(column), 0.0, column)
+        return DeferredRelation(
+            self.ir.node_name, flatten.out_keys, self.ring,
+            lambda: {k: v for k, v in zip(table, column.tolist()) if v},
+            packed=(table, column),
+        )
+
+    def run(self, factors, cache):
+        """Propagate one rank-1 term's packed factors through the node."""
+        ir = self.ir
+        slots = {slot.id: factors[i] for i, slot in enumerate(ir.initial_slots)}
+        for op, buckets, sentinel in self._merges:
+            merged = self._merge(
+                op, buckets, cache_site(cache, op.target_name, sentinel),
+                *slots[op.inputs[0].id],
+            )
+            if merged is None:
+                return (None, None)
+            slots[op.out.id] = merged
+        flat = None
+        if ir.flatten is not None:
+            flat = self._flatten([slots[s.id] for s in ir.flatten.inputs])
+        return tuple(slots[s.id] for s in ir.out_slots), flat

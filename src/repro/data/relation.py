@@ -21,6 +21,7 @@ relations without an import cycle.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.data.schema import (
@@ -30,7 +31,7 @@ from repro.data.schema import (
     merge_schemas,
 )
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "DeferredRelation"]
 
 Payload = Any
 Key = Tuple[Any, ...]
@@ -41,6 +42,10 @@ class Relation:
     """A finitely supported map from keys (tuples over a schema) to payloads."""
 
     __slots__ = ("name", "schema", "ring", "_data", "_indexes")
+
+    #: ``(key tuple, payload column)`` when the contents also exist in
+    #: packed form (see :class:`DeferredRelation`); plain relations have none.
+    _packed_form = None
 
     def __init__(
         self,
@@ -267,6 +272,9 @@ class Relation:
             raise SchemaError(
                 f"cannot absorb {delta.schema} into {self.schema}"
             )
+        if delta._packed_form is not None and not self._indexes:
+            self._absorb_packed(*delta._packed_form)
+            return
         ring = self.ring
         radd = ring.add
         rzero = ring.is_zero
@@ -328,6 +336,23 @@ class Relation:
                     sums[subkey] = (
                         applied if current is None else radd(current, applied)
                     )
+
+    def _absorb_packed(self, keys, column) -> None:
+        """:meth:`absorb_bulk` of distinct ``keys`` with their packed
+        payload ``column`` (explicit zeros allowed) into an index-free
+        map, through the ring's array hooks: one gather, add, zero mask
+        (the ring's ``is_zero``) and ``dict.update``."""
+        kops = self.ring.kernel_ops()
+        data = self._data
+        stored = list(map(data.get, keys, repeat(self.ring.zero)))
+        merged = kops.add_packed(kops.pack(stored, len(keys)), column)
+        dead = kops.zero_mask(merged)
+        entries = zip(keys, kops.unpack(merged))
+        if dead.any():
+            for key in compress(keys, dead.tolist()):
+                data.pop(key, None)
+            entries = compress(entries, (~dead).tolist())
+        data.update(entries)
 
     def clear(self) -> None:
         """Remove all keys (registered indexes are emptied too)."""
@@ -680,3 +705,67 @@ class Relation:
         for key in self._data:
             out._data[proj(key)] = one
         return out
+
+
+#: The slot descriptor behind ``Relation._data``, captured before
+#: :class:`DeferredRelation` shadows it with a resolving property.
+_DATA_SLOT = Relation.__dict__["_data"]
+
+
+class DeferredRelation(Relation):
+    """A relation whose contents materialize lazily, on first access.
+
+    The deferred-delta facade of the pipelined shard executor: a
+    pipelined ``apply_update`` returns one of these immediately — name,
+    schema, and ring are known up front; the payload map is produced by
+    ``resolver()`` (typically: drain the in-flight acks and ring-merge
+    the per-shard root deltas) the first time anything touches ``_data``.
+    Callers that ignore the return value (streaming benchmarks, fire-and
+    -forget writers) therefore never pay the round trip; callers that
+    read it get the exact eager semantics, just later.
+
+    With ``packed`` — the ``(key tuple, payload column)`` the resolver
+    would build the map from — it is also how the array factor programs
+    (:mod:`repro.core.kernels`) take factors and emit flattened deltas:
+    :meth:`Relation.absorb_bulk` and the programs consume that form and
+    never build the map.  Resolution drops it, so a map somebody has
+    seen (and may mutate) is never second-guessed by a stale column.
+
+    Implementation: the parent class stores payloads in a ``_data``
+    slot; this subclass shadows that slot descriptor with a property
+    whose getter runs the resolver once and writes the result through
+    the captured slot, so every inherited method (``payload``, ``join``,
+    ``same_as``, iteration, …) transparently forces resolution.
+    """
+
+    __slots__ = ("_resolver", "_packed_form")
+
+    def __init__(self, name: str, schema, ring, resolver, packed=None):
+        self._resolver = None  # __init__'s _data write must not resolve
+        super().__init__(name, schema, ring)
+        self._resolver = resolver
+        self._packed_form = packed
+
+    @property
+    def _data(self):
+        """The payload map, resolving on first access."""
+        resolver = self._resolver
+        if resolver is not None:
+            self._resolver = self._packed_form = None
+            _DATA_SLOT.__set__(self, resolver())
+        return _DATA_SLOT.__get__(self)
+
+    @_data.setter
+    def _data(self, value):
+        self._resolver = self._packed_form = None
+        _DATA_SLOT.__set__(self, value)
+
+    @property
+    def resolved(self) -> bool:
+        """True once the payload map has materialized (reads force it)."""
+        return self._resolver is None
+
+    def __reduce__(self):
+        """Pickle as the plain relation this resolves to (resolvers are
+        closures; factors cross process boundaries in sharded engines)."""
+        return Relation, (self.name, self.schema, self.ring, self._data)

@@ -10,11 +10,12 @@ Matrices are modelled two ways (matching the paper's two runtimes):
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.data.relation import Relation
+from repro.data.relation import DeferredRelation, Relation
 from repro.rings.numeric import REAL_RING
 
 __all__ = [
@@ -32,18 +33,23 @@ def random_matrix(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndar
     return rng.uniform(-1.0, 1.0, size=(n_rows, n_cols))
 
 
+def _support(array: np.ndarray, ring) -> Tuple[np.ndarray, ...]:
+    """Index arrays of the entries a relation over the scalar ``ring``
+    keeps: all but those its ``is_zero`` holds (exact zeros; over ℝ also
+    what its tolerance covers)."""
+    return np.nonzero(~ring.kernel_ops().zero_mask(array))
+
+
 def matrix_as_relation(
     name: str, matrix: np.ndarray, row_var: str, col_var: str, ring=REAL_RING
 ) -> Relation:
     """Encode a matrix as a binary relation with scalar payloads."""
+    matrix = np.asarray(matrix, dtype=float)
+    rows, cols = _support(matrix, ring)
     rel = Relation(name, (row_var, col_var), ring)
-    rows, cols = matrix.shape
-    for i in range(rows):
-        row = matrix[i]
-        for j in range(cols):
-            value = float(row[j])
-            if value != 0.0:
-                rel.add((i, j), value)
+    rel._data = dict(
+        zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist())
+    )
     return rel
 
 
@@ -52,21 +58,31 @@ def relation_as_matrix(
 ) -> np.ndarray:
     """Decode a binary relation (row, col) → value back into a dense array."""
     out = np.zeros(shape)
-    for (i, j), value in rel.items():
-        out[int(i), int(j)] = value
+    data = rel._data
+    index = np.fromiter(
+        chain.from_iterable(data), np.intp, 2 * len(data)
+    ).reshape(-1, 2)
+    out[index[:, 0], index[:, 1]] = np.fromiter(
+        data.values(), float, len(data)
+    )
     return out
 
 
 def vector_as_relation(
     name: str, vector: np.ndarray, var: str, ring=REAL_RING
 ) -> Relation:
-    """Encode a vector as a unary relation (one factor of a rank-1 delta)."""
-    rel = Relation(name, (var,), ring)
-    for i, value in enumerate(vector):
-        value = float(value)
-        if value != 0.0:
-            rel.add((i,), value)
-    return rel
+    """Encode a vector as a unary relation (one factor of a rank-1 delta).
+
+    The relation is born packed — keys plus one float64 column, what the
+    array factor programs consume — and builds its map only if read."""
+    vector = np.asarray(vector, dtype=float)
+    (support,) = _support(vector, ring)
+    keys = tuple(zip(support.tolist()))
+    column = vector[support]
+    return DeferredRelation(
+        name, (var,), ring, lambda: dict(zip(keys, column.tolist())),
+        packed=(keys, column),
+    )
 
 
 def row_update(

@@ -1,5 +1,7 @@
 """Tests for matrix chain multiplication (Section 6.1 / LINVIEW)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,21 @@ from repro.apps import (
     chain_variable_order,
     matrix_chain_order,
 )
+from repro.apps.matrix_chain import chain_database, rank_one_update
+from repro.bench.memory import strategy_scalars
+from repro.core import FactorizedUpdate, FIVMEngine, ViewClient
+from repro.data import Database, Relation
 from repro.datasets.matrices import (
     matrix_as_relation,
     random_matrix,
     rank_r_update,
     relation_as_matrix,
     row_update,
+    vector_as_relation,
 )
+from repro.rings import INT_RING
+
+from tests.conftest import FORMS, pinned
 
 
 @pytest.fixture
@@ -64,6 +74,7 @@ class TestVariableOrder:
         assert vo.parent("X3") == "X2"
 
 
+@pytest.mark.usefixtures("form")
 class TestRelationalChain:
     def test_initial_product(self, np_rng):
         mats = [random_matrix(4, 6, np_rng), random_matrix(6, 3, np_rng)]
@@ -127,6 +138,298 @@ class TestRelationalChain:
         assert np.count_nonzero(delta[2]) == 4
 
 
+def chains_per_form(mats, **kwargs):
+    """One :class:`MatrixChainIVM` per form over the same matrices."""
+    chains = {}
+    for form in FORMS:
+        with pinned(form):
+            chains[form] = MatrixChainIVM(mats, **kwargs)
+    return chains
+
+
+def product(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = out @ m
+    return out
+
+
+def assert_held_to_interpreter(chains):
+    """Every view of the generated forms equals the interpreter's, key
+    for key."""
+    oracle = chains["interpreter"].engine
+    for form in ("scalar", "array"):
+        for name, view in chains[form].engine.views.items():
+            assert view.same_as(oracle.views[name]), (form, name)
+
+
+def array_programs(chain):
+    return [
+        program
+        for program in chain.engine._array_factor_programs.values()
+        if program is not None
+    ]
+
+
+class TestFactorForms:
+    """The array form of the factor programs (ℝ chains) against the scalar
+    form and the interpreter."""
+
+    def test_forms_are_the_ones_pinned(self, np_rng):
+        mats = [random_matrix(5, 5, np_rng) for _ in range(3)]
+        chains = chains_per_form(mats, updatable=["A2"])
+        u, v = row_update(5, 3, np_rng)
+        for chain in chains.values():
+            chain.apply_rank_one(2, u, v)
+        assert len(array_programs(chains["array"])) == 2
+        assert not chains["scalar"].engine._array_factor_programs
+        assert not chains["interpreter"].engine._array_factor_programs
+        assert_held_to_interpreter(chains)
+
+    def test_default_engine_selects_per_node_from_factor_rows(self, np_rng):
+        """A one-cell change to a 12×12 chain enters with one-row factors
+        (scalar at the first node) and reaches the root with a 12-row one
+        (array there); a 4×4 chain never leaves the scalar form."""
+        mats = [random_matrix(12, 12, np_rng) for _ in range(3)]
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        u, v = np.zeros(12), np.zeros(12)
+        u[3], v[7] = 2.0, -1.5
+        chain.apply_rank_one(2, u, v)
+        assert [key[0] for key in chain.engine._array_factor_programs] == [
+            chain.engine.tree.root.name
+        ]
+        assert len(chain.engine._factor_programs) == 1
+        mats[1] = mats[1] + np.outer(u, v)
+        assert np.allclose(chain.result_matrix(), product(mats))
+        small = MatrixChainIVM(
+            [random_matrix(4, 4, np_rng) for _ in range(3)], updatable=["A2"]
+        )
+        small.apply_rank_one(2, np_rng.uniform(-1, 1, 4), np_rng.uniform(-1, 1, 4))
+        assert not small.engine._array_factor_programs
+
+    def test_sparse_matrices_and_keys_missing_from_a_sibling(self, np_rng):
+        n = 7
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        for m in mats:
+            m[np_rng.uniform(size=(n, n)) < 0.5] = 0.0
+        mats[0][:, 2] = 0.0  # A1 has no entry for X2 = 2
+        mats[2][4, :] = 0.0  # A3 has no entry for X3 = 4
+        mats[2][:, 1] = 0.0
+        chains = chains_per_form(mats, updatable=["A2"])
+        current = [m.copy() for m in mats]
+        updates = [rank_r_update(n, 1, np_rng)[0] for _ in range(4)]
+        for u, v in updates:
+            u[np_rng.uniform(size=n) < 0.4] = 0.0
+        # Terms that die inside a merge: v only meets A3's empty row, u
+        # only A1's empty column.
+        dead_v, dead_u = np.zeros(n), np.zeros(n)
+        dead_v[4], dead_u[2] = 1.0, 1.0
+        updates += [(updates[0][0], dead_v), (dead_u, updates[0][1])]
+        for u, v in updates:
+            for chain in chains.values():
+                chain.apply_rank_one(2, u, v)
+            current[1] = current[1] + np.outer(u, v)
+            assert_held_to_interpreter(chains)
+        assert array_programs(chains["array"])
+        assert np.allclose(chains["array"].result_matrix(), product(current))
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_longer_chains_updated_at_both_ends_and_the_middle(self, np_rng, k):
+        dims = [3, 4, 2, 5, 3, 4][: k + 1]
+        mats = [random_matrix(dims[i], dims[i + 1], np_rng) for i in range(k)]
+        chains = chains_per_form(mats)
+        current = [m.copy() for m in mats]
+        middle = (k + 1) // 2
+        for index in (1, k, middle, middle, 1, k):
+            u = np_rng.uniform(-1, 1, dims[index - 1])
+            v = np_rng.uniform(-1, 1, dims[index])
+            for chain in chains.values():
+                chain.apply_rank_one(index, u, v)
+            current[index - 1] = current[index - 1] + np.outer(u, v)
+            assert_held_to_interpreter(chains)
+        assert array_programs(chains["array"])
+        assert np.allclose(chains["array"].result_matrix(), product(current))
+
+    def test_sibling_write_between_updates_drops_packed_memo_rows(self, np_rng):
+        n = 5
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chains = chains_per_form(mats, updatable=["A1", "A2"])
+        current = [m.copy() for m in mats]
+        engine = chains["array"].engine
+        a1 = engine.tree.leaves["A1"].name
+        for index in (2, 1, 2):
+            u, v = rank_r_update(n, 1, np_rng)[0]
+            for chain in chains.values():
+                chain.apply_rank_one(index, u, v)
+            current[index - 1] = current[index - 1] + np.outer(u, v)
+            # A2's update memoizes packed rows of A1; A1's own drops them.
+            assert (a1 in engine._probe_cache) == (index == 2)
+            assert_held_to_interpreter(chains)
+        rows = [
+            row
+            for site in engine._probe_cache[a1].values()
+            for subkey, row in site.items()
+            if subkey is not None
+        ]
+        assert rows and all(isinstance(r[1], np.ndarray) for r in rows)
+        assert np.allclose(chains["array"].result_matrix(), product(current))
+
+    @pytest.mark.parametrize("target", ["partial", "columnar", "indexed"])
+    def test_flatten_target_that_cannot_absorb_packed(self, np_rng, target):
+        """The packed flatten falls back to the dict delta when the view it
+        lands in is partial, columnar or carries a secondary index."""
+        n = 5
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        kwargs = {
+            "partial": {"materialization": "partial"},
+            "columnar": {"storage": "columnar"},
+            "indexed": {},
+        }[target]
+
+        def engine_of(form):
+            with pinned(form):
+                engine = FIVMEngine(
+                    chain_query(3), chain_variable_order(3, [n] * 4),
+                    updatable=["A2"], db=chain_database(mats), **kwargs
+                )
+            if target == "indexed":
+                engine.result().register_index(("X1",))
+            return engine
+
+        engines = {form: engine_of(form) for form in ("array", "interpreter")}
+        served = [(1, 2), (4, 0)]
+        root = engines["array"].tree.root.name
+        for u, v in rank_r_update(n, 3, np_rng):
+            deltas = {}
+            for form, engine in engines.items():
+                if target == "partial":
+                    ViewClient(engine).lookup_many(root, served)
+                deltas[form] = engine.apply_factorized_update(
+                    rank_one_update(2, u, v)
+                )
+            assert deltas["array"].same_as(deltas["interpreter"])
+            mats[1] = mats[1] + np.outer(u, v)
+        assert any(engines["array"]._array_factor_programs.values())
+        result = engines["array"].result()
+        assert result.same_as(engines["interpreter"].result())
+        expected = product(mats)
+        for key in served if target == "partial" else result.keys():
+            assert np.isclose(result.payload(key), expected[key])
+        if target == "indexed":
+            for i in range(n):
+                assert np.isclose(
+                    result.lookup_sum(("X1",), (i,)), expected[i].sum()
+                )
+
+    def test_integer_chain_stays_exact_and_scalar(self):
+        big = 2 ** 40
+        n = 3
+        db = Database(
+            Relation(
+                f"A{i}", (f"X{i}", f"X{i + 1}"), INT_RING,
+                {(r, c): big + r * n + c for r in range(n) for c in range(n)},
+            )
+            for i in (1, 2, 3)
+        )
+        with pinned("array"):
+            engine = FIVMEngine(
+                chain_query(3, INT_RING), chain_variable_order(3),
+                updatable=["A2"], db=db,
+            )
+        factors = [
+            Relation(name, (var,), INT_RING, {(i,): big + i for i in range(n)})
+            for name, var in (("u", "X2"), ("v", "X3"))
+        ]
+        engine.apply_factorized_update(FactorizedUpdate.rank_one("A2", factors))
+        assert engine._factor_programs and not engine._array_factor_programs
+        a = [[big + r * n + c for c in range(n)] for r in range(n)]
+        a2 = [
+            [a[r][c] + (big + r) * (big + c) for c in range(n)] for r in range(n)
+        ]
+        for r in range(n):
+            for c in range(n):
+                exact = sum(
+                    a[r][i] * a2[i][j] * a[j][c]
+                    for i in range(n) for j in range(n)
+                )
+                assert exact > 2 ** 120
+                assert engine.result().payload((r, c)) == exact
+
+    def test_rank_r_as_one_update_equals_r_rank_one_calls(self, np_rng):
+        n = 6
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        terms = rank_r_update(n, 3, np_rng)
+        for form in FORMS:
+            with pinned(form):
+                one_by_one = MatrixChainIVM(mats, updatable=["A2"])
+                at_once = MatrixChainIVM(mats, updatable=["A2"])
+            one_by_one.apply_rank_r(2, terms)
+            update = FactorizedUpdate(
+                "A2", [rank_one_update(2, u, v).terms[0] for u, v in terms]
+            )
+            total = at_once.engine.apply_factorized_update(update)
+            assert at_once.engine.result().same_as(one_by_one.engine.result())
+            delta = sum(np.outer(u, v) for u, v in terms)
+            assert np.allclose(
+                relation_as_matrix(total, (n, n)), mats[0] @ delta @ mats[2]
+            )
+
+    def test_update_and_its_negation_restore_keys_and_scalars(self, np_rng):
+        """``u vᵀ`` then ``(−u) vᵀ``: every entry returns to within the
+        ring's zero tolerance, so keys only the delta introduced — here a
+        whole row of a result whose A1 row was empty — are deleted again."""
+        n = 6
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        # Result row 2 is 0.5 · A2[3, :] · A3: empty until u gives A2 a row 3.
+        mats[0][2, :] = 0.0
+        mats[0][2, 3] = 0.5
+        mats[1][3, :] = 0.0
+        chains = chains_per_form(mats, updatable=["A2"])
+        u, v = rank_r_update(n, 1, np_rng)[0]
+        for form, chain in chains.items():
+            before = dict(chain.engine.result().items())
+            scalars = strategy_scalars(chain.engine)
+            assert not any(key[0] == 2 for key in before)
+            chain.apply_rank_one(2, u, v)
+            assert len(chain.engine.result()) == len(before) + n
+            chain.apply_rank_one(2, -u, v)
+            after = chain.engine.result()
+            assert set(after.keys()) == set(before), form
+            assert strategy_scalars(chain.engine) == scalars, form
+            assert all(np.isclose(after.payload(k), x) for k, x in before.items())
+
+    def test_drift_over_a_long_insert_delete_stream_is_bounded(self, np_rng):
+        """1 000 rank-1 updates at n = 32, every insert later retracted.
+        The bound: a result entry takes 1 000 additions of terms below
+        ~10² in magnitude, each rounded to 2⁻⁵³ relative — 1e-10 worst
+        case against ``A1 @ A2 @ A3`` (measured 4e-14, identical in both
+        generated forms: the array merge regroups the additions into one
+        grouped sum, which NumPy runs in the scalar form's order)."""
+        n = 32
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chains = {
+            form: chain
+            for form, chain in chains_per_form(mats, updatable=["A2"]).items()
+            if form != "interpreter"
+        }
+        a2 = mats[1].copy()
+        pending = []
+        for step in range(1000):
+            if pending and (step % 2 or len(pending) > 20):
+                u, v = pending.pop(int(np_rng.integers(len(pending))))
+                u = -u
+            else:
+                u, v = rank_r_update(n, 1, np_rng)[0]
+                pending.append((u, v))
+            for chain in chains.values():
+                chain.apply_rank_one(2, u, v)
+            a2 += np.outer(u, v)
+        expected = mats[0] @ a2 @ mats[2]
+        for form, chain in chains.items():
+            drift = np.abs(chain.result_matrix() - expected).max()
+            assert drift < 1e-10, (form, drift)
+
+
 class TestDenseEngines:
     def test_all_engines_agree(self, np_rng):
         n = 8
@@ -175,3 +478,16 @@ class TestMatrixRelationCodecs:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         rel = matrix_as_relation("A", m, "X", "Y")
         assert len(rel) == 1
+
+    def test_vector_is_born_packed_and_reads_as_a_relation(self):
+        vector = np.array([0.0, 2.5, 0.0, -1.0, 1e-12])
+        rel = vector_as_relation("u", vector, "X")
+        keys, column = rel._packed_form
+        assert keys == ((1,), (3,)) and column.tolist() == [2.5, -1.0]
+        assert dict(rel.items()) == {(1,): 2.5, (3,): -1.0}
+        # Reading built the map; the packed form is not trusted after it.
+        assert rel._packed_form is None
+        # Factors cross process boundaries (sharded engines) as plain data.
+        clone = pickle.loads(pickle.dumps(vector_as_relation("u", vector, "X")))
+        assert type(clone) is Relation and clone.same_as(rel)
+        assert vector_as_relation("u", np.zeros(3), "X").is_empty

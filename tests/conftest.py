@@ -26,18 +26,30 @@ FORMS = ("scalar", "array", "interpreter")
 
 @contextlib.contextmanager
 def pinned(form: str):
-    """Engines *constructed* inside run one generated trigger form only.
+    """Engines *constructed* inside — by the test or by an app it drives —
+    run one form only (see :data:`FORMS`).
 
     The engine reads ``kernels.MIN_VECTOR_ROWS`` once, at construction, as
-    the delta size from which it picks array over scalar triggers:
-    ``"scalar"`` puts it out of reach, ``"array"`` at one row.  The array
-    pin also overrides the engine's rule that keeps cheap products scalar
-    — a performance rule, not a semantic one — so that the array code is
-    held to the interpreter on every program shape, not only on joins of
-    lifted payloads (rings whose arrays never pay still run scalar).
+    the size from which it picks array over scalar execution — of a
+    trigger by its delta's rows, of a factor program by its largest
+    factor's: ``"scalar"`` puts it out of reach, ``"array"`` at one row.
+    The array pin also overrides the engine's rule that keeps cheap
+    products scalar — a performance rule, not a semantic one — so that the
+    array code is held to the interpreter on every program shape, not only
+    on joins of lifted payloads (rings and factor programs without an
+    array form still run scalar).  ``"interpreter"`` forces the reference
+    backend.
     """
     with pytest.MonkeyPatch.context() as patch:
-        if form == "scalar":
+        if form == "interpreter":
+            init = FIVMEngine.__init__
+            patch.setattr(
+                FIVMEngine, "__init__",
+                lambda self, *args, **kwargs: init(
+                    self, *args, **{**kwargs, "backend": "interpreter"}
+                ),
+            )
+        elif form == "scalar":
             patch.setattr(kernels, "MIN_VECTOR_ROWS", sys.maxsize)
         else:
             patch.setattr(kernels, "MIN_VECTOR_ROWS", 1)
@@ -45,10 +57,16 @@ def pinned(form: str):
         yield
 
 
+@pytest.fixture(params=FORMS)
+def form(request):
+    """Runs the requesting test once per form, every engine it builds
+    pinned to it."""
+    with pinned(request.param):
+        yield request.param
+
+
 def make_engine(form: str, query: Query, order=None, **kwargs) -> FIVMEngine:
     """An engine of one trigger form (see :data:`FORMS`)."""
-    if form == "interpreter":
-        return FIVMEngine(query, order, backend="interpreter", **kwargs)
     with pinned(form):
         return FIVMEngine(query, order, **kwargs)
 

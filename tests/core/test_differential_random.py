@@ -51,8 +51,8 @@ is the feature — but every key ever served must equal the full engine's
 value at every later step, and again after the stream ends.
 
 ``FIVM_DIFF_STREAMS_PER_RING`` scales the stream count per ring family
-(default 40 → 200 streams total); the scheduled nightly CI job elevates it
-to 200 (1000 streams) to sweep a wider seed range than per-push CI can
+(default 40 → 240 streams total); the scheduled nightly CI job elevates it
+to 200 (1200 streams) to sweep a wider seed range than per-push CI can
 afford.  ``FIVM_STORAGE`` narrows the view-storage dimension (``"dict"``
 or ``"columnar"``): unset, every form runs on both storages; set, the
 scalar and array engines run on the chosen storage with the
@@ -99,7 +99,7 @@ from repro.rings import (
 
 from tests.conftest import FORMS, make_engine, pinned, recompute
 
-#: Fixed base seed: every CI run replays the exact same ≥200 streams.
+#: Fixed base seed: every CI run replays the exact same 240 streams.
 BASE_SEED = 0xF1B2
 
 #: Engine configurations (form, storage): the full product — except when
@@ -128,7 +128,7 @@ if _ENV_MATERIALIZATION:
 else:
     MATERIALIZATIONS = ("full", "partial")
 #: Streams per ring family; the nightly CI job raises this via the
-#: environment (FIVM_DIFF_STREAMS_PER_RING=200 → 1000 streams) while
+#: environment (FIVM_DIFF_STREAMS_PER_RING=200 → 1200 streams) while
 #: per-push runs keep the fast default.
 STREAMS_PER_RING = int(os.environ.get("FIVM_DIFF_STREAMS_PER_RING", "40"))
 
@@ -161,6 +161,17 @@ def _product_ring(attrs):
     return ring, lifts
 
 
+def _real_ring(attrs):
+    """ℝ — the ring whose factor programs have an array form; dyadic
+    lifts keep every sum exact, so all forms agree on the key sets."""
+    ring = RealRing()
+    lifts = {
+        a: (lambda x: 1.0 + 0.5 * float(x))
+        for i, a in enumerate(attrs) if i % 2 == 1
+    }
+    return ring, lifts
+
+
 def _cofactor_ring(attrs):
     ring = CofactorRing(len(attrs))
     lifts = {a: ring.lift(i) for i, a in enumerate(attrs) if i % 2 == 1}
@@ -189,6 +200,7 @@ RING_FAMILIES = {
     "product": _product_ring,
     "cofactor": _cofactor_ring,
     "matrix": _matrix_ring,
+    "real": _real_ring,
 }
 
 
@@ -623,7 +635,7 @@ def shrink_case(case: dict, ring_family) -> dict:
 
 
 # ----------------------------------------------------------------------
-# The suite: ≥ 200 streams under a fixed seed (40 per ring family)
+# The suite: 240 streams under a fixed seed (40 per ring family)
 # ----------------------------------------------------------------------
 
 
@@ -633,7 +645,7 @@ def test_differential_streams(ring_name):
     probe_ring, _ = ring_family(ATTR_POOL[:3])
     allow_factorized = probe_ring.is_commutative
     # Deterministic per-ring seed offset (not hash(): str hashing is
-    # process-randomized) so the five families draw 200 distinct stream
+    # process-randomized) so the six families draw 240 distinct stream
     # structures rather than replaying the same 40.
     ring_offset = sorted(RING_FAMILIES).index(ring_name)
     for i in range(STREAMS_PER_RING):

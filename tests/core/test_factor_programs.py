@@ -9,15 +9,19 @@ plus the probe-cache sharing/invalidation contract.
 
 import random
 
+import pytest
 
 from repro.core import FIVMEngine, FactorizedUpdate, Query, VariableOrder
 from repro.core.ir import lower_factor_plan
 from repro.core.plan_exec import compile_factor_program
 from repro.core.view_tree import ViewNode
 from repro.data import Relation
-from repro.rings import DegreeRing, INT_RING, Lifting
+from repro.rings import DegreeRing, INT_RING, Lifting, REAL_RING
 
 from tests.conftest import random_delta
+
+#: Every test runs once per form (scalar-pinned, array-pinned, interpreter).
+pytestmark = pytest.mark.usefixtures("form")
 
 #: A chain-collapsed node joining two leaves: V@W marginalizes (V, W) with
 #: children [R(A,V), S(V,W)] — so for updates to R the sibling S has probe
@@ -45,7 +49,7 @@ def rank_one_r(ring, a_data, v_data):
     ])
 
 
-def drive_alternating(make_engine, steps=25, seed=0xFAC):
+def drive_alternating(make_engine, steps=25, seed=0xFAC, s_schema=("V", "W")):
     """Alternate flat S updates and factorized R updates through compiled
     and interpreted engines; sibling views change mid-stream, so stale
     probe-cache entries would surface immediately."""
@@ -55,7 +59,7 @@ def drive_alternating(make_engine, steps=25, seed=0xFAC):
     ring = compiled.query.ring
     for step in range(steps):
         if step % 2 == 0:
-            delta = random_delta(rng, "S", ("V", "W"), ring, domain=3)
+            delta = random_delta(rng, "S", s_schema, ring, domain=3)
             root_c = compiled.apply_update(delta.copy())
             root_i = interp.apply_update(delta.copy())
         else:
@@ -73,6 +77,16 @@ def drive_alternating(make_engine, steps=25, seed=0xFAC):
     return compiled
 
 
+def generated_sources(engine):
+    """Source text of the engine's generated factor programs (the
+    interpreter form generates none)."""
+    return [
+        program.source_text
+        for program in engine._factor_programs.values()
+        if hasattr(program, "source_text")
+    ]
+
+
 def update_copy(update, ring):
     return FactorizedUpdate(
         update.relation,
@@ -82,7 +96,7 @@ def update_copy(update, ring):
 
 
 class TestAggregatedMerges:
-    def test_bucket_sum_merge_compiled_and_correct(self):
+    def test_bucket_sum_merge_compiled_and_correct(self, form):
         """No lifts: the dropped sibling extends read the index bucket sum
         (one ``_ss`` lookup replaces iterating the bucket)."""
         def make(backend=None):
@@ -90,11 +104,11 @@ class TestAggregatedMerges:
             return FIVMEngine(q, collapse_order(), backend=backend)
 
         compiled = drive_alternating(make)
-        sources = [p.source_text for p in compiled._factor_programs.values()]
-        assert any("= _ss" in src for src in sources), \
+        sources = generated_sources(compiled)
+        assert form == "interpreter" or any("= _ss" in src for src in sources), \
             "expected a group-aware bucket-sum merge"
 
-    def test_cached_lifted_merge_compiled_and_correct(self):
+    def test_cached_lifted_merge_compiled_and_correct(self, form):
         """A lift on the dropped extend forces the folded-sum probe-cache
         site (index sums cannot apply lifts)."""
         def make(backend=None):
@@ -107,9 +121,10 @@ class TestAggregatedMerges:
             return FIVMEngine(q, collapse_order(), backend=backend)
 
         compiled = drive_alternating(make)
-        sources = [p.source_text for p in compiled._factor_programs.values()]
-        assert any("_site(_cache" in src for src in sources), \
-            "expected a cached lifted bucket collapse"
+        sources = generated_sources(compiled)
+        assert form == "interpreter" or any(
+            "_site(_cache" in src for src in sources
+        ), "expected a cached lifted bucket collapse"
 
     def test_group_aware_off_disables_aggregation_but_agrees(self):
         def make(backend=None):
@@ -119,9 +134,9 @@ class TestAggregatedMerges:
             )
 
         compiled = drive_alternating(make)
-        for program in compiled._factor_programs.values():
-            assert "= _ss" not in program.source_text
-            assert "_site(_cache" not in program.source_text
+        for source in generated_sources(compiled):
+            assert "= _ss" not in source
+            assert "_site(_cache" not in source
 
 
 class TestProbeCacheContract:
@@ -216,10 +231,10 @@ class TestPartialMatchMemo:
         )
         return FIVMEngine(q, collapse_order(), backend=backend)
 
-    def test_memo_mode_compiled_and_differentially_correct(self):
+    def test_memo_mode_compiled_and_differentially_correct(self, form):
         compiled = drive_alternating(self._make)
-        sources = [p.source_text for p in compiled._factor_programs.values()]
-        assert any("_rw" in src for src in sources), (
+        sources = generated_sources(compiled)
+        assert form == "interpreter" or any("_rw" in src for src in sources), (
             "expected a memoized partial-match bucket probe"
         )
 
@@ -290,6 +305,74 @@ class TestPartialMatchMemo:
         assert reduced, "expected a memo keyed by the V subkey"
         # U is dropped before W survives: the two (V=1, W=5) rows fold to 3.
         assert dict(reduced[0][(1,)]) == {(5,): 3, (6,): 4}
+
+
+class TestArrayForm:
+    """Over ℝ the memo merge and the flatten also run on packed factors
+    (``repro.core.kernels.ArrayFactorProgram``), held to the interpreter
+    like the generated source."""
+
+    #: One node marginalizes (V, W) over [R(A, V), S(V, W, Z)]: merging S
+    #: into R's V-factor sums V out of the factor, W out of the memoized
+    #: bucket rows, and keeps Z for the flatten.
+    S_SCHEMA = ("V", "W", "Z")
+
+    def _make(self, backend=None, lifted=()):
+        lifting = Lifting(
+            REAL_RING, {var: (lambda x: 1.0 + 0.5 * x) for var in lifted}
+        )
+        q = Query(
+            "pm", {"R": ("A", "V"), "S": self.S_SCHEMA}, free=("A", "Z"),
+            ring=REAL_RING, lifting=lifting,
+        )
+        order = VariableOrder.from_spec(("A", [("Z", [("W", ["V"])])]))
+        return FIVMEngine(q, order, backend=backend)
+
+    @pytest.mark.parametrize("lifted", [(), ("W",)])
+    def test_memo_merge_and_flatten_run_packed(self, form, lifted):
+        """A lift on W is folded into the memo rows; the rest is the
+        matrix–vector shape either way."""
+        engine = drive_alternating(
+            lambda backend=None: self._make(backend, lifted),
+            s_schema=self.S_SCHEMA,
+        )
+        assert any(engine._array_factor_programs.values()) == (form == "array")
+        assert bool(engine._factor_programs) == (form != "array")
+
+    def test_row_lift_has_no_array_form_and_falls_back(self):
+        engine = drive_alternating(
+            lambda backend=None: self._make(backend, ("V",)),
+            s_schema=self.S_SCHEMA,
+        )
+        assert not any(engine._array_factor_programs.values())
+        assert engine._factor_programs
+
+    def test_packed_memo_rows_live_in_the_probe_cache(self, form):
+        engine = self._make(lifted=("W",))
+        engine.apply_update(Relation(
+            "S", self.S_SCHEMA, REAL_RING,
+            {(1, 0, 5): 1.0, (1, 2, 5): 2.0, (1, 0, 6): 4.0, (2, 0, 6): 0.5},
+        ))
+        # V = 3 matches no S row: an empty memo row, not a miss every time.
+        engine.apply_factorized_update(
+            rank_one_r(REAL_RING, {(7,): 1}, {(1,): 2, (3,): 1})
+        )
+        assert dict(engine.result().items()) == {(7, 5): 10.0, (7, 6): 8.0}
+        sibling = engine.tree.leaves["S"].name
+        (site,) = engine._probe_cache[sibling].values()
+        if form == "array":
+            assert list(site[None][0]) == [(5,), (6,)]  # the slot numbering
+            slots, column = site[(1,)]
+            assert slots.tolist() == [0, 1] and column.tolist() == [5.0, 4.0]
+            assert len(site[(3,)][0]) == 0
+        engine.apply_update(Relation(
+            "S", self.S_SCHEMA, REAL_RING, {(1, 0, 5): -1.0, (1, 2, 5): -2.0}
+        ))
+        assert sibling not in engine._probe_cache
+        engine.apply_factorized_update(
+            rank_one_r(REAL_RING, {(7,): -1}, {(1,): 2, (2,): 1})
+        )
+        assert dict(engine.result().items()) == {(7, 6): -0.5}
 
 
 class TestPristineSiblingCollapse:

@@ -173,22 +173,33 @@ class TestDecompose:
             assert update.flatten(("A", "B")).same_as(delta), trial
 
 
+@pytest.mark.usefixtures("form")
 class TestEnginePropagation:
-    """Factorized propagation must agree with listing-form updates."""
+    """Factorized propagation must agree with listing-form updates — in
+    every form, over ℤ (scalar factor programs only) and ℝ (whose packed
+    factors fall back to dicts at the merges without an array form)."""
+
+    @pytest.fixture(autouse=True, params=[INT_RING, REAL_RING], ids=["Z", "R"])
+    def _ring(self, request):
+        self.ring = request.param
+
+    def unary(self, name, var, data):
+        return unary(name, var, data, self.ring)
 
     def _engines(self, updatable=("S",)):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
+        q = Query("Q", PAPER_SCHEMAS, ring=self.ring)
         order = paper_variable_order()
-        factored = FIVMEngine(q, order, updatable=updatable, db=figure2_database())
-        listing = FIVMEngine(q, order, updatable=updatable, db=figure2_database())
+        db = figure2_database(self.ring)
+        factored = FIVMEngine(q, order, updatable=updatable, db=db)
+        listing = FIVMEngine(q, order, updatable=updatable, db=db)
         return q, order, factored, listing
 
     def test_rank_one_equals_listing(self):
         q, order, factored, listing = self._engines()
         update = FactorizedUpdate.rank_one("S", [
-            unary("uA", "A", {("a1",): 1, ("a9",): 2}),
-            unary("uC", "C", {("c2",): 1}),
-            unary("uE", "E", {("e1",): 3}),
+            self.unary("uA", "A", {("a1",): 1, ("a9",): 2}),
+            self.unary("uC", "C", {("c2",): 1}),
+            self.unary("uE", "E", {("e1",): 3}),
         ])
         factored.apply_factorized_update(update)
         listing.apply_update(update.flatten(("A", "C", "E"), name="S"))
@@ -199,9 +210,9 @@ class TestEnginePropagation:
         the root delta is correct."""
         q, order, factored, _ = self._engines()
         update = FactorizedUpdate.rank_one("S", [
-            unary("uA", "A", {("a1",): 1}),
-            unary("uC", "C", {("c1",): 1}),
-            unary("uE", "E", {("e7",): 1}),
+            self.unary("uA", "A", {("a1",): 1}),
+            self.unary("uC", "C", {("c1",): 1}),
+            self.unary("uE", "E", {("e7",): 1}),
         ])
         root_delta = factored.apply_factorized_update(update)
         # (a1,c1,e7) joins 2 R-tuples (b1,b2) and 1 T-tuple (d1): delta = 2.
@@ -211,9 +222,9 @@ class TestEnginePropagation:
         """Example 5.1's over-approximation trick needs negative factors."""
         q, order, factored, listing = self._engines()
         update = FactorizedUpdate.rank_one("S", [
-            unary("uA", "A", {("a1",): 1}),
-            unary("uC", "C", {("c1",): -1}),
-            unary("uE", "E", {("e1",): 1}),
+            self.unary("uA", "A", {("a1",): 1}),
+            self.unary("uC", "C", {("c1",): -1}),
+            self.unary("uE", "E", {("e1",): 1}),
         ])
         factored.apply_factorized_update(update)
         listing.apply_update(update.flatten(("A", "C", "E"), name="S"))
@@ -224,10 +235,11 @@ class TestEnginePropagation:
         for trial in range(10):
             terms = []
             for _ in range(rng.randint(1, 3)):
+                a, c, e = (rng.randint(0, 3) for _ in range(3))
                 terms.append([
-                    unary("uA", "A", {(f"a{rng.randint(0,3)}",): rng.choice([1, -1])}),
-                    unary("uC", "C", {(f"c{rng.randint(0,3)}",): 1}),
-                    unary("uE", "E", {(f"e{rng.randint(0,3)}",): rng.randint(1, 2)}),
+                    self.unary("uA", "A", {(f"a{a}",): rng.choice([1, -1])}),
+                    self.unary("uC", "C", {(f"c{c}",): 1}),
+                    self.unary("uE", "E", {(f"e{e}",): rng.randint(1, 2)}),
                 ])
             update = FactorizedUpdate("S", terms)
             factored.apply_factorized_update(update)
@@ -240,14 +252,14 @@ class TestEnginePropagation:
         from repro.core import VariableOrder
 
         schemas = {"R": ("A", "B"), "S": ("B", "C")}
-        q = Query("two", schemas, ring=INT_RING)
+        q = Query("two", schemas, ring=self.ring)
         order = VariableOrder.chain(("A", "B", "C"))
         engine = FIVMEngine(q, order)  # both updatable
         leaf_name = engine.tree.leaves["R"].name
         assert leaf_name in engine.views, "R must be stored as a sibling"
         update = FactorizedUpdate.rank_one("R", [
-            unary("uA", "A", {(1,): 1, (2,): 1}),
-            unary("uB", "B", {(7,): 2}),
+            self.unary("uA", "A", {(1,): 1, (2,): 1}),
+            self.unary("uB", "B", {(7,): 2}),
         ])
         engine.apply_factorized_update(update)
         stored = engine.views[leaf_name]
@@ -260,7 +272,7 @@ class TestEnginePropagation:
         q, order, factored, listing = self._engines()
         before_sizes = factored.view_sizes()
         root_delta = factored.apply_factorized_update(
-            FactorizedUpdate("S", [], ring=INT_RING)
+            FactorizedUpdate("S", [], ring=self.ring)
         )
         assert root_delta.is_empty
         assert root_delta.schema == factored.result().schema
@@ -268,10 +280,10 @@ class TestEnginePropagation:
         assert factored.result().same_as(listing.result())
 
     def test_rank_zero_interpreted_matches(self):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
+        q = Query("Q", PAPER_SCHEMAS, ring=self.ring)
         engine = FIVMEngine(q, paper_variable_order(), backend="interpreter")
         root_delta = engine.apply_factorized_update(
-            FactorizedUpdate("S", [], ring=INT_RING)
+            FactorizedUpdate("S", [], ring=self.ring)
         )
         assert root_delta.is_empty
 
@@ -280,14 +292,14 @@ class TestEnginePropagation:
         and the stored base ends exactly where it started."""
         q, order, factored, listing = self._engines()
         up = [
-            unary("uA", "A", {("a1",): 1}),
-            unary("uC", "C", {("c1",): 1}),
-            unary("uE", "E", {("e1",): 1}),
+            self.unary("uA", "A", {("a1",): 1}),
+            self.unary("uC", "C", {("c1",): 1}),
+            self.unary("uE", "E", {("e1",): 1}),
         ]
         down = [
-            unary("uA", "A", {("a1",): -1}),
-            unary("uC", "C", {("c1",): 1}),
-            unary("uE", "E", {("e1",): 1}),
+            self.unary("uA", "A", {("a1",): -1}),
+            self.unary("uC", "C", {("c1",): 1}),
+            self.unary("uE", "E", {("e1",): 1}),
         ]
         update = FactorizedUpdate("S", [up, down])
         root_delta = factored.apply_factorized_update(update)
@@ -302,9 +314,9 @@ class TestEnginePropagation:
         delta without corrupting higher views."""
         q, order, factored, listing = self._engines()
         update = FactorizedUpdate.rank_one("S", [
-            unary("uA", "A", {("a1",): 1, ("a2",): -1}),
-            unary("uC", "C", {("c9",): 1}),  # c9 matches no T tuple
-            unary("uE", "E", {("e1",): 1}),
+            self.unary("uA", "A", {("a1",): 1, ("a2",): -1}),
+            self.unary("uC", "C", {("c9",): 1}),  # c9 matches no T tuple
+            self.unary("uE", "E", {("e1",): 1}),
         ])
         factored.apply_factorized_update(update)
         listing.apply_update(update.flatten(("A", "C", "E"), name="S"))
@@ -326,3 +338,20 @@ class TestEnginePropagation:
         )
         with pytest.raises(ValueError):
             engine.apply_factorized_update(update)
+
+
+@pytest.mark.parametrize("workload, factorized", [
+    ("retailer_b1", False), ("retailer_b600", False),
+    ("join_factorized", False), ("chain_rank1", True),
+])
+def test_only_the_chain_workload_enters_the_factor_path(workload, factorized):
+    """Of the end-to-end benchmark's workloads only ``chain_rank1`` builds
+    factor programs, so a change to the factor path cannot move the rest."""
+    from benchmarks.e2e import run as e2e
+
+    instance = e2e.WORKLOADS[workload](3, True)
+    state = instance.setup()
+    instance.run(state)
+    engine = state.engine
+    built = engine._factor_programs or engine._array_factor_programs
+    assert bool(built) == factorized
