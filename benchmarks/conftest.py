@@ -82,6 +82,7 @@ def scalar_triggers():
     ratios would measure that as well.
     """
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "MIN_TRIGGER_ROWS", sys.maxsize)
         patch.setattr(kernels, "MIN_VECTOR_ROWS", sys.maxsize)
         yield
 

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.apps import MatrixChainIVM
-from repro.apps.regression import CofactorModel, cofactor_query
+from repro.apps.regression import cofactor_query
 from repro.bench import format_table, run_stream, timed_chain_rank_one
 from repro.core import FIVMEngine, Query
 from repro.datasets import housing, retailer, round_robin_stream
@@ -237,40 +237,58 @@ def test_ablation_kernel_backend(benchmark):
     """Array vs scalar triggers on the fig7 retailer cofactor batch
     workload (degree-43 ring, batched listing deltas), both on the
     default engine.  The engine picks the array form of a trigger for
-    deltas of at least ``MIN_VECTOR_ROWS`` rows — the same IR program
+    deltas of at least ``MIN_TRIGGER_ROWS`` rows — the same IR program
     executed over packed arrays, so the per-tuple ``CofactorTriple``
     arithmetic that dominates the scalar triggers' profile leaves the hot
     path.  The scalar arm is the same engine constructed with that
-    threshold out of reach.  The selection must clear the scalar triggers
-    by a wide margin (recorded for the perf trajectory and ratcheted in
-    CI).
+    threshold out of reach; the third arm is the reference interpreter.
 
-    Both arms keep the default dict views, and both leave the lift-only
-    leaf programs on scalar triggers (the memory rule of
+    Both engine arms keep the default dict views, and both leave the
+    lift-only leaf programs on scalar triggers (the memory rule of
     docs/architecture.md §3) — on this round-robin stream that is where
     the dimension tables' many-variable leaves spend their time.  Until
     the keyword went away the ablation set kernels on every node over
     *columnar* views against source over dict views: 5–6.7×, floor 4.0.
-    The selection measures 2.9–3.85× over sixteen runs; the floor keeps
-    the old floor's two-thirds share of the typical value."""
+    The selection measured 2.9–3.85× scalar over sixteen runs, floor 2.0.
+
+    **What is asserted, and against which arm.**  The guard is for the
+    array path, so its reference must not be the arm a scalar-trigger
+    change moves.  The lifted-sibling memo (§3) shares one product between
+    the rows of a batch that probe one key: it took the scalar arm from
+    20k to 33–37k tuples/s and array-over-scalar from 2.86–3.32× to
+    1.72–2.18×, with the array arm itself *up* (59–61k → 67–73k; six
+    alternating runs per commit, same box).  The asserted ratio is
+    therefore array over the **interpreter**, which never memoizes:
+    3.12–3.32× over six runs at the commit before the memo — the floor is
+    two-thirds of that, the rule the 2.0 floor followed — and 2.41–3.21×
+    over nine runs after it (the interpreter shares the faster
+    disjoint-support ``CofactorRing.mul``, 18.6k → 25k; the array arm
+    mostly multiplies packed columns).  Array-over-scalar stays the
+    reported ``speedup``, ratcheted against its committed baseline in CI,
+    and is held here only to what selecting the array form means: it must
+    not lose."""
     workload = retailer.generate(scale=3.0 * SCALE, seed=21)
     stream = round_robin_stream(
         workload.schemas, workload.tables, batch_size=max(100, int(600 * SCALE))
     )
+    query = cofactor_query(
+        "retailer_kb", workload.schemas, workload.numeric_variables
+    )
+    arms = (
+        ("array", contextlib.nullcontext, None),
+        ("scalar", scalar_triggers, None),
+        ("interpreter", contextlib.nullcontext, "interpreter"),
+    )
 
     def experiment():
-        best = {"array": 0.0, "scalar": 0.0}
+        best = dict.fromkeys((arm for arm, _, _ in arms), 0.0)
         reference = None
         for _ in range(3):  # interleaved best-of-three damps scheduler noise
-            for arm, pin in (
-                ("array", contextlib.nullcontext), ("scalar", scalar_triggers)
-            ):
+            for arm, pin, backend in arms:
                 with pin():
-                    engine = CofactorModel(
-                        "retailer_kb", workload.schemas,
-                        workload.numeric_variables,
-                        order=workload.variable_order,
-                    ).engine
+                    engine = FIVMEngine(
+                        query, order=workload.variable_order, backend=backend
+                    )
                 result = run_stream(
                     arm, engine, stream, engine.query.ring, checkpoints=2,
                 )
@@ -285,10 +303,8 @@ def test_ablation_kernel_backend(benchmark):
 
     best = benchmark.pedantic(experiment, rounds=1, iterations=1)
     speedup = best["array"] / best["scalar"]
-    rows = [
-        ["array", f"{best['array']:.0f}"],
-        ["scalar", f"{best['scalar']:.0f}"],
-    ]
+    over_interpreter = best["array"] / best["interpreter"]
+    rows = [[arm, f"{best[arm]:.0f}"] for arm, _, _ in arms]
     table = format_table(
         "Ablation: array vs scalar triggers "
         "(Retailer cofactor, batched stream)",
@@ -297,14 +313,19 @@ def test_ablation_kernel_backend(benchmark):
     )
     report(
         "ablation_kernel_backend",
-        table + f"\narray-trigger speedup: {speedup:.2f}x",
+        table + f"\narray-trigger speedup: {speedup:.2f}x scalar, "
+        f"{over_interpreter:.2f}x interpreter",
         data={
             "headers": ["triggers", "throughput"],
             "rows": rows,
             "speedup": speedup,
+            "array_over_interpreter": over_interpreter,
         },
     )
-    assert speedup >= 2.0, f"array triggers only {speedup:.2f}x scalar"
+    assert over_interpreter >= 2.1, (
+        f"array triggers only {over_interpreter:.2f}x the interpreter"
+    )
+    assert speedup > 1.0, f"array triggers lose to scalar: {speedup:.2f}x"
 
 
 def test_ablation_factorized_vs_listing_updates(benchmark):

@@ -6,6 +6,14 @@ unit per key component plus the payload's stored scalars (matrix cells,
 nested-relation entries, polynomial coefficients, ...).  Relative sizes —
 which strategy stores how much, how memory grows along the stream — are what
 the paper's memory plots compare, and those survive this substitution.
+
+Only *maintained state* is counted: views and indicator projections.
+What an engine memoizes from them — the probe cache, the lifted-sibling
+memos of the scalar triggers — is derived, droppable at any time, and
+stays off this axis (the paper's plots compare strategies by the views
+they keep); :meth:`repro.core.engine.FIVMEngine.memo_sizes` reports the
+memos' entries and scalars on demand, and their resident cost shows in a
+benchmark's RSS figure instead.
 """
 
 from __future__ import annotations

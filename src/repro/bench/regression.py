@@ -75,6 +75,7 @@ METRICS = {
     ],
     "BENCH_ablation_kernel_backend.json": [
         (("speedup",), "ratio", False),
+        (("array_over_interpreter",), "ratio", False),
     ],
     "BENCH_ingest_throughput.json": [
         (("speedup",), "ratio", False),

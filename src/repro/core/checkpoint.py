@@ -202,7 +202,7 @@ def restore_snapshot(engine, snapshot: dict) -> None:
                 f"snapshot schema {saved['schema']} != "
                 f"{engine.views[name].schema} of view {name!r}"
             )
-    engine._probe_cache.clear()
+    engine._drop_caches()
     for name, saved in views.items():
         view = engine.views[name]
         view.clear()

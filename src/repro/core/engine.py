@@ -36,7 +36,7 @@ construction time:
    *and* the program joins at least two payloads that carry lifted
    variables, the same IR also has an array form
    (:mod:`repro.core.kernels`), built the first time a delta of at least
-   :data:`~repro.core.kernels.MIN_VECTOR_ROWS` rows reaches the node;
+   :data:`~repro.core.kernels.MIN_TRIGGER_ROWS` rows reaches the node;
    :meth:`FIVMEngine._delta_at_node` picks between the two from the size
    of the delta it is handed.  ``backend="interpreter"`` instead walks
    the IR directly (:mod:`repro.core.ir`) — the executable reference
@@ -303,8 +303,11 @@ class FIVMEngine:
         #: Whether the IR is walked by the reference interpreter instead
         #: of running as generated triggers.
         self._interpreted = backend == "interpreter"
-        #: Deltas of at least this many rows run a node's array program
-        #: where it has one (read once, so an engine's choice is stable).
+        #: Deltas of at least ``_trigger_rows`` rows run a node's array
+        #: program where it has one, terms with a factor of at least
+        #: ``_vector_rows`` rows its array factor program (read once, so
+        #: an engine's choice is stable).
+        self._trigger_rows = kernels.MIN_TRIGGER_ROWS
         self._vector_rows = kernels.MIN_VECTOR_ROWS
         #: Whether probes may read per-bucket payload sums (group-aware
         #: joins).  On by default; exposed for ablation benchmarks.
@@ -388,7 +391,7 @@ class FIVMEngine:
         #: ``run(delta)``.
         self._programs: Dict[Tuple[str, Source], object] = {}
         #: Array programs for the (node, source) entries that have an
-        #: array form — ``None`` until a delta of ``_vector_rows`` rows
+        #: array form — ``None`` until a delta of ``_trigger_rows`` rows
         #: first reaches the node (see :meth:`_delta_at_node`).
         self._kernel_programs: Dict[Tuple[str, Source], object] = {}
         #: Factor programs, lowered+built lazily per (node, source, factor
@@ -411,6 +414,11 @@ class FIVMEngine:
         #: across rank-1 terms, across the relations of one
         #: :meth:`apply_batch` pass, and across consecutive updates sound.
         self._probe_cache: Dict[str, dict] = {}
+        #: Lifted-sibling memos of the generated triggers, by site
+        #: (``"node:child0"``) → ``(memo dict, sibling view)``; see
+        #: :mod:`repro.core.plan_exec`.  They are caches, not views:
+        #: dropped with the probe cache, absent from snapshots.
+        self._memo_sites: Dict[str, Tuple[dict, Relation]] = {}
         self._compile_plans()
         if db is not None:
             self.initialize(db)
@@ -463,7 +471,7 @@ class FIVMEngine:
             targets = self._plan_targets(node, plan)
             ir = lower_delta_plan(
                 node, key[1], plan, tuple(t.schema for t in targets),
-                self.query,
+                self.query, dict_stored=self.storage == "dict",
             )
             self._ir[key] = ir
             if self._interpreted:
@@ -472,6 +480,7 @@ class FIVMEngine:
                 program = compile_slot_program(
                     ir, targets, self.query, library=self._library
                 )
+                self._memo_sites.update(program.memo_sites)
             self._programs[key] = program
             if has_arrays and self._joins_payloads(node, key[1], plan):
                 self._kernel_programs[key] = None
@@ -597,6 +606,14 @@ class FIVMEngine:
         if self._probe_cache:
             self._probe_cache.pop(view_name, None)
 
+    def _drop_caches(self) -> None:
+        """Forget everything memoized from view state (a wholesale
+        reload follows): the probe cache, and the lifted-sibling memos
+        with the payload references they hold."""
+        self._probe_cache.clear()
+        for memo, _ in self._memo_sites.values():
+            memo.clear()
+
     def _write_view(self, view_name: str, delta: Relation) -> Relation:
         """Absorb ``delta`` into a materialized view — the single choke
         point every write path shares.
@@ -718,7 +735,7 @@ class FIVMEngine:
         before an initialize can never leave stale memoized collapses
         behind.
         """
-        self._probe_cache.clear()
+        self._drop_caches()
         for view in self.views.values():
             view.clear()
         for active in self.partial.values():
@@ -795,6 +812,24 @@ class FIVMEngine:
         for ivs in self._indicator_views.values():
             for iv in ivs:
                 sizes[iv.name] = len(iv.relation)
+        return sizes
+
+    def memo_sizes(self) -> Dict[str, Tuple[int, int]]:
+        """``(entries, logical scalars)`` per lifted-sibling memo site,
+        counted on demand from the bound dicts — the memory the memos
+        hold beside the views (:meth:`view_sizes`, ``strategy_scalars``
+        count views only).  An entry is its key plus the stored product,
+        or plus one scalar for a first-sighting marker."""
+        from repro.bench.memory import payload_scalars
+
+        sizes = {}
+        for site, (memo, sibling) in self._memo_sites.items():
+            width = max(1, len(sibling.schema))
+            scalars = sum(
+                width + (payload_scalars(e[1]) if type(e) is tuple else 1)
+                for e in memo.values()
+            )
+            sizes[site] = (len(memo), scalars)
         return sizes
 
     def total_keys(self) -> int:
@@ -992,7 +1027,7 @@ class FIVMEngine:
         scalar program otherwise."""
         key = (node.name, source)
         if (
-            len(delta._data) >= self._vector_rows
+            len(delta._data) >= self._trigger_rows
             and key in self._kernel_programs
         ):
             program = self._kernel_programs[key]

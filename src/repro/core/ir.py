@@ -165,6 +165,11 @@ class Accumulate:
     #: ``(variable, register)`` pairs, in marginalization order.
     lifts: Tuple[Tuple[str, int], ...]
     out_regs: Tuple[int, ...]
+    #: The **lifted-sibling memo**: index of the probe whose payload times
+    #: the folded lifts depends on its probe key alone, which a generated
+    #: trigger may keep per key (:mod:`repro.core.plan_exec`; the
+    #: interpreter and the array programs ignore it).  ``None``: no memo.
+    memo: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,9 @@ class DeltaProgram:
     n_registers: int
 
 
-def lower_delta_plan(node, source, plan, target_schemas, query) -> DeltaProgram:
+def lower_delta_plan(
+    node, source, plan, target_schemas, query, dict_stored=True
+) -> DeltaProgram:
     """Lower one delta-join plan (the engine's ``_PlanStep`` list) to IR.
 
     Reads only schemas and plan structure — never live relation state — so
@@ -269,6 +276,27 @@ def lower_delta_plan(node, source, plan, target_schemas, query) -> DeltaProgram:
     lifts = tuple(
         (var, registers[var]) for var, lift in lift_entries if lift is not None
     )
+    # Lifted-sibling memo: regrouping as ``source ⊗ (sibling ⊗ lifts)``
+    # needs a commutative ring and pays only where a product is array
+    # work (over ℤ/ℝ a ``*`` is cheaper than a dict probe); the program
+    # must be one keyed aggregated point probe binding every lifted
+    # register, of a dict-stored sibling (entries are validated by payload
+    # identity, and a columnar view builds a fresh payload per read).
+    kops = query.ring.kernel_ops()
+    memo = None
+    if (
+        dict_stored
+        and query.ring.is_commutative
+        and kops is not None
+        and kops.vectorizes_triggers
+        and lifts
+        and len(ops) == 1
+        and isinstance(ops[0], Probe)
+        and ops[0].aggregated
+        and ops[0].probe_attrs
+        and {register for _, register in lifts} <= set(ops[0].probe_regs)
+    ):
+        memo = 0
     missing = [a for a in out_attrs if a not in registers]
     if missing:  # pragma: no cover - the planner always binds output keys
         raise RuntimeError(
@@ -285,6 +313,7 @@ def lower_delta_plan(node, source, plan, target_schemas, query) -> DeltaProgram:
             factors=tuple(factors),
             lifts=lifts,
             out_regs=tuple(registers[a] for a in out_attrs),
+            memo=memo,
         ),
         target_schemas=tuple(tuple(s) for s in target_schemas),
         n_registers=len(registers),

@@ -3,7 +3,7 @@
 The second generated realization of the delta-program IR
 (:mod:`repro.core.ir`).  The engine runs it instead of the scalar trigger
 of :mod:`repro.core.plan_exec` when a delta of at least
-:data:`MIN_VECTOR_ROWS` rows reaches a node that has one (a payload ring
+:data:`MIN_TRIGGER_ROWS` rows reaches a node that has one (a payload ring
 whose ``Ring.kernel_ops`` say ``vectorizes_triggers`` and a join of at
 least two lifted payloads to multiply; see
 :meth:`FIVMEngine._delta_at_node`).
@@ -93,13 +93,20 @@ __all__ = [
     "factor_column_ops",
     "packed_factor",
     "factor_dict",
+    "MIN_TRIGGER_ROWS",
     "MIN_VECTOR_ROWS",
 ]
 
 #: Below this many delta rows the scalar trigger beats the array one:
-#: the fixed cost of packing columns outweighs the vectorized arithmetic.
-#: Read by :class:`~repro.core.engine.FIVMEngine`, which selects per
-#: delta; measured on the Retailer cofactor stream (docs/architecture.md).
+#: the fixed cost of packing columns outweighs the vectorized arithmetic,
+#: and the scalar trigger's lifted-sibling memo shares products between
+#: the rows of a small delta.  Read by
+#: :class:`~repro.core.engine.FIVMEngine`, which selects per delta;
+#: measured on the Retailer cofactor stream (docs/architecture.md §3).
+MIN_TRIGGER_ROWS = 24
+
+#: The same crossover for factor programs (:class:`ArrayFactorProgram`),
+#: compared with a term's largest factor; measured on the ℝ matrix chain.
 MIN_VECTOR_ROWS = 8
 
 

@@ -142,6 +142,8 @@ class _Generated:
       bind time when missing);
     * ``("lift", var)`` — the query's lifting function for ``var``;
     * ``("sentinel",)`` — a fresh per-binding cache-site identity;
+    * ``("memo",)`` — a fresh per-binding lifted-sibling memo dict (see
+      :func:`_generate_slot`);
     * columnar-target requests (kernel gathers over
       :class:`repro.data.columnar.ColumnarRelation` targets, which probe
       row ids instead of payloads): ``("rows", i)`` — the key → row-id
@@ -225,6 +227,8 @@ def _bind_env(generated: _Generated, targets, query) -> dict:
             env[name] = lift_table[spec[1]]
         elif kind == "sentinel":
             env[name] = object()
+        elif kind == "memo":
+            env[name] = {}
         elif kind == "rows":
             env[name] = targets[spec[1]]._rows
         elif kind == "total":
@@ -247,15 +251,22 @@ def _bind_env(generated: _Generated, targets, query) -> dict:
 class SlotProgram:
     """A compiled delta trigger for one ``(node, source)`` IR program."""
 
-    __slots__ = ("node_name", "out_schema", "ring", "_fn", "source_text")
+    __slots__ = (
+        "node_name", "out_schema", "ring", "_fn", "source_text", "memo_sites",
+    )
 
-    def __init__(self, node_name, out_schema, ring, fn, source_text):
+    def __init__(self, node_name, out_schema, ring, fn, source_text, memo_sites):
         self.node_name = node_name
         self.out_schema = out_schema
         self.ring = ring
         self._fn = fn
         #: The generated Python source (for debugging and the test suite).
         self.source_text = source_text
+        #: Site (``"node:child0"``) → ``(memo dict, sibling relation)`` of
+        #: a trigger that keeps a lifted-sibling memo, else empty.  The
+        #: dict holds strong references to sibling payloads; the engine
+        #: owns its lifetime.
+        self.memo_sites = memo_sites
 
     def run(self, delta: Relation) -> Relation:
         """Evaluate the node's delta view for ``delta`` entering at the
@@ -312,9 +323,14 @@ def compile_slot_program(
         if library is not None:
             library.store(key, generated)
     env = _bind_env(generated, targets, query)
+    memo = ir.accumulate.memo
     return SlotProgram(
         ir.node_name, generated.meta, query.ring, env["_trigger"],
         generated.source_text,
+        {} if memo is None else {
+            f"{ir.node_name}:{ir.source[0]}{ir.source[1]}":
+                (env["_memo"], targets[ir.ops[memo].target])
+        },
     )
 
 
@@ -349,6 +365,7 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
     for position, register in ir.loads:
         emit(depth, f"{rname(register)} = _key[{position}]")
 
+    memo = ir.accumulate.memo
     op_pay: Dict[int, str] = {}
     for i, op in enumerate(ops):
         probe = op.probe_attrs
@@ -362,6 +379,9 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
             elif isinstance(op, Probe):
                 # Full-key probe: the stored payload *is* the bucket sum
                 # (primary-map entries are never zero).
+                if i == memo:
+                    emit(depth, f"_pk = {probe_key}")
+                    probe_key = "_pk"
                 emit(depth, f"_t{i} = _data{i}.get({probe_key})")
                 emit(depth, f"if _t{i} is not None:")
                 depth += 1
@@ -401,15 +421,41 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
         "_psrc" if where == "source" else op_pay[i]
         for where, i in ir.accumulate.factors
     ]
-    lift_terms = []
+    lift_lines = []
     for j, (var, register) in enumerate(ir.accumulate.lifts):
         requests.append((f"_lift{j}", ("lift", var)))
-        lift_terms.append(f"_lift{j}({rname(register)})")
-    if lift_terms:
-        emit(depth, f"_lv = {lift_terms[0]}")
-        for term in lift_terms[1:]:
-            emit(depth, f"_lv = _mul(_lv, {term})")
-        factors.append("_lv")
+        term = f"_lift{j}({rname(register)})"
+        lift_lines.append(f"_lv = _mul(_lv, {term})" if j else f"_lv = {term}")
+    if memo is None:
+        for line in lift_lines:
+            emit(depth, line)
+        if lift_lines:
+            factors.append("_lv")
+    else:
+        # Lifted-sibling memo (``Accumulate.memo``): ``sibling ⊗ lifts``
+        # is kept per probe key as ``(payload, product)``.  Payloads are
+        # immutable and every absorb installs a new object, so an entry is
+        # valid iff it holds the very payload just probed — no
+        # invalidation hook.  A product is admitted on the second sighting
+        # of one payload (the first leaves ``id(payload)``: a sibling
+        # rewritten between probes costs a marker, not a block), and a
+        # site outgrowing twice its sibling's live keys starts over.
+        requests.append(("_memo", ("memo",)))
+        sibling = op_pay[memo]
+        emit(depth, "_e = _memo.get(_pk)")
+        emit(depth, f"if _e.__class__ is tuple and _e[0] is {sibling}:")
+        emit(depth + 1, "_tl = _e[1]")
+        emit(depth, "else:")
+        for line in lift_lines:
+            emit(depth + 1, line)
+        emit(depth + 1, f"_tl = _mul({sibling}, _lv)")
+        emit(depth + 1, f"if _e == id({sibling}):")
+        emit(depth + 2, f"_memo[_pk] = ({sibling}, _tl)")
+        emit(depth + 1, "else:")
+        emit(depth + 2, f"if len(_memo) > 2 * len(_data{memo}):")
+        emit(depth + 3, "_memo.clear()")
+        emit(depth + 2, f"_memo[_pk] = id({sibling})")
+        factors = ["_psrc", "_tl"]
     if not factors:
         emit(depth, "_v = _one")
     else:

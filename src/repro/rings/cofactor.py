@@ -333,6 +333,20 @@ class CofactorRing(Ring):
         # through the cached flat maps avoids materializing two union-sized
         # embeddings per multiplication.
         cross = a.sums[:, None] * b.sums[None, :]
+        if k == len(pos_a) + len(pos_b):
+            # Disjoint supports (a node's payload times a sibling subtree's
+            # — the variables lifted below two siblings never overlap): the
+            # aa, bb, ab and ba blocks partition the k×k result, so every
+            # cell is written exactly once — no zero fill, no ``+=``.
+            sums = np.empty(k)
+            sums[pos_a] = b.count * a.sums
+            sums[pos_b] = a.count * b.sums
+            flat = np.empty(k * k)
+            flat[flat_aa] = (b.count * a.quads).ravel()
+            flat[flat_bb] = (a.count * b.quads).ravel()
+            flat[flat_ab] = cross.ravel()
+            flat[flat_ba] = cross.T.ravel()
+            return make(self.degree, count, sums, flat.reshape(k, k), union)
         if union == a.support:
             sums = b.count * a.sums
             sums[pos_b] += a.count * b.sums

@@ -29,10 +29,11 @@ def pinned(form: str):
     """Engines *constructed* inside — by the test or by an app it drives —
     run one form only (see :data:`FORMS`).
 
-    The engine reads ``kernels.MIN_VECTOR_ROWS`` once, at construction, as
-    the size from which it picks array over scalar execution — of a
-    trigger by its delta's rows, of a factor program by its largest
-    factor's: ``"scalar"`` puts it out of reach, ``"array"`` at one row.
+    The engine reads ``kernels.MIN_TRIGGER_ROWS`` and
+    ``kernels.MIN_VECTOR_ROWS`` once, at construction, as the sizes from
+    which it picks array over scalar execution — of a trigger by its
+    delta's rows, of a factor program by its largest factor's:
+    ``"scalar"`` puts both out of reach, ``"array"`` at one row.
     The array pin also overrides the engine's rule that keeps cheap
     products scalar — a performance rule, not a semantic one — so that the
     array code is held to the interpreter on every program shape, not only
@@ -49,10 +50,11 @@ def pinned(form: str):
                     self, *args, **{**kwargs, "backend": "interpreter"}
                 ),
             )
-        elif form == "scalar":
-            patch.setattr(kernels, "MIN_VECTOR_ROWS", sys.maxsize)
         else:
-            patch.setattr(kernels, "MIN_VECTOR_ROWS", 1)
+            rows = sys.maxsize if form == "scalar" else 1
+            patch.setattr(kernels, "MIN_TRIGGER_ROWS", rows)
+            patch.setattr(kernels, "MIN_VECTOR_ROWS", rows)
+        if form == "array":
             patch.setattr(FIVMEngine, "_joins_payloads", lambda *args: True)
         yield
 

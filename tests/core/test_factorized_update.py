@@ -340,13 +340,18 @@ class TestEnginePropagation:
             engine.apply_factorized_update(update)
 
 
-@pytest.mark.parametrize("workload, factorized", [
-    ("retailer_b1", False), ("retailer_b600", False),
-    ("join_factorized", False), ("chain_rank1", True),
+@pytest.mark.parametrize("workload, factorized, memoized", [
+    ("retailer_b1", False, True), ("retailer_b600", False, True),
+    ("join_factorized", False, False), ("chain_rank1", True, False),
 ])
-def test_only_the_chain_workload_enters_the_factor_path(workload, factorized):
+def test_which_workloads_enter_the_factor_path_and_the_memo(
+    workload, factorized, memoized
+):
     """Of the end-to-end benchmark's workloads only ``chain_rank1`` builds
-    factor programs, so a change to the factor path cannot move the rest."""
+    factor programs, so a change to the factor path cannot move the rest;
+    and only the Retailer (cofactor ring, lifts behind keyed sibling
+    probes) binds lifted-sibling memos — the chain is ℝ and the join ℤ
+    without lifts, so the memo cannot move either of them."""
     from benchmarks.e2e import run as e2e
 
     instance = e2e.WORKLOADS[workload](3, True)
@@ -355,3 +360,5 @@ def test_only_the_chain_workload_enters_the_factor_path(workload, factorized):
     engine = state.engine
     built = engine._factor_programs or engine._array_factor_programs
     assert bool(built) == factorized
+    assert bool(engine._memo_sites) == memoized
+    assert any(n for n, _ in engine.memo_sizes().values()) == memoized

@@ -3,7 +3,7 @@
 The engine builds the generated scalar trigger for every entry point and,
 lazily, an array program where the ring's arrays pay and the program
 joins two lifted payloads; ``_delta_at_node`` picks between them from the
-size of the delta against :data:`MIN_VECTOR_ROWS`.  Rings whose scalar
+size of the delta against :data:`MIN_TRIGGER_ROWS`.  Rings whose scalar
 arithmetic already beats packing (ℤ, ℝ, products of them) never get an
 array form, which is also what keeps ℤ payloads unbounded Python ints.
 The array path has one exactness escape hatch — a column that refuses to
@@ -18,7 +18,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FIVMEngine, Query
-from repro.core.kernels import KernelDeltaProgram, MIN_VECTOR_ROWS
+from repro.core.kernels import (
+    KernelDeltaProgram,
+    MIN_TRIGGER_ROWS,
+    MIN_VECTOR_ROWS,
+)
 from repro.data import Relation
 from repro.rings import (
     CofactorRing,
@@ -71,7 +75,10 @@ def delta(rel, ring, data):
     return Relation(rel, SCHEMAS[rel], ring, data)
 
 
-def test_threshold_is_a_named_public_constant():
+def test_thresholds_are_named_public_constants():
+    # Flat triggers and factor programs cross over at different sizes
+    # (docs/architecture.md §3), so each has its own constant.
+    assert isinstance(MIN_TRIGGER_ROWS, int) and MIN_TRIGGER_ROWS == 24
     assert isinstance(MIN_VECTOR_ROWS, int) and MIN_VECTOR_ROWS == 8
 
 
@@ -84,6 +91,7 @@ def test_backend_keyword_selects_only_the_reference_interpreter():
     default = cof_engine()
     for legacy in ("kernels", "source"):
         engine = cof_engine(backend=legacy)
+        assert engine._trigger_rows == default._trigger_rows == MIN_TRIGGER_ROWS
         assert engine._vector_rows == default._vector_rows == MIN_VECTOR_ROWS
         assert engine._kernel_programs == default._kernel_programs
 
@@ -113,10 +121,10 @@ def test_delta_size_selects_the_trigger_form(storage, monkeypatch):
     assert all(p is None for p in engine._kernel_programs.values())
     # ... and a threshold-row delta builds and runs the array program of
     # the join it reaches (the lift-only leaf stays scalar).
-    rows = [(i, i) for i in range(MIN_VECTOR_ROWS)]
+    rows = [(i, i) for i in range(MIN_TRIGGER_ROWS)]
     for target in (engine, interp):
         target.apply_update(ones("R", rows))
-    assert ran == [("V@B_RS", MIN_VECTOR_ROWS)]
+    assert ran == [("V@B_RS", MIN_TRIGGER_ROWS)]
     assert isinstance(engine._kernel_programs[from_r], KernelDeltaProgram)
     assert engine._kernel_programs[from_s] is None
     for name, view in interp.views.items():
@@ -131,7 +139,7 @@ def test_delta_size_selects_the_trigger_form(storage, monkeypatch):
 def test_rings_whose_arrays_do_not_pay_never_build_an_array_program(ring):
     engine = make_engine(ring)
     assert engine._kernel_programs == {}
-    rows = {(i, 0): ring.one for i in range(4 * MIN_VECTOR_ROWS)}
+    rows = {(i, 0): ring.one for i in range(4 * MIN_TRIGGER_ROWS)}
     engine.apply_update(delta("S", ring, {(0, 0): ring.one}))
     engine.apply_update(delta("R", ring, rows))
     assert engine._kernel_programs == {}
@@ -163,7 +171,7 @@ def test_product_of_vectorizing_rings_runs_array_triggers():
     }
     engine = make_engine(ring, lifts)
     interp = make_engine(ring, lifts, backend="interpreter")
-    n = 2 * MIN_VECTOR_ROWS  # distinct join keys B, so both joins see n rows
+    n = 2 * MIN_TRIGGER_ROWS  # distinct join keys B, so both joins see n rows
     for target in (engine, interp):
         target.apply_update(
             delta("S", ring, {(b, b % 3): ring.one for b in range(n)})
@@ -181,7 +189,7 @@ def test_product_of_vectorizing_rings_runs_array_triggers():
 def test_scalar_and_vector_paths_agree_across_the_threshold():
     reference = cof_engine()
     interp = cof_engine(backend="interpreter")
-    for size in (1, MIN_VECTOR_ROWS - 1, MIN_VECTOR_ROWS, 3 * MIN_VECTOR_ROWS):
+    for size in (1, MIN_TRIGGER_ROWS - 1, MIN_TRIGGER_ROWS, 3 * MIN_TRIGGER_ROWS):
         for rel in ("R", "S"):
             keys = [(i + size, i) for i in range(size)]
             r1 = reference.apply_update(ones(rel, keys))
@@ -199,7 +207,7 @@ def test_integer_multiplicities_beyond_int64_stay_exact():
     big = 2 ** 40
     engine = make_engine(INT_RING)
     interp = make_engine(INT_RING, backend="interpreter")
-    n = 2 * MIN_VECTOR_ROWS
+    n = 2 * MIN_TRIGGER_ROWS
     for target in (engine, interp):
         target.apply_update(
             delta("S", INT_RING, {(b, b % 3): big for b in range(n)})
@@ -231,7 +239,7 @@ def test_mixed_support_batch_falls_back_exactly(storage, monkeypatch):
     lifts = {"A": ring.lift(0), "C": ring.lift(2)}
     arrays = make_engine(ring, lifts, storage=storage)
     interp = make_engine(ring, lifts, backend="interpreter")
-    n = 2 * MIN_VECTOR_ROWS
+    n = 2 * MIN_TRIGGER_ROWS
     mixed = {}
     for i in range(n):
         payload = ring.lift(1)(float(i)) if i % 2 else ring.from_int(1)

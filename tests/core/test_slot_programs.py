@@ -27,10 +27,18 @@ from repro.core import (
     build_view_tree,
 )
 from repro.data import Database, Relation
-from repro.rings import CofactorRing, INT_RING, Lifting, SquareMatrixRing
+from repro.rings import (
+    CofactorRing,
+    DegreeRing,
+    INT_RING,
+    Lifting,
+    SquareMatrixRing,
+)
 
 from tests.conftest import (
+    FORMS,
     PAPER_SCHEMAS,
+    make_engine,
     paper_variable_order,
     random_delta,
     recompute,
@@ -292,3 +300,228 @@ class TestProgramShape:
             assert src.startswith("def _trigger(")
             assert "dict(" not in src
             assert "zip(" not in src
+
+
+# ----------------------------------------------------------------------
+# The lifted-sibling memo of the scalar triggers
+# ----------------------------------------------------------------------
+
+
+def lifted_query(ring_cls=CofactorRing, free=(), tag="Qlift"):
+    """The paper query with *every* variable lifted, so the join variables
+    A and C put a lift behind a keyed sibling probe — the memo's shape
+    (sites ``V@A_RST:child0``/``child1`` and ``V@C_ST:child1``; the last
+    two have the source at child position 1)."""
+    ring = ring_cls(5)
+    lifting = Lifting(ring, {v: ring.lift(i) for i, v in enumerate("ABCDE")})
+    return Query(tag, PAPER_SCHEMAS, free=free, ring=ring, lifting=lifting)
+
+
+def lockstep(engine, oracle, script, schemas=PAPER_SCHEMAS):
+    """Feed ``(relation, row, multiplicity)`` steps to both engines, one
+    tuple per call, holding root deltas and every view equal throughout."""
+    ring = engine.query.ring
+    for step, (rel, row, mult) in enumerate(script):
+        delta = Relation(rel, schemas[rel], ring, {row: ring.from_int(mult)})
+        got = engine.apply_update(delta.copy())
+        want = oracle.apply_update(delta)
+        assert got.same_as(want), (step, rel, row, mult)
+        for name, view in oracle.views.items():
+            assert engine.views[name].same_as(view), (step, name)
+
+
+def admitted(engine, site):
+    """Keys of ``site`` holding a stored product (not a sighting marker)."""
+    memo, _ = engine._memo_sites[site]
+    return {key for key, entry in memo.items() if type(entry) is tuple}
+
+
+#: One probe key of ``V@C_ST:child1`` (S-side deltas probing ``V@D_T[C]``)
+#: seen repeatedly while the sibling is inserted, updated, deleted to zero
+#: and re-inserted as the identical row.
+SIBLING_REWRITES = [
+    ("R", (1, 9), 1),
+    ("T", (1, 2), 1),
+    ("S", (1, 1, 3), 1), ("S", (1, 1, 4), 1), ("S", (1, 1, 5), 1),
+    ("T", (1, 3), 1),                       # update under an admitted key
+    ("S", (1, 1, 6), 1), ("S", (1, 1, 3), -1), ("S", (1, 1, 7), 2),
+    ("T", (1, 2), -1), ("T", (1, 3), -1),   # delete to zero
+    ("S", (1, 1, 8), 1),
+    ("T", (1, 2), 1),                       # the identical row again
+    ("S", (1, 1, 9), 1), ("S", (1, 1, 4), -1), ("S", (1, 1, 3), 1),
+    ("R", (1, 9), -1), ("R", (1, 8), 1), ("R", (1, 7), 1), ("R", (1, 6), 1),
+]
+
+
+class TestLiftedSiblingMemo:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("ring_cls", [CofactorRing, DegreeRing])
+    def test_sibling_written_between_probes_of_one_key(self, form, ring_cls):
+        order = paper_variable_order()
+        engine = make_engine(form, lifted_query(ring_cls), order)
+        oracle = FIVMEngine(
+            lifted_query(ring_cls), order, backend="interpreter"
+        )
+        lockstep(engine, oracle, SIBLING_REWRITES)
+        if form == "scalar":
+            assert admitted(engine, "V@C_ST:child1") == {(1,)}
+            assert admitted(engine, "V@A_RST:child0") == {(1,)}
+
+    @pytest.mark.parametrize("ring_cls", [CofactorRing, DegreeRing])
+    def test_source_at_child_position_one(self, ring_cls):
+        """``[_t0, _psrc, _lv]`` programs regroup as ``_psrc ⊗ (_t0 ⊗
+        _lv)`` — legal on these (commutative) rings only."""
+        engine = FIVMEngine(lifted_query(ring_cls), paper_variable_order())
+        for key in [("V@A_RST", ("child", 1)), ("V@C_ST", ("child", 1))]:
+            assert engine._ir[key].accumulate.factors[0] == ("op", 0)
+            assert engine._ir[key].accumulate.memo == 0
+            assert "_mul(_v, _tl)" in engine._programs[key].source_text
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_sibling_payload_that_is_the_ring_one(self, form):
+        """``mul(one, lift)`` returns the (shared, memoized) lift object
+        itself; an entry holding it must still die with the sibling."""
+        schemas = {"R": ("A", "B"), "S": ("A",)}
+        order = VariableOrder.from_spec(("A", ["B"]))
+
+        def query():
+            ring = CofactorRing(2)
+            lifting = Lifting(ring, {"A": ring.lift(0), "B": ring.lift(1)})
+            return Query("Qone", schemas, ring=ring, lifting=lifting)
+
+        engine = make_engine(form, query(), order)
+        oracle = FIVMEngine(query(), order, backend="interpreter")
+        script = [
+            ("S", (1,), 1),
+            ("R", (1, 2), 1), ("R", (1, 3), 1), ("R", (1, 4), 1),
+            ("S", (1,), 1),   # count 1 -> 2: the entry is stale
+            ("R", (1, 5), 1), ("R", (1, 2), -1), ("R", (1, 6), 1),
+            ("S", (1,), -1),  # back to a payload *equal* to the first one
+            ("R", (1, 7), 1), ("R", (1, 8), 1), ("R", (1, 3), -1),
+        ]
+        lockstep(engine, oracle, script, schemas)
+        if form == "scalar":
+            leaf = engine.views[engine.tree.leaves["S"].name]
+            [memo] = [
+                memo for memo, sibling in engine._memo_sites.values()
+                if sibling is leaf
+            ]
+            payload, product = memo[(1,)]
+            assert payload is leaf._data[(1,)]
+            assert product is engine.query.lifting.get("A")(1)
+
+    def test_only_rings_with_array_products_build_a_memo(self):
+        """ℤ/ℝ (a ``*`` is cheaper than the dict probe) and the
+        non-commutative matrix ring (no regrouping) keep the plain
+        product, on exactly the program shape the cofactor ring memoizes."""
+        from repro.rings import REAL_RING
+
+        def numeric(ring):
+            lifting = Lifting(ring, {v: (lambda x: x + 1) for v in "ABCDE"})
+            return Query("Qnum", PAPER_SCHEMAS, ring=ring, lifting=lifting)
+
+        def matrix():
+            ring = SquareMatrixRing(2)
+
+            def lift(x):
+                return np.eye(2) + 0.1 * x * np.array([[0.0, 1], [0, 0]])
+
+            return Query(
+                "Qmat", PAPER_SCHEMAS, ring=ring,
+                lifting=Lifting(ring, {v: lift for v in "ABCDE"}),
+            )
+
+        order = paper_variable_order()
+        for query in (numeric(INT_RING), numeric(REAL_RING), matrix()):
+            engine = FIVMEngine(query, order)
+            assert not engine._memo_sites
+            assert engine.memo_sizes() == {}
+            for program in engine._programs.values():
+                assert "_memo" not in program.source_text
+        control = FIVMEngine(lifted_query(), order)
+        assert sorted(control._memo_sites) == [
+            "V@A_RST:child0", "V@A_RST:child1", "V@C_ST:child1",
+        ]
+        assert "_memo" in control._programs[
+            ("V@C_ST", ("child", 1))
+        ].source_text
+        oracle = FIVMEngine(lifted_query(), order, backend="interpreter")
+        assert not oracle._memo_sites, "the reference never memoizes"
+
+    def test_columnar_siblings_bind_no_memo(self, rng):
+        """A columnar view builds a fresh payload per read, so identity
+        can never validate: no memo is bound, results match dict storage."""
+        order = paper_variable_order()
+        columnar = make_engine(
+            "scalar", lifted_query(), order, storage="columnar"
+        )
+        plain = make_engine("scalar", lifted_query(), order)
+        assert plain._memo_sites and not columnar._memo_sites
+        for program in columnar._programs.values():
+            assert not program.memo_sites
+            assert "_memo" not in program.source_text
+        for _ in range(40):
+            rel = rng.choice(list(PAPER_SCHEMAS))
+            delta = random_delta(
+                rng, rel, PAPER_SCHEMAS[rel], plain.query.ring, domain=3
+            )
+            root_c = columnar.apply_update(delta.copy())
+            assert root_c.same_as(plain.apply_update(delta))
+        for name, view in plain.views.items():
+            assert columnar.views[name].same_as(view), name
+
+    def test_shards_sharing_a_library_hold_their_own_memos(self):
+        from repro.core.sharded import ShardedFIVMEngine
+
+        sharded = ShardedFIVMEngine(
+            lifted_query(), paper_variable_order(), shards=2,
+            executor="inline",
+        )
+        first, second = sharded._exec.engines
+        key = ("V@C_ST", ("child", 1))
+        assert (
+            first._programs[key]._fn.__code__
+            is second._programs[key]._fn.__code__
+        ), "fixture: the shards must share generated code"
+        for site, (memo, sibling) in first._memo_sites.items():
+            other_memo, other_sibling = second._memo_sites[site]
+            assert memo is not other_memo
+            assert sibling is first.views[sibling.name]
+            assert other_sibling is second.views[sibling.name]
+        ring = first.query.ring
+        for rel, row, mult in SIBLING_REWRITES[:5]:
+            first.apply_update(Relation(
+                rel, PAPER_SCHEMAS[rel], ring, {row: ring.from_int(mult)}
+            ))
+        assert admitted(first, "V@C_ST:child1") == {(1,)}
+        assert all(n == 0 for n, _ in second.memo_sizes().values())
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_partial_root_with_evictions(self, form, rng):
+        """Memoized interior triggers under a partially materialized root
+        whose LRU keeps evicting: served keys equal full maintenance."""
+        from repro.core import ViewClient
+
+        order = paper_variable_order()
+        full = FIVMEngine(
+            lifted_query(free=("A",)), order, backend="interpreter"
+        )
+        part = make_engine(
+            form, lifted_query(free=("A",)), order,
+            materialization="partial", partial_budget=40,
+        )
+        if form == "scalar":
+            assert "V@C_ST:child1" in part._memo_sites
+        client = ViewClient(part)
+        root = part.tree.root.name
+        ring = part.query.ring
+        for step in range(60):
+            rel = rng.choice(list(PAPER_SCHEMAS))
+            delta = random_delta(rng, rel, PAPER_SCHEMAS[rel], ring, domain=3)
+            full.apply_update(delta.copy())
+            part.apply_update(delta)
+            for a in range(3):
+                assert ring.eq(
+                    client.lookup(root, (a,)), full.views[root].payload((a,))
+                ), (step, a)
+        assert client.stats(root)["evictions"] > 0

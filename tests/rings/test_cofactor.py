@@ -146,3 +146,99 @@ class TestRingAxioms:
     @settings(max_examples=25, deadline=None)
     def test_axioms_on_generated_elements(self, a, b, c):
         check_ring_axioms(CofactorRing(3), [a, b, c])
+
+
+# ----------------------------------------------------------------------
+# The block-sparse product against the dense formula, over any supports
+# ----------------------------------------------------------------------
+
+DEGREE = 7
+
+
+@st.composite
+def block_triples(draw, support=None):
+    """A triple with arbitrary blocks over a random (or given) support."""
+    if support is None:
+        support = draw(st.sets(st.integers(0, DEGREE - 1)))
+    support = tuple(sorted(support))
+    count = draw(st.sampled_from([0.0, 1.0, 2.0, -1.5]))
+    k = len(support)
+    if not k:
+        return CofactorTriple(DEGREE, count)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return CofactorTriple(
+        DEGREE, count, rng.uniform(-3, 3, k), rng.uniform(-3, 3, (k, k)),
+        support,
+    )
+
+
+def dense_product(a: CofactorTriple, b: CofactorTriple):
+    """Definition 6.2 on the zero-filled m-vectors and m×m matrices."""
+    sa, sb = a.dense_sums(), b.dense_sums()
+    return (
+        a.count * b.count,
+        b.count * sa + a.count * sb,
+        b.count * a.dense_quads() + a.count * b.dense_quads()
+        + np.outer(sa, sb) + np.outer(sb, sa),
+    )
+
+
+#: One pair of supports per branch of ``CofactorRing.mul``.
+SUPPORT_SHAPES = {
+    "disjoint": ((0, 1, 2), (4, 5)),
+    "interleaved": ((0, 2, 4, 6), (1, 3, 5)),
+    "nested-left": ((0, 1, 3, 5), (1, 5)),
+    "nested-right": ((2,), (0, 2, 6)),
+    "lift-inside": ((1, 2, 4), (2,)),
+    "overlapping": ((0, 1, 2), (2, 3)),
+    "equal": ((1, 3), (1, 3)),
+    "empty-right": ((0, 6), ()),
+    "empty-both": ((), ()),
+}
+
+
+class TestBlockProduct:
+    def check(self, a, b):
+        ring = CofactorRing(DEGREE)
+        product = ring.mul(a, b)
+        count, sums, quads = dense_product(a, b)
+        assert product.count == count
+        assert np.allclose(product.dense_sums(), sums, rtol=0, atol=1e-12)
+        assert np.allclose(product.dense_quads(), quads, rtol=0, atol=1e-12)
+        assert set(product.support) <= set(a.support) | set(b.support)
+
+    @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_named_support_shapes(self, shape, data):
+        left, right = SUPPORT_SHAPES[shape]
+        a = data.draw(block_triples(support=left))
+        b = data.draw(block_triples(support=right))
+        self.check(a, b)
+        self.check(b, a)
+
+    @given(block_triples(), block_triples())
+    @settings(max_examples=150, deadline=None)
+    def test_random_supports(self, a, b):
+        self.check(a, b)
+
+    @given(block_triples(), block_triples(), block_triples())
+    @settings(max_examples=150, deadline=None)
+    def test_regrouping_stays_inside_the_tolerance(self, a, t, l):
+        """``(a·t)·l == a·(t·l)``: the regrouping the lifted-sibling memo
+        of the scalar triggers performs (``t·l`` is what it stores)."""
+        ring = CofactorRing(DEGREE)
+        assert ring.eq(
+            ring.mul(ring.mul(a, t), l), ring.mul(a, ring.mul(t, l))
+        )
+
+    @given(block_triples(), block_triples(), st.integers(0, DEGREE - 1),
+           st.floats(-5, 5, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_regrouping_with_a_lift(self, a, t, index, value):
+        ring = CofactorRing(DEGREE)
+        lifted = ring.lift(index)(value)
+        assert ring.eq(
+            ring.mul(ring.mul(a, t), lifted),
+            ring.mul(a, ring.mul(t, lifted)),
+        )
