@@ -21,7 +21,12 @@ in key space (counts in ℤ payloads instead of nested unit relations).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import product, repeat
+from math import prod
+from operator import itemgetter
+from typing import (
+    Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.bench.memory import strategy_scalars
 from repro.core.engine import FIVMEngine
@@ -29,6 +34,7 @@ from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
 from repro.core.view_tree import ViewNode, ViewTree, build_view_tree
 from repro.data.relation import Relation
+from repro.data.schema import key_projector
 from repro.rings.numeric import INT_RING
 from repro.rings.lifting import Lifting
 from repro.rings.relational import RelationalRing, free_lift
@@ -69,6 +75,237 @@ def _factorize_tree(tree: ViewTree, free: Sequence[str]) -> ViewTree:
     return tree
 
 
+#: Children of a plan position that bind no output variable — relation
+#: leaves and roots of all-bound subtrees — as (stored view, key from the
+#: path binding).  The count such a view stores under the binding is the
+#: multiplicity of everything below it, bound variables summed out.
+_Counted = List[Tuple[Relation, Callable[[tuple], tuple]]]
+
+
+def _count(counted: _Counted, binding: tuple) -> int:
+    total = 1
+    for view, key_of in counted:
+        total *= view.payload(key_of(binding))
+    return total
+
+
+class _FreeView:
+    """A view of the enumeration plan: one that binds output variables.
+
+    Its keys are its dependency context (variables bound by the free views
+    on the path above it) followed by its own free variables — ancestors
+    sort first in the variable order — so a stored key splits at ``skip``
+    into the probed prefix and the values this view binds.
+    """
+
+    __slots__ = (
+        "view", "own", "skip", "probe", "subkey_of", "children", "counted",
+        "parent",
+    )
+
+    def __init__(self, view: Relation, path: Tuple[str, ...], own: Tuple[str, ...]):
+        self.view = view
+        self.own = own
+        self.skip = len(view.schema) - len(own)
+        self.probe = view.schema[:self.skip]
+        #: Probe subkey from the values bound on the path above this view.
+        self.subkey_of = key_projector(path, self.probe)
+        #: Child views that bind output variables; when there are none the
+        #: view's own stored count is the multiplicity of its subtree.
+        self.children: List[_FreeView] = []
+        #: The other children, consulted only beside ``children``.
+        self.counted: _Counted = []
+        #: Slot of the parent among the streamed views (0: a top view).
+        self.parent = 0
+        if self.probe:  # a top view is read whole, off its primary map
+            view.register_index(self.probe)
+
+    def bucket(self, binding: tuple):
+        """Stored (key, count) entries under the path binding."""
+        return self.view.lookup(self.probe, self.subkey_of(binding))
+
+    def size(self, binding: tuple) -> int:
+        """Result tuples below this view under the path binding: Σ over
+        its entries of Π over its children's sizes, no row built."""
+        entries = self.bucket(binding)
+        if not self.children:
+            return len(entries)  # stored counts are non-zero
+        total = 0
+        for key, _ in entries:
+            inner = binding + key[self.skip:]
+            if _count(self.counted, inner):
+                total += prod(child.size(inner) for child in self.children)
+        return total
+
+
+class _EnumerationPlan:
+    """What enumeration needs of a factorized view tree, derived once.
+
+    The free views form the top of the tree.  Those with free views below
+    them, and the top ones, are *streamed*: walked entry by entry in
+    pre-order, straight off the stored buckets.  The remaining ones — the
+    *tail* — have every ancestor streamed, so under one binding of the
+    streamed views their buckets are fixed and independent, and the
+    result restricted to that binding is their Cartesian product.
+    """
+
+    def __init__(
+        self,
+        tree: ViewTree,
+        views: Mapping[str, Relation],
+        free: Sequence[str],
+        output_schema: Tuple[str, ...],
+    ):
+        free_set = set(free)
+        for variable in free:
+            stray = [
+                a for a in tree.order.ancestors(variable) if a not in free_set
+            ]
+            if stray:
+                raise ValueError(
+                    f"free variable {variable!r} sits below bound {stray}; "
+                    "use a variable order with free variables on top"
+                )
+
+        def own(node: ViewNode) -> Tuple[str, ...]:
+            return tuple(
+                v for v in node.keys if v in free_set and v in node.at_vars
+            )
+
+        def below(
+            children: Sequence[ViewNode], path: Tuple[str, ...]
+        ) -> Tuple[List[_FreeView], _Counted]:
+            binders: List[_FreeView] = []
+            counted: _Counted = []
+            for child in children:
+                if own(child):
+                    binders.append(build(child, path))
+                else:
+                    counted.append(
+                        (views[child.name], key_projector(path, child.keys))
+                    )
+            return binders, counted
+
+        def build(node: ViewNode, path: Tuple[str, ...]) -> _FreeView:
+            plan_view = _FreeView(views[node.name], path, own(node))
+            if any(map(own, node.children)):
+                plan_view.children, plan_view.counted = below(
+                    node.children, path + plan_view.own
+                )
+            return plan_view
+
+        # A root that binds nothing above free variables is the synthetic
+        # join of a disconnected query's components: plan its children.
+        root = tree.root
+        top = [root] if own(root) or not free_set else root.children
+        self.tops, self.counted = below(top, ())
+
+        self.streamed: List[_FreeView] = []
+        self.tail: List[_FreeView] = []
+
+        def place(plan_view: _FreeView, parent: int, is_top: bool) -> None:
+            plan_view.parent = parent
+            if not (plan_view.children or is_top):
+                self.tail.append(plan_view)
+                return
+            self.streamed.append(plan_view)
+            slot = len(self.streamed)
+            for child in plan_view.children:
+                place(child, slot, False)
+
+        for plan_view in self.tops:
+            place(plan_view, 0, True)
+
+        layout = tuple(
+            v for plan_view in self.streamed + self.tail for v in plan_view.own
+        )
+        #: Rows are assembled streamed views first; None when that is
+        #: already the output schema.
+        self.reorder = None
+        if layout != output_schema:
+            self.reorder = itemgetter(*map(layout.index, output_schema))
+
+    def size(self) -> int:
+        """Number of distinct result tuples, counted on the factorization."""
+        if not _count(self.counted, ()):
+            return 0
+        return prod(plan_view.size(()) for plan_view in self.tops)
+
+    def runs(self) -> Iterator[Iterable[Tuple[tuple, int]]]:
+        """The result as a union of products: per binding of the streamed
+        views, one iterable of the (row, multiplicity) pairs under it."""
+        streamed, tail, reorder = self.streamed, self.tail, self.reorder
+        count = _count(self.counted, ())
+        if not count:
+            return
+        last = len(streamed)
+        if not last:
+            yield (((), count),)  # no free variable: the one aggregate
+            return
+        # Per slot — 0 above the top views, i with streamed[i - 1] bound:
+        binding = [()] * (last + 1)  # values bound on the path down to it
+        row = [()] * (last + 1)  # output values of streamed[:i]
+        counts = [count] * (last + 1)  # multiplicity factors of streamed[:i]
+        entry: List[Optional[tuple]] = [None] * (last + 1)  # key it stands on
+        cursors: list = [None] * last
+        # A bucket is kept until the parent view moves to another entry;
+        # siblings advancing beside it only restart its iteration.
+        unset = object()
+        held: list = [None] * (last + len(tail))
+        held_for: list = [unset] * len(held)
+
+        def bucket(index: int, plan_view: _FreeView):
+            parent = plan_view.parent
+            if held_for[index] is not entry[parent]:
+                held_for[index] = entry[parent]
+                entries = plan_view.bucket(binding[parent])
+                if index >= last:
+                    skip = plan_view.skip
+                    entries = (
+                        [key[skip:] for key, _ in entries],
+                        [stored for _, stored in entries],
+                    )
+                held[index] = entries
+            return held[index]
+
+        depth = 0
+        cursors[0] = iter(bucket(0, streamed[0]))
+        while depth >= 0:
+            plan_view = streamed[depth]
+            for key, factor in cursors[depth]:
+                bound = key[plan_view.skip:]
+                inner = binding[plan_view.parent] + bound
+                if plan_view.children:
+                    factor = _count(plan_view.counted, inner)
+                if factor:
+                    break
+            else:
+                depth -= 1
+                continue
+            depth += 1
+            binding[depth] = inner
+            row[depth] = row[depth - 1] + bound
+            counts[depth] = counts[depth - 1] * factor
+            entry[depth] = key
+            if depth < last:
+                cursors[depth] = iter(bucket(depth, streamed[depth]))
+                continue
+            if tail:
+                values, factors = [(row[last],)], [(counts[last],)]
+                for index, plan_view in enumerate(tail, last):
+                    bound_values, stored = bucket(index, plan_view)
+                    values.append(bound_values)
+                    factors.append(stored)
+                rows = map(sum, product(*values), repeat(()))  # concatenated
+                if reorder is not None:
+                    rows = map(reorder, rows)
+                yield zip(rows, map(prod, product(*factors)))
+            else:
+                out = row[last] if reorder is None else reorder(row[last])
+                yield ((out, counts[last]),)
+            depth -= 1
+
+
 class ConjunctiveQuery:
     """A maintained conjunctive query under one of the three representations."""
 
@@ -107,6 +344,11 @@ class ConjunctiveQuery:
         self.query = self.engine.query
         # Canonical output order: free variables by variable-order position.
         self.output_schema = self.engine.tree.order.canonical_sort(self.free)
+        #: Factorized mode: derived from the view tree on first use.
+        self._plan: Optional[_EnumerationPlan] = None
+        #: Updates applied so far; a live enumeration compares it to the
+        #: value it started from.
+        self._writes = 0
 
     # ------------------------------------------------------------------
 
@@ -116,6 +358,7 @@ class ConjunctiveQuery:
         return self.query.ring
 
     def apply_update(self, delta: Relation) -> None:
+        self._writes += 1
         self.engine.apply_update(delta)
 
     def memory(self) -> int:
@@ -151,122 +394,57 @@ class ConjunctiveQuery:
         return out
 
     def result_size(self) -> int:
-        """Number of distinct result tuples."""
+        """Number of distinct result tuples.
+
+        In factorized mode it is counted on the factorization — Σ over a
+        view's entries of Π over its children's sizes — in time linear in
+        the stored views, not in the listing.
+        """
         if self.mode == "factorized":
-            return sum(1 for _ in self.enumerate())
+            return self._enumeration_plan().size()
         return len(self.result_relation())
 
     # ------------------------------------------------------------------
-    # Constant-delay-style enumeration from the factorized representation
+    # Constant-delay enumeration from the factorized representation
     # ------------------------------------------------------------------
 
+    def _enumeration_plan(self) -> _EnumerationPlan:
+        if self._plan is None:
+            self._plan = _EnumerationPlan(
+                self.engine.tree, self.engine.views, self.free,
+                self.output_schema,
+            )
+        return self._plan
+
     def enumerate(self) -> Iterator[Tuple[tuple, int]]:
-        """Yield (tuple over the output schema, multiplicity).
+        """Yield (tuple over the output schema, multiplicity), lazily and
+        in no specified order.
 
-        Walks the view hierarchy top-down, binding each view's own free
-        variables from its stored keys given the ancestor context
-        (conditional independence makes this sound), then derives the
-        multiplicity as the product of per-relation aggregate counts.
+        In factorized mode the result is read off the view hierarchy as a
+        union of products (see :class:`_EnumerationPlan`): the first tuple
+        costs one bucket fetch per free view, every further one constant
+        work, and only the buckets on the current path are held.  The
+        variable order must keep the free variables on top (``ValueError``
+        otherwise).  In the listing modes the result relation is iterated.
+
+        An ``apply_update`` invalidates the iterator: its next step raises
+        ``RuntimeError`` instead of mixing two database states.
         """
-        if self.mode != "factorized":
-            for key, payload in sorted(self.to_listing().items(), key=repr):
-                yield key, payload
-            return
+        if self.mode == "factorized":
+            runs = self._enumeration_plan().runs()
+        else:
+            runs = (self.result_relation().items(),)
+        return self._while_unchanged(runs, self._writes)
 
-        tree = self.engine.tree
-        views = self.engine.views
-        free_set = set(self.free)
-
-        # Exact multiplicities factor per relation only when bound variables
-        # are relation-local (true for all of the paper's §6.3 workloads:
-        # natural joins have no bound variables, and e.g. E in Example 6.5
-        # occurs in S alone).  Shared bound join variables would need the
-        # per-region aggregation the paper leaves to the count views.
-        bound_vars = [v for v in self.query.variables if v not in free_set]
-        for variable in bound_vars:
-            owners = self.query.relations_with(variable)
-            if len(owners) > 1:
-                raise ValueError(
-                    f"bound variable {variable!r} is shared by {owners}; "
-                    "factorized enumeration requires relation-local bound "
-                    "variables"
-                )
-        for variable in self.free:
-            stray = [
-                a for a in tree.order.ancestors(variable) if a not in free_set
-            ]
-            if stray:
-                raise ValueError(
-                    f"free variable {variable!r} sits below bound {stray}; "
-                    "use a variable order with free variables on top"
-                )
-
-        inner_nodes: List[ViewNode] = []
-
-        def collect(node: ViewNode) -> None:
-            if not node.is_leaf:
-                inner_nodes.append(node)
-            for child in node.children:
-                collect(child)
-
-        collect(tree.root)
-
-        # Each inner node binds its own free variables; probe it on the
-        # remaining key attributes (its dependency context).
-        node_own: Dict[str, Tuple[str, ...]] = {}
-        node_probe: Dict[str, Tuple[str, ...]] = {}
-        for node in inner_nodes:
-            own = tuple(v for v in node.keys if v in free_set and v in node.at_vars)
-            probe = tuple(a for a in node.keys if a not in own)
-            node_own[node.name] = own
-            node_probe[node.name] = probe
-            if probe and probe != views[node.name].schema:
-                views[node.name].register_index(probe)
-
-        # Leaves provide the multiplicities: the count of base tuples
-        # matching the free-variable binding (bound attributes summed out).
-        leaf_probe: Dict[str, Tuple[str, ...]] = {}
-        for leaf in tree.leaves.values():
-            probe = tuple(a for a in leaf.keys if a in free_set)
-            leaf_probe[leaf.name] = probe
-            stored = views[leaf.name]
-            if probe and probe != stored.schema:
-                stored.register_index(probe)
-
-        def multiplicity(binding: Dict[str, object]) -> int:
-            total = 1
-            for leaf in tree.leaves.values():
-                probe = leaf_probe[leaf.name]
-                subkey = tuple(binding[a] for a in probe)
-                stored = views[leaf.name]
-                count = 0
-                for _, payload in stored.lookup(probe, subkey):
-                    count += payload
-                total *= count
-                if total == 0:
-                    return 0
-            return total
-
-        def assign(index: int, binding: Dict[str, object]) -> Iterator[dict]:
-            if index == len(inner_nodes):
-                yield binding
-                return
-            node = inner_nodes[index]
-            own = node_own[node.name]
-            if not own:
-                yield from assign(index + 1, binding)
-                return
-            probe = node_probe[node.name]
-            subkey = tuple(binding[a] for a in probe)
-            stored = views[node.name]
-            own_positions = [node.keys.index(v) for v in own]
-            for key, _count in stored.lookup(probe, subkey):
-                extended = dict(binding)
-                for position, variable in zip(own_positions, own):
-                    extended[variable] = key[position]
-                yield from assign(index + 1, extended)
-
-        for binding in assign(0, {}):
-            count = multiplicity(binding)
-            if count != 0:
-                yield tuple(binding[v] for v in self.output_schema), count
+    def _while_unchanged(
+        self, runs: Iterable[Iterable[Tuple[tuple, int]]], writes: int
+    ) -> Iterator[Tuple[tuple, int]]:
+        stale = "the result changed under this enumeration; call enumerate() again"
+        if self._writes != writes:
+            raise RuntimeError(stale)
+        for run in runs:
+            for pair in run:
+                yield pair
+                # Checked on resumption, before any stored bucket is touched.
+                if self._writes != writes:
+                    raise RuntimeError(stale)

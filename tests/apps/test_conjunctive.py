@@ -1,5 +1,7 @@
 """Tests for conjunctive query evaluation with three representations (§6.3)."""
 
+import itertools
+import time
 
 import pytest
 
@@ -28,6 +30,24 @@ def feed(engine, rel, rows, multiplicity=1):
     for row in rows:
         delta.add(row, ring.from_int(multiplicity))
     engine.apply_update(delta)
+
+
+STAR = {"R1": ("P", "X"), "R2": ("P", "Y"), "R3": ("P", "Z")}
+
+
+def star(per_relation, mode="factorized"):
+    """The star join of three relations with ``per_relation`` values each
+    under one P-value, one delta per relation."""
+    order = VariableOrder.from_spec(("P", ["X", "Y", "Z"]))
+    engine = ConjunctiveQuery(
+        "star", STAR, ("P", "X", "Y", "Z"), mode=mode, order=order
+    )
+    for rel, schema in STAR.items():
+        rows = [(0, value) for value in range(per_relation)]
+        engine.apply_update(
+            Relation.from_tuples(rel, schema, engine.ring, rows)
+        )
+    return engine
 
 
 FIGURE2_ROWS = {
@@ -117,14 +137,47 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConjunctiveQuery("Q", PAPER_SCHEMAS, FREE, mode="columnar")
 
-    def test_shared_bound_variable_rejected_at_enumeration(self):
+    def test_free_variable_below_bound_rejected_at_enumeration(self):
+        """B and D free under a bound A: the one shape enumeration refuses,
+        and only when first asked to enumerate."""
         engine = ConjunctiveQuery(
             "Q", PAPER_SCHEMAS, ("B", "D"), mode="factorized",
             order=paper_variable_order(),
         )
         feed(engine, "R", [("a1", "b1")])
-        with pytest.raises(ValueError, match="shared"):
-            list(engine.enumerate())
+        with pytest.raises(ValueError, match="free variables on top"):
+            engine.enumerate()
+        with pytest.raises(ValueError, match="free variables on top"):
+            engine.result_size()
+
+    def test_shared_bound_variable(self, rng):
+        """Q(A) = R(A,B), S(B,C): the bound B is shared by both relations.
+        The multiplicity is read at the view that sums B and C out, so
+        the order A – B – C enumerates it under inserts and deletes."""
+        schemas = {"R": ("A", "B"), "S": ("B", "C")}
+        order = VariableOrder.chain(("A", "B", "C"))
+        pair = {
+            mode: ConjunctiveQuery("Q", schemas, ("A",), mode=mode, order=order)
+            for mode in ("listing_keys", "factorized")
+        }
+        live = []
+        for _ in range(120):
+            if live and rng.random() < 0.4:
+                rel, row = live.pop(rng.randrange(len(live)))
+                sign = -1
+            else:
+                rel = rng.choice(list(schemas))
+                row = (rng.randint(0, 3), rng.randint(0, 3))
+                live.append((rel, row))
+                sign = 1
+            for engine in pair.values():
+                engine.apply_update(
+                    Relation(rel, schemas[rel], engine.ring, {row: sign})
+                )
+            expected = dict(pair["listing_keys"].result_relation().items())
+            assert dict(pair["factorized"].enumerate()) == expected
+            assert pair["factorized"].result_size() == len(expected)
+        assert any(count > 1 for count in expected.values())
 
     def test_all_variables_free_natural_join(self, rng):
         free = ("A", "B", "C", "D", "E")
@@ -150,24 +203,118 @@ class TestMemoryProfile:
     def test_factorized_grows_slower_on_star_join(self):
         """Per-postcode multiplicities multiply in listing mode but add in
         factorized mode — the Figure 8 (right) effect in miniature."""
-        schemas = {"R1": ("P", "X"), "R2": ("P", "Y"), "R3": ("P", "Z")}
-        order = VariableOrder.from_spec(("P", ["X", "Y", "Z"]))
-        listing = ConjunctiveQuery(
-            "star", schemas, ("P", "X", "Y", "Z"), mode="listing_keys", order=order
-        )
-        fact = ConjunctiveQuery(
-            "star", schemas, ("P", "X", "Y", "Z"), mode="factorized", order=order
-        )
         per_relation = 8
-        for rel, schema in schemas.items():
-            rows = [(1, i) for i in range(per_relation)]
-            for engine in (listing, fact):
-                ring = engine.ring
-                delta = Relation(rel, schema, ring)
-                for row in rows:
-                    delta.add(row, ring.one)
-                engine.apply_update(delta)
+        listing, fact = star(per_relation, "listing_keys"), star(per_relation)
         # listing: 8³ result tuples; factorized: 3·8 values + views.
         assert listing.result_size() == per_relation ** 3
         assert fact.memory() < listing.memory() / 10
         assert fact.result_size() == per_relation ** 3
+
+
+class TestResultSize:
+    def test_counts_on_the_factorization(self):
+        """8 · 10⁶ result tuples are counted from 600 stored values."""
+        engine = star(200)
+        start = time.perf_counter()
+        assert engine.result_size() == 200 ** 3
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("free", [FREE, ("A", "C"), ("A",), ()])
+    def test_equals_listing_length(self, free, rng):
+        engine = ConjunctiveQuery(
+            "Q", PAPER_SCHEMAS, free, mode="factorized",
+            order=paper_variable_order(),
+        )
+        assert engine.result_size() == len(engine.to_listing()) == 0
+        for _ in range(30):
+            rel = rng.choice(list(PAPER_SCHEMAS))
+            feed(engine, rel, [tuple(rng.randint(0, 2) for _ in PAPER_SCHEMAS[rel])])
+            assert engine.result_size() == len(engine.to_listing())
+        assert engine.result_size() > 0
+
+
+class TestEnumeration:
+    def test_disconnected_query_is_the_product_of_its_components(self):
+        """Two components under a synthetic top view, one with a bound
+        variable: tuples pair up, multiplicities multiply."""
+        schemas = {"R": ("A", "B"), "S": ("C",)}
+        order = VariableOrder.from_spec(("A", ["B"]), "C")
+        engine = ConjunctiveQuery("Q", schemas, ("A", "C"), order=order)
+        engine.apply_update(Relation.from_tuples(
+            "R", schemas["R"], engine.ring, [(1, 1), (1, 2), (2, 1)]))
+        assert dict(engine.enumerate()) == {}
+        engine.apply_update(Relation.from_tuples(
+            "S", schemas["S"], engine.ring, [(7,), (8,), (8,)]))
+        assert dict(engine.enumerate()) == {
+            (1, 7): 2, (1, 8): 4, (2, 7): 1, (2, 8): 2,
+        }
+        assert engine.result_size() == 4
+
+    def test_star_join_reads_through_the_indexes_updates_maintain(self):
+        """The first enumeration of a star registers nothing: sibling
+        probes already index every child view on P, and the top view is
+        read off its primary map — the update path stays as it was."""
+        engine = star(3)
+
+        def indexes():
+            views = engine.engine.views
+            return {name: set(view._indexes) for name, view in views.items()}
+
+        before = indexes()
+        assert len(list(engine.enumerate())) == 27
+        assert indexes() == before
+
+    def test_no_free_variable_is_the_count(self):
+        engine = ConjunctiveQuery(
+            "Q", PAPER_SCHEMAS, (), order=paper_variable_order()
+        )
+        assert list(engine.enumerate()) == []
+        for rel, rows in FIGURE2_ROWS.items():
+            feed(engine, rel, rows)
+        assert list(engine.enumerate()) == [((), 10)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("row", [(0, 99), (0, 0)], ids=["new key", "count only"])
+    def test_write_invalidates_a_live_enumeration(self, mode, row):
+        """Whether the write adds a key to a bucket being read or only
+        changes a stored count, the open iterator refuses to go on."""
+        engine = star(3, mode)
+        rows = engine.enumerate()
+        next(rows)
+        engine.apply_update(Relation.from_tuples("R1", STAR["R1"], engine.ring, [row]))
+        with pytest.raises(RuntimeError, match=r"call enumerate\(\) again"):
+            next(rows)
+        expected = 36 if row == (0, 99) else 27
+        assert len(list(engine.enumerate())) == expected
+
+    def test_first_page_fetches_the_buckets_on_one_path(self, monkeypatch):
+        """Laziness, counted in bucket fetches: a page of the first k
+        tuples costs one fetch per free view on the path — P, then Y
+        beside X, then Z under the first Y — whatever the result size."""
+        schemas = {"R1": ("P", "X"), "R2": ("P", "Y"), "R3": ("Y", "Z")}
+        order = VariableOrder.from_spec(("P", ["X", ("Y", ["Z"])]))
+        fetches = []
+        lookup = Relation.lookup
+
+        def counting(self, attrs, subkey):
+            fetches.append(self.name)
+            return lookup(self, attrs, subkey)
+
+        def first_page(n, k=50):
+            engine = ConjunctiveQuery(
+                "Q", schemas, ("P", "X", "Y", "Z"), order=order)
+            for rel, left in (("R1", 1), ("R2", 1), ("R3", n)):
+                rows = itertools.product(range(left), range(n))
+                engine.apply_update(Relation.from_tuples(
+                    rel, schemas[rel], engine.ring, rows))
+            assert engine.result_size() == n ** 3
+            with monkeypatch.context() as patch:
+                patch.setattr(Relation, "lookup", counting)
+                del fetches[:]
+                page = list(itertools.islice(engine.enumerate(), k))
+            assert len(set(page)) == k
+            return list(fetches)
+
+        small, large = first_page(22), first_page(100)  # 10⁴ and 10⁶ tuples
+        assert len(small) == len(large) == 4
+        assert sorted(small) == sorted(large)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import ConjunctiveQuery
-from repro.core import FIVMEngine, Query
+from repro.core import FIVMEngine, Query, VariableOrder
 from repro.data import Database, Relation
 from repro.rings import INT_RING, Lifting, RealRing
 
@@ -100,6 +100,73 @@ def test_factorized_enumeration_matches_listing(rows):
                 engine.apply_update(delta)
     expected = dict(listing.result_relation().items())
     assert dict(fact.enumerate()) == expected
+
+
+@st.composite
+def query_shape(draw):
+    """A random variable order over V0..Vn with relations along its paths
+    and a free set closed under ancestors: nested free views, relations of
+    one to four variables, and bound variables (shared or not) below."""
+    n = draw(st.integers(2, 6))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    children = {i: [j for j in range(n) if parent[j] == i] for i in range(n)}
+
+    def path(i):
+        return path(parent[i]) + [i] if parent[i] is not None else [i]
+
+    def spec(i):
+        return (f"V{i}", [spec(j) for j in children[i]])
+
+    relations = []
+    for i in range(n):
+        if children[i] and draw(st.booleans()):
+            continue  # inner variables are covered from below, see next loop
+        above = [v for v in path(i)[:-1] if draw(st.booleans())]
+        relations.append(above[-3:] + [i])
+    covered = {v for schema in relations for v in schema}
+    for i in range(n):
+        if i not in covered:
+            relations.append(([parent[i]] if parent[i] is not None else []) + [i])
+    schemas = {
+        f"R{k}": tuple(f"V{v}" for v in schema)
+        for k, schema in enumerate(relations)
+    }
+    free = []
+    for i in range(n):  # parents come first
+        on_top = parent[i] is None or f"V{parent[i]}" in free
+        if on_top and draw(st.integers(0, 3)) < 3:
+            free.append(f"V{i}")
+    return schemas, VariableOrder.from_spec(spec(0)), tuple(free)
+
+
+@given(query_shape(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_factorized_enumeration_matches_listing_on_any_free_top(shape, data):
+    """Hypothesis: whatever the shape of the free top of the variable
+    order, after a stream of inserts and deletes the factorized result
+    enumerates the listing result, and counts it without enumerating."""
+    schemas, order, free = shape
+    fact = ConjunctiveQuery("Q", schemas, free, mode="factorized", order=order)
+    listing = ConjunctiveQuery("Q", schemas, free, mode="listing_keys", order=order)
+    names = sorted(schemas)
+    live = []
+    for _ in range(data.draw(st.integers(0, 25))):
+        if live and data.draw(st.integers(0, 3)) == 0:
+            rel, row = live.pop(data.draw(st.integers(0, len(live) - 1)))
+            sign = -1
+        else:
+            rel = data.draw(st.sampled_from(names))
+            row = tuple(data.draw(st.integers(0, 1)) for _ in schemas[rel])
+            live.append((rel, row))
+            sign = 1
+        for engine in (fact, listing):
+            engine.apply_update(
+                Relation(rel, schemas[rel], engine.ring, {row: sign})
+            )
+    expected = dict(listing.result_relation().items())
+    enumerated = list(fact.enumerate())
+    assert dict(enumerated) == expected
+    assert len(enumerated) == len(expected) == fact.result_size()
 
 
 @given(st.integers(0, 100_000))
