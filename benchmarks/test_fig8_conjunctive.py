@@ -135,6 +135,11 @@ def test_fig8_right_housing_scales(benchmark):
         },
     )
 
+    # The factorization stores the relations and one count per postcode;
+    # a listing stores the relations and the join: at no scale is the
+    # factorized representation the larger one (stored scalars, a count).
+    for row in rows:
+        assert row[2] <= row[4] and row[2] <= row[6], row
     # Factorized memory grows ~linearly; listing grows ~cubically: the gap
     # must widen monotonically with the scale factor.
     gaps = [row[4] / row[2] for row in rows]

@@ -8,7 +8,7 @@ differing only in where the result tuples live:
 * ``listing_payloads`` — the relational data ring: the root payload *is* the
   result relation (free variables lifted into payload space);
 * ``factorized``     — the result is distributed over the payload hierarchy
-  of *all* views: each view keeps, per key, the union of its own variable's
+  of the views: each view keeps, per key, the union of its own variable's
   values with derivation counts (Figure 2e's blue views).  Arbitrarily more
   succinct than listing, yet lossless: :meth:`ConjunctiveQuery.enumerate`
   streams the result tuples (with multiplicities) back out.
@@ -17,22 +17,32 @@ The factorized mode is implemented by a view-tree transformation: a free
 variable stays in the keys of *its own* view and is marginalized one level
 up, which is exactly "compute ⊕_{Y ∈ T−{X}} P[T]" from the paper expressed
 in key space (counts in ℤ payloads instead of nested unit relations).
+A view left with nothing to marginalize over a single child — the view
+above a relation whose attributes are all free — is that child, and is
+elided (:func:`repro.core.view_tree.elide_copies`): the relation itself
+is then the view at those variables.  What is stored is µ(τ, U), the
+views the triggers probe, plus the views enumeration reads
+(:func:`_enumerated`).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product, repeat
 from math import prod
 from operator import itemgetter
 from typing import (
-    Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.bench.memory import strategy_scalars
 from repro.core.engine import FIVMEngine
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
-from repro.core.view_tree import ViewNode, ViewTree, build_view_tree
+from repro.core.view_tree import (
+    ViewNode, ViewTree, build_view_tree, elide_copies,
+)
 from repro.data.relation import Relation
 from repro.data.schema import key_projector
 from repro.rings.numeric import INT_RING
@@ -75,6 +85,31 @@ def _factorize_tree(tree: ViewTree, free: Sequence[str]) -> ViewTree:
     return tree
 
 
+def _own(node: ViewNode, free: Set[str]) -> Tuple[str, ...]:
+    """The output variables ``node`` binds, in its key order."""
+    return tuple(v for v in node.keys if v in free and v in node.at_vars)
+
+
+def _enumerated(tree: ViewTree, free: Sequence[str]) -> List[str]:
+    """Names of the views an :class:`_EnumerationPlan` over ``tree``
+    reads: the views that bind output variables and, where one has such
+    views below it, its other children (read for their counts)."""
+    free_set = set(free)
+    names: List[str] = []
+
+    def visit(nodes: Sequence[ViewNode]) -> None:
+        for node in nodes:
+            names.append(node.name)
+            if _own(node, free_set) and any(
+                _own(child, free_set) for child in node.children
+            ):
+                visit(node.children)
+
+    root = tree.root
+    visit([root] if _own(root, free_set) or not free_set else root.children)
+    return names
+
+
 #: Children of a plan position that bind no output variable — relation
 #: leaves and roots of all-bound subtrees — as (stored view, key from the
 #: path binding).  The count such a view stores under the binding is the
@@ -94,22 +129,29 @@ class _FreeView:
 
     Its keys are its dependency context (variables bound by the free views
     on the path above it) followed by its own free variables — ancestors
-    sort first in the variable order — so a stored key splits at ``skip``
-    into the probed prefix and the values this view binds.
+    sort first in the variable order — so a key splits at ``skip`` into
+    the probed prefix and the values this view binds.  A relation standing
+    in for the view above it (:func:`~repro.core.view_tree.elide_copies`)
+    keeps its declared attribute order; where that is another order, the
+    entries of a bucket are brought into this one as they are fetched.
     """
 
     __slots__ = (
-        "view", "own", "skip", "probe", "subkey_of", "children", "counted",
-        "parent",
+        "view", "own", "skip", "probe", "subkey_of", "canonical", "children",
+        "counted", "parent",
     )
 
     def __init__(self, view: Relation, path: Tuple[str, ...], own: Tuple[str, ...]):
         self.view = view
         self.own = own
         self.skip = len(view.schema) - len(own)
-        self.probe = view.schema[:self.skip]
+        self.probe = tuple(a for a in view.schema if a not in own)
         #: Probe subkey from the values bound on the path above this view.
         self.subkey_of = key_projector(path, self.probe)
+        #: Stored key → probed prefix then own values; None when stored so.
+        self.canonical = None
+        if view.schema != self.probe + own:
+            self.canonical = key_projector(view.schema, self.probe + own)
         #: Child views that bind output variables; when there are none the
         #: view's own stored count is the multiplicity of its subtree.
         self.children: List[_FreeView] = []
@@ -122,7 +164,10 @@ class _FreeView:
 
     def bucket(self, binding: tuple):
         """Stored (key, count) entries under the path binding."""
-        return self.view.lookup(self.probe, self.subkey_of(binding))
+        entries = self.view.lookup(self.probe, self.subkey_of(binding))
+        if self.canonical is not None:
+            entries = [(self.canonical(key), n) for key, n in entries]
+        return entries
 
     def size(self, binding: tuple) -> int:
         """Result tuples below this view under the path binding: Σ over
@@ -167,10 +212,7 @@ class _EnumerationPlan:
                     "use a variable order with free variables on top"
                 )
 
-        def own(node: ViewNode) -> Tuple[str, ...]:
-            return tuple(
-                v for v in node.keys if v in free_set and v in node.at_vars
-            )
+        own = partial(_own, free=free_set)
 
         def below(
             children: Sequence[ViewNode], path: Tuple[str, ...]
@@ -336,10 +378,14 @@ class ConjunctiveQuery:
             self.engine = FIVMEngine(query, order=order, updatable=updatable)
         else:
             query = Query(name, relations, free=(), ring=INT_RING)
-            tree = build_view_tree(query, order)
-            tree = _factorize_tree(tree, self.free)
+            # Minimized here, as the engine will, so that the reader's
+            # views are named as the engine stores them.
+            tree = elide_copies(
+                _factorize_tree(build_view_tree(query, order), self.free)
+            )
             self.engine = FIVMEngine(
-                query, tree=tree, updatable=updatable, materialize="all"
+                query, tree=tree, updatable=updatable,
+                materialize=_enumerated(tree, self.free),
             )
         self.query = self.engine.query
         # Canonical output order: free variables by variable-order position.
@@ -362,7 +408,7 @@ class ConjunctiveQuery:
         self.engine.apply_update(delta)
 
     def memory(self) -> int:
-        """Logical scalars stored across all views (for Figure 8)."""
+        """Logical scalars stored across the maintained views (Figure 8)."""
         return strategy_scalars(self.engine)
 
     def result_relation(self) -> Relation:

@@ -59,7 +59,12 @@ __all__ = [
     "unpack_relation",
 ]
 
-SNAPSHOT_VERSION = 1
+#: Bumped whenever the set of views an engine of one configuration
+#: stores changes, so a file from the other side of the change is named
+#: as such instead of failing on whichever view it lacks.  2: views that
+#: copy their only child are no longer stored
+#: (:func:`repro.core.view_tree.elide_copies`).
+SNAPSHOT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +182,10 @@ def restore_snapshot(engine, snapshot: dict) -> None:
     """Load a snapshot into a compatible engine (the inverse of
     :func:`take_snapshot`).
 
-    The engine must maintain the same view set over the same schemas —
-    i.e. be built from the same query, order, and flags; anything else is
-    a caller bug and raises ``ValueError`` before any state is touched.
+    The snapshot must be of this :data:`SNAPSHOT_VERSION` and the engine
+    must maintain the same view set over the same schemas — i.e. be built
+    from the same query, order, and flags; anything else raises
+    ``ValueError`` before any state is touched.
     View contents are written through the raw absorb path (registered
     secondary indexes rebuild in the same sweep); the partial-mode choke
     point is deliberately bypassed because active sets are restored

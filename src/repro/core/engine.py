@@ -2,7 +2,9 @@
 
 Ties the pieces together (Sections 3–5 of the paper):
 
-* builds the view tree τ(ω, F) for the query (Figure 3),
+* builds the view tree τ(ω, F) for the query (Figure 3) and drops from it
+  every view that copies its only child
+  (:func:`~repro.core.view_tree.elide_copies`),
 * decides which views µ(τ, U) materializes (Figure 5),
 * compiles, for every possible delta entry point, a *delta-join plan* that
   probes materialized sibling views through secondary indexes — the
@@ -109,7 +111,7 @@ from repro.core.ir import (
     lower_delta_plan,
     lower_factor_plan,
 )
-from repro.core.materialization import delta_sources, materialization_flags
+from repro.core.materialization import delta_sources, resolve_flags
 from repro.core.plan_exec import (
     ProgramLibrary,
     canonical_partition,
@@ -118,7 +120,13 @@ from repro.core.plan_exec import (
 )
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
-from repro.core.view_tree import ViewNode, ViewTree, build_view_tree, compute_view
+from repro.core.view_tree import (
+    ViewNode,
+    ViewTree,
+    build_view_tree,
+    compute_view,
+    elide_copies,
+)
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import Database
 from repro.data.indicator import IndicatorView
@@ -252,7 +260,14 @@ class FIVMEngine:
         relations mean fewer materialized views (the paper's ONE scenarios).
     tree:
         A pre-built (possibly indicator-adorned) view tree; overrides
-        ``order``.
+        ``order``.  Like a tree the engine builds itself it is minimized
+        in place: a view that copies its only child is never stored or
+        maintained.
+    materialize:
+        ``"auto"`` stores µ(τ, U), the views some update's delta needs;
+        an iterable of view names stores those beside µ (a reader's
+        views, see :class:`repro.apps.conjunctive.ConjunctiveQuery`);
+        ``"all"`` stores every node of the tree.
     db:
         Initial database contents; omitted means starting from empty
         relations (the streaming scenario).
@@ -312,21 +327,16 @@ class FIVMEngine:
         #: Whether probes may read per-bucket payload sums (group-aware
         #: joins).  On by default; exposed for ablation benchmarks.
         self.group_aware = group_aware
-        self.tree = tree or build_view_tree(
-            query, order, collapse_chains=collapse_chains
+        self.tree = elide_copies(
+            tree or build_view_tree(
+                query, order, collapse_chains=collapse_chains
+            )
         )
         self.updatable = (
             frozenset(updatable) if updatable is not None
             else frozenset(query.relations)
         )
-        if materialize == "all":
-            # Factorized result representations live in *all* views
-            # (Section 6.3): the hierarchy of payloads is the result.
-            self.flags = {node.name: True for node in self.tree.nodes}
-        elif materialize == "auto":
-            self.flags = materialization_flags(self.tree, self.updatable)
-        else:
-            raise ValueError("materialize must be 'auto' or 'all'")
+        self.flags = resolve_flags(self.tree, self.updatable, materialize)
         self._sources = delta_sources(self.tree, self.updatable)
         #: Payload storage for materialized views (see :data:`STORAGES`).
         self.storage = resolve_storage(storage)

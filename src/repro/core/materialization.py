@@ -18,6 +18,10 @@ Leaves follow the same rule: a base relation is stored only when some
 sibling needs it (Example 4.2: for U = {T}, only the root, V@E_S and V@B_R
 are stored).  Bases observed by updatable indicators are additionally stored
 to derive support changes.
+
+µ is what the *triggers* need.  A reader may need more — enumeration of a
+factorized result reads views no delta probes — so an engine can be told
+to keep named views beside µ (:func:`resolve_flags`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.core.view_tree import ViewNode, ViewTree
 
-__all__ = ["materialization_flags", "materialized_views", "delta_sources"]
+__all__ = [
+    "materialization_flags", "materialized_views", "delta_sources",
+    "resolve_flags",
+]
 
 
 def delta_sources(
@@ -89,6 +96,26 @@ def materialization_flags(
     for rel, leaf in tree.leaves.items():
         if rel in observed and rel in updates:
             flags[leaf.name] = True
+    return flags
+
+
+def resolve_flags(tree: ViewTree, updatable, materialize) -> Dict[str, bool]:
+    """View name → stored, for an engine's ``materialize=`` parameter:
+    µ(τ, U) for ``"auto"``, µ plus the named views for an iterable of
+    names (views a reader needs beside the triggers'), every node for
+    ``"all"``."""
+    if materialize == "all":
+        return {node.name: True for node in tree.nodes}
+    flags = materialization_flags(tree, updatable)
+    if materialize == "auto":
+        return flags
+    named = None if isinstance(materialize, str) else tuple(materialize)
+    if named is None or any(name not in flags for name in named):
+        raise ValueError(
+            "materialize must be 'auto', 'all' or names of views of the "
+            f"tree, not {materialize!r}"
+        )
+    flags.update(dict.fromkeys(named, True))
     return flags
 
 

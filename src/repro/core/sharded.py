@@ -123,11 +123,11 @@ from repro.core.engine import (
 )
 from repro.core.factorized_update import FactorizedUpdate, decompose
 from repro.core.faults import InjectedFault
-from repro.core.materialization import materialization_flags
+from repro.core.materialization import resolve_flags
 from repro.core.plan_exec import ProgramLibrary
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
-from repro.core.view_tree import ViewNode, build_view_tree
+from repro.core.view_tree import ViewNode, build_view_tree, elide_copies
 from repro.data.database import Database
 from repro.data.relation import Relation
 
@@ -1391,15 +1391,10 @@ class ShardedFIVMEngine:
         # Stateless reference tree: the coordinator needs the tree *shape*
         # (leaf schemas for routing, per-node relation sets for the merge
         # rule) but holds no views — state lives in the shards.
-        self.tree = build_view_tree(
+        self.tree = elide_copies(build_view_tree(
             query, self.order, collapse_chains=collapse_chains
-        )
-        if materialize == "all":
-            self.flags = {node.name: True for node in self.tree.nodes}
-        elif materialize == "auto":
-            self.flags = materialization_flags(self.tree, self.updatable)
-        else:
-            raise ValueError("materialize must be 'auto' or 'all'")
+        ))
+        self.flags = resolve_flags(self.tree, self.updatable, materialize)
         self._nodes: Dict[str, ViewNode] = {
             node.name: node for node in self.tree.nodes
         }

@@ -17,6 +17,12 @@ Two practical refinements from the paper are applied:
 * **identical-view elision** — when a free variable's view would equal its
   only child (all keys free), no extra node is created ("we then only store
   the top view out of these identical views").
+
+``build_view_tree`` keeps the view over a relation leaf, so the tree it
+returns shows one view per variable chain as the paper draws it;
+:func:`elide_copies` is the same rule taken to the leaves — a view that
+copies its only child is dropped — and runs on every tree an engine
+maintains, after whatever transformed it (indicators, key factorization).
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.schema import SchemaError
 
-__all__ = ["ViewNode", "ViewTree", "build_view_tree", "subtree_signature"]
+__all__ = [
+    "ViewNode", "ViewTree", "build_view_tree", "elide_copies", "is_copy",
+    "subtree_signature",
+]
 
 
 class ViewNode:
@@ -88,7 +97,14 @@ class ViewTree:
         self.order = order
         self.nodes: List[ViewNode] = []
         self.leaves: Dict[str, ViewNode] = {}
-        self._wire(root, None)
+        self.rewire()
+
+    def rewire(self) -> None:
+        """Rebuild ``nodes``, ``leaves`` and the parent links from the
+        root (after a pass changed which nodes the tree holds)."""
+        self.nodes.clear()
+        self.leaves.clear()
+        self._wire(self.root, None)
 
     def _wire(self, node: ViewNode, parent: Optional[ViewNode]) -> None:
         node.parent = parent
@@ -338,6 +354,46 @@ def build_view_tree(
             at_vars=("top",),
         )
     return ViewTree(root, query, order)
+
+
+def is_copy(node: ViewNode) -> bool:
+    """Whether ``node`` stores exactly what its only child stores.
+
+    With one child there is no join, with nothing marginalized no lift
+    is applied and no key dropped, and with no indicator nothing is
+    filtered: over the same key set the view holds the child's payloads
+    key for key, on any ring.
+    """
+    return (
+        len(node.children) == 1
+        and not node.marginalized
+        and not node.indicators
+        and set(node.keys) == set(node.children[0].keys)
+    )
+
+
+def elide_copies(tree: ViewTree) -> ViewTree:
+    """Drop every view below the root that copies its only child.
+
+    The child — a relation leaf, or a view some pass turned its parent
+    into a copy of — takes the dropped view's place under the parent and
+    inherits its ``at_vars``: it is now the view at those variables, in
+    its own key order.  The root stays, it holds the result.  Mutates the
+    tree in place and returns it; a second application finds nothing.
+    """
+
+    def minimize(node: ViewNode) -> ViewNode:
+        """The node standing for ``node``'s subtree after the pass."""
+        node.children = [minimize(child) for child in node.children]
+        if node is tree.root or not is_copy(node):
+            return node
+        child = node.children[0]
+        child.at_vars = child.at_vars + node.at_vars
+        return child
+
+    minimize(tree.root)
+    tree.rewire()
+    return tree
 
 
 def subtree_signature(query: Query, order: VariableOrder, var: str):

@@ -128,6 +128,9 @@ class IntegerRing(Ring):
     def neg(self, a: int) -> int:
         return -a
 
+    def is_zero(self, a: int) -> bool:
+        return a == 0
+
     def from_int(self, n: int) -> int:
         return n
 

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.apps import ConjunctiveQuery
 from repro.core import (
     FIVMEngine,
     Query,
@@ -25,6 +26,7 @@ from repro.core import (
     build_view_tree,
 )
 from repro.core.checkpoint import (
+    SNAPSHOT_VERSION,
     JournaledFIVMEngine,
     UpdateJournal,
     restore_snapshot,
@@ -181,6 +183,70 @@ def test_restore_rejects_incompatible_engine():
         other.restore(snap)
     with pytest.raises(ValueError):
         warm.restore({**snap, "version": 99})
+
+
+def factorized_star():
+    schemas = {"R1": ("P", "X"), "R2": ("P", "Y"), "R3": ("P", "Z")}
+    query = ConjunctiveQuery(
+        "star", schemas, ("P", "X", "Y", "Z"),
+        order=VariableOrder.from_spec(("P", ["X", "Y", "Z"])),
+    )
+    return schemas, query
+
+
+def test_factorized_query_round_trips_through_a_snapshot():
+    """snapshot → restore into a fresh query → enumerate: the relations
+    standing in for their elided views travel under their own names, and
+    the restored engine keeps maintaining them."""
+    schemas, warm = factorized_star()
+    for rel, schema in schemas.items():
+        warm.apply_update(Relation.from_tuples(
+            rel, schema, warm.ring, [(p, v) for p in (0, 1) for v in range(3)]))
+    snap = warm.engine.snapshot(seq=7)
+    assert snap["version"] == SNAPSHOT_VERSION == 2
+    assert set(snap["views"]) == set(schemas) | {warm.engine.tree.root.name}
+
+    fresh = factorized_star()[1]
+    fresh.engine.restore(snap)
+    assert dict(fresh.enumerate()) == dict(warm.enumerate())
+    assert fresh.result_size() == warm.result_size() == 54
+    delete = Relation.from_tuples("R2", schemas["R2"], warm.ring, [(1, 0)], -1)
+    for query in (warm, fresh):
+        query.apply_update(delete.copy())
+    assert dict(fresh.enumerate()) == dict(warm.enumerate())
+    assert fresh.result_size() == 45
+
+
+def test_version_one_snapshot_is_refused_before_any_state_is_touched():
+    """A version-1 file of the same query also holds the `V@…` copies of
+    the relations.  It is refused for its version — the named error — not
+    for whichever view mismatch restore would trip over first, and the
+    engine it was offered to is left as it was."""
+    schemas, query = factorized_star()
+    for rel, schema in schemas.items():
+        query.apply_update(Relation.from_tuples(
+            rel, schema, query.ring, [(0, 1), (0, 2)]))
+    engine = query.engine
+    list(query.enumerate())  # the reader's indexes are state too
+    snap = engine.snapshot()
+    old = {**snap, "version": 1, "views": dict(snap["views"])}
+    for rel, variable in (("R1", "X"), ("R2", "Y"), ("R3", "Z")):
+        old["views"][f"V@{variable}_{rel[:1]}"] = snap["views"][rel]
+
+    def state():
+        return {
+            name: (dict(view.items()), {
+                attrs: {k: dict(b) for k, b in index[1].items()}
+                for attrs, index in view._indexes.items()
+            })
+            for name, view in engine.views.items()
+        }
+
+    before = state()
+    with pytest.raises(ValueError, match="snapshot version 1 != 2"):
+        engine.restore(old)
+    assert state() == before
+    assert len(list(query.enumerate())) == 8
 
 
 def test_update_journal_sequencing():
