@@ -164,6 +164,8 @@ class MatrixChainIVM:
             self.query, order, updatable=updatable,
             db=chain_database(matrices, ring),
         )
+        #: :func:`relation_as_matrix`'s index arrays for the packed result.
+        self._scatter: dict = {}
 
     def apply_rank_one(self, index: int, u: np.ndarray, v: np.ndarray) -> None:
         """Apply ``δA_index = u vᵀ`` as a factorizable update."""
@@ -190,7 +192,7 @@ class MatrixChainIVM:
     def result_matrix(self) -> np.ndarray:
         """The maintained product as a dense array."""
         return relation_as_matrix(
-            self.engine.result(), (self.dims[0], self.dims[-1])
+            self.engine.result(), (self.dims[0], self.dims[-1]), self._scatter
         )
 
 

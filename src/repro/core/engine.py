@@ -358,13 +358,27 @@ class FIVMEngine:
             self.partial[root.name] = ActiveSet(
                 root.name, root.keys, partial_budget
             )
+        #: The ring's array hooks if factors pack as float64 columns (ℝ).
+        self._factor_kops = (
+            None if self._interpreted
+            else kernels.factor_column_ops(query.ring)
+        )
         view_cls = ColumnarRelation if self.storage == "columnar" else Relation
+        #: No trigger probes the root, so nothing binds its map: where
+        #: factor programs hand it packed deltas it keeps their column and
+        #: derives the map on demand (see :class:`DeferredRelation`).
+        root_cls = (
+            DeferredRelation
+            if self._factor_kops is not None
+            and view_cls is Relation
+            and self.materialization == "full"
+            else view_cls
+        )
         self.views: Dict[str, Relation] = {}
         for node in self.tree.nodes:
             if self.flags[node.name]:
-                self.views[node.name] = view_cls(
-                    node.name, node.keys, query.ring
-                )
+                cls = root_cls if node is self.tree.root else view_cls
+                self.views[node.name] = cls(node.name, node.keys, query.ring)
         # Indicator views (stateful count-based maintenance), per node.
         self._indicator_views: Dict[str, List[IndicatorView]] = {}
         for node in self.tree.nodes:
@@ -412,11 +426,6 @@ class FIVMEngine:
         #: when a term of ``_vector_rows`` factor rows first reaches the
         #: entry point — ``None`` for a program that has no array form.
         self._array_factor_programs: Dict[tuple, object] = {}
-        #: The ring's array hooks if factors pack as float64 columns (ℝ).
-        self._factor_kops = (
-            None if self._interpreted
-            else kernels.factor_column_ops(query.ring)
-        )
         #: Shared probe cache: view name → per-site memoized sibling
         #: collapses (see :mod:`repro.core.plan_exec`).  Entries stay valid
         #: until the view absorbs a delta; every write path below calls
@@ -756,25 +765,24 @@ class FIVMEngine:
                 active.entries[key] = active.width
             active.total_cost = active.width * len(active.entries)
             active.dropped.clear()
+        self._load(self.tree.root, db)
 
-        def evaluate(node: ViewNode) -> Relation:
-            """Bottom-up (re)computation of one node from ``db``."""
-            if node.is_leaf:
-                contents = db.relation(node.leaf_of)
-                if self.flags[node.name]:
-                    self._write_view(node.name, contents)
-                return contents
-            child_contents = [evaluate(child) for child in node.children]
+    def _load(self, node: ViewNode, db: Database) -> Relation:
+        """Bottom-up (re)computation of one node from ``db`` (a method,
+        not a closure of :meth:`initialize`: a recursive closure is a
+        reference cycle that keeps the engine alive until a collection)."""
+        if node.is_leaf:
+            contents = db.relation(node.leaf_of)
+        else:
+            child_contents = [self._load(child, db) for child in node.children]
             ind_contents = []
             for iv in self._indicators_at(node):
                 iv.reset_from(db.relation(iv.base_name))
                 ind_contents.append(iv.relation)
             contents = compute_view(node, child_contents, self.query, ind_contents)
-            if self.flags[node.name]:
-                self._write_view(node.name, contents)
-            return contents
-
-        evaluate(self.tree.root)
+        if self.flags[node.name]:
+            self._write_view(node.name, contents)
+        return contents
 
     # ------------------------------------------------------------------
     # Durability (see :mod:`repro.core.checkpoint`)
@@ -944,19 +952,22 @@ class FIVMEngine:
             else:
                 accumulated.absorb_bulk(delta)
         root = self.tree.root
-        total = Relation(root.name, root.keys, self.query.ring)
+        contributions: List[Relation] = []
         for rel in self.schedule_paths(order):
             coalesced = merged.get(rel)
             if coalesced is not None and not coalesced.is_empty:
-                total = total.union(
-                    self.apply_update(coalesced), name=root.name
-                )
+                contributions.append(self.apply_update(coalesced))
             terms = factored.get(rel)
             if terms:
                 update = FactorizedUpdate(rel, terms, ring=self.query.ring)
-                total = total.union(
-                    self.apply_factorized_update(update), name=root.name
-                )
+                contributions.append(self.apply_factorized_update(update))
+        if not contributions:
+            return Relation(root.name, root.keys, self.query.ring)
+        # One path's root delta is returned as propagated (read-only,
+        # possibly still packed); only further paths pay a merge.
+        total = contributions[0]
+        for contribution in contributions[1:]:
+            total = total.union(contribution, name=root.name)
         return total
 
     def schedule_paths(self, relations: Sequence[str]) -> List[str]:

@@ -633,7 +633,6 @@ class ArrayFactorProgram:
         column = np.where(self._kops.zero_mask(column), 0.0, column)
         return DeferredRelation(
             self.ir.node_name, flatten.out_keys, self.ring,
-            lambda: {k: v for k, v in zip(table, column.tolist()) if v},
             packed=(table, column),
         )
 

@@ -43,7 +43,7 @@ class Relation:
 
     __slots__ = ("name", "schema", "ring", "_data", "_indexes")
 
-    #: ``(key tuple, payload column)`` when the contents also exist in
+    #: ``(key tuple, float64 payload column)`` when the contents exist in
     #: packed form (see :class:`DeferredRelation`); plain relations have none.
     _packed_form = None
 
@@ -337,22 +337,18 @@ class Relation:
                         applied if current is None else radd(current, applied)
                     )
 
-    def _absorb_packed(self, keys, column) -> None:
+    def _absorb_packed(self, keys, column):
         """:meth:`absorb_bulk` of distinct ``keys`` with their packed
         payload ``column`` (explicit zeros allowed) into an index-free
         map, through the ring's array hooks: one gather, add, zero mask
-        (the ring's ``is_zero``) and ``dict.update``."""
+        (the ring's ``is_zero``) and ``dict.update``.  Returns the merged
+        column — fresh, aligned with ``keys`` — when every key is stored
+        afterwards, ``None`` when some cancelled."""
         kops = self.ring.kernel_ops()
         data = self._data
         stored = list(map(data.get, keys, repeat(self.ring.zero)))
         merged = kops.add_packed(kops.pack(stored, len(keys)), column)
-        dead = kops.zero_mask(merged)
-        entries = zip(keys, kops.unpack(merged))
-        if dead.any():
-            for key in compress(keys, dead.tolist()):
-                data.pop(key, None)
-            entries = compress(entries, (~dead).tolist())
-        data.update(entries)
+        return merged if _fold_packed(data, keys, merged, kops) else None
 
     def clear(self) -> None:
         """Remove all keys (registered indexes are emptied too)."""
@@ -707,51 +703,84 @@ class Relation:
         return out
 
 
+def _fold_packed(data: Dict[Key, Payload], keys, column, kops) -> bool:
+    """Write distinct ``keys`` with their packed payload ``column`` into
+    the map ``data``: keys whose payload is the ring zero are dropped, the
+    rest assigned.  True when none was dropped."""
+    dead = kops.zero_mask(column)
+    entries = zip(keys, kops.unpack(column))
+    if dead.any():
+        for key in compress(keys, dead.tolist()):
+            data.pop(key, None)
+        data.update(compress(entries, (~dead).tolist()))
+        return False
+    data.update(entries)
+    return True
+
+
 #: The slot descriptor behind ``Relation._data``, captured before
 #: :class:`DeferredRelation` shadows it with a resolving property.
 _DATA_SLOT = Relation.__dict__["_data"]
 
 
 class DeferredRelation(Relation):
-    """A relation whose contents materialize lazily, on first access.
+    """A relation whose payload map materializes lazily, on first access.
 
-    The deferred-delta facade of the pipelined shard executor: a
-    pipelined ``apply_update`` returns one of these immediately — name,
-    schema, and ring are known up front; the payload map is produced by
-    ``resolver()`` (typically: drain the in-flight acks and ring-merge
-    the per-shard root deltas) the first time anything touches ``_data``.
-    Callers that ignore the return value (streaming benchmarks, fire-and
-    -forget writers) therefore never pay the round trip; callers that
-    read it get the exact eager semantics, just later.
+    Name, schema and ring are known up front; what is pending is one of:
 
-    With ``packed`` — the ``(key tuple, payload column)`` the resolver
-    would build the map from — it is also how the array factor programs
-    (:mod:`repro.core.kernels`) take factors and emit flattened deltas:
-    :meth:`Relation.absorb_bulk` and the programs consume that form and
-    never build the map.  Resolution drops it, so a map somebody has
-    seen (and may mutate) is never second-guessed by a stale column.
+    * ``resolver`` — a callable producing the map.  The deferred-delta
+      facade of the pipelined shard executor: a pipelined ``apply_update``
+      returns one of these immediately and ``resolver()`` (drain the
+      in-flight acks, ring-merge the per-shard root deltas) runs the
+      first time anything touches ``_data``.  Callers that ignore the
+      return value never pay the round trip; callers that read it get
+      the exact eager semantics, just later.
+    * ``packed`` — the contents as ``(key tuple, float64 column)`` (keys
+      distinct, explicit zeros allowed; the relation owns the column).
+      This is how the array factor programs (:mod:`repro.core.kernels`)
+      take factors and emit flattened deltas: :meth:`Relation.absorb_bulk`
+      and the programs consume ``_packed_form`` and never build the map.
+
+    The first access to ``_data`` — any inherited method — folds what is
+    pending into the map and drops it, so a map somebody has seen (and
+    may mutate) is never second-guessed by a stale column: **a set
+    ``_packed_form`` is always the whole relation.**
+
+    A stored view of this class (the ℝ root of
+    :class:`~repro.core.engine.FIVMEngine`) can *re-arm*: when a packed
+    delta has been absorbed eagerly, no key cancelled and its key table
+    covers the whole view, the view keeps ``(table, merged column)`` as
+    its packed form; further packed deltas over the same table object are
+    one in-place column add that leaves the map alone — stale, unseen —
+    until the next access folds the column into that same dict object
+    (ring zeros deleted).  Packed readers
+    (:func:`repro.datasets.matrices.relation_as_matrix`) skip the map.
 
     Implementation: the parent class stores payloads in a ``_data``
     slot; this subclass shadows that slot descriptor with a property
-    whose getter runs the resolver once and writes the result through
-    the captured slot, so every inherited method (``payload``, ``join``,
-    ``same_as``, iteration, …) transparently forces resolution.
+    whose getter resolves and then reads the captured slot, so every
+    inherited method (``payload``, ``join``, ``same_as``, iteration, …)
+    transparently forces resolution.
     """
 
     __slots__ = ("_resolver", "_packed_form")
 
-    def __init__(self, name: str, schema, ring, resolver, packed=None):
-        self._resolver = None  # __init__'s _data write must not resolve
-        super().__init__(name, schema, ring)
+    def __init__(self, name: str, schema, ring, resolver=None, packed=None):
+        super().__init__(name, schema, ring)  # its _data write clears both
         self._resolver = resolver
         self._packed_form = packed
 
     @property
     def _data(self):
-        """The payload map, resolving on first access."""
-        resolver = self._resolver
-        if resolver is not None:
+        """The payload map, resolving what is pending first."""
+        packed = self._packed_form
+        if packed is not None:
             self._resolver = self._packed_form = None
+            _fold_packed(
+                _DATA_SLOT.__get__(self), *packed, self.ring.kernel_ops()
+            )
+        elif self._resolver is not None:
+            resolver, self._resolver = self._resolver, None
             _DATA_SLOT.__set__(self, resolver())
         return _DATA_SLOT.__get__(self)
 
@@ -762,8 +791,55 @@ class DeferredRelation(Relation):
 
     @property
     def resolved(self) -> bool:
-        """True once the payload map has materialized (reads force it)."""
-        return self._resolver is None
+        """True while the payload map is current: nothing is pending
+        (reads force that; a stored view can leave the state again, see
+        the class docstring)."""
+        return self._resolver is None and self._packed_form is None
+
+    def _columns_with(self, other: "Relation"):
+        """``(key table, own column, other's column)`` when both relations
+        are packed over the same key-table object, else ``None``."""
+        mine, theirs = self._packed_form, other._packed_form
+        if (
+            mine is not None
+            and theirs is not None
+            and mine[0] is theirs[0]
+            and other.schema == self.schema
+        ):
+            return mine[0], mine[1], theirs[1]
+        return None
+
+    def absorb_bulk(self, delta: "Relation") -> None:
+        """:meth:`Relation.absorb_bulk`; a packed delta over the key table
+        this relation is packed over adds into the column in place."""
+        shared = self._columns_with(delta)
+        if shared is None:
+            super().absorb_bulk(delta)
+        else:
+            _, column, added = shared
+            column += added
+
+    def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
+        """:meth:`Relation.union`; two packed relations over one key table
+        (the terms of a rank-r update at the root) add as columns — ring
+        zeros clamped — and the sum stays packed."""
+        shared = self._columns_with(other)
+        if shared is None:
+            return super().union(other, name)
+        table, mine, theirs = shared
+        kops = self.ring.kernel_ops()
+        column = kops.add_packed(mine, theirs)
+        column[kops.zero_mask(column)] = 0.0
+        return DeferredRelation(
+            name or f"({self.name}+{other.name})", self.schema, self.ring,
+            packed=(table, column),
+        )
+
+    def _absorb_packed(self, keys, column):
+        merged = super()._absorb_packed(keys, column)
+        if merged is not None and len(keys) == len(_DATA_SLOT.__get__(self)):
+            self._packed_form = (keys, merged)
+        return merged
 
     def __reduce__(self):
         """Pickle as the plain relation this resolves to (resolvers are

@@ -11,7 +11,7 @@ Matrices are modelled two ways (matching the paper's two runtimes):
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -53,18 +53,34 @@ def matrix_as_relation(
     return rel
 
 
-def relation_as_matrix(
-    rel: Relation, shape: Tuple[int, int]
-) -> np.ndarray:
-    """Decode a binary relation (row, col) → value back into a dense array."""
-    out = np.zeros(shape)
-    data = rel._data
+def _key_index(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, col)`` keys as a pair of index arrays."""
     index = np.fromiter(
-        chain.from_iterable(data), np.intp, 2 * len(data)
+        chain.from_iterable(keys), np.intp, 2 * len(keys)
     ).reshape(-1, 2)
-    out[index[:, 0], index[:, 1]] = np.fromiter(
-        data.values(), float, len(data)
-    )
+    return index[:, 0], index[:, 1]
+
+
+def relation_as_matrix(
+    rel: Relation, shape: Tuple[int, int], scatter: Optional[dict] = None
+) -> np.ndarray:
+    """Decode a binary relation (row, col) → value back into a dense array.
+
+    A relation that is packed (:class:`DeferredRelation`) is read from its
+    column and keeps its map unbuilt; ``scatter``, a dict the caller keeps
+    between calls, then holds the index arrays of the last key table."""
+    out = np.zeros(shape)
+    packed = rel._packed_form
+    if packed is None:
+        data = rel._data
+        out[_key_index(data)] = np.fromiter(data.values(), float, len(data))
+        return out
+    keys, column = packed
+    if scatter is None:
+        scatter = {}
+    if scatter.get("keys") is not keys:
+        scatter.update(keys=keys, index=_key_index(keys))
+    out[scatter["index"]] = column
     return out
 
 
@@ -77,11 +93,9 @@ def vector_as_relation(
     array factor programs consume — and builds its map only if read."""
     vector = np.asarray(vector, dtype=float)
     (support,) = _support(vector, ring)
-    keys = tuple(zip(support.tolist()))
-    column = vector[support]
     return DeferredRelation(
-        name, (var,), ring, lambda: dict(zip(keys, column.tolist())),
-        packed=(keys, column),
+        name, (var,), ring,
+        packed=(tuple(zip(support.tolist())), vector[support]),
     )
 
 

@@ -16,8 +16,15 @@ from repro.apps import (
 )
 from repro.apps.matrix_chain import chain_database, rank_one_update
 from repro.bench.memory import strategy_scalars
-from repro.core import FactorizedUpdate, FIVMEngine, ViewClient
+from repro.core import (
+    FactorizedUpdate,
+    FIVMEngine,
+    JournaledFIVMEngine,
+    ShardedFIVMEngine,
+    ViewClient,
+)
 from repro.data import Database, Relation
+from repro.data.relation import _DATA_SLOT, DeferredRelation
 from repro.datasets.matrices import (
     matrix_as_relation,
     random_matrix,
@@ -321,6 +328,204 @@ class TestFactorForms:
                     result.lookup_sum(("X1",), (i,)), expected[i].sum()
                 )
 
+    def test_steady_state_updates_never_touch_the_root_map(
+        self, np_rng, monkeypatch
+    ):
+        """The count guard: once the root holds its column, 100 dense and
+        100 one-row updates run no eager packed absorb and leave the
+        root's dict — the same object throughout — as it was; the first
+        map read folds the column into it, and what it then holds is what
+        the interpreter maintained."""
+        n = 12
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        with pinned("interpreter"):
+            oracle = MatrixChainIVM(mats, updatable=["A2"])
+        updates = []
+        for step in range(202):
+            u, v = rank_r_update(n, 1, np_rng)[0]
+            if step % 2:
+                u = row_update(n, step % n, np_rng)[0]
+            updates.append((u, v))
+        root = chain.engine.result()
+        assert type(root) is DeferredRelation and root._packed_form is None
+        for u, v in updates[:2]:  # warm-up: programs built, the root armed
+            chain.apply_rank_one(2, u, v)
+        table, column = root._packed_form
+        root_map = _DATA_SLOT.__get__(root)
+        stale = dict(root_map)
+        eager = []
+        absorb_packed = Relation._absorb_packed
+        monkeypatch.setattr(
+            Relation, "_absorb_packed",
+            lambda self, *args: eager.append(self) or absorb_packed(self, *args),
+        )
+        for u, v in updates[2:]:
+            chain.apply_rank_one(2, u, v)
+        assert not eager
+        assert root._packed_form[0] is table and root._packed_form[1] is column
+        assert _DATA_SLOT.__get__(root) is root_map and root_map == stale
+        current = mats[1] + sum(np.outer(u, v) for u, v in updates)
+        assert np.allclose(chain.result_matrix(), mats[0] @ current @ mats[2])
+        assert root._packed_form is not None, "a packed read folds nothing"
+        for u, v in updates:
+            oracle.apply_rank_one(2, u, v)
+        assert root.same_as(oracle.engine.result())  # the first map read
+        assert root._packed_form is None and root.resolved
+        assert _DATA_SLOT.__get__(root) is root_map and root_map != stale
+        chain.apply_rank_one(2, *updates[0])
+        assert eager == [root] and root._packed_form is not None
+
+    def test_snapshot_of_a_packed_root_restores_and_continues(self, np_rng):
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        updates = rank_r_update(n, 6, np_rng)
+        straight, stopped, restored = (
+            MatrixChainIVM(mats, updatable=["A2"]) for _ in range(3)
+        )
+        for u, v in updates:
+            straight.apply_rank_one(2, u, v)
+        for u, v in updates[:3]:
+            stopped.apply_rank_one(2, u, v)
+        assert stopped.engine.result()._packed_form is not None
+        snapshot = pickle.loads(pickle.dumps(stopped.engine.snapshot()))
+        restored.engine.restore(snapshot)
+        for chain in (stopped, restored):
+            for u, v in updates[3:]:
+                chain.apply_rank_one(2, u, v)
+            assert chain.engine.result()._packed_form is not None
+            assert np.array_equal(
+                chain.result_matrix(), straight.result_matrix()
+            )
+            for name, view in straight.engine.views.items():
+                assert chain.engine.views[name].same_as(view), name
+
+    def test_journaled_chain_recovers_and_returns_the_propagated_delta(
+        self, np_rng
+    ):
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        direct = MatrixChainIVM(mats, updatable=["A2"])
+        journaled = JournaledFIVMEngine(
+            MatrixChainIVM(mats, updatable=["A2"]).engine, checkpoint_every=3
+        )
+        for u, v in rank_r_update(n, 5, np_rng):
+            expected = direct.engine.apply_factorized_update(
+                rank_one_update(2, u, v)
+            )
+            delta = journaled.apply_factorized_update(rank_one_update(2, u, v))
+            # One path fired: apply_batch hands back what it propagated.
+            assert delta._packed_form is not None
+            assert delta.same_as(expected)
+        assert journaled.engine.result()._packed_form is not None
+        recovered = MatrixChainIVM(mats, updatable=["A2"]).engine
+        assert journaled.recover_into(recovered) == 2
+        for name, view in direct.engine.views.items():
+            assert recovered.views[name].same_as(view), name
+            assert journaled.engine.views[name].same_as(view), name
+
+    def test_inline_shards_merge_their_packed_roots(self, np_rng):
+        n = 10
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        single = MatrixChainIVM(mats, updatable=["A2"])
+        sharded = ShardedFIVMEngine(
+            chain_query(3), chain_variable_order(3, [n] * 4), shards=2,
+            updatable=["A2"], db=chain_database(mats),
+        )
+        for u, v in rank_r_update(n, 4, np_rng):
+            expected = single.engine.apply_factorized_update(
+                rank_one_update(2, u, v)
+            )
+            delta = sharded.apply_factorized_update(rank_one_update(2, u, v))
+            assert delta.same_as(expected)
+        roots = [engine.result() for engine in sharded._exec.engines]
+        assert all(root._packed_form is not None for root in roots)
+        assert 0 < len(roots[0]._packed_form[0]) < n * n  # a shard's rows
+        assert sharded.result().same_as(single.engine.result())
+        sharded.close()
+
+    def test_a_result_handle_held_across_updates_reads_current_values(
+        self, np_rng
+    ):
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        handle = chain.engine.result()
+        for u, v in rank_r_update(n, 4, np_rng):
+            chain.apply_rank_one(2, u, v)
+            mats[1] = mats[1] + np.outer(u, v)
+            expected = product(mats)
+            assert handle._packed_form is not None  # re-armed by the update
+            assert np.allclose(relation_as_matrix(handle, (n, n)), expected)
+            assert handle._packed_form is not None
+            assert np.isclose(handle.payload((2, 5)), expected[2, 5])
+            assert len(handle) == n * n and handle.resolved
+
+    def test_outputs_a_key_table_cannot_cover_stay_on_the_map(self, np_rng):
+        """Residency needs the delta's key table to be the whole view.
+        With A1 = I a sparse ``u`` reaches a sub-table of the result's
+        rows; and a delta that takes every stored key to zero leaves
+        nothing to keep — both run the eager absorb every time."""
+        n = 9
+        mats = [np.eye(n), random_matrix(n, n, np_rng), random_matrix(n, n, np_rng)]
+        chains = chains_per_form(mats, updatable=["A2"])
+        root = chains["array"].engine.result()
+        for _ in range(4):
+            u, v = rank_r_update(n, 1, np_rng)[0]
+            u[np_rng.permutation(n)[:3]] = 0.0
+            for chain in chains.values():
+                chain.apply_rank_one(2, u, v)
+            assert root._packed_form is None
+            assert_held_to_interpreter(chains)
+        zeroed = [np.eye(n), np.zeros((n, n)), np.eye(n)]
+        chains = chains_per_form(zeroed, updatable=["A2"])
+        root = chains["array"].engine.result()
+        u, v = rank_r_update(n, 1, np_rng)[0]
+        for sign, size in ((1.0, n * n), (-1.0, 0), (1.0, n * n)):
+            for chain in chains.values():
+                chain.apply_rank_one(2, sign * u, v)
+            # From an empty view every key is the table's: armed; the
+            # retraction finds the map read (len) and kills every key.
+            assert (root._packed_form is not None) == (sign > 0)
+            assert len(root) == size
+            assert_held_to_interpreter(chains)
+        # A view that holds its column keeps it through a cancellation:
+        # explicit zeros, which the fold deletes.
+        for scale in (1.0, -2.0):
+            for chain in chains.values():
+                chain.apply_rank_one(2, scale * u, v)
+        assert not root._packed_form[1].any()
+        assert not chains["array"].result_matrix().any()
+        assert_held_to_interpreter(chains)
+        assert root.is_empty and not _DATA_SLOT.__get__(root)
+
+    @pytest.mark.parametrize(
+        "form, kwargs",
+        [
+            ("interpreter", {}),
+            ("scalar", {}),
+            ("array", {"materialization": "partial"}),
+            ("array", {"storage": "columnar"}),
+        ],
+    )
+    def test_engines_whose_root_never_holds_a_column(
+        self, np_rng, form, kwargs
+    ):
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        with pinned(form):
+            engine = FIVMEngine(
+                chain_query(3), chain_variable_order(3, [n] * 4),
+                updatable=["A2"], db=chain_database(mats), **kwargs
+            )
+        root = engine.result()
+        # Only the scalar pin keeps the class (its choice is made per
+        # update, from the factor rows); it never sees a packed delta.
+        assert (type(root) is DeferredRelation) == (form == "scalar")
+        for u, v in rank_r_update(n, 3, np_rng):
+            engine.apply_factorized_update(rank_one_update(2, u, v))
+            assert root._packed_form is None
+
     def test_integer_chain_stays_exact_and_scalar(self):
         big = 2 ** 40
         n = 3
@@ -368,6 +573,8 @@ class TestFactorForms:
                 "A2", [rank_one_update(2, u, v).terms[0] for u, v in terms]
             )
             total = at_once.engine.apply_factorized_update(update)
+            # Packed terms over one key table sum as columns.
+            assert (total._packed_form is not None) == (form == "array")
             assert at_once.engine.result().same_as(one_by_one.engine.result())
             delta = sum(np.outer(u, v) for u, v in terms)
             assert np.allclose(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import FIVMEngine, FactorizedUpdate, Query, decompose
 from repro.data import Relation, SchemaError
+from repro.data.relation import DeferredRelation
 from repro.rings import INT_RING, REAL_RING, SquareMatrixRing
 
 from tests.conftest import (
@@ -351,7 +352,9 @@ def test_which_workloads_enter_the_factor_path_and_the_memo(
     factor programs, so a change to the factor path cannot move the rest;
     and only the Retailer (cofactor ring, lifts behind keyed sibling
     probes) binds lifted-sibling memos — the chain is ℝ and the join ℤ
-    without lifts, so the memo cannot move either of them."""
+    without lifts, so the memo cannot move either of them.  Likewise only
+    the chain's root can keep a packed column: the others' are plain
+    relations (their rings do not pack as one float64 column)."""
     from benchmarks.e2e import run as e2e
 
     instance = e2e.WORKLOADS[workload](3, True)
@@ -362,3 +365,9 @@ def test_which_workloads_enter_the_factor_path_and_the_memo(
     assert bool(built) == factorized
     assert bool(engine._memo_sites) == memoized
     assert any(n for n, _ in engine.memo_sizes().values()) == memoized
+    root = engine.result()
+    if factorized:
+        assert type(root) is DeferredRelation
+        assert root._packed_form is not None, "reads are packed ones"
+    else:
+        assert type(root) is Relation

@@ -4,13 +4,20 @@ The memos of the generated scalar triggers (:mod:`repro.core.plan_exec`)
 hold strong references to sibling payloads.  They are caches owned by the
 engine: dropped with it, dropped by ``initialize()`` / ``restore()``,
 absent from snapshots, outside ``strategy_scalars``, and bounded by the
-live size of the sibling they shadow.
+live size of the sibling they shadow.  The packed column an ℝ root keeps
+(:class:`~repro.data.relation.DeferredRelation`) is state, not a cache,
+but shares the first rule: it goes when the engine does, no collection
+needed.
 """
 
 import gc
 import random
 import types
+import weakref
 
+import numpy as np
+
+from repro.apps.matrix_chain import MatrixChainIVM
 from repro.apps.regression import cofactor_query
 from repro.bench.memory import strategy_scalars
 from repro.core import FIVMEngine
@@ -68,6 +75,39 @@ def test_dropped_engines_release_their_memos():
     gc.collect()
     assert live_triggers() == triggers_before
     assert live_triples() <= triples_before
+
+
+def test_dropped_chains_release_their_packed_roots_without_a_collection():
+    """50 create → stream → drop cycles of the ℝ chain at n = 48, whose
+    root keeps its packed column (2 304 float64s): with the collector
+    off every column dies with its chain.  Nothing on the way closes a
+    reference cycle — the view folds its column itself (no resolver that
+    captures it), and ``initialize`` loads through a method, not a
+    recursive closure over the engine."""
+    rng = np.random.default_rng(5)
+    n = 48
+    # I · A2 · I: a dense 48 × 48 result from a load of 2 · 48² products.
+    mats = [np.eye(n), rng.uniform(-1.0, 1.0, (n, n)), np.eye(n)]
+    terms = [
+        (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+        for _ in range(3)
+    ]
+    columns = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            chain = MatrixChainIVM(mats, updatable=["A2"])
+            for u, v in terms:
+                chain.apply_rank_one(2, u, v)
+            chain.result_matrix()
+            table, column = chain.engine.result()._packed_form
+            assert len(table) == column.size == n * n
+            columns.append(weakref.ref(column))
+            del chain, table, column
+        assert not any(ref() is not None for ref in columns)
+    finally:
+        gc.enable()
 
 
 def test_reload_paths_drop_the_memos_and_snapshots_never_carry_them():
