@@ -26,6 +26,7 @@ import contextlib
 import time
 
 import numpy as np
+import pytest
 
 from repro.apps import MatrixChainIVM
 from repro.apps.regression import cofactor_query
@@ -81,6 +82,7 @@ def test_ablation_chain_collapsing(benchmark):
     assert views_off > 3 * views_on  # one view per variable without it
 
 
+@pytest.mark.bench
 def test_ablation_group_aware_joins(benchmark):
     """Group-aware probes pay when sibling views have wide keys per probe
     subkey — exactly the factorized result representation, where each chain
@@ -178,6 +180,7 @@ def test_ablation_matrix_chain_order(benchmark):
     )
 
 
+@pytest.mark.bench
 def test_ablation_compiled_factorized(benchmark):
     """Generated factor programs vs the IR-interpreter factor path, on
     rank-1 updates to the middle of a matrix chain (both hash-engine
@@ -233,6 +236,7 @@ def test_ablation_compiled_factorized(benchmark):
     assert array_speedup >= 1.5, f"array factor programs only {array_speedup:.2f}x"
 
 
+@pytest.mark.bench
 def test_ablation_kernel_backend(benchmark):
     """Array vs scalar triggers on the fig7 retailer cofactor batch
     workload (degree-43 ring, batched listing deltas), both on the
@@ -328,6 +332,7 @@ def test_ablation_kernel_backend(benchmark):
     assert speedup > 1.0, f"array triggers lose to scalar: {speedup:.2f}x"
 
 
+@pytest.mark.bench
 def test_ablation_factorized_vs_listing_updates(benchmark):
     """A *dense* rank-1 delta ``u vᵀ`` (Section 5 / Example 5.1): the listing
     trigger must materialize and propagate all n² changed entries, while the

@@ -8,6 +8,8 @@ join key), under round-robin batches to all relations.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines import (
     FactorizedReevaluator,
     FirstOrderIVM,
@@ -58,6 +60,7 @@ def _run_workload(tag, workload, summed_variable, batch_size):
     return results
 
 
+@pytest.mark.bench
 def test_fig11_sum_throughput(benchmark):
     retailer_workload = retailer.generate(scale=0.6 * SCALE, seed=2)
     housing_workload = housing.generate(

@@ -21,6 +21,8 @@ for the factorized-path numbers).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apps import CofactorModel
 from repro.bench import format_table, run_stream
 from repro.datasets import housing, retailer, round_robin_stream, twitter
@@ -66,6 +68,7 @@ def _throughputs(workload, numeric, batch_sizes):
     return out
 
 
+@pytest.mark.bench
 def test_fig12_batch_size_effect(benchmark):
     retailer_workload = retailer.generate(scale=0.1 * SCALE, seed=6)
     housing_workload = housing.generate(

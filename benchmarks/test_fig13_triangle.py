@@ -11,6 +11,8 @@ pairwise view by the active triangles (Example B.3).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apps.regression import cofactor_query
 from repro.baselines import FirstOrderIVM, RecursiveIVM
 from repro.bench import format_table, run_stream
@@ -20,6 +22,7 @@ from repro.datasets import round_robin_stream, twitter
 from benchmarks.conftest import SCALE, TIME_BUDGET, report, stream_results_data
 
 
+@pytest.mark.bench
 def test_fig13_triangle_cofactor(benchmark):
     workload = twitter.generate(
         n_nodes=max(40, int(150 * SCALE)),

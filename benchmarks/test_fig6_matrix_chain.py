@@ -4,6 +4,14 @@ Left plot: time per one-row update vs matrix dimension, for F-IVM
 (factorized rank-1 propagation), 1-IVM (recompute δA = A₁ δA₂ A₃), and
 RE-EVAL (recompute the product), each in two runtimes — the ring-relational
 hash-map engine and the dense numpy engine (the paper's Octave analog).
+The hash-runtime baselines evaluate vectorized: 1-IVM's delta query and
+RE-EVAL's recomputation go through ``compute_view``, whose last join per
+view runs over ℝ as one packed hash join + grouped sum from
+``repro.data.relation.MIN_PACKED_ROWS`` input rows — F-IVM is judged
+against baselines that no longer list the join (n = 28: ≈ 28 → 1.5 ms and
+≈ 49 → 1.7 ms per update against F-IVM's ≈ 0.13 ms; every hash arm burns
+its first update off the clock — for F-IVM the lazy factor-program
+compilation — and reports the median of five calls).
 
 Right plot: time per rank-r update at fixed n; F-IVM's cost is linear in r
 while re-evaluation is flat, giving the paper's crossover.
@@ -11,9 +19,11 @@ while re-evaluation is flat, giving the paper's crossover.
 
 from __future__ import annotations
 
+import statistics
 from typing import List
 
 import numpy as np
+import pytest
 
 from repro.apps import (
     DenseChainFIVM,
@@ -57,6 +67,13 @@ def _dense_rows(ns: List[int], rng) -> List[List[object]]:
     return rows
 
 
+def _median(update, repeats: int = 5) -> float:
+    """Median seconds per call.  The hash arms are within a few × of each
+    other since the baselines stopped listing the join, so one collector
+    pause (≈ 4 ms in this process) must not decide a three-call mean."""
+    return statistics.median(_timed(update, 1) for _ in range(repeats))
+
+
 def _hash_rows(ns: List[int], rng) -> List[List[object]]:
     rows = []
     query = chain_query(3)
@@ -70,7 +87,10 @@ def _hash_rows(ns: List[int], rng) -> List[List[object]]:
             u, v = row_update(n, int(rng.integers(0, n)), rng)
             fivm.apply_rank_one(2, u, v)
 
-        rows.append(["hash", "F-IVM", n, _timed(fivm_update, 3)])
+        # The first update pays the lazy factor-program compilation, which
+        # would be most of F-IVM's timed calls; every arm burns one call.
+        fivm_update()
+        rows.append(["hash", "F-IVM", n, _median(fivm_update)])
 
         from repro.data import Database
 
@@ -85,7 +105,8 @@ def _hash_rows(ns: List[int], rng) -> List[List[object]]:
             delta = matrix_as_relation("A2", np.outer(u, v), "X2", "X3")
             first_order.apply_update(delta)
 
-        rows.append(["hash", "1-IVM", n, _timed(fo_update, 2)])
+        fo_update()
+        rows.append(["hash", "1-IVM", n, _median(fo_update)])
 
         reeval = FactorizedReevaluator(query, order, db=db)
 
@@ -94,10 +115,12 @@ def _hash_rows(ns: List[int], rng) -> List[List[object]]:
             delta = matrix_as_relation("A2", np.outer(u, v), "X2", "X3")
             reeval.apply_update(delta)
 
-        rows.append(["hash", "RE-EVAL", n, _timed(re_update, 2)])
+        re_update()
+        rows.append(["hash", "RE-EVAL", n, _median(re_update)])
     return rows
 
 
+@pytest.mark.bench
 def test_fig6_left_row_updates(benchmark):
     rng = np.random.default_rng(12)
     dense_ns = [int(n * SCALE) for n in (64, 128, 256)]
@@ -136,6 +159,7 @@ def test_fig6_left_row_updates(benchmark):
     assert sec("hash", "F-IVM", h_big) < sec("hash", "RE-EVAL", h_big)
 
 
+@pytest.mark.bench
 def test_fig6_right_rank_r_updates(benchmark):
     rng = np.random.default_rng(13)
     n = int(256 * SCALE)

@@ -9,6 +9,8 @@ Scalar-payload DBT and 1-IVM maintain each of the 378 aggregates (over the
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apps import CofactorModel
 from repro.baselines import (
     FirstOrderIVM,
@@ -26,6 +28,7 @@ from benchmarks.conftest import SCALE, TIME_BUDGET, report, stream_results_data
 from benchmarks.test_fig7_cofactor_retailer import scalar_aggregates
 
 
+@pytest.mark.bench
 def test_fig7_housing_cofactor(benchmark):
     workload = housing.generate(
         scale=max(1, int(2 * SCALE)), postcodes=max(20, int(80 * SCALE)), seed=5

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List
 
+import pytest
+
 from repro.apps import CofactorModel
 from repro.baselines import (
     FirstOrderIVM,
@@ -45,6 +47,7 @@ def scalar_aggregates(variables, limit=None):
     return out[:limit] if limit else out
 
 
+@pytest.mark.bench
 def test_fig7_retailer_cofactor(benchmark):
     workload = retailer.generate(scale=0.15 * SCALE, seed=21)
     stream = round_robin_stream(

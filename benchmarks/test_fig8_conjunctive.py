@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.apps import ConjunctiveQuery
 from repro.bench import format_table, run_stream
 from repro.datasets import housing, retailer, round_robin_stream
@@ -27,6 +29,7 @@ LABELS = {
 }
 
 
+@pytest.mark.bench
 def test_fig8_left_retailer(benchmark):
     workload = retailer.generate(scale=0.2 * SCALE, seed=9)
     free = tuple(dict.fromkeys(a for s in workload.schemas.values() for a in s))
@@ -85,6 +88,7 @@ def test_fig8_left_retailer(benchmark):
     assert fact.average_throughput > by_name["List payloads"].average_throughput
 
 
+@pytest.mark.bench
 def test_fig8_right_housing_scales(benchmark):
     scales = [1, 2, 3, 4]
     postcodes = max(6, int(12 * SCALE))

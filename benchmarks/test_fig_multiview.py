@@ -27,6 +27,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from repro.bench import format_table
 from repro.core import MultiViewEngine, Query
 from repro.rings import INT_RING
@@ -102,6 +104,7 @@ def run_arm(sharing: bool, queries, seeds, events):
     }
 
 
+@pytest.mark.bench
 def test_fig_multiview(benchmark):
     rng = random.Random(0xF1B9)
     queries = make_queries()

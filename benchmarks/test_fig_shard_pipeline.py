@@ -26,6 +26,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+import pytest
+
 from repro.apps import CofactorModel
 from repro.apps.regression import cofactor_query
 from repro.bench import format_table, run_stream
@@ -44,6 +46,7 @@ MIN_SPEEDUP = 1.3
 REPEATS = 3
 
 
+@pytest.mark.bench
 def test_fig_shard_pipeline(benchmark):
     workload = retailer.generate(scale=0.25 * SCALE, seed=23)
     numeric = workload.numeric_variables

@@ -28,6 +28,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+import pytest
+
 from repro.apps import CofactorModel
 from repro.apps.regression import cofactor_query
 from repro.bench import format_table, run_stream
@@ -48,6 +50,7 @@ GROUP = 16
 ONE_REPEATS = 2
 
 
+@pytest.mark.bench
 def test_fig_shard_scaling(benchmark):
     workload = retailer.generate(scale=0.25 * SCALE, seed=23)
     numeric = workload.numeric_variables

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.bench import format_table
 from repro.data import ColumnarRelation, Relation
@@ -74,6 +75,7 @@ def ingest(relation_cls, ring, deltas):
     return tuples / elapsed, target
 
 
+@pytest.mark.bench
 def test_ingest_throughput(benchmark):
     ring = CofactorRing(4)
     rounds = max(8, int(24 * SCALE))

@@ -25,6 +25,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from repro.bench import format_table
 from repro.core import FIVMEngine, Query, VariableOrder
 from repro.core.checkpoint import JournaledFIVMEngine
@@ -77,6 +79,7 @@ def tail_deltas(ring, seed: int = 0xC0FFEE):
         yield delta
 
 
+@pytest.mark.bench
 def test_recovery_beats_reinitialize():
     query = make_query("Qw")
     ring = query.ring

@@ -43,6 +43,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from repro.bench import format_table
 from repro.bench.memory import payload_scalars
 from repro.core import FIVMEngine, Query, VariableOrder, ViewClient
@@ -155,6 +157,7 @@ def run_mode(materialization: str, ops):
     }
 
 
+@pytest.mark.bench
 def test_serving_latency(benchmark):
     ops = make_ops(0xF1B7)
 

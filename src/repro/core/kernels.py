@@ -83,7 +83,7 @@ from repro.core.plan_exec import (
 )
 from repro.data.columnar import ColumnarRelation
 from repro.data.relation import DeferredRelation, Relation
-from repro.rings.numeric import ScalarKernelOps
+from repro.data.relation import float_column_ops as factor_column_ops
 
 __all__ = [
     "KernelDeltaProgram",
@@ -507,16 +507,6 @@ def _merges_packed(op) -> bool:
         and op.out.schema == op.kept_extends
         and not op.row_lifts
     )
-
-
-def factor_column_ops(ring):
-    """The ring's array hooks when a payload packs as one exact float64
-    (ℝ), else ``None``: ℤ stays on unbounded Python ints, compound rings
-    on their scalar factor programs."""
-    kops = ring.kernel_ops()
-    if isinstance(kops, ScalarKernelOps) and kops.dtype is np.float64:
-        return kops
-    return None
 
 
 def array_factor_program(

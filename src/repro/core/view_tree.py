@@ -27,13 +27,14 @@ maintains, after whatever transformed it (indicators, key factorization).
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder, VONode
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.data.schema import SchemaError
+from repro.data.schema import SchemaError, merge_schemas
 
 __all__ = [
     "ViewNode", "ViewTree", "build_view_tree", "elide_copies", "is_copy",
@@ -202,31 +203,35 @@ def compute_view(
 ) -> Relation:
     """Evaluate one inner view from its children's contents.
 
-    Joins the children left-to-right (payload multiplication order follows
-    child order, which matters for non-commutative rings), joins any
-    indicator projections, marginalizes the node's bound variables
-    (innermost first), and normalizes the schema to the node's key order.
+    The children, then any indicator projections, fold left to right
+    (payload multiplication follows that order, which matters for
+    non-commutative rings) and the node's bound variables are summed out
+    *inside the last join* (:meth:`Relation.join_project`; lifts in
+    ``node.marginalized`` order, innermost first), so the listing join of
+    the node is never stored.  A single input is marginalized (or copied)
+    directly.  The result carries the node's name and key order.
     """
     if not child_contents:
         raise ValueError(f"view {node.name} has no children")
-    current = child_contents[0]
-    for other in child_contents[1:]:
-        current = current.join(other)
-    for indicator in indicator_contents:
-        current = current.join(indicator)
-    if node.marginalized:
-        current = current.marginalize(
-            node.marginalized, query.lifting.table(), name=node.name
-        )
-    if set(current.schema) != set(node.keys):
+    inputs = [*child_contents, *indicator_contents]
+    joined = reduce(merge_schemas, [contents.schema for contents in inputs])
+    if set(joined) - set(node.marginalized) != set(node.keys):
         raise SchemaError(
-            f"view {node.name}: computed schema {current.schema} does not "
-            f"match keys {node.keys}"
+            f"view {node.name}: joining {joined} and marginalizing "
+            f"{node.marginalized} does not match keys {node.keys}"
+        )
+    lifting = query.lifting.table()
+    current = inputs[0]
+    if len(inputs) == 1:
+        current = current.marginalize(node.marginalized, lifting, name=node.name)
+    else:
+        for other in inputs[1:-1]:
+            current = current.join(other)
+        current = current.join_project(
+            inputs[-1], node.marginalized, lifting, name=node.name
         )
     if current.schema != node.keys:
         current = current.reorder(node.keys, name=node.name)
-    else:
-        current = current.copy(name=node.name)
     return current
 
 

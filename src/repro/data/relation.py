@@ -21,21 +21,38 @@ relations without an import cycle.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import chain, compress, count, repeat
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.data.schema import (
     SchemaError,
     as_schema,
     key_projector,
     merge_schemas,
+    schema_positions,
 )
 
-__all__ = ["Relation", "DeferredRelation"]
+__all__ = [
+    "Relation", "DeferredRelation", "float_column_ops",
+    "MIN_PACKED_ROWS", "MIN_PACKED_SUM_ROWS",
+]
 
 Payload = Any
 Key = Tuple[Any, ...]
 LiftFn = Callable[[Any], Payload]
+
+#: Below this many input rows (both sides together) the scalar loop of
+#: :meth:`Relation.join_project` beats the packed evaluation of a join
+#: that fans out, whose ≈ 50 NumPy calls cost a fixed ≈ 40 µs; measured
+#: on the ℝ matrix-chain constructor (docs/architecture.md §4).
+MIN_PACKED_ROWS = 32
+
+#: The same crossover for :meth:`Relation.marginalize`, which has no match
+#: pairs to vectorize — only the per-row lifting and grouping.
+MIN_PACKED_SUM_ROWS = 512
 
 
 class Relation:
@@ -456,9 +473,20 @@ class Relation:
         full join is never materialized: each match is lifted and accumulated
         straight onto its reduced key (the fused form of Section 5's
         "marginalization pushed past joins").  With ``drop`` empty this is a
-        plain join — :meth:`join` delegates here.  Output tuples accumulate
-        in a plain dict (the output is fresh and index-free); zero payloads
-        are dropped in one final sweep.
+        plain join — :meth:`join` delegates here; with variables to drop it
+        is the last join of every view
+        :func:`~repro.core.view_tree.compute_view` evaluates.  Output
+        tuples accumulate in a plain dict (the output is fresh and
+        index-free); zero payloads are dropped in one final sweep.
+
+        Over a ring whose payloads pack as one float64
+        (:func:`float_column_ops`) a fused join that can fan out — each
+        side has an attribute outside the common sub-key, so matches can
+        outnumber input rows — of :data:`MIN_PACKED_ROWS` input rows or
+        more, neither side bringing a ready index on the common
+        attributes, runs on arrays instead (:func:`_packed_join`): the
+        same products in the same order, summed by ``np.bincount`` rather
+        than in probe order.
         """
         merged = merge_schemas(self.schema, other.schema)
         drop_set = set(drop)
@@ -471,18 +499,29 @@ class Relation:
             name or f"sum({self.name}*{other.name})", out_schema, self.ring
         )
         ring = self.ring
+        lifts = [
+            (v, lift) for v in drop
+            if lifting and (lift := lifting.get(v)) is not None
+        ]
+        common = tuple(a for a in self.schema if a in set(other.schema))
+        if (
+            drop_set
+            and 0 < len(common) < min(len(self.schema), len(other.schema))
+            and len(self) + len(other) >= MIN_PACKED_ROWS
+            and common not in self._indexes
+            and common not in other._indexes
+        ):
+            kops = float_column_ops(ring)
+            if kops is not None:
+                out._data = _packed_join(kops, self, other, common, lifts, out_schema)
+                return out
         mul = ring.mul
         radd = ring.add
         # With nothing to drop, the merged key IS the output key; skip the
         # per-match projector call on that (hot, plain-join) path.
         identity = not drop_set
         keep = key_projector(merged, out_schema)
-        lifted = [
-            (merged.index(v), lifting[v])
-            for v in drop
-            if lifting is not None and lifting.get(v) is not None
-        ]
-        common = tuple(a for a in self.schema if a in set(other.schema))
+        lifted = [(merged.index(v), lift) for v, lift in lifts]
         data_out: Dict[Key, Payload] = {}
 
         if not common:
@@ -561,7 +600,10 @@ class Relation:
 
         Each marginalized value is lifted into the ring (default: constant
         ``1``) and multiplied onto the payload, innermost variable first, so
-        ``marginalize(["X", "Y"])`` equals ``⊕_Y (⊕_X self)``.
+        ``marginalize(["X", "Y"])`` equals ``⊕_Y (⊕_X self)``.  From
+        :data:`MIN_PACKED_SUM_ROWS` rows, over a ring whose payloads pack
+        as one float64, the rows are lifted, grouped and summed as
+        columns (:func:`_packed_sum`, the tail of the packed join).
         """
         if not variables:
             return self.copy(name or self.name)
@@ -574,16 +616,24 @@ class Relation:
                 f"variables {variables} not all in schema {self.schema}"
             )
         out = Relation(name or f"sum_{''.join(variables)}({self.name})", remaining, self.ring)
+        # Lifts are applied in the order given (innermost-first semantics).
+        lifts = [
+            (v, lift) for v in variables
+            if lifting and (lift := lifting.get(v)) is not None
+        ]
+        if len(self) >= MIN_PACKED_SUM_ROWS:
+            kops = float_column_ops(self.ring)
+            if kops is not None:
+                data = self._data
+                column = kops.pack(list(data.values()), len(data))
+                out._data = _packed_sum(
+                    kops, column, [(self.schema, list(data), None)], lifts, remaining
+                )
+                return out
         keep = key_projector(self.schema, remaining)
         mul = self.ring.mul
         radd = self.ring.add
-        # Ordered positions of the marginalized variables; lifts applied in
-        # the order given (innermost-first semantics).
-        lifted = [
-            (self.schema.index(v), lifting.get(v) if lifting else None)
-            for v in variables
-        ]
-        lifted = [(p, lift) for p, lift in lifted if lift is not None]
+        lifted = [(self.schema.index(v), lift) for v, lift in lifts]
         data_out: Dict[Key, Payload] = {}
         for key, payload in self._data.items():
             for position, lift in lifted:
@@ -618,9 +668,10 @@ class Relation:
         """Reorder the schema columns to ``attrs`` (a permutation)."""
         if set(attrs) != set(self.schema) or len(attrs) != len(self.schema):
             raise SchemaError(f"{attrs} is not a permutation of {self.schema}")
-        proj = key_projector(self.schema, attrs)
+        data = self._data
+        positions = schema_positions(self.schema, attrs)
         out = Relation(name or self.name, attrs, self.ring)
-        out._data = {proj(key): payload for key, payload in self._data.items()}
+        out._data = dict(zip(_projected(list(data), positions), data.values()))
         return out
 
     def rename(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "Relation":
@@ -701,6 +752,112 @@ class Relation:
         for key in self._data:
             out._data[proj(key)] = one
         return out
+
+
+def float_column_ops(ring):
+    """The ring's array hooks when a payload packs as one exact float64
+    (ℝ), else ``None``: ℤ stays on unbounded Python ints, compound rings
+    on their scalar loops and factor programs.  Duck-typed like the ring
+    itself — of the hook classes only the scalar rings' carries a dtype."""
+    hook = getattr(ring, "kernel_ops", None)
+    kops = hook() if hook is not None else None
+    return kops if getattr(kops, "dtype", None) is np.float64 else None
+
+
+def _projected(keys, positions):
+    """``keys`` projected onto ``positions``, as tuples, with no Python
+    call per key."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), keys))
+    if not positions:
+        return repeat((), len(keys))
+    return map(itemgetter(*positions), keys)
+
+
+def _encode(values, n):
+    """Dictionary-encode ``n`` ``values`` in one pass: the distinct ones
+    in first-seen order and, per value, its position among them."""
+    first = {}  # value → the first row holding it
+    rows = np.fromiter(map(first.setdefault, values, count()), np.intp, n)
+    dense = np.empty(n, np.intp)
+    dense[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    return list(first), dense[rows]
+
+
+def _packed_join(kops, left, right, common, lifts, out_schema) -> Dict[Key, Payload]:
+    """``⊕ (left ⊗ right)`` on packed columns: encode the ``common``
+    sub-key of both sides, lay out the ``(left row, right row)`` index
+    pair of every match (left-major; no Python loop per match), multiply
+    the gathered payload columns and hand the rows to :func:`_packed_sum`.
+    The index arrays live for this call only."""
+    ldata, rdata = left._data, right._data
+    lkeys, rkeys = list(ldata), list(rdata)
+    subkeys, codes = _encode(chain(
+        _projected(lkeys, schema_positions(left.schema, common)),
+        _projected(rkeys, schema_positions(right.schema, common)),
+    ), len(lkeys) + len(rkeys))
+    lcodes, rcodes = codes[:len(lkeys)], codes[len(lkeys):]
+    # Right rows sorted by code; each left row pairs with its code's run.
+    order = np.argsort(rcodes, kind="stable")
+    counts = np.bincount(rcodes, minlength=len(subkeys))
+    matches = counts[lcodes]
+    lrows = np.repeat(np.arange(len(lkeys)), matches)
+    run_starts = (np.cumsum(counts) - counts)[lcodes]
+    pair_starts = np.cumsum(matches) - matches
+    rrows = order[np.repeat(run_starts - pair_starts, matches) + np.arange(len(lrows))]
+    column = (
+        kops.pack(list(ldata.values()), len(lkeys))[lrows]
+        * kops.pack(list(rdata.values()), len(rkeys))[rrows]
+    )
+    sides = [(left.schema, lkeys, lrows), (right.schema, rkeys, rrows)]
+    return _packed_sum(kops, column, sides, lifts, out_schema)
+
+
+def _packed_sum(kops, column, sides, lifts, out_schema) -> Dict[Key, Payload]:
+    """Lift, group and sum packed rows: the tail every packed evaluation
+    shares.  ``column`` holds one payload per row; each of ``sides`` is
+    ``(schema, keys, rows)`` — a relation's keys and, per row of
+    ``column``, the index of the key behind it (``None``: the rows *are*
+    the keys, a marginalization).  An attribute is read from the first
+    side that has it.  Each of ``lifts`` (``(variable, lift)``, in
+    application order) is evaluated once per key of its side — not per
+    row — and multiplied in as a gathered column; rows are then summed
+    per distinct ``out_schema`` key by ``kops.reduce`` and sums the ring
+    holds for zero are dropped."""
+    if not column.size:
+        return {}
+    where: Dict[str, Tuple[int, int]] = {}
+    for i, (schema, _, _) in enumerate(sides):
+        for position, attr in enumerate(schema):
+            where.setdefault(attr, (i, position))
+    for variable, lift in lifts:
+        i, position = where[variable]
+        _, keys, rows = sides[i]
+        lifted = kops.pack(
+            list(map(lift, map(itemgetter(position), keys))), len(keys)
+        )
+        column = column * (lifted if rows is None else lifted[rows])
+    # Group id: the sides' surviving key parts as mixed-radix digits.
+    groups, span, parts = 0, 1, []
+    for i, (_, keys, rows) in enumerate(sides):
+        kept = [where[a][1] for a in out_schema if where[a][0] == i]
+        distinct, codes = _encode(_projected(keys, kept), len(keys))
+        groups = groups * len(distinct) + (codes if rows is None else codes[rows])
+        span *= len(distinct)
+        parts.append(distinct)
+    cells = None
+    if span > 2 * len(column):  # sparse output: number the cells that occur
+        cells, groups = np.unique(groups, return_inverse=True)
+        span = len(cells)
+    sums = kops.reduce(column, groups, span)
+    live = np.flatnonzero(~kops.zero_mask(sums))
+    cells = live if cells is None else cells[live]
+    pieces = []
+    for distinct in reversed(parts):
+        cells, digit = np.divmod(cells, len(distinct))
+        pieces.insert(0, map(distinct.__getitem__, digit.tolist()))
+    keys = pieces[0] if len(pieces) == 1 else map(add, *pieces)
+    return dict(zip(keys, kops.unpack(sums[live])))
 
 
 def _fold_packed(data: Dict[Key, Payload], keys, column, kops) -> bool:

@@ -38,8 +38,12 @@ class ScalarKernelOps:
 
     Triggers never run over these hooks (``vectorizes_triggers``): one
     Python ``*`` per row already beats packing, so there is no packed
-    product here — only the store side of the protocol
-    (:mod:`repro.data.columnar`).
+    product hook here.  Besides the store side of the protocol
+    (:mod:`repro.data.columnar`), the float64 instance is what marks ℝ as
+    the ring whose columns multiply as plain arrays
+    (:func:`repro.data.relation.float_column_ops`): array factor
+    programs, the resident root, and bulk evaluation's packed join and
+    grouped sum use ``pack`` / ``reduce`` / ``zero_mask`` / ``unpack``.
     """
 
     __slots__ = ("dtype", "tolerance")

@@ -1,6 +1,7 @@
 """Tests for matrix chain multiplication (Section 6.1 / LINVIEW)."""
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.core import (
     ShardedFIVMEngine,
     ViewClient,
 )
-from repro.data import Database, Relation
+from repro.data import Database, Relation, relation
 from repro.data.relation import _DATA_SLOT, DeferredRelation
 from repro.datasets.matrices import (
     matrix_as_relation,
@@ -33,7 +34,7 @@ from repro.datasets.matrices import (
     row_update,
     vector_as_relation,
 )
-from repro.rings import INT_RING
+from repro.rings import INT_RING, RealRing
 
 from tests.conftest import FORMS, pinned
 
@@ -635,6 +636,106 @@ class TestFactorForms:
         for form, chain in chains.items():
             drift = np.abs(chain.result_matrix() - expected).max()
             assert drift < 1e-10, (form, drift)
+
+
+class CountingReals(RealRing):
+    """ℝ that counts the scalar operations asked of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def mul(self, a, b):
+        self.calls["mul"] += 1
+        return a * b
+
+    def add(self, a, b):
+        self.calls["add"] += 1
+        return a + b
+
+    def is_zero(self, a):
+        self.calls["is_zero"] += 1
+        return super().is_zero(a)
+
+
+class TestBulkEvaluation:
+    """Setting a chain up evaluates every view as one packed hash join +
+    grouped sum (:func:`repro.data.relation._packed_join`): no listing
+    join, no scalar ring operation per match."""
+
+    N = 16
+
+    def sparse(self, rows, cols, rng):
+        return random_matrix(rows, cols, rng) * (rng.random((rows, cols)) < 0.4)
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "rectangular", "k4"])
+    def test_no_scalar_ring_operation_per_match(self, np_rng, shape):
+        n = self.N
+        mats = {
+            "dense": lambda: [random_matrix(n, n, np_rng) for _ in range(3)],
+            "sparse": lambda: [self.sparse(n, n, np_rng) for _ in range(3)],
+            "rectangular": lambda: [
+                random_matrix(r, c, np_rng) for r, c in ((n, 8), (8, 20), (20, 12))
+            ],
+            "k4": lambda: [random_matrix(n, n, np_rng) for _ in range(4)],
+        }[shape]()
+        ring = CountingReals()
+        chain = MatrixChainIVM(mats, updatable=["A2"], ring=ring)
+        assert np.allclose(chain.result_matrix(), product(mats))
+        # Evaluation itself asks the ring for nothing; what is left is
+        # `_write_view` keeping one bucket sum per index of a stored
+        # sibling (an add per entry) — O(n²), where the listing join
+        # multiplied and added once per match, O(n³) per view.
+        assert ring.calls["mul"] == 0 and ring.calls["is_zero"] == 0
+        stored = sum(
+            len(view) for view in chain.engine.views.values() if view._indexes
+        )
+        assert ring.calls["add"] <= stored < n ** 3
+        ring.calls.clear()
+        tree = chain.engine.tree
+        results = tree.evaluate(chain_database(mats, ring))
+        assert not ring.calls
+        assert np.allclose(
+            relation_as_matrix(results[tree.root.name], chain.result_matrix().shape),
+            product(mats),
+        )
+
+    def test_integer_chain_stays_on_exact_python_ints(self):
+        """Never float, never int64 (ROADMAP 5(b)): ℤ is not eligible
+        whatever the size — 72 input rows per view here."""
+        big, n = 2 ** 70, 6
+        a = [[big + r * n + c for c in range(n)] for r in range(n)]
+        db = Database(
+            Relation(
+                f"A{i}", (f"X{i}", f"X{i + 1}"), INT_RING,
+                {(r, c): a[r][c] for r in range(n) for c in range(n)},
+            )
+            for i in (1, 2, 3)
+        )
+        engine = FIVMEngine(
+            chain_query(3, INT_RING), chain_variable_order(3),
+            updatable=["A2"], db=db,
+        )
+        result = engine.result()
+        assert len(result) == n * n
+        for (r, c), value in result.items():
+            assert type(value) is int
+            assert value == sum(
+                a[r][i] * a[i][j] * a[j][c] for i in range(n) for j in range(n)
+            ) > 2 ** 210
+
+    def test_setup_holds_no_listing_sized_dict(self, np_rng, monkeypatch):
+        """The largest map built while initializing is a view (n² keys)."""
+        n = self.N
+        sizes = []
+        fold = relation._packed_sum
+        monkeypatch.setattr(
+            relation, "_packed_sum",
+            lambda *args: sizes.append(fold(*args)) or sizes[-1],
+        )
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        MatrixChainIVM(mats, updatable=["A2"])
+        assert [len(data) for data in sizes] == [n * n, n * n]
 
 
 class TestDenseEngines:

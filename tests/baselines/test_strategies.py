@@ -1,8 +1,11 @@
 """Cross-strategy agreement: every baseline must match F-IVM and recompute."""
 
 
+import numpy as np
 import pytest
 
+from repro.apps import chain_query, chain_variable_order
+from repro.apps.matrix_chain import chain_database
 from repro.baselines import (
     FactorizedReevaluator,
     FirstOrderIVM,
@@ -11,11 +14,18 @@ from repro.baselines import (
 )
 from repro.core import FIVMEngine, Query
 from repro.data import Database, Relation
+from repro.datasets.matrices import (
+    matrix_as_relation,
+    random_matrix,
+    relation_as_matrix,
+    row_update,
+)
 from repro.rings import INT_RING, Lifting, RealRing
 
 from tests.conftest import (
     PAPER_SCHEMAS,
     figure2_database,
+    packed_evaluation,
     paper_variable_order,
     random_delta,
     recompute,
@@ -59,7 +69,11 @@ class TestAgreementFuzz:
             db.apply_update(delta)
             check_agreement(strategies, recompute(q, db, order))
 
-    def test_sum_aggregate_with_lifting(self, rng):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_sum_aggregate_with_lifting(self, rng, packed):
+        """Over ℝ the baselines evaluate through the packed join /
+        grouped sum from a size constant up; pinned to one row (and out
+        of reach) they agree with the engine, whose triggers use neither."""
         ring = RealRing()
         lifting = Lifting(ring, {"B": float, "D": float})
         q = Query("Q", PAPER_SCHEMAS, free=("A",), ring=ring, lifting=lifting)
@@ -68,13 +82,40 @@ class TestAgreementFuzz:
         db = Database(
             Relation(rel, schema, ring) for rel, schema in PAPER_SCHEMAS.items()
         )
-        for _ in range(25):
-            rel = rng.choice(list(PAPER_SCHEMAS))
-            delta = random_delta(rng, rel, PAPER_SCHEMAS[rel], ring)
+        with packed_evaluation(packed):
+            for _ in range(25):
+                rel = rng.choice(list(PAPER_SCHEMAS))
+                delta = random_delta(rng, rel, PAPER_SCHEMAS[rel], ring)
+                for strategy in strategies.values():
+                    strategy.apply_update(delta.copy())
+                db.apply_update(delta)
+                check_agreement(strategies, strategies["fivm"].result())
+                check_agreement(strategies, recompute(q, db, order))
+
+    def test_matrix_chain_row_updates_at_the_default_constants(self):
+        """The fig6 hash-runtime arms (n = 8: 128 input rows per view,
+        above the join's constant) against the engine and NumPy."""
+        np_rng = np.random.default_rng(5)
+        n = 8
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        q, order = chain_query(3), chain_variable_order(3)
+        db = chain_database(mats)
+        strategies = {
+            "fivm": FIVMEngine(q, order, db=db),
+            "first_order": FirstOrderIVM(q, order, db=db),
+            "f_re": FactorizedReevaluator(q, order, db=db),
+        }
+        for row in range(4):
+            u, v = row_update(n, row, np_rng)
+            mats[1] = mats[1] + np.outer(u, v)
+            delta = matrix_as_relation("A2", np.outer(u, v), "X2", "X3")
             for strategy in strategies.values():
                 strategy.apply_update(delta.copy())
-            db.apply_update(delta)
-            check_agreement(strategies, recompute(q, db, order))
+            check_agreement(strategies, strategies["fivm"].result())
+            assert np.allclose(
+                relation_as_matrix(strategies["first_order"].result(), (n, n)),
+                mats[0] @ mats[1] @ mats[2],
+            )
 
 
 class TestInitialization:

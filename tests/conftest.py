@@ -16,7 +16,7 @@ from repro.core import (
     build_view_tree,
     kernels,
 )
-from repro.data import Database, Relation
+from repro.data import Database, Relation, relation
 from repro.rings import INT_RING
 
 #: The trigger forms the differential tests compare: the two generated
@@ -56,6 +56,19 @@ def pinned(form: str):
             patch.setattr(kernels, "MIN_VECTOR_ROWS", rows)
         if form == "array":
             patch.setattr(FIVMEngine, "_joins_payloads", lambda *args: True)
+        yield
+
+
+@contextlib.contextmanager
+def packed_evaluation(on: bool):
+    """Bulk evaluation inside (:meth:`Relation.join_project`,
+    :meth:`Relation.marginalize`) takes its packed form from one input
+    row (``on``) or never — the size constants are the only thing pinned;
+    the ring and schema conditions still decide."""
+    rows = 1 if on else sys.maxsize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relation, "MIN_PACKED_ROWS", rows)
+        patch.setattr(relation, "MIN_PACKED_SUM_ROWS", rows)
         yield
 
 

@@ -21,7 +21,7 @@ from repro.apps.matrix_chain import MatrixChainIVM
 from repro.apps.regression import cofactor_query
 from repro.bench.memory import strategy_scalars
 from repro.core import FIVMEngine
-from repro.data import Database, Relation
+from repro.data import Database, Relation, relation
 from repro.datasets import retailer
 from repro.datasets.streams import round_robin_stream
 from repro.rings.cofactor import CofactorTriple
@@ -108,6 +108,38 @@ def test_dropped_chains_release_their_packed_roots_without_a_collection():
         assert not any(ref() is not None for ref in columns)
     finally:
         gc.enable()
+
+
+def test_packed_joins_hold_their_pair_arrays_for_one_node_only(monkeypatch):
+    """20 constructions of the dense ℝ chain at n = 48: each of the two
+    views is one packed join whose pair-index arrays and product column
+    have n³ = 110 592 elements.  They belong to the call — no module-level
+    cache keyed by relation — so with the collector off none outlives
+    the constructor that made it."""
+    rng = np.random.default_rng(6)
+    n = 48
+    mats = [rng.uniform(-1.0, 1.0, (n, n)) for _ in range(3)]
+    arrays, sizes = [], set()
+    packed_sum = relation._packed_sum
+
+    def watched(kops, column, sides, lifts, out_schema):
+        for array in (column, *(rows for _, _, rows in sides)):
+            arrays.append(weakref.ref(array))
+            sizes.add(array.size)
+        return packed_sum(kops, column, sides, lifts, out_schema)
+
+    monkeypatch.setattr(relation, "_packed_sum", watched)
+    gc.collect()
+    gc.disable()
+    try:
+        for cycle in range(1, 21):
+            chain = MatrixChainIVM(mats, updatable=["A2"])
+            assert len(arrays) == 6 * cycle  # two views × (column, two sides)
+            assert not [ref for ref in arrays if ref() is not None]
+            del chain
+    finally:
+        gc.enable()
+    assert sizes == {n ** 3}
 
 
 def test_reload_paths_drop_the_memos_and_snapshots_never_carry_them():

@@ -1,14 +1,19 @@
 """Tests for view-tree construction (Figure 3) and evaluation (Figure 2)."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.core import Query, VariableOrder, build_view_tree
-from repro.data import SchemaError
-from repro.rings import INT_RING, Lifting
+from repro.core import Query, VariableOrder, build_view_tree, compute_view
+from repro.core.view_tree import ViewNode
+from repro.data import Relation, SchemaError
+from repro.rings import INT_RING, REAL_RING, Lifting, SquareMatrixRing
 
 from tests.conftest import (
     PAPER_SCHEMAS,
     figure2_database,
+    packed_evaluation,
     paper_variable_order,
 )
 
@@ -200,3 +205,96 @@ class TestEdgeCases:
         }
         assert marginalized == {"X2", "X3", "X4"}
         assert tree.view_count() == 3  # V@X2, V@X4, V@X3 (X5/X1 elided)
+
+
+def joined_then_marginalized(node, inputs, query):
+    """The unfused reference: list the whole join, then sum out."""
+    current = inputs[0]
+    for other in inputs[1:]:
+        current = current.join(other)
+    current = current.marginalize(node.marginalized, query.lifting.table())
+    return current.reorder(node.keys, name=node.name)
+
+
+class TestComputeView:
+    """``compute_view`` fuses the node's marginalization into its last
+    join; on every ring that equals joining everything and summing out
+    afterwards, in the same payload order."""
+
+    def node(self, keys, marginalized):
+        return ViewNode("V", keys, frozenset("RST"), [], marginalized)
+
+    def inputs(self, ring, payload, rows=7):
+        rng = random.Random(rows)
+        schemas = [("A", "B"), ("B", "C"), ("C", "A", "D")]
+        return [
+            Relation(name, schema, ring, {
+                tuple(rng.randrange(3) for _ in schema): payload(rng)
+                for _ in range(rows)
+            })
+            for name, schema in zip("RST", schemas)
+        ]
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("ring, payload", [
+        (INT_RING, lambda rng: rng.choice([-2, 1, 3])),
+        (REAL_RING, lambda rng: rng.choice([-1.5, 0.5, 2.0])),
+    ], ids=["Z", "R"])
+    def test_three_children_fold_left_to_right(self, ring, payload, packed):
+        lifting = Lifting(ring, {"B": lambda b: ring.from_int(b + 1)})
+        query = Query("Q", {"R": ("A", "B"), "S": ("B", "C"), "T": ("C", "A", "D")},
+                      free=("D", "A"), ring=ring, lifting=lifting)
+        node = self.node(("D", "A"), ("C", "B"))
+        inputs = self.inputs(ring, payload, rows=20)
+        with packed_evaluation(packed):
+            view = compute_view(node, inputs, query)
+        with packed_evaluation(False):
+            reference = joined_then_marginalized(node, inputs, query)
+        assert view.name == "V" and view.schema == ("D", "A")
+        assert view.same_as(reference) and len(view)
+
+    def test_an_indicator_joins_after_the_children(self):
+        query = Query("Q", {"R": ("A", "B"), "S": ("B", "C")}, ring=INT_RING)
+        node = self.node(("A",), ("B", "C"))
+        r, s, _ = self.inputs(INT_RING, lambda rng: rng.choice([1, 2]))
+        exists = Relation("∃T", ("C", "A"), INT_RING,
+                          {(c, a): 1 for c in range(2) for a in range(3)})
+        view = compute_view(node, [r, s], query, [exists])
+        reference = joined_then_marginalized(node, [r, s, exists], query)
+        assert view.same_as(reference) and len(view)
+        assert not view.same_as(compute_view(node, [r, s], query))
+
+    def test_a_non_commutative_ring_keeps_child_order(self):
+        ring = SquareMatrixRing(2)
+        np_rng = np.random.default_rng(3)
+        lifting = Lifting(ring, {"B": lambda b: ring.from_int(b + 1) + ring.random(
+            np.random.default_rng(b))})
+        query = Query("Q", {"R": ("A", "B"), "S": ("B", "C"), "T": ("C", "A", "D")},
+                      free=("A", "D"), ring=ring, lifting=lifting)
+        node = self.node(("A", "D"), ("B", "C"))
+        inputs = self.inputs(ring, lambda rng: ring.random(np_rng))
+        view = compute_view(node, inputs, query)
+        assert view.same_as(joined_then_marginalized(node, inputs, query))
+        flipped = compute_view(node, inputs[::-1], query)
+        assert len(view) and not view.same_as(flipped)
+
+    def test_a_single_child_is_marginalized_or_copied(self):
+        query = Query("Q", {"R": ("A", "B")}, free=("A",), ring=INT_RING)
+        (r, _, _) = self.inputs(INT_RING, lambda rng: 1)
+        summed = compute_view(self.node(("A",), ("B",)), [r], query)
+        assert summed.same_as(r.marginalize(("B",))) and summed.name == "V"
+        copy = compute_view(self.node(("B", "A"), ()), [r], query)
+        assert copy.schema == ("B", "A") and copy.same_as(r.reorder(("B", "A")))
+        same = compute_view(self.node(("A", "B"), ()), [r], query)
+        assert same is not r and same._data is not r._data and same.same_as(r)
+
+    def test_keys_are_checked_before_anything_is_joined(self, monkeypatch):
+        query = Query("Q", {"R": ("A", "B"), "S": ("B", "C")}, ring=INT_RING)
+        r, s, _ = self.inputs(INT_RING, lambda rng: 1)
+        monkeypatch.setattr(Relation, "join_project", None)  # never reached
+        with pytest.raises(SchemaError, match="does not match keys"):
+            compute_view(self.node(("A", "D"), ("B",)), [r, s], query)
+        with pytest.raises(SchemaError, match="does not match keys"):
+            compute_view(self.node(("A",), ("B",)), [r, s], query)
+        with pytest.raises(ValueError, match="no children"):
+            compute_view(self.node(("A",), ()), [], query)
