@@ -6,7 +6,12 @@ scalar-payload DBT and 1-IVM multiply their footprint by the number of
 aggregates (990 / 378 here).  These are static properties of the strategies
 and are asserted exactly where the paper gives exact numbers.
 
-Beside them, the view-tree minimization audit: for the tree of every paper
+Beside them, the stored-row guard: every cofactor payload a Retailer
+engine keeps is one float64 row holding Q's upper triangle, so the
+engine's logical scalars sit ≥ 25 % below what full k×k Q blocks would
+store.
+
+And the view-tree minimization audit: for the tree of every paper
 figure and of every end-to-end workload, the views in the tree, the
 relations stored and the rows they hold before and after the engine drops
 the views that copy their only child
@@ -26,6 +31,7 @@ from repro.apps.matrix_chain import (
 from repro.baselines import RecursiveIVM, SQLOptCofactor
 from repro.apps.regression import cofactor_query
 from repro.bench import format_table
+from repro.bench.memory import strategy_scalars
 from repro.core import (
     FIVMEngine, Query, VariableOrder, add_indicator_projections,
     build_view_tree,
@@ -37,6 +43,7 @@ from repro.datasets import housing, retailer, twitter
 from repro.rings import INT_RING
 
 from benchmarks.conftest import report
+from benchmarks.e2e.w_retailer import RetailerB1
 
 
 def minimization_row(
@@ -247,3 +254,21 @@ def test_view_counts(benchmark):
     # one trigger fewer per update.
     listing = by_tree["Housing join, listing keys"]
     assert listing[0] == 7 and listing[3] == 1 and listing[2] == listing[5]
+
+
+def test_retailer_payloads_store_one_upper_triangle_row():
+    """The count the ``state_scalars`` claim rests on, read off real
+    storage: the end-to-end ``retailer_b1`` stream at its ``--quick`` size,
+    then every stored payload's scalar count against its row's bytes, and
+    the engine's total against the same rows with a full k×k ``Q``."""
+    workload = RetailerB1(7, quick=True)
+    state = workload.setup()
+    workload.apply_all(state.engine, workload.ops)
+    with_full_q = 0
+    for view in state.engine.views.values():
+        width = max(1, len(view.schema))
+        for _, payload in view.items():
+            assert payload.scalar_entries() == payload.row.nbytes // 8
+            k = len(payload.support)
+            with_full_q += width + 1 + k + k * k
+    assert strategy_scalars(state.engine) <= 0.75 * with_full_q

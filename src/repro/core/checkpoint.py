@@ -58,11 +58,12 @@ __all__ = [
 ]
 
 #: Bumped whenever the set of views an engine of one configuration
-#: stores changes, so a file from the other side of the change is named
-#: as such instead of failing on whichever view it lacks.  2: views that
-#: copy their only child are no longer stored
-#: (:func:`repro.core.view_tree.elide_copies`).
-SNAPSHOT_VERSION = 2
+#: stores, or the layout of a payload it pickles, changes, so a file from
+#: the other side of the change is named as such instead of failing on
+#: whichever view or payload it lacks.  2: views that copy their only
+#: child are no longer stored (:func:`repro.core.view_tree.elide_copies`).
+#: 3: a cofactor triple travels as one row ``(degree, support, row)``.
+SNAPSHOT_VERSION = 3
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ this one splits the work into two phases:
    the raw values feeding each lifting function);
 2. **kernel** — the ring's array hooks (``Ring.kernel_ops``) pack each
    column into NumPy arrays, multiply whole columns at once (for the
-   cofactor ring: the vectorized Definition 6.2 formula over stacked
-   ``(n, k)``/``(n, k, k)`` blocks), and fold the rows onto their output
+   cofactor ring: the vectorized Definition 6.2 formula over one stacked
+   ``(n, w)`` block of payload rows), and fold the rows onto their output
    keys with one grouped reduction (``np.bincount`` /
    ``np.add.reduceat``) instead of n-1 ring additions.
 
@@ -73,7 +73,7 @@ from repro.core.plan_exec import (
     _Generated,
     _tuple_display,
 )
-from repro.data.relation import DeferredRelation, Relation
+from repro.data.relation import DeferredRelation, Relation, _encode
 from repro.data.relation import float_column_ops as factor_column_ops
 
 __all__ = [
@@ -363,16 +363,7 @@ class KernelDeltaProgram:
             packed = kops.mul_packed(packed, p, n)
         # Group rows by output key (ids assigned first-seen, so every id in
         # range(n_groups) occurs — the reduce hooks rely on that).
-        group_of: dict = {}
-        group_ids = np.empty(n, dtype=np.intp)
-        unique_keys: List[tuple] = []
-        for row, key in enumerate(keys):
-            gid = group_of.get(key)
-            if gid is None:
-                gid = len(unique_keys)
-                group_of[key] = gid
-                unique_keys.append(key)
-            group_ids[row] = gid
+        unique_keys, group_ids = _encode(keys, n)
         reduced = kops.reduce(packed, group_ids, len(unique_keys))
         zero = kops.zero_mask(reduced)
         if zero.any():

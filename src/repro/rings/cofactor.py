@@ -16,15 +16,27 @@ workload::
 
 Following the paper's implementation note — "we only store as payloads
 blocks of matrices with non-zero values and assemble larger matrices as the
-computation progresses towards the root" — a triple stores ``s``/``Q``
+computation progresses towards the root" — a triple stores its statistics
 restricted to its *support*: the sorted tuple of variable indices it has
 seen.  Payloads near the leaves involve one or two variables and stay tiny;
 only towards the root do they grow to the full degree.
+
+**The payload row.**  A triple is one float64 row: the upper triangle,
+row-major, of its local extended moment matrix ``[[c, sᵀ], [s, Q]]`` over
+the support.  Its first matrix row is ``[c, s]``, so the row reads::
+
+    [ c | s_0 … s_k-1 | Q_00 Q_01 … Q_0,k-1 | Q_11 … Q_1,k-1 | … | Q_k-1,k-1 ]
+
+— w = 1 + k + k(k+1)/2 scalars for a support of size k.  ``Q`` is
+symmetric, so its lower triangle is never stored, and a ring operation is
+a handful of array expressions over rows, written through index maps
+memoized per pair of supports (:func:`_pair_maps`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -36,14 +48,14 @@ __all__ = ["CofactorTriple", "CofactorRing", "CofactorKernelOps"]
 class CofactorTriple:
     """An immutable regression triple ``(c, s, Q)`` of degree ``m``.
 
-    ``support`` lists the variable indices the stored blocks cover; ``sums``
-    has one entry per support index, ``quads`` is |support|×|support|.  An
-    empty support means ``s`` and ``Q`` are entirely zero (count-only
-    payloads — the ring's 0 and 1, and every leaf payload).  All operations
-    return new triples; wrapped arrays are never mutated.
+    ``support`` lists the variable indices the triple covers and ``row``
+    stores its statistics (module docstring).  An empty support means ``s``
+    and ``Q`` are entirely zero (count-only payloads — the ring's 0 and 1,
+    and every leaf payload); the row is then ``[c]``.  All operations
+    return new triples; rows are never mutated.
     """
 
-    __slots__ = ("degree", "count", "support", "sums", "quads")
+    __slots__ = ("degree", "support", "row")
 
     def __init__(
         self,
@@ -54,74 +66,70 @@ class CofactorTriple:
         support: Optional[Sequence[int]] = None,
     ):
         self.degree = degree
-        self.count = float(count)
         if sums is None and quads is None and support is None:
-            self.support: Tuple[int, ...] = ()
-            self.sums: Optional[np.ndarray] = None
-            self.quads: Optional[np.ndarray] = None
-            return
-        if support is None:
-            # Dense construction: blocks cover every variable.
-            support = tuple(range(degree))
+            support = ()
+        elif support is None:
+            # Dense construction: the triple covers every variable.
+            support = range(degree)
         self.support = tuple(support)
-        if not self.support:
-            # Normalize: empty support always means None blocks.
-            self.sums = None
-            self.quads = None
-            return
         k = len(self.support)
-        self.sums = np.zeros(k) if sums is None else np.asarray(sums, dtype=float)
-        self.quads = (
+        if not k:
+            self.row = np.array([float(count)])
+            return
+        sums = np.zeros(k) if sums is None else np.asarray(sums, dtype=float)
+        quads = (
             np.zeros((k, k)) if quads is None
             else np.asarray(quads, dtype=float)
         )
-        if self.sums.shape != (k,) or self.quads.shape != (k, k):
+        if sums.shape != (k,) or quads.shape != (k, k):
             raise ValueError(
-                f"blocks {self.sums.shape}/{self.quads.shape} do not match "
+                f"blocks {sums.shape}/{quads.shape} do not match "
                 f"support of size {k}"
             )
+        if not np.allclose(quads, quads.T):
+            raise ValueError("Q must be symmetric")
+        self.row = np.concatenate(
+            ([float(count)], sums, quads[np.triu_indices(k)])
+        )
 
-    # ------------------------------------------------------------------
+    def __reduce__(self):
+        return (_triple, (self.degree, self.support, self.row))
 
-    @classmethod
-    def _make(
-        cls,
-        degree: int,
-        count: float,
-        sums: Optional[np.ndarray],
-        quads: Optional[np.ndarray],
-        support: Tuple[int, ...],
-    ) -> "CofactorTriple":
-        """Internal fast constructor: no coercion, no shape validation.
+    # -- the statistics, derived from the row ---------------------------
 
-        Callers (the ring operations) guarantee the invariants the public
-        ``__init__`` enforces — blocks already float arrays shaped to the
-        support, empty support ⇔ ``None`` blocks.  Skipping the per-triple
-        ``np.asarray``/shape checks matters: IVM allocates a triple per ring
-        operation on the update hot path.
-        """
-        triple = object.__new__(cls)
-        triple.degree = degree
-        triple.count = count
-        triple.support = support
-        triple.sums = sums
-        triple.quads = quads
-        return triple
+    @property
+    def count(self) -> float:
+        return float(self.row[0])
+
+    @property
+    def sums(self) -> Optional[np.ndarray]:
+        """``s`` over the support (``None`` for an empty support)."""
+        if not self.support:
+            return None
+        view = self.row[1:len(self.support) + 1]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def quads(self) -> Optional[np.ndarray]:
+        """``Q`` over the support, expanded to symmetric k×k."""
+        return self._local()[1:, 1:] if self.support else None
+
+    def _local(self) -> np.ndarray:
+        """The (k+1)×(k+1) extended moment matrix over the support."""
+        size, _, upper, lower = _layout(self.support)
+        out = np.empty(size * size)
+        out[upper] = self.row
+        out[lower] = self.row
+        return out.reshape(size, size)
 
     def dense_sums(self) -> np.ndarray:
         """The sum vector over all m variables (zero blocks materialized)."""
-        out = np.zeros(self.degree)
-        if self.sums is not None:
-            out[list(self.support)] = self.sums
-        return out
+        return self.moment_matrix()[0, 1:]
 
     def dense_quads(self) -> np.ndarray:
         """The quadratic matrix over all m variables."""
-        out = np.zeros((self.degree, self.degree))
-        if self.quads is not None:
-            index = list(self.support)
-            out[np.ix_(index, index)] = self.quads
-        return out
+        return self.moment_matrix()[1:, 1:]
 
     def moment_matrix(self) -> np.ndarray:
         """The (m+1)×(m+1) extended moment matrix ``[[c, sᵀ], [s, Q]]``.
@@ -129,23 +137,17 @@ class CofactorTriple:
         Row/column 0 corresponds to the constant feature 1; this is exactly
         ``MᵀM`` for the design matrix extended with an all-ones column.
         """
-        m = self.degree
-        out = np.zeros((m + 1, m + 1))
-        out[0, 0] = self.count
-        dense_s = self.dense_sums()
-        out[0, 1:] = dense_s
-        out[1:, 0] = dense_s
-        out[1:, 1:] = self.dense_quads()
+        local = self._local()
+        if len(self.support) == self.degree:
+            return local
+        index = [0] + [1 + i for i in self.support]
+        out = np.zeros((self.degree + 1, self.degree + 1))
+        out[np.ix_(index, index)] = local
         return out
 
     def scalar_entries(self) -> int:
-        """Stored scalars (for logical memory accounting): support-sized."""
-        total = 1
-        if self.sums is not None:
-            total += self.sums.size
-        if self.quads is not None:
-            total += self.quads.size
-        return total
+        """Float64 values this triple stores: its row, support-sized."""
+        return self.row.size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -154,62 +156,89 @@ class CofactorTriple:
         )
 
 
-#: Embedding maps memoized per (source support, target support): the sum
-#: positions plus the *flattened* indices of the source's quadratic block
-#: inside the target matrix.  Supports along a view tree repeat on every
-#: update, and flat 1-D fancy indexing is about twice as fast as the
-#: equivalent 2-D mesh assignment, so blocks are scattered through these.
-_EMBED_MAPS: Dict[
-    Tuple[Tuple[int, ...], Tuple[int, ...]],
-    Tuple[np.ndarray, np.ndarray],
-] = {}
-
-#: Merge maps memoized per (left support, right support): the union
-#: support and every index vector a pairwise add/mul needs — one cache hit
-#: per ring operation.
-_MERGE_MAPS: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], tuple] = {}
+_new = object.__new__
 
 
-def _embed_maps(
-    source: Tuple[int, ...], target: Tuple[int, ...]
-) -> Tuple[np.ndarray, np.ndarray]:
-    key = (source, target)
-    maps = _EMBED_MAPS.get(key)
-    if maps is None:
-        positions = np.array(
-            [target.index(i) for i in source], dtype=np.intp
-        )
-        k = len(target)
-        flat = (positions[:, None] * k + positions[None, :]).ravel()
-        maps = (positions, flat)
-        _EMBED_MAPS[key] = maps
-    return maps
+def _triple(degree: int, support: tuple, row: np.ndarray) -> CofactorTriple:
+    """Internal fast constructor (and the unpickler): no coercion, no
+    validation — callers guarantee a float64 row laid out for ``support``.
+    IVM allocates a triple per ring operation on the update hot path."""
+    triple = _new(CofactorTriple)
+    triple.degree = degree
+    triple.support = support
+    triple.row = row
+    return triple
 
 
-def _merge_maps(left: Tuple[int, ...], right: Tuple[int, ...]) -> tuple:
-    """``(union, k, pos_l, pos_r, flat_ll, flat_rr, flat_lr, flat_rl)``
-    for scattering both operands (and their cross blocks) onto the union."""
+#: Row maps, memoized: per support (a tuple of variable indices) its
+#: layout (:func:`_layout`), per ordered pair of supports (a tuple of two
+#: tuples) its merge maps (:func:`_pair_maps`).  Supports along a view
+#: tree repeat on every update, so each map is built once per shape.
+_ROW_MAPS: Dict[tuple, tuple] = {}
+
+
+def _layout(support: tuple) -> tuple:
+    """``(size, tri, upper, lower)`` for a support of k = size - 1
+    variables: ``tri[r, c]`` is the row position of extended-matrix cell
+    ``(r, c)`` in either order (coordinate 0 is the constant, 1 + i the
+    i-th support variable); ``upper``/``lower`` scatter the row onto the
+    flattened size×size matrix and its transpose."""
+    layout = _ROW_MAPS.get(support)
+    if layout is None:
+        size = len(support) + 1
+        rows, cols = np.triu_indices(size)
+        tri = np.empty((size, size), dtype=np.intp)
+        tri[rows, cols] = tri[cols, rows] = np.arange(rows.size)
+        layout = (size, tri, rows * size + cols, cols * size + rows)
+        _ROW_MAPS[support] = layout
+    return layout
+
+
+def _pair_maps(left: tuple, right: tuple) -> tuple:
+    """``(union, width, emb_l, emb_r, cross, src, lift)`` for writing two
+    rows — and their product's cross term — into the row of the union
+    support (``width`` cells).
+
+    ``emb_l``/``emb_r`` give the union-row position of each cell of an
+    operand's row.  ``cross`` gives the position of each entry of
+    ``outer(s_l, s_r)``, row-major, when the supports are disjoint
+    (``src is None``): the left, right and cross cells then partition the
+    union row, each written exactly once.  When they overlap, ``cross``
+    pairs with ``src``, indices into the flattened outer product in which
+    the entries landing on the diagonal appear twice, for one unbuffered
+    ``np.add.at``.  ``lift`` is ``(size, p, line, diag)`` when ``right`` is
+    one variable inside ``left`` (a lift of a variable already seen): the
+    extended coordinate ``p`` of that variable, the cells ``(r, p)`` of
+    every coordinate r and the diagonal cell ``(p, p)``; else ``None``.
+    """
     key = (left, right)
-    maps = _MERGE_MAPS.get(key)
+    maps = _ROW_MAPS.get(key)
     if maps is None:
         union = tuple(sorted(set(left) | set(right)))
-        k = len(union)
-        pos_l = np.array([union.index(i) for i in left], dtype=np.intp)
-        pos_r = np.array([union.index(i) for i in right], dtype=np.intp)
+        size, tri, _, _ = _layout(union)
+        ext_l = np.array([0] + [1 + union.index(i) for i in left], np.intp)
+        ext_r = np.array([0] + [1 + union.index(i) for i in right], np.intp)
+
+        def embed(ext):
+            rows, cols = np.triu_indices(ext.size)
+            return tri[ext[rows], ext[cols]]
+
+        cross = tri[np.ix_(ext_l[1:], ext_r[1:])].ravel()
+        src = None
+        if len(union) < len(left) + len(right):
+            twice = np.flatnonzero(np.equal.outer(ext_l[1:], ext_r[1:]))
+            src = np.concatenate([np.arange(cross.size), twice])
+            cross = cross[src]
+        lift = None
+        if len(right) == 1 and union == left:
+            p = int(ext_r[1])
+            lift = (size, p, tri[:, p].copy(), int(tri[p, p]))
         maps = (
-            union,
-            k,
-            pos_l,
-            pos_r,
-            (pos_l[:, None] * k + pos_l[None, :]).ravel(),
-            (pos_r[:, None] * k + pos_r[None, :]).ravel(),
-            (pos_l[:, None] * k + pos_r[None, :]).ravel(),
-            (pos_r[:, None] * k + pos_l[None, :]).ravel(),
+            union, size * (size + 1) // 2, embed(ext_l), embed(ext_r),
+            cross, src, lift,
         )
-        _MERGE_MAPS[key] = maps
+        _ROW_MAPS[key] = maps
     return maps
-
-
 
 
 class CofactorRing(Ring):
@@ -233,230 +262,112 @@ class CofactorRing(Ring):
         return self._one
 
     def add(self, a: CofactorTriple, b: CofactorTriple) -> CofactorTriple:
-        make = CofactorTriple._make
-        if not b.support:
-            return make(
-                self.degree, a.count + b.count, a.sums, a.quads, a.support
-            )
-        if not a.support:
-            return make(
-                self.degree, a.count + b.count, b.sums, b.quads, b.support
-            )
         if a.support == b.support:
-            return make(
-                self.degree,
-                a.count + b.count,
-                a.sums + b.sums,
-                a.quads + b.quads,
-                a.support,
-            )
-        union, k, pos_a, pos_b, flat_aa, flat_bb, _, _ = _merge_maps(
-            a.support, b.support
-        )
-        if union == a.support:
-            sums = a.sums.copy()
-            quads = a.quads.copy()
-            sums[pos_b] += b.sums
-            quads.ravel()[flat_bb] += b.quads.ravel()
-        elif union == b.support:
-            sums = b.sums.copy()
-            quads = b.quads.copy()
-            sums[pos_a] += a.sums
-            quads.ravel()[flat_aa] += a.quads.ravel()
-        else:
-            sums = np.zeros(k)
-            sums[pos_a] = a.sums
-            sums[pos_b] += b.sums
-            flat = np.zeros(k * k)
-            flat[flat_aa] = a.quads.ravel()
-            flat[flat_bb] += b.quads.ravel()
-            quads = flat.reshape(k, k)
-        return make(self.degree, a.count + b.count, sums, quads, union)
+            return _triple(self.degree, a.support, a.row + b.row)
+        union, width, emb_a, emb_b, _, _, _ = _pair_maps(a.support, b.support)
+        row = np.zeros(width)
+        row[emb_a] = a.row
+        row[emb_b] += b.row
+        return _triple(self.degree, union, row)
 
     def mul(self, a: CofactorTriple, b: CofactorTriple) -> CofactorTriple:
-        count = a.count * b.count
-        make = CofactorTriple._make
+        ra, rb = a.row, b.row
         if not b.support:
-            if b.count == 1.0:
+            if rb[0] == 1.0:
                 # b = 1: triples are immutable, so the product *is* a.
                 return a
-            if not a.support:
-                return make(self.degree, count, None, None, ())
-            # b is count-only: pure scaling of a's blocks.
-            return make(
-                self.degree, count,
-                b.count * a.sums, b.count * a.quads, a.support,
-            )
+            # b is count-only: its count scales every cell of a.
+            return _triple(self.degree, a.support, ra * rb)
         if not a.support:
-            if a.count == 1.0:
+            if ra[0] == 1.0:
                 return b
-            return make(
-                self.degree, count,
-                a.count * b.sums, a.count * b.quads, b.support,
-            )
-        if a.support == b.support:
-            # Equal supports: dense arithmetic, no scatter needed.
-            cross = a.sums[:, None] * b.sums[None, :]
-            return make(
-                self.degree,
-                count,
-                b.count * a.sums + a.count * b.sums,
-                b.count * a.quads + a.count * b.quads + cross + cross.T,
-                a.support,
-            )
-        union, k, pos_a, pos_b, flat_aa, flat_bb, flat_ab, flat_ba = (
-            _merge_maps(a.support, b.support)
+            return _triple(self.degree, b.support, rb * ra)
+        union, width, emb_a, emb_b, cross, src, lift = _pair_maps(
+            a.support, b.support
         )
-        if union == a.support and len(b.support) == 1:
-            # The hot shape of the trigger loop: an accumulated payload times
-            # a lifted single variable already inside its support.  The cross
-            # term touches one row and one column only; everything else is a
-            # scalar scale (or, for lifts with count 1, a plain copy).
-            j = pos_b[0]
-            sb0 = b.sums[0]
-            if b.count == 1.0:
-                sums = a.sums.copy()
-                quads = a.quads.copy()
-            else:
-                sums = b.count * a.sums
-                quads = b.count * a.quads
-            sums[j] += a.count * sb0
-            quads[j, j] += a.count * b.quads[0, 0]
-            cross_line = a.sums * sb0
-            quads[:, j] += cross_line
-            quads[j, :] += cross_line
-            return make(self.degree, count, sums, quads, union)
-        # General case: assemble the result blocks directly on the union
-        # support.  Each input contributes only on its own positions, and the
-        # cross term ``s_a s_bᵀ + s_b s_aᵀ`` is non-zero only on the
-        # (a-positions × b-positions) blocks — scattering input-sized blocks
-        # through the cached flat maps avoids materializing two union-sized
-        # embeddings per multiplication.
-        cross = a.sums[:, None] * b.sums[None, :]
-        if k == len(pos_a) + len(pos_b):
-            # Disjoint supports (a node's payload times a sibling subtree's
-            # — the variables lifted below two siblings never overlap): the
-            # aa, bb, ab and ba blocks partition the k×k result, so every
-            # cell is written exactly once — no zero fill, no ``+=``.
-            sums = np.empty(k)
-            sums[pos_a] = b.count * a.sums
-            sums[pos_b] = a.count * b.sums
-            flat = np.empty(k * k)
-            flat[flat_aa] = (b.count * a.quads).ravel()
-            flat[flat_bb] = (a.count * b.quads).ravel()
-            flat[flat_ab] = cross.ravel()
-            flat[flat_ba] = cross.T.ravel()
-            return make(self.degree, count, sums, flat.reshape(k, k), union)
-        if union == a.support:
-            sums = b.count * a.sums
-            sums[pos_b] += a.count * b.sums
-            quads = b.count * a.quads
-            flat = quads.ravel()
-            flat[flat_bb] += (a.count * b.quads).ravel()
-        elif union == b.support:
-            sums = a.count * b.sums
-            sums[pos_a] += b.count * a.sums
-            quads = a.count * b.quads
-            flat = quads.ravel()
-            flat[flat_aa] += (b.count * a.quads).ravel()
+        ca, cb = ra[0], rb[0]
+        if lift is not None:
+            # A payload times a lift of a variable p already inside its
+            # support (a variable lifted twice: no view tree does this, a
+            # direct caller may).  The cross term s_a·s_b[p] lands on the
+            # cells (r, p) alone — one extended column, whose row-0 cell
+            # is s[p] itself — and the diagonal takes it twice; everything
+            # else is a scale.
+            size, p, line, diag = lift
+            row = ra.copy() if cb == 1.0 else ra * cb
+            x = rb[1]
+            row[line] += x * ra[:size]
+            row[diag] += x * ra[p] + ca * rb[2]
+            return _triple(self.degree, union, row)
+        outer = np.multiply.outer(
+            ra[1:len(a.support) + 1], rb[1:len(b.support) + 1]
+        ).ravel()
+        if src is None:
+            # Disjoint supports (a node's payload times a sibling
+            # subtree's — the variables lifted below two siblings never
+            # overlap): every union cell is written exactly once.  Lifts
+            # and their products count 1, and then need no scaling.
+            row = np.empty(width)
+            row[emb_a] = ra if cb == 1.0 else ra * cb
+            row[emb_b] = rb if ca == 1.0 else rb * ca
+            row[cross] = outer
         else:
-            sums = np.zeros(k)
-            sums[pos_a] = b.count * a.sums
-            sums[pos_b] += a.count * b.sums
-            flat = np.zeros(k * k)
-            flat[flat_aa] = (b.count * a.quads).ravel()
-            flat[flat_bb] += (a.count * b.quads).ravel()
-            quads = flat.reshape(k, k)
-        flat[flat_ab] += cross.ravel()
-        flat[flat_ba] += cross.T.ravel()
-        return make(self.degree, count, sums, quads, union)
+            row = np.zeros(width)
+            row[emb_a] = ra * cb
+            row[emb_b] += rb * ca
+            np.add.at(row, cross, outer[src])
+        row[0] = ca * cb
+        return _triple(self.degree, union, row)
 
     def neg(self, a: CofactorTriple) -> CofactorTriple:
-        if not a.support:
-            return CofactorTriple._make(self.degree, -a.count, None, None, ())
-        return CofactorTriple._make(
-            self.degree, -a.count, -a.sums, -a.quads, a.support
-        )
+        return _triple(self.degree, a.support, -a.row)
 
     def eq(self, a: CofactorTriple, b: CofactorTriple) -> bool:
-        if abs(a.count - b.count) > self.tolerance:
+        ra, rb = a.row, b.row
+        if abs(ra[0] - rb[0]) > self.tolerance:
             return False
-        if a.support == b.support:
-            if a.sums is None:
-                return True
-            return bool(
-                np.allclose(a.sums, b.sums, atol=self.tolerance)
-                and np.allclose(a.quads, b.quads, atol=self.tolerance)
-            )
-        if not np.allclose(a.dense_sums(), b.dense_sums(), atol=self.tolerance):
-            return False
-        return bool(
-            np.allclose(a.dense_quads(), b.dense_quads(), atol=self.tolerance)
-        )
+        if a.support != b.support:
+            _, width, emb_a, emb_b, _, _, _ = _pair_maps(a.support, b.support)
+            ra, rb = np.zeros(width), np.zeros(width)
+            ra[emb_a] = a.row
+            rb[emb_b] = b.row
+        return bool(np.allclose(ra, rb, atol=self.tolerance))
 
     def is_zero(self, a: CofactorTriple) -> bool:
-        if abs(a.count) > self.tolerance:
+        row = a.row
+        if abs(row[0]) > self.tolerance:
             return False
-        if a.sums is not None and np.any(np.abs(a.sums) > self.tolerance):
-            return False
-        if a.quads is not None and np.any(np.abs(a.quads) > self.tolerance):
-            return False
-        return True
+        return not a.support or not (np.abs(row) > self.tolerance).any()
 
     def sum(self, items) -> CofactorTriple:
-        """Vectorized sum: stack same-support blocks, scatter across groups.
+        """Vectorized sum: one ``np.add.reduce`` per support, the (rare)
+        distinct supports then merged pairwise.
 
         Same result as the base class's pairwise fold (ring addition is
-        commutative), but a batch of n same-support triples costs two
-        stacked ``np.sum`` calls instead of n-1 pairs of allocations — the
-        backbone of the batched update trigger.
+        commutative), but a batch of n same-support triples costs one
+        stacked reduction instead of n-1 allocations — the backbone of the
+        batched update trigger.
         """
         triples = items if isinstance(items, list) else list(items)
         if not triples:
             return self._zero
         if len(triples) == 1:
             return triples[0]
-        count = 0.0
-        groups: Dict[Tuple[int, ...], list] = {}
+        groups: Dict[tuple, list] = {}
         for triple in triples:
-            count += triple.count
-            if triple.support:
-                groups.setdefault(triple.support, []).append(triple)
-        make = CofactorTriple._make
-        if not groups:
-            return make(self.degree, count, None, None, ())
-        partials = []
-        for support, members in groups.items():
-            if len(members) == 1:
-                partials.append((support, members[0].sums, members[0].quads))
-            else:
-                partials.append((
-                    support,
-                    np.sum([t.sums for t in members], axis=0),
-                    np.sum([t.quads for t in members], axis=0),
-                ))
-        if len(partials) == 1:
-            # Sharing the group's arrays is safe: triples never mutate
-            # their blocks, whatever triple they end up wrapped in.
-            support, sums, quads = partials[0]
-            return make(self.degree, count, sums, quads, support)
-        union_set: set = set()
-        for support, _, _ in partials:
-            union_set |= set(support)
-        union = tuple(sorted(union_set))
-        k = len(union)
-        total_sums = np.zeros(k)
-        total_flat = np.zeros(k * k)
-        for support, sums, quads in partials:
-            positions, flat = _embed_maps(support, union)
-            total_sums[positions] += sums
-            total_flat[flat] += quads.ravel()
-        return make(
-            self.degree, count, total_sums, total_flat.reshape(k, k), union
-        )
+            groups.setdefault(triple.support, []).append(triple.row)
+        # Sharing a lone row is safe: rows are never mutated.
+        partials = [
+            _triple(
+                self.degree, support,
+                rows[0] if len(rows) == 1 else np.add.reduce(rows),
+            )
+            for support, rows in groups.items()
+        ]
+        return reduce(self.add, partials)
 
     def from_int(self, n: int) -> CofactorTriple:
-        return CofactorTriple(self.degree, float(n))
+        return _triple(self.degree, (), np.array([float(n)]))
 
     def kernel_ops(self) -> "CofactorKernelOps":
         ops = getattr(self, "_kernel_ops", None)
@@ -469,14 +380,13 @@ class CofactorRing(Ring):
         """The lifting function ``g_{X_j}`` of Section 6.2 for variable ``j``.
 
         Maps a value ``x`` to ``(1, s, Q)`` with ``s[j] = x`` and
-        ``Q[j, j] = x²`` — stored as single-variable blocks.
+        ``Q[j, j] = x²`` — the row ``[1, x, x²]`` on support ``(j,)``.
         """
         if not 0 <= index < self.degree:
             raise ValueError(f"variable index {index} out of range")
         support = (index,)
 
         degree = self.degree
-        make = CofactorTriple._make
         #: Lifted triples memoized per value: streams revisit domain values
         #: constantly, and lifted triples (like all triples) are immutable.
         #: Bounded so continuous features (mostly-distinct floats) cannot
@@ -488,13 +398,7 @@ class CofactorRing(Ring):
             triple = memo.get(value)
             if triple is None:
                 x = float(value)  # type: ignore[arg-type]
-                triple = make(
-                    degree,
-                    1.0,
-                    np.array([x]),
-                    np.array([[x * x]]),
-                    support,
-                )
+                triple = _triple(degree, support, np.array([1.0, x, x * x]))
                 if len(memo) >= memo_cap:
                     memo.clear()
                 memo[value] = triple
@@ -515,14 +419,13 @@ class CofactorRing(Ring):
 class CofactorKernelOps:
     """Batched triple arithmetic for the kernel backend.
 
-    A column of n same-support triples packs into ``(counts (n,), sums
-    (n, k), quads (n, k, k), support)`` — the structure-of-arrays twin of
-    :class:`CofactorTriple`.  The ring product of two packed columns is
-    the vectorized Definition 6.2 formula (cross terms scattered through
-    the cached flat merge maps, exactly like the scalar :meth:`mul`), and
-    the per-output-key fold is one sort + ``np.add.reduceat`` pass over
-    the stacked blocks — n ring operations collapse into a handful of
-    array expressions.
+    A column of n same-support triples packs into ``(block, support)``:
+    their rows stacked into one (n, w) float64 block.  The ring product of
+    two packed columns is the scalar :meth:`CofactorRing.mul` with a batch
+    axis — the same cached row maps, one scatter per operand and one for
+    the cross term — and the per-output-key fold is one sort + one
+    ``np.add.reduceat`` over the block: n ring operations collapse into a
+    handful of array expressions.
 
     Mixed-support columns (rare: payloads at one tree node share their
     support by construction, since support = the variables lifted below)
@@ -543,130 +446,90 @@ class CofactorKernelOps:
 
     def pack(self, column, n: int):
         """Stack a payload column; ``None`` when supports are mixed."""
-        first = column[0].support
+        support = column[0].support
         for triple in column:
-            if triple.support != first:
+            if triple.support != support:
                 return None
-        counts = np.fromiter(
-            (triple.count for triple in column), dtype=float, count=n
-        )
-        if not first:
-            return (counts, None, None, ())
-        sums = np.array([triple.sums for triple in column])
-        quads = np.array([triple.quads for triple in column])
-        return (counts, sums, quads, first)
+        rows = np.concatenate([triple.row for triple in column])
+        return (rows.reshape(n, -1), support)
 
     def pack_lift(self, lift_fn, values, n: int):
         """Pack a lifted column straight from the raw values.
 
-        ``ring.lift(j)`` maps ``x`` to ``(1, s[j]=x, Q[jj]=x²)``, so a
-        whole column of lift results is ``(ones, x, x²)`` on support
-        ``(j,)`` — no per-row triple construction.  Returns ``None`` for
-        lift functions this ring did not produce (custom liftings take
-        the generic per-row path).
+        ``ring.lift(j)`` maps ``x`` to the row ``[1, x, x²]`` on support
+        ``(j,)``, so a whole column of lift results is one (n, 3) block —
+        no per-row triple construction.  Returns ``None`` for lift
+        functions this ring did not produce (custom liftings take the
+        generic per-row path).
         """
         tag = getattr(lift_fn, "_kernel_lift", None)
         if tag is None or tag[0] != "cofactor":
             return None
-        x = np.fromiter((float(v) for v in values), dtype=float, count=n)
-        return (
-            np.ones(n, dtype=float),
-            x[:, None],
-            (x * x)[:, None, None],
-            (tag[1],),
-        )
+        x = np.fromiter(map(float, values), dtype=float, count=n)
+        block = np.empty((n, 3))
+        block[:, 0] = 1.0
+        block[:, 1] = x
+        block[:, 2] = x * x
+        return (block, (tag[1],))
 
     # -- the vectorized ring product -----------------------------------
 
     def mul_packed(self, a, b, n: int):
         """The ring product of two packed columns, row by row."""
-        ca, sa, qa, supa = a
-        cb, sb, qb, supb = b
-        count = ca * cb
+        block_a, supa = a
+        block_b, supb = b
         if not supb:
-            if not supa:
-                return (count, None, None, ())
-            return (count, cb[:, None] * sa, cb[:, None, None] * qa, supa)
+            return (block_a * block_b, supa)
         if not supa:
-            return (count, ca[:, None] * sb, ca[:, None, None] * qb, supb)
-        if supa == supb:
-            cross = sa[:, :, None] * sb[:, None, :]
-            return (
-                count,
-                cb[:, None] * sa + ca[:, None] * sb,
-                cb[:, None, None] * qa + ca[:, None, None] * qb
-                + cross + cross.transpose(0, 2, 1),
-                supa,
-            )
-        union, k, pos_a, pos_b, flat_aa, flat_bb, flat_ab, flat_ba = (
-            _merge_maps(supa, supb)
-        )
-        sums = np.zeros((n, k))
-        sums[:, pos_a] = cb[:, None] * sa
-        sums[:, pos_b] += ca[:, None] * sb
-        flat = np.zeros((n, k * k))
-        flat[:, flat_aa] = cb[:, None] * qa.reshape(n, -1)
-        flat[:, flat_bb] += ca[:, None] * qb.reshape(n, -1)
-        cross = sa[:, :, None] * sb[:, None, :]
-        flat[:, flat_ab] += cross.reshape(n, -1)
-        flat[:, flat_ba] += cross.transpose(0, 2, 1).reshape(n, -1)
-        return (count, sums, flat.reshape(n, k, k), union)
+            return (block_b * block_a, supb)
+        union, width, emb_a, emb_b, cross, src, _ = _pair_maps(supa, supb)
+        ca, cb = block_a[:, :1], block_b[:, :1]
+        outer = (
+            block_a[:, 1:len(supa) + 1, None]
+            * block_b[:, None, 1:len(supb) + 1]
+        ).reshape(n, -1)
+        if src is None:
+            out = np.empty((n, width))
+            out[:, emb_a] = block_a * cb
+            out[:, emb_b] = block_b * ca
+            out[:, cross] = outer
+        else:
+            out = np.zeros((n, width))
+            out[:, emb_a] = block_a * cb
+            out[:, emb_b] += block_b * ca
+            np.add.at(out, (slice(None), cross), outer[:, src])
+        out[:, :1] = ca * cb
+        return (out, union)
 
     # -- grouped reduction ---------------------------------------------
 
     def reduce(self, packed, group_ids, n_groups: int):
-        """Fold rows per output key: counts via ``np.bincount``, blocks by
-        sorting on the group id and one ``np.add.reduceat`` per block kind.
-        Every group id in ``range(n_groups)`` must occur (the kernel
-        program assigns ids first-seen), so the reduceat segments line up
-        with the group numbering."""
-        counts, sums, quads, support = packed
-        red_counts = np.bincount(group_ids, weights=counts, minlength=n_groups)
-        if sums is None:
-            return (red_counts, None, None, ())
-        n = len(group_ids)
+        """Fold rows per output key: sort on the group id, then one
+        ``np.add.reduceat`` over the block.  Every group id in
+        ``range(n_groups)`` must occur (the kernel program assigns ids
+        first-seen), so the reduceat segments line up with the group
+        numbering."""
+        block, support = packed
         order = np.argsort(group_ids, kind="stable")
+        if n_groups == len(group_ids):  # one row per group: a permutation
+            return (block[order], support)
         sorted_ids = group_ids[order]
         starts = np.flatnonzero(
             np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
         )
-        red_sums = np.add.reduceat(sums[order], starts, axis=0)
-        red_quads = np.add.reduceat(
-            quads.reshape(n, -1)[order], starts, axis=0
-        )
-        k = len(support)
-        return (red_counts, red_sums, red_quads.reshape(-1, k, k), support)
+        return (np.add.reduceat(block[order], starts, axis=0), support)
 
     def unpack(self, reduced):
-        """Per-group :class:`CofactorTriple` views over the reduced blocks
-        (safe to share: triples never mutate their blocks)."""
-        counts, sums, quads, support = reduced
-        make = CofactorTriple._make
+        """Per-group :class:`CofactorTriple` views over the block's rows
+        (safe to share: triples never mutate their rows)."""
+        block, support = reduced
         degree = self.degree
-        if sums is None:
-            return [
-                make(degree, count, None, None, ()) for count in counts
-            ]
-        return [
-            make(degree, counts[g], sums[g], quads[g], support)
-            for g in range(len(counts))
-        ]
+        return [_triple(degree, support, row) for row in block]
 
     def zero_mask(self, packed):
-        counts, sums, quads, _ = packed
-        tolerance = self.ring.tolerance
-        mask = np.abs(counts) <= tolerance
-        if sums is not None:
-            n = len(counts)
-            mask = mask & (np.abs(sums) <= tolerance).all(axis=1)
-            mask = mask & (
-                np.abs(quads.reshape(n, -1)) <= tolerance
-            ).all(axis=1)
-        return mask
+        return (np.abs(packed[0]) <= self.ring.tolerance).all(axis=1)
 
     def take(self, packed, rows):
         """The packed column's rows ``rows`` (an index array), in order."""
-        counts, sums, quads, support = packed
-        if sums is None:
-            return (counts[rows], None, None, ())
-        return (counts[rows], sums[rows], quads[rows], support)
+        block, support = packed
+        return (block[rows], support)

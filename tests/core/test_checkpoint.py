@@ -199,7 +199,7 @@ def test_factorized_query_round_trips_through_a_snapshot():
         warm.apply_update(Relation.from_tuples(
             rel, schema, warm.ring, [(p, v) for p in (0, 1) for v in range(3)]))
     snap = warm.engine.snapshot(seq=7)
-    assert snap["version"] == SNAPSHOT_VERSION == 2
+    assert snap["version"] == SNAPSHOT_VERSION == 3
     assert set(snap["views"]) == set(schemas) | {warm.engine.tree.root.name}
 
     fresh = factorized_star()[1]
@@ -213,11 +213,13 @@ def test_factorized_query_round_trips_through_a_snapshot():
     assert fresh.result_size() == 45
 
 
-def test_version_one_snapshot_is_refused_before_any_state_is_touched():
+def test_older_snapshots_are_refused_before_any_state_is_touched():
     """A version-1 file of the same query also holds the `V@…` copies of
-    the relations.  It is refused for its version — the named error — not
-    for whichever view mismatch restore would trip over first, and the
-    engine it was offered to is left as it was."""
+    the relations; a version-2 file holds the same views, but a cofactor
+    payload in it would be the two-array triple.  Each is refused for its
+    version — the named error — not for whichever view or payload
+    mismatch restore would trip over first, and the engine it was offered
+    to is left as it was."""
     schemas, query = factorized_star()
     for rel, schema in schemas.items():
         query.apply_update(Relation.from_tuples(
@@ -225,9 +227,10 @@ def test_version_one_snapshot_is_refused_before_any_state_is_touched():
     engine = query.engine
     list(query.enumerate())  # the reader's indexes are state too
     snap = engine.snapshot()
-    old = {**snap, "version": 1, "views": dict(snap["views"])}
+    v1 = {**snap, "version": 1, "views": dict(snap["views"])}
     for rel, variable in (("R1", "X"), ("R2", "Y"), ("R3", "Z")):
-        old["views"][f"V@{variable}_{rel[:1]}"] = snap["views"][rel]
+        v1["views"][f"V@{variable}_{rel[:1]}"] = snap["views"][rel]
+    v2 = {**snap, "version": 2}
 
     def state():
         return {
@@ -239,9 +242,12 @@ def test_version_one_snapshot_is_refused_before_any_state_is_touched():
         }
 
     before = state()
-    with pytest.raises(ValueError, match="snapshot version 1 != 2"):
-        engine.restore(old)
-    assert state() == before
+    for version, old in ((1, v1), (2, v2)):
+        with pytest.raises(
+            ValueError, match=f"snapshot version {version} != 3"
+        ):
+            engine.restore(old)
+        assert state() == before
     assert len(list(query.enumerate())) == 8
 
 

@@ -347,7 +347,11 @@ def test_post_apply_crash_is_applied_exactly_once():
 @requires_fork
 def test_unsupervised_hang_raises_naming_the_shard():
     with make_sharded(
-        faults=FaultPlan.parse("worker.recv@2=hang", hang_seconds=4.0),
+        # Just past the deadline: the worker is still hanging when it
+        # expires, and closing the engine need not wait out a long sleep.
+        faults=FaultPlan.parse(
+            "worker.recv@2=hang", hang_seconds=2 * RECV_TIMEOUT
+        ),
         supervise=False,
     ) as sharded:
         with pytest.raises(RuntimeError, match=r"shard worker \d"):
@@ -373,7 +377,7 @@ def test_shard_timeout_env_is_honored(monkeypatch):
     monkeypatch.setenv("FIVM_SHARD_TIMEOUT", "0.4")
     with make_sharded(
         recv_timeout=None,  # fall back to the env var
-        faults=FaultPlan.parse("worker.recv@3=hang", hang_seconds=4.0),
+        faults=FaultPlan.parse("worker.recv@3=hang", hang_seconds=0.8),
         supervise=False,
     ) as sharded:
         assert sharded._exec.recv_timeout == 0.4

@@ -1,11 +1,14 @@
 """Tests for the degree-m matrix ring of regression triples (Def. 6.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rings import CofactorRing, CofactorTriple, check_ring_axioms
+from tests.settings import QUICK
 
 values = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -33,8 +36,9 @@ class TestDefinition62:
     def test_product_formula(self):
         ring = CofactorRing(3)
         rng = np.random.default_rng(5)
-        a = CofactorTriple(3, 2.0, rng.normal(size=3), rng.normal(size=(3, 3)))
-        b = CofactorTriple(3, 4.0, rng.normal(size=3), rng.normal(size=(3, 3)))
+        qa, qb = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        a = CofactorTriple(3, 2.0, rng.normal(size=3), qa + qa.T)
+        b = CofactorTriple(3, 4.0, rng.normal(size=3), qb + qb.T)
         product = ring.mul(a, b)
         assert product.count == a.count * b.count
         assert np.allclose(
@@ -73,6 +77,12 @@ class TestDefinition62:
             ring.lift(2)
         with pytest.raises(ValueError):
             ring.lift(-1)
+
+    def test_asymmetric_quads_are_rejected(self):
+        """Only Q's upper triangle is stored: a Q no data can produce is
+        refused rather than silently symmetrized."""
+        with pytest.raises(ValueError, match="symmetric"):
+            CofactorTriple(2, 1.0, [1.0, 2.0], [[1.0, 2.0], [0.0, 4.0]])
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -117,7 +127,18 @@ class TestBlockSparsity:
         assert t.scalar_entries() == 1 + 1 + 1
         grown = ring.mul(t, ring.lift(2)(2.0))
         assert grown.support == (0, 2)
-        assert grown.scalar_entries() == 1 + 2 + 4
+        assert grown.scalar_entries() == 1 + 2 + 3  # Q's upper triangle
+
+
+    def test_pickles_as_one_row(self):
+        """Snapshots, journal items and shard frames carry the row."""
+        ring = CofactorRing(4)
+        t = ring.mul(ring.lift(1)(2.0), ring.lift(3)(-1.5))
+        _, (degree, support, row) = t.__reduce__()
+        assert (degree, support, row.size) == (4, (1, 3), 1 + 2 + 3)
+        back = pickle.loads(pickle.dumps(t))
+        assert back.support == t.support and ring.eq(back, t)
+        assert np.array_equal(back.row, t.row)
 
 
 class TestMomentMatrix:
@@ -157,7 +178,8 @@ DEGREE = 7
 
 @st.composite
 def block_triples(draw, support=None):
-    """A triple with arbitrary blocks over a random (or given) support."""
+    """A triple with arbitrary blocks over a random (or given) support
+    (``Q`` symmetric, as every triple built from data is)."""
     if support is None:
         support = draw(st.sets(st.integers(0, DEGREE - 1)))
     support = tuple(sorted(support))
@@ -166,9 +188,9 @@ def block_triples(draw, support=None):
     if not k:
         return CofactorTriple(DEGREE, count)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    quads = rng.uniform(-3, 3, (k, k))
     return CofactorTriple(
-        DEGREE, count, rng.uniform(-3, 3, k), rng.uniform(-3, 3, (k, k)),
-        support,
+        DEGREE, count, rng.uniform(-3, 3, k), quads + quads.T, support,
     )
 
 
@@ -242,3 +264,94 @@ class TestBlockProduct:
             ring.mul(ring.mul(a, t), lifted),
             ring.mul(a, ring.mul(t, lifted)),
         )
+
+
+def dense(t: CofactorTriple):
+    return t.count, t.dense_sums(), t.dense_quads()
+
+
+def assert_dense(got: CofactorTriple, want) -> None:
+    count, sums, quads = want
+    assert np.isclose(got.count, count, rtol=0, atol=1e-9)
+    assert np.allclose(got.dense_sums(), sums, rtol=0, atol=1e-9)
+    assert np.allclose(got.dense_quads(), quads, rtol=0, atol=1e-9)
+    assert got.scalar_entries() == got.row.size == 1 + len(got.support) + (
+        len(got.support) * (len(got.support) + 1) // 2)
+
+
+class TestRowOps:
+    """Every ring op and every array hook, on each named support shape,
+    against the zero-filled dense reference (Definition 6.2)."""
+
+    ring = CofactorRing(DEGREE)
+
+    @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+    @QUICK
+    @given(data=st.data())
+    def test_scalar_ops(self, shape, data):
+        left, right = SUPPORT_SHAPES[shape]
+        a = data.draw(block_triples(support=left))
+        b = data.draw(block_triples(support=right))
+        ring = self.ring
+        for x, y in ((a, b), (b, a)):
+            dx, dy = dense(x), dense(y)
+            assert_dense(ring.mul(x, y), dense_product(x, y))
+            assert_dense(ring.add(x, y), [p + q for p, q in zip(dx, dy)])
+            assert_dense(
+                ring.sum([x, y, x]), [2 * p + q for p, q in zip(dx, dy)])
+            assert_dense(ring.neg(x), [-p for p in dx])
+            # The same statistics laid out on a wider support are equal.
+            widened = ring.add(x, CofactorTriple(DEGREE, 0.0, support=right))
+            assert ring.eq(x, widened) and ring.eq(widened, x)
+            assert ring.is_zero(ring.add(x, ring.neg(x)))
+            assert ring.is_zero(x) == all(
+                np.all(np.abs(p) <= ring.tolerance) for p in dx)
+        assert ring.eq(a, b) == (
+            abs(a.count - b.count) <= ring.tolerance
+            and all(np.allclose(p, q, atol=ring.tolerance)
+                    for p, q in zip(dense(a)[1:], dense(b)[1:])))
+
+    @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+    @QUICK
+    @given(data=st.data())
+    def test_kernel_hooks(self, shape, data):
+        left, right = SUPPORT_SHAPES[shape]
+        n = data.draw(st.integers(1, 5))
+        xs = [data.draw(block_triples(support=left)) for _ in range(n)]
+        ys = [data.draw(block_triples(support=right)) for _ in range(n)]
+        ring = self.ring
+        ops = ring.kernel_ops()
+        px, py = ops.pack(xs, n), ops.pack(ys, n)
+        assert px[0].shape == (n, xs[0].row.size)
+        for got, x in zip(ops.unpack(px), xs):
+            assert_dense(got, dense(x))
+        for got, x, y in zip(ops.unpack(ops.mul_packed(px, py, n)), xs, ys):
+            assert_dense(got, dense_product(x, y))
+        for got, x, y in zip(ops.unpack(ops.mul_packed(py, px, n)), xs, ys):
+            assert_dense(got, dense_product(y, x))
+        if len(right) == 1:
+            raw = data.draw(st.lists(values, min_size=n, max_size=n))
+            lift = ring.lift(right[0])
+            lifted = ops.pack_lift(lift, raw, n)
+            for got, v in zip(ops.unpack(lifted), raw):
+                assert_dense(got, dense(lift(v)))
+            for got, x, v in zip(
+                ops.unpack(ops.mul_packed(px, lifted, n)), xs, raw
+            ):
+                assert_dense(got, dense_product(x, lift(v)))
+        # Grouped fold: every id in range(n_groups) occurs, in any order.
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        distinct = sorted(set(labels))
+        ids = np.array([distinct.index(g) for g in labels], dtype=np.intp)
+        reduced = ops.unpack(ops.reduce(px, ids, len(distinct)))
+        for gid, got in enumerate(reduced):
+            members = [dense(x) for x, i in zip(xs, ids) if i == gid]
+            assert_dense(got, [sum(parts) for parts in zip(*members)])
+        column = xs + [ring.add(xs[0], ring.neg(xs[0]))]
+        mask = ops.zero_mask(ops.pack(column, n + 1))
+        assert mask.tolist() == [ring.is_zero(t) for t in column]
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        taken = ops.unpack(ops.take(px, np.array(rows, dtype=np.intp)))
+        assert len(taken) == len(rows)
+        for got, i in zip(taken, rows):
+            assert_dense(got, dense(xs[i]))
