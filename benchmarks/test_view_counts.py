@@ -259,8 +259,9 @@ def test_view_counts(benchmark):
 def test_retailer_payloads_store_one_upper_triangle_row():
     """The count the ``state_scalars`` claim rests on, read off real
     storage: the end-to-end ``retailer_b1`` stream at its ``--quick`` size,
-    then every stored payload's scalar count against its row's bytes, and
-    the engine's total against the same rows with a full k×k ``Q``."""
+    then every stored payload's row against the layout ``[c | s | triu(Q)]``
+    over its support, and the engine's total against the same rows with a
+    full k×k ``Q``."""
     workload = RetailerB1(7, quick=True)
     state = workload.setup()
     workload.apply_all(state.engine, workload.ops)
@@ -268,7 +269,9 @@ def test_retailer_payloads_store_one_upper_triangle_row():
     for view in state.engine.views.values():
         width = max(1, len(view.schema))
         for _, payload in view.items():
-            assert payload.scalar_entries() == payload.row.nbytes // 8
             k = len(payload.support)
+            assert payload.row.dtype == np.float64
+            assert payload.row.shape == (1 + k + k * (k + 1) // 2,)
+            assert payload.scalar_entries() == payload.row.size
             with_full_q += width + 1 + k + k * k
     assert strategy_scalars(state.engine) <= 0.75 * with_full_q

@@ -195,9 +195,9 @@ def _layout(support: tuple) -> tuple:
 
 
 def _pair_maps(left: tuple, right: tuple) -> tuple:
-    """``(union, width, emb_l, emb_r, cross, src, lift)`` for writing two
-    rows — and their product's cross term — into the row of the union
-    support (``width`` cells).
+    """``(union, width, emb_l, emb_r, cross, src)`` for writing two rows —
+    and their product's cross term — into the row of the union support
+    (``width`` cells).
 
     ``emb_l``/``emb_r`` give the union-row position of each cell of an
     operand's row.  ``cross`` gives the position of each entry of
@@ -206,10 +206,7 @@ def _pair_maps(left: tuple, right: tuple) -> tuple:
     union row, each written exactly once.  When they overlap, ``cross``
     pairs with ``src``, indices into the flattened outer product in which
     the entries landing on the diagonal appear twice, for one unbuffered
-    ``np.add.at``.  ``lift`` is ``(size, p, line, diag)`` when ``right`` is
-    one variable inside ``left`` (a lift of a variable already seen): the
-    extended coordinate ``p`` of that variable, the cells ``(r, p)`` of
-    every coordinate r and the diagonal cell ``(p, p)``; else ``None``.
+    ``np.add.at``.
     """
     key = (left, right)
     maps = _ROW_MAPS.get(key)
@@ -229,13 +226,9 @@ def _pair_maps(left: tuple, right: tuple) -> tuple:
             twice = np.flatnonzero(np.equal.outer(ext_l[1:], ext_r[1:]))
             src = np.concatenate([np.arange(cross.size), twice])
             cross = cross[src]
-        lift = None
-        if len(right) == 1 and union == left:
-            p = int(ext_r[1])
-            lift = (size, p, tri[:, p].copy(), int(tri[p, p]))
         maps = (
             union, size * (size + 1) // 2, embed(ext_l), embed(ext_r),
-            cross, src, lift,
+            cross, src,
         )
         _ROW_MAPS[key] = maps
     return maps
@@ -264,7 +257,7 @@ class CofactorRing(Ring):
     def add(self, a: CofactorTriple, b: CofactorTriple) -> CofactorTriple:
         if a.support == b.support:
             return _triple(self.degree, a.support, a.row + b.row)
-        union, width, emb_a, emb_b, _, _, _ = _pair_maps(a.support, b.support)
+        union, width, emb_a, emb_b, _, _ = _pair_maps(a.support, b.support)
         row = np.zeros(width)
         row[emb_a] = a.row
         row[emb_b] += b.row
@@ -282,23 +275,10 @@ class CofactorRing(Ring):
             if ra[0] == 1.0:
                 return b
             return _triple(self.degree, b.support, rb * ra)
-        union, width, emb_a, emb_b, cross, src, lift = _pair_maps(
+        union, width, emb_a, emb_b, cross, src = _pair_maps(
             a.support, b.support
         )
         ca, cb = ra[0], rb[0]
-        if lift is not None:
-            # A payload times a lift of a variable p already inside its
-            # support (a variable lifted twice: no view tree does this, a
-            # direct caller may).  The cross term s_a·s_b[p] lands on the
-            # cells (r, p) alone — one extended column, whose row-0 cell
-            # is s[p] itself — and the diagonal takes it twice; everything
-            # else is a scale.
-            size, p, line, diag = lift
-            row = ra.copy() if cb == 1.0 else ra * cb
-            x = rb[1]
-            row[line] += x * ra[:size]
-            row[diag] += x * ra[p] + ca * rb[2]
-            return _triple(self.degree, union, row)
         outer = np.multiply.outer(
             ra[1:len(a.support) + 1], rb[1:len(b.support) + 1]
         ).ravel()
@@ -327,7 +307,7 @@ class CofactorRing(Ring):
         if abs(ra[0] - rb[0]) > self.tolerance:
             return False
         if a.support != b.support:
-            _, width, emb_a, emb_b, _, _, _ = _pair_maps(a.support, b.support)
+            _, width, emb_a, emb_b, _, _ = _pair_maps(a.support, b.support)
             ra, rb = np.zeros(width), np.zeros(width)
             ra[emb_a] = a.row
             rb[emb_b] = b.row
@@ -482,7 +462,7 @@ class CofactorKernelOps:
             return (block_a * block_b, supa)
         if not supa:
             return (block_b * block_a, supb)
-        union, width, emb_a, emb_b, cross, src, _ = _pair_maps(supa, supb)
+        union, width, emb_a, emb_b, cross, src = _pair_maps(supa, supb)
         ca, cb = block_a[:, :1], block_b[:, :1]
         outer = (
             block_a[:, 1:len(supa) + 1, None]
@@ -511,8 +491,6 @@ class CofactorKernelOps:
         numbering."""
         block, support = packed
         order = np.argsort(group_ids, kind="stable")
-        if n_groups == len(group_ids):  # one row per group: a permutation
-            return (block[order], support)
         sorted_ids = group_ids[order]
         starts = np.flatnonzero(
             np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]

@@ -347,10 +347,11 @@ def test_post_apply_crash_is_applied_exactly_once():
 @requires_fork
 def test_unsupervised_hang_raises_naming_the_shard():
     with make_sharded(
-        # Just past the deadline: the worker is still hanging when it
-        # expires, and closing the engine need not wait out a long sleep.
+        # Three deadlines long: the worker is still hanging when the
+        # deadline expires even if the parent is descheduled for a
+        # while, and closing the engine need not wait out a long sleep.
         faults=FaultPlan.parse(
-            "worker.recv@2=hang", hang_seconds=2 * RECV_TIMEOUT
+            "worker.recv@2=hang", hang_seconds=3 * RECV_TIMEOUT
         ),
         supervise=False,
     ) as sharded:
@@ -377,7 +378,7 @@ def test_shard_timeout_env_is_honored(monkeypatch):
     monkeypatch.setenv("FIVM_SHARD_TIMEOUT", "0.4")
     with make_sharded(
         recv_timeout=None,  # fall back to the env var
-        faults=FaultPlan.parse("worker.recv@3=hang", hang_seconds=0.8),
+        faults=FaultPlan.parse("worker.recv@3=hang", hang_seconds=1.2),
         supervise=False,
     ) as sharded:
         assert sharded._exec.recv_timeout == 0.4
