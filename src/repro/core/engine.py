@@ -44,6 +44,12 @@ construction time:
    the IR directly (:mod:`repro.core.ir`) — the executable reference
    semantics the differential tests hold both trigger forms to.
 
+The entry points are then chained into one **path plan** per node whose
+deltas climb: a tuple of steps up to the root, each holding the node, its
+trigger and its stored view.  A one-row delta threads a single ``(key,
+payload)`` row through it, building no relation but the root delta
+(:meth:`FIVMEngine._walk_row`); a fanned-out row continues as a relation.
+
 The factorized path is compiled the same way: each rank-1 term of a
 :class:`FactorizedUpdate` runs through one *factor program* per node,
 lowered lazily per ``(node, source, factor partition)`` since partitions
@@ -92,7 +98,8 @@ set, and :meth:`result` only covers served keys — reads go through the
 client, not :meth:`contents`.
 
 Every write into a materialized view — delta absorbs on both propagate
-paths, factorized flattens, stored-base absorbs, and
+paths (a relation or, on the one-row walk, one row), factorized
+flattens, stored-base absorbs, and
 :meth:`initialize`'s loads — flows through the single
 :meth:`_write_view` choke point, which applies the partial filter and
 the probe-cache invalidation together so no write path can bypass
@@ -101,7 +108,7 @@ either.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.factorized_update import FactorizedUpdate
 from repro.core import kernels
@@ -221,6 +228,17 @@ class _PlanStep:
         #: reads the bucket's payload *sum* instead of iterating matches —
         #: a group-aware join (pre-aggregated sibling lookup).
         self.aggregated = False
+
+
+class _PathStep(NamedTuple):
+    """One node of a planned leaf-to-root path: its entry point ``(node
+    name, source)``, which also keys its array program if any, its scalar
+    trigger, and its stored view (``None`` where µ stores none)."""
+
+    node: ViewNode
+    key: Tuple[str, Source]
+    program: object
+    view: Optional[Relation]
 
 
 class FIVMEngine:
@@ -375,19 +393,22 @@ class FIVMEngine:
                     )
                     for spec in node.indicators
                 ]
-        # Indicator hosts per observed base relation, precomputed so the
-        # update trigger does not rescan the tree on every delta.
-        self._indicator_hosts: Dict[str, List[Tuple[ViewNode, int, IndicatorView]]] = {}
-        for node in self.tree.nodes:
-            for i, iv in enumerate(self._indicators_at(node)):
-                self._indicator_hosts.setdefault(iv.base_name, []).append(
-                    (node, i, iv)
-                )
-        self._child_pos: Dict[str, Dict[str, int]] = {
-            node.name: {c.name: i for i, c in enumerate(node.children)}
-            for node in self.tree.nodes
-            if not node.is_leaf
+        #: Per updatable base relation observed by indicators: each
+        #: ``(indicator, planned path)``, host entry point first.
+        self._indicator_hosts: Dict[str, List[tuple]] = {}
+        #: Per node whose deltas climb: the steps from its parent to the
+        #: root, planned once (the root's path is empty).
+        self._paths: Dict[str, Tuple[_PathStep, ...]] = {
+            self.tree.root.name: ()
         }
+        #: Whether a one-row delta takes :meth:`_walk_row`: not on the
+        #: interpreter, not under a partial view's prefilter, and not when
+        #: one row already selects a node's array program.
+        self._walks_rows = (
+            not self._interpreted
+            and not self.partial
+            and self._trigger_rows > 1
+        )
         self._plans: Dict[Tuple[str, Source], List[_PlanStep]] = {}
         #: Lowered IR per (node, source) — the single program every
         #: executor realizes (:mod:`repro.core.ir`).
@@ -484,6 +505,27 @@ class FIVMEngine:
             self._programs[key] = program
             if has_arrays and self._joins_payloads(node, key[1], plan):
                 self._kernel_programs[key] = None
+        # Third pass: chain the entry points into one path per node whose
+        # deltas climb, and one per indicator observing an updatable base.
+        climbs: Dict[str, _PathStep] = {}  # child name → step at its parent
+        hosted: List[Tuple[IndicatorView, _PathStep]] = []
+        for key, program in self._programs.items():
+            node, (kind, idx) = by_name[key[0]], key[1]
+            step = _PathStep(node, key, program, self.views.get(node.name))
+            if kind == "child":
+                climbs[node.children[idx].name] = step
+            else:
+                hosted.append((self._indicators_at(node)[idx], step))
+        for name in climbs:
+            steps, at = [], name
+            while at in climbs:
+                steps.append(climbs[at])
+                at = climbs[at].node.name
+            self._paths[name] = tuple(steps)
+        for iv, step in hosted:
+            self._indicator_hosts.setdefault(iv.base_name, []).append(
+                (iv, (step,) + self._paths[step.node.name])
+            )
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
         return [self._plan_target_relation(node, step) for step in plan]
@@ -614,7 +656,7 @@ class FIVMEngine:
         for memo, _ in self._memo_sites.values():
             memo.clear()
 
-    def _write_view(self, view_name: str, delta: Relation) -> Relation:
+    def _write_view(self, view_name: str, delta) -> Relation:
         """Absorb ``delta`` into a materialized view — the single choke
         point every write path shares.
 
@@ -626,9 +668,18 @@ class FIVMEngine:
         Returns the delta that was actually absorbed (``delta`` itself
         unless the partial filter trimmed it), so propagation loops can
         keep threading the surviving entries upward.
+
+        ``delta`` may also be one ``(key, payload)`` row, absorbed by
+        :meth:`Relation.add`: the form :meth:`_walk_row` threads, which
+        never runs with partial views.
         """
         if self._faults is not None:
             self._faults.fire("engine.write_view")
+        if delta.__class__ is tuple:
+            self.views[view_name].add(*delta)
+            if self._probe_cache:  # _invalidate, inlined for the walk
+                self._probe_cache.pop(view_name, None)
+            return delta
         active = self.partial.get(view_name)
         if active is not None:
             delta = self._partial_filter(active, delta)
@@ -797,6 +848,11 @@ class FIVMEngine:
         """The maintained query result (the root view)."""
         return self.views[self.tree.root.name]
 
+    def _empty_root(self) -> Relation:
+        """The ring-zero root delta of an update that changes nothing."""
+        root = self.tree.root
+        return Relation(root.name, root.keys, self.query.ring)
+
     def contents(self, view_name: str) -> Relation:
         """Contents of a materialized view by name."""
         return self.views[view_name]
@@ -849,34 +905,42 @@ class FIVMEngine:
         delta (total change of the query result)."""
         rel = delta.name
         leaf = check_delta(self.tree, self.updatable, delta)
-        root = self.tree.root
-        empty_root_delta = Relation(root.name, root.keys, self.query.ring)
-        if delta.is_empty:
-            return empty_root_delta
+        data = delta._data
+        if not data:
+            return self._empty_root()
+        if (
+            len(data) == 1
+            and self._walks_rows
+            and rel not in self._indicator_hosts
+        ):
+            (row,) = data.items()
+            return self._walk_row(leaf, row)
 
         # 1. Compute indicator deltas against the pre-update base state.
-        ind_tasks: List[Tuple[ViewNode, int, IndicatorView, Relation]] = []
-        for node, i, iv in self._indicator_hosts.get(rel, ()):
-            base = self.views.get(self.tree.leaves[rel].name)
+        ind_tasks: List[Tuple[IndicatorView, tuple, Relation]] = []
+        for iv, steps in self._indicator_hosts.get(rel, ()):
+            base = self.views.get(leaf.name)
             if base is None:
                 raise RuntimeError(
                     f"indicator over {rel} needs its base stored"
                 )
-            ind_tasks.append((node, i, iv, iv.compute_delta(delta, base)))
+            ind_tasks.append((iv, steps, iv.compute_delta(delta, base)))
 
         # 2. Absorb the delta into the stored base copy (if stored).
         if leaf.name in self.views:
             self._write_view(leaf.name, delta)
 
         # 3. Propagate along the relation's leaf-to-root path.
-        root_delta = self._propagate(leaf, delta)
+        root_delta = self._propagate(self._paths[leaf.name], delta)
 
         # 4. Propagate each indicator delta along its host-to-root path, in
         #    sequence, committing each before the next fires.
-        for node, i, iv, ind_delta in ind_tasks:
+        for iv, steps, ind_delta in ind_tasks:
             if not ind_delta.is_empty:
-                contribution = self._propagate_from_indicator(node, i, ind_delta)
-                root_delta = root_delta.union(contribution, name=root.name)
+                contribution = self._propagate(steps, ind_delta)
+                root_delta = root_delta.union(
+                    contribution, name=self.tree.root.name
+                )
             iv.commit(ind_delta)
             if not ind_delta.is_empty:
                 self._invalidate(iv.name)
@@ -943,7 +1007,7 @@ class FIVMEngine:
                 update = FactorizedUpdate(rel, terms, ring=self.query.ring)
                 contributions.append(self.apply_factorized_update(update))
         if not contributions:
-            return Relation(root.name, root.keys, self.query.ring)
+            return self._empty_root()
         # One path's root delta is returned as propagated (read-only,
         # possibly still packed); only further paths pay a merge.
         total = contributions[0]
@@ -979,55 +1043,72 @@ class FIVMEngine:
 
         return sorted(relations, key=path_key)
 
-    def _propagate(self, start_child: ViewNode, delta: Relation) -> Relation:
-        prev, node = start_child, start_child.parent
-        cur = delta
-        while node is not None:
+    def _propagate(self, steps: Tuple[_PathStep, ...], cur: Relation) -> Relation:
+        """Thread a delta relation up a planned path; returns the root
+        delta."""
+        root = self.tree.root
+        for step in steps:
+            node = step.node
             active = self.partial.get(node.name)
             if active is not None:
                 # Cold-key rows die here, before the node's probe program
                 # runs — the Noria write saving (see the module docstring).
                 cur = self._partial_prefilter(active, node, cur)
                 if cur.is_empty:
-                    root = self.tree.root
-                    return Relation(root.name, root.keys, self.query.ring)
-            source: Source = ("child", self._child_pos[node.name][prev.name])
-            cur = self._delta_at_node(node, source, cur)
-            if self.flags[node.name] and not cur.is_empty:
+                    return self._empty_root()
+            cur = self._delta_at_node(step, cur)
+            if step.view is not None and not cur.is_empty:
                 cur = self._write_view(node.name, cur)
-            if cur.is_empty and node is not self.tree.root:
-                root = self.tree.root
-                return Relation(root.name, root.keys, self.query.ring)
-            prev, node = node, node.parent
+            if cur.is_empty and node is not root:
+                return self._empty_root()
         return cur
 
-    def _propagate_from_indicator(
-        self, host: ViewNode, ind_index: int, ind_delta: Relation
-    ) -> Relation:
-        active = self.partial.get(host.name)
-        if active is not None:
-            ind_delta = self._partial_prefilter(active, host, ind_delta)
-            if ind_delta.is_empty:
-                root = self.tree.root
-                return Relation(root.name, root.keys, self.query.ring)
-        cur = self._delta_at_node(host, ("ind", ind_index), ind_delta)
-        if self.flags[host.name] and not cur.is_empty:
-            cur = self._write_view(host.name, cur)
-        if cur.is_empty and host is not self.tree.root:
-            root = self.tree.root
-            return Relation(root.name, root.keys, self.query.ring)
-        if host is self.tree.root:
-            return cur
-        return self._propagate(host, cur)
+    def _walk_row(self, leaf: ViewNode, row: tuple) -> Relation:
+        """:meth:`apply_update` of a one-row delta: one ``(key, payload)``
+        row climbs the leaf's path through each node's scalar trigger,
+        with no relation built until the returned root delta.  A node
+        whose output has several keys hands a relation to
+        :meth:`_propagate` for the rest of the path."""
+        if leaf.name in self.views:
+            self._write_view(leaf.name, row)
+        ring = self.query.ring
+        rsum, is_zero = ring.sum, ring.is_zero
+        steps = self._paths[leaf.name]
+        for i, (node, _, program, view) in enumerate(steps):
+            out = {}
+            program._fn((row,), out)
+            if len(out) == 1:
+                key, values = out.popitem()
+                payload = values[0] if len(values) == 1 else rsum(values)
+                if is_zero(payload):
+                    return self._empty_root()
+                row = (key, payload)
+                if view is not None:
+                    self._write_view(node.name, row)
+                continue
+            if not out:
+                return self._empty_root()
+            # Fan-out: fold the keys as SlotProgram.run does.
+            cur = Relation(node.name, node.keys, ring)
+            for key, values in out.items():
+                total = values[0] if len(values) == 1 else rsum(values)
+                if not is_zero(total):
+                    cur._data[key] = total
+            if cur.is_empty:
+                return self._empty_root()
+            if view is not None:
+                self._write_view(node.name, cur)
+            return self._propagate(steps[i + 1:], cur)
+        root = self.tree.root
+        root_delta = Relation(root.name, root.keys, ring)
+        root_delta._data[row[0]] = row[1]
+        return root_delta
 
-    def _delta_at_node(
-        self, node: ViewNode, source: Source, delta: Relation
-    ) -> Relation:
-        """Evaluate the node's delta view for a delta entering at
-        ``source``: through the entry point's array program when it has
-        one and the delta is large enough for arrays to pay, through its
-        scalar program otherwise."""
-        key = (node.name, source)
+    def _delta_at_node(self, step: _PathStep, delta: Relation) -> Relation:
+        """Evaluate a path step's delta view: through the entry point's
+        array program when it has one and the delta is large enough for
+        arrays to pay, through its scalar program otherwise."""
+        key = step.key
         if (
             len(delta._data) >= self._trigger_rows
             and key in self._kernel_programs
@@ -1036,13 +1117,13 @@ class FIVMEngine:
             if program is None:
                 program = kernels.kernel_delta_program(
                     self._ir[key],
-                    self._plan_targets(node, self._plans[key]),
+                    self._plan_targets(step.node, self._plans[key]),
                     self.query,
                     library=self._library,
                 )
                 self._kernel_programs[key] = program
         else:
-            program = self._programs[key]
+            program = step.program
         return program.run(delta)
 
     def apply_decomposed_update(self, delta: Relation) -> Relation:
@@ -1087,7 +1168,7 @@ class FIVMEngine:
         leaf = check_factorized(self.tree, self.updatable, update)
         root = self.tree.root
         if not update.terms:
-            return Relation(root.name, root.keys, self.query.ring)
+            return self._empty_root()
         observed = any(
             iv.base_name == rel
             for ivs in self._indicator_views.values()
@@ -1173,17 +1254,15 @@ class FIVMEngine:
         ``(key tuple, column)`` pairs; sibling collapses are shared
         through the probe cache."""
         ring = self.query.ring
-        root = self.tree.root
-        root_delta = Relation(root.name, root.keys, ring)
+        root_delta = self._empty_root()
         if not factors:
             return root_delta
         partition = tuple(f.schema for f in factors)
         kops = self._factor_kops
         fdatas = tuple((kops and f._packed_form) or f._data for f in factors)
         cache = self._probe_cache
-        prev, node = leaf, leaf.parent
-        while node is not None:
-            source: Source = ("child", self._child_pos[node.name][prev.name])
+        for step in self._paths[leaf.name]:
+            node, source = step.node, step.key[1]
             if len(partition) > 1:
                 # Canonicalize the factor order (legal: factorized updates
                 # already require a commutative ring) so permuted partitions
@@ -1209,7 +1288,7 @@ class FIVMEngine:
                     fdatas = tuple(kernels.factor_dict(f, kops) for f in fdatas)
             fdatas, flat = program.run(fdatas, cache)
             if fdatas is None:
-                return Relation(root.name, root.keys, ring)
+                return self._empty_root()
             partition = program.out_partition
             if flat is not None:
                 if not packed:
@@ -1223,6 +1302,5 @@ class FIVMEngine:
                 and any(not d for d in fdatas)
                 and node is not self.tree.root
             ):
-                return Relation(root.name, root.keys, ring)
-            prev, node = node, node.parent
+                return self._empty_root()
         return root_delta

@@ -86,6 +86,20 @@ def make_engine(form: str, query: Query, order=None, **kwargs) -> FIVMEngine:
         return FIVMEngine(query, order, **kwargs)
 
 
+def spy_triggers(engine: FIVMEngine, monkeypatch) -> List[str]:
+    """Record the node name of every generated-trigger call the engine
+    makes from now on: both walks, relations or one row, call each
+    program's ``_fn``."""
+    runs: List[str] = []
+    for program in engine._programs.values():
+        monkeypatch.setattr(
+            program, "_fn",
+            lambda items, out, trigger=program._fn, name=program.node_name:
+            runs.append(name) or trigger(items, out),
+        )
+    return runs
+
+
 def recompute(query: Query, db: Database, order: VariableOrder = None) -> Relation:
     """Reference result: static factorized evaluation from scratch."""
     tree = build_view_tree(query, order)

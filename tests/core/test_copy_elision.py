@@ -25,7 +25,7 @@ from repro.data import Relation
 from repro.datasets import housing, retailer, round_robin_stream, twitter
 from repro.rings import INT_RING
 
-from tests.conftest import make_database, random_rows, recompute
+from tests.conftest import make_database, random_rows, recompute, spy_triggers
 
 
 def housing_join(mode="factorized", **kwargs):
@@ -82,17 +82,12 @@ class TestHousingStar:
         workload, query = housing_join()
         load(query, workload)
         engine = query.engine
-        writes, runs = [], []
-        write_view, delta_at_node = engine._write_view, engine._delta_at_node
+        writes, write_view = [], engine._write_view
         monkeypatch.setattr(
             engine, "_write_view",
             lambda name, delta: writes.append(name) or write_view(name, delta),
         )
-        monkeypatch.setattr(
-            engine, "_delta_at_node",
-            lambda node, source, delta: runs.append(node.name)
-            or delta_at_node(node, source, delta),
-        )
+        runs = spy_triggers(engine, monkeypatch)
         for rel, schema in workload.schemas.items():
             del writes[:], runs[:]
             row = workload.tables[rel][0]

@@ -15,9 +15,9 @@ supervision (restart from shard snapshot + journal-tail replay) is
 ``FIVM_FAULTS`` scales the plan pool: an integer runs that many seeded
 plans per (ring, shards) combination (tier-1 CI runs a few, the nightly
 sweep many), an explicit ``site@hit=action`` spec pins one failure for a
-repro.  Hangs are generated long enough (4s) to trip the deliberately
-tight 0.5s recv deadline, so a planted hang always reads as a stuck
-worker.
+repro.  Hangs are generated long enough (4s) to trip the oracle's
+deliberately tight 0.15s recv deadline, so a planted hang always reads
+as a stuck worker.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ PLANS = plans_from_env(default_count=2, hang_seconds=4.0)
 SHARD_COUNTS = (2, 4)
 #: Tight reply deadline so planted hangs are detected in ~0.5s.
 RECV_TIMEOUT = 0.5
+#: The oracle's own, tighter deadline: each planted hang costs one per
+#: worker.  A reply that is merely slow under load reads as a hang and
+#: costs a recovery, which the oracle tolerates within ``max_restarts``.
+ORACLE_RECV_TIMEOUT = 0.15
 #: Small checkpoint interval so recovery exercises snapshot + tail
 #: replay (not just whole-journal replay) within short streams.
 CHECKPOINT_EVERY = 3
@@ -150,7 +154,7 @@ def run_crash_case(
     reference = FIVMEngine(make_query("ref"), order)
     sharded = ShardedFIVMEngine(
         make_query("s"), order, shards=shards, executor=executor,
-        recv_timeout=RECV_TIMEOUT, checkpoint_every=CHECKPOINT_EVERY,
+        recv_timeout=ORACLE_RECV_TIMEOUT, checkpoint_every=CHECKPOINT_EVERY,
         faults=plan_factory, pipeline_depth=pipeline_depth,
     )
     try:
