@@ -50,11 +50,11 @@ trigger and its stored view.  A one-row delta threads a single ``(key,
 payload)`` row through it, building no relation but the root delta
 (:meth:`FIVMEngine._walk_row`); a fanned-out row continues as a relation.
 
-The factorized path is compiled the same way: each rank-1 term of a
-:class:`FactorizedUpdate` runs through one *factor program* per node,
-lowered lazily per ``(node, source, factor partition)`` since partitions
-depend on the update stream, generated as source and — over ℝ, for the
-matrix–vector-shaped programs — also realized over packed factors
+The factorized path is planned the same way, once per ``(leaf, factor
+partition)`` since partitions depend on the update stream: each rank-1
+term of a :class:`FactorizedUpdate` runs through one *factor program* per
+node, built when a term first needs it, generated as source and — over ℝ,
+for the matrix–vector-shaped programs — also realized over packed factors
 (:class:`~repro.core.kernels.ArrayFactorProgram`), which
 :meth:`FIVMEngine._propagate_factored` picks at a node some factor reaches
 with :data:`~repro.core.kernels.MIN_VECTOR_ROWS` rows.  Sibling
@@ -239,6 +239,20 @@ class _PathStep(NamedTuple):
     key: Tuple[str, Source]
     program: object
     view: Optional[Relation]
+
+
+class _FactorStep(NamedTuple):
+    """One node of a planned factored path: the permutation that puts the
+    incoming factors in canonical order (``None`` when they arrive in
+    it), the node's factor program IR over the canonical partition, the
+    siblings it merges, and the key ``(node name, source, canonical
+    partition)`` its scalar and array programs are registered under."""
+
+    node: ViewNode
+    perm: Optional[Tuple[int, ...]]
+    ir: object
+    targets: list
+    key: tuple
 
 
 class FIVMEngine:
@@ -429,6 +443,9 @@ class FIVMEngine:
         #: when a term of ``_vector_rows`` factor rows first reaches the
         #: entry point — ``None`` for a program that has no array form.
         self._array_factor_programs: Dict[tuple, object] = {}
+        #: Per (leaf name, factor partition of a term): its path as
+        #: :class:`_FactorStep`\ s, planned on first use.
+        self._factored_paths: Dict[tuple, Tuple[_FactorStep, ...]] = {}
         #: Shared probe cache: view name → per-site memoized sibling
         #: collapses (see :mod:`repro.core.plan_exec`).  Entries stay valid
         #: until the view absorbs a delta; every write path below calls
@@ -1169,12 +1186,7 @@ class FIVMEngine:
         root = self.tree.root
         if not update.terms:
             return self._empty_root()
-        observed = any(
-            iv.base_name == rel
-            for ivs in self._indicator_views.values()
-            for iv in ivs
-        )
-        if observed:
+        if rel in self._indicator_hosts:
             # Indicators need listing-form deltas to track support changes;
             # fall back to the general trigger.
             return self.apply_update(update.flatten(leaf.keys, name=rel))
@@ -1198,27 +1210,24 @@ class FIVMEngine:
             )
         return total
 
-    def _factor_program(
-        self, node: ViewNode, source: Source, partition: tuple,
-        packed: bool = False,
-    ):
-        """The factor program for this entry point and partition, lowered
-        to IR and built on first use (partitions depend on the update
-        stream) — its array form when ``packed``, which is ``None`` for a
-        program that has none.  Callers pass the *canonicalized* partition
-        (factor schemas sorted, see
-        :func:`repro.core.plan_exec.canonical_partition`), so permuted
-        factor orders of one decomposition share one program."""
-        key = (node.name, source, partition)
-        programs = (
-            self._array_factor_programs if packed else self._factor_programs
-        )
-        if key not in programs:
-            idx = source[1]
+    def _factored_path(
+        self, leaf: ViewNode, partition: tuple
+    ) -> Tuple[_FactorStep, ...]:
+        """Plan the path of a term with this factor partition: per node,
+        the canonical factor order (factor schemas sorted, see
+        :func:`repro.core.plan_exec.canonical_partition` — legal because
+        factorized updates require a commutative ring, and permuted
+        partitions of one decomposition then share one program) and the
+        factor program lowered over it, whose output partition is the
+        next node's input."""
+        steps = []
+        for step in self._paths[leaf.name]:
+            node, source = step.node, step.key[1]
+            partition, perm = canonical_partition(partition)
             targets = [
                 self.views[child.name]
                 for i, child in enumerate(node.children)
-                if i != idx
+                if i != source[1]
             ]
             targets += [iv.relation for iv in self._indicators_at(node)]
             ir = lower_factor_plan(
@@ -1231,65 +1240,87 @@ class FIVMEngine:
                 self.query,
                 self.group_aware,
             )
-            if packed:
-                program = kernels.array_factor_program(
+            if perm == tuple(range(len(perm))):
+                perm = None
+            steps.append(_FactorStep(
+                node, perm, ir, targets, (node.name, source, partition)
+            ))
+            partition = ir.out_partition
+        return tuple(steps)
+
+    def _factor_program(self, step: _FactorStep, packed: bool = False):
+        """Build and register a planned step's factor program — its array
+        form when ``packed``, which is ``None`` for a program that has
+        none.  The walk calls this when ``step.key`` is not registered
+        yet, so programs are built on first use and the paths of different
+        terms share them."""
+        ir, targets = step.ir, step.targets
+        if packed:
+            program = self._array_factor_programs[step.key] = (
+                kernels.array_factor_program(
                     ir, targets, self.query, self._factor_kops
                 )
-            elif self._interpreted:
-                program = InterpreterFactorProgram(ir, targets, self.query)
-            else:
-                program = compile_factor_program(
+            )
+        else:
+            program = self._factor_programs[step.key] = (
+                InterpreterFactorProgram(ir, targets, self.query)
+                if self._interpreted
+                else compile_factor_program(
                     ir, targets, self.query, library=self._library
                 )
-            programs[key] = program
-        return programs[key]
+            )
+        return program
 
     def _propagate_factored(
         self, leaf: ViewNode, factors: List[Relation]
     ) -> Relation:
-        """Propagate one rank-1 term leaf-to-root: one factor program per
-        node, the factors flowing between them as dicts or — over a ring
-        that packs, into every node some factor reaches with at least
-        ``_vector_rows`` rows and whose program has an array form — as
-        ``(key tuple, column)`` pairs; sibling collapses are shared
-        through the probe cache."""
-        ring = self.query.ring
-        root_delta = self._empty_root()
+        """Propagate one rank-1 term along its planned path
+        (:meth:`_factored_path`): one factor program per node, the factors
+        flowing between them as dicts or — over a ring that packs, into
+        every node some factor reaches with at least ``_vector_rows`` rows
+        and whose program has an array form — as ``(key tuple, column)``
+        pairs; sibling collapses are shared through the probe cache."""
         if not factors:
-            return root_delta
-        partition = tuple(f.schema for f in factors)
+            return self._empty_root()
+        key = (leaf.name, tuple(f.schema for f in factors))
+        plan = self._factored_paths.get(key)
+        if plan is None:
+            plan = self._factored_paths[key] = self._factored_path(
+                leaf, key[1]
+            )
+        ring = self.query.ring
         kops = self._factor_kops
         fdatas = tuple((kops and f._packed_form) or f._data for f in factors)
         cache = self._probe_cache
-        for step in self._paths[leaf.name]:
-            node, source = step.node, step.key[1]
-            if len(partition) > 1:
-                # Canonicalize the factor order (legal: factorized updates
-                # already require a commutative ring) so permuted partitions
-                # of the same decomposition reuse one compiled program.
-                partition, perm = canonical_partition(partition)
-                if perm != tuple(range(len(perm))):
-                    fdatas = tuple(fdatas[i] for i in perm)
+        arrays, scalars = self._array_factor_programs, self._factor_programs
+        root_delta = None
+        for step in plan:
+            if step.perm is not None:
+                fdatas = tuple(fdatas[i] for i in step.perm)
             # Chosen per node, from the rows it is handed: a one-row factor
             # of one node is an n-row factor of the next.
             program = None
             if kops is not None and self._vector_rows <= max(
                 len(f) if type(f) is dict else len(f[0]) for f in fdatas
             ):
-                program = self._factor_program(
-                    node, source, partition, packed=True
-                )
+                try:
+                    program = arrays[step.key]
+                except KeyError:
+                    program = self._factor_program(step, packed=True)
             packed = program is not None
             if packed:
                 fdatas = tuple(kernels.packed_factor(f, kops) for f in fdatas)
             else:
-                program = self._factor_program(node, source, partition)
+                try:
+                    program = scalars[step.key]
+                except KeyError:
+                    program = self._factor_program(step)
                 if kops is not None:
                     fdatas = tuple(kernels.factor_dict(f, kops) for f in fdatas)
             fdatas, flat = program.run(fdatas, cache)
             if fdatas is None:
                 return self._empty_root()
-            partition = program.out_partition
+            node = step.node
             if flat is not None:
                 if not packed:
                     flat_data, flat = flat, Relation(node.name, node.keys, ring)
@@ -1303,4 +1334,4 @@ class FIVMEngine:
                 and node is not self.tree.root
             ):
                 return self._empty_root()
-        return root_delta
+        return root_delta if root_delta is not None else self._empty_root()

@@ -478,16 +478,17 @@ class ArrayFactorProgram:
         ``None`` when the result is the ring zero."""
         # Besides the memo rows the site holds, under ``None``: the
         # numbering of output keys (first-seen order; it lives and dies
-        # with the rows that refer to it) and the rows of the last factor
-        # key tuple laid end to end — dense updates present the same keys
-        # every time, and then the merge is one grouped sum.
+        # with the rows that refer to it), the last factor key tuple, its
+        # rows gathered as one zero-filled ``(len(keys), n_slots)`` block
+        # — the merge is then a vector–matrix contraction — and the output
+        # key tuple.  Dense updates present the same keys every time.
         if not keys:
             return None
         state = site.get(None)
         if state is None:
-            state = site[None] = [{}, None, None]
+            state = site[None] = [{}, None, None, ()]
         slot_of = state[0]
-        if keys != state[1]:
+        if keys is not state[1] and keys != state[1]:
             rows = list(map(site.get, keys))
             for i, row in enumerate(rows):
                 if row is None:
@@ -495,26 +496,31 @@ class ArrayFactorProgram:
                         op, buckets.get(keys[i]), slot_of
                     )
             state[1] = keys
-            state[2] = (
+            # A row's slots are distinct, so row i scatters into line i.
+            block = state[2] = np.zeros((len(rows), len(slot_of)))
+            block[
+                np.arange(len(rows)).repeat([len(slots) for slots, _ in rows]),
                 np.concatenate([slots for slots, _ in rows]),
-                np.concatenate([payloads for _, payloads in rows]),
-                np.array([len(slots) for slots, _ in rows]),
-            )
-        slots, payloads, counts = state[2]
-        acc = np.bincount(
-            slots, payloads * np.repeat(column, counts), len(slot_of)
-        )
-        live = ~self._kops.zero_mask(acc)
-        if not live.any():
+            ] = np.concatenate([payloads for _, payloads in rows])
+        if not slot_of:  # no row at the site has a surviving extend
             return None
-        if live.all():
-            return tuple(slot_of), acc
+        acc = np.einsum("i,ij->j", column, state[2])
+        zero = self._kops.zero_mask(acc)
+        if not zero.any():
+            if len(state[3]) != len(slot_of):
+                state[3] = tuple(slot_of)
+            return state[3], acc
+        if zero.all():
+            return None
+        live = ~zero
         return tuple(compress(slot_of, live.tolist())), acc[live]
 
     def _flatten(self, factors):
         """The factor product as a packed delta in the node's key order."""
         flatten = self.ir.flatten
         key_lists = tuple(keys for keys, _ in factors)
+        # Tuple comparison tests each factor's key table by identity
+        # first: the merges and full-support vectors keep theirs.
         if key_lists != self._table[0]:
             take = self._flat_from
             self._table = (key_lists, tuple(
@@ -525,7 +531,9 @@ class ArrayFactorProgram:
         column = reduce(np.multiply.outer, [col for _, col in factors]).ravel()
         # Products of non-zeros can still cancel: explicit zeros, which
         # neither the packed absorb nor the resolved map lets through.
-        column = np.where(self._kops.zero_mask(column), 0.0, column)
+        zero = self._kops.zero_mask(column)
+        if zero.any():
+            column = np.where(zero, 0.0, column)
         return DeferredRelation(
             self.ir.node_name, flatten.out_keys, self.ring,
             packed=(table, column),

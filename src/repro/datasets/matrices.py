@@ -10,6 +10,7 @@ Matrices are modelled two ways (matching the paper's two runtimes):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import List, Optional, Tuple
 
@@ -84,19 +85,29 @@ def relation_as_matrix(
     return out
 
 
+@lru_cache(maxsize=32)
+def _full_keys(n: int) -> Tuple[Tuple[int], ...]:
+    """The key table of a length-``n`` vector with full support: one
+    object per length, so the programs such vectors reach recognize it by
+    identity."""
+    return tuple(zip(range(n)))
+
+
 def vector_as_relation(
     name: str, vector: np.ndarray, var: str, ring=REAL_RING
 ) -> Relation:
     """Encode a vector as a unary relation (one factor of a rank-1 delta).
 
     The relation is born packed — keys plus one float64 column, what the
-    array factor programs consume — and builds its map only if read."""
+    array factor programs consume — and builds its map only if read.  A
+    vector with full support shares its key table (:func:`_full_keys`)."""
     vector = np.asarray(vector, dtype=float)
     (support,) = _support(vector, ring)
-    return DeferredRelation(
-        name, (var,), ring,
-        packed=(tuple(zip(support.tolist())), vector[support]),
+    keys = (
+        _full_keys(len(vector)) if len(support) == len(vector)
+        else tuple(zip(support.tolist()))
     )
+    return DeferredRelation(name, (var,), ring, packed=(keys, vector[support]))
 
 
 def row_update(

@@ -15,6 +15,8 @@ from repro.apps import (
     chain_variable_order,
     matrix_chain_order,
 )
+import repro.apps.matrix_chain as matrix_chain_module
+import repro.core.engine as engine_module
 from repro.apps.matrix_chain import chain_database, rank_one_update
 from repro.bench.memory import strategy_scalars
 from repro.core import (
@@ -27,6 +29,7 @@ from repro.core import (
 from repro.data import Database, Relation, relation
 from repro.data.relation import _DATA_SLOT, DeferredRelation
 from repro.datasets.matrices import (
+    _full_keys,
     matrix_as_relation,
     random_matrix,
     rank_r_update,
@@ -240,6 +243,31 @@ class TestFactorForms:
             assert_held_to_interpreter(chains)
         assert array_programs(chains["array"])
         assert np.allclose(chains["array"].result_matrix(), product(current))
+
+    def test_factor_missing_from_a_fresh_sibling_site_writes_nothing(
+        self, np_rng, monkeypatch
+    ):
+        """A one-key u over an empty column of A1, merged on a site nothing
+        has gathered on yet (no output key numbered): the merge is the ring
+        zero, so the term writes no view past A2's own and returns the
+        empty root."""
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        mats[0][:, 2] = 0.0
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        writes = []
+        write = FIVMEngine._write_view
+        monkeypatch.setattr(
+            FIVMEngine, "_write_view",
+            lambda engine, name, delta: writes.append(name)
+            or write(engine, name, delta),
+        )
+        u, v = row_update(n, 2, np_rng)
+        delta = chain.engine.apply_factorized_update(rank_one_update(2, u, v))
+        assert array_programs(chain)
+        assert type(delta) is Relation and delta.is_empty
+        assert set(writes) <= {chain.engine.tree.leaves["A2"].name}
+        assert np.allclose(chain.result_matrix(), product(mats))
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_longer_chains_updated_at_both_ends_and_the_middle(self, np_rng, k):
@@ -638,6 +666,114 @@ class TestFactorForms:
         for form, chain in chains.items():
             drift = np.abs(chain.result_matrix() - expected).max()
             assert drift < 1e-10, (form, drift)
+
+
+def gathered(engine):
+    """Per sibling view, the block its array merge contracts: one line
+    per factor key, one column per output key."""
+    return {
+        name: site[None][2]
+        for name, sites in engine._probe_cache.items()
+        for site in sites.values()
+        if None in site
+    }
+
+
+class TestPlannedFactoredWalk:
+    """Once a term's path is planned, the factored walk interprets nothing
+    per term: counts, not clocks."""
+
+    def test_steady_state_terms_plan_nothing_and_contract_blocks(
+        self, np_rng, monkeypatch
+    ):
+        n = 48
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        warm = rank_r_update(n, 1, np_rng)[0]
+        chain.apply_rank_one(2, *warm)
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(
+            engine_module, "canonical_partition",
+            spy("canonical_partition", engine_module.canonical_partition),
+        )
+        monkeypatch.setattr(
+            FIVMEngine, "_factor_program",
+            spy("_factor_program", FIVMEngine._factor_program),
+        )
+        tables = []
+
+        def recording(*args, **kwargs):
+            rel = vector_as_relation(*args, **kwargs)
+            tables.append(rel._packed_form[0])
+            return rel
+
+        monkeypatch.setattr(matrix_chain_module, "vector_as_relation", recording)
+        terms = rank_r_update(n, 20, np_rng)
+        for u, v in terms:
+            chain.apply_rank_one(2, u, v)
+        assert not calls
+        assert len(tables) == 40
+        assert all(table is _full_keys(n) for table in tables)
+        blocks = list(gathered(chain.engine).values())
+        assert [b.shape for b in blocks] == [(n, n), (n, n)]
+        delta = sum(np.outer(u, v) for u, v in [warm] + terms)
+        expected = mats[0] @ (mats[1] + delta) @ mats[2]
+        assert np.allclose(chain.result_matrix(), expected)
+        # The spies are live: a fresh engine plans and builds.
+        fresh = MatrixChainIVM(mats, updatable=["A2"])
+        fresh.apply_rank_one(2, *terms[0])
+        assert calls["canonical_partition"] == 2
+        assert calls["_factor_program"] == 2
+
+    def test_dense_sparse_transitions_are_held_to_the_interpreter(self, np_rng):
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chains = chains_per_form(mats, updatable=["A1", "A2"])
+        current = [m.copy() for m in mats]
+        engine = chains["array"].engine
+        a1 = engine.tree.leaves["A1"].name
+
+        def term(u, v):
+            for chain in chains.values():
+                chain.apply_rank_one(2, u, v)
+            current[1] = current[1] + np.outer(u, v)
+            assert_held_to_interpreter(chains)
+            return gathered(engine)[a1]
+
+        def listing(delta):
+            for chain in chains.values():
+                chain.apply_dense_delta(1, delta)
+            current[0] = current[0] + delta
+            assert_held_to_interpreter(chains)
+
+        # 1. Dense terms: A1's rows fill one block.
+        for u, v in rank_r_update(n, 2, np_rng):
+            block = term(u, v)
+            assert block.shape == (n, n) and np.count_nonzero(block) == n * n
+        # 2. Zero one entry of A1: the memo is rebuilt sparse, and the
+        #    block holds a zero where the entry was.
+        entry = np.zeros((n, n))
+        entry[4, 6] = current[0][4, 6]
+        listing(-entry)
+        block = term(*rank_r_update(n, 1, np_rng)[0])
+        assert block.shape == (n, n) and np.count_nonzero(block) == n * n - 1
+        # 3. Restore it (last in its bucket now): a full block again.
+        listing(entry)
+        assert np.count_nonzero(term(*rank_r_update(n, 1, np_rng)[0])) == n * n
+        # 4. A zero in u: a key table of its own, one row fewer.
+        u, v = rank_r_update(n, 1, np_rng)[0]
+        u[3] = 0.0
+        assert term(u, v).shape == (n - 1, n)
+        # 5. Dense again.
+        assert term(*rank_r_update(n, 1, np_rng)[0]).shape == (n, n)
+        assert np.allclose(chains["array"].result_matrix(), product(current))
 
 
 class CountingReals(RealRing):
