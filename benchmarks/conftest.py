@@ -119,14 +119,13 @@ def scale() -> float:
 def _collect_between_benches():
     """Drain cyclic garbage before each timed experiment.
 
-    Every generated trigger function lives in the globals dict it was
-    exec'd into (``plan_exec._bind_env``), and that dict also binds the
-    ring's methods, the views' maps and the lifted-sibling memos — so when
-    a benchmark drops an engine, those environments and the payloads they
-    reach linger as cyclic garbage until a gen-2 pass (≈ 550 objects for
-    a Retailer cofactor engine at scale 0.1, mostly ``CofactorTriple``s,
-    bound methods and dicts) — which would otherwise fire (and be billed)
-    inside a later benchmark's timed region.
+    A dropped engine's generated triggers no longer form cycles (each
+    function is taken out of the globals it was exec'd into,
+    ``plan_exec._exec``), but its view tree's parent links and the
+    ring ↔ kernel-ops pair still do (≈ 60 objects per Retailer engine),
+    and so may a benchmark's own fixtures — a gen-2 pass over them would
+    otherwise fire (and be billed) inside a later benchmark's timed
+    region.
     """
     gc.collect()
     yield

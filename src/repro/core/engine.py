@@ -32,8 +32,7 @@ construction time:
    live attribute gets an explicit register, every probe an explicit op;
 3. **execution** — every IR program is generated as a specialized
    Python trigger (:mod:`repro.core.plan_exec`: zero dict allocation per
-   delta tuple, shard-shareable through a
-   :class:`~repro.core.plan_exec.ProgramLibrary`).  Where the payload
+   delta tuple, compiled once per process).  Where the payload
    ring's array hooks (``Ring.kernel_ops``) beat its scalar arithmetic
    *and* the program joins at least two payloads that carry lifted
    variables, the same IR also has an array form
@@ -46,9 +45,11 @@ construction time:
 
 The entry points are then chained into one **path plan** per node whose
 deltas climb: a tuple of steps up to the root, each holding the node, its
-trigger and its stored view.  A one-row delta threads a single ``(key,
-payload)`` row through it, building no relation but the root delta
-(:meth:`FIVMEngine._walk_row`); a fanned-out row continues as a relation.
+trigger and its stored view.  Each updatable relation's path is also
+generated as one function (:func:`~repro.core.plan_exec.compile_path`):
+a one-row delta runs it — the leaf write, every node's trigger body and
+view write, straight-line, building no relation but the root delta
+(``FIVMEngine._row_paths``); a fanned-out row continues as a relation.
 
 The factorized path is planned the same way, once per ``(leaf, factor
 partition)`` since partitions depend on the update stream: each rank-1
@@ -97,13 +98,13 @@ mode root deltas returned by the triggers are restricted to the active
 set, and :meth:`result` only covers served keys — reads go through the
 client, not :meth:`contents`.
 
-Every write into a materialized view — delta absorbs on both propagate
-paths (a relation or, on the one-row walk, one row), factorized
-flattens, stored-base absorbs, and
-:meth:`initialize`'s loads — flows through the single
-:meth:`_write_view` choke point, which applies the partial filter and
-the probe-cache invalidation together so no write path can bypass
-either.
+Every write into a materialized view — delta absorbs on the propagate
+paths, factorized flattens, stored-base absorbs, and :meth:`initialize`'s
+loads — flows through the single :meth:`_write_view` choke point, which
+applies the partial filter and the probe-cache invalidation together so
+no write path can bypass either.  The generated one-row paths, which
+never run with partial views, inline the same write: fault hook, absorb,
+invalidation.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ from repro.core.ir import (
 )
 from repro.core.materialization import delta_sources, resolve_flags
 from repro.core.plan_exec import (
-    ProgramLibrary,
     canonical_partition,
     compile_factor_program,
+    compile_path,
     compile_slot_program,
 )
 from repro.core.query import Query
@@ -311,7 +312,6 @@ class FIVMEngine:
         storage: Optional[str] = None,
         materialization: Optional[str] = None,
         partial_budget: Optional[int] = None,
-        program_library: Optional[ProgramLibrary] = None,
         faults=None,
     ):
         self.query = query
@@ -320,12 +320,6 @@ class FIVMEngine:
         #: materialized-view write (the fault-injection hook the
         #: robustness tests use — ``None`` costs one attribute check).
         self._faults = faults
-        #: Optional cross-engine cache of generated trigger code.  The
-        #: sharding layer hands one library to all of its in-process shard
-        #: engines so isomorphic triggers are generated once and only
-        #: re-bound per shard; libraries must not be shared between
-        #: differently configured engines (see :mod:`repro.core.plan_exec`).
-        self._library = program_library
         if backend not in (None, "interpreter", "kernels", "source"):
             raise ValueError(
                 f"unknown backend {backend!r}; the only selectable one is "
@@ -415,14 +409,12 @@ class FIVMEngine:
         self._paths: Dict[str, Tuple[_PathStep, ...]] = {
             self.tree.root.name: ()
         }
-        #: Whether a one-row delta takes :meth:`_walk_row`: not on the
-        #: interpreter, not under a partial view's prefilter, and not when
-        #: one row already selects a node's array program.
-        self._walks_rows = (
-            not self._interpreted
-            and not self.partial
-            and self._trigger_rows > 1
-        )
+        #: Per updatable relation: its one-row path, generated (see
+        #: :func:`~repro.core.plan_exec.compile_path`).  Absent on the
+        #: interpreter, under a partial view's prefilter, when one row
+        #: already selects a node's array program, and for a relation
+        #: indicators observe.
+        self._row_paths: Dict[str, object] = {}
         self._plans: Dict[Tuple[str, Source], List[_PlanStep]] = {}
         #: Lowered IR per (node, source) — the single program every
         #: executor realizes (:mod:`repro.core.ir`).
@@ -515,9 +507,7 @@ class FIVMEngine:
             if self._interpreted:
                 program = InterpreterDeltaProgram(ir, targets, self.query)
             else:
-                program = compile_slot_program(
-                    ir, targets, self.query, library=self._library
-                )
+                program = compile_slot_program(ir, targets, self.query)
                 self._memo_sites.update(program.memo_sites)
             self._programs[key] = program
             if has_arrays and self._joins_payloads(node, key[1], plan):
@@ -543,6 +533,19 @@ class FIVMEngine:
             self._indicator_hosts.setdefault(iv.base_name, []).append(
                 (iv, (step,) + self._paths[step.node.name])
             )
+        if self._interpreted or self.partial or self._trigger_rows <= 1:
+            return
+        for rel, leaf in self.tree.leaves.items():
+            if rel in self.updatable and rel not in self._indicator_hosts:
+                self._row_paths[rel] = compile_path(
+                    (leaf.name, self.views.get(leaf.name)),
+                    [
+                        (self._ir[step.key], step.program, step.view)
+                        for step in self._paths[leaf.name]
+                    ],
+                    self._probe_cache, self._faults, self.tree.root,
+                    self.query,
+                )
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
         return [self._plan_target_relation(node, step) for step in plan]
@@ -685,18 +688,9 @@ class FIVMEngine:
         Returns the delta that was actually absorbed (``delta`` itself
         unless the partial filter trimmed it), so propagation loops can
         keep threading the surviving entries upward.
-
-        ``delta`` may also be one ``(key, payload)`` row, absorbed by
-        :meth:`Relation.add`: the form :meth:`_walk_row` threads, which
-        never runs with partial views.
         """
         if self._faults is not None:
             self._faults.fire("engine.write_view")
-        if delta.__class__ is tuple:
-            self.views[view_name].add(*delta)
-            if self._probe_cache:  # _invalidate, inlined for the walk
-                self._probe_cache.pop(view_name, None)
-            return delta
         active = self.partial.get(view_name)
         if active is not None:
             delta = self._partial_filter(active, delta)
@@ -925,13 +919,14 @@ class FIVMEngine:
         data = delta._data
         if not data:
             return self._empty_root()
-        if (
-            len(data) == 1
-            and self._walks_rows
-            and rel not in self._indicator_hosts
-        ):
-            (row,) = data.items()
-            return self._walk_row(leaf, row)
+        if len(data) == 1:
+            path = self._row_paths.get(rel)
+            if path is not None:
+                (row,) = data.items()
+                out = path(*row)
+                if out.__class__ is tuple:
+                    return self._fan_out(leaf, *out)
+                return out if out is not None else self._empty_root()
 
         # 1. Compute indicator deltas against the pre-update base state.
         ind_tasks: List[Tuple[IndicatorView, tuple, Relation]] = []
@@ -1080,46 +1075,19 @@ class FIVMEngine:
                 return self._empty_root()
         return cur
 
-    def _walk_row(self, leaf: ViewNode, row: tuple) -> Relation:
-        """:meth:`apply_update` of a one-row delta: one ``(key, payload)``
-        row climbs the leaf's path through each node's scalar trigger,
-        with no relation built until the returned root delta.  A node
-        whose output has several keys hands a relation to
-        :meth:`_propagate` for the rest of the path."""
-        if leaf.name in self.views:
-            self._write_view(leaf.name, row)
-        ring = self.query.ring
-        rsum, is_zero = ring.sum, ring.is_zero
+    def _fan_out(self, leaf: ViewNode, at: int, data: dict) -> Relation:
+        """Continue a one-row path whose ``at``-th step produced several
+        keys (``data``, folded): write the step's view, then run the rest
+        of the path on relations."""
+        if not data:  # every key cancelled
+            return self._empty_root()
         steps = self._paths[leaf.name]
-        for i, (node, _, program, view) in enumerate(steps):
-            out = {}
-            program._fn((row,), out)
-            if len(out) == 1:
-                key, values = out.popitem()
-                payload = values[0] if len(values) == 1 else rsum(values)
-                if is_zero(payload):
-                    return self._empty_root()
-                row = (key, payload)
-                if view is not None:
-                    self._write_view(node.name, row)
-                continue
-            if not out:
-                return self._empty_root()
-            # Fan-out: fold the keys as SlotProgram.run does.
-            cur = Relation(node.name, node.keys, ring)
-            for key, values in out.items():
-                total = values[0] if len(values) == 1 else rsum(values)
-                if not is_zero(total):
-                    cur._data[key] = total
-            if cur.is_empty:
-                return self._empty_root()
-            if view is not None:
-                self._write_view(node.name, cur)
-            return self._propagate(steps[i + 1:], cur)
-        root = self.tree.root
-        root_delta = Relation(root.name, root.keys, ring)
-        root_delta._data[row[0]] = row[1]
-        return root_delta
+        node, _, _, view = steps[at]
+        cur = Relation(node.name, node.keys, self.query.ring)
+        cur._data = data
+        if view is not None:
+            self._write_view(node.name, cur)
+        return self._propagate(steps[at + 1:], cur)
 
     def _delta_at_node(self, step: _PathStep, delta: Relation) -> Relation:
         """Evaluate a path step's delta view: through the entry point's
@@ -1136,7 +1104,6 @@ class FIVMEngine:
                     self._ir[key],
                     self._plan_targets(step.node, self._plans[key]),
                     self.query,
-                    library=self._library,
                 )
                 self._kernel_programs[key] = program
         else:
@@ -1265,9 +1232,7 @@ class FIVMEngine:
             program = self._factor_programs[step.key] = (
                 InterpreterFactorProgram(ir, targets, self.query)
                 if self._interpreted
-                else compile_factor_program(
-                    ir, targets, self.query, library=self._library
-                )
+                else compile_factor_program(ir, targets, self.query)
             )
         return program
 

@@ -11,7 +11,7 @@ Where the scalar trigger multiplies and folds payloads tuple by tuple,
 this one splits the work into two phases:
 
 1. **gather** — a generated probe loop (the same specialization the
-   scalar trigger emits, shared through the :class:`ProgramLibrary`) that
+   scalar trigger emits, compiled once per process) that
    walks the delta and the sibling probes but *defers all ring
    arithmetic*: instead of multiplying payloads it appends, per match
    row, the output key and each payload factor to per-column lists (plus
@@ -68,9 +68,9 @@ from repro.core.ir import (
     reduce_bucket,
 )
 from repro.core.plan_exec import (
-    ProgramLibrary,
     _bind_env,
     _Generated,
+    _generated,
     _tuple_display,
 )
 from repro.data.relation import DeferredRelation, Relation, _encode
@@ -132,22 +132,15 @@ class _KernelDelta(Relation):
         super().clear()
 
 
-def kernel_delta_program(
-    ir: DeltaProgram, targets, query, library: Optional[ProgramLibrary] = None
-) -> "KernelDeltaProgram":
+def kernel_delta_program(ir: DeltaProgram, targets, query) -> "KernelDeltaProgram":
     """Build the array program for one IR program over a ring with array
     hooks (``query.ring.kernel_ops()`` must not be ``None``; whether the
     array form *pays* for the ring is the engine's question, not asked
     here)."""
-    key = ("kernel", ir)
-    generated = library.lookup(key) if library is not None else None
-    if generated is None:
-        generated = _generate_gather(ir)
-        if library is not None:
-            library.store(key, generated)
-    env = _bind_env(generated, targets, query)
+    generated = _generated(_generate_gather, ir)
     return KernelDeltaProgram(
-        ir, query, query.ring.kernel_ops(), env["_gather"], generated
+        ir, query, query.ring.kernel_ops(),
+        _bind_env(generated, targets, query), generated,
     )
 
 
@@ -235,11 +228,9 @@ def _generate_gather(ir: DeltaProgram) -> _Generated:
     for j, (var, register) in enumerate(ir.accumulate.lifts):
         emit(depth, f"_al{j}({rname(register)})")
 
-    source_text = "\n".join(lines) + "\n"
-    code = compile(
-        source_text, f"<kernel-gather {ir.node_name}:{kind}{idx}>", "exec"
+    return _Generated(
+        lines, requests, ir.out_schema, f"kernel-gather {ir.node_name}:{kind}{idx}"
     )
-    return _Generated(code, requests, source_text, ir.out_schema)
 
 
 class KernelDeltaProgram:

@@ -38,11 +38,11 @@ engine in those two directions while staying exact:
   refresh then recomputes via :meth:`~repro.core.engine.FIVMEngine.
   initialize` from the shared database instead of propagating deltas.
 
-All per-view and shared engines share one
-:class:`~repro.core.plan_exec.ProgramLibrary`, so isomorphic triggers
-across hundreds of registrations are generated once and only re-bound per
-engine (ring and lifting bindings happen at bind time, making the cache
-safe across queries).
+All per-view and shared engines share the process-wide trigger code cache
+of :mod:`repro.core.plan_exec`, so isomorphic triggers across hundreds of
+registrations are generated once and only re-bound per engine (ring and
+lifting bindings happen at bind time, making the cache safe across
+queries).
 
 Reads go through :class:`MultiViewClient` (or
 :class:`repro.serve.ViewServer`, which accepts a multi-view engine and
@@ -57,7 +57,6 @@ import time
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.engine import FIVMEngine
-from repro.core.plan_exec import ProgramLibrary
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder, VONode
 from repro.core.view_tree import subtree_signature
@@ -171,9 +170,6 @@ class MultiViewEngine:
         the view's base recomputes instead of maintaining incrementally.
     clock:
         Monotonic time source for lag scheduling (injectable for tests).
-    program_library:
-        The :class:`~repro.core.plan_exec.ProgramLibrary` every per-view
-        and shared engine shares (a fresh one when omitted).
 
     The database is **count-based**: updates arrive as
     ``(relation, {key: int})`` multiplicity deltas (or ℤ-ring
@@ -188,12 +184,10 @@ class MultiViewEngine:
         sharing: bool = True,
         recompute_fraction: float = 0.3,
         clock: Callable[[], float] = time.monotonic,
-        program_library: Optional[ProgramLibrary] = None,
     ):
         self.sharing = sharing
         self.recompute_fraction = recompute_fraction
         self._clock = clock
-        self._library = program_library or ProgramLibrary()
         #: The authoritative base state: one ℤ-ring relation per name.
         self._db = Database()
         self._views: Dict[str, RegisteredView] = {}
@@ -353,7 +347,7 @@ class MultiViewEngine:
                 query.ring, query.lifting.restricted(marginalized)
             ),
         )
-        engine = FIVMEngine(sub_query, program_library=self._library)
+        engine = FIVMEngine(sub_query)
         engine.initialize(self._ring_database(sub_query.relations, query.ring))
         shared = SharedSubView(name, sig, sub_query, engine)
         self._shared[sig] = shared
@@ -415,9 +409,7 @@ class MultiViewEngine:
         for shared in cuts:
             if shared.pending:
                 self._refresh_shared(shared, now)
-        view.engine = FIVMEngine(
-            rewritten, order=order, program_library=self._library
-        )
+        view.engine = FIVMEngine(rewritten, order=order)
         view.engine.initialize(self._view_database(view))
         for shared in cuts:
             shared.subscribers.add(view.name)

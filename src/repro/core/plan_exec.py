@@ -66,35 +66,49 @@ free to reorder and pre-aggregate payload products; accumulation still
 goes through per-key contribution lists folded by ``ring.sum``
 (vectorized for the cofactor, degree, and product rings).
 
-Generation vs binding (shard-local triggers)
---------------------------------------------
+Generation vs binding (code compiled once per process)
+------------------------------------------------------
 
-Compilation is split in two stages so that sharded engines can share the
-expensive half:
+Compilation is split in two stages:
 
 * **generation** walks the IR and emits the trigger *source text* plus a
   list of :class:`environment requests <_Generated>` — symbolic
   descriptions ("the primary map of target 2", "the bucket dict of target
   0's index on (A, B)", "a fresh cache-site sentinel") of every
-  target-derived global the code needs.  The IR itself reads only target
-  *schemas and names*, never live relation state, so generated code is
-  valid for any engine holding an isomorphic view tree;
+  target-derived global the code needs — and compiles it.  It reads the
+  IR alone (target *schemas and names*, never live relation state; the
+  ring and the lifting functions are bound, not generated), so the code
+  is valid for every engine whose planner lowered the same IR;
 * **binding** realizes the requests against one engine's actual stored
   relations (registering any secondary index a probe needs) and execs
-  the pre-compiled code object with those globals — per-shard dictionaries
-  stay bound directly in the trigger's globals, so the run-time fast path
-  is unchanged.
+  the compiled code object with those globals — dictionaries stay bound
+  directly in the trigger's globals, so the run-time fast path pays no
+  indirection.  The function is then taken out of its own globals, so a
+  dropped engine's triggers are freed by reference counting, not left as
+  cyclic garbage.
 
-A :class:`ProgramLibrary` memoizes generated programs keyed by the IR
-program itself (IR is hashable plain data), so ``S`` hash-partitioned
-shard engines built over the same query pay for code generation once and
-each bind their own copy.  A library must only be shared by identically
-configured engines (same query, order, and planner flags).
+Every generator is memoized per IR (IR is hashable plain data) in one
+bounded process-wide LRU (:func:`_generated`, :data:`CODE_CACHE_SIZE`
+entries): shard engines, multi-view registrations and repeated set-ups of
+one query compile each trigger once per process and each bind their own
+copy.
+
+One-row paths
+-------------
+
+:func:`compile_path` generates one function per updatable relation: the
+relation's one-row leaf-to-root path, straight-line — the leaf write,
+each node's trigger body (the emitter of the scalar trigger, over one
+``(key, payload)`` row), an early exit on zero, and each stored view's
+write (primary map, index upkeep, the ``engine.write_view`` fault hook,
+the probe-cache pop).  A node whose output can have several keys hands
+them back to the engine, which continues on relations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.ir import (
     DeltaProgram,
@@ -111,9 +125,20 @@ __all__ = [
     "compile_slot_program",
     "FactorProgram",
     "compile_factor_program",
-    "ProgramLibrary",
+    "PathIR",
+    "compile_path",
     "canonical_partition",
+    "CODE_CACHE_SIZE",
 ]
+
+#: Generated programs kept by the process-wide code cache.  Distinct
+#: programs one e2e workload's set-up generates, counted in a fresh
+#: process: ``multiview_n100`` 122 (its 100 registrations; 404 more
+#: requests hit), ``retailer_b600`` 25, ``retailer_b1`` 18 (13 triggers,
+#: 5 paths), ``join_factorized`` 12.  The bound is about eight times the
+#: largest; past it the least recently used code is compiled again on
+#: its next use, which costs time, not correctness.
+CODE_CACHE_SIZE = 1024
 
 
 def canonical_partition(partition: Sequence[Tuple[str, ...]]) -> tuple:
@@ -145,54 +170,40 @@ class _Generated:
     * ``("memo",)`` — a fresh per-binding lifted-sibling memo dict (see
       :func:`_generate_slot`).
 
+    A one-row path (:func:`compile_path`) requests ``("view", i)`` /
+    ``("vdata", i)`` — the ``i``-th stored view on the path (0 the leaf)
+    and its primary map — and ``("step", i, name)``: global ``name`` of
+    the ``i``-th step's bound trigger.
+
     ``meta`` carries the program-class payload (the output schema for slot
     programs, the outgoing factor partition for factor programs).
+    ``name`` is the one function the code defines.  Construction compiles
+    the source; :func:`_generated` makes that happen once per process.
     """
 
-    __slots__ = ("code", "requests", "source_text", "meta")
+    __slots__ = ("code", "requests", "source_text", "meta", "name")
 
-    def __init__(self, code, requests, source_text, meta):
-        self.code = code
+    def __init__(self, lines, requests, meta, label):
+        self.source_text = "\n".join(lines) + "\n"
+        self.code = compile(self.source_text, f"<{label}>", "exec")
         self.requests = requests
-        self.source_text = source_text
         self.meta = meta
+        self.name = lines[0][4:lines[0].index("(")]
 
 
-class ProgramLibrary:
-    """A cross-engine cache of generated trigger code.
-
-    Owned by :class:`repro.core.sharded.ShardedFIVMEngine` and handed to
-    every shard's :class:`~repro.core.engine.FIVMEngine`: shard 0 generates
-    and compiles each trigger's source once, shards 1..S-1 only re-bind the
-    cached code object against their own view fragments.
-    """
-
-    def __init__(self):
-        self._generated: Dict[tuple, _Generated] = {}
-
-    def __len__(self) -> int:
-        return len(self._generated)
-
-    def lookup(self, key: tuple) -> Optional[_Generated]:
-        """The cached generated program for ``key``, if any."""
-        return self._generated.get(key)
-
-    def store(self, key: tuple, generated: _Generated) -> None:
-        """Cache a generated program under ``key``."""
-        self._generated[key] = generated
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _generated(generate, ir) -> _Generated:
+    """``generate(ir)``, memoized process-wide: the one code cache every
+    generator (slot, factor, gather, path) goes through."""
+    return generate(ir)
 
 
-def _bind_env(generated: _Generated, targets, query) -> dict:
-    """Realize a generated program's environment against live targets.
-
-    Registers any secondary index the requests name (idempotent), then
-    execs the code object so the trigger's globals point straight at this
-    engine's dictionaries.
-    """
-    ring = query.ring
-    env = {
+def _base_env(ring) -> dict:
+    """The globals every generated program binds: the ring's operations."""
+    return {
         "_mul": ring.mul,
         "_add": ring.add,
+        "_neg": ring.neg,
         "_one": ring.one,
         "_iszero": ring.is_zero,
         "_rsum": ring.sum,
@@ -201,6 +212,26 @@ def _bind_env(generated: _Generated, targets, query) -> dict:
         "_finalize": _make_finalize(ring.sum, ring.is_zero),
         "_site": cache_site,
     }
+
+
+def _exec(generated: _Generated, env: dict):
+    """Exec the code in ``env`` and return its function, removed from the
+    globals it closes over (no function is recursive): the function ↔
+    globals cycle would otherwise keep a dropped engine's views alive
+    until a full collection."""
+    exec(generated.code, env)
+    return env.pop(generated.name)
+
+
+def _bind_env(generated: _Generated, targets, query):
+    """Realize a generated program's environment against live targets.
+
+    Registers any secondary index the requests name (idempotent), then
+    execs the code object so the trigger's globals point straight at this
+    engine's dictionaries.  Returns the function; its ``__globals__`` is
+    the environment.
+    """
+    env = _base_env(query.ring)
     lift_table = query.lifting.table()
     for name, spec in generated.requests:
         kind = spec[0]
@@ -222,8 +253,7 @@ def _bind_env(generated: _Generated, targets, query) -> dict:
             env[name] = {}
         else:  # pragma: no cover - generator/binder contract guard
             raise ValueError(f"unknown environment request {spec!r}")
-    exec(generated.code, env)
-    return env
+    return _exec(generated, env)
 
 
 class SlotProgram:
@@ -251,25 +281,14 @@ class SlotProgram:
         compiled source; returns a fresh relation over the node's keys.
 
         The trigger collects per-key contribution lists; they are summed
-        here in one ``ring.sum`` per key and zero totals dropped in a final
+        in one ``ring.sum`` per key and zero totals dropped in a final
         sweep (the interpreter's eager per-``add`` zero test, deferred).
         """
         out = Relation(self.node_name, self.out_schema, self.ring)
         data = out._data
         self._fn(delta._data.items(), data)
         if data:
-            ring = self.ring
-            rsum = ring.sum
-            is_zero = ring.is_zero
-            dead = []
-            for key, values in data.items():
-                total = values[0] if len(values) == 1 else rsum(values)
-                if is_zero(total):
-                    dead.append(key)
-                else:
-                    data[key] = total
-            for key in dead:
-                del data[key]
+            self._fn.__globals__["_finalize"](data)
         return out
 
 
@@ -282,32 +301,23 @@ def _tuple_display(registers: Sequence[str]) -> str:
     return "(" + ", ".join(registers) + ")"
 
 
-def compile_slot_program(
-    ir: DeltaProgram, targets, query, library: Optional[ProgramLibrary] = None
-) -> SlotProgram:
+def compile_slot_program(ir: DeltaProgram, targets, query) -> SlotProgram:
     """Compile one IR delta program into a :class:`SlotProgram`.
 
     ``targets`` are the stored relations the IR's probes read, aligned with
     the ops' ``target`` indices.  Any secondary index a probe needs is
     registered at bind time (idempotent — the engine already registers them
-    while planning).  With a ``library``, generated code is shared across
-    engines holding isomorphic trees (sharding): only the environment
-    binding is per-engine.
+    while planning).  The code comes from the process-wide cache; only the
+    environment binding is per-engine.
     """
-    key = ("slot", ir)
-    generated = library.lookup(key) if library is not None else None
-    if generated is None:
-        generated = _generate_slot(ir)
-        if library is not None:
-            library.store(key, generated)
-    env = _bind_env(generated, targets, query)
+    generated = _generated(_generate_slot, ir)
+    fn = _bind_env(generated, targets, query)
     memo = ir.accumulate.memo
     return SlotProgram(
-        ir.node_name, generated.meta, query.ring, env["_trigger"],
-        generated.source_text,
+        ir.node_name, generated.meta, query.ring, fn, generated.source_text,
         {} if memo is None else {
             f"{ir.node_name}:{ir.source[0]}{ir.source[1]}":
-                (env["_memo"], targets[ir.ops[memo].target])
+                (fn.__globals__["_memo"], targets[ir.ops[memo].target])
         },
     )
 
@@ -316,12 +326,6 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
     """Generate the slot-program source and environment requests from IR
     (no live relation state is read — see the module docstring)."""
     kind, idx = ir.source
-    ops = ir.ops
-
-    def rname(register: int) -> str:
-        """Source name of a key register."""
-        return f"r{register}"
-
     requests: List[tuple] = []
     lines: List[str] = ["def _trigger(_items, _out):"]
 
@@ -329,17 +333,71 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
         """Append one generated source line at ``depth``."""
         lines.append("    " * depth + text)
 
+    _emit_trigger(ir, emit, requests, "rows")
+    return _Generated(
+        lines, requests, ir.out_schema, f"slot-program {ir.node_name}:{kind}{idx}"
+    )
+
+
+def _point(ir: DeltaProgram) -> bool:
+    """Whether the trigger runs no loop per delta row — every probe a
+    point lookup or a bucket sum — so one row yields at most one output
+    row."""
+    return all(
+        op.aggregated or (isinstance(op, Probe) and op.probe_attrs)
+        for op in ir.ops
+    )
+
+
+def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
+    """Emit a scalar trigger body: the probes, the payload product and
+    where it goes.
+
+    ``sink`` is ``"rows"`` (the trigger: loop over ``_items``, collect
+    per-key contribution lists in ``_out``), ``"row"`` (the one row
+    ``(_key, _psrc)`` already bound, contributions into ``_out``) or
+    ``"point"`` (the one row through a :func:`_point` program: a failed
+    probe or a zero product returns ``None`` from the function, the output
+    row is left in ``(_key, _psrc)``).  ``tag`` suffixes every requested
+    global, so several bodies can share one function.
+    """
+    ops = ir.ops
+    point = sink == "point"
+
+    def rname(register: int) -> str:
+        """Source name of a key register."""
+        return f"r{register}"
+
+    def glob(name: str, spec: tuple) -> str:
+        """Request a global for this body; returns its source name."""
+        requests.append((name + tag, spec))
+        return name + tag
+
+    depth = 1
+
+    def guard(test: str, fail: str) -> None:
+        """Continue only where ``test`` holds: nest under it, or — for a
+        point body — return where ``fail`` (its negation) holds."""
+        nonlocal depth
+        if point:
+            emit(depth, f"if {fail}:")
+            emit(depth + 1, "return")
+        else:
+            emit(depth, f"if {test}:")
+            depth += 1
+
     # Hoist loop-invariant group-aware probes (no shared attributes): the
     # whole sibling collapses to one ring sum, computed once per trigger.
+    data = [glob(f"_data{i}", ("data", op.target)) for i, op in enumerate(ops)]
     for i, op in enumerate(ops):
-        requests.append((f"_data{i}", ("data", op.target)))
         if op.aggregated and not op.probe_attrs:
-            emit(1, f"_t{i} = _rsum(_data{i}.values())")
+            emit(1, f"_t{i} = _rsum({data[i]}.values())")
             emit(1, f"if _iszero(_t{i}):")
             emit(2, "return")
 
-    emit(1, "for _key, _psrc in _items:")
-    depth = 2
+    if sink == "rows":
+        emit(1, "for _key, _psrc in _items:")
+        depth = 2
     for position, register in ir.loads:
         emit(depth, f"{rname(register)} = _key[{position}]")
 
@@ -348,8 +406,8 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
     for i, op in enumerate(ops):
         probe = op.probe_attrs
         if isinstance(op, IndexProbe):
-            requests.append((f"_bkt{i}", ("buckets", op.target, probe)))
-            requests.append((f"_sum{i}", ("sums", op.target, probe)))
+            bkt = glob(f"_bkt{i}", ("buckets", op.target, probe))
+            sums = glob(f"_sum{i}", ("sums", op.target, probe))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
         if op.aggregated:
             if not probe:
@@ -360,25 +418,25 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
                 if i == memo:
                     emit(depth, f"_pk = {probe_key}")
                     probe_key = "_pk"
-                emit(depth, f"_t{i} = _data{i}.get({probe_key})")
-                emit(depth, f"if _t{i} is not None:")
-                depth += 1
+                emit(depth, f"_t{i} = {data[i]}.get({probe_key})")
+                guard(f"_t{i} is not None", f"_t{i} is None")
             else:
                 # Bucket sums may hold cancelled zeros; test them.
-                emit(depth, f"_t{i} = _sum{i}.get({probe_key})")
-                emit(depth, f"if _t{i} is not None and not _iszero(_t{i}):")
-                depth += 1
+                emit(depth, f"_t{i} = {sums}.get({probe_key})")
+                guard(
+                    f"_t{i} is not None and not _iszero(_t{i})",
+                    f"_t{i} is None or _iszero(_t{i})",
+                )
             op_pay[i] = f"_t{i}"
         else:
             if isinstance(op, Probe) and probe:
-                emit(depth, f"_p{i} = _data{i}.get({probe_key})")
-                emit(depth, f"if _p{i} is not None:")
-                depth += 1
+                emit(depth, f"_p{i} = {data[i]}.get({probe_key})")
+                guard(f"_p{i} is not None", f"_p{i} is None")
             elif isinstance(op, Probe):
-                emit(depth, f"for _k{i}, _p{i} in _data{i}.items():")
+                emit(depth, f"for _k{i}, _p{i} in {data[i]}.items():")
                 depth += 1
             else:
-                emit(depth, f"_b{i} = _bkt{i}.get({probe_key})")
+                emit(depth, f"_b{i} = {bkt}.get({probe_key})")
                 emit(depth, f"if _b{i}:")
                 depth += 1
                 emit(depth, f"for _k{i}, _p{i} in _b{i}.items():")
@@ -401,8 +459,7 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
     ]
     lift_lines = []
     for j, (var, register) in enumerate(ir.accumulate.lifts):
-        requests.append((f"_lift{j}", ("lift", var)))
-        term = f"_lift{j}({rname(register)})"
+        term = f"{glob(f'_lift{j}', ('lift', var))}({rname(register)})"
         lift_lines.append(f"_lv = _mul(_lv, {term})" if j else f"_lv = {term}")
     if memo is None:
         for line in lift_lines:
@@ -418,9 +475,9 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
         # of one payload (the first leaves ``id(payload)``: a sibling
         # rewritten between probes costs a marker, not a block), and a
         # site outgrowing twice its sibling's live keys starts over.
-        requests.append(("_memo", ("memo",)))
+        memo_d = glob("_memo", ("memo",))
         sibling = op_pay[memo]
-        emit(depth, "_e = _memo.get(_pk)")
+        emit(depth, f"_e = {memo_d}.get(_pk)")
         emit(depth, f"if _e.__class__ is tuple and _e[0] is {sibling}:")
         emit(depth + 1, "_tl = _e[1]")
         emit(depth, "else:")
@@ -428,11 +485,11 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
             emit(depth + 1, line)
         emit(depth + 1, f"_tl = _mul({sibling}, _lv)")
         emit(depth + 1, f"if _e == id({sibling}):")
-        emit(depth + 2, f"_memo[_pk] = ({sibling}, _tl)")
+        emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, _tl)")
         emit(depth + 1, "else:")
-        emit(depth + 2, f"if len(_memo) > 2 * len(_data{memo}):")
-        emit(depth + 3, "_memo.clear()")
-        emit(depth + 2, f"_memo[_pk] = id({sibling})")
+        emit(depth + 2, f"if len({memo_d}) > 2 * len({data[memo]}):")
+        emit(depth + 3, f"{memo_d}.clear()")
+        emit(depth + 2, f"{memo_d}[_pk] = id({sibling})")
         factors = ["_psrc", "_tl"]
     if not factors:
         emit(depth, "_v = _one")
@@ -440,24 +497,25 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
         emit(depth, f"_v = {factors[0]}")
         for factor in factors[1:]:
             emit(depth, f"_v = _mul(_v, {factor})")
+    out_key = _tuple_display([rname(r) for r in ir.accumulate.out_regs])
+    if point:
+        emit(depth, "if _iszero(_v):")
+        emit(depth + 1, "return")
+        emit(depth, f"_key = {out_key}")
+        emit(depth, "_psrc = _v")
+        return
     # Accumulation is deferred: contributions are collected per output key
-    # and summed once in :meth:`SlotProgram.run` via ``ring.sum`` — rings
-    # with a vectorized sum (the cofactor ring stacks blocks) fold a whole
-    # batch in a few array operations instead of pairwise allocations.
-    # (Ring addition is commutative by the ring axioms, so the regrouping
-    # is sound on every ring, including non-commutative-multiplication ones.)
-    emit(depth, f"_ok = {_tuple_display([rname(r) for r in ir.accumulate.out_regs])}")
+    # and summed once by ``_finalize`` via ``ring.sum`` — rings with a
+    # vectorized sum (the cofactor ring stacks blocks) fold a whole batch
+    # in a few array operations instead of pairwise allocations.  (Ring
+    # addition is commutative by the ring axioms, so the regrouping is
+    # sound on every ring, including non-commutative-multiplication ones.)
+    emit(depth, f"_ok = {out_key}")
     emit(depth, "_cur = _out.get(_ok)")
     emit(depth, "if _cur is None:")
     emit(depth + 1, "_out[_ok] = [_v]")
     emit(depth, "else:")
     emit(depth + 1, "_cur.append(_v)")
-
-    source_text = "\n".join(lines) + "\n"
-    code = compile(
-        source_text, f"<slot-program {ir.node_name}:{kind}{idx}>", "exec"
-    )
-    return _Generated(code, requests, source_text, ir.out_schema)
 
 
 # ----------------------------------------------------------------------
@@ -514,26 +572,20 @@ class FactorProgram:
 
 
 def compile_factor_program(
-    ir: FactorProgramIR, targets, query, library: Optional[ProgramLibrary] = None
+    ir: FactorProgramIR, targets, query
 ) -> FactorProgram:
     """Compile a factor IR program into a :class:`FactorProgram`.
 
     ``targets`` are the stored sibling relations in the IR's merge order.
-    Secondary indexes the probes need are registered at bind time.  With a
-    ``library``, generated code is shared across isomorphic engines
-    (sharding); the engine canonicalizes the partition before lowering, so
-    permuted factor orders of one decomposition share one cache entry too.
+    Secondary indexes the probes need are registered at bind time.  The
+    code comes from the process-wide cache; the engine canonicalizes the
+    partition before lowering, so permuted factor orders of one
+    decomposition share one cache entry too.
     """
-    key = ("factor", ir)
-    generated = library.lookup(key) if library is not None else None
-    if generated is None:
-        generated = _generate_factor(ir)
-        if library is not None:
-            library.store(key, generated)
-    env = _bind_env(generated, targets, query)
+    generated = _generated(_generate_factor, ir)
     return FactorProgram(
-        ir.node_name, generated.meta, query.ring, env["_factor"],
-        generated.source_text,
+        ir.node_name, generated.meta, query.ring,
+        _bind_env(generated, targets, query), generated.source_text,
     )
 
 
@@ -787,9 +839,140 @@ def _generate_factor(ir: FactorProgramIR) -> _Generated:
     if len(ir.out_slots) == 1:
         outs += ","
     emit(1, f"return (({outs}), {flat_expr})")
-
-    source_text = "\n".join(lines) + "\n"
-    code = compile(
-        source_text, f"<factor-program {ir.node_name}:{kind}{idx}>", "exec"
+    return _Generated(
+        lines, requests, ir.out_partition,
+        f"factor-program {ir.node_name}:{kind}{idx}",
     )
-    return _Generated(code, requests, source_text, ir.out_partition)
+
+
+# ----------------------------------------------------------------------
+# One-row paths (one generated function per updatable relation)
+# ----------------------------------------------------------------------
+
+
+class PathIR(NamedTuple):
+    """What a one-row path's code depends on: the leaf view's name, how
+    each stored view is written (``"map"``: merged into its primary map
+    inline; ``"add"``: through :meth:`Relation.add`, for a view whose map
+    is not a fixed dict — the packed ℝ root; ``None``: not stored), the
+    path's trigger IR, and whether the engine has a fault plan."""
+
+    leaf: str
+    leaf_write: Optional[str]
+    steps: Tuple[Tuple[DeltaProgram, Optional[str]], ...]
+    faults: bool
+
+
+def _generate_path(path: PathIR) -> _Generated:
+    """Generate a one-row path function ``_path(_key, _psrc)``.
+
+    It returns the root delta as a :class:`Relation`, ``None`` when the
+    row's contribution is the ring zero somewhere on the way, or ``(i,
+    out)`` when the ``i``-th step produced several keys: ``out`` their
+    folded payloads, not yet written to the step's view.
+    """
+    requests: List[tuple] = []
+    lines: List[str] = ["def _path(_key, _psrc):"]
+
+    def emit(depth: int, text: str) -> None:
+        """Append one generated source line at depth ``depth``."""
+        lines.append("    " * depth + text)
+
+    def write(name: str, at: int, how: Optional[str]) -> None:
+        """Absorb the row ``(_key, _psrc)`` into stored view ``at``
+        exactly as :meth:`Relation.add` does, then drop the view's
+        probe-cache entries."""
+        if how is None:
+            return
+        if path.faults:
+            emit(1, '_faults.fire("engine.write_view")')
+        view = f"_v{at}"
+        requests.append((view, ("view", at)))
+        if how == "add":
+            emit(1, f"{view}.add(_key, _psrc)")
+        else:
+            data = f"_vd{at}"
+            requests.append((data, ("vdata", at)))
+            emit(1, f"_c = {data}.get(_key)")
+            emit(1, "if _c is None:")
+            emit(2, f"{data}[_key] = _c = _psrc")
+            emit(1, "else:")
+            emit(2, "_c2 = _add(_c, _psrc)")
+            emit(2, "if _iszero(_c2):")
+            emit(3, f"del {data}[_key]")
+            emit(3, f"if {view}._indexes:")
+            emit(4, f"{view}._index_drop(_key, _neg(_c))")
+            emit(3, "_c = None")
+            emit(2, "else:")
+            emit(3, f"{data}[_key] = _c = _c2")
+            # Indexes registered after binding (a reader's) are found
+            # here at run time: the index dict is read per write.
+            emit(1, f"if _c is not None and {view}._indexes:")
+            emit(2, f"{view}._index_set(_key, _c, _psrc)")
+        emit(1, "if _cache:")
+        emit(2, f"_cache.pop({name!r}, None)")
+
+    write(path.leaf, 0, path.leaf_write)
+    for at, (ir, how) in enumerate(path.steps, start=1):
+        step: List[tuple] = []
+        if _point(ir):
+            _emit_trigger(ir, emit, step, "point", f"_{at}")
+        else:
+            emit(1, "_out = {}")
+            _emit_trigger(ir, emit, step, "row", f"_{at}")
+            emit(1, "if len(_out) != 1:")
+            emit(2, f"return ({at - 1}, _finalize(_out)) if _out else None")
+            emit(1, "_key, _psrc = _out.popitem()")
+            emit(1, "_psrc = _psrc[0] if len(_psrc) == 1 else _rsum(_psrc)")
+            emit(1, "if _iszero(_psrc):")
+            emit(2, "return")
+        # The trigger's globals are bound by the step's own program:
+        # the path shares them, lifted-sibling memos included.
+        requests += [
+            (name, ("step", at, name[:-len(f"_{at}")])) for name, _ in step
+        ]
+        write(ir.node_name, at, how)
+    emit(1, "_r = _Relation(_root, _root_keys, _ring)")
+    emit(1, "_r._data[_key] = _psrc")
+    emit(1, "return _r")
+    return _Generated(lines, requests, None, f"path {path.leaf}")
+
+
+def compile_path(leaf, steps, cache, faults, root, query):
+    """Generate and bind the one-row path of ``leaf`` (its stored view or
+    ``None``) up ``steps`` — ``(ir, scalar program, stored view or
+    None)`` per node, leaf to root.  ``cache`` is the engine's probe
+    cache, ``faults`` its fault plan, ``root`` the root node (the returned
+    delta's name and keys).  The function's ``source_text`` is its
+    generated source."""
+
+    def how(view) -> Optional[str]:
+        """How the generated code writes ``view``."""
+        if view is None:
+            return None
+        return "map" if type(view) is Relation else "add"
+
+    leaf_name, leaf_view = leaf
+    generated = _generated(_generate_path, PathIR(
+        leaf_name, how(leaf_view),
+        tuple((ir, how(view)) for ir, _, view in steps),
+        faults is not None,
+    ))
+    views = [leaf_view] + [view for _, _, view in steps]
+    env = _base_env(query.ring)
+    env.update(
+        _cache=cache, _faults=faults, _Relation=Relation, _root=root.name,
+        _root_keys=root.keys, _ring=query.ring,
+    )
+    for name, spec in generated.requests:
+        kind, at = spec[0], spec[1]
+        if kind == "view":
+            env[name] = views[at]
+        elif kind == "vdata":
+            env[name] = views[at]._data
+        else:  # "step": the step program's own binding
+            env[name] = steps[at - 1][1]._fn.__globals__[spec[2]]
+    path = _exec(generated, env)
+    #: The generated Python source (for debugging and the test suite).
+    path.source_text = generated.source_text
+    return path

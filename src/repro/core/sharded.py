@@ -34,14 +34,15 @@ Executors
 ---------
 
 ``executor="inline"`` (default) runs the ``S`` engines in-process — the
-deterministic mode the differential tests drive, and the mode in which all
-shards share one :class:`~repro.core.plan_exec.ProgramLibrary`, so trigger
-code is generated once and only re-bound per shard.  ``executor="process"``
-forks one worker per shard (requires the ``fork`` start method; silently
-falls back to inline elsewhere): deltas are routed in the coordinator,
-shipped as plain ``(name, schema, {key: payload})`` triples, and the
-per-shard root deltas come back the same way — true parallel maintenance
-on multi-core hosts, measured by ``benchmarks/test_fig_shard_scaling.py``.
+deterministic mode the differential tests drive; its shards, like any
+engines of one process, share the process-wide trigger code cache, so
+trigger code is generated once and only re-bound per shard.
+``executor="process"`` forks one worker per shard (requires the ``fork``
+start method; silently falls back to inline elsewhere): deltas are routed
+in the coordinator, shipped as plain ``(name, schema, {key: payload})``
+triples, and the per-shard root deltas come back the same way — true
+parallel maintenance on multi-core hosts, measured by
+``benchmarks/test_fig_shard_scaling.py``.
 ``executor="socket"`` speaks the identical request protocol over TCP
 (length-prefixed pickle frames, :class:`FrameConn`): by default it forks
 loopback shard hosts, and with ``shard_addresses=`` it connects to
@@ -122,7 +123,6 @@ from repro.core.engine import (
 from repro.core.factorized_update import FactorizedUpdate, decompose
 from repro.core.faults import InjectedFault
 from repro.core.materialization import resolve_flags
-from repro.core.plan_exec import ProgramLibrary
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
 from repro.core.view_tree import ViewNode, build_view_tree, elide_copies
@@ -508,7 +508,7 @@ class _InlineShards:
     """All shard engines in-process; requests are served synchronously.
 
     The deterministic executor the differential tests drive; engines share
-    one :class:`ProgramLibrary`, so trigger code generation is paid once.
+    the process-wide code cache, so trigger code generation is paid once.
     """
 
     kind = "inline"
@@ -1266,8 +1266,8 @@ class ShardedFIVMEngine:
         the component tuple); relations missing any component are
         replicated.  At least one relation must contain the full key.
     executor:
-        ``"inline"`` (in-process, deterministic, shared program
-        library), ``"process"`` (one forked worker per shard), or
+        ``"inline"`` (in-process, deterministic), ``"process"`` (one
+        forked worker per shard), or
         ``"socket"`` (the same protocol over TCP frames — forked
         loopback hosts by default, remote :class:`~repro.serve.
         ShardHost` processes via ``shard_addresses``).  ``"process"``
@@ -1411,7 +1411,6 @@ class ShardedFIVMEngine:
             raise ValueError(
                 "shard_addresses requires executor='socket'"
             )
-        library = ProgramLibrary() if executor == "inline" else None
 
         def factory() -> FIVMEngine:
             """One shard-local engine of the shared configuration."""
@@ -1422,7 +1421,6 @@ class ShardedFIVMEngine:
                 collapse_chains=collapse_chains,
                 materialize=materialize,
                 group_aware=group_aware,
-                program_library=library,
             )
 
         factories = [factory] * self.shards

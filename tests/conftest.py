@@ -86,18 +86,56 @@ def make_engine(form: str, query: Query, order=None, **kwargs) -> FIVMEngine:
         return FIVMEngine(query, order, **kwargs)
 
 
-def spy_triggers(engine: FIVMEngine, monkeypatch) -> List[str]:
-    """Record the node name of every generated-trigger call the engine
-    makes from now on: both walks, relations or one row, call each
-    program's ``_fn``."""
-    runs: List[str] = []
-    for program in engine._programs.values():
-        monkeypatch.setattr(
-            program, "_fn",
-            lambda items, out, trigger=program._fn, name=program.node_name:
-            runs.append(name) or trigger(items, out),
+def spy_paths(engine: FIVMEngine, monkeypatch) -> List[str]:
+    """Record the relation of every generated one-row path the engine
+    runs from now on (``engine._row_paths``)."""
+    calls: List[str] = []
+    for rel, path in list(engine._row_paths.items()):
+        monkeypatch.setitem(
+            engine._row_paths, rel,
+            lambda key, payload, path=path, rel=rel:
+            calls.append(rel) or path(key, payload),
         )
+    return calls
+
+
+def spy_slot_runs(monkeypatch) -> List[str]:
+    """Record the node of every scalar trigger run on relations
+    (``SlotProgram.run``) from now on, in any engine."""
+    from repro.core.plan_exec import SlotProgram
+
+    runs: List[str] = []
+    run = SlotProgram.run
+    monkeypatch.setattr(
+        SlotProgram, "run",
+        lambda self, delta: runs.append(self.node_name) or run(self, delta),
+    )
     return runs
+
+
+def write_hits(engine: FIVMEngine) -> int:
+    """View writes an engine built with ``faults=FaultPlan({})`` has
+    announced so far (the ``engine.write_view`` site, both the generated
+    paths and :meth:`FIVMEngine._write_view`)."""
+    return engine._faults._hits.get("engine.write_view", 0)
+
+
+@contextlib.contextmanager
+def counting_writes():
+    """Engines *constructed* inside — by the test or by an app it drives —
+    get a fault plan with no faults, so :func:`write_hits` counts their
+    view writes."""
+    from repro.core.faults import FaultPlan
+
+    with pytest.MonkeyPatch.context() as patch:
+        init = FIVMEngine.__init__
+        patch.setattr(
+            FIVMEngine, "__init__",
+            lambda self, *args, **kwargs: init(
+                self, *args, **{"faults": FaultPlan({}), **kwargs}
+            ),
+        )
+        yield
 
 
 def recompute(query: Query, db: Database, order: VariableOrder = None) -> Relation:

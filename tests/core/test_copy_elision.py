@@ -25,7 +25,15 @@ from repro.data import Relation
 from repro.datasets import housing, retailer, round_robin_stream, twitter
 from repro.rings import INT_RING
 
-from tests.conftest import make_database, random_rows, recompute, spy_triggers
+from tests.conftest import (
+    counting_writes,
+    make_database,
+    random_rows,
+    recompute,
+    spy_paths,
+    spy_slot_runs,
+    write_hits,
+)
 
 
 def housing_join(mode="factorized", **kwargs):
@@ -79,21 +87,29 @@ class TestHousingStar:
     def test_two_writes_and_one_trigger_run_per_single_tuple_update(
         self, monkeypatch
     ):
+        """A single-tuple update is one run of the relation's generated
+        path, which writes the relation and the root and nothing else."""
         workload, query = housing_join()
-        load(query, workload)
-        engine = query.engine
-        writes, write_view = [], engine._write_view
-        monkeypatch.setattr(
-            engine, "_write_view",
-            lambda name, delta: writes.append(name) or write_view(name, delta),
-        )
-        runs = spy_triggers(engine, monkeypatch)
+        with counting_writes():
+            _, counted = housing_join()
+        for target in (query, counted):
+            load(target, workload)
+        engine = counted.engine
+        calls = spy_paths(engine, monkeypatch)
+        runs = spy_slot_runs(monkeypatch)
+        root = engine.tree.root.name
         for rel, schema in workload.schemas.items():
-            del writes[:], runs[:]
+            del calls[:]
+            before = write_hits(engine)
             row = workload.tables[rel][0]
-            query.apply_update(Relation.from_tuples(rel, schema, query.ring, [row]))
-            assert writes == [rel, engine.tree.root.name]
-            assert runs == [engine.tree.root.name]
+            for target in (query, counted):
+                target.apply_update(
+                    Relation.from_tuples(rel, schema, target.ring, [row])
+                )
+            assert calls == [rel] and runs == []
+            assert write_hits(engine) - before == 2
+            for name in (rel, root):
+                assert engine.views[name].same_as(query.engine.views[name])
 
     def test_listing_keys_stores_the_relation_in_place_of_its_copy(self):
         """With every variable free the view over a leaf is a copy under

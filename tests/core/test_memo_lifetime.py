@@ -110,6 +110,40 @@ def test_dropped_chains_release_their_packed_roots_without_a_collection():
         gc.enable()
 
 
+def test_a_dropped_engine_leaves_no_triple_in_cyclic_garbage():
+    """The ``retailer_b1`` engine at the e2e ``--quick`` size, after its
+    stream, dropped with the collector off: what a collection then finds
+    unreachable holds no ``CofactorTriple`` but the ring's ``zero`` and
+    ``one``.  A generated function is taken out of the globals it was
+    exec'd into (``plan_exec._exec``), so neither a trigger nor a path
+    keeps its views' payloads in a function ↔ globals cycle; what cycles
+    remain (``ViewNode`` parent links, the ring and its kernel ops) reach
+    no payload."""
+    from benchmarks.e2e import run as e2e
+
+    instance = e2e.WORKLOADS["retailer_b1"](3, True)
+    state = instance.setup()
+    instance.run(state)
+    ring = state.ring
+    assert state.engine._row_paths and live_triples() > 100
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del state
+        gc.collect()
+        leaked = [
+            obj for obj in gc.garbage
+            if type(obj) is CofactorTriple
+            and obj is not ring.zero and obj is not ring.one
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
+
+
 def test_packed_joins_hold_their_pair_arrays_for_one_node_only(monkeypatch):
     """20 constructions of the dense ℝ chain at n = 48: each of the two
     views is one packed join whose pair-index arrays and product column

@@ -1,27 +1,35 @@
-"""The one-row walk: :meth:`FIVMEngine.apply_update` of a one-row delta
-threads one ``(key, payload)`` row up the relation's planned path.
+"""The generated one-row path: :meth:`FIVMEngine.apply_update` of a
+one-row delta runs the relation's path function (``engine._row_paths``),
+which writes the leaf and every stored view up to the root in one call.
 
-Count-based guards, no clocks: what one such update builds, absorbs and
-runs; the fan-out hand-off held to the interpreter backend; the view-write
-numbering a :class:`FaultPlan` sees, the same as on the bulk path; and
-which end-to-end workloads take the walk at all.
+Count-based guards, no clocks: what one such update calls, builds and
+absorbs; the fan-out hand-off held to the interpreter backend; the
+view-write numbering a :class:`FaultPlan` sees, the same as on the bulk
+path; which end-to-end workloads take the path at all; and the two
+things a write inlined at planning time must not freeze — an index
+registered later, and the packed ℝ root.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import FIVMEngine, Query, build_view_tree
 from repro.core.view_tree import elide_copies
 from repro.core.faults import FaultPlan, InjectedFault
 from repro.data import Relation
-from repro.rings import INT_RING, Lifting
+from repro.data.relation import DeferredRelation
+from repro.rings import INT_RING, REAL_RING, Lifting
 
 from tests.conftest import (
     PAPER_SCHEMAS,
     make_database,
     paper_variable_order,
-    spy_triggers,
+    pinned,
+    spy_paths,
+    spy_slot_runs,
+    write_hits,
 )
 from tests.core.test_differential_random import RING_FAMILIES
 
@@ -67,11 +75,21 @@ def retailer_b1():
     }
 
 
+def paper_engine(ring=INT_RING, lifts=None, **kwargs):
+    """The Figure 2 query over ``ROWS``."""
+    lifting = Lifting(ring, lifts) if lifts is not None else None
+    query = Query("Q", PAPER_SCHEMAS, ring=ring, lifting=lifting)
+    return FIVMEngine(
+        query, paper_variable_order(),
+        db=make_database(PAPER_SCHEMAS, ring, ROWS), **kwargs,
+    )
+
+
 def test_one_row_update_builds_only_its_root_delta(monkeypatch):
-    """On the Retailer cofactor engine: one trigger run per node of the
-    relation's path and, unless a node's output fans out, one
-    ``Relation`` built inside ``apply_update`` (the returned root delta)
-    and no ``absorb_bulk``."""
+    """On the Retailer cofactor engine: one path call per one-row update
+    and, unless a node's output fans out, no trigger run on relations,
+    one ``Relation`` built (the returned root delta) and no
+    ``absorb_bulk``; a fan-out runs the rest of the path on relations."""
     engine, rows = retailer_b1()
     ring = engine.query.ring
     deltas = {
@@ -89,45 +107,53 @@ def test_one_row_update_builds_only_its_root_delta(monkeypatch):
         Relation, "absorb_bulk",
         lambda self, delta: bulk.append(self.name) or absorb_bulk(self, delta),
     )
-    runs = spy_triggers(engine, monkeypatch)
+    calls = spy_paths(engine, monkeypatch)
+    runs = spy_slot_runs(monkeypatch)
+    fanned, fan_out = [], engine._fan_out
+    monkeypatch.setattr(
+        engine, "_fan_out",
+        lambda leaf, at, data: fanned.append(at) or fan_out(leaf, at, data),
+    )
     for rel, delta in deltas.items():
-        del built[:], bulk[:], runs[:]
+        del built[:], bulk[:], calls[:], runs[:], fanned[:]
         assert len(engine.apply_update(delta)) == 1
-        assert runs == [step.node.name for step in engine._paths[rel]]
+        assert calls == [rel]
+        path = [step.node.name for step in engine._paths[rel]]
         if rel in ("Item", "Census"):
             # A ksn (zip) row probes Inventory (Location) on it and
-            # extends keys its node keeps: the output fans out and the
-            # rest of the path runs on relations.
+            # extends keys its node keeps: the output fans out and every
+            # step after it runs on relations.
+            assert len(fanned) == 1, rel
+            at = fanned[0]
+            assert at + 1 < len(path), rel
             assert len(built) > 1 and bulk, rel
+            assert runs == path[at + 1:], rel
         else:
-            assert built == [engine.tree.root.name] and bulk == [], rel
+            assert fanned == [] and built == [engine.tree.root.name], rel
+            assert bulk == [] and runs == [], rel
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_a_fanned_out_row_equals_the_interpreter(ring_name, monkeypatch):
     """A ``T`` row probes the bucket of ``V@E_S`` on ``C`` and extends
-    ``A``, which ``V@C_ST`` keeps: two keys leave that node and the walk
+    ``A``, which ``V@C_ST`` keeps: two keys leave that node and the path
     hands a relation to the general walk for the root."""
     ring, lifts = RING_FAMILIES[ring_name](("A", "B", "C", "D", "E"))
-    query = Query("Q", PAPER_SCHEMAS, ring=ring, lifting=Lifting(ring, lifts))
-    db = make_database(PAPER_SCHEMAS, ring, ROWS)
-    walked = FIVMEngine(query, paper_variable_order(), db=db)
-    interpreted = FIVMEngine(
-        query, paper_variable_order(), db=db, backend="interpreter"
-    )
-    keys_out = []
-    entry = next(s for s in walked._paths["T"] if s.node.name == "V@C_ST")
-    trigger = entry.program._fn
+    walked = paper_engine(ring, lifts)
+    interpreted = paper_engine(ring, lifts, backend="interpreter")
+    fanned, fan_out = [], walked._fan_out
     monkeypatch.setattr(
-        entry.program, "_fn",
-        lambda items, out: trigger(items, out) or keys_out.append(len(out)),
+        walked, "_fan_out",
+        lambda leaf, at, data: fanned.append(
+            (walked._paths["T"][at].node.name, len(data))
+        ) or fan_out(leaf, at, data),
     )
 
     def delta():
         return Relation("T", ("C", "D"), ring, {(2, 9): ring.one})
 
     walked_root = walked.apply_update(delta())
-    assert keys_out == [2]
+    assert fanned == [("V@C_ST", 2)]
     assert interpreted.apply_update(delta()).same_as(walked_root)
     for name, view in interpreted.views.items():
         assert view.same_as(walked.views[name]), name
@@ -136,7 +162,7 @@ def test_a_fanned_out_row_equals_the_interpreter(ring_name, monkeypatch):
 def test_several_contributions_to_one_key_fold_like_the_interpreter():
     """Without group-aware probes a star root iterates its sibling's
     bucket: one row puts one contribution per matching ``S`` row on the
-    same key, which the walk folds with ``ring.sum``."""
+    same key, which the path folds with ``ring.sum``."""
     from repro.apps.conjunctive import _factorize_tree
 
     schemas = {"R": ("P", "X"), "S": ("P", "Y")}
@@ -161,66 +187,153 @@ def test_several_contributions_to_one_key_fold_like_the_interpreter():
 
 
 @pytest.mark.parametrize("rel, row", [
-    ("S", (1, 2, 9)),  # the whole path on the walk
+    ("S", (1, 2, 9)),  # the whole path generated
     ("T", (2, 9)),  # fans out at V@C_ST, the root on relations
 ])
 def test_a_write_fault_lands_on_the_same_view_as_on_the_bulk_path(rel, row):
     """``engine.write_view`` numbers the writes of a one-row update from
-    the lowest stored view up to the root, like the bulk path; an error
-    at the k-th leaves exactly the first k - 1 views updated."""
-    query = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-
-    def engine(**kwargs):
-        return FIVMEngine(
-            query, paper_variable_order(),
-            db=make_database(PAPER_SCHEMAS, INT_RING, ROWS), **kwargs
-        )
+    the leaf up to the root, like the bulk path: one hit per stored view
+    on the path, and an error at the k-th leaves exactly the first k - 1
+    views updated."""
 
     def delta():
         return Relation.from_tuples(rel, PAPER_SCHEMAS[rel], INT_RING, [row])
 
-    order = {}
-    before = engine()
-    for backend in (None, "interpreter"):
-        reference = engine(backend=backend)
-        names, write_view = [], reference._write_view
-        reference._write_view = (
-            lambda name, d: names.append(name) or write_view(name, d)
-        )
-        reference.apply_update(delta())
-        order[backend] = names
-    after = reference
-    assert order[None] == order["interpreter"]
-    assert len(order[None]) == 3
+    before, after = paper_engine(), paper_engine()
+    reference = paper_engine(backend="interpreter")
+    order, write_view = [], reference._write_view
+    reference._write_view = (
+        lambda name, d: order.append(name) or write_view(name, d)
+    )
+    reference.apply_update(delta())
+    after.apply_update(delta())
+    assert len(order) == 3
     loads = len(before.views)  # initialize writes every stored view once
-    for k, failing in enumerate(order[None], start=1):
+    counted = paper_engine(faults=FaultPlan({}))
+    assert rel in counted._row_paths
+    counted.apply_update(delta())
+    assert write_hits(counted) == loads + len(order)
+    for k, failing in enumerate(order, start=1):
         plan = FaultPlan({"engine.write_view": {loads + k: "error"}})
-        faulted = engine(faults=plan)
+        faulted = paper_engine(faults=plan)
         with pytest.raises(InjectedFault):
             faulted.apply_update(delta())
         assert plan.fired == [("engine.write_view", loads + k, "error")]
         for name, view in faulted.views.items():
-            state = after if name in order[None][:k - 1] else before
+            state = after if name in order[:k - 1] else before
             assert view.same_as(state.views[name]), (failing, name)
 
 
-@pytest.mark.parametrize("workload, walks", [
-    ("retailer_b1", True), ("join_factorized", True),
-    ("retailer_b600", False), ("chain_rank1", False),
+@pytest.mark.parametrize("workload, share", [
+    ("retailer_b1", 1), ("join_factorized", 1),
+    ("retailer_b600", 0), ("chain_rank1", 0),
 ])
-def test_which_workloads_take_the_one_row_walk(workload, walks, monkeypatch):
-    """Only the single-tuple workloads walk rows: ``retailer_b600``
-    sends deltas of 3–40 rows at this size (≥ 20 at full size) and
-    ``chain_rank1`` factorized updates, so the walk cannot move either."""
+def test_which_workloads_take_the_generated_path(workload, share, monkeypatch):
+    """Every update of the single-tuple workloads runs a generated path,
+    none of the others': ``retailer_b600`` sends deltas of 3–40 rows at
+    this size (≥ 20 at full size) and ``chain_rank1`` factorized updates."""
     from benchmarks.e2e import run as e2e
 
     instance = e2e.WORKLOADS[workload](3, True)
     state = instance.setup()
-    calls = []
-    walk_row = FIVMEngine._walk_row
+    updates = []
+    apply_update = FIVMEngine.apply_update
     monkeypatch.setattr(
-        FIVMEngine, "_walk_row",
-        lambda self, *args: calls.append(1) or walk_row(self, *args),
+        FIVMEngine, "apply_update",
+        lambda self, delta: updates.append(1) or apply_update(self, delta),
     )
+    calls = spy_paths(state.engine, monkeypatch)
     instance.run(state)
-    assert bool(calls) == walks
+    assert len(calls) == share * len(updates)
+    assert calls or not share
+
+
+def test_an_index_registered_after_binding_stays_exact():
+    """The paths are bound before any reader registers an index
+    (``_EnumerationPlan`` does on the first ``enumerate()``; on the
+    Housing star its indexes are the triggers' own, so this test adds one
+    per relation the same way).  After a stream of one-row updates
+    (inserts, deletes to zero) every bucket and sum of the late indexes
+    equals a freshly registered index's."""
+    from repro.apps import ConjunctiveQuery
+    from repro.datasets import housing
+
+    workload = housing.generate(scale=2, postcodes=4, seed=5)
+    query = ConjunctiveQuery(
+        "housing", workload.schemas, housing.ALL_VARIABLES,
+        order=workload.variable_order,
+    )
+    engine = query.engine
+    rng = np.random.default_rng(11)
+    live = {rel: [] for rel in workload.schemas}
+    for rel in workload.schemas:
+        for row in workload.tables[rel][:3]:
+            query.apply_update(
+                Relation.from_tuples(rel, workload.schemas[rel], INT_RING, [row])
+            )
+            live[rel].append(row)
+    next(iter(query.enumerate()))
+    late = {
+        rel: {engine.views[rel].schema[-1:]} for rel in workload.schemas
+    }
+    for rel, (index,) in late.items():
+        assert index not in engine.views[rel]._indexes
+        engine.views[rel].register_index(index)
+    for step in range(200):
+        rel = list(workload.schemas)[step % len(workload.schemas)]
+        if live[rel] and rng.random() < 0.4:
+            row, mult = live[rel].pop(int(rng.integers(len(live[rel])))), -1
+        else:
+            table = workload.tables[rel]
+            row, mult = table[int(rng.integers(len(table)))], 1
+            live[rel].append(row)
+        query.apply_update(Relation(
+            rel, workload.schemas[rel], INT_RING, {tuple(row): mult}
+        ))
+    for name, attrs in late.items():
+        view = engine.views[name]
+        for index in attrs:
+            fresh = Relation(name, view.schema, INT_RING, dict(view.items()))
+            fresh.register_index(index)
+            _, buckets, sums = view._indexes[index]
+            _, want_buckets, want_sums = fresh._indexes[index]
+            assert buckets == want_buckets, (name, index)
+            assert {k: v for k, v in sums.items() if v} == want_sums, (name, index)
+
+
+def test_the_packed_real_root_is_written_through_add(monkeypatch):
+    """Over ℝ the root is a :class:`DeferredRelation` that a rank-1 update
+    leaves packed; a one-row update after it must fold the column first
+    (it writes through ``Relation.add``, not a map bound at planning
+    time), and a read then equals the interpreter's."""
+    from repro.apps import MatrixChainIVM
+
+    rng = np.random.default_rng(3)
+    # I · A2 · I: a row of A2 meets one key of A1 and of A3, so a one-row
+    # update stays one row up to the root.
+    mats = [np.eye(10), rng.standard_normal((10, 10)), np.eye(10)]
+    chain = MatrixChainIVM(mats, updatable=["A2"])
+    with pinned("interpreter"):
+        oracle = MatrixChainIVM(mats, updatable=["A2"])
+    u, v = rng.standard_normal(10), rng.standard_normal(10)
+    for target in (chain, oracle):
+        target.apply_rank_one(2, u, v)
+    root = chain.engine.result()
+    assert isinstance(root, DeferredRelation)
+    assert root._packed_form is not None, "fixture: the root is left packed"
+    calls = spy_paths(chain.engine, monkeypatch)
+    fanned = []
+    monkeypatch.setattr(
+        chain.engine, "_fan_out", lambda *args: fanned.append(args)
+    )
+    for target in (chain, oracle):
+        target.engine.apply_update(
+            Relation("A2", ("X2", "X3"), REAL_RING, {(1, 2): 0.5})
+        )
+    assert calls == ["A2"] and fanned == []
+    assert root._packed_form is None
+    np.testing.assert_allclose(chain.result_matrix(), oracle.result_matrix())
+    np.testing.assert_allclose(
+        chain.result_matrix(), mats[0] @ (mats[1] + np.outer(u, v)
+        + 0.5 * np.eye(10)[:, [1]] @ np.eye(10)[[2]]) @ mats[2],
+    )

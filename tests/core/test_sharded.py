@@ -336,12 +336,32 @@ def test_explicit_shard_key_and_validation_errors():
         engine.apply_update(Relation("R", ("A",), ring, {(1,): 1}))
 
 
-def test_inline_shards_share_one_program_library():
+def test_inline_shards_compile_each_trigger_once(monkeypatch):
+    """S = 3 inline shards (and the single engine beside them) compile
+    each trigger and each one-row path once, through the process-wide
+    code cache, and bind their own copies of the one code object."""
+    import builtins
+
+    from repro.core import plan_exec
+
+    compiled = []
+    monkeypatch.setattr(
+        plan_exec, "compile",
+        lambda source, label, mode: compiled.append(label)
+        or builtins.compile(source, label, mode),
+        raising=False,
+    )
+    plan_exec._generated.cache_clear()
     _, sharded, _ = make_pair(_int_family, shards=3)
-    libraries = {id(e._library) for e in sharded._exec.engines}
-    assert len(libraries) == 1
-    assert sharded._exec.engines[0]._library is not None
-    assert len(sharded._exec.engines[0]._library) > 0
+    first, *others = sharded._exec.engines
+    assert len(compiled) == len(set(compiled))
+    assert len(compiled) == len(first._programs) + len(first._row_paths)
+    for other in others:
+        for key, program in first._programs.items():
+            assert program._fn.__code__ is other._programs[key]._fn.__code__
+            assert program._fn is not other._programs[key]._fn
+        for rel, path in first._row_paths.items():
+            assert path.__code__ is other._row_paths[rel].__code__
 
 
 @needs_fork

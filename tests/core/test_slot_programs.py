@@ -21,6 +21,7 @@ import pytest
 from repro.baselines.recursive import RecursiveIVM
 from repro.core import (
     FIVMEngine,
+    FactorizedUpdate,
     Query,
     VariableOrder,
     add_indicator_projections,
@@ -448,19 +449,47 @@ class TestLiftedSiblingMemo:
         oracle = FIVMEngine(lifted_query(), order, backend="interpreter")
         assert not oracle._memo_sites, "the reference never memoizes"
 
-    def test_shards_sharing_a_library_hold_their_own_memos(self):
-        from repro.core.sharded import ShardedFIVMEngine
-
-        sharded = ShardedFIVMEngine(
-            lifted_query(), paper_variable_order(), shards=2,
-            executor="inline",
-        )
-        first, second = sharded._exec.engines
-        key = ("V@C_ST", ("child", 1))
-        assert (
-            first._programs[key]._fn.__code__
-            is second._programs[key]._fn.__code__
-        ), "fixture: the shards must share generated code"
+    def test_engines_sharing_code_hold_their_own_memos(self):
+        """Two engines over one query run every trigger and every
+        one-row path from one code object (the process-wide cache), but
+        each binds its own views, memo dicts and cache sentinels; a
+        path binds the very memo dicts of its steps' triggers."""
+        order = paper_variable_order()
+        first = FIVMEngine(lifted_query(), order)
+        second = FIVMEngine(lifted_query(), order)
+        for key, program in first._programs.items():
+            assert program._fn.__code__ is second._programs[key]._fn.__code__
+            assert program._fn.__globals__ is not (
+                second._programs[key]._fn.__globals__
+            )
+        for rel, path in first._row_paths.items():
+            assert path.__code__ is second._row_paths[rel].__code__
+            memos = {
+                id(value) for name, value in path.__globals__.items()
+                if name.startswith("_memo")
+            }
+            assert memos <= {id(memo) for memo, _ in first._memo_sites.values()}
+        assert any(
+            name.startswith("_memo") for name in first._row_paths["R"].__globals__
+        ), "fixture: a path through a memoized trigger"
+        factored = [FIVMEngine(lifted_query(), order) for _ in range(2)]
+        for engine in factored:
+            ring = engine.query.ring
+            engine.apply_factorized_update(FactorizedUpdate("T", [[
+                Relation("T_c", ("C",), ring, {(1,): ring.one}),
+                Relation("T_d", ("D",), ring, {(2,): ring.one}),
+            ]], ring=ring))
+        for key, one in factored[0]._factor_programs.items():
+            two = factored[1]._factor_programs[key]
+            assert one._fn.__code__ is two._fn.__code__
+            sentinels = [
+                {v for n, v in p._fn.__globals__.items() if n.startswith("_sid")}
+                for p in (one, two)
+            ]
+            assert not sentinels[0] & sentinels[1]
+        assert "_sid0" in factored[0]._factor_programs[
+            ("V@C_ST", ("child", 0), ((), ("C",)))
+        ]._fn.__globals__, "fixture: a factor program with a cache site"
         for site, (memo, sibling) in first._memo_sites.items():
             other_memo, other_sibling = second._memo_sites[site]
             assert memo is not other_memo
@@ -503,3 +532,33 @@ class TestLiftedSiblingMemo:
                     client.lookup(root, (a,)), full.views[root].payload((a,))
                 ), (step, a)
         assert client.stats(root)["evictions"] > 0
+
+
+class TestCodeCache:
+    def test_the_process_wide_cache_stays_at_its_bound(self):
+        """More distinct programs than :data:`CODE_CACHE_SIZE`: the cache
+        holds the bound, the least recently used program was evicted (it
+        compiles anew) and the most recent one is still shared."""
+        from dataclasses import replace
+
+        from repro.core import plan_exec
+
+        engine = FIVMEngine(lifted_query(), paper_variable_order())
+        ir = next(iter(engine._ir.values()))
+        bound = plan_exec.CODE_CACHE_SIZE
+        try:
+            plan_exec._generated.cache_clear()
+            made = [
+                plan_exec._generated(
+                    plan_exec._generate_slot, replace(ir, node_name=f"V{i}")
+                )
+                for i in range(bound + 10)
+            ]
+            assert plan_exec._generated.cache_info().currsize == bound
+            last = replace(ir, node_name=f"V{bound + 9}")
+            assert plan_exec._generated(plan_exec._generate_slot, last) is made[-1]
+            first = replace(ir, node_name="V0")
+            assert plan_exec._generated(plan_exec._generate_slot, first) is not made[0]
+            assert plan_exec._generated.cache_info().currsize == bound
+        finally:
+            plan_exec._generated.cache_clear()
