@@ -29,8 +29,10 @@ the support.  Its first matrix row is ``[c, s]``, so the row reads::
 
 — w = 1 + k + k(k+1)/2 scalars for a support of size k.  ``Q`` is
 symmetric, so its lower triangle is never stored, and a ring operation is
-a handful of array expressions over rows, written through index maps
-memoized per pair of supports (:func:`_pair_maps`).
+a handful of array expressions over rows, through index maps memoized per
+pair of supports (:func:`_pair_maps`).  The product is one gather-multiply:
+every cell of the union row is a sum of products of one cell of each
+operand, listed once per support pair in a *term table*.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ def _triple(degree: int, support: tuple, row: np.ndarray) -> CofactorTriple:
 
 #: Row maps, memoized: per support (a tuple of variable indices) its
 #: layout (:func:`_layout`), per ordered pair of supports (a tuple of two
-#: tuples) its merge maps (:func:`_pair_maps`).  Supports along a view
-#: tree repeat on every update, so each map is built once per shape.
+#: tuples) its embed maps and product term table (:func:`_pair_maps`).
+#: Supports along a view tree repeat on every update, so each map is built
+#: once per shape.
 _ROW_MAPS: Dict[tuple, tuple] = {}
 
 
@@ -195,43 +198,63 @@ def _layout(support: tuple) -> tuple:
 
 
 def _pair_maps(left: tuple, right: tuple) -> tuple:
-    """``(union, width, emb_l, emb_r, cross, src)`` for writing two rows —
-    and their product's cross term — into the row of the union support
-    (``width`` cells).
+    """``(union, width, emb_l, emb_r, ia, ib, starts)`` for the ordered
+    support pair ``(left, right)``, built once by :func:`_term_table`.
 
-    ``emb_l``/``emb_r`` give the union-row position of each cell of an
-    operand's row.  ``cross`` gives the position of each entry of
-    ``outer(s_l, s_r)``, row-major, when the supports are disjoint
-    (``src is None``): the left, right and cross cells then partition the
-    union row, each written exactly once.  When they overlap, ``cross``
-    pairs with ``src``, indices into the flattened outer product in which
-    the entries landing on the diagonal appear twice, for one unbuffered
-    ``np.add.at``.
+    ``emb_l``/``emb_r`` give the union-row position (of ``width`` cells)
+    of each cell of an operand's row; ``add`` and ``eq`` write through
+    them.  ``(union, ia, ib, starts)`` is the product's term table.
     """
     key = (left, right)
     maps = _ROW_MAPS.get(key)
     if maps is None:
-        union = tuple(sorted(set(left) | set(right)))
-        size, tri, _, _ = _layout(union)
-        ext_l = np.array([0] + [1 + union.index(i) for i in left], np.intp)
-        ext_r = np.array([0] + [1 + union.index(i) for i in right], np.intp)
-
-        def embed(ext):
-            rows, cols = np.triu_indices(ext.size)
-            return tri[ext[rows], ext[cols]]
-
-        cross = tri[np.ix_(ext_l[1:], ext_r[1:])].ravel()
-        src = None
-        if len(union) < len(left) + len(right):
-            twice = np.flatnonzero(np.equal.outer(ext_l[1:], ext_r[1:]))
-            src = np.concatenate([np.arange(cross.size), twice])
-            cross = cross[src]
-        maps = (
-            union, size * (size + 1) // 2, embed(ext_l), embed(ext_r),
-            cross, src,
-        )
-        _ROW_MAPS[key] = maps
+        maps = _ROW_MAPS[key] = _term_table(left, right)
     return maps
+
+
+def _term_table(left: tuple, right: tuple) -> tuple:
+    """Build :func:`_pair_maps`' entry for a support pair.
+
+    The product is bilinear, so each cell of the union row is a sum of
+    terms ``ra[i] * rb[j]``: ``c_a c_b``; each ``s``/``Q`` cell of ``a``
+    times ``c_b`` and of ``b`` times ``c_a``; ``s_a,u s_b,v`` on ``Q_uv``
+    for each u in ``left`` and v in ``right``, counted twice on ``Q_vv``
+    for a variable in both supports.  ``ia``/``ib`` list the terms sorted by
+    destination cell, so the product row is ``ra[ia] * rb[ib]``, reduced
+    per cell by ``np.add.reduceat(…, starts)``.  Every cell gets at least
+    one term; ``starts`` is ``None`` when each gets exactly one, which
+    holds for every pair of disjoint supports.
+    """
+    union = tuple(sorted(set(left) | set(right)))
+    size, tri, _, _ = _layout(union)
+    ext_l = np.array([0] + [1 + union.index(i) for i in left], np.intp)
+    ext_r = np.array([0] + [1 + union.index(i) for i in right], np.intp)
+
+    def embed(ext):
+        rows, cols = np.triu_indices(ext.size)
+        return tri[ext[rows], ext[cols]]
+
+    emb_l, emb_r = embed(ext_l), embed(ext_r)
+    # Terms as (destination cell, ia, ib): a's cells times c_b (its cell 0
+    # is c_a c_b), b's other cells times c_a, then s_a ⊗ s_b (s_i sits
+    # at row position 1 + i), a shared variable's diagonal once more.
+    s_l, s_r = np.indices((len(left), len(right))).reshape(2, -1) + 1
+    twice = ext_l[s_l] == ext_r[s_r]
+    s_l = np.concatenate([s_l, s_l[twice]])
+    s_r = np.concatenate([s_r, s_r[twice]])
+    ia = np.concatenate(
+        [np.arange(emb_l.size), np.zeros(emb_r.size - 1, np.intp), s_l]
+    )
+    ib = np.concatenate(
+        [np.zeros(emb_l.size, np.intp), np.arange(1, emb_r.size), s_r]
+    )
+    dest = np.concatenate([emb_l, emb_r[1:], tri[ext_l[s_l], ext_r[s_r]]])
+    order = np.argsort(dest, kind="stable")
+    width = size * (size + 1) // 2
+    starts = None
+    if dest.size > width:
+        starts = np.flatnonzero(np.diff(dest[order], prepend=-1))
+    return (union, width, emb_l, emb_r, ia[order], ib[order], starts)
 
 
 class CofactorRing(Ring):
@@ -257,7 +280,7 @@ class CofactorRing(Ring):
     def add(self, a: CofactorTriple, b: CofactorTriple) -> CofactorTriple:
         if a.support == b.support:
             return _triple(self.degree, a.support, a.row + b.row)
-        union, width, emb_a, emb_b, _, _ = _pair_maps(a.support, b.support)
+        union, width, emb_a, emb_b, *_ = _pair_maps(a.support, b.support)
         row = np.zeros(width)
         row[emb_a] = a.row
         row[emb_b] += b.row
@@ -275,28 +298,11 @@ class CofactorRing(Ring):
             if ra[0] == 1.0:
                 return b
             return _triple(self.degree, b.support, rb * ra)
-        union, width, emb_a, emb_b, cross, src = _pair_maps(
-            a.support, b.support
-        )
-        ca, cb = ra[0], rb[0]
-        outer = np.multiply.outer(
-            ra[1:len(a.support) + 1], rb[1:len(b.support) + 1]
-        ).ravel()
-        if src is None:
-            # Disjoint supports (a node's payload times a sibling
-            # subtree's — the variables lifted below two siblings never
-            # overlap): every union cell is written exactly once.  Lifts
-            # and their products count 1, and then need no scaling.
-            row = np.empty(width)
-            row[emb_a] = ra if cb == 1.0 else ra * cb
-            row[emb_b] = rb if ca == 1.0 else rb * ca
-            row[cross] = outer
-        else:
-            row = np.zeros(width)
-            row[emb_a] = ra * cb
-            row[emb_b] += rb * ca
-            np.add.at(row, cross, outer[src])
-        row[0] = ca * cb
+        union, _, _, _, ia, ib, starts = _pair_maps(a.support, b.support)
+        row = ra[ia]
+        row *= rb[ib]
+        if starts is not None:
+            row = np.add.reduceat(row, starts)
         return _triple(self.degree, union, row)
 
     def neg(self, a: CofactorTriple) -> CofactorTriple:
@@ -307,7 +313,7 @@ class CofactorRing(Ring):
         if abs(ra[0] - rb[0]) > self.tolerance:
             return False
         if a.support != b.support:
-            _, width, emb_a, emb_b, _, _ = _pair_maps(a.support, b.support)
+            _, width, emb_a, emb_b, *_ = _pair_maps(a.support, b.support)
             ra, rb = np.zeros(width), np.zeros(width)
             ra[emb_a] = a.row
             rb[emb_b] = b.row
@@ -402,8 +408,8 @@ class CofactorKernelOps:
     A column of n same-support triples packs into ``(block, support)``:
     their rows stacked into one (n, w) float64 block.  The ring product of
     two packed columns is the scalar :meth:`CofactorRing.mul` with a batch
-    axis — the same cached row maps, one scatter per operand and one for
-    the cross term — and the per-output-key fold is one sort + one
+    axis — the same term table, one column gather per operand and one
+    multiply — and the per-output-key fold is one sort + one
     ``np.add.reduceat`` over the block: n ring operations collapse into a
     handful of array expressions.
 
@@ -462,23 +468,11 @@ class CofactorKernelOps:
             return (block_a * block_b, supa)
         if not supa:
             return (block_b * block_a, supb)
-        union, width, emb_a, emb_b, cross, src = _pair_maps(supa, supb)
-        ca, cb = block_a[:, :1], block_b[:, :1]
-        outer = (
-            block_a[:, 1:len(supa) + 1, None]
-            * block_b[:, None, 1:len(supb) + 1]
-        ).reshape(n, -1)
-        if src is None:
-            out = np.empty((n, width))
-            out[:, emb_a] = block_a * cb
-            out[:, emb_b] = block_b * ca
-            out[:, cross] = outer
-        else:
-            out = np.zeros((n, width))
-            out[:, emb_a] = block_a * cb
-            out[:, emb_b] += block_b * ca
-            np.add.at(out, (slice(None), cross), outer[:, src])
-        out[:, :1] = ca * cb
+        union, _, _, _, ia, ib, starts = _pair_maps(supa, supb)
+        out = block_a.take(ia, axis=1)
+        out *= block_b.take(ib, axis=1)
+        if starts is not None:
+            out = np.add.reduceat(out, starts, axis=1)
         return (out, union)
 
     # -- grouped reduction ---------------------------------------------

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.regression import cofactor_query
+from repro.core import FIVMEngine
+from repro.datasets import retailer, round_robin_stream
 from repro.rings import CofactorRing, CofactorTriple, check_ring_axioms
+from repro.rings import cofactor
 from tests.settings import QUICK
 
 values = st.floats(
@@ -355,3 +359,123 @@ class TestRowOps:
         assert len(taken) == len(rows)
         for got, i in zip(taken, rows):
             assert_dense(got, dense(xs[i]))
+
+
+def overlaps(shape) -> bool:
+    left, right = SUPPORT_SHAPES[shape]
+    return not set(left).isdisjoint(right)
+
+
+class TestTermTable:
+    """The product as one gather-multiply over a term table per support
+    pair (``cofactor._pair_maps``): exact where the supports are disjoint,
+    the packed product row-for-row the scalar one."""
+
+    ring = CofactorRing(DEGREE)
+
+    @pytest.mark.parametrize(
+        "shape", sorted(s for s in SUPPORT_SHAPES if not overlaps(s)))
+    @QUICK
+    @given(data=st.data())
+    def test_disjoint_products_are_exact(self, shape, data):
+        left, right = SUPPORT_SHAPES[shape]
+        a = data.draw(block_triples(support=left))
+        b = data.draw(block_triples(support=right))
+        for x, y in ((a, b), (b, a)):
+            got = self.ring.mul(x, y)
+            count, sums, quads = dense_product(x, y)
+            assert got.count == count
+            assert np.array_equal(got.dense_sums(), sums)
+            assert np.array_equal(got.dense_quads(), quads)
+
+    @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+    @QUICK
+    @given(data=st.data())
+    def test_packed_rows_equal_scalar_products(self, shape, data):
+        left, right = SUPPORT_SHAPES[shape]
+        n = data.draw(st.integers(1, 5))
+        xs = [data.draw(block_triples(support=left)) for _ in range(n)]
+        ys = [data.draw(block_triples(support=right)) for _ in range(n)]
+        ring, ops = self.ring, self.ring.kernel_ops()
+        px, py = ops.pack(xs, n), ops.pack(ys, n)
+        for (pa, pb), pairs in (((px, py), zip(xs, ys)), ((py, px), zip(ys, xs))):
+            for got, (x, y) in zip(ops.unpack(ops.mul_packed(pa, pb, n)), pairs):
+                want = ring.mul(x, y)
+                assert got.support == want.support
+                assert np.array_equal(got.row, want.row)
+                if overlaps(shape):
+                    count, sums, quads = dense_product(x, y)
+                    assert got.count == count
+                    assert np.allclose(
+                        got.dense_sums(), sums, rtol=0, atol=1e-12)
+                    assert np.allclose(
+                        got.dense_quads(), quads, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+    def test_named_shape_invariants(self, shape):
+        self.check_invariants(*SUPPORT_SHAPES[shape])
+
+    @QUICK
+    @given(st.sets(st.integers(0, DEGREE - 1)),
+           st.sets(st.integers(0, DEGREE - 1)))
+    def test_random_support_invariants(self, left, right):
+        self.check_invariants(tuple(sorted(left)), tuple(sorted(right)))
+
+    @staticmethod
+    def check_invariants(left, right):
+        union, width, _, _, ia, ib, starts = cofactor._pair_maps(left, right)
+        assert union == tuple(sorted(set(left) | set(right)))
+        assert width == 1 + len(union) + len(union) * (len(union) + 1) // 2
+        assert ia.size == ib.size
+        assert ia.max() < 1 + len(left) + len(left) * (len(left) + 1) // 2
+        assert ib.max() < 1 + len(right) + len(right) * (len(right) + 1) // 2
+        # Terms per union cell, counted through the table itself.
+        ones = np.ones(max(ia.max(), ib.max()) + 1)
+        terms = ones[ia] * ones[ib]
+        if starts is None:
+            assert set(left).isdisjoint(right)
+            assert ia.size == width
+        else:
+            assert not set(left).isdisjoint(right)
+            assert starts.size == width and starts[0] == 0
+            assert (np.diff(starts) > 0).all() and starts[-1] < ia.size
+            terms = np.add.reduceat(terms, starts)
+            assert terms.min() >= 1 and terms.sum() > width
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+def test_retailer_builds_one_disjoint_table_per_support_pair(
+    monkeypatch, batch
+):
+    """Counts, not clocks: over a Retailer cofactor stream every support
+    pair the ring meets is disjoint (no table has ``starts``), each
+    pair's table is built once, and a second pass builds none."""
+    monkeypatch.setattr(cofactor, "_ROW_MAPS", {})
+    built = []
+    build = cofactor._term_table
+
+    def spy(left, right):
+        table = build(left, right)
+        built.append((left, right, table[-1]))
+        return table
+
+    monkeypatch.setattr(cofactor, "_term_table", spy)
+    workload = retailer.generate(scale=0.05)
+    query = cofactor_query(
+        "retailer", workload.schemas, workload.numeric_variables)
+    stream = round_robin_stream(
+        workload.schemas, workload.tables, batch_size=batch,
+        delete_fraction=0.2,
+    )
+
+    def run():
+        engine = FIVMEngine(query, workload.variable_order)
+        for delta in stream.deltas(query.ring):
+            engine.apply_update(delta)
+
+    run()
+    pairs = [(left, right) for left, right, _ in built]
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert [pair for pair in built if pair[2] is not None] == []
+    run()
+    assert len(built) == len(pairs)
