@@ -42,7 +42,7 @@ import pickle
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.factorized_update import FactorizedUpdate
-from repro.data.relation import Relation
+from repro.data.relation import BlockRelation, Relation
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -136,7 +136,12 @@ def take_snapshot(engine, seq: Optional[int] = None) -> dict:
     views = {
         name: {
             "schema": tuple(view.schema),
-            "data": dict(view._data),
+            # A block view copies its rows compactly; the map pickles as
+            # the same dict of payloads.
+            "data": (
+                view.frozen() if isinstance(view, BlockRelation)
+                else dict(view._data)
+            ),
         }
         for name, view in engine.views.items()
     }

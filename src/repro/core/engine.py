@@ -137,7 +137,7 @@ from repro.core.view_tree import (
 )
 from repro.data.database import Database
 from repro.data.indicator import IndicatorView
-from repro.data.relation import DeferredRelation, Relation
+from repro.data.relation import BlockRelation, DeferredRelation, Relation
 
 __all__ = [
     "DeferredRelation",
@@ -206,6 +206,14 @@ def check_factorized(
             f"!= {leaf.keys} of {rel}"
         )
     return leaf
+
+
+def _rows(delta: Relation) -> int:
+    """Rows of a delta, read from its packed key table while it has one
+    (which may count explicit zeros), so that dispatch never folds a
+    packed delta into payload objects."""
+    packed = delta._packed_form
+    return len(packed[0]) if packed is not None else len(delta._data)
 
 
 class _PlanStep:
@@ -373,19 +381,27 @@ class FIVMEngine:
             None if self._interpreted
             else kernels.factor_column_ops(query.ring)
         )
-        #: No trigger probes the root, so nothing binds its map: where
-        #: factor programs hand it packed deltas it keeps their column and
-        #: derives the map on demand (see :class:`DeferredRelation`).
-        root_cls = (
-            DeferredRelation
-            if self._factor_kops is not None
-            and self.materialization == "full"
-            else Relation
-        )
+        #: The ring decides the layout of a stored view.  Over the
+        #: cofactor ring it is a payload block (:class:`BlockRelation`);
+        #: elsewhere a dict, except that no trigger probes the root, so
+        #: nothing binds its map: where factor programs hand it packed
+        #: deltas it keeps their column and derives the map on demand
+        #: (see :class:`DeferredRelation`).
+        kops = query.ring.kernel_ops()
+        if getattr(kops, "block_views", False):
+            view_cls = root_cls = BlockRelation
+        else:
+            view_cls = Relation
+            root_cls = (
+                DeferredRelation
+                if self._factor_kops is not None
+                and self.materialization == "full"
+                else Relation
+            )
         self.views: Dict[str, Relation] = {}
         for node in self.tree.nodes:
             if self.flags[node.name]:
-                cls = root_cls if node is self.tree.root else Relation
+                cls = root_cls if node is self.tree.root else view_cls
                 self.views[node.name] = cls(node.name, node.keys, query.ring)
         # Indicator views (stateful count-based maintenance), per node.
         self._indicator_views: Dict[str, List[IndicatorView]] = {}
@@ -559,10 +575,13 @@ class FIVMEngine:
         multiplicity, and a lift is a memoized singleton; multiplying by
         either is a scaling the scalar trigger does in about a
         microsecond per row, which packing cannot beat.  The products
-        that cost are those between two aggregated payloads.  This also
-        keeps lift-only programs (no sibling at all) scalar, whose
-        memoized lifted payloads are shared across keys where the array
-        form would unpack fresh objects per key.
+        that cost are those between two aggregated payloads.  A program
+        that probes nothing counts its own lifts instead: its output is
+        the lifted column, which the array form builds as one block and a
+        block view absorbs as rows, where the scalar form builds and adds
+        one payload object per row (ROADMAP 3(c)).  The rule stops there:
+        a probing program whose only lifted payload is its own (the
+        triangle root) stays scalar.
         """
         lifting = self.query.lifting
 
@@ -575,6 +594,11 @@ class FIVMEngine:
         children = [step.index for step in plan if step.kind == "child"]
         if source[0] == "child":
             children.append(source[1])
+        if not plan:
+            # Probe-free: the node's own lifts are the product.
+            return any(
+                lifting.get(var) is not None for var in node.marginalized
+            )
         return sum(lifts(node.children[i]) for i in children) >= 2
 
     def _plan(self, node: ViewNode, source: Source) -> List[_PlanStep]:
@@ -1069,9 +1093,9 @@ class FIVMEngine:
                 if cur.is_empty:
                     return self._empty_root()
             cur = self._delta_at_node(step, cur)
-            if step.view is not None and not cur.is_empty:
+            if step.view is not None and _rows(cur):
                 cur = self._write_view(node.name, cur)
-            if cur.is_empty and node is not root:
+            if node is not root and not _rows(cur):
                 return self._empty_root()
         return cur
 
@@ -1094,10 +1118,7 @@ class FIVMEngine:
         array program when it has one and the delta is large enough for
         arrays to pay, through its scalar program otherwise."""
         key = step.key
-        if (
-            len(delta._data) >= self._trigger_rows
-            and key in self._kernel_programs
-        ):
+        if _rows(delta) >= self._trigger_rows and key in self._kernel_programs:
             program = self._kernel_programs[key]
             if program is None:
                 program = kernels.kernel_delta_program(

@@ -26,11 +26,15 @@ this one splits the work into two phases:
 Packed passthrough
 ------------------
 
-A program's *output* carries its reduced packed block along
-(:class:`_KernelDelta`).  When the next trigger on the propagation path
-runs in array form too, its gather appends row indices into that block
-for the delta's own payloads, and the kernel phase takes them from it
-with one array ``take`` instead of re-packing the payload objects.
+A program's *output* is its reduced packed block and its key table (a
+packed :class:`~repro.data.relation.DeferredRelation`); no payload object
+is built.  When the next trigger on the propagation path runs in array
+form too, its gather appends row indices into that block for the delta's
+own payloads, and the kernel phase takes them from it with one array
+``take``.  Sibling payloads stored in block views
+(:class:`~repro.data.relation.BlockRelation`) are gathered the same way:
+as row indices into the view's block or its index's sum block.  A block
+view absorbs the output as rows.
 
 The two phases compute exactly the scalar semantics: the product order
 within a row is the IR's reference order, and regrouping the additions is
@@ -73,7 +77,7 @@ from repro.core.plan_exec import (
     _generated,
     _tuple_display,
 )
-from repro.data.relation import DeferredRelation, Relation, _encode
+from repro.data.relation import BlockRelation, DeferredRelation, Relation, _encode
 from repro.data.relation import float_column_ops as factor_column_ops
 
 __all__ = [
@@ -101,57 +105,30 @@ MIN_TRIGGER_ROWS = 48
 MIN_VECTOR_ROWS = 8
 
 
-class _KernelDelta(Relation):
-    """A kernel program's output delta with its packed block attached.
-
-    ``_kernel_packed`` is the reduced packed column aligned with the
-    insertion order of ``_data`` — consumed by the next kernel gather in
-    the propagation chain (the packed passthrough).
-    Any mutation invalidates the hint; deltas are normally read-only.
-    """
-
-    __slots__ = ("_kernel_packed",)
-
-    def __init__(self, name, schema, ring):
-        super().__init__(name, schema, ring)
-        self._kernel_packed = None
-
-    def add(self, key, payload):
-        """Point write; invalidates the packed column cache."""
-        self._kernel_packed = None
-        super().add(key, payload)
-
-    def absorb_bulk(self, delta):
-        """Bulk absorb; invalidates the packed column cache."""
-        self._kernel_packed = None
-        super().absorb_bulk(delta)
-
-    def clear(self):
-        """Drop contents and the packed column cache."""
-        self._kernel_packed = None
-        super().clear()
-
-
 def kernel_delta_program(ir: DeltaProgram, targets, query) -> "KernelDeltaProgram":
     """Build the array program for one IR program over a ring with array
     hooks (``query.ring.kernel_ops()`` must not be ``None``; whether the
     array form *pays* for the ring is the engine's question, not asked
     here)."""
-    generated = _generated(_generate_gather, ir)
+    blocks = tuple(isinstance(t, BlockRelation) for t in targets)
+    generated = _generated(_generate_gather, ir, blocks)
     return KernelDeltaProgram(
-        ir, query, query.ring.kernel_ops(),
-        _bind_env(generated, targets, query), generated,
+        ir, targets, blocks, query, _bind_env(generated, targets, query),
+        generated,
     )
 
 
-def _generate_gather(ir: DeltaProgram) -> _Generated:
+def _generate_gather(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
     """Generate the gather loop: the source backend's probe walk with the
     innermost arithmetic replaced by column appends.
 
     The generated function takes the delta items plus one bound
     ``list.append`` per column — the output key column first, then one
     column per payload factor, then one per lifting input — so the hot
-    loop carries no attribute lookups.
+    loop carries no attribute lookups.  A probe of a block view
+    (``blocks[target]``) appends the row index its key table or bucket
+    holds, and a bucket-sum probe the sum's row: the kernel phase takes
+    them from the blocks.
     """
     kind, idx = ir.source
     ops = ir.ops
@@ -173,9 +150,14 @@ def _generate_gather(ir: DeltaProgram) -> _Generated:
         lines.append("    " * depth + text)
 
     for i, op in enumerate(ops):
-        requests.append((f"_data{i}", ("data", op.target)))
+        block = bool(blocks) and blocks[op.target]
+        requests.append((f"_data{i}", ("rows" if block else "data", op.target)))
         if op.aggregated and not op.probe_attrs:
-            emit(1, f"_t{i} = _rsum(_data{i}.values())")
+            if block:
+                requests.append((f"_tot{i}", ("total", op.target)))
+                emit(1, f"_t{i} = _tot{i}()")
+            else:
+                emit(1, f"_t{i} = _rsum(_data{i}.values())")
             emit(1, f"if _iszero(_t{i}):")
             emit(2, "return")
 
@@ -187,9 +169,11 @@ def _generate_gather(ir: DeltaProgram) -> _Generated:
     op_pay = {}
     for i, op in enumerate(ops):
         probe = op.probe_attrs
+        block = bool(blocks) and blocks[op.target]
         if isinstance(op, IndexProbe):
-            requests.append((f"_bkt{i}", ("buckets", op.target, probe)))
-            requests.append((f"_sum{i}", ("sums", op.target, probe)))
+            prefix = "row" if block else ""
+            requests.append((f"_bkt{i}", (f"{prefix}buckets", op.target, probe)))
+            requests.append((f"_sum{i}", (f"{prefix}sums", op.target, probe)))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
         if op.aggregated:
             if not probe:
@@ -200,7 +184,9 @@ def _generate_gather(ir: DeltaProgram) -> _Generated:
                 depth += 1
             else:
                 emit(depth, f"_t{i} = _sum{i}.get({probe_key})")
-                emit(depth, f"if _t{i} is not None and not _iszero(_t{i}):")
+                # A sum row that cancelled contributes zeros.
+                test = "" if block else f" and not _iszero(_t{i})"
+                emit(depth, f"if _t{i} is not None{test}:")
                 depth += 1
             op_pay[i] = f"_t{i}"
         else:
@@ -234,38 +220,49 @@ def _generate_gather(ir: DeltaProgram) -> _Generated:
 
 
 class KernelDeltaProgram:
-    """A flat delta trigger executed as gather + array kernel."""
+    """A flat delta trigger executed as gather + array kernel.
+
+    Its output is packed: a :class:`~repro.data.relation.DeferredRelation`
+    over the output keys and their reduced block, with no payload object
+    built — the next array program takes the delta's own payloads from
+    that block by row index, a block view absorbs it as rows, and only a
+    reader of ``_data`` (a scalar trigger, the caller) folds it.
+    """
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_kops", "_gather", "_lift_fns",
-        "_n_factors", "source_text", "_from_source",
+        "_n_factors", "source_text", "_columns",
     )
 
-    def __init__(self, ir, query, kops, gather, generated):
+    def __init__(self, ir, targets, blocks, query, gather, generated):
         self.node_name = ir.node_name
         self.out_schema = ir.out_schema
         self.ring = query.ring
-        self._kops = kops
+        self._kops = query.ring.kernel_ops()
         self._gather = gather
         self._n_factors = len(ir.accumulate.factors)
         lift_table = query.lifting.table()
         self._lift_fns = [lift_table[var] for var, _ in ir.accumulate.lifts]
         #: The generated gather source (debugging and the test suite).
         self.source_text = generated.source_text
-        #: Per factor column: whether it holds the delta's own payloads
-        #: (row indices into its packed block, under the passthrough).
-        self._from_source = [where == "source" for where, _ in ir.accumulate.factors]
-
-    def _materialize(self, factor_cols, delta_packed):
-        """Payload objects for every factor column (scalar fallback)."""
-        if delta_packed is None:
-            return factor_cols
-        kops = self._kops
-        return [
-            kops.unpack(kops.take(delta_packed, np.array(col, dtype=np.intp)))
-            if source else col
-            for source, col in zip(self._from_source, factor_cols)
-        ]
+        #: Per factor column, what it holds: ``"source"`` (the delta's
+        #: payloads, or row indices into its packed block), ``None``
+        #: (payload objects) or the rows (:class:`~repro.data.relation.
+        #: _Rows`: a view's block or an index's sums) its indices point
+        #: into.
+        self._columns = []
+        for where, i in ir.accumulate.factors:
+            if where == "source":
+                self._columns.append("source")
+                continue
+            op = ir.ops[i]
+            target = targets[op.target]
+            if not blocks[op.target] or (op.aggregated and not op.probe_attrs):
+                self._columns.append(None)
+            elif op.aggregated and isinstance(op, IndexProbe):
+                self._columns.append(target._blocks[op.probe_attrs])
+            else:
+                self._columns.append(target._store)
 
     def _finish_scalar(self, keys, factor_cols, lift_cols, out):
         """The exact scalar fold (used when a column cannot pack):
@@ -304,52 +301,50 @@ class KernelDeltaProgram:
 
     def run(self, delta: Relation) -> Relation:
         """Vectorized trigger execution over ``delta`` (NumPy kernels)."""
-        ring = self.ring
-        out = _KernelDelta(self.node_name, self.out_schema, ring)
         keys: List[tuple] = []
         factor_cols: List[list] = [[] for _ in range(self._n_factors)]
         lift_cols: List[list] = [[] for _ in range(len(self._lift_fns))]
         appends = [keys.append]
         appends += [col.append for col in factor_cols]
         appends += [col.append for col in lift_cols]
-        delta_packed = getattr(delta, "_kernel_packed", None)
+        delta_packed = delta._packed_form
         if delta_packed is not None:
             # Packed passthrough: feed row indices as the source
-            # "payloads" and take them from the attached block below.
-            items = zip(delta._data.keys(), range(len(delta._data)))
+            # "payloads" and take them from the delta's block below.
+            table, delta_packed = delta_packed
+            items = zip(table, range(len(table)))
         else:
             items = delta._data.items()
         self._gather(items, *appends)
         n = len(keys)
         if n == 0:
-            return out
+            return Relation(self.node_name, self.out_schema, self.ring)
         kops = self._kops
-        packed = None
-        for source, col in zip(self._from_source, factor_cols):
-            if source and delta_packed is not None:
-                p = kops.take(delta_packed, np.array(col, dtype=np.intp))
-            else:
+        columns = []
+        for kind, col in zip(self._columns, factor_cols):
+            if kind is None or (kind == "source" and delta_packed is None):
                 p = kops.pack(col, n)
-                if p is None:  # unpackable batch: exact scalar fallback
-                    return self._finish_scalar(
-                        keys,
-                        self._materialize(factor_cols, delta_packed),
-                        lift_cols,
-                        out,
-                    )
-            packed = p if packed is None else kops.mul_packed(packed, p, n)
+            else:
+                rows = np.fromiter(col, np.intp, n)
+                p = (
+                    kops.take(delta_packed, rows) if kind == "source"
+                    else (kind.block.take(rows, axis=0), kind.support)
+                )
+            columns.append(p if p is not None else col)
+        if any(type(p) is list for p in columns):
+            # An unpackable batch (mixed supports): the exact scalar fold.
+            return self._finish_scalar(
+                keys,
+                [p if type(p) is list else kops.unpack(p) for p in columns],
+                lift_cols,
+                Relation(self.node_name, self.out_schema, self.ring),
+            )
+        packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
         pack_lift = getattr(kops, "pack_lift", None)
         for lift, col in zip(self._lift_fns, lift_cols):
             p = pack_lift(lift, col, n) if pack_lift is not None else None
             if p is None:
                 p = kops.pack([lift(value) for value in col], n)
-            if p is None:  # pragma: no cover - lifts share one layout
-                return self._finish_scalar(
-                    keys,
-                    self._materialize(factor_cols, delta_packed),
-                    lift_cols,
-                    out,
-                )
             # (never the first factor: the delta's own payload always is)
             packed = kops.mul_packed(packed, p, n)
         # Group rows by output key (ids assigned first-seen, so every id in
@@ -359,14 +354,14 @@ class KernelDeltaProgram:
         zero = kops.zero_mask(reduced)
         if zero.any():
             kept = np.flatnonzero(~zero)
+            if not kept.size:
+                return Relation(self.node_name, self.out_schema, self.ring)
             reduced = kops.take(reduced, kept)
             unique_keys = [unique_keys[i] for i in kept.tolist()]
-        payloads = kops.unpack(reduced)
-        data = out._data
-        for key, payload in zip(unique_keys, payloads):
-            data[key] = payload
-        out._kernel_packed = reduced if unique_keys else None
-        return out
+        return DeferredRelation(
+            self.node_name, self.out_schema, self.ring,
+            packed=(unique_keys, reduced),
+        )
 
 
 # ----------------------------------------------------------------------

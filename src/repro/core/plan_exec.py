@@ -118,7 +118,7 @@ from repro.core.ir import (
     SiblingMerge,
     cache_site,
 )
-from repro.data.relation import Relation
+from repro.data.relation import BlockRelation, Relation
 
 __all__ = [
     "SlotProgram",
@@ -192,10 +192,12 @@ class _Generated:
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
-def _generated(generate, ir) -> _Generated:
-    """``generate(ir)``, memoized process-wide: the one code cache every
-    generator (slot, factor, gather, path) goes through."""
-    return generate(ir)
+def _generated(generate, ir, *layout) -> _Generated:
+    """``generate(ir, *layout)``, memoized process-wide: the one code
+    cache every generator (slot, factor, gather, path) goes through.
+    ``layout`` is what the code depends on beside the IR: per target,
+    whether it is a block view."""
+    return generate(ir, *layout)
 
 
 def _base_env(ring) -> dict:
@@ -223,6 +225,24 @@ def _exec(generated: _Generated, env: dict):
     return env.pop(generated.name)
 
 
+#: How a request against a block view (:class:`BlockRelation`) binds:
+#: its key table, its cached payloads and their reader, its items and
+#: total, and per index the buckets of rows, the sum rows, and the
+#: cached sums and their reader.
+_BLOCK_REQUESTS = {
+    "rows": lambda view: view._slot,
+    "objs": lambda view: view._store.objs,
+    "probe": lambda view: view._probe,
+    "rowprobe": lambda view: view._store.probe,
+    "items": lambda view: view.items,
+    "total": lambda view: view.total,
+    "rowbuckets": lambda view, attrs: view._blocks[attrs].buckets,
+    "rowsums": lambda view, attrs: view._blocks[attrs].sums,
+    "sumobjs": lambda view, attrs: view._blocks[attrs].objs,
+    "sumprobe": lambda view, attrs: view._blocks[attrs].probe,
+}
+
+
 def _bind_env(generated: _Generated, targets, query):
     """Realize a generated program's environment against live targets.
 
@@ -235,7 +255,12 @@ def _bind_env(generated: _Generated, targets, query):
     lift_table = query.lifting.table()
     for name, spec in generated.requests:
         kind = spec[0]
-        if kind == "data":
+        if kind in _BLOCK_REQUESTS:
+            target = targets[spec[1]]
+            if len(spec) > 2:
+                target.register_index(spec[2])
+            env[name] = _BLOCK_REQUESTS[kind](target, *spec[2:])
+        elif kind == "data":
             env[name] = targets[spec[1]]._data
         elif kind == "buckets":
             target = targets[spec[1]]
@@ -261,9 +286,12 @@ class SlotProgram:
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_fn", "source_text", "memo_sites",
+        "blocks",
     )
 
-    def __init__(self, node_name, out_schema, ring, fn, source_text, memo_sites):
+    def __init__(
+        self, node_name, out_schema, ring, fn, source_text, memo_sites, blocks
+    ):
         self.node_name = node_name
         self.out_schema = out_schema
         self.ring = ring
@@ -275,6 +303,8 @@ class SlotProgram:
         #: dict holds strong references to sibling payloads; the engine
         #: owns its lifetime.
         self.memo_sites = memo_sites
+        #: Per target: whether it is a block view (the code reads rows).
+        self.blocks = blocks
 
     def run(self, delta: Relation) -> Relation:
         """Evaluate the node's delta view for ``delta`` entering at the
@@ -310,7 +340,8 @@ def compile_slot_program(ir: DeltaProgram, targets, query) -> SlotProgram:
     while planning).  The code comes from the process-wide cache; only the
     environment binding is per-engine.
     """
-    generated = _generated(_generate_slot, ir)
+    blocks = tuple(isinstance(t, BlockRelation) for t in targets)
+    generated = _generated(_generate_slot, ir, blocks)
     fn = _bind_env(generated, targets, query)
     memo = ir.accumulate.memo
     return SlotProgram(
@@ -319,12 +350,14 @@ def compile_slot_program(ir: DeltaProgram, targets, query) -> SlotProgram:
             f"{ir.node_name}:{ir.source[0]}{ir.source[1]}":
                 (fn.__globals__["_memo"], targets[ir.ops[memo].target])
         },
+        blocks,
     )
 
 
-def _generate_slot(ir: DeltaProgram) -> _Generated:
+def _generate_slot(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
     """Generate the slot-program source and environment requests from IR
-    (no live relation state is read — see the module docstring)."""
+    and the targets' layout (no live relation state is read — see the
+    module docstring)."""
     kind, idx = ir.source
     requests: List[tuple] = []
     lines: List[str] = ["def _trigger(_items, _out):"]
@@ -333,7 +366,7 @@ def _generate_slot(ir: DeltaProgram) -> _Generated:
         """Append one generated source line at ``depth``."""
         lines.append("    " * depth + text)
 
-    _emit_trigger(ir, emit, requests, "rows")
+    _emit_trigger(ir, emit, requests, "rows", blocks=blocks)
     return _Generated(
         lines, requests, ir.out_schema, f"slot-program {ir.node_name}:{kind}{idx}"
     )
@@ -349,7 +382,10 @@ def _point(ir: DeltaProgram) -> bool:
     )
 
 
-def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
+def _emit_trigger(
+    ir: DeltaProgram, emit, requests, sink: str, tag: str = "",
+    blocks: tuple = (),
+):
     """Emit a scalar trigger body: the probes, the payload product and
     where it goes.
 
@@ -359,7 +395,10 @@ def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
     ``"point"`` (the one row through a :func:`_point` program: a failed
     probe or a zero product returns ``None`` from the function, the output
     row is left in ``(_key, _psrc)``).  ``tag`` suffixes every requested
-    global, so several bodies can share one function.
+    global, so several bodies can share one function.  A probe of a block
+    view (``blocks[target]``) reads the view's cached payload for the key
+    and, on a miss, has the view build and cache it from the row
+    (:class:`~repro.data.relation.BlockRelation`).
     """
     ops = ir.ops
     point = sink == "point"
@@ -386,14 +425,32 @@ def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
             emit(depth, f"if {test}:")
             depth += 1
 
+    def block(op) -> bool:
+        """Whether ``op`` probes a block view."""
+        return bool(blocks) and blocks[op.target]
+
     # Hoist loop-invariant group-aware probes (no shared attributes): the
     # whole sibling collapses to one ring sum, computed once per trigger.
-    data = [glob(f"_data{i}", ("data", op.target)) for i, op in enumerate(ops)]
+    data = [
+        glob(f"_data{i}", ("rows" if block(op) else "data", op.target))
+        for i, op in enumerate(ops)
+    ]
     for i, op in enumerate(ops):
         if op.aggregated and not op.probe_attrs:
-            emit(1, f"_t{i} = _rsum({data[i]}.values())")
+            if block(op):
+                emit(1, f"_t{i} = {glob(f'_tot{i}', ('total', op.target))}()")
+            else:
+                emit(1, f"_t{i} = _rsum({data[i]}.values())")
             emit(1, f"if _iszero(_t{i}):")
             emit(2, "return")
+
+    def read(i: int, op, var: str, key: str) -> None:
+        """``var`` := the payload of a block view's ``key`` (``None`` when
+        absent), from its cache first."""
+        objs = glob(f"_oc{i}", ("objs", op.target))
+        emit(depth, f"{var} = {objs}.get({key})")
+        emit(depth, f"if {var} is None:")
+        emit(depth + 1, f"{var} = {glob(f'_pr{i}', ('probe', op.target))}({key})")
 
     if sink == "rows":
         emit(1, "for _key, _psrc in _items:")
@@ -406,9 +463,13 @@ def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
     for i, op in enumerate(ops):
         probe = op.probe_attrs
         if isinstance(op, IndexProbe):
-            bkt = glob(f"_bkt{i}", ("buckets", op.target, probe))
-            sums = glob(f"_sum{i}", ("sums", op.target, probe))
+            prefix = "row" if block(op) else ""
+            bkt = glob(f"_bkt{i}", (f"{prefix}buckets", op.target, probe))
+            sums = glob(f"_sum{i}", (f"{prefix}sums", op.target, probe))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
+        if block(op) and probe and isinstance(op, Probe) and i != memo:
+            emit(depth, f"_q{i} = {probe_key}")
+            probe_key = f"_q{i}"
         if op.aggregated:
             if not probe:
                 pass  # hoisted above the delta loop; payload is _t{i}
@@ -418,11 +479,25 @@ def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
                 if i == memo:
                     emit(depth, f"_pk = {probe_key}")
                     probe_key = "_pk"
-                emit(depth, f"_t{i} = {data[i]}.get({probe_key})")
+                if block(op):
+                    read(i, op, f"_t{i}", probe_key)
+                else:
+                    emit(depth, f"_t{i} = {data[i]}.get({probe_key})")
                 guard(f"_t{i} is not None", f"_t{i} is None")
             else:
                 # Bucket sums may hold cancelled zeros; test them.
-                emit(depth, f"_t{i} = {sums}.get({probe_key})")
+                if block(op):
+                    spec = (op.target, probe)
+                    objs = glob(f"_so{i}", ("sumobjs",) + spec)
+                    emit(depth, f"_sk{i} = {probe_key}")
+                    emit(depth, f"_t{i} = {objs}.get(_sk{i})")
+                    emit(depth, f"if _t{i} is None:")
+                    emit(depth + 1, f"_j{i} = {sums}.get(_sk{i})")
+                    emit(depth + 1, f"if _j{i} is not None:")
+                    reader = glob(f"_sp{i}", ("sumprobe",) + spec)
+                    emit(depth + 2, f"_t{i} = {reader}(_sk{i}, _j{i})")
+                else:
+                    emit(depth, f"_t{i} = {sums}.get({probe_key})")
                 guard(
                     f"_t{i} is not None and not _iszero(_t{i})",
                     f"_t{i} is None or _iszero(_t{i})",
@@ -430,17 +505,33 @@ def _emit_trigger(ir: DeltaProgram, emit, requests, sink: str, tag: str = ""):
             op_pay[i] = f"_t{i}"
         else:
             if isinstance(op, Probe) and probe:
-                emit(depth, f"_p{i} = {data[i]}.get({probe_key})")
+                if block(op):
+                    read(i, op, f"_p{i}", probe_key)
+                else:
+                    emit(depth, f"_p{i} = {data[i]}.get({probe_key})")
                 guard(f"_p{i} is not None", f"_p{i} is None")
             elif isinstance(op, Probe):
-                emit(depth, f"for _k{i}, _p{i} in {data[i]}.items():")
+                source = (
+                    f"{glob(f'_it{i}', ('items', op.target))}()" if block(op)
+                    else f"{data[i]}.items()"
+                )
+                emit(depth, f"for _k{i}, _p{i} in {source}:")
                 depth += 1
             else:
                 emit(depth, f"_b{i} = {bkt}.get({probe_key})")
                 emit(depth, f"if _b{i}:")
                 depth += 1
-                emit(depth, f"for _k{i}, _p{i} in _b{i}.items():")
-                depth += 1
+                if block(op):
+                    objs = glob(f"_oc{i}", ("objs", op.target))
+                    emit(depth, f"for _k{i}, _j{i} in _b{i}.items():")
+                    depth += 1
+                    emit(depth, f"_p{i} = {objs}.get(_k{i})")
+                    emit(depth, f"if _p{i} is None:")
+                    reader = glob(f"_rp{i}", ("rowprobe", op.target))
+                    emit(depth + 1, f"_p{i} = {reader}(_k{i}, _j{i})")
+                else:
+                    emit(depth, f"for _k{i}, _p{i} in _b{i}.items():")
+                    depth += 1
             for position, register in op.extend:
                 emit(depth, f"{rname(register)} = _k{i}[{position}]")
             op_pay[i] = f"_p{i}"
@@ -853,13 +944,15 @@ def _generate_factor(ir: FactorProgramIR) -> _Generated:
 class PathIR(NamedTuple):
     """What a one-row path's code depends on: the leaf view's name, how
     each stored view is written (``"map"``: merged into its primary map
-    inline; ``"add"``: through :meth:`Relation.add`, for a view whose map
-    is not a fixed dict — the packed ℝ root; ``None``: not stored), the
-    path's trigger IR, and whether the engine has a fault plan."""
+    inline; ``"row"``: a block view's row write,
+    :meth:`BlockRelation._write`; ``"add"``: through
+    :meth:`Relation.add`, for a view whose map is not a fixed dict — the
+    packed ℝ root; ``None``: not stored), the path's trigger IR with its
+    targets' layout, and whether the engine has a fault plan."""
 
     leaf: str
     leaf_write: Optional[str]
-    steps: Tuple[Tuple[DeltaProgram, Optional[str]], ...]
+    steps: Tuple[Tuple[DeltaProgram, Optional[str], tuple], ...]
     faults: bool
 
 
@@ -890,6 +983,8 @@ def _generate_path(path: PathIR) -> _Generated:
         requests.append((view, ("view", at)))
         if how == "add":
             emit(1, f"{view}.add(_key, _psrc)")
+        elif how == "row":
+            emit(1, f"{view}._write(_key, _psrc)")
         else:
             data = f"_vd{at}"
             requests.append((data, ("vdata", at)))
@@ -913,13 +1008,13 @@ def _generate_path(path: PathIR) -> _Generated:
         emit(2, f"_cache.pop({name!r}, None)")
 
     write(path.leaf, 0, path.leaf_write)
-    for at, (ir, how) in enumerate(path.steps, start=1):
+    for at, (ir, how, blocks) in enumerate(path.steps, start=1):
         step: List[tuple] = []
         if _point(ir):
-            _emit_trigger(ir, emit, step, "point", f"_{at}")
+            _emit_trigger(ir, emit, step, "point", f"_{at}", blocks)
         else:
             emit(1, "_out = {}")
-            _emit_trigger(ir, emit, step, "row", f"_{at}")
+            _emit_trigger(ir, emit, step, "row", f"_{at}", blocks)
             emit(1, "if len(_out) != 1:")
             emit(2, f"return ({at - 1}, _finalize(_out)) if _out else None")
             emit(1, "_key, _psrc = _out.popitem()")
@@ -950,12 +1045,14 @@ def compile_path(leaf, steps, cache, faults, root, query):
         """How the generated code writes ``view``."""
         if view is None:
             return None
+        if isinstance(view, BlockRelation):
+            return "row"
         return "map" if type(view) is Relation else "add"
 
     leaf_name, leaf_view = leaf
     generated = _generated(_generate_path, PathIR(
         leaf_name, how(leaf_view),
-        tuple((ir, how(view)) for ir, _, view in steps),
+        tuple((ir, how(view), program.blocks) for ir, program, view in steps),
         faults is not None,
     ))
     views = [leaf_view] + [view for _, _, view in steps]

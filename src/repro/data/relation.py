@@ -21,6 +21,7 @@ relations without an import cycle.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -36,7 +37,7 @@ from repro.data.schema import (
 )
 
 __all__ = [
-    "Relation", "DeferredRelation", "float_column_ops",
+    "Relation", "DeferredRelation", "BlockRelation", "float_column_ops",
     "MIN_PACKED_ROWS", "MIN_PACKED_SUM_ROWS",
 ]
 
@@ -285,7 +286,15 @@ class Relation:
             raise SchemaError(
                 f"cannot absorb {delta.schema} into {self.schema}"
             )
-        if delta._packed_form is not None and not self._indexes:
+        self._merge(delta)
+
+    def _merge(self, delta: "Relation") -> None:
+        """The merge of :meth:`absorb_bulk`, schemas checked."""
+        if (
+            delta._packed_form is not None
+            and not self._indexes
+            and float_column_ops(self.ring) is not None
+        ):
             self._absorb_packed(*delta._packed_form)
             return
         ring = self.ring
@@ -998,3 +1007,572 @@ class DeferredRelation(Relation):
         """Pickle as the plain relation this resolves to (resolvers are
         closures; factors cross process boundaries in sharded engines)."""
         return Relation, (self.name, self.schema, self.ring, self._data)
+
+
+# ----------------------------------------------------------------------
+# Block views: payloads as rows of one float64 block
+# ----------------------------------------------------------------------
+
+
+class _Rows:
+    """Rows of one ``(capacity, w)`` float64 block laid out for
+    ``support``, handed out and taken back: free rows are zero, and a
+    freed row is reused before the block grows.
+
+    ``objs`` caches, per owner key, the payload last read from a row by a
+    trigger (:meth:`probe`); its row is a view into the block.  Before a
+    row changes in place, its cached payload is *detached* — its row
+    replaced by a copy of the same values — and dropped, so payloads
+    handed out never change and never keep an outgrown block alive.
+    The dicts are never replaced: generated triggers bind them.
+    """
+
+    __slots__ = ("kops", "support", "block", "free", "top", "objs")
+
+    def __init__(self, kops):
+        self.kops = kops
+        self.objs: dict = {}
+        self.reset(None, 1)
+
+    def reset(self, support, width: int) -> None:
+        self.detach_all()
+        self.support = support
+        self.block = np.zeros((4, width))
+        self.free: list = []
+        self.top = 0
+
+    def probe(self, key, i: int):
+        """The payload in row ``i``, cached under ``key`` (the caller
+        looked in ``objs`` first)."""
+        obj = self.objs[key] = self.kops.payload(self.support, self.block[i])
+        return obj
+
+    def peek(self, key, i: int):
+        """The payload in row ``i``: the cached one, else a fresh payload
+        over a copy of the row."""
+        obj = self.objs.get(key)
+        if obj is None:
+            obj = self.kops.payload(self.support, self.block[i].copy())
+        return obj
+
+    def alloc(self) -> int:
+        if self.free:
+            return self.free.pop()
+        i = self.top
+        if i == len(self.block):
+            self._regrow(i + i // 2)
+        self.top = i + 1
+        return i
+
+    def alloc_many(self, n: int) -> list:
+        """``n`` row indices: freed rows first, then fresh ones."""
+        free = self.free
+        reused = free[len(free) - n:] if n < len(free) else free
+        self.free = free[:len(free) - len(reused)]
+        fresh = n - len(reused)
+        if not fresh:
+            return reused
+        top = self.top
+        if top + fresh > len(self.block):
+            self._regrow(max(len(self.block) * 3 // 2, top + fresh))
+        self.top = top + fresh
+        return reused + list(range(top, top + fresh))
+
+    def release(self, rows) -> None:
+        """Zero and free one row (an int) or several (a list)."""
+        self.block[rows] = 0.0
+        if isinstance(rows, int):
+            self.free.append(rows)
+        else:
+            self.free.extend(rows)
+
+    def detach(self, key) -> None:
+        obj = self.objs.pop(key, None)
+        if obj is not None:
+            obj.row = obj.row.copy()
+
+    def detach_all(self) -> None:
+        for obj in self.objs.values():
+            obj.row = obj.row.copy()
+        self.objs.clear()
+
+    def _regrow(self, capacity: int) -> None:
+        self.detach_all()
+        block = np.zeros((capacity, self.block.shape[1]))
+        block[:self.top] = self.block[:self.top]
+        self.block = block
+
+    def widen(self, support, width: int, emb) -> None:
+        """Lay every row out for a wider ``support`` (old cells at
+        ``emb``)."""
+        self.detach_all()
+        block = np.zeros((len(self.block), width))
+        block[:, emb] = self.block
+        self.block = block
+        self.support = support
+
+
+class _BlockIndex(_Rows):
+    """A secondary index of a :class:`BlockRelation`: per subkey the
+    bucket of its keys (key → row of the view's block) and the bucket's
+    payload sum, a row of this index's own block."""
+
+    __slots__ = ("projector", "buckets", "sums")
+
+    def __init__(self, kops, projector):
+        self.projector = projector
+        self.buckets: Dict[tuple, Dict[Key, int]] = {}
+        self.sums: Dict[tuple, int] = {}
+        super().__init__(kops)
+
+    def reset(self, support, width: int) -> None:
+        super().reset(support, width)
+        self.buckets.clear()
+        self.sums.clear()
+
+
+class _Payloads(Mapping):
+    """A read-only map ``key → payload`` over a map ``key → row``, each
+    payload read through ``read(key, row)``: how code written against
+    payload dicts (the reference interpreter, factor programs, snapshots)
+    reads a :class:`BlockRelation`.  The generated triggers read rows or
+    cached payloads instead.  Pickles as a plain dict."""
+
+    __slots__ = ("_rows", "_read")
+
+    def __init__(self, rows: dict, read):
+        self._rows = rows
+        self._read = read
+
+    def __getitem__(self, key):
+        return self._read(key, self._rows[key])
+
+    def get(self, key, default=None):
+        row = self._rows.get(key)
+        return default if row is None else self._read(key, row)
+
+    def __contains__(self, key) -> bool:
+        return key in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __reduce__(self):
+        return dict, (list(self.items()),)
+
+
+class _Buckets(Mapping):
+    """An index's buckets as ``subkey → payload map`` (see
+    :class:`_Payloads`)."""
+
+    __slots__ = ("_buckets", "_read")
+
+    def __init__(self, buckets: dict, read):
+        self._buckets = buckets
+        self._read = read
+
+    def __getitem__(self, subkey):
+        return _Payloads(self._buckets[subkey], self._read)
+
+    def get(self, subkey, default=None):
+        bucket = self._buckets.get(subkey)
+        return default if bucket is None else _Payloads(bucket, self._read)
+
+    def __contains__(self, subkey) -> bool:
+        return subkey in self._buckets
+
+    def __iter__(self):
+        return iter(self._buckets)
+
+    def __len__(self) -> int:
+        return len(self._buckets)
+
+
+class _Frozen(Mapping):
+    """A payload map over ``keys`` and a block of their rows (row i is
+    key i's), both immutable — a snapshot of a :class:`BlockRelation`.
+    Payloads are built on read, over the block's rows; pickles as a plain
+    dict of payloads."""
+
+    __slots__ = ("_keys", "_block", "_support", "_make", "_at")
+
+    def __init__(self, keys: tuple, block, support, make):
+        self._keys = keys
+        self._block = block
+        self._support = support
+        self._make = make
+        self._at = None
+
+    def __getitem__(self, key):
+        if self._at is None:
+            self._at = {k: i for i, k in enumerate(self._keys)}
+        return self._make(self._support, self._block[self._at[key]])
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def items(self):
+        make, support = self._make, self._support
+        return [(key, make(support, row)) for key, row in zip(self._keys, self._block)]
+
+    def __reduce__(self):
+        return dict, (self.items(),)
+
+
+class BlockRelation(Relation):
+    """A stored view whose payloads are rows of one float64 block.
+
+    The layout of the cofactor ring's views (§6.2: a view's payloads share
+    one support, the variables lifted below it): ``_slot`` maps each key
+    to a row of one ``(capacity, w)`` block (:class:`_Rows`), freed rows
+    are reused, and each secondary index keeps buckets of keys → rows
+    plus its bucket sums as rows of a small second block
+    (:class:`_BlockIndex`).  The ring decides: stored views are blocks
+    when its kernel ops say ``block_views``, and its hooks convert
+    between rows and payloads.
+
+    An absorb is one indexed add and one zero test over the touched rows
+    (:meth:`_absorb_rows`); a packed delta (``_packed_form``, a kernel
+    program's output) is absorbed without any payload object.  Reads
+    build payloads on demand: the generated triggers' probes cache the
+    object per key until that row's next write, so repeated probes return
+    the same object (the lifted-sibling memo validates by identity);
+    public reads (:meth:`payload`, :meth:`items`) return the cached object
+    or a fresh copy.  ``_data`` and the indexes' bucket and sum maps are
+    read-only payload maps over the rows (:class:`_Payloads`) for code
+    written against dicts; writes go through :meth:`add` and
+    :meth:`absorb_bulk`.  A payload whose support is not the view's
+    widens the block to the union of the two.
+    """
+
+    __slots__ = ("_kops", "_slot", "_store", "_blocks", "_view")
+
+    def __init__(self, name: str, schema: Iterable[str], ring):
+        self.name = name
+        self.schema = as_schema(schema)
+        self.ring = ring
+        self._kops = ring.kernel_ops()
+        self._slot: Dict[Key, int] = {}
+        self._store = _Rows(self._kops)
+        self._indexes: Dict[Tuple[str, ...], tuple] = {}
+        self._blocks: Dict[Tuple[str, ...], _BlockIndex] = {}
+        self._view = _Payloads(self._slot, self._store.peek)
+
+    @property
+    def _data(self):
+        """The contents as a read-only payload map."""
+        return self._view
+
+    @_data.setter
+    def _data(self, value):
+        self.clear()
+        loaded = Relation(self.name, self.schema, self.ring)
+        loaded._data = dict(value)
+        self.absorb_bulk(loaded)
+
+    def __reduce__(self):
+        return Relation, (self.name, self.schema, self.ring, dict(self.items()))
+
+    def frozen(self) -> Mapping:
+        """The contents as of now, as a read-only payload map that the
+        view's later writes do not change: the key table and the rows,
+        copied compactly (:class:`_Frozen`)."""
+        store = self._store
+        return _Frozen(
+            tuple(self._slot), store.block[list(self._slot.values())],
+            store.support, self._kops.payload,
+        )
+
+    # -- reads ---------------------------------------------------------
+
+    def _probe(self, key: Key):
+        """The payload of ``key`` for a trigger (``None`` when absent),
+        cached until the row's next write; the caller looked in the cache
+        (``_store.objs``) first."""
+        i = self._slot.get(key)
+        if i is None:
+            return None
+        store = self._store
+        obj = store.objs[key] = self._kops.payload(store.support, store.block[i])
+        return obj
+
+    def payload(self, key: Key) -> Payload:
+        key = tuple(key)
+        i = self._slot.get(key)
+        return self.ring.zero if i is None else self._store.peek(key, i)
+
+    def __contains__(self, key: Key) -> bool:
+        return tuple(key) in self._slot
+
+    def items(self) -> Iterator[Tuple[Key, Payload]]:
+        peek = self._store.peek
+        return ((key, peek(key, i)) for key, i in self._slot.items())
+
+    def keys(self) -> Iterator[Key]:
+        return iter(self._slot)
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._slot
+
+    def total(self) -> Payload:
+        if not self._slot:
+            return self.ring.zero
+        store = self._store
+        rows = store.block[list(self._slot.values())]
+        return self._kops.payload(store.support, np.add.reduce(rows))
+
+    def copy(self, name: Optional[str] = None) -> Relation:
+        return Relation(name or self.name, self.schema, self.ring, dict(self.items()))
+
+    def lookup(self, attrs: Tuple[str, ...], subkey: tuple):
+        if attrs == self.schema:
+            i = self._slot.get(subkey)
+            return ((subkey, self._store.peek(subkey, i)),) if i is not None else ()
+        if not attrs:
+            return self.items()
+        bucket = self._index(attrs).buckets.get(subkey)
+        peek = self._store.peek
+        return [(key, peek(key, i)) for key, i in bucket.items()] if bucket else ()
+
+    def lookup_sum(self, attrs: Tuple[str, ...], subkey: tuple) -> Payload:
+        if attrs == self.schema:
+            return self.payload(subkey)
+        if not attrs:
+            return self.total()
+        index = self._index(attrs)
+        j = index.sums.get(subkey)
+        return self.ring.zero if j is None else index.peek(subkey, j)
+
+    def _index(self, attrs) -> _BlockIndex:
+        index = self._blocks.get(attrs)
+        if index is None:
+            raise KeyError(f"relation {self.name!r} has no index on {attrs}")
+        return index
+
+    # -- writes --------------------------------------------------------
+
+    def _conform(self, rows, support: tuple):
+        """``rows`` (one row or a block) laid out for ``support``, laid out
+        for the view instead — adopting ``support`` on an empty view,
+        widening the view when ``support`` is not within its own."""
+        store = self._store
+        if store.support is None:
+            width = rows.shape[-1]
+            for index in (store, *self._blocks.values()):
+                index.reset(support, width)
+            return rows
+        union, width, emb, emb_other = self._kops.widen(store.support, support)
+        if union != store.support:
+            for index in (store, *self._blocks.values()):
+                index.widen(union, width, emb)
+        out = np.zeros(rows.shape[:-1] + (width,))
+        out[..., emb_other] = rows
+        return out
+
+    def add(self, key: Key, payload: Payload) -> None:
+        if self.ring.is_zero(payload):
+            return
+        self._write(tuple(key), payload)
+
+    def _write(self, key: Key, payload: Payload) -> None:
+        """:meth:`add` of a non-zero payload under a tuple key (what the
+        generated one-row paths call)."""
+        store = self._store
+        row, support = payload.row, payload.support
+        if support is not store.support and support != store.support:
+            row = self._conform(row, support)
+        i = self._slot.get(key)
+        if i is None:
+            free = store.free
+            if free:
+                i = free.pop()
+            else:
+                i = store.top
+                if i == len(store.block):
+                    store._regrow(i + i // 2)
+                store.top = i + 1
+            store.block[i] = row
+            self._slot[key] = i
+            if self._blocks:
+                self._index_row(key, i, row)
+            return
+        if store.objs:
+            store.detach(key)
+        stored = store.block[i]
+        old = stored.copy() if self._blocks else None
+        stored += row
+        tolerance = self._kops.tolerance
+        if abs(stored[0]) <= tolerance and not (np.abs(stored) > tolerance).any():
+            del self._slot[key]
+            store.release(i)
+            if self._blocks:
+                self._index_row(key, None, -old)
+        elif self._blocks:
+            self._index_row(key, i, row)
+
+    def _index_row(self, key: Key, i: Optional[int], applied) -> None:
+        """Index upkeep for one write: ``key`` now in row ``i`` (``None``:
+        deleted), its bucket sums moved by ``applied``."""
+        for index in self._blocks.values():
+            subkey = index.projector(key)
+            bucket = index.buckets.get(subkey)
+            if i is not None:
+                if bucket is None:
+                    index.buckets[subkey] = {key: i}
+                else:
+                    bucket[key] = i
+            elif bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    # The bucket's sum goes with it, as in Relation.
+                    del index.buckets[subkey]
+                    j = index.sums.pop(subkey, None)
+                    if j is not None:
+                        index.detach(subkey)
+                        index.release(j)
+                    continue
+            j = index.sums.get(subkey)
+            if j is None:
+                if i is not None:
+                    j = index.sums[subkey] = index.alloc()
+                    index.block[j] = applied
+                continue
+            index.detach(subkey)
+            index.block[j] += applied
+
+    def _merge(self, delta: Relation) -> None:
+        """``self := self ⊎ delta`` as one block update
+        (:meth:`_absorb_rows`); a packed delta's block is absorbed as is."""
+        packed = delta._packed_form
+        if packed is not None:
+            keys, column = packed
+            if len(keys):
+                self._absorb_rows(list(keys), *column)
+            return
+        data = delta._data
+        if not data:
+            return
+        packed = self._kops.pack(list(data.values()), len(data))
+        if packed is not None:
+            self._absorb_rows(list(data), *packed)
+            return
+        for key, payload in data.items():  # mixed supports
+            if not self.ring.is_zero(payload):
+                self._write(key, payload)
+
+    def _absorb_rows(self, keys: list, rows, support: tuple) -> None:
+        """Add ``rows`` (laid out for ``support``) onto distinct ``keys``:
+        one indexed add, one zero test over the touched rows, and one
+        sweep per index.  Rows that are zero afterwards are freed."""
+        store = self._store
+        if support != store.support:
+            rows = self._conform(rows, support)
+        slot = self._slot
+        at = list(map(slot.get, keys))
+        if None in at:
+            new = [p for p, i in enumerate(at) if i is None]
+            for p, i in zip(new, store.alloc_many(len(new))):
+                at[p] = slot[keys[p]] = i
+        if store.objs:
+            for key in keys:
+                store.detach(key)
+        rows_at = at  # the key table's own ints, shared with the buckets
+        at = np.fromiter(at, np.intp, len(keys))
+        block = store.block
+        old = block[at] if self._blocks else None
+        block[at] += rows
+        tolerance = self._kops.tolerance
+        dead = (np.abs(block[at]) <= tolerance).all(axis=1)
+        applied = rows
+        if dead.any():
+            dead_at = np.flatnonzero(dead)
+            for p in dead_at.tolist():
+                del slot[keys[p]]
+            store.release(at[dead_at].tolist())
+            if self._blocks:
+                applied = rows.copy()
+                applied[dead_at] = -old[dead_at]
+        for index in self._blocks.values():
+            _index_rows(index, keys, rows_at, dead.tolist(), applied)
+
+    def register_index(self, attrs: Sequence[str]) -> None:
+        attrs = tuple(attrs)
+        if attrs == self.schema or attrs in self._indexes:
+            return
+        store = self._store
+        index = _BlockIndex(self._kops, key_projector(self.schema, attrs))
+        index.reset(store.support, store.block.shape[1])
+        self._blocks[attrs] = index
+        self._indexes[attrs] = (
+            index.projector,
+            _Buckets(index.buckets, store.peek),
+            _Payloads(index.sums, index.peek),
+        )
+        if self._slot:
+            keys, at = list(self._slot), list(self._slot.values())
+            _index_rows(index, keys, at, [False] * len(keys), store.block[at])
+
+    def clear(self) -> None:
+        self._slot.clear()
+        for index in (self._store, *self._blocks.values()):
+            index.reset(None, 1)
+
+
+def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
+    """The index sweep of :meth:`BlockRelation._absorb_rows`: bucket
+    membership in update order, then every sum move as one
+    ``np.add.at``.  A bucket that empties drops its sum row, which is
+    freed after the adds, so a bucket refilled in the same sweep starts a
+    fresh row — the sums :meth:`Relation.absorb_bulk` keeps."""
+    buckets, sums = index.buckets, index.sums
+    projector = index.projector
+    targets = []  # per update: its sum row, -1 for none
+    retired = []
+    for key, i, gone in zip(keys, at, dead):
+        subkey = projector(key)
+        bucket = buckets.get(subkey)
+        if not gone:
+            if bucket is None:
+                buckets[subkey] = {key: i}
+            else:
+                bucket[key] = i
+        elif bucket is not None:
+            bucket.pop(key, None)
+            if not bucket:
+                del buckets[subkey]
+                j = sums.pop(subkey, None)
+                if j is not None:
+                    index.detach(subkey)
+                    retired.append(j)
+                targets.append(-1)
+                continue
+        j = sums.get(subkey)
+        if j is None:
+            if gone:
+                targets.append(-1)
+                continue
+            j = sums[subkey] = index.alloc()
+        elif index.objs:
+            index.detach(subkey)
+        targets.append(j)
+    targets = np.fromiter(targets, np.intp, len(targets))
+    moved = targets >= 0
+    if moved.all():
+        np.add.at(index.block, targets, applied)
+    else:
+        np.add.at(index.block, targets[moved], applied[moved])
+    if retired:
+        index.release(retired)

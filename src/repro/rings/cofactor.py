@@ -37,7 +37,7 @@ operand, listed once per support pair in a *term table*.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -118,12 +118,9 @@ class CofactorTriple:
         return self._local()[1:, 1:] if self.support else None
 
     def _local(self) -> np.ndarray:
-        """The (k+1)×(k+1) extended moment matrix over the support."""
-        size, _, upper, lower = _layout(self.support)
-        out = np.empty(size * size)
-        out[upper] = self.row
-        out[lower] = self.row
-        return out.reshape(size, size)
+        """The (k+1)×(k+1) extended moment matrix over the support: one
+        gather of the row through the layout's cell table."""
+        return self.row.take(_layout(self.support)[1])
 
     def dense_sums(self) -> np.ndarray:
         """The sum vector over all m variables (zero blocks materialized)."""
@@ -181,19 +178,17 @@ _ROW_MAPS: Dict[tuple, tuple] = {}
 
 
 def _layout(support: tuple) -> tuple:
-    """``(size, tri, upper, lower)`` for a support of k = size - 1
-    variables: ``tri[r, c]`` is the row position of extended-matrix cell
-    ``(r, c)`` in either order (coordinate 0 is the constant, 1 + i the
-    i-th support variable); ``upper``/``lower`` scatter the row onto the
-    flattened size×size matrix and its transpose."""
+    """``(size, tri)`` for a support of k = size - 1 variables:
+    ``tri[r, c]`` is the row position of extended-matrix cell ``(r, c)``
+    in either order (coordinate 0 is the constant, 1 + i the i-th support
+    variable)."""
     layout = _ROW_MAPS.get(support)
     if layout is None:
         size = len(support) + 1
         rows, cols = np.triu_indices(size)
         tri = np.empty((size, size), dtype=np.intp)
         tri[rows, cols] = tri[cols, rows] = np.arange(rows.size)
-        layout = (size, tri, rows * size + cols, cols * size + rows)
-        _ROW_MAPS[support] = layout
+        layout = _ROW_MAPS[support] = (size, tri)
     return layout
 
 
@@ -226,7 +221,7 @@ def _term_table(left: tuple, right: tuple) -> tuple:
     holds for every pair of disjoint supports.
     """
     union = tuple(sorted(set(left) | set(right)))
-    size, tri, _, _ = _layout(union)
+    size, tri = _layout(union)
     ext_l = np.array([0] + [1 + union.index(i) for i in left], np.intp)
     ext_r = np.array([0] + [1 + union.index(i) for i in right], np.intp)
 
@@ -358,7 +353,7 @@ class CofactorRing(Ring):
     def kernel_ops(self) -> "CofactorKernelOps":
         ops = getattr(self, "_kernel_ops", None)
         if ops is None:
-            ops = CofactorKernelOps(self)
+            ops = CofactorKernelOps(self.degree, self.tolerance)
             self._kernel_ops = ops
         return ops
 
@@ -403,7 +398,8 @@ class CofactorRing(Ring):
 
 
 class CofactorKernelOps:
-    """Batched triple arithmetic for the kernel backend.
+    """Batched triple arithmetic for the kernel backend, and the layout of
+    a stored view.
 
     A column of n same-support triples packs into ``(block, support)``:
     their rows stacked into one (n, w) float64 block.  The ring product of
@@ -413,20 +409,46 @@ class CofactorKernelOps:
     ``np.add.reduceat`` over the block: n ring operations collapse into a
     handful of array expressions.
 
+    The same pair is how a view over this ring stores its payloads
+    (``block_views``; :class:`~repro.data.relation.BlockRelation`): the
+    payloads of a view share one support — the variables lifted below it
+    (§6.2) — so the view is a key → row table plus one block, and
+    a triple carries its ``row`` and ``support``, and :attr:`payload`
+    builds the triple over a row.
+
     Mixed-support columns (rare: payloads at one tree node share their
     support by construction, since support = the variables lifted below)
     return ``None`` from :meth:`pack`, signalling the kernel program to
     fall back to the scalar ring fold for that batch — a correctness
     escape hatch, not a soundness condition.
+
+    The hooks keep the ring's degree and tolerance, not the ring, so ring
+    and hooks form no reference cycle.
     """
 
-    __slots__ = ("ring", "degree")
+    __slots__ = ("degree", "tolerance", "payload")
 
     vectorizes_triggers = True
 
-    def __init__(self, ring: "CofactorRing"):
-        self.ring = ring
-        self.degree = ring.degree
+    #: Stored views over this ring are payload blocks: a triple's
+    #: ``row`` laid out for its ``support``.
+    block_views = True
+
+    def __init__(self, degree: int, tolerance: float):
+        self.degree = degree
+        self.tolerance = tolerance
+        #: ``payload(support, row)``: the triple whose row is ``row`` (not
+        #: copied).
+        self.payload = partial(_triple, degree)
+
+    # -- the block layout of a view ------------------------------------
+
+    @staticmethod
+    def widen(support: tuple, other: tuple) -> tuple:
+        """``(union, width, emb, emb_other)``: the union of two supports,
+        its row width, and where each support's row cells sit in it."""
+        union, width, emb, emb_other, *_ = _pair_maps(support, other)
+        return union, width, emb, emb_other
 
     # -- packing -------------------------------------------------------
 
@@ -499,7 +521,7 @@ class CofactorKernelOps:
         return [_triple(degree, support, row) for row in block]
 
     def zero_mask(self, packed):
-        return (np.abs(packed[0]) <= self.ring.tolerance).all(axis=1)
+        return (np.abs(packed[0]) <= self.tolerance).all(axis=1)
 
     def take(self, packed, rows):
         """The packed column's rows ``rows`` (an index array), in order."""

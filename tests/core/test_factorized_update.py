@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import FIVMEngine, FactorizedUpdate, Query, decompose
 from repro.data import Relation, SchemaError
-from repro.data.relation import DeferredRelation
+from repro.data.relation import BlockRelation, DeferredRelation
 from repro.rings import INT_RING, REAL_RING, SquareMatrixRing
 
 from tests.conftest import (
@@ -354,7 +354,8 @@ def test_which_workloads_enter_the_factor_path_and_the_memo(
     probes) binds lifted-sibling memos — the chain is ℝ and the join ℤ
     without lifts, so the memo cannot move either of them.  Likewise only
     the chain's root can keep a packed column: the others' are plain
-    relations (their rings do not pack as one float64 column)."""
+    relations (their rings do not pack as one float64 column), or — over
+    the cofactor ring — block views, which hold no packed column."""
     from benchmarks.e2e import run as e2e
 
     instance = e2e.WORKLOADS[workload](3, True)
@@ -370,4 +371,6 @@ def test_which_workloads_enter_the_factor_path_and_the_memo(
         assert type(root) is DeferredRelation
         assert root._packed_form is not None, "reads are packed ones"
     else:
-        assert type(root) is Relation
+        assert root._packed_form is None
+        retailer = workload.startswith("retailer")
+        assert type(root) is (BlockRelation if retailer else Relation)

@@ -51,6 +51,15 @@ def join_from(engine, rel):
     return (root.name, ("child", index))
 
 
+def lift_only(engine, rel):
+    """The entry point of ``rel``'s leaf node (probes nothing)."""
+    (key,) = (
+        key for key, plan in engine._plans.items()
+        if not plan and engine.tree.leaves[rel].parent.name == key[0]
+    )
+    return key
+
+
 def make_engine(ring, lifts=None, **kwargs):
     lifting = Lifting(ring, lifts or {})
     query = Query("Q", SCHEMAS, ring=ring, lifting=lifting)
@@ -131,7 +140,9 @@ def test_backend_keyword_selects_only_the_reference_interpreter():
         assert engine._trigger_rows == default._trigger_rows == MIN_TRIGGER_ROWS
         assert engine._vector_rows == default._vector_rows == MIN_VECTOR_ROWS
         assert engine._kernel_programs == default._kernel_programs
-        assert all(type(view) is Relation for view in engine.views.values())
+        assert [type(view) for view in engine.views.values()] == [
+            type(view) for view in default.views.values()
+        ]
 
 
 @pytest.mark.parametrize("family", sorted(VECTORIZING))
@@ -147,10 +158,12 @@ def test_delta_size_selects_the_trigger_form(family, monkeypatch):
     ring, lifts = family_lifts(family, "ABC")
     engine = make_engine(ring, lifts)
     interp = make_engine(ring, lifts, backend="interpreter")
-    # Only the join's entry points have an array form at all ...
+    # The join's entry points and the two lift-only leaf nodes (which
+    # probe nothing and lift A, C) have an array form ...
     from_r, from_s = join_from(engine, "R"), join_from(engine, "S")
-    assert set(engine._kernel_programs) == {from_r, from_s}
-    assert len(engine._programs) == 4  # the two leaf nodes: scalar only
+    leaf_r, leaf_s = lift_only(engine, "R"), lift_only(engine, "S")
+    assert set(engine._kernel_programs) == {from_r, from_s, leaf_r, leaf_s}
+    assert len(engine._programs) == 4
     # ... a one-row delta runs the generated scalar triggers and builds
     # nothing ...
     for target in (engine, interp):
@@ -158,12 +171,12 @@ def test_delta_size_selects_the_trigger_form(family, monkeypatch):
         target.apply_update(ones("R", [(0, 0)], ring))
     assert ran == []
     assert all(p is None for p in engine._kernel_programs.values())
-    # ... and a threshold-row delta builds and runs the array program of
-    # the join it reaches (the lift-only leaf stays scalar).
+    # ... and a threshold-row delta builds and runs the array programs
+    # of the lift-only leaf and the join it reaches.
     rows = [(i, i) for i in range(MIN_TRIGGER_ROWS)]
     for target in (engine, interp):
         target.apply_update(ones("R", rows, ring))
-    assert ran == [("V@B_RS", MIN_TRIGGER_ROWS)]
+    assert ran == [("V@A_R", MIN_TRIGGER_ROWS), ("V@B_RS", MIN_TRIGGER_ROWS)]
     assert isinstance(engine._kernel_programs[from_r], KernelDeltaProgram)
     assert engine._kernel_programs[from_s] is None
     for name, view in interp.views.items():
@@ -191,12 +204,16 @@ def test_only_joins_of_two_lifted_payloads_get_an_array_form():
     # A child view without lifted variables holds bare multiplicities, and
     # the node's own lifts are memoized singletons: multiplying by either
     # is a scaling the scalar trigger does faster than arrays can pack.
-    for lifts in ({"B": COF.lift(1)}, {"A": COF.lift(0), "B": COF.lift(1)}):
-        assert make_engine(COF, lifts)._kernel_programs == {}
+    assert make_engine(COF, {"B": COF.lift(1)})._kernel_programs == {}
+    # A program that probes nothing counts its own lifts: the leaf node
+    # lifting A builds its output column as one block.
+    engine = make_engine(COF, {"A": COF.lift(0), "B": COF.lift(1)})
+    assert set(engine._kernel_programs) == {lift_only(engine, "R")}
     # Both sides of the join aggregate a lifted variable: a real product.
     engine = make_engine(COF, {"A": COF.lift(0), "C": COF.lift(2)})
     assert set(engine._kernel_programs) == {
-        join_from(engine, "R"), join_from(engine, "S")
+        join_from(engine, "R"), join_from(engine, "S"),
+        lift_only(engine, "R"), lift_only(engine, "S"),
     }
 
 
@@ -221,7 +238,7 @@ def test_product_of_vectorizing_rings_runs_array_triggers():
             delta("R", ring, {(b % 3, b): ring.one for b in range(n)})
         )
     programs = list(engine._kernel_programs.values())
-    assert len(programs) == 2  # the join, entered from either side
+    assert len(programs) == 4  # the join from either side, the two leaves
     assert all(isinstance(p, KernelDeltaProgram) for p in programs)
     for name, view in interp.views.items():
         assert view.same_as(engine.views[name])
@@ -291,7 +308,9 @@ def test_mixed_support_batch_falls_back_exactly(monkeypatch):
             delta("S", ring, {(i, i % 4): ring.from_int(1) for i in range(n)})
         )
         engine.apply_update(delta("R", ring, dict(mixed)))
-    assert folds == [n]
+    # The lift-only leaf folds the mixed column, and its mixed output
+    # reaches the join.
+    assert folds == [n, n]
     for name, view in interp.views.items():
         assert view.same_as(arrays.views[name])
 
@@ -330,10 +349,10 @@ def test_kernel_program_output_carries_its_packed_block(family, monkeypatch):
     out = middle.run(Relation(
         "V@D_T", ("C",), ring, {(c,): lifted_d(1.0 + c) for c in range(4)}
     ))
-    assert out._kernel_packed is not None
-    unpacked = ring.kernel_ops().unpack(out._kernel_packed)
-    assert len(unpacked) == len(out) > 0  # aligned, insertion order
-    assert all(map(ring.eq, unpacked, out._data.values()))
+    assert out._packed_form is not None
+    keys, block = out._packed_form
+    unpacked = ring.kernel_ops().unpack(block)
+    assert len(unpacked) == len(keys) > 0  # aligned with the key table
     # A packed output feeds the next program without re-packing (the
     # passthrough takes the delta's column from the block; only the
     # sibling's column is packed) and still computes the same delta.
@@ -348,11 +367,13 @@ def test_kernel_program_output_carries_its_packed_block(family, monkeypatch):
     monkeypatch.setattr(kops_cls, "pack", counting_pack)
     with_hint = top.run(out)
     repacked_with_hint = len(packed_columns)
+    # Reading the map folds the block into payloads, in key-table order.
+    assert list(out._data) == list(keys)
+    assert all(map(ring.eq, unpacked, out._data.values()))
     plain = Relation(out.name, out.schema, out.ring, dict(out._data))
     without_hint = top.run(plain)
     assert len(packed_columns) - repacked_with_hint == repacked_with_hint + 1
     assert not without_hint.is_empty
     assert with_hint.same_as(without_hint)
-    # The passthrough hint dies on mutation: the delta is then plain data.
-    out.add((99,), ring.one)
-    assert out._kernel_packed is None
+    # The passthrough hint died with the fold: the delta is plain data.
+    assert out._packed_form is None
