@@ -694,11 +694,15 @@ class FIVMEngine:
 
     def _drop_caches(self) -> None:
         """Forget everything memoized from view state (a wholesale
-        reload follows): the probe cache, and the lifted-sibling memos
-        with the payload references they hold."""
+        reload follows): the probe cache, the lifted-sibling memos with
+        the payload references they hold, and the payloads block views
+        cached for the triggers."""
         self._probe_cache.clear()
         for memo, _ in self._memo_sites.values():
             memo.clear()
+        for view in self.views.values():
+            if isinstance(view, BlockRelation):
+                view.drop_reads()
 
     def _write_view(self, view_name: str, delta) -> Relation:
         """Absorb ``delta`` into a materialized view — the single choke

@@ -98,7 +98,7 @@ __all__ = [
 #: the rows of a small delta.  Read by
 #: :class:`~repro.core.engine.FIVMEngine`, which selects per delta;
 #: measured on the Retailer cofactor stream (docs/architecture.md §3).
-MIN_TRIGGER_ROWS = 48
+MIN_TRIGGER_ROWS = 32
 
 #: The same crossover for factor programs (:class:`ArrayFactorProgram`),
 #: compared with a term's largest factor; measured on the ℝ matrix chain.

@@ -1530,6 +1530,12 @@ class BlockRelation(Relation):
         for index in (self._store, *self._blocks.values()):
             index.reset(None, 1)
 
+    def drop_reads(self) -> None:
+        """Forget the payloads cached for the triggers (detached, so
+        nothing read keeps the blocks alive)."""
+        for index in (self._store, *self._blocks.values()):
+            index.detach_all()
+
 
 def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
     """The index sweep of :meth:`BlockRelation._absorb_rows`: bucket

@@ -1,0 +1,163 @@
+"""Cofactor views as payload blocks, counted (ROADMAP 18, 1(a)).
+
+Over the ``retailer_b600 --quick`` stream: every stored view is a
+:class:`BlockRelation` whose storage — key table, index buckets, index
+sums — holds row indices, never a ``CofactorTriple``; the only triples
+over a view's block are the read cache's, and once the caches are dropped
+no live triple keeps a block alive.  A kernel program's packed output is
+folded into payload objects only by a scalar trigger that reads it —
+never by dispatch or a view write; and an array-sized step makes a fixed
+number of scalar ring calls, not one per row.  Counts, not clocks.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+
+from repro.core.plan_exec import SlotProgram
+from repro.data import relation
+from repro.data.relation import BlockRelation, DeferredRelation
+from repro.rings.cofactor import CofactorRing, CofactorTriple
+
+from tests.conftest import pinned
+
+
+def quick_b600():
+    """The e2e workload at its ``--quick`` size, set up (not run)."""
+    from benchmarks.e2e import run as e2e
+
+    instance = e2e.WORKLOADS["retailer_b600"](3, True)
+    return instance, instance.setup()
+
+
+def storage(view: BlockRelation):
+    """Every container of the view's stored state, by kind."""
+    yield "key table", view._slot
+    for attrs, index in view._blocks.items():
+        yield f"sums on {attrs}", index.sums
+        for bucket in index.buckets.values():
+            yield f"bucket on {attrs}", bucket
+
+
+def test_views_store_rows_and_hold_no_triple():
+    instance, state = quick_b600()
+    instance.run(state)
+    engine = state.engine
+    views = list(engine.views.values())
+    assert views and all(type(view) is BlockRelation for view in views)
+    stored = sum(len(view) for view in views)
+    assert stored > 100
+    for view in views:
+        for kind, container in storage(view):
+            assert all(type(i) is int for i in container.values()), (
+                view.name, kind,
+            )
+    # A live triple over a view's block is that view's cached read.
+    blocks = [
+        (store.block, store.objs)
+        for view in views
+        for store in (view._store, *view._blocks.values())
+    ]
+    live = [obj for obj in gc.get_objects() if type(obj) is CofactorTriple]
+    for triple in live:
+        for block, objs in blocks:
+            if np.shares_memory(triple.row, block):
+                assert any(triple is cached for cached in objs.values())
+    # Dropped caches leave no triple over any block.
+    engine._drop_caches()
+    assert not any(objs for _, objs in blocks)
+    live = [obj for obj in gc.get_objects() if type(obj) is CofactorTriple]
+    assert not [
+        t for t in live for block, _ in blocks if np.shares_memory(t.row, block)
+    ]
+
+
+def watch_folds(monkeypatch):
+    """Record, per fold of a packed delta into payload objects, the node
+    whose scalar trigger was running (``None``: none was); and per packed
+    absorb, the view."""
+    running, folds, absorbed = [None], [], []
+    run = SlotProgram.run
+
+    def scalar_run(self, delta):
+        running[0] = self.node_name
+        try:
+            return run(self, delta)
+        finally:
+            running[0] = None
+
+    fold = relation._fold_packed
+
+    def watched_fold(data, keys, column, kops):
+        folds.append(running[0])
+        return fold(data, keys, column, kops)
+
+    absorb_rows = BlockRelation._absorb_rows
+
+    def watched_absorb(self, keys, rows, support):
+        absorbed.append(self.name)
+        return absorb_rows(self, keys, rows, support)
+
+    monkeypatch.setattr(SlotProgram, "run", scalar_run)
+    monkeypatch.setattr(relation, "_fold_packed", watched_fold)
+    monkeypatch.setattr(BlockRelation, "_absorb_rows", watched_absorb)
+    return folds, absorbed
+
+
+def inventory_delta(instance, engine, rows):
+    """``rows`` distinct Inventory rows of the stream, as one delta."""
+    table = dict.fromkeys(
+        row for rel, batch, mult in instance.ops
+        if rel == "Inventory" and mult > 0 for row in batch
+    )
+    assert len(table) >= rows
+    ring = engine.query.ring
+    return relation.Relation(
+        "Inventory", engine.tree.leaves["Inventory"].keys, ring,
+        {row: ring.one for row in list(table)[:rows]},
+    )
+
+
+def test_dispatch_and_writes_never_fold_a_packed_delta(monkeypatch):
+    """Packed deltas climb as blocks: dispatch, view writes and the next
+    array program read the key table and the block.  Over the quick
+    stream a packed delta becomes payload objects only where a scalar
+    trigger reads it; a 600-row Inventory delta, whose every step but the
+    root's is array-sized, is folded only by the root's scalar step."""
+    instance, state = quick_b600()
+    engine = state.engine
+    folds, absorbed = watch_folds(monkeypatch)
+    instance.run(state)
+    assert {"V@inventoryunits_I", "V@ksn_II"} <= set(absorbed)
+    assert folds and None not in folds
+
+    del folds[:]
+    root = engine.tree.root
+    out = engine.apply_update(inventory_delta(instance, engine, 600))
+    assert type(out) is not DeferredRelation
+    assert folds == [root.name]
+
+
+@pytest.mark.parametrize("rows", [300, 600])
+def test_an_array_step_makes_a_fixed_number_of_ring_calls(rows, monkeypatch):
+    """Inventory deltas through the array form at every node: the scalar
+    ring is called a fixed number of times per step however many rows
+    the delta has (the hoisted collapses and lifts are array work)."""
+    instance, _ = quick_b600()
+    with pinned("array"):
+        _query, engine = instance.build()
+    instance.apply_all(engine, instance.warm)
+    delta = inventory_delta(instance, engine, rows)
+    calls = {"add": 0, "is_zero": 0, "mul": 0}
+    for name in calls:
+        method = getattr(CofactorRing, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(CofactorRing, name, spy)
+    out = engine.apply_update(delta)
+    assert type(out) is DeferredRelation and out._packed_form is not None
+    assert calls == {"add": 0, "is_zero": 0, "mul": 0}

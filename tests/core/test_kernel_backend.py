@@ -118,7 +118,7 @@ def delta(rel, ring, data):
 def test_thresholds_are_named_public_constants():
     # Flat triggers and factor programs cross over at different sizes
     # (docs/architecture.md §3), so each has its own constant.
-    assert isinstance(MIN_TRIGGER_ROWS, int) and MIN_TRIGGER_ROWS == 48
+    assert isinstance(MIN_TRIGGER_ROWS, int) and MIN_TRIGGER_ROWS == 32
     assert isinstance(MIN_VECTOR_ROWS, int) and MIN_VECTOR_ROWS == 8
 
 

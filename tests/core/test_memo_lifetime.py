@@ -22,6 +22,7 @@ from repro.apps.regression import cofactor_query
 from repro.bench.memory import strategy_scalars
 from repro.core import FIVMEngine
 from repro.data import Database, Relation, relation
+from repro.data.relation import BlockRelation
 from repro.datasets import retailer
 from repro.datasets.streams import round_robin_stream
 from repro.rings.cofactor import CofactorTriple
@@ -113,30 +114,29 @@ def test_dropped_chains_release_their_packed_roots_without_a_collection():
 def test_a_dropped_engine_leaves_no_triple_in_cyclic_garbage():
     """The ``retailer_b1`` engine at the e2e ``--quick`` size, after its
     stream, dropped with the collector off: what a collection then finds
-    unreachable holds no ``CofactorTriple`` but the ring's ``zero`` and
-    ``one``.  A generated function is taken out of the globals it was
-    exec'd into (``plan_exec._exec``), so neither a trigger nor a path
-    keeps its views' payloads in a function ↔ globals cycle; what cycles
-    remain (``ViewNode`` parent links, the ring and its kernel ops) reach
-    no payload."""
+    unreachable holds no ``CofactorTriple``.  A generated function is
+    taken out of the globals it was exec'd into (``plan_exec._exec``), so
+    neither a trigger nor a path keeps its views' rows or cached payloads
+    in a function ↔ globals cycle; a block view's payload maps read
+    through its row stores, which do not refer back to it; and the ring's
+    kernel ops keep its degree and tolerance, not the ring.  What cycles
+    remain (``ViewNode`` parent links) reach no payload."""
     from benchmarks.e2e import run as e2e
 
     instance = e2e.WORKLOADS["retailer_b1"](3, True)
     state = instance.setup()
     instance.run(state)
-    ring = state.ring
-    assert state.engine._row_paths and live_triples() > 100
+    views = state.engine.views.values()
+    assert state.engine._row_paths
+    assert all(type(view) is BlockRelation for view in views)
+    assert sum(len(view) for view in views) > 100, "rows stored in blocks"
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         del state
         gc.collect()
-        leaked = [
-            obj for obj in gc.garbage
-            if type(obj) is CofactorTriple
-            and obj is not ring.zero and obj is not ring.one
-        ]
+        leaked = [obj for obj in gc.garbage if type(obj) is CofactorTriple]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
