@@ -1195,7 +1195,7 @@ class _Frozen(Mapping):
     """A payload map over ``keys`` and a block of their rows (row i is
     key i's), both immutable — a snapshot of a :class:`BlockRelation`.
     Payloads are built on read, over the block's rows; pickles as a plain
-    dict of payloads."""
+    dict of payloads, equal rows as one payload."""
 
     __slots__ = ("_keys", "_block", "_support", "_make", "_at")
 
@@ -1222,7 +1222,17 @@ class _Frozen(Mapping):
         return [(key, make(support, row)) for key, row in zip(self._keys, self._block)]
 
     def __reduce__(self):
-        return dict, (self.items(),)
+        # Equal rows pickle as one shared payload, as the lifted payloads
+        # a dict view shares do.
+        make, support, shared = self._make, self._support, {}
+        items = []
+        for key, row in zip(self._keys, self._block):
+            cells = row.tobytes()
+            payload = shared.get(cells)
+            if payload is None:
+                payload = shared[cells] = make(support, row)
+            items.append((key, payload))
+        return dict, (items,)
 
 
 class BlockRelation(Relation):
