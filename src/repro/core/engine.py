@@ -298,9 +298,11 @@ class FIVMEngine:
         stay accepted as spellings of the default for the same reason as
         the ``storage`` values below.
     storage:
-        Selects nothing: every view is a dict-backed :class:`Relation`
-        (docs/architecture.md §4).  The former values ``"dict"`` and
-        ``"columnar"`` stay accepted as spellings of the default only
+        Selects nothing: the ring decides a view's layout — a payload
+        block (:class:`BlockRelation`) over the cofactor ring, a
+        dict-backed :class:`Relation` otherwise (docs/architecture.md
+        §4).  The former values ``"dict"`` and ``"columnar"`` stay
+        accepted as spellings of the default only
         because the frozen substitution probe of ``benchmarks/e2e``
         constructs them, and that benchmark's tier-1 smoke requires
         each of its cells to read non-zero.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class Relation:
 
     __slots__ = ("name", "schema", "ring", "_data", "_indexes")
 
-    #: ``(key tuple, float64 payload column)`` when the contents exist in
-    #: packed form (see :class:`DeferredRelation`); plain relations have none.
+    #: ``(key table, packed payloads)`` when the contents exist in packed
+    #: form (see :class:`DeferredRelation`); plain relations have none.
     _packed_form = None
 
     def __init__(
@@ -897,11 +897,14 @@ class DeferredRelation(Relation):
       first time anything touches ``_data``.  Callers that ignore the
       return value never pay the round trip; callers that read it get
       the exact eager semantics, just later.
-    * ``packed`` — the contents as ``(key tuple, float64 column)`` (keys
-      distinct, explicit zeros allowed; the relation owns the column).
-      This is how the array factor programs (:mod:`repro.core.kernels`)
-      take factors and emit flattened deltas: :meth:`Relation.absorb_bulk`
-      and the programs consume ``_packed_form`` and never build the map.
+    * ``packed`` — the contents as ``(key table, packed payloads)`` in the
+      ring's array layout (keys distinct, explicit zeros allowed; the
+      relation owns the payloads): an ℝ float64 column, a cofactor
+      ``(block, support)``.  This is how the array factor programs
+      (:mod:`repro.core.kernels`) take factors and emit flattened deltas
+      and how the array triggers emit theirs: :meth:`Relation.absorb_bulk`,
+      a :class:`BlockRelation` and the programs consume ``_packed_form``
+      and never build the map.
 
     The first access to ``_data`` — any inherited method — folds what is
     pending into the map and drops it, so a map somebody has seen (and
@@ -1164,33 +1167,6 @@ class _Payloads(Mapping):
         return dict, (list(self.items()),)
 
 
-class _Buckets(Mapping):
-    """An index's buckets as ``subkey → payload map`` (see
-    :class:`_Payloads`)."""
-
-    __slots__ = ("_buckets", "_read")
-
-    def __init__(self, buckets: dict, read):
-        self._buckets = buckets
-        self._read = read
-
-    def __getitem__(self, subkey):
-        return _Payloads(self._buckets[subkey], self._read)
-
-    def get(self, subkey, default=None):
-        bucket = self._buckets.get(subkey)
-        return default if bucket is None else _Payloads(bucket, self._read)
-
-    def __contains__(self, subkey) -> bool:
-        return subkey in self._buckets
-
-    def __iter__(self):
-        return iter(self._buckets)
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-
 class _Frozen(Mapping):
     """A payload map over ``keys`` and a block of their rows (row i is
     key i's), both immutable — a snapshot of a :class:`BlockRelation`.
@@ -1306,11 +1282,7 @@ class BlockRelation(Relation):
         cached until the row's next write; the caller looked in the cache
         (``_store.objs``) first."""
         i = self._slot.get(key)
-        if i is None:
-            return None
-        store = self._store
-        obj = store.objs[key] = self._kops.payload(store.support, store.block[i])
-        return obj
+        return None if i is None else self._store.probe(key, i)
 
     def payload(self, key: Key) -> Payload:
         key = tuple(key)
@@ -1526,9 +1498,10 @@ class BlockRelation(Relation):
         index = _BlockIndex(self._kops, key_projector(self.schema, attrs))
         index.reset(store.support, store.block.shape[1])
         self._blocks[attrs] = index
+        peek = store.peek
         self._indexes[attrs] = (
             index.projector,
-            _Buckets(index.buckets, store.peek),
+            _Payloads(index.buckets, lambda _, bucket: _Payloads(bucket, peek)),
             _Payloads(index.sums, index.peek),
         )
         if self._slot:
