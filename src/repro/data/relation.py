@@ -1120,10 +1120,11 @@ class _BlockIndex(_Rows):
     bucket of its keys (key → row of the view's block) and the bucket's
     payload sum, a row of this index's own block."""
 
-    __slots__ = ("projector", "buckets", "sums")
+    __slots__ = ("projector", "positions", "buckets", "sums")
 
-    def __init__(self, kops, projector):
-        self.projector = projector
+    def __init__(self, kops, schema, attrs):
+        self.projector = key_projector(schema, attrs)
+        self.positions = schema_positions(schema, attrs)
         self.buckets: Dict[tuple, Dict[Key, int]] = {}
         self.sums: Dict[tuple, int] = {}
         super().__init__(kops)
@@ -1495,7 +1496,7 @@ class BlockRelation(Relation):
         if attrs == self.schema or attrs in self._indexes:
             return
         store = self._store
-        index = _BlockIndex(self._kops, key_projector(self.schema, attrs))
+        index = _BlockIndex(self._kops, self.schema, attrs)
         index.reset(store.support, store.block.shape[1])
         self._blocks[attrs] = index
         peek = store.peek
@@ -1527,11 +1528,10 @@ def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
     freed after the adds, so a bucket refilled in the same sweep starts a
     fresh row — the sums :meth:`Relation.absorb_bulk` keeps."""
     buckets, sums = index.buckets, index.sums
-    projector = index.projector
     targets = []  # per update: its sum row, -1 for none
     retired = []
-    for key, i, gone in zip(keys, at, dead):
-        subkey = projector(key)
+    subkeys = _projected(keys, index.positions)
+    for key, i, gone, subkey in zip(keys, at, dead, subkeys):
         bucket = buckets.get(subkey)
         if not gone:
             if bucket is None:
