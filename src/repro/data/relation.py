@@ -1063,7 +1063,7 @@ class _Rows:
             return self.free.pop()
         i = self.top
         if i == len(self.block):
-            self._regrow(i + i // 2)
+            self._regrow(i + i // 4)
         self.top = i + 1
         return i
 
@@ -1077,7 +1077,7 @@ class _Rows:
             return reused
         top = self.top
         if top + fresh > len(self.block):
-            self._regrow(max(len(self.block) * 3 // 2, top + fresh))
+            self._regrow(max(len(self.block) * 5 // 4, top + fresh))
         self.top = top + fresh
         return reused + list(range(top, top + fresh))
 
@@ -1385,7 +1385,7 @@ class BlockRelation(Relation):
             else:
                 i = store.top
                 if i == len(store.block):
-                    store._regrow(i + i // 2)
+                    store._regrow(i + i // 4)
                 store.top = i + 1
             store.block[i] = row
             self._slot[key] = i
