@@ -1373,11 +1373,11 @@ class BlockRelation(Relation):
     def _write(self, key: Key, payload: Payload) -> None:
         """:meth:`add` of a non-zero payload under a tuple key (what the
         generated one-row paths call)."""
-        store = self._store
+        store, slot = self._store, self._slot
         row, support = payload.row, payload.support
         if support is not store.support and support != store.support:
             row = self._conform(row, support)
-        i = self._slot.get(key)
+        i = slot.get(key)
         if i is None:
             free = store.free
             if free:
@@ -1388,7 +1388,7 @@ class BlockRelation(Relation):
                     store._regrow(i + i // 4)
                 store.top = i + 1
             store.block[i] = row
-            self._slot[key] = i
+            slot[key] = i
             if self._blocks:
                 self._index_row(key, i, row)
             return
@@ -1399,7 +1399,7 @@ class BlockRelation(Relation):
         stored += row
         tolerance = self._kops.tolerance
         if abs(stored[0]) <= tolerance and not (np.abs(stored) > tolerance).any():
-            del self._slot[key]
+            del slot[key]
             store.release(i)
             if self._blocks:
                 self._index_row(key, None, -old)
@@ -1411,29 +1411,31 @@ class BlockRelation(Relation):
         deleted), its bucket sums moved by ``applied``."""
         for index in self._blocks.values():
             subkey = index.projector(key)
-            bucket = index.buckets.get(subkey)
+            buckets, sums = index.buckets, index.sums
+            bucket = buckets.get(subkey)
             if i is not None:
                 if bucket is None:
-                    index.buckets[subkey] = {key: i}
+                    buckets[subkey] = {key: i}
                 else:
                     bucket[key] = i
             elif bucket is not None:
                 bucket.pop(key, None)
                 if not bucket:
                     # The bucket's sum goes with it, as in Relation.
-                    del index.buckets[subkey]
-                    j = index.sums.pop(subkey, None)
+                    del buckets[subkey]
+                    j = sums.pop(subkey, None)
                     if j is not None:
                         index.detach(subkey)
                         index.release(j)
                     continue
-            j = index.sums.get(subkey)
+            j = sums.get(subkey)
             if j is None:
                 if i is not None:
-                    j = index.sums[subkey] = index.alloc()
+                    j = sums[subkey] = index.alloc()
                     index.block[j] = applied
                 continue
-            index.detach(subkey)
+            if index.objs:
+                index.detach(subkey)
             index.block[j] += applied
 
     def _merge(self, delta: Relation) -> None:
