@@ -1130,7 +1130,7 @@ class FIVMEngine:
                 program = kernels.kernel_delta_program(
                     self._ir[key],
                     self._plan_targets(step.node, self._plans[key]),
-                    self.query,
+                    self.query, step.program,
                 )
                 self._kernel_programs[key] = program
         else:

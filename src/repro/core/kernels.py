@@ -10,12 +10,12 @@ least two lifted payloads to multiply; see
 Where the scalar trigger multiplies and folds payloads tuple by tuple,
 this one splits the work into two phases:
 
-1. **gather** — a generated probe loop (the same specialization the
-   scalar trigger emits, compiled once per process) that
-   walks the delta and the sibling probes but *defers all ring
-   arithmetic*: instead of multiplying payloads it appends, per match
-   row, the output key and each payload factor to per-column lists (plus
-   the raw values feeding each lifting function);
+1. **gather** — the scalar trigger's own probe walk, emitted by
+   :func:`~repro.core.plan_exec._emit_trigger` (sink ``"gather"``) and
+   compiled once per process, that *defers all ring arithmetic*: instead
+   of multiplying payloads it appends, per match row, the output key and
+   each payload factor to per-column lists (plus the raw values feeding
+   each lifting function);
 2. **kernel** — the ring's array hooks (``Ring.kernel_ops``) pack each
    column into NumPy arrays, multiply whole columns at once (for the
    cofactor ring: the vectorized Definition 6.2 formula over one stacked
@@ -39,10 +39,10 @@ view absorbs the output as rows.
 The two phases compute exactly the scalar semantics: the product order
 within a row is the IR's reference order, and regrouping the additions is
 sound because ring addition is commutative by the ring axioms.  Rings
-without array hooks never reach this module, and a batch whose payload
-columns do not pack (mixed cofactor supports) takes the exact scalar
-fold inside :meth:`KernelDeltaProgram.run`, so the array form is always
-exact, never approximate.
+without array hooks never reach this module, and a batch whose payload or
+lifting columns do not pack (mixed cofactor supports) is run by the entry
+point's scalar trigger, which each array program holds, so the array
+form is always exact, never approximate.
 
 Array factor programs
 ---------------------
@@ -66,16 +66,15 @@ from repro.core.ir import (
     DeltaProgram,
     FactorProgramIR,
     IndexProbe,
-    Probe,
     SiblingMerge,
     cache_site,
     reduce_bucket,
 )
 from repro.core.plan_exec import (
     _bind_env,
+    _emit_trigger,
     _Generated,
     _generated,
-    _tuple_display,
 )
 from repro.data.relation import BlockRelation, DeferredRelation, Relation, _encode
 from repro.data.relation import float_column_ops as factor_column_ops
@@ -105,43 +104,36 @@ MIN_TRIGGER_ROWS = 32
 MIN_VECTOR_ROWS = 8
 
 
-def kernel_delta_program(ir: DeltaProgram, targets, query) -> "KernelDeltaProgram":
+def kernel_delta_program(
+    ir: DeltaProgram, targets, query, scalar
+) -> "KernelDeltaProgram":
     """Build the array program for one IR program over a ring with array
     hooks (``query.ring.kernel_ops()`` must not be ``None``; whether the
     array form *pays* for the ring is the engine's question, not asked
-    here)."""
+    here).  ``scalar`` is the entry point's scalar trigger: it runs a
+    batch whose columns do not pack."""
     blocks = tuple(isinstance(t, BlockRelation) for t in targets)
     generated = _generated(_generate_gather, ir, blocks)
     return KernelDeltaProgram(
         ir, targets, blocks, query, _bind_env(generated, targets, query),
-        generated,
+        generated, scalar,
     )
 
 
 def _generate_gather(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
-    """Generate the gather loop: the source backend's probe walk with the
-    innermost arithmetic replaced by column appends.
+    """Generate the gather loop: the scalar trigger's probe walk
+    (:func:`~repro.core.plan_exec._emit_trigger`, sink ``"gather"``) with
+    the innermost arithmetic replaced by column appends.
 
     The generated function takes the delta items plus one bound
     ``list.append`` per column — the output key column first, then one
     column per payload factor, then one per lifting input — so the hot
-    loop carries no attribute lookups.  A probe of a block view
-    (``blocks[target]``) appends the row index its key table or bucket
-    holds, and a bucket-sum probe the sum's row: the kernel phase takes
-    them from the blocks.
+    loop carries no attribute lookups.
     """
     kind, idx = ir.source
-    ops = ir.ops
-
-    def rname(register: int) -> str:
-        """Source name of a key register."""
-        return f"r{register}"
-
-    n_factors = len(ir.accumulate.factors)
-    n_lifts = len(ir.accumulate.lifts)
     params = ["_items", "_ak"]
-    params += [f"_af{j}" for j in range(n_factors)]
-    params += [f"_al{j}" for j in range(n_lifts)]
+    params += [f"_af{j}" for j in range(len(ir.accumulate.factors))]
+    params += [f"_al{j}" for j in range(len(ir.accumulate.lifts))]
     requests: List[tuple] = []
     lines: List[str] = [f"def _gather({', '.join(params)}):"]
 
@@ -149,71 +141,7 @@ def _generate_gather(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
         """Append one generated source line at ``depth``."""
         lines.append("    " * depth + text)
 
-    for i, op in enumerate(ops):
-        block = bool(blocks) and blocks[op.target]
-        requests.append((f"_data{i}", ("rows" if block else "data", op.target)))
-        if op.aggregated and not op.probe_attrs:
-            if block:
-                requests.append((f"_tot{i}", ("total", op.target)))
-                emit(1, f"_t{i} = _tot{i}()")
-            else:
-                emit(1, f"_t{i} = _rsum(_data{i}.values())")
-            emit(1, f"if _iszero(_t{i}):")
-            emit(2, "return")
-
-    emit(1, "for _key, _psrc in _items:")
-    depth = 2
-    for position, register in ir.loads:
-        emit(depth, f"{rname(register)} = _key[{position}]")
-
-    op_pay = {}
-    for i, op in enumerate(ops):
-        probe = op.probe_attrs
-        block = bool(blocks) and blocks[op.target]
-        if isinstance(op, IndexProbe):
-            prefix = "row" if block else ""
-            requests.append((f"_bkt{i}", (f"{prefix}buckets", op.target, probe)))
-            requests.append((f"_sum{i}", (f"{prefix}sums", op.target, probe)))
-        probe_key = _tuple_display([rname(r) for r in op.probe_regs])
-        if op.aggregated:
-            if not probe:
-                pass  # hoisted; payload is _t{i}
-            elif isinstance(op, Probe):
-                emit(depth, f"_t{i} = _data{i}.get({probe_key})")
-                emit(depth, f"if _t{i} is not None:")
-                depth += 1
-            else:
-                emit(depth, f"_t{i} = _sum{i}.get({probe_key})")
-                # A sum row that cancelled contributes zeros.
-                test = "" if block else f" and not _iszero(_t{i})"
-                emit(depth, f"if _t{i} is not None{test}:")
-                depth += 1
-            op_pay[i] = f"_t{i}"
-        else:
-            if isinstance(op, Probe) and probe:
-                emit(depth, f"_p{i} = _data{i}.get({probe_key})")
-                emit(depth, f"if _p{i} is not None:")
-                depth += 1
-            elif isinstance(op, Probe):
-                emit(depth, f"for _k{i}, _p{i} in _data{i}.items():")
-                depth += 1
-            else:
-                emit(depth, f"_b{i} = _bkt{i}.get({probe_key})")
-                emit(depth, f"if _b{i}:")
-                depth += 1
-                emit(depth, f"for _k{i}, _p{i} in _b{i}.items():")
-                depth += 1
-            for position, register in op.extend:
-                emit(depth, f"{rname(register)} = _k{i}[{position}]")
-            op_pay[i] = f"_p{i}"
-
-    out_key = _tuple_display([rname(r) for r in ir.accumulate.out_regs])
-    emit(depth, f"_ak({out_key})")
-    for j, (where, i) in enumerate(ir.accumulate.factors):
-        emit(depth, f"_af{j}({'_psrc' if where == 'source' else op_pay[i]})")
-    for j, (var, register) in enumerate(ir.accumulate.lifts):
-        emit(depth, f"_al{j}({rname(register)})")
-
+    _emit_trigger(ir, emit, requests, "gather", blocks=blocks)
     return _Generated(
         lines, requests, ir.out_schema, f"kernel-gather {ir.node_name}:{kind}{idx}"
     )
@@ -231,20 +159,21 @@ class KernelDeltaProgram:
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_kops", "_gather", "_lift_fns",
-        "_n_factors", "source_text", "_columns",
+        "source_text", "_columns", "_scalar",
     )
 
-    def __init__(self, ir, targets, blocks, query, gather, generated):
+    def __init__(self, ir, targets, blocks, query, gather, generated, scalar):
         self.node_name = ir.node_name
         self.out_schema = ir.out_schema
         self.ring = query.ring
         self._kops = query.ring.kernel_ops()
         self._gather = gather
-        self._n_factors = len(ir.accumulate.factors)
         lift_table = query.lifting.table()
         self._lift_fns = [lift_table[var] for var, _ in ir.accumulate.lifts]
         #: The generated gather source (debugging and the test suite).
         self.source_text = generated.source_text
+        #: The entry point's scalar trigger, for a batch that does not pack.
+        self._scalar = scalar
         #: Per factor column, what it holds: ``"source"`` (the delta's
         #: payloads, or row indices into its packed block), ``None``
         #: (payload objects) or the rows (:class:`~repro.data.relation.
@@ -264,46 +193,11 @@ class KernelDeltaProgram:
             else:
                 self._columns.append(target._store)
 
-    def _finish_scalar(self, keys, factor_cols, lift_cols, out):
-        """The exact scalar fold (used when a column cannot pack):
-        row-wise reference-order products, per-key contribution lists,
-        one ``ring.sum`` per key, zeros dropped."""
-        ring = self.ring
-        mul = ring.mul
-        acc = {}
-        lifted_cols = list(zip(self._lift_fns, lift_cols))
-        for row, key in enumerate(keys):
-            value = None
-            for col in factor_cols:
-                factor = col[row]
-                value = factor if value is None else mul(value, factor)
-            lv = None
-            for lift, col in lifted_cols:
-                term = lift(col[row])
-                lv = term if lv is None else mul(lv, term)
-            if value is None:
-                value = ring.one if lv is None else lv
-            elif lv is not None:
-                value = mul(value, lv)
-            current = acc.get(key)
-            if current is None:
-                acc[key] = [value]
-            else:
-                current.append(value)
-        rsum = ring.sum
-        is_zero = ring.is_zero
-        data = out._data
-        for key, values in acc.items():
-            total = values[0] if len(values) == 1 else rsum(values)
-            if not is_zero(total):
-                data[key] = total
-        return out
-
     def run(self, delta: Relation) -> Relation:
         """Vectorized trigger execution over ``delta`` (NumPy kernels)."""
         keys: List[tuple] = []
-        factor_cols: List[list] = [[] for _ in range(self._n_factors)]
-        lift_cols: List[list] = [[] for _ in range(len(self._lift_fns))]
+        factor_cols: List[list] = [[] for _ in self._columns]
+        lift_cols: List[list] = [[] for _ in self._lift_fns]
         appends = [keys.append]
         appends += [col.append for col in factor_cols]
         appends += [col.append for col in lift_cols]
@@ -330,23 +224,18 @@ class KernelDeltaProgram:
                     kops.take(delta_packed, rows) if kind == "source"
                     else (kind.block.take(rows, axis=0), kind.support)
                 )
-            columns.append(p if p is not None else col)
-        if any(type(p) is list for p in columns):
-            # An unpackable batch (mixed supports): the exact scalar fold.
-            return self._finish_scalar(
-                keys,
-                [p if type(p) is list else kops.unpack(p) for p in columns],
-                lift_cols,
-                Relation(self.node_name, self.out_schema, self.ring),
-            )
-        packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
+            columns.append(p)
         pack_lift = getattr(kops, "pack_lift", None)
         for lift, col in zip(self._lift_fns, lift_cols):
             p = pack_lift(lift, col, n) if pack_lift is not None else None
-            if p is None:
-                p = kops.pack([lift(value) for value in col], n)
-            # (never the first factor: the delta's own payload always is)
-            packed = kops.mul_packed(packed, p, n)
+            columns.append(
+                p if p is not None else kops.pack([lift(value) for value in col], n)
+            )
+        if any(p is None for p in columns):
+            # A batch that does not pack (mixed supports): the scalar
+            # trigger runs it.
+            return self._scalar.run(delta)
+        packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
         # Group rows by output key (ids assigned first-seen, so every id in
         # range(n_groups) occurs — the reduce hooks rely on that).
         unique_keys, group_ids = _encode(keys, n)

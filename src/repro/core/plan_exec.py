@@ -394,14 +394,21 @@ def _emit_trigger(
     ``(_key, _psrc)`` already bound, contributions into ``_out``) or
     ``"point"`` (the one row through a :func:`_point` program: a failed
     probe or a zero product returns ``None`` from the function, the output
-    row is left in ``(_key, _psrc)``).  ``tag`` suffixes every requested
+    row is left in ``(_key, _psrc)``) or ``"gather"`` (the array form's
+    loop over ``_items``, :mod:`repro.core.kernels`: no ring arithmetic —
+    per match it appends the output key, each payload factor and each
+    lifting input to the columns ``_ak``, ``_af<j>``, ``_al<j>``; the
+    lifted-sibling memo is ignored).  ``tag`` suffixes every requested
     global, so several bodies can share one function.  A probe of a block
     view (``blocks[target]``) reads the view's cached payload for the key
     and, on a miss, has the view build and cache it from the row
-    (:class:`~repro.data.relation.BlockRelation`).
+    (:class:`~repro.data.relation.BlockRelation`); a gather binds the row
+    index itself (key table, bucket or sum row), which the kernel phase
+    takes from the block.
     """
     ops = ir.ops
     point = sink == "point"
+    gather = sink == "gather"
 
     def rname(register: int) -> str:
         """Source name of a key register."""
@@ -429,6 +436,10 @@ def _emit_trigger(
         """Whether ``op`` probes a block view."""
         return bool(blocks) and blocks[op.target]
 
+    def cached(op) -> bool:
+        """Whether ``op`` reads a block view's cached payloads."""
+        return block(op) and not gather
+
     # Hoist loop-invariant group-aware probes (no shared attributes): the
     # whole sibling collapses to one ring sum, computed once per trigger.
     data = [
@@ -452,13 +463,13 @@ def _emit_trigger(
         emit(depth, f"if {var} is None:")
         emit(depth + 1, f"{var} = {glob(f'_pr{i}', ('probe', op.target))}({key})")
 
-    if sink == "rows":
+    if sink in ("rows", "gather"):
         emit(1, "for _key, _psrc in _items:")
         depth = 2
     for position, register in ir.loads:
         emit(depth, f"{rname(register)} = _key[{position}]")
 
-    memo = ir.accumulate.memo
+    memo = None if gather else ir.accumulate.memo
     op_pay: Dict[int, str] = {}
     for i, op in enumerate(ops):
         probe = op.probe_attrs
@@ -467,7 +478,7 @@ def _emit_trigger(
             bkt = glob(f"_bkt{i}", (f"{prefix}buckets", op.target, probe))
             sums = glob(f"_sum{i}", (f"{prefix}sums", op.target, probe))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
-        if block(op) and probe and isinstance(op, Probe) and i != memo:
+        if cached(op) and probe and isinstance(op, Probe) and i != memo:
             emit(depth, f"_q{i} = {probe_key}")
             probe_key = f"_q{i}"
         if op.aggregated:
@@ -479,10 +490,14 @@ def _emit_trigger(
                 if i == memo:
                     emit(depth, f"_pk = {probe_key}")
                     probe_key = "_pk"
-                if block(op):
+                if cached(op):
                     read(i, op, f"_t{i}", probe_key)
                 else:
                     emit(depth, f"_t{i} = {data[i]}.get({probe_key})")
+                guard(f"_t{i} is not None", f"_t{i} is None")
+            elif gather and block(op):
+                # A sum row that cancelled contributes zeros.
+                emit(depth, f"_t{i} = {sums}.get({probe_key})")
                 guard(f"_t{i} is not None", f"_t{i} is None")
             else:
                 # Bucket sums may hold cancelled zeros; test them.
@@ -505,14 +520,14 @@ def _emit_trigger(
             op_pay[i] = f"_t{i}"
         else:
             if isinstance(op, Probe) and probe:
-                if block(op):
+                if cached(op):
                     read(i, op, f"_p{i}", probe_key)
                 else:
                     emit(depth, f"_p{i} = {data[i]}.get({probe_key})")
                 guard(f"_p{i} is not None", f"_p{i} is None")
             elif isinstance(op, Probe):
                 source = (
-                    f"{glob(f'_it{i}', ('items', op.target))}()" if block(op)
+                    f"{glob(f'_it{i}', ('items', op.target))}()" if cached(op)
                     else f"{data[i]}.items()"
                 )
                 emit(depth, f"for _k{i}, _p{i} in {source}:")
@@ -521,7 +536,7 @@ def _emit_trigger(
                 emit(depth, f"_b{i} = {bkt}.get({probe_key})")
                 emit(depth, f"if _b{i}:")
                 depth += 1
-                if block(op):
+                if cached(op):
                     objs = glob(f"_oc{i}", ("objs", op.target))
                     emit(depth, f"for _k{i}, _j{i} in _b{i}.items():")
                     depth += 1
@@ -548,6 +563,14 @@ def _emit_trigger(
         "_psrc" if where == "source" else op_pay[i]
         for where, i in ir.accumulate.factors
     ]
+    out_key = _tuple_display([rname(r) for r in ir.accumulate.out_regs])
+    if gather:
+        emit(depth, f"_ak({out_key})")
+        for j, factor in enumerate(factors):
+            emit(depth, f"_af{j}({factor})")
+        for j, (var, register) in enumerate(ir.accumulate.lifts):
+            emit(depth, f"_al{j}({rname(register)})")
+        return
     lift_lines = []
     for j, (var, register) in enumerate(ir.accumulate.lifts):
         term = f"{glob(f'_lift{j}', ('lift', var))}({rname(register)})"
@@ -588,7 +611,6 @@ def _emit_trigger(
         emit(depth, f"_v = {factors[0]}")
         for factor in factors[1:]:
             emit(depth, f"_v = _mul(_v, {factor})")
-    out_key = _tuple_display([rname(r) for r in ir.accumulate.out_regs])
     if point:
         emit(depth, "if _iszero(_v):")
         emit(depth + 1, "return")

@@ -27,6 +27,7 @@ maintains, after whatever transformed it (indicators, key factorization).
 
 from __future__ import annotations
 
+import weakref
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -53,8 +54,9 @@ class ViewNode:
         "marginalized",
         "at_vars",
         "leaf_of",
-        "parent",
+        "_parent",
         "indicators",
+        "__weakref__",
     )
 
     def __init__(
@@ -74,10 +76,16 @@ class ViewNode:
         self.marginalized = marginalized
         self.at_vars = at_vars
         self.leaf_of = leaf_of
-        self.parent: Optional[ViewNode] = None
+        self._parent: Optional[weakref.ref] = None
         #: Indicator projections attached by Appendix B's I(τ) algorithm;
         #: populated by :mod:`repro.core.indicator_trees`.
         self.indicators: list = []
+
+    @property
+    def parent(self) -> Optional["ViewNode"]:
+        """The parent node (``None`` at the root): a weak link, so a tree
+        is no reference cycle and dies by reference counting."""
+        return None if self._parent is None else self._parent()
 
     @property
     def is_leaf(self) -> bool:
@@ -108,7 +116,7 @@ class ViewTree:
         self._wire(self.root, None)
 
     def _wire(self, node: ViewNode, parent: Optional[ViewNode]) -> None:
-        node.parent = parent
+        node._parent = None if parent is None else weakref.ref(parent)
         self.nodes.append(node)
         if node.is_leaf:
             if node.leaf_of in self.leaves:

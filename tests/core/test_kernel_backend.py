@@ -6,8 +6,9 @@ joins two lifted payloads; ``_delta_at_node`` picks between them from the
 size of the delta against :data:`MIN_TRIGGER_ROWS`.  Rings whose scalar
 arithmetic already beats packing (ℤ, ℝ, products of them) never get an
 array form, which is also what keeps ℤ payloads unbounded Python ints.
-The array path has one exactness escape hatch — a column that refuses to
-pack (mixed cofactor supports) — which must produce the interpreter's
+The array path has one exactness escape hatch — a payload or lifting
+column that refuses to pack (mixed cofactor supports) sends the batch to
+the entry point's scalar trigger — which must produce the interpreter's
 results.  An array program's output delta carries its packed block to
 the next array trigger in the chain, which takes it instead of
 re-packing.
@@ -23,6 +24,7 @@ from repro.core.kernels import (
     MIN_TRIGGER_ROWS,
     MIN_VECTOR_ROWS,
 )
+from repro.core.plan_exec import SlotProgram
 from repro.data import Relation
 from repro.rings import (
     CofactorRing,
@@ -281,19 +283,26 @@ def test_integer_multiplicities_beyond_int64_stay_exact():
         assert view.same_as(engine.views[name])
 
 
+def spy_scalar_runs(monkeypatch):
+    """Record the delta size of every scalar-trigger run."""
+    runs = []
+    original = SlotProgram.run
+
+    def spy(self, delta):
+        runs.append(len(delta))
+        return original(self, delta)
+
+    monkeypatch.setattr(SlotProgram, "run", spy)
+    return runs
+
+
 def test_mixed_support_batch_falls_back_exactly(monkeypatch):
     # R's base payloads alternate between multiplicities and triples that
     # already carry a support, so the R-delta reaches the join with a
     # payload column of mixed supports, which refuses to pack — the run
-    # must take the scalar fold and still match the interpreter exactly.
-    folds = []
-    original = KernelDeltaProgram._finish_scalar
-
-    def spy(self, keys, *rest):
-        folds.append(len(keys))
-        return original(self, keys, *rest)
-
-    monkeypatch.setattr(KernelDeltaProgram, "_finish_scalar", spy)
+    # must hand the batch to the scalar trigger and still match the
+    # interpreter exactly.
+    runs = spy_scalar_runs(monkeypatch)
     ring = CofactorRing(3)
     lifts = {"A": ring.lift(0), "C": ring.lift(2)}
     arrays = make_engine(ring, lifts)
@@ -308,9 +317,40 @@ def test_mixed_support_batch_falls_back_exactly(monkeypatch):
             delta("S", ring, {(i, i % 4): ring.from_int(1) for i in range(n)})
         )
         engine.apply_update(delta("R", ring, dict(mixed)))
-    # The lift-only leaf folds the mixed column, and its mixed output
-    # reaches the join.
-    assert folds == [n, n]
+    # The lift-only leaf runs the mixed column scalar, and its mixed
+    # output reaches the join.
+    assert runs == [n, n]
+    for name, view in interp.views.items():
+        assert view.same_as(arrays.views[name])
+
+
+def test_lift_column_that_does_not_pack_falls_back_exactly(monkeypatch):
+    # A's lift marks the value 0 "missing" with the ring's one (empty
+    # support) and lifts every other value onto variable 0, so the R-delta
+    # gathers a lifting column of mixed supports: the array program must
+    # hand the batch to the scalar trigger, not multiply an unpacked
+    # column.
+    ring = CofactorRing(3)
+    lift_a = ring.lift(0)
+    lifts = {
+        "A": lambda x: ring.one if x == 0 else lift_a(x),
+        "C": ring.lift(2),
+    }
+    arrays = make_engine(ring, lifts)
+    interp = make_engine(ring, lifts, backend="interpreter")
+    n = 2 * MIN_TRIGGER_ROWS
+    for engine in (arrays, interp):
+        engine.apply_update(
+            delta("S", ring, {(i, i % 4): ring.from_int(1) for i in range(n)})
+        )
+    runs = spy_scalar_runs(monkeypatch)
+    for engine in (arrays, interp):
+        engine.apply_update(
+            delta("R", ring, {(a, a % 8): ring.from_int(1) for a in range(n)})
+        )
+    # The leaf's lift-only trigger falls back on the 64 rows; its 8
+    # output keys reach the join below the array threshold.
+    assert runs == [n, 8]
     for name, view in interp.views.items():
         assert view.same_as(arrays.views[name])
 
