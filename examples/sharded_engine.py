@@ -49,12 +49,12 @@ def main() -> None:
         delta = Relation(rel, SCHEMAS[rel], INT_RING, {key: 1})
         expected = single.apply_update(delta.copy())
         merged = sharded.apply_update(delta.copy())
-        assert expected.same_as(merged.rename({}, name=expected.name)), step
+        assert expected.same_as(merged.copy(name=expected.name)), step
 
     result = sharded.result()
     print(f"counts per price band after 60 updates ({len(result)} groups):")
     print(result.pretty(limit=6))
-    assert single.result().same_as(result.rename({}, name=single.result().name))
+    assert single.result().same_as(result.copy(name=single.result().name))
     print("\nsingle-engine and 3-shard results agree, update for update.\n")
 
     # The multiprocessing configuration (one forked worker per shard) on a

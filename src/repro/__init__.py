@@ -48,7 +48,6 @@ from repro.core import (
     ViewTree,
     add_indicator_projections,
     build_view_tree,
-    decompose,
     materialization_flags,
 )
 from repro.data import Database, IndicatorView, Relation
@@ -73,7 +72,7 @@ __all__ = [
     "__version__",
     # core
     "Query", "VariableOrder", "ViewTree", "build_view_tree", "FIVMEngine",
-    "FactorizedUpdate", "decompose", "materialization_flags",
+    "FactorizedUpdate", "materialization_flags",
     "add_indicator_projections",
     # data
     "Relation", "Database", "IndicatorView",

@@ -143,9 +143,6 @@ class SumProductInference:
             raise ValueError("partition function needs free=()")
         return self.engine.result().payload(())
 
-    def unnormalized_marginal(self) -> Relation:
-        return self.engine.result()
-
     def marginal(self) -> Dict[tuple, float]:
         """The normalized distribution over the free variables."""
         contents = dict(self.engine.result().items())
@@ -211,16 +208,6 @@ class MaxProductInference:
         tree = build_view_tree(self.query, self.order)
         result = tree.evaluate(self._db)[tree.root.name]
         return result.payload(())
-
-    def max_marginal(self, variable: str) -> Dict[object, float]:
-        """Max-marginal of one variable (its best achievable weight)."""
-        query = Query(
-            "max_marginal", self.graph.schemas(), free=(variable,),
-            ring=self.ring,
-        )
-        tree = build_view_tree(query)
-        result = tree.evaluate(self._db)[tree.root.name]
-        return {key[0]: value for key, value in result.items()}
 
     def map_assignment(self) -> Tuple[Dict[str, object], float]:
         """A maximizing assignment, decoded variable by variable.

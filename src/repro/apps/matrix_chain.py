@@ -239,10 +239,6 @@ class DenseChainFirstOrder:
         self.result += delta12 @ self.a3
         self.a2 += np.outer(u, v)
 
-    def apply_dense_delta(self, delta: np.ndarray) -> None:
-        self.result += (self.a1 @ delta) @ self.a3
-        self.a2 += delta
-
 
 class DenseChainReeval:
     """Dense re-evaluation: two full matrix products per update."""

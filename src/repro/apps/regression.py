@@ -132,12 +132,6 @@ class CofactorModel:
     def apply_update(self, delta: Relation) -> Relation:
         return self.engine.apply_update(delta)
 
-    def result(self) -> Relation:
-        return self.engine.result()
-
-    def view_sizes(self) -> Dict[str, int]:
-        return self.engine.view_sizes()
-
     def triple(self, key: tuple = ()) -> CofactorTriple:
         """The maintained (c, s, Q) for a group key (() for global)."""
         return self.engine.result().payload(key)

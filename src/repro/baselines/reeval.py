@@ -45,15 +45,6 @@ class _ReevalBase:
             self._result = self._recompute()
         return self._result
 
-    def view_sizes(self) -> Dict[str, int]:
-        sizes = {rel: len(r) for rel, r in self.base.items()}
-        if self._result is not None:
-            sizes["result"] = len(self._result)
-        return sizes
-
-    def _recompute(self) -> Relation:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class FactorizedReevaluator(_ReevalBase):
     """F-RE: full re-evaluation along the factorized view tree."""

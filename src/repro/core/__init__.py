@@ -1,10 +1,5 @@
 """F-IVM core: variable orders, view trees, deltas, materialization, engine."""
 
-from repro.core.analysis import (
-    is_hierarchical,
-    is_q_hierarchical,
-    update_cost_sketch,
-)
 from repro.core.checkpoint import (
     JournaledFIVMEngine,
     UpdateJournal,
@@ -16,14 +11,9 @@ from repro.core.engine import (
     DeferredRelation,
     FIVMEngine,
 )
-from repro.core.factorized_update import FactorizedUpdate, decompose
+from repro.core.factorized_update import FactorizedUpdate
 from repro.core.faults import FaultPlan, InjectedCrash, InjectedFault
-from repro.core.hypergraph import (
-    connected_components,
-    gyo_residual,
-    is_acyclic,
-    is_connected,
-)
+from repro.core.hypergraph import connected_components, gyo_residual
 from repro.core.indicator_trees import IndicatorSpec, add_indicator_projections
 from repro.core.materialization import (
     delta_sources,
@@ -59,11 +49,7 @@ __all__ = [
     "FaultPlan",
     "InjectedCrash",
     "InjectedFault",
-    "is_hierarchical",
-    "is_q_hierarchical",
-    "update_cost_sketch",
     "FactorizedUpdate",
-    "decompose",
     "Query",
     "VariableOrder",
     "VONode",
@@ -77,7 +63,5 @@ __all__ = [
     "add_indicator_projections",
     "IndicatorSpec",
     "gyo_residual",
-    "is_acyclic",
-    "is_connected",
     "connected_components",
 ]

@@ -39,7 +39,7 @@ journal tail.
 from __future__ import annotations
 
 import pickle
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.factorized_update import FactorizedUpdate
 from repro.data.relation import BlockRelation, Relation
@@ -307,7 +307,6 @@ def tail_handoff(
     """
     base_seq = snapshot[0] if snapshot is not None else 0
     return {
-        "version": 1,
         "base_seq": base_seq,
         "snapshot": snapshot[1] if snapshot is not None else None,
         "tail": journal.tail(base_seq),
@@ -412,10 +411,13 @@ class JournaledFIVMEngine:
 
     def save(self, path) -> None:
         """Persist snapshot + journal tail with :mod:`pickle` (payloads
-        are ring values — ints, tuples, numpy arrays — all picklable)."""
+        are ring values — ints, tuples, numpy arrays — all picklable),
+        stamped with :data:`SNAPSHOT_VERSION`: a journal saved before its
+        first checkpoint holds no snapshot to carry one."""
         with open(path, "wb") as fh:
             pickle.dump(
                 {
+                    "version": SNAPSHOT_VERSION,
                     "snapshot": self.snapshot,
                     "journal": list(self.journal),
                     "applied_seq": self.applied_seq,
@@ -425,27 +427,19 @@ class JournaledFIVMEngine:
 
     def load(self, path) -> None:
         """Load durability state saved by :meth:`save` (the engine itself
-        is rebuilt separately via :meth:`recover_into`)."""
+        is rebuilt separately via :meth:`recover_into`).  A file of another
+        :data:`SNAPSHOT_VERSION` raises ``ValueError`` before any state is
+        touched."""
         with open(path, "rb") as fh:
             state = pickle.load(fh)
+        if state.get("version") != SNAPSHOT_VERSION:
+            raise ValueError(
+                f"journal version {state.get('version')!r} != "
+                f"{SNAPSHOT_VERSION}"
+            )
         self.snapshot = state["snapshot"]
         self.journal.clear()
         for seq, payload in state["journal"]:
             self.journal.append(seq, payload)
         self.applied_seq = state["applied_seq"]
         self._next_seq = max(self.applied_seq, self.journal.last_seq)
-
-    # -- read-through ----------------------------------------------------
-
-    def result(self) -> Relation:
-        """The wrapped engine's maintained query result."""
-        return self.engine.result()
-
-    def contents(self, view_name: str) -> Relation:
-        """Contents of one of the wrapped engine's materialized views."""
-        return self.engine.contents(view_name)
-
-    @property
-    def views(self) -> Dict[str, Relation]:
-        """The wrapped engine's materialized views, by name."""
-        return self.engine.views

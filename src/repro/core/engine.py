@@ -96,7 +96,7 @@ it.  An LRU evictor bounds the active set under ``partial_budget``
 logical scalars (the accounting of :mod:`repro.bench.memory`).  In this
 mode root deltas returned by the triggers are restricted to the active
 set, and :meth:`result` only covers served keys — reads go through the
-client, not :meth:`contents`.
+client, not :attr:`views`.
 
 Every write into a materialized view — delta absorbs on the propagate
 paths, factorized flattens, stored-base absorbs, and :meth:`initialize`'s
@@ -894,10 +894,6 @@ class FIVMEngine:
         root = self.tree.root
         return Relation(root.name, root.keys, self.query.ring)
 
-    def contents(self, view_name: str) -> Relation:
-        """Contents of a materialized view by name."""
-        return self.views[view_name]
-
     def materialized_names(self) -> Tuple[str, ...]:
         """Sorted names of the materialized views."""
         return tuple(sorted(self.views))
@@ -1136,23 +1132,6 @@ class FIVMEngine:
         else:
             program = step.program
         return program.run(delta)
-
-    def apply_decomposed_update(self, delta: Relation) -> Relation:
-        """Decompose a listing delta into factors, then propagate factored.
-
-        The product decomposition of Example 5.1: when the delta factorizes
-        (e.g. a full row/column change), this routes it through the
-        factorized path automatically; otherwise it degrades gracefully to
-        the listing trigger.
-        """
-        from repro.core.factorized_update import decompose
-
-        if not self.query.ring.is_commutative or delta.is_empty:
-            return self.apply_update(delta)
-        update = decompose(delta)
-        if len(update.terms[0]) <= 1:
-            return self.apply_update(delta)
-        return self.apply_factorized_update(update)
 
     # ------------------------------------------------------------------
     # Factorizable updates (Section 5)

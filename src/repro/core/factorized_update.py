@@ -10,21 +10,16 @@ Propagating a factorized delta keeps the product form and pushes
 marginalization into the factor holding the variable — the ``Optimize`` step
 of Figure 4 — so a rank-1 update to the middle of a matrix chain costs
 matrix-vector instead of matrix-matrix work (Example 6.1).
-
-``decompose`` implements the product decomposition of Example 5.1: it
-greedily splits off one variable at a time when the relation is expressible
-as ``R_X[X] ⊗ R_rest[rest]``, in time O(variables × |R| log |R|), in the
-spirit of the world-set decomposition algorithms the paper cites [35].
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.data.relation import Relation
-from repro.data.schema import SchemaError, key_projector
+from repro.data.schema import SchemaError
 
-__all__ = ["FactorizedUpdate", "decompose"]
+__all__ = ["FactorizedUpdate"]
 
 
 class FactorizedUpdate:
@@ -79,11 +74,6 @@ class FactorizedUpdate:
         """A single product term (e.g. ``δA = u[X] ⊗ v[Y]``)."""
         return cls(relation, [list(factors)])
 
-    @property
-    def rank(self) -> int:
-        """Number of product terms (the tensor rank of the update)."""
-        return len(self.terms)
-
     def flatten(self, schema: Sequence[str], name: Optional[str] = None) -> Relation:
         """Materialize the full delta relation (for tests and fallbacks).
 
@@ -122,109 +112,3 @@ class FactorizedUpdate:
         assert total is not None
         total.name = label
         return total
-
-    def cumulative_size(self) -> int:
-        """Total number of stored keys across all factors (cf. Example 5.1)."""
-        return sum(len(f) for term in self.terms for f in term)
-
-
-def _try_split(
-    relation: Relation, variable: str
-) -> Optional[Tuple[Relation, Relation]]:
-    """Attempt ``R = u[X] ⊗ rest`` for the given variable; None if impossible.
-
-    Works for commutative numeric rings: groups keys by the X-value, checks
-    that all groups have identical support over the remaining attributes and
-    payloads proportional to one reference group, and returns the pair of
-    factors when so.
-    """
-    ring = relation.ring
-    rest_attrs = tuple(a for a in relation.schema if a != variable)
-    if not rest_attrs or len(relation) == 0:
-        return None
-    proj_var = key_projector(relation.schema, (variable,))
-    proj_rest = key_projector(relation.schema, rest_attrs)
-    groups: Dict[tuple, Dict[tuple, object]] = {}
-    for key, payload in relation.items():
-        groups.setdefault(proj_var(key), {})[proj_rest(key)] = payload
-    if len(groups) <= 1:
-        return None
-
-    # Reference group: any one of them; candidate rest-factor is its contents.
-    ref_key = next(iter(groups))
-    reference = groups[ref_key]
-    ref_support = set(reference)
-    # Pick a pivot rest-tuple to derive each group's scalar coefficient.
-    pivot = next(iter(ref_support))
-    coefficients: Dict[tuple, object] = {}
-    for var_value, group in groups.items():
-        if set(group) != ref_support:
-            return None
-        coefficients[var_value] = group[pivot]
-
-    # Normalize: the rest factor uses the reference group's payloads with the
-    # pivot coefficient divided out; only attempt this for float payloads
-    # (exact division); integer rings succeed when coefficients divide.
-    ref_coeff = reference[pivot]
-    rest_data: Dict[tuple, object] = {}
-    for rest_key, payload in reference.items():
-        try:
-            ratio = _divide(payload, ref_coeff)
-        except ArithmeticError:
-            return None
-        rest_data[rest_key] = ratio
-    # Verify proportionality on every group and cell.
-    for var_value, group in groups.items():
-        coeff = coefficients[var_value]
-        for rest_key, expected_ratio in rest_data.items():
-            predicted = ring.mul(coeff, expected_ratio)
-            if not ring.eq(predicted, group[rest_key]):
-                return None
-
-    u = Relation(f"{relation.name}_{variable}", (variable,), ring, coefficients)
-    rest = Relation(f"{relation.name}_rest", rest_attrs, ring, rest_data)
-    return u, rest
-
-
-def _divide(a, b):
-    """Payload division for ℤ/ℝ payloads; raises ArithmeticError otherwise."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        raise ArithmeticError("no division for booleans")
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0 or a % b != 0:
-            raise ArithmeticError("non-integral ratio")
-        return a // b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if b == 0:
-            raise ArithmeticError("division by zero")
-        return a / b
-    raise ArithmeticError(f"cannot divide payloads of type {type(a)}")
-
-
-def decompose(delta: Relation) -> FactorizedUpdate:
-    """Greedy product decomposition of a delta relation (Example 5.1).
-
-    Splits off one variable at a time while the relation factorizes; the
-    result is a single product term whose factors multiply back to ``delta``
-    (verified by the test suite).  Relations that do not factorize yield the
-    trivial one-factor term; the empty delta yields the rank-0 update (no
-    terms), which flattens back to the zero relation and propagates as a
-    no-op.
-    """
-    if delta.is_empty:
-        return FactorizedUpdate(delta.name, [], ring=delta.ring)
-    factors: List[Relation] = []
-    current = delta
-    made_progress = True
-    while made_progress and len(current.schema) > 1:
-        made_progress = False
-        for variable in current.schema:
-            split = _try_split(current, variable)
-            if split is not None:
-                u, rest = split
-                factors.append(u)
-                current = rest
-                made_progress = True
-                break
-    factors.append(current)
-    return FactorizedUpdate.rank_one(delta.name, factors)

@@ -3,9 +3,8 @@
 A query's hypergraph has one vertex per variable and one hyperedge per
 relation (its schema).  Appendix B of the paper uses the GYO reduction
 (Fagin et al. variant [15]) to decide which candidate indicator projections
-participate in a cycle; the same machinery provides acyclicity tests and the
-connected-component decomposition that the recursive-IVM baseline uses to
-mirror DBToaster's view factoring.
+participate in a cycle; the connected-component decomposition is what the
+recursive-IVM baseline uses to mirror DBToaster's view factoring.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 __all__ = [
     "Hyperedge",
     "gyo_residual",
-    "is_acyclic",
     "connected_components",
-    "is_connected",
 ]
 
 #: An identified hyperedge: (label, vertex set).  Labels keep duplicate
@@ -80,11 +77,6 @@ def gyo_residual(
     return [(label, frozenset(vs)) for label, vs in work]
 
 
-def is_acyclic(edges: Iterable[Tuple[str, Iterable[str]]]) -> bool:
-    """Whether the hypergraph is α-acyclic (empty GYO residual)."""
-    return not gyo_residual(edges)
-
-
 def connected_components(
     edges: Iterable[Tuple[str, Iterable[str]]]
 ) -> List[List[str]]:
@@ -123,7 +115,3 @@ def connected_components(
         groups.setdefault(find(label), []).append(label)
     return list(groups.values())
 
-
-def is_connected(edges: Iterable[Tuple[str, Iterable[str]]]) -> bool:
-    """Whether all edges form a single connected component."""
-    return len(connected_components(edges)) <= 1

@@ -266,10 +266,6 @@ class MultiViewEngine:
         """Sorted names of the registered views."""
         return tuple(sorted(self._views))
 
-    def set_target_lag(self, name: str, target_lag: float) -> None:
-        """Change a view's lag budget (takes effect at the next tick)."""
-        self._views[name].target_lag = float(target_lag)
-
     def _admit_relation(self, rel: str, schema: Tuple[str, ...]) -> None:
         if rel in self._db:
             existing = self._db.relation(rel).schema
@@ -592,10 +588,6 @@ class MultiViewEngine:
                 refreshed.append(name)
         return refreshed
 
-    def refresh(self, name: str) -> None:
-        """Force one view fresh now, regardless of its target lag."""
-        self._refresh(self._views[name], self._clock())
-
     def drain(self) -> List[str]:
         """Force every stale view fresh (the shutdown / test barrier)."""
         now = self._clock()
@@ -792,12 +784,11 @@ class MultiViewClient:
     """Point lookups over a :class:`MultiViewEngine`'s registered views.
 
     Mirrors :class:`~repro.core.serving.ViewClient`'s surface — ``lookup``
-    / ``lookup_many`` / ``stats`` — so :class:`repro.serve.ViewServer`
-    serves a multi-view engine through the same read path; keys are given
-    in the registered query's free-variable order.  Reads answer from the
-    view's last refreshed state; consult
-    :meth:`MultiViewEngine.freshness` (or the server's ``lookup_fresh``)
-    for how stale that is.
+    / ``stats`` — so :class:`repro.serve.ViewServer` serves a multi-view
+    engine through the same read path; keys are given in the registered
+    query's free-variable order.  Reads answer from the view's last
+    refreshed state; consult :meth:`MultiViewEngine.freshness` for how
+    stale that is.
     """
 
     def __init__(self, engine: MultiViewEngine):
@@ -814,10 +805,6 @@ class MultiViewClient:
             order = {attr: i for i, attr in enumerate(free)}
             key = tuple(key[order[attr]] for attr in root.schema)
         return root.payload(key)
-
-    def lookup_many(self, view_name: str, keys: Iterable[Iterable]) -> List:
-        """Batched :meth:`lookup` (payloads in input order)."""
-        return [self.lookup(view_name, key) for key in keys]
 
     def stats(self, view_name: str) -> Dict:
         """The view's refresh counters and freshness snapshot."""

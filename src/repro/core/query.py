@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.hypergraph import is_acyclic, is_connected
 from repro.data.schema import SchemaError, as_schema
 from repro.rings.base import Ring
 from repro.rings.lifting import Lifting
@@ -75,26 +74,6 @@ class Query:
         self.lifting = lifting or Lifting(ring)
 
     # ------------------------------------------------------------------
-
-    def hyperedges(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        """The join hypergraph as (relation name, schema) pairs."""
-        return [(rel, schema) for rel, schema in self.relations.items()]
-
-    @property
-    def is_acyclic(self) -> bool:
-        """Whether the join hypergraph is α-acyclic (GYO-reducible)."""
-        return is_acyclic(self.hyperedges())
-
-    @property
-    def is_connected(self) -> bool:
-        """Whether the join hypergraph is one connected component."""
-        return is_connected(self.hyperedges())
-
-    def relations_with(self, variable: str) -> Tuple[str, ...]:
-        """Names of relations whose schema contains ``variable``."""
-        return tuple(
-            rel for rel, schema in self.relations.items() if variable in schema
-        )
 
     def schema_of(self, relation: str) -> Tuple[str, ...]:
         """The schema of ``relation``; raises :class:`SchemaError` if unknown."""

@@ -30,7 +30,7 @@ The three moving parts:
   matter which deltas were previously dropped — which is what makes
   drop-then-reregister sound;
 * :class:`ViewClient` — the request-shaped front door:
-  ``lookup(view_name, key)`` / ``lookup_many``.  Hot keys are answered
+  ``lookup(view_name, key)``.  Hot keys are answered
   from the maintained partial view (and LRU-touched); cold keys trigger
   an upquery, register the key (clearing its drop record), and are
   incrementally maintained from then on.  Against a full-materialization
@@ -44,7 +44,7 @@ one level up in :mod:`repro.serve`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.bench.memory import payload_scalars
 from repro.core.view_tree import ViewNode, compute_view
@@ -122,13 +122,9 @@ class ActiveSet:
         self.entries[key] = cost
         self.total_cost += cost - old
 
-    def record_drop(self, key: Key) -> None:
-        """Note a delta dropped for inactive ``key`` (re-serve must upquery)."""
-        self.dropped.add(key)
-        self.stats["dropped_deltas"] += 1
-
     def record_drops(self, keys) -> None:
-        """Bulk :meth:`record_drop` (one set union — the write hot path)."""
+        """Record that deltas to ``keys`` were dropped (one set union —
+        the write hot path)."""
         n = len(keys)
         if n:
             self.dropped.update(keys)
@@ -276,10 +272,6 @@ class ViewClient:
             return engine.views[view_name].payload(key)
         active.stats["misses"] += 1
         return self._activate(view_name, active, key)
-
-    def lookup_many(self, view_name: str, keys: Iterable[Iterable]) -> List:
-        """Batched :meth:`lookup` (one list in, payloads out, same order)."""
-        return [self.lookup(view_name, key) for key in keys]
 
     # -- cold-key registration -----------------------------------------
 

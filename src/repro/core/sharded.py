@@ -120,7 +120,7 @@ from repro.core.engine import (
     check_delta,
     check_factorized,
 )
-from repro.core.factorized_update import FactorizedUpdate, decompose
+from repro.core.factorized_update import FactorizedUpdate
 from repro.core.faults import InjectedFault
 from repro.core.materialization import resolve_flags
 from repro.core.query import Query
@@ -204,7 +204,7 @@ def _pack_request(request: tuple, copy: bool = False) -> tuple:
         return ("batch", [pack_item(item, copy=copy) for item in request[1]])
     if kind == "init":
         return ("init", [pack_relation(rel, copy=copy) for rel in request[1]])
-    return request  # "view", "views", "sizes", "scalars", "snapshot", "stop"
+    return request  # "view", "views", "scalars", "snapshot", "stop"
 
 
 def _unpack_request(msg: tuple, ring) -> tuple:
@@ -216,7 +216,7 @@ def _unpack_request(msg: tuple, ring) -> tuple:
         return ("batch", [unpack_item(p, ring) for p in msg[1]])
     if kind == "init":
         return ("init", [_unpack_relation(p, ring) for p in msg[1]])
-    return msg  # "view", "views", "sizes", "scalars", "snapshot", "restore", "stop"
+    return msg  # "view", "views", "scalars", "snapshot", "restore", "stop"
 
 
 def _dispatch(engine: FIVMEngine, request: tuple):
@@ -243,8 +243,6 @@ def _dispatch(engine: FIVMEngine, request: tuple):
         return engine.views[request[1]]._data
     if kind == "views":
         return {name: view._data for name, view in engine.views.items()}
-    if kind == "sizes":
-        return engine.view_sizes()
     if kind == "scalars":
         from repro.bench.memory import strategy_scalars
 
@@ -639,14 +637,6 @@ class _SupervisedShards:
             return self._faults.get(shard)
         return self._faults
 
-    def _spawn(self, shard: int, faults) -> None:
-        """Start the worker for ``shard`` and install its connection."""
-        raise NotImplementedError
-
-    def _reap(self, shard: int) -> None:
-        """Tear down a failed worker (best effort; it may already be dead)."""
-        raise NotImplementedError
-
     # -- the pipelined window -------------------------------------------
 
     def submit(self, requests: Dict[int, tuple]) -> _PendingGroup:
@@ -744,12 +734,6 @@ class _SupervisedShards:
             )
         self._applied[shard] = max(self._applied[shard], entry.seq)
         self._deliver(shard, entry, payload)
-
-    def _drain_ready(self) -> None:
-        """Opportunistically consume every ack already waiting (also
-        flushes any batched socket writes, via ``poll``)."""
-        for shard in range(len(self._windows)):
-            self._drain_ready_shard(shard)
 
     def _drain_ready_shard(self, shard: int) -> None:
         """Consume every ack of ``shard`` that is already waiting."""
@@ -1412,12 +1396,17 @@ class ShardedFIVMEngine:
                 "shard_addresses requires executor='socket'"
             )
 
+        # Locals, not ``self``: the factories outlive set-up inside the
+        # executor, and a closure over ``self`` would make the engine a
+        # reference cycle.
+        order, updatable = self.order, self.updatable
+
         def factory() -> FIVMEngine:
             """One shard-local engine of the shared configuration."""
             return FIVMEngine(
                 query,
-                order=self.order,
-                updatable=self.updatable,
+                order=order,
+                updatable=updatable,
                 collapse_chains=collapse_chains,
                 materialize=materialize,
                 group_aware=group_aware,
@@ -1624,21 +1613,11 @@ class ShardedFIVMEngine:
             return self._zero_root()
         return self._submit_merged(requests)
 
-    def apply_decomposed_update(self, delta: Relation) -> Relation:
-        """Decompose a listing delta into factors, then route factored
-        (mirrors :meth:`FIVMEngine.apply_decomposed_update`)."""
-        if not self.query.ring.is_commutative or delta.is_empty:
-            return self.apply_update(delta)
-        update = decompose(delta)
-        if len(update.terms[0]) <= 1:
-            return self.apply_update(delta)
-        return self.apply_factorized_update(update)
-
     def flush(self) -> None:
         """Barrier: collect every outstanding pipelined root-delta ack.
 
         A no-op for synchronous executors.  Reads (:meth:`result`,
-        :meth:`contents`, :meth:`view_sizes`, …) and :meth:`initialize`
+        :meth:`contents`, …) and :meth:`initialize`
         flush implicitly, so they always observe every update submitted
         before them; call this explicitly to bound the in-flight window
         at stream checkpoints or before measuring.
@@ -1708,22 +1687,6 @@ class ShardedFIVMEngine:
         return tuple(sorted(
             name for name, flagged in self.flags.items() if flagged
         ))
-
-    def view_sizes(self) -> Dict[str, int]:
-        """Physical keys per view, summed across shards (replicated views
-        count once per shard — that is what each shard actually stores)."""
-        replies = self._exec.run({
-            shard: ("sizes",) for shard in range(self.shards)
-        })
-        sizes: Dict[str, int] = {}
-        for reply in replies.values():
-            for name, count in reply.items():
-                sizes[name] = sizes.get(name, 0) + count
-        return sizes
-
-    def total_keys(self) -> int:
-        """Total physical keys stored across all shards and views."""
-        return sum(self.view_sizes().values())
 
     @property
     def shard_restarts(self) -> List[int]:

@@ -72,16 +72,6 @@ class VariableOrder:
         return cls([_parse_spec(s) for s in specs])
 
     @classmethod
-    def chain(cls, variables: Sequence[str]) -> "VariableOrder":
-        """A single-path order; trivially valid for every query."""
-        node: Optional[VONode] = None
-        for var in reversed(variables):
-            node = VONode(var, [node] if node else [])
-        if node is None:
-            raise SchemaError("cannot build an empty variable order")
-        return cls([node])
-
-    @classmethod
     def auto(cls, query: Query) -> "VariableOrder":
         """Heuristic construction that is valid for any (even cyclic) query.
 

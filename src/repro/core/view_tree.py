@@ -138,16 +138,6 @@ class ViewTree:
         """Number of non-leaf views in the tree."""
         return len(self.inner_views())
 
-    def path_to_root(self, relation: str) -> List[ViewNode]:
-        """Nodes from the relation's leaf (exclusive) up to the root."""
-        leaf = self.leaves[relation]
-        path: List[ViewNode] = []
-        node = leaf.parent
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        return path
-
     def evaluate(
         self, db: Database, results: Optional[Dict[str, Relation]] = None
     ) -> Dict[str, Relation]:
@@ -173,10 +163,6 @@ class ViewTree:
         contents = compute_view(node, child_results, self.query)
         results[node.name] = contents
         return contents
-
-    def result_view(self) -> str:
-        """Name of the view holding the query result."""
-        return self.root.name
 
     def pretty(self) -> str:
         """Indented rendering of the tree (for docs and debugging)."""

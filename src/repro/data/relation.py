@@ -115,11 +115,6 @@ class Relation:
             rel.add(tuple(row), value)
         return rel
 
-    @classmethod
-    def empty(cls, name: str, schema: Iterable[str], ring) -> "Relation":
-        """The empty relation (maps every tuple to ``0``)."""
-        return cls(name, schema, ring)
-
     def copy(self, name: Optional[str] = None) -> "Relation":
         """A shallow copy (payloads are shared; they are treated immutably).
 
@@ -187,7 +182,7 @@ class Relation:
         entries sharing it, letting delta joins probe this relation in time
         proportional to the matches instead of scanning it.  Each bucket
         also maintains the ring sum of its payloads, so group-aware joins
-        (``lookup_sum``) touch one value instead of the whole bucket.
+        read one value instead of the whole bucket.
         """
         attrs = tuple(attrs)
         if attrs == self.schema or attrs in self._indexes:
@@ -222,27 +217,6 @@ class Relation:
             )
         bucket = entry[1].get(subkey)
         return bucket.items() if bucket else ()
-
-    def lookup_sum(self, attrs: Tuple[str, ...], subkey: tuple) -> Payload:
-        """Ring sum of the payloads matching ``subkey`` on ``attrs``.
-
-        The group-aware probe: when a delta join needs a sibling view only
-        up to these attributes (no downstream use of the rest), one lookup
-        replaces iterating the whole bucket — this is how star-join roots
-        stay O(1) per update.
-        """
-        if attrs == self.schema:
-            payload = self._data.get(subkey)
-            return payload if payload is not None else self.ring.zero
-        if not attrs:
-            return self.ring.sum(self._data.values())
-        entry = self._indexes.get(attrs)
-        if entry is None:
-            raise KeyError(
-                f"relation {self.name!r} has no index on {attrs}"
-            )
-        total = entry[2].get(subkey)
-        return total if total is not None else self.ring.zero
 
     def _index_set(self, key: Key, payload: Payload, delta: Payload) -> None:
         ring = self.ring
@@ -665,10 +639,6 @@ class Relation:
             out = out.reorder(attrs)
         return out
 
-    def project(self, attrs: Sequence[str], name: Optional[str] = None) -> "Relation":
-        """Group by ``attrs`` summing payloads (no lifting); order follows ``attrs``."""
-        return self.group_by(attrs, None, name)
-
     def reorder(self, attrs: Sequence[str], name: Optional[str] = None) -> "Relation":
         """Reorder the schema columns to ``attrs`` (a permutation)."""
         if set(attrs) != set(self.schema) or len(attrs) != len(self.schema):
@@ -677,31 +647,6 @@ class Relation:
         positions = schema_positions(self.schema, attrs)
         out = Relation(name or self.name, attrs, self.ring)
         out._data = dict(zip(_projected(list(data), positions), data.values()))
-        return out
-
-    def rename(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "Relation":
-        """Rename attributes via ``mapping`` (missing names are unchanged)."""
-        schema = tuple(mapping.get(a, a) for a in self.schema)
-        out = Relation(name or self.name, schema, self.ring)
-        out._data = dict(self._data)
-        return out
-
-    def filter(
-        self, predicate: Callable[[Key], bool], name: Optional[str] = None
-    ) -> "Relation":
-        """Keep only keys satisfying ``predicate``."""
-        out = Relation(name or f"filter({self.name})", self.schema, self.ring)
-        out._data = {k: p for k, p in self._data.items() if predicate(k)}
-        return out
-
-    def scale(self, factor: Payload, side: str = "right", name: Optional[str] = None) -> "Relation":
-        """Multiply every payload by a constant (left or right for
-        non-commutative rings)."""
-        mul = self.ring.mul
-        out = Relation(name or self.name, self.schema, self.ring)
-        for key, payload in self._data.items():
-            value = mul(payload, factor) if side == "right" else mul(factor, payload)
-            out.add(key, value)
         return out
 
     def partition(
@@ -743,20 +688,6 @@ class Relation:
             fragment._data = data
             fragments.append(fragment)
         return fragments
-
-    def indicator(self, attrs: Sequence[str], name: Optional[str] = None) -> "Relation":
-        """Static indicator projection ``∃_A R`` (Appendix B).
-
-        Projects keys with non-zero payload onto ``attrs`` and assigns them
-        payload ``1``.  For incrementally maintained indicators with
-        count-based deltas see :class:`repro.data.indicator.IndicatorView`.
-        """
-        proj = key_projector(self.schema, attrs)
-        out = Relation(name or f"exists_{self.name}", tuple(attrs), self.ring)
-        one = self.ring.one
-        for key in self._data:
-            out._data[proj(key)] = one
-        return out
 
 
 def float_column_ops(ring):
@@ -984,22 +915,6 @@ class DeferredRelation(Relation):
             _, column, added = shared
             column += added
 
-    def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
-        """:meth:`Relation.union`; two packed relations over one key table
-        (the terms of a rank-r update at the root) add as columns — ring
-        zeros clamped — and the sum stays packed."""
-        shared = self._columns_with(other)
-        if shared is None:
-            return super().union(other, name)
-        table, mine, theirs = shared
-        kops = self.ring.kernel_ops()
-        column = kops.add_packed(mine, theirs)
-        column[kops.zero_mask(column)] = 0.0
-        return DeferredRelation(
-            name or f"({self.name}+{other.name})", self.schema, self.ring,
-            packed=(table, column),
-        )
-
     def _absorb_packed(self, keys, column):
         merged = super()._absorb_packed(keys, column)
         if merged is not None and len(keys) == len(_DATA_SLOT.__get__(self)):
@@ -1194,10 +1109,6 @@ class _Frozen(Mapping):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def items(self):
-        make, support = self._make, self._support
-        return [(key, make(support, row)) for key, row in zip(self._keys, self._block)]
-
     def __reduce__(self):
         # Equal rows pickle as one shared payload, as the lifted payloads
         # a dict view shares do.
@@ -1300,15 +1211,8 @@ class BlockRelation(Relation):
     def keys(self) -> Iterator[Key]:
         return iter(self._slot)
 
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self._slot)
-
     def __len__(self) -> int:
         return len(self._slot)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._slot
 
     def total(self) -> Payload:
         if not self._slot:
@@ -1316,9 +1220,6 @@ class BlockRelation(Relation):
         store = self._store
         rows = store.block[list(self._slot.values())]
         return self._kops.payload(store.support, np.add.reduce(rows))
-
-    def copy(self, name: Optional[str] = None) -> Relation:
-        return Relation(name or self.name, self.schema, self.ring, dict(self.items()))
 
     def lookup(self, attrs: Tuple[str, ...], subkey: tuple):
         if attrs == self.schema:
@@ -1329,15 +1230,6 @@ class BlockRelation(Relation):
         bucket = self._index(attrs).buckets.get(subkey)
         peek = self._store.peek
         return [(key, peek(key, i)) for key, i in bucket.items()] if bucket else ()
-
-    def lookup_sum(self, attrs: Tuple[str, ...], subkey: tuple) -> Payload:
-        if attrs == self.schema:
-            return self.payload(subkey)
-        if not attrs:
-            return self.total()
-        index = self._index(attrs)
-        j = index.sums.get(subkey)
-        return self.ring.zero if j is None else index.peek(subkey, j)
 
     def _index(self, attrs) -> _BlockIndex:
         index = self._blocks.get(attrs)

@@ -42,13 +42,6 @@ class Workload:
     numeric_variables: Tuple[str, ...] = ()
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def total_rows(self) -> int:
-        return sum(len(rows) for rows in self.tables.values())
-
-    def largest_relation(self) -> str:
-        return max(self.tables, key=lambda rel: len(self.tables[rel]))
-
     def database(self, ring, relations: Optional[Sequence[str]] = None) -> Database:
         """Materialize (a subset of) the tables over a ring, payload 1."""
         names = relations if relations is not None else list(self.schemas)

@@ -60,24 +60,6 @@ class UpdateStream:
                 payload,
             )
 
-    def delta_groups(self, ring, group: int) -> Iterator[List[Relation]]:
-        """Consecutive deltas in groups of ``group`` (the last may be short).
-
-        The feed for :meth:`FIVMEngine.apply_batch`: a group bundles the
-        round-robin interleaved per-relation deltas that a batched trigger
-        coalesces into one merged delta per relation.
-        """
-        if group <= 0:
-            raise ValueError("group size must be positive")
-        bundle: List[Relation] = []
-        for delta in self.deltas(ring):
-            bundle.append(delta)
-            if len(bundle) == group:
-                yield bundle
-                bundle = []
-        if bundle:
-            yield bundle
-
     def restricted(self, relations: Iterable[str]) -> "UpdateStream":
         """The sub-stream touching only the given relations (ONE scenarios)."""
         keep = set(relations)

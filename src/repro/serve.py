@@ -3,7 +3,7 @@
 :mod:`repro.core.serving` gives point lookups a synchronous read path
 (:class:`ViewClient`); this module puts a request loop around it shaped
 like real traffic: **many concurrent reader tasks, one writer task**.
-Readers call :meth:`ViewServer.lookup` / :meth:`ViewServer.lookup_many`;
+Readers call :meth:`ViewServer.lookup`;
 writers submit update groups with :meth:`ViewServer.apply`, which
 enqueues them for the single writer task draining the queue through
 :meth:`FIVMEngine.apply_batch`.
@@ -37,13 +37,8 @@ is idempotent) instead of joining a queue nobody will drain.
 The server also fronts a :class:`~repro.core.multiview.MultiViewEngine`
 (many registered queries, shared sub-views, target-lag refresh): the
 writer drains ``(relation, counts)`` groups through the same
-``apply_batch`` entry point, reads go through the engine's own client,
-:meth:`ViewServer.register` / :meth:`ViewServer.deregister` add and drop
-queries under the write lock, :meth:`ViewServer.lookup_fresh` returns a
-payload together with its freshness metadata, and an optional
-``tick_interval`` runs the engine's lag scheduler even when no writes
-arrive (a lagged view must not stay stale just because the stream went
-quiet).
+``apply_batch`` entry point, and reads go through the engine's own
+client.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import socket
 from contextlib import asynccontextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.serving import ViewClient
 
@@ -202,10 +197,9 @@ class ViewServer:
 
     Start the writer task with :meth:`start` (or use the server as an
     async context manager); submit update groups with :meth:`apply`;
-    read with :meth:`lookup` / :meth:`lookup_many`.  All reads of one
-    ``lookup_many`` call happen inside a single read-lock hold, so they
-    observe one epoch — the no-torn-reads guarantee the serving tests
-    lock down.
+    read with :meth:`lookup`.  A reader that holds ``lock.read()``
+    across several lookups observes one epoch — the no-torn-reads
+    guarantee the serving tests lock down.
     """
 
     def __init__(
@@ -216,21 +210,15 @@ class ViewServer:
         overflow: str = "wait",
         apply_timeout: Optional[float] = None,
         faults=None,
-        tick_interval: Optional[float] = None,
     ):
         self.engine = engine
         # A multi-view engine brings its own read front door (same
-        # lookup/lookup_many/stats surface); single engines get the
-        # classic point-lookup client.
+        # lookup/stats surface); single engines get the classic
+        # point-lookup client.
         self.client = (
             engine.client() if hasattr(engine, "client")
             else ViewClient(engine)
         )
-        #: Period (seconds) of the background scheduler tick for engines
-        #: exposing one (:class:`~repro.core.multiview.MultiViewEngine`);
-        #: ``None`` relies on write-path ticks alone.
-        self.tick_interval = tick_interval
-        self._tick_task: Optional[asyncio.Task] = None
         self.lock = EpochLock()
         #: Update groups the writer drains per write-lock hold (they all
         #: commit in one epoch; queued submitters resolve together).
@@ -260,19 +248,11 @@ class ViewServer:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> "ViewServer":
-        """Spawn the single writer task (idempotent), plus the periodic
-        scheduler tick when ``tick_interval`` is set and the engine has a
-        ``tick`` (lagged views refresh on schedule, not only on writes)."""
+        """Spawn the single writer task (idempotent)."""
         if self._writer_task is None:
             self._queue = asyncio.Queue(maxsize=self.max_queue or 0)
             self._writer_error = None
             self._writer_task = asyncio.create_task(self._writer_loop())
-        if (
-            self._tick_task is None
-            and self.tick_interval is not None
-            and hasattr(self.engine, "tick")
-        ):
-            self._tick_task = asyncio.create_task(self._tick_loop())
         return self
 
     async def stop(self) -> None:
@@ -283,13 +263,6 @@ class ViewServer:
         of joining the queue forever this fails their futures with the
         writer's real exception and returns.
         """
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
         task, queue = self._writer_task, self._queue
         if task is None:
             return
@@ -337,80 +310,13 @@ class ViewServer:
         async with self.lock.read():
             return self.client.lookup(view_name, key)
 
-    async def lookup_many(
-        self, view_name: str, keys: Sequence[Iterable]
-    ) -> Tuple[List, int]:
-        """Point lookups under ONE read-lock hold.
-
-        Returns ``(payloads, epoch)``: every payload comes from the same
-        epoch — a concurrently submitted batch is either fully reflected
-        in all of them or in none.
-        """
-        async with self.lock.read() as epoch:
-            return self.client.lookup_many(view_name, keys), epoch
-
     def stats(self, view_name: str) -> Dict[str, int]:
         """Serving counters for one partial view (see ``ViewClient``) —
         or, over a multi-view engine, that view's refresh counters and
         freshness snapshot."""
         return self.client.stats(view_name)
 
-    async def lookup_fresh(self, view_name: str, key: Iterable):
-        """One point lookup plus the freshness metadata of the state it
-        read: ``(payload, freshness)``, both taken under one read-lock
-        hold so they describe the same epoch.  The freshness dict is the
-        engine's (:meth:`~repro.core.multiview.MultiViewEngine.freshness`
-        for multi-view engines — target lag, pending deltas, staleness,
-        last refresh); engines without freshness tracking report ``{}``
-        (a single eager engine is always fresh at read time).
-        """
-        async with self.lock.read():
-            payload = self.client.lookup(view_name, key)
-            if hasattr(self.engine, "freshness"):
-                return payload, self.engine.freshness(view_name)
-            return payload, {}
-
     # -- multi-view registration ---------------------------------------
-
-    async def register(self, query, *, target_lag: float = 0.0,
-                       name: Optional[str] = None, order=None) -> str:
-        """Register a query on a multi-view engine, under the write lock
-        (registration may promote shared sub-views and rebuild their
-        hosts, which must not interleave with reads).  Returns the view
-        name; raises :class:`TypeError` over a single-query engine."""
-        self._require_multiview("register")
-        async with self.lock.write():
-            return self.engine.register(
-                query, order, target_lag=target_lag, name=name
-            )
-
-    async def deregister(self, view_name: str) -> None:
-        """Drop a registered view (write-locked; shared sub-views losing
-        their last subscriber are freed)."""
-        self._require_multiview("deregister")
-        async with self.lock.write():
-            self.engine.deregister(view_name)
-
-    def set_target_lag(self, view_name: str, target_lag: float) -> None:
-        """Change one view's lag budget (effective at the next tick)."""
-        self._require_multiview("set_target_lag")
-        self.engine.set_target_lag(view_name, target_lag)
-
-    def _require_multiview(self, what: str) -> None:
-        if not hasattr(self.engine, "register"):
-            raise TypeError(
-                f"ViewServer.{what} needs a MultiViewEngine; "
-                f"this server fronts {type(self.engine).__name__}"
-            )
-
-    async def _tick_loop(self) -> None:
-        """Run the engine's lag scheduler every ``tick_interval`` seconds
-        under the write lock, so lagged views stay within their budgets
-        even when no writes arrive to piggyback the tick on."""
-        while True:
-            await asyncio.sleep(self.tick_interval)
-            async with self.lock.write():
-                self.engine.tick()
 
     # -- the write path -------------------------------------------------
 

@@ -9,7 +9,7 @@ from repro.apps import MODES, ConjunctiveQuery
 from repro.core import VariableOrder
 from repro.data import Relation
 
-from tests.conftest import PAPER_SCHEMAS, paper_variable_order
+from tests.conftest import chain_order, PAPER_SCHEMAS, paper_variable_order
 
 FREE = ("A", "B", "C", "D")  # E stays bound, as in Example 6.5
 
@@ -95,7 +95,7 @@ class TestExample65:
     def test_result_relation_modes(self):
         listing = self._loaded("listing_keys").result_relation()
         payloads = self._loaded("listing_payloads").result_relation()
-        assert listing.same_as(payloads.rename({}, name=listing.name))
+        assert listing.same_as(payloads.copy(name=listing.name))
         with pytest.raises(ValueError):
             self._loaded("factorized").result_relation()
 
@@ -116,7 +116,7 @@ class TestRandomAgreement:
         for mode in ("listing_payloads", "factorized"):
             other = all_engines[mode].to_listing()
             assert reference.same_as(
-                other.rename({}, name=reference.name)
+                other.copy(name=reference.name)
             ), mode
 
     def test_enumeration_multiplicities(self, rng):
@@ -155,7 +155,7 @@ class TestValidation:
         The multiplicity is read at the view that sums B and C out, so
         the order A – B – C enumerates it under inserts and deletes."""
         schemas = {"R": ("A", "B"), "S": ("B", "C")}
-        order = VariableOrder.chain(("A", "B", "C"))
+        order = chain_order(("A", "B", "C"))
         pair = {
             mode: ConjunctiveQuery("Q", schemas, ("A",), mode=mode, order=order)
             for mode in ("listing_keys", "factorized")
@@ -196,7 +196,7 @@ class TestValidation:
             feed(fact, rel, rows)
         expected = listing.to_listing()
         got = fact.to_listing()
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
 
 
 class TestMemoryProfile:

@@ -173,14 +173,6 @@ class TestMaxProduct:
         expected = g.brute_force(mode="max")[()]
         assert abs(inference.map_value() - expected) < 1e-9
 
-    def test_max_marginal(self):
-        g = chain_graph()
-        inference = MaxProductInference(g)
-        reference = g.brute_force(free=("X2",), mode="max")
-        measured = inference.max_marginal("X2")
-        for (key,), value in reference.items():
-            assert abs(measured[key] - value) < 1e-9
-
     def test_map_assignment_achieves_map_value(self):
         for graph in (chain_graph(), triangle_graph()):
             inference = MaxProductInference(graph)

@@ -47,7 +47,7 @@ def check_agreement(strategies, reference):
         got = strategy.result()
         aligned = got if got.schema == reference.schema else got.reorder(reference.schema)
         assert reference.same_as(
-            aligned.rename({}, name=reference.name)
+            aligned.copy(name=reference.name)
         ), name
 
 
@@ -181,8 +181,7 @@ class TestRecursiveSpecifics:
             strategy.apply_update(delta.copy())
             db.apply_update(delta)
         assert strategy.result().same_as(
-            recompute(q, db, paper_variable_order()).rename(
-                {}, name=strategy.result().name
+            recompute(q, db, paper_variable_order()).copy(name=strategy.result().name
             )
         )
 

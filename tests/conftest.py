@@ -19,6 +19,24 @@ from repro.core import (
 from repro.data import Database, Relation, relation
 from repro.rings import INT_RING
 
+
+def chain_order(variables: Sequence[str]) -> VariableOrder:
+    """A single-path variable order over ``variables`` (valid for every
+    query over them)."""
+    spec = variables[-1]
+    for var in reversed(variables[:-1]):
+        spec = (var, [spec])
+    return VariableOrder.from_spec(spec)
+
+
+def bucket_sum(relation, attrs, subkey):
+    """The ring sum of ``relation``'s bucket at ``subkey`` on ``attrs``,
+    read from the index's sums map the triggers probe (ring zero when the
+    bucket is absent)."""
+    total = relation._indexes[tuple(attrs)][2].get(subkey)
+    return relation.ring.zero if total is None else total
+
+
 #: The trigger forms the differential tests compare: the two generated
 #: forms (see :func:`pinned`) plus the reference interpreter.
 FORMS = ("scalar", "array", "interpreter")

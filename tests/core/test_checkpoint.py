@@ -14,6 +14,7 @@ number, so no group is ever applied twice.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from repro.core.checkpoint import (
     JournaledFIVMEngine,
     UpdateJournal,
     restore_snapshot,
+    tail_handoff,
     take_snapshot,
 )
 from repro.core.serving import ViewClient
@@ -38,6 +40,7 @@ from repro.data import Relation
 from repro.rings import CofactorRing, DegreeRing, INT_RING, Lifting
 
 from tests.conftest import (
+    chain_order,
     PAPER_SCHEMAS,
     figure2_database,
     make_database,
@@ -117,7 +120,7 @@ def test_snapshot_restore_round_trip(ring_name, form):
 def test_snapshot_restore_covers_indicator_views():
     schemas = {"R": ("A", "B"), "S": ("B", "C"), "T": ("C", "A")}
     q = Query("tri", schemas, ring=INT_RING)
-    order = VariableOrder.chain(("A", "B", "C"))
+    order = chain_order(("A", "B", "C"))
     tree = add_indicator_projections(build_view_tree(q, order))
     warm = FIVMEngine(q, tree=tree)
     assert warm._indicator_views  # the query this test is about
@@ -295,6 +298,69 @@ def test_journaled_recovery_matches_straight_line(form):
     again = make("Qr2")
     journaled.recover_into(again)
     assert_same_state(recovered, again)
+
+
+def test_a_journal_file_of_another_version_is_refused(tmp_path):
+    """A journal saved before its first checkpoint holds no snapshot, so
+    the file carries :data:`SNAPSHOT_VERSION` itself.  ``load`` refuses an
+    unversioned or older file with the snapshot's ``ValueError`` and
+    leaves the durability state it was offered to as it was."""
+    order = paper_variable_order()
+    journaled = JournaledFIVMEngine(FIVMEngine(paper_query("Qj"), order))
+    for delta in stream(0xFEED, INT_RING, steps=3):
+        journaled.apply_update(delta)
+    assert journaled.snapshot is None
+    path = tmp_path / "state.bin"
+    journaled.save(path)
+    state = pickle.loads(path.read_bytes())
+    assert state["version"] == SNAPSHOT_VERSION
+
+    target = JournaledFIVMEngine(FIVMEngine(paper_query("Ql"), order))
+    target.initialize(figure2_database())
+    before = (target.snapshot, list(target.journal), target.applied_seq)
+    unversioned = {k: v for k, v in state.items() if k != "version"}
+    for stale in (unversioned, {**state, "version": SNAPSHOT_VERSION - 1}):
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ValueError, match="version"):
+            target.load(path)
+        assert (target.snapshot, list(target.journal),
+                target.applied_seq) == before
+
+
+def test_a_journal_saved_before_its_first_checkpoint_recovers(tmp_path):
+    """No snapshot yet: the file's own version admits it, and recovery is
+    a replay of the whole journal into a fresh engine."""
+    order = paper_variable_order()
+    journaled = JournaledFIVMEngine(FIVMEngine(paper_query("Qj"), order))
+    for delta in stream(0xC0DE, INT_RING, steps=5):
+        journaled.apply_update(delta)
+    path = tmp_path / "state.bin"
+    journaled.save(path)
+
+    loaded = JournaledFIVMEngine(FIVMEngine(paper_query("Ql"), order))
+    loaded.load(path)
+    assert loaded.snapshot is None and loaded.applied_seq == 5
+    recovered = FIVMEngine(paper_query("Qr"), order)
+    assert loaded.recover_into(recovered) == 5
+    assert_same_state(journaled.engine, recovered)
+
+
+def test_tail_handoff_is_the_snapshot_and_the_journal_after_it():
+    """The restart bundle has no version of its own; the snapshot in it
+    carries :data:`SNAPSHOT_VERSION`, which the restarted shard checks."""
+    engine = FIVMEngine(paper_query("Qh"), paper_variable_order())
+    engine.initialize(figure2_database())
+    journal = UpdateJournal()
+    for seq in (1, 2, 3):
+        journal.append(seq, f"p{seq}")
+    snapshot = take_snapshot(engine, seq=2)
+    handoff = tail_handoff((2, snapshot), journal)
+    assert handoff == {"base_seq": 2, "snapshot": snapshot, "tail": [(3, "p3")]}
+    assert handoff["snapshot"]["version"] == SNAPSHOT_VERSION
+    assert tail_handoff(None, journal) == {
+        "base_seq": 0, "snapshot": None,
+        "tail": [(1, "p1"), (2, "p2"), (3, "p3")],
+    }
 
 
 def test_journal_detaches_payloads_from_live_deltas():

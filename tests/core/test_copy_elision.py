@@ -26,6 +26,7 @@ from repro.datasets import housing, retailer, round_robin_stream, twitter
 from repro.rings import INT_RING
 
 from tests.conftest import (
+    chain_order,
     counting_writes,
     make_database,
     random_rows,
@@ -123,7 +124,7 @@ class TestHousingStar:
         load(factorized, workload)
         assert factorized.memory() <= listing.memory()
         assert listing.to_listing().same_as(
-            factorized.to_listing().rename({}, name="result")
+            factorized.to_listing().copy(name="result")
         )
 
 
@@ -212,7 +213,7 @@ def test_elision_is_idempotent_and_keeps_the_root():
     """A root over a single relation copies it and stays: it is the
     result.  A second pass finds nothing left to drop."""
     query = Query("Q", {"R": ("A", "B")}, free=("A", "B"), ring=INT_RING)
-    tree = build_view_tree(query, VariableOrder.chain(("A", "B")))
+    tree = build_view_tree(query, chain_order(("A", "B")))
     assert is_copy(tree.root)
     names = [node.name for node in tree.nodes]
     assert [node.name for node in elide_copies(tree).nodes] == names
@@ -342,7 +343,7 @@ class TestFactorizedMaterialization:
         """Q(A) = R(A, B): the root sums B out of each delta; neither a
         trigger nor the reader ever looks at R."""
         query = ConjunctiveQuery(
-            "Q", {"R": ("A", "B")}, ("A",), order=VariableOrder.chain(("A", "B")))
+            "Q", {"R": ("A", "B")}, ("A",), order=chain_order(("A", "B")))
         assert set(query.engine.views) == {query.engine.tree.root.name}
         query.apply_update(Relation.from_tuples(
             "R", ("A", "B"), query.ring, [(1, 1), (1, 2), (2, 1)]))

@@ -210,7 +210,9 @@ def run_crash_case(
                 got = sharded.apply_factorized_update(
                     _as_factorized(rel, ring, event["terms"])
                 )
-            elif kind == "decomposed":
+            elif kind == "one_factor":
+                # Sent as the listing delta it is: the fault oracle's
+                # factorized coverage is the "factorized" events.
                 if not commutative:
                     continue
                 rel = event["rel"]
@@ -218,23 +220,23 @@ def run_crash_case(
                 def fresh():
                     return _as_delta(rel, schemas[rel], ring, event["data"])
 
-                expect = reference.apply_decomposed_update(fresh())
-                got = sharded.apply_decomposed_update(fresh())
+                expect = reference.apply_update(fresh())
+                got = sharded.apply_update(fresh())
             else:  # pragma: no cover - generator bug guard
                 raise ValueError(f"unknown event kind {kind!r}")
             if pipeline_depth > 0:
                 pending.append((step, kind, expect, got))
             else:
-                if not expect.same_as(got.rename({}, name=expect.name)):
+                if not expect.same_as(got.copy(name=expect.name)):
                     return f"step {step} ({kind}): root delta diverged"
         sharded.flush()
         for step, kind, expect, got in pending:
-            if not expect.same_as(got.rename({}, name=expect.name)):
+            if not expect.same_as(got.copy(name=expect.name)):
                 return f"step {step} ({kind}): deferred root delta diverged"
         merged = sharded.merged_views()
         for view_name, contents in reference.views.items():
             if not contents.same_as(
-                merged[view_name].rename({}, name=contents.name)
+                merged[view_name].copy(name=contents.name)
             ):
                 return f"final view {view_name}: fault-free != supervised"
     finally:
@@ -341,9 +343,9 @@ def test_post_apply_crash_is_applied_exactly_once():
         for delta in deltas(6):
             expect = reference.apply_update(delta.copy())
             got = sharded.apply_update(delta)
-            assert expect.same_as(got.rename({}, name=expect.name))
+            assert expect.same_as(got.copy(name=expect.name))
         assert sharded.result().same_as(
-            reference.result().rename({}, name=sharded.tree.root.name)
+            reference.result().copy(name=sharded.tree.root.name)
         )
         assert sum(sharded.shard_restarts) >= 1
 
@@ -403,7 +405,7 @@ def test_injected_error_is_recovered_like_a_crash():
         for delta in deltas(5):
             expect = reference.apply_update(delta.copy())
             got = sharded.apply_update(delta)
-            assert expect.same_as(got.rename({}, name=expect.name))
+            assert expect.same_as(got.copy(name=expect.name))
         assert sum(sharded.shard_restarts) >= 1
 
 
@@ -426,9 +428,9 @@ def test_mid_window_crash_is_exactly_once(executor):
         got = [sharded.apply_update(d) for d in deltas(8)]
         sharded.flush()
         for expect, handle in zip(expected, got):
-            assert expect.same_as(handle.rename({}, name=expect.name))
+            assert expect.same_as(handle.copy(name=expect.name))
         assert sharded.result().same_as(
-            reference.result().rename({}, name=sharded.tree.root.name)
+            reference.result().copy(name=sharded.tree.root.name)
         )
         assert sum(sharded.shard_restarts) >= 1
 
@@ -453,7 +455,7 @@ def test_mid_window_hang_trips_the_deadline_and_recovers(executor):
             sharded.apply_update(d)
         sharded.flush()
         assert sharded.result().same_as(
-            reference.result().rename({}, name=sharded.tree.root.name)
+            reference.result().copy(name=sharded.tree.root.name)
         )
         assert sum(sharded.shard_restarts) >= 1
 
@@ -476,5 +478,5 @@ def test_supervision_survives_reads_mid_failure():
         merged = sharded.merged_views()
         for name, contents in reference.views.items():
             assert contents.same_as(
-                merged[name].rename({}, name=contents.name)
+                merged[name].copy(name=contents.name)
             )

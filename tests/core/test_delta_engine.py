@@ -158,7 +158,7 @@ class TestRootDeltaReporting:
             delta = random_delta(rng, rel, PAPER_SCHEMAS[rel], INT_RING)
             accumulated.absorb(engine.apply_update(delta))
         assert accumulated.same_as(
-            engine.result().rename({}, name="acc")
+            engine.result().copy(name="acc")
         )
 
 

@@ -4,9 +4,9 @@ A seeded generator draws random cases — schemas, variable orders (via the
 heuristic), free variables, lifting assignments — and random update
 *streams* mixing single-relation deltas, multi-relation ``apply_batch``
 groups (including factorized items), factorized rank-r updates, and
-``apply_decomposed_update`` calls.  Every trigger form must agree on
-every per-update root delta and on the final state of every materialized
-view:
+listing deltas handed over as one-factor factorized updates.  Every
+trigger form must agree on every per-update root delta and on the final
+state of every materialized view:
 
 * one :class:`FIVMEngine` per trigger form — ``"scalar"`` (pinned to the
   generated scalar triggers, including the compiled factorized path and
@@ -271,7 +271,7 @@ def generate_case(seed: int, allow_factorized: bool) -> dict:
                 })
         elif allow_factorized:
             events.append({
-                "kind": "decomposed", "rel": rel,
+                "kind": "one_factor", "rel": rel,
                 "data": _delta_data(rng, schemas[rel]),
             })
         else:
@@ -476,7 +476,7 @@ def run_case(case: dict, ring_family) -> Optional[str]:
                 )
                 rec_total = recursive_apply(flat)
                 db.apply_update(flat)
-            elif kind == "decomposed":
+            elif kind == "one_factor":
                 if not commutative:
                     continue
                 rel = event["rel"]
@@ -484,11 +484,14 @@ def run_case(case: dict, ring_family) -> Optional[str]:
                 def fresh():
                     return _as_delta(rel, schemas[rel], ring, event["data"])
 
+                def whole():
+                    return FactorizedUpdate.rank_one(rel, [fresh()])
+
                 for name, engine in engines.items():
-                    roots[name] = engine.apply_decomposed_update(fresh())
+                    roots[name] = engine.apply_factorized_update(whole())
                 for client in partial_clients.values():
-                    client.engine.apply_decomposed_update(fresh())
-                roots["sharded"] = sharded.apply_decomposed_update(fresh())
+                    client.engine.apply_factorized_update(whole())
+                roots["sharded"] = sharded.apply_factorized_update(whole())
                 rec_total = recursive_apply(fresh())
                 db.apply_update(fresh())
             else:  # pragma: no cover - generator bug guard
@@ -498,7 +501,7 @@ def run_case(case: dict, ring_family) -> Optional[str]:
             for name, root in roots.items():
                 if name == primary:
                     continue
-                if not base.same_as(root.rename({}, name=base.name)):
+                if not base.same_as(root.copy(name=base.name)):
                     return (
                         f"step {step} ({kind}): {primary} root delta != {name}"
                     )
@@ -522,7 +525,7 @@ def run_case(case: dict, ring_family) -> Optional[str]:
         sharded_views = sharded.merged_views()
         for view_name, contents in primary_engine.views.items():
             if not contents.same_as(
-                sharded_views[view_name].rename({}, name=contents.name)
+                sharded_views[view_name].copy(name=contents.name)
             ):
                 return f"final view {view_name}: {primary} != sharded merge"
         if recursive is not None:
@@ -555,7 +558,7 @@ def run_case(case: dict, ring_family) -> Optional[str]:
 
 def _data_sites(event: dict) -> List[Dict[tuple, int]]:
     """Every mutable {key: coefficient} dict inside an event."""
-    if event["kind"] in ("update", "decomposed"):
+    if event["kind"] in ("update", "one_factor"):
         return [event["data"]]
     if event["kind"] == "factorized":
         return [data for term in event["terms"] for _, data in term]

@@ -1,4 +1,4 @@
-"""Engine feature tests: group-aware joins, decomposed updates, plans."""
+"""Engine feature tests: group-aware joins and plans."""
 
 
 
@@ -67,54 +67,6 @@ class TestGroupAwareEquivalence:
         engine.apply_update(Relation("R", ("P", "X"), ring, {(1, 0): 1}))
         # SUM(Y) over the join: 5 + 7 = 12.
         assert engine.result().payload((1,)) == 12
-
-
-class TestDecomposedUpdates:
-    def test_factorizable_delta_routes_factored(self, rng):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        order = paper_variable_order()
-        engine = FIVMEngine(q, order, updatable={"S"})
-        mirror = FIVMEngine(q, order, updatable={"S"})
-        # A product delta: {a1,a2} × {c1} × {e1,e2}.
-        delta = Relation("S", ("A", "C", "E"), INT_RING)
-        for a in ("a1", "a2"):
-            for e in ("e1", "e2"):
-                delta.add((a, "c1", e), 1)
-        engine.apply_decomposed_update(delta.copy())
-        mirror.apply_update(delta)
-        assert engine.result().same_as(mirror.result())
-
-    def test_non_factorizable_falls_back(self):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        order = paper_variable_order()
-        engine = FIVMEngine(q, order)
-        delta = Relation(
-            "S", ("A", "C", "E"), INT_RING,
-            {("a1", "c1", "e1"): 1, ("a2", "c2", "e2"): 1},
-        )
-        out = engine.apply_decomposed_update(delta)
-        assert out.schema == engine.tree.root.keys
-
-    def test_empty_delta(self):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        engine = FIVMEngine(q, paper_variable_order())
-        out = engine.apply_decomposed_update(Relation("S", ("A", "C", "E"), INT_RING))
-        assert out.is_empty
-
-    def test_random_fuzz(self, rng):
-        q = Query("Q", PAPER_SCHEMAS, free=("A",), ring=INT_RING)
-        order = paper_variable_order()
-        engine = FIVMEngine(q, order)
-        db = Database(
-            Relation(rel, schema, INT_RING)
-            for rel, schema in PAPER_SCHEMAS.items()
-        )
-        for _ in range(30):
-            rel = rng.choice(list(PAPER_SCHEMAS))
-            delta = random_delta(rng, rel, PAPER_SCHEMAS[rel], INT_RING)
-            engine.apply_decomposed_update(delta.copy())
-            db.apply_update(delta)
-            assert engine.result().same_as(recompute(q, db, order))
 
 
 class TestPlanIntrospection:

@@ -70,7 +70,7 @@ def drive_alternating(make_engine, steps=25, seed=0xFAC, s_schema=("V", "W")):
             )
             root_c = compiled.apply_factorized_update(update)
             root_i = interp.apply_factorized_update(update_copy(update, ring))
-        assert root_c.same_as(root_i.rename({}, name=root_c.name)), step
+        assert root_c.same_as(root_i.copy(name=root_c.name)), step
         assert compiled.result().same_as(interp.result()), step
     for name, contents in compiled.views.items():
         assert contents.same_as(interp.views[name]), name
@@ -179,7 +179,7 @@ class TestProbeCacheContract:
         root_i = interp.apply_factorized_update(
             update_copy(update, ring)
         )
-        assert root_c.same_as(root_i.rename({}, name=root_c.name))
+        assert root_c.same_as(root_i.copy(name=root_c.name))
         assert engine.result().same_as(interp.result())
 
     def test_cache_shared_across_terms(self):
@@ -215,7 +215,7 @@ class TestProbeCacheContract:
             sequential.apply_factorized_update(update_copy(fact, ring))
         )
         assert engine.result().same_as(sequential.result())
-        assert total.same_as(expected.rename({}, name=total.name))
+        assert total.same_as(expected.copy(name=total.name))
 
 
 class TestPartialMatchMemo:
@@ -275,7 +275,7 @@ class TestPartialMatchMemo:
         update = rank_one_r(ring, {(9,): 2}, {(1,): 1})
         root_c = engine.apply_factorized_update(update)
         root_i = interp.apply_factorized_update(update_copy(update, ring))
-        assert root_c.same_as(root_i.rename({}, name=root_c.name))
+        assert root_c.same_as(root_i.copy(name=root_c.name))
         for name, contents in engine.views.items():
             assert contents.same_as(interp.views[name]), name
 
@@ -473,7 +473,7 @@ class TestCanonicalPartitions:
             root_i = interp.apply_factorized_update(
                 update_copy(update, ring)
             )
-            assert root_c.same_as(root_i.rename({}, name=root_c.name))
+            assert root_c.same_as(root_i.copy(name=root_c.name))
             # One program per (node, source): permutations reuse the first
             # compile instead of growing the cache.
             per_site = {}

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import FIVMEngine, FactorizedUpdate, Query, decompose
+from repro.core import FIVMEngine, FactorizedUpdate, Query
 from repro.data import Relation, SchemaError
 from repro.data.relation import BlockRelation, DeferredRelation
 from repro.rings import INT_RING, REAL_RING, SquareMatrixRing
 
 from tests.conftest import (
+    chain_order,
     PAPER_SCHEMAS,
     figure2_database,
     paper_variable_order,
@@ -24,7 +25,7 @@ class TestFactorizedUpdateContainer:
         update = FactorizedUpdate.rank_one(
             "R", [unary("u", "A", {(1,): 2}), unary("v", "B", {(5,): 3})]
         )
-        assert update.rank == 1
+        assert len(update.terms) == 1
         flat = update.flatten(("A", "B"))
         assert dict(flat.items()) == {(1, 5): 6}
 
@@ -34,7 +35,7 @@ class TestFactorizedUpdateContainer:
             [unary("u2", "A", {(1,): 1}), unary("v2", "B", {(5,): 2, (6,): 1})],
         ]
         update = FactorizedUpdate("R", terms)
-        assert update.rank == 2
+        assert len(update.terms) == 2
         flat = update.flatten(("A", "B"))
         assert dict(flat.items()) == {(1, 5): 3, (1, 6): 1}
 
@@ -61,7 +62,7 @@ class TestFactorizedUpdateContainer:
         flattens to the empty relation over any schema (the regression for
         the old divergence from a no-op apply_update)."""
         update = FactorizedUpdate("R", [], ring=INT_RING)
-        assert update.rank == 0
+        assert len(update.terms) == 0
         assert update.attributes == frozenset()
         flat = update.flatten(("A", "B"))
         assert flat.is_empty
@@ -92,86 +93,6 @@ class TestFactorizedUpdateContainer:
             [unary("u", "A", {(1,): 1}), Relation("v", ("B",), INT_RING)],
         )
         assert update.flatten(("A", "B")).is_empty
-
-    def test_cumulative_size_example51(self):
-        """Example 5.1: nm keys decompose into n + m values."""
-        n, m = 6, 9
-        full = Relation(
-            "R", ("A", "B"), INT_RING,
-            {(i, j): 1 for i in range(n) for j in range(m)},
-        )
-        update = decompose(full)
-        assert update.cumulative_size() == n + m
-        assert len(full) == n * m
-
-
-class TestDecompose:
-    def test_product_relation_recovers_factors(self):
-        u = unary("u", "A", {(1,): 2, (2,): 1})
-        v = unary("v", "B", {(5,): 3, (6,): 1})
-        product = u.join(v).rename({}, name="R")
-        update = decompose(product)
-        assert update.rank == 1
-        assert len(update.terms[0]) == 2
-        assert update.flatten(("A", "B")).same_as(product)
-
-    def test_non_factorizable_kept_whole(self):
-        diagonal = Relation("R", ("A", "B"), INT_RING, {(1, 1): 1, (2, 2): 1})
-        update = decompose(diagonal)
-        assert len(update.terms[0]) == 1
-        assert update.flatten(("A", "B")).same_as(diagonal)
-
-    def test_three_way_product(self):
-        u = unary("u", "A", {(1,): 1, (2,): 1})
-        v = unary("v", "B", {(3,): 2})
-        w = unary("w", "C", {(4,): 1, (5,): 1})
-        product = u.join(v).join(w).rename({}, name="R")
-        update = decompose(product)
-        assert len(update.terms[0]) == 3
-        assert update.flatten(("A", "B", "C")).same_as(product)
-
-    def test_float_payloads(self):
-        u = Relation("u", ("A",), REAL_RING, {(1,): 0.5, (2,): 1.5})
-        v = Relation("v", ("B",), REAL_RING, {(7,): 2.0})
-        product = u.join(v).rename({}, name="R")
-        update = decompose(product)
-        assert update.flatten(("A", "B")).same_as(product)
-
-    def test_single_column_relation(self):
-        r = unary("R", "A", {(1,): 1})
-        update = decompose(r)
-        assert update.rank == 1
-        assert update.flatten(("A",)).same_as(r)
-
-    def test_empty_delta_decomposes_to_rank_zero(self):
-        empty = Relation("R", ("A", "B"), INT_RING)
-        update = decompose(empty)
-        assert update.rank == 0
-        assert update.cumulative_size() == 0
-        assert update.flatten(("A", "B")).is_empty
-
-    def test_repeated_keys_accumulate_before_decomposition(self):
-        """from_tuples accumulates repeated rows; decompose must factor the
-        *accumulated* payloads, and the flatten round-trip must agree."""
-        rows = [(1, 5), (1, 5), (2, 5), (1, 6), (1, 6), (2, 6)]
-        delta = Relation.from_tuples("R", ("A", "B"), INT_RING, rows)
-        assert delta.payload((1, 5)) == 2
-        update = decompose(delta)
-        assert update.rank == 1
-        assert len(update.terms[0]) == 2  # {A: 2,1} x {B: 1,1}
-        assert update.flatten(("A", "B")).same_as(delta)
-
-    def test_flatten_round_trip_random(self, rng):
-        """flatten(decompose(R)) == R for random small relations (both the
-        factorizing and the non-factorizing kind)."""
-        for trial in range(25):
-            data = {}
-            for _ in range(rng.randint(0, 6)):
-                key = (rng.randint(0, 2), rng.randint(0, 2))
-                data[key] = data.get(key, 0) + rng.choice([1, -1, 2])
-            delta = Relation("R", ("A", "B"), INT_RING, data)
-            update = decompose(delta)
-            assert update.flatten(("A", "B")).same_as(delta), trial
 
 
 @pytest.mark.usefixtures("form")
@@ -254,7 +175,7 @@ class TestEnginePropagation:
 
         schemas = {"R": ("A", "B"), "S": ("B", "C")}
         q = Query("two", schemas, ring=self.ring)
-        order = VariableOrder.chain(("A", "B", "C"))
+        order = chain_order(("A", "B", "C"))
         engine = FIVMEngine(q, order)  # both updatable
         leaf_name = engine.tree.leaves["R"].name
         assert leaf_name in engine.views, "R must be stored as a sibling"

@@ -7,14 +7,13 @@ import pytest
 from repro.core import (
     FIVMEngine,
     Query,
-    VariableOrder,
     add_indicator_projections,
     build_view_tree,
 )
 from repro.data import Database, Relation
 from repro.rings import INT_RING
 
-from tests.conftest import make_database, random_delta, recompute
+from tests.conftest import chain_order, make_database, random_delta, recompute
 
 TRIANGLE_SCHEMAS = {"R": ("A", "B"), "S": ("B", "C"), "T": ("C", "A")}
 
@@ -24,7 +23,7 @@ def triangle_query():
 
 
 def triangle_tree(with_indicators=True):
-    tree = build_view_tree(triangle_query(), VariableOrder.chain(("A", "B", "C")))
+    tree = build_view_tree(triangle_query(), chain_order(("A", "B", "C")))
     if with_indicators:
         add_indicator_projections(tree)
     return tree
@@ -78,7 +77,7 @@ class TestTriangleMaintenance:
             delta = self._random_edge_delta(rng, rel)
             engine.apply_update(delta.copy())
             db.apply_update(delta)
-            expected = recompute(q, db, VariableOrder.chain(("A", "B", "C")))
+            expected = recompute(q, db, chain_order(("A", "B", "C")))
             assert engine.result().same_as(expected), f"after δ{rel}"
 
     def test_indicator_constrains_view_size(self):
@@ -120,7 +119,7 @@ class TestTriangleMaintenance:
         expected = recompute(
             q,
             make_database(TRIANGLE_SCHEMAS, INT_RING, rows),
-            VariableOrder.chain(("A", "B", "C")),
+            chain_order(("A", "B", "C")),
         )
         assert engine.result().same_as(expected)
         # Triangles: (1,2,5) via R(1,2),S(2,5),T(5,1) and (2,3,5).
@@ -137,7 +136,7 @@ class TestTriangleMaintenance:
             "Chord": ("A", "C"),
         }
         q = Query("loop4", schemas, ring=INT_RING)
-        order = VariableOrder.chain(("A", "B", "C", "D"))
+        order = chain_order(("A", "B", "C", "D"))
         tree = add_indicator_projections(build_view_tree(q, order))
         engine = FIVMEngine(q, tree=tree)
         rng = random.Random(5)

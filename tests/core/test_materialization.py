@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.rings import INT_RING
 
-from tests.conftest import PAPER_SCHEMAS, paper_variable_order
+from tests.conftest import chain_order, PAPER_SCHEMAS, paper_variable_order
 
 
 def make_tree():
@@ -84,7 +84,7 @@ class TestIndicatorExtension:
         )
         from repro.core import VariableOrder
 
-        tree = build_view_tree(q, VariableOrder.chain(("A", "B", "C")))
+        tree = build_view_tree(q, chain_order(("A", "B", "C")))
         add_indicator_projections(tree)
         host = next(n for n in tree.nodes if n.indicators)
         stored = materialized_views(tree, {"R"})

@@ -21,7 +21,7 @@ import pytest
 from repro.apps.matrix_chain import MatrixChainIVM
 from repro.apps.regression import cofactor_query
 from repro.bench.memory import strategy_scalars
-from repro.core import FIVMEngine
+from repro.core import FIVMEngine, ShardedFIVMEngine
 from repro.data import Database, Relation, relation
 from repro.data.relation import BlockRelation
 from repro.datasets import retailer
@@ -144,19 +144,33 @@ def test_a_dropped_engine_leaves_no_triple_in_cyclic_garbage():
     assert leaked == []
 
 
-@pytest.mark.parametrize(
-    "workload",
-    ["retailer_b1", "retailer_b600", "join_factorized", "chain_rank1"],
-)
-def test_a_dropped_engine_leaves_no_cyclic_garbage(workload):
-    """The e2e ``--quick`` set-up of each manifest workload, dropped with
-    the collector off: a collection then finds nothing unreachable.  A
-    view-tree node's parent link does not own the parent
-    (:attr:`~repro.core.view_tree.ViewNode.parent`), so not even the tree
-    is a cycle."""
-    from benchmarks.e2e import run as e2e
+E2E_WORKLOADS = [
+    "retailer_b1", "retailer_b600", "join_factorized", "chain_rank1",
+    "serve_zipf", "multiview_n100", "shard_s2",
+]
 
-    state = e2e.WORKLOADS[workload](3, True).setup()
+
+@pytest.mark.parametrize(
+    "subject", [*E2E_WORKLOADS, "inline", "process", "socket"])
+def test_a_dropped_engine_leaves_no_cyclic_garbage(subject):
+    """The e2e ``--quick`` set-up of each workload, closed, and a bare S=2
+    Retailer-cofactor :class:`ShardedFIVMEngine` per executor, closed,
+    each dropped with the collector off: a collection then finds nothing
+    unreachable.  A view-tree node's parent link does not own the parent
+    (:attr:`~repro.core.view_tree.ViewNode.parent`), so not even the tree
+    is a cycle; the shard factories a sharded engine's executor keeps
+    close over its order and updatable set, not over the engine."""
+    if subject in E2E_WORKLOADS:
+        from benchmarks.e2e import run as e2e
+
+        instance = e2e.WORKLOADS[subject](3, True)
+        state = instance.setup()
+        instance.close(state)
+    else:
+        query = cofactor_query("lifetime", SCHEMAS, retailer.ALL_VARIABLES)
+        state = ShardedFIVMEngine(
+            query, retailer.variable_order(), shards=2, executor=subject)
+        state.close()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)

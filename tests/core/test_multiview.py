@@ -300,62 +300,18 @@ def test_registration_errors():
 
 
 def test_view_server_front_door():
+    """A :class:`ViewServer` fronts a multi-view engine: update groups
+    drain through the engine's ``apply_batch`` and reads go through its
+    own client."""
     async def main():
-        clock = FakeClock()
-        mv = MultiViewEngine(clock=clock)
-        server = await ViewServer(mv, tick_interval=0.01).start()
-        try:
-            await server.register(chain_query("Q1", "T1"), target_lag=0.0)
-            await server.register(chain_query("Q2", "T2"), target_lag=30.0)
+        mv = MultiViewEngine(clock=FakeClock())
+        mv.register(chain_query("Q1", "T1"))
+        async with ViewServer(mv) as server:
             await server.apply([
                 ("R", {(1, 10): 1}),
                 ("S", {(10, 5): 1}),
                 ("T1", {(1, 0): 1}),
-                ("T2", {(1, 0): 2}),
             ])
-            payload, fresh = await server.lookup_fresh("Q1", (1,))
-            assert payload == 1
-            assert fresh["staleness"] == 0.0
-
-            # The lagged view still serves its pre-update (empty) state...
-            payload, fresh = await server.lookup_fresh("Q2", (1,))
-            assert payload == 0
-            assert fresh["pending"] > 0
-            # ...until its lag budget runs out and the background tick
-            # (real sleeps, fake engine clock) refreshes it.
-            clock.advance(31.0)
-            for _ in range(100):
-                await asyncio.sleep(0.02)
-                payload, fresh = await server.lookup_fresh("Q2", (1,))
-                if payload:
-                    break
-            assert payload == 2
-            assert fresh["pending"] == 0
-
-            server.set_target_lag("Q2", 0.0)
-            await server.deregister("Q1")
-            assert mv.view_names() == ("Q2",)
-        finally:
-            await server.stop()
-
-    asyncio.run(main())
-
-
-def test_view_server_rejects_multiview_ops_on_single_engine():
-    async def main():
-        query = chain_query("Q1", "T1")
-        engine = FIVMEngine(query)
-        engine.initialize(
-            Database(
-                Relation(rel, query.relations[rel], INT_RING)
-                for rel in query.relations
-            )
-        )
-        server = await ViewServer(engine).start()
-        try:
-            with pytest.raises(TypeError, match="MultiViewEngine"):
-                await server.register(chain_query("Q2", "T2"))
-        finally:
-            await server.stop()
+            assert await server.lookup("Q1", (1,)) == 1
 
     asyncio.run(main())

@@ -35,25 +35,8 @@ class TestQuery:
         with pytest.raises(SchemaError):
             Query("Q", PAPER_SCHEMAS, free=("A", "A"), ring=INT_RING)
 
-    def test_relations_with(self):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        assert q.relations_with("A") == ("R", "S")
-        assert q.relations_with("D") == ("T",)
-
     def test_schema_of(self):
         q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
         assert q.schema_of("S") == ("A", "C", "E")
         with pytest.raises(KeyError):
             q.schema_of("Z")
-
-    def test_acyclic_and_connected_flags(self):
-        q = Query("Q", PAPER_SCHEMAS, ring=INT_RING)
-        assert q.is_acyclic and q.is_connected
-        tri = Query(
-            "tri",
-            {"R": ("A", "B"), "S": ("B", "C"), "T": ("C", "A")},
-            ring=INT_RING,
-        )
-        assert not tri.is_acyclic
-        disc = Query("d", {"R": ("A",), "S": ("B",)}, ring=INT_RING)
-        assert not disc.is_connected

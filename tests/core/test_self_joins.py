@@ -10,11 +10,11 @@ updates are applied to each instance in turn.
 
 import pytest
 
-from repro.core import FIVMEngine, Query, VariableOrder, build_view_tree
+from repro.core import FIVMEngine, Query, build_view_tree
 from repro.data import Database, Relation
 from repro.rings import INT_RING
 
-from tests.conftest import recompute
+from tests.conftest import chain_order, recompute
 
 
 class TestSelfJoinViaInstances:
@@ -32,7 +32,7 @@ class TestSelfJoinViaInstances:
 
     def test_two_hop_path_count(self, rng):
         q = Query("paths", self.SCHEMAS, ring=INT_RING)
-        order = VariableOrder.chain(("B", "A", "C"))
+        order = chain_order(("B", "A", "C"))
         engine = FIVMEngine(q, order)
         db = Database(
             Relation(name, schema, INT_RING)
@@ -62,7 +62,7 @@ class TestSelfJoinViaInstances:
     def test_instances_have_distinct_leaves(self):
         """Each registered instance owns its own leaf and update path."""
         q = Query("paths", self.SCHEMAS, ring=INT_RING)
-        tree = build_view_tree(q, VariableOrder.chain(("B", "A", "C")))
+        tree = build_view_tree(q, chain_order(("B", "A", "C")))
         assert set(tree.leaves) == {"E1", "E2"}
         with pytest.raises(KeyError):
             tree.leaves["E3"]
@@ -71,7 +71,7 @@ class TestSelfJoinViaInstances:
         """The triangle query over one edge relation, via three instances."""
         schemas = {"E1": ("A", "B"), "E2": ("B", "C"), "E3": ("C", "A")}
         q = Query("tri", schemas, ring=INT_RING)
-        order = VariableOrder.chain(("A", "B", "C"))
+        order = chain_order(("A", "B", "C"))
         engine = FIVMEngine(q, order)
         db = Database(
             Relation(n, s, INT_RING) for n, s in schemas.items()

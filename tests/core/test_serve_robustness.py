@@ -317,8 +317,9 @@ def test_lookup_cancellation_leaves_server_serviceable():
         before = server.epoch
         await asyncio.wait_for(server.apply([delta(0)]), 1.0)
         assert server.epoch == before + 1
-        payloads, epoch = await server.lookup_many(root, [(0,), (1,)])
-        assert epoch == server.epoch
+        await server.lookup(root, (0,))
+        async with server.lock.read() as epoch:
+            assert epoch == server.epoch
         await server.stop()
 
     asyncio.run(main())

@@ -273,10 +273,10 @@ def test_initialize_after_updates_serves_fresh_values(form):
     })
     delta_a = engine.apply_update(probe.copy())
     delta_b = fresh.apply_update(probe.copy())
-    assert delta_a.same_as(delta_b.rename({}, name=delta_a.name))
+    assert delta_a.same_as(delta_b.copy(name=delta_a.name))
     for name, contents in fresh.views.items():
         assert contents.same_as(
-            engine.views[name].rename({}, name=contents.name)
+            engine.views[name].copy(name=contents.name)
         ), f"view {name} diverged after initialize"
 
 
@@ -303,10 +303,17 @@ def test_initialize_preserves_partial_active_set():
 # ----------------------------------------------------------------------
 
 
+async def read_under_one_hold(server, root, keys):
+    """Point lookups inside one read-lock hold: ``(payloads, epoch)``."""
+    async with server.lock.read() as epoch:
+        return [server.client.lookup(root, key) for key in keys], epoch
+
+
 def test_concurrent_readers_never_see_torn_batches():
     """One writer applies batches that bump two keys by the same amount
-    in lockstep; readers snapshot both keys per request.  Any interleaving
-    that exposed a half-applied batch would break the invariant."""
+    in lockstep; readers snapshot both keys under one read-lock hold.  Any
+    interleaving that exposed a half-applied batch would break the
+    invariant."""
 
     async def main():
         _, part = make_pair()
@@ -327,12 +334,12 @@ def test_concurrent_readers_never_see_torn_batches():
 
         async with ViewServer(part) as server:
             # Register both keys before racing.
-            await server.lookup_many(root, [("a1",), ("a2",)])
+            await read_under_one_hold(server, root, [("a1",), ("a2",)])
 
             async def reader():
                 for _ in range(40):
-                    (va1, va2), _epoch = await server.lookup_many(
-                        root, [("a1",), ("a2",)]
+                    (va1, va2), _epoch = await read_under_one_hold(
+                        server, root, [("a1",), ("a2",)]
                     )
                     if va1 != va2:
                         torn.append((va1, va2))
@@ -350,7 +357,8 @@ def test_concurrent_readers_never_see_torn_batches():
                     await asyncio.sleep(0)
 
             await asyncio.gather(*(reader() for _ in range(6)), writer())
-            final, _ = await server.lookup_many(root, [("a1",), ("a2",)])
+            final, _ = await read_under_one_hold(
+                server, root, [("a1",), ("a2",)])
         assert not torn, f"torn reads observed: {torn[:3]}"
         assert final[0] == final[1] != 0
 
@@ -377,7 +385,7 @@ def test_epoch_advances_once_per_commit_group():
             ])
             assert server.epoch > before
             # Reads report the epoch they ran in.
-            _, epoch = await server.lookup_many(root, [("a1",)])
+            _, epoch = await read_under_one_hold(server, root, [("a1",)])
             assert epoch == server.epoch
 
     asyncio.run(main())

@@ -110,11 +110,11 @@ def assert_equal_state(single: FIVMEngine, sharded: ShardedFIVMEngine):
     merged = sharded.merged_views()
     assert set(merged) == set(single.views)
     for name, contents in single.views.items():
-        assert contents.same_as(merged[name].rename({}, name=name)), (
+        assert contents.same_as(merged[name].copy(name=name)), (
             f"view {name} diverged between sharded and single engine"
         )
     result = single.result()
-    assert result.same_as(sharded.result().rename({}, name=result.name))
+    assert result.same_as(sharded.result().copy(name=result.name))
 
 
 def drive_stream(single, sharded, ring, seed=0, steps=25, domain=4):
@@ -131,7 +131,7 @@ def drive_stream(single, sharded, ring, seed=0, steps=25, domain=4):
         delta = Relation(rel, SCHEMAS[rel], ring, data)
         expected = single.apply_update(delta.copy())
         got = sharded.apply_update(delta.copy())
-        assert expected.same_as(got.rename({}, name=expected.name)), (
+        assert expected.same_as(got.copy(name=expected.name)), (
             f"[seed {seed}] root delta diverged at step {step}"
         )
 
@@ -164,7 +164,7 @@ def test_skewed_partition_and_empty_shards():
         delta = Relation(rel, SCHEMAS[rel], ring, {key: rng.choice([1, -1, 2])})
         expected = single.apply_update(delta.copy())
         got = sharded.apply_update(delta.copy())
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
     assert_equal_state(single, sharded)
     # The partitioned relation's fragments really are skewed: exactly one
     # shard holds keys, and shard count exceeding the key space left the
@@ -204,7 +204,7 @@ def test_factorized_update_routing():
         )
         expected = single.apply_factorized_update(update)
         got = sharded.apply_factorized_update(copy)
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
     assert_equal_state(single, sharded)
 
 
@@ -219,7 +219,7 @@ def test_factorized_update_to_replicated_relation_broadcasts():
     got = sharded.apply_factorized_update(
         FactorizedUpdate("T", [[u.copy(), v.copy()]])
     )
-    assert expected.same_as(got.rename({}, name=expected.name))
+    assert expected.same_as(got.copy(name=expected.name))
     assert_equal_state(single, sharded)
 
 
@@ -230,7 +230,7 @@ def test_rank_zero_factorized_update_is_a_noop():
     got = sharded.apply_factorized_update(
         FactorizedUpdate("R", [], ring=ring)
     )
-    assert expected.same_as(got.rename({}, name=expected.name))
+    assert expected.same_as(got.copy(name=expected.name))
     assert got.is_empty
 
 
@@ -263,18 +263,7 @@ def test_apply_batch_mixed_items():
                 items_sharded.append(delta)
         expected = single.apply_batch(items_single)
         got = sharded.apply_batch(items_sharded)
-        assert expected.same_as(got.rename({}, name=expected.name))
-    assert_equal_state(single, sharded)
-
-
-def test_apply_decomposed_update_routes_through_factors():
-    single, sharded, ring = make_pair(_int_family, shards=3)
-    # A rank-1-decomposable delta: {1,2} x {0,3} on (A, B).
-    data = {(a, b): 2 for a in (1, 2) for b in (0, 3)}
-    delta = Relation("R", SCHEMAS["R"], ring, data)
-    expected = single.apply_decomposed_update(delta.copy())
-    got = sharded.apply_decomposed_update(delta.copy())
-    assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
     assert_equal_state(single, sharded)
 
 
@@ -313,7 +302,7 @@ def test_replicated_only_views_are_read_once():
         assert leaf_name not in sharded._summed
         merged = sharded.contents(leaf_name)
         assert merged.same_as(
-            single.views[leaf_name].rename({}, name=leaf_name)
+            single.views[leaf_name].copy(name=leaf_name)
         )
 
 
@@ -385,9 +374,9 @@ def test_process_executor_matches_single_engine():
             )]
         )
         got = sharded.apply_batch(items)
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
         assert_equal_state(single, sharded)
-        assert sharded.total_keys() > 0
+        assert any(len(view) for view in sharded.merged_views().values())
         assert sharded.logical_scalars() > 0
     finally:
         sharded.close()
@@ -409,7 +398,7 @@ def test_stable_hash_agrees_with_dict_key_equality():
         delta = Relation("R", SCHEMAS["R"], ring, {(0, value): 1})
         expected = single.apply_update(delta.copy())
         got = sharded.apply_update(delta.copy())
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
     assert_equal_state(single, sharded)
 
 
@@ -524,7 +513,7 @@ def test_pipelined_deltas_stay_lazy_until_read():
         )
         # Reading resolves — and matches the eager single-engine deltas.
         for step, (want, got) in enumerate(zip(expected, handles)):
-            assert want.same_as(got.rename({}, name=want.name)), (
+            assert want.same_as(got.copy(name=want.name)), (
                 f"deferred root delta diverged at step {step}"
             )
         assert all(h.resolved for h in handles)
@@ -554,7 +543,7 @@ def test_pipelined_reads_sit_behind_the_flush_barrier():
             if step % 5 == 4:  # mid-window read: implicit flush barrier
                 result = single.result()
                 assert result.same_as(
-                    sharded.result().rename({}, name=result.name)
+                    sharded.result().copy(name=result.name)
                 )
         assert_equal_state(single, sharded)
     finally:
@@ -579,7 +568,7 @@ def test_socket_executor_matches_single_engine():
         got = sharded.apply_factorized_update(
             FactorizedUpdate("R", [[u, v]], ring=ring)
         )
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
         assert_equal_state(single, sharded)
     finally:
         sharded.close()

@@ -37,6 +37,7 @@ from repro.rings import (
 )
 
 from tests.conftest import (
+    chain_order,
     FORMS,
     PAPER_SCHEMAS,
     make_engine,
@@ -189,7 +190,7 @@ class TestIndicatorPrograms:
         def adorned_engine(backend=None):
             q = int_query("tri", TRIANGLE_SCHEMAS)
             tree = add_indicator_projections(
-                build_view_tree(q, VariableOrder.chain(("A", "B", "C")))
+                build_view_tree(q, chain_order(("A", "B", "C")))
             )
             return FIVMEngine(q, tree=tree, backend=backend)
 
@@ -242,7 +243,7 @@ class TestApplyBatch:
                 )
             assert batched.result().same_as(sequential.result()), round_no
             assert total.same_as(
-                expected_total.rename({}, name=total.name)
+                expected_total.copy(name=total.name)
             ), round_no
 
     def test_batch_coalesces_cancelling_deltas(self):
@@ -254,9 +255,9 @@ class TestApplyBatch:
         assert root.is_empty
         assert engine.total_keys() == 0
 
-    def test_delta_groups_feed_matches_sequential_stream(self, rng):
-        """The stream→delta_groups→apply_batch pipeline (the harness wiring)
-        ends in the same state as applying the stream delta by delta."""
+    def test_grouped_stream_matches_sequential_stream(self, rng):
+        """A stream fed to apply_batch in groups of five ends in the same
+        state as applying it delta by delta."""
         from repro.datasets.streams import UpdateBatch, UpdateStream
 
         rows = {
@@ -275,9 +276,9 @@ class TestApplyBatch:
         order = paper_variable_order()
         batched = FIVMEngine(q_batch, order)
         sequential = FIVMEngine(q_seq, order)
-        for group in stream.delta_groups(INT_RING, 5):
-            assert len(group) <= 5
-            batched.apply_batch(group)
+        deltas = list(stream.deltas(INT_RING))
+        for start in range(0, len(deltas), 5):
+            batched.apply_batch(deltas[start:start + 5])
         for delta in stream.deltas(INT_RING):
             sequential.apply_update(delta)
         assert batched.result().same_as(sequential.result())

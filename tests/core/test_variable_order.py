@@ -7,7 +7,7 @@ from repro.core import Query, VariableOrder
 from repro.data import SchemaError
 from repro.rings import INT_RING
 
-from tests.conftest import PAPER_SCHEMAS, paper_variable_order
+from tests.conftest import chain_order, PAPER_SCHEMAS, paper_variable_order
 
 
 def paper_query(free=()):
@@ -21,17 +21,14 @@ class TestConstruction:
         assert vo.parent("C") == "A"
         assert vo.parent("A") is None
 
+    def test_chain(self):
+        vo = VariableOrder.from_spec(("A", [("B", ["C"])]))
+        assert vo.ancestors("C") == ("A", "B")
+        assert chain_order(["A", "B", "C"]).ancestors("C") == ("A", "B")
+
     def test_duplicate_variable_rejected(self):
         with pytest.raises(SchemaError):
             VariableOrder.from_spec(("A", ["B", ("B", [])]))
-
-    def test_chain(self):
-        vo = VariableOrder.chain(["A", "B", "C"])
-        assert vo.ancestors("C") == ("A", "B")
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(SchemaError):
-            VariableOrder.chain([])
 
     def test_forest(self):
         vo = VariableOrder.from_spec("A", "B")
@@ -86,7 +83,7 @@ class TestValidation:
 
     def test_chain_always_valid(self):
         q = paper_query()
-        VariableOrder.chain(q.variables).validate(q)
+        chain_order(q.variables).validate(q)
 
     def test_anchor(self):
         vo = paper_variable_order()

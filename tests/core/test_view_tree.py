@@ -11,6 +11,7 @@ from repro.data import Relation, SchemaError
 from repro.rings import INT_RING, REAL_RING, Lifting, SquareMatrixRing
 
 from tests.conftest import (
+    chain_order,
     PAPER_SCHEMAS,
     figure2_database,
     packed_evaluation,
@@ -73,9 +74,19 @@ class TestStructure:
         assert len(tree.leaves) == 3
 
     def test_path_to_root(self):
+        """From T's leaf the parents lead V@D, V@C, V@A, and the engine's
+        delta path for T steps through the same views."""
+        from repro.core import FIVMEngine
+
         tree = build_view_tree(count_query(), paper_variable_order())
-        path = [n.name.split("_")[0] for n in tree.path_to_root("T")]
-        assert path == ["V@D", "V@C", "V@A"]
+        leaf = tree.leaves["T"]
+        path, node = [], leaf.parent
+        while node is not None:
+            path.append(node)
+            node = node.parent
+        assert [n.name.split("_")[0] for n in path] == ["V@D", "V@C", "V@A"]
+        engine = FIVMEngine(count_query(), tree=tree)
+        assert [step.node for step in engine._paths[leaf.name]] == path
 
     def test_parent_pointers(self):
         tree = build_view_tree(count_query(), paper_variable_order())
@@ -131,7 +142,7 @@ class TestChainCollapsing:
         query = Query(
             "wide", {"W": ("K", "P1", "P2", "P3", "P4")}, ring=INT_RING
         )
-        order = VariableOrder.chain(("K", "P1", "P2", "P3", "P4"))
+        order = chain_order(("K", "P1", "P2", "P3", "P4"))
         collapsed = build_view_tree(query, order, collapse_chains=True)
         expanded = build_view_tree(query, order, collapse_chains=False)
         assert collapsed.view_count() < expanded.view_count()
@@ -151,7 +162,7 @@ class TestChainCollapsing:
         )
         lifting = Lifting(INT_RING, {"P1": lambda x: x, "P2": lambda x: x + 1})
         q = Query("wide", lifting=lifting, **query_args)
-        order = VariableOrder.chain(("K", "P1", "P2"))
+        order = chain_order(("K", "P1", "P2"))
         from tests.conftest import make_database
 
         db = make_database({"W": q.schema_of("W")}, INT_RING, {"W": [(1, 2, 3), (1, 4, 5)]})

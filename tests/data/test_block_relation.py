@@ -5,7 +5,8 @@ Random sequences of one-row adds, listing and packed bulk absorbs,
 cancellations to zero and batches that grow the block past its capacity
 run on a view with zero, one and two secondary indexes.  After every
 step the block view must read like the dict of triples under the ring's
-tolerance — ``payload``, ``items``, ``lookup`` and ``lookup_sum`` — keep
+tolerance — ``payload``, ``items``, ``lookup`` and the bucket sums the
+triggers read — keep
 every used row live and every free row zero, and survive a snapshot
 (``frozen``, pickled as the version-3 dict of payloads) and restore.
 Payload cells are multiples of ½, so sums are exact and cancellations
@@ -22,6 +23,7 @@ from repro.data import Relation
 from repro.data.relation import BlockRelation, DeferredRelation
 from repro.rings.cofactor import CofactorRing, CofactorTriple, _triple
 
+from tests.conftest import bucket_sum
 from tests.settings import SELECTED
 
 RING = CofactorRing(3)
@@ -211,8 +213,61 @@ def same(view, ref, indexes):
             have = dict(view.lookup(attrs, subkey))
             assert set(have) == set(want)
             assert all(eq(have[k], want[k]) for k in want)
-            assert eq(view.lookup_sum(attrs, subkey), ref.lookup_sum(attrs, subkey))
+            assert eq(bucket_sum(view, attrs, subkey), bucket_sum(ref, attrs, subkey))
 
 
 BlockViews.TestCase.settings = SELECTED
 TestBlockViews = BlockViews.TestCase
+
+
+# ----------------------------------------------------------------------
+# Reads a block view inherits from Relation (through its payload map)
+# ----------------------------------------------------------------------
+
+
+def filled(payloads):
+    view = BlockRelation("V", SCHEMA, RING)
+    view.register_index(("A",))
+    for key, cells in payloads.items():
+        view.add(key, make(((0,), cells)))
+    return view
+
+
+def test_copy_is_a_detached_dict_relation():
+    cells = {(0, 0): (1.0, 0.5, 2.0), (1, 2): (2.0, -1.0, 0.5)}
+    view = filled(cells)
+    out = view.copy(name="W")
+    assert type(out) is Relation
+    assert (out.name, out.schema, out._indexes) == ("W", SCHEMA, {})
+    # The view's rows change, free and move; the copy's payloads do not.
+    view.add((0, 0), make(((0,), (3.0, 1.0, 1.0))))
+    view.add((1, 2), RING.neg(view.payload((1, 2))))
+    for i in range(40):
+        view.add((5 + i, 0), make(((0,), (1.0, 1.0, 1.0))))
+    assert set(out) == set(cells)
+    for key, payload in out.items():
+        assert np.array_equal(payload.row, cells[key])
+
+
+def test_emptiness_and_iteration_follow_the_stored_keys():
+    view = BlockRelation("V", SCHEMA, RING)
+    assert view.is_empty and list(view) == []
+    view.add((2, 1), make(((0,), (1.0, 1.0, 1.0))))
+    view.add((0, 0), make(((0,), (2.0, 0.0, 0.5))))
+    assert not view.is_empty
+    assert list(view) == [(2, 1), (0, 0)] == list(view.keys())
+    for key in list(view):
+        view.add(key, RING.neg(view.payload(key)))
+    assert view.is_empty and list(view) == []
+
+
+def test_a_frozen_snapshot_reads_as_a_mapping_of_payloads():
+    view = filled({(0, 0): (1.0, 0.5, 2.0), (3, 1): (-1.0, 0.0, 1.5)})
+    frozen = view.frozen()
+    view.add((0, 0), make(((0,), (1.0, 1.0, 1.0))))
+    view.add((2, 2), make(((0,), (1.0, 1.0, 1.0))))
+    assert len(frozen) == 2 and set(frozen.keys()) == {(0, 0), (3, 1)}
+    got = dict(frozen.items())
+    assert eq(got[(0, 0)], make(((0,), (1.0, 0.5, 2.0))))
+    assert eq(got[(3, 1)], make(((0,), (-1.0, 0.0, 1.5))))
+    assert [eq(a, b) for a, b in zip(frozen.values(), got.values())] == [True] * 2

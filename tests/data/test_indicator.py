@@ -77,7 +77,8 @@ class TestRandomChurn:
                 continue
             view.commit(view.compute_delta(delta, base))
             base.absorb(delta)
-            assert view.relation.same_as(base.indicator(("A",), name=view.name))
+            exists = {(key[0],): 1 for key in base.keys()}
+            assert dict(view.relation.items()) == exists
 
     def test_negative_count_rejected(self):
         base = Relation("R", ("A",), INT_RING)

@@ -42,10 +42,6 @@ class TestRetailerGenerator:
             assert (locn, dateid) in weather
             assert locn in locations
 
-    def test_largest_relation(self):
-        workload = retailer.generate(scale=0.05)
-        assert workload.largest_relation() == "Inventory"
-
     def test_scale_grows_fact_table(self):
         small = retailer.generate(scale=0.05)
         large = retailer.generate(scale=0.2)
@@ -108,7 +104,7 @@ class TestWorkloadHelpers:
     def test_database_and_empty_database(self):
         workload = housing.generate(scale=1, postcodes=5)
         db = workload.database(INT_RING)
-        assert db.size == workload.total_rows
+        assert db.size == sum(len(rows) for rows in workload.tables.values())
         empty = workload.empty_database(INT_RING)
         assert empty.size == 0
         assert set(empty.names) == set(workload.schemas)

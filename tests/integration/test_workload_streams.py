@@ -108,7 +108,7 @@ class TestHousingStream:
         assert fact.memory() < listing.memory()
         expected = listing.to_listing()
         got = fact.to_listing()
-        assert expected.same_as(got.rename({}, name=expected.name))
+        assert expected.same_as(got.copy(name=expected.name))
 
 
 class TestTwitterTriangle:
