@@ -216,6 +216,23 @@ def _rows(delta: Relation) -> int:
     return len(packed[0]) if packed is not None else len(delta._data)
 
 
+def _supports(tree: ViewTree, lifting, kops) -> Optional[Dict[str, tuple]]:
+    """Per node, the support of its payloads over a block-view ring: the
+    sorted variables lifted in its subtree (§6.2), read off the lifts
+    (``kops.lift_support``).  ``None`` when a lift is not the ring's own,
+    whose support shows only when it runs."""
+    supports: Dict[str, tuple] = {}
+    for node in reversed(tree.nodes):  # children before parents
+        own = {i for child in node.children for i in supports[child.name]}
+        for lift in filter(None, map(lifting.get, node.marginalized)):
+            support = kops.lift_support(lift)
+            if support is None:
+                return None
+            own.update(support)
+        supports[node.name] = tuple(sorted(own))
+    return supports
+
+
 class _PlanStep:
     """One probe in a delta-join plan: extend bindings from a target."""
 
@@ -390,8 +407,12 @@ class FIVMEngine:
         #: deltas it keeps their column and derives the map on demand
         #: (see :class:`DeferredRelation`).
         kops = query.ring.kernel_ops()
+        #: Per node, its payloads' planned support (:func:`_supports`):
+        #: its view's layout, and the one-row paths' term tables.
+        self._supports = None
         if getattr(kops, "block_views", False):
             view_cls = root_cls = BlockRelation
+            self._supports = _supports(self.tree, query.lifting, kops)
         else:
             view_cls = Relation
             root_cls = (
@@ -404,7 +425,10 @@ class FIVMEngine:
         for node in self.tree.nodes:
             if self.flags[node.name]:
                 cls = root_cls if node is self.tree.root else view_cls
-                self.views[node.name] = cls(node.name, node.keys, query.ring)
+                args = (node.name, node.keys, query.ring)
+                if self._supports is not None:  # laid out as planned
+                    args += (self._supports[node.name],)
+                self.views[node.name] = cls(*args)
         # Indicator views (stateful count-based maintenance), per node.
         self._indicator_views: Dict[str, List[IndicatorView]] = {}
         for node in self.tree.nodes:
@@ -562,7 +586,7 @@ class FIVMEngine:
                         for step in self._paths[leaf.name]
                     ],
                     self._probe_cache, self._faults, self.tree.root,
-                    self.query,
+                    self.query, self._supports,
                 )
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
@@ -952,7 +976,8 @@ class FIVMEngine:
                 out = path(*row)
                 if out.__class__ is tuple:
                     return self._fan_out(leaf, *out)
-                return out if out is not None else self._empty_root()
+                if out is not False:  # False: off the planned layout
+                    return out if out is not None else self._empty_root()
 
         # 1. Compute indicator deltas against the pre-update base state.
         ind_tasks: List[Tuple[IndicatorView, tuple, Relation]] = []

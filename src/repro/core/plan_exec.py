@@ -102,13 +102,17 @@ each node's trigger body (the emitter of the scalar trigger, over one
 ``(key, payload)`` row), an early exit on zero, and each stored view's
 write (primary map, index upkeep, the ``engine.write_view`` fault hook,
 the probe-cache pop).  A node whose output can have several keys hands
-them back to the engine, which continues on relations.
+them back to the engine, which continues on relations.  Over block
+views the path carries float64 rows, multiplied through term tables
+fixed at planning (the row form, :func:`_emit_trigger`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.ir import (
     DeltaProgram,
@@ -119,6 +123,7 @@ from repro.core.ir import (
     cache_site,
 )
 from repro.data.relation import BlockRelation, Relation
+from repro.rings.cofactor import CofactorKernelOps
 
 __all__ = [
     "SlotProgram",
@@ -173,10 +178,13 @@ class _Generated:
     A one-row path (:func:`compile_path`) requests ``("view", i)`` /
     ``("vdata", i)`` — the ``i``-th stored view on the path (0 the leaf)
     and its primary map — and ``("step", i, name)``: global ``name`` of
-    the ``i``-th step's bound trigger.
+    the ``i``-th step's bound trigger; in row form also ``("layout", i)``,
+    the support view ``i`` is laid out for, and ``("store", i, j)``, the
+    row store of step ``i``'s ``j``-th target.
 
     ``meta`` carries the program-class payload (the output schema for slot
-    programs, the outgoing factor partition for factor programs).
+    programs, the outgoing factor partition for factor programs, a path's
+    constants: the row form's term tables and supports).
     ``name`` is the one function the code defines.  Construction compiles
     the source; :func:`_generated` makes that happen once per process.
     """
@@ -201,8 +209,9 @@ def _generated(generate, ir, *layout) -> _Generated:
 
 
 def _base_env(ring) -> dict:
-    """The globals every generated program binds: the ring's operations."""
-    return {
+    """The globals every generated program binds: the ring's operations
+    (over a block-view ring also its payload constructor)."""
+    env = {
         "_mul": ring.mul,
         "_add": ring.add,
         "_neg": ring.neg,
@@ -214,6 +223,10 @@ def _base_env(ring) -> dict:
         "_finalize": _make_finalize(ring.sum, ring.is_zero),
         "_site": cache_site,
     }
+    kops = ring.kernel_ops()
+    if getattr(kops, "block_views", False):
+        env["_payload"] = kops.payload
+    return env
 
 
 def _exec(generated: _Generated, env: dict):
@@ -286,11 +299,12 @@ class SlotProgram:
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_fn", "source_text", "memo_sites",
-        "blocks",
+        "blocks", "targets",
     )
 
     def __init__(
-        self, node_name, out_schema, ring, fn, source_text, memo_sites, blocks
+        self, node_name, out_schema, ring, fn, source_text, memo_sites,
+        blocks, targets,
     ):
         self.node_name = node_name
         self.out_schema = out_schema
@@ -305,6 +319,8 @@ class SlotProgram:
         self.memo_sites = memo_sites
         #: Per target: whether it is a block view (the code reads rows).
         self.blocks = blocks
+        #: The stored relations the trigger probes, by target index.
+        self.targets = targets
 
     def run(self, delta: Relation) -> Relation:
         """Evaluate the node's delta view for ``delta`` entering at the
@@ -350,7 +366,7 @@ def compile_slot_program(ir: DeltaProgram, targets, query) -> SlotProgram:
             f"{ir.node_name}:{ir.source[0]}{ir.source[1]}":
                 (fn.__globals__["_memo"], targets[ir.ops[memo].target])
         },
-        blocks,
+        blocks, targets,
     )
 
 
@@ -382,9 +398,17 @@ def _point(ir: DeltaProgram) -> bool:
     )
 
 
+def _zero(value: str, rows: bool) -> str:
+    """Source of the test that ``value`` is the ring zero (over a row: the
+    test :meth:`BlockRelation._write` makes)."""
+    if rows:
+        return f"abs({value}[0]) <= _tol and not (_abs({value}) > _tol).any()"
+    return f"_iszero({value})"
+
+
 def _emit_trigger(
     ir: DeltaProgram, emit, requests, sink: str, tag: str = "",
-    blocks: tuple = (),
+    blocks: tuple = (), layout: Optional[tuple] = None,
 ):
     """Emit a scalar trigger body: the probes, the payload product and
     where it goes.
@@ -405,10 +429,20 @@ def _emit_trigger(
     (:class:`~repro.data.relation.BlockRelation`); a gather binds the row
     index itself (key table, bucket or sum row), which the kernel phase
     takes from the block.
+
+    ``layout``, planned — ``(source support, per-target supports,
+    per-lift supports)`` — puts a one-row body over block views in **row
+    form**: ``_psrc`` and the products are float64 rows.  A product
+    gathers through its supports' term table, a constant of the code
+    (``_v = _v[_ia]; _v *= _tl[_ib]``, reduced where the supports
+    overlap); a count-only operand scales the other, or passes it on at
+    count 1 unless it is a probed row (a view's block).  Returns the
+    output's support (``None`` outside the row form).
     """
     ops = ir.ops
     point = sink == "point"
     gather = sink == "gather"
+    rows = layout is not None
 
     def rname(register: int) -> str:
         """Source name of a key register."""
@@ -418,6 +452,10 @@ def _emit_trigger(
         """Request a global for this body; returns its source name."""
         requests.append((name + tag, spec))
         return name + tag
+
+    def row(pay: str) -> str:
+        """A probed payload as a product operand."""
+        return f"{pay}.row" if rows else pay
 
     depth = 1
 
@@ -431,6 +469,28 @@ def _emit_trigger(
         else:
             emit(depth, f"if {test}:")
             depth += 1
+
+    def mul(dest: str, a: tuple, b: tuple) -> tuple:
+        """Emit ``dest = a ⊗ b`` over operands ``(source, support, may be
+        passed on)``; returns the product as one."""
+        (ea, sa, _), (eb, sb, _) = a, b
+        if not rows:
+            emit(depth, f"{dest} = _mul({ea}, {eb})")
+            return (dest, None, True)
+        if not sb or not sa:
+            # As ``mul``: a count-only b scales a, else a count-only a b.
+            (ek, sk, pk), es = (a, eb) if not sb else (b, ea)
+            emit(depth, f"{dest} = {ek} if {es}[0] == 1.0 else {ek} * {es}"
+                 if pk else f"{dest} = {ek} * {es}")
+            return (dest, sk, True)
+        n = len(requests)
+        union, ia, ib, starts = CofactorKernelOps.terms(sa, sb)
+        emit(depth, f"{dest} = {ea}[{glob(f'_ia{n}', ('const', ia))}]")
+        emit(depth, f"{dest} *= {eb}[{glob(f'_ib{n}', ('const', ib))}]")
+        if starts is not None:  # the supports overlap
+            starts = glob(f"_st{n}", ("const", starts))
+            emit(depth, f"{dest} = _reduceat({dest}, {starts})")
+        return (dest, union, True)
 
     def block(op) -> bool:
         """Whether ``op`` probes a block view."""
@@ -452,7 +512,7 @@ def _emit_trigger(
                 emit(1, f"_t{i} = {glob(f'_tot{i}', ('total', op.target))}()")
             else:
                 emit(1, f"_t{i} = _rsum({data[i]}.values())")
-            emit(1, f"if _iszero(_t{i}):")
+            emit(1, f"if {_zero(row(f'_t{i}'), rows)}:")
             emit(2, "return")
 
     def read(i: int, op, var: str, key: str) -> None:
@@ -513,9 +573,11 @@ def _emit_trigger(
                     emit(depth + 2, f"_t{i} = {reader}(_sk{i}, _j{i})")
                 else:
                     emit(depth, f"_t{i} = {sums}.get({probe_key})")
+                test = _zero(row(f"_t{i}"), rows)
                 guard(
-                    f"_t{i} is not None and not _iszero(_t{i})",
-                    f"_t{i} is None or _iszero(_t{i})",
+                    f"_t{i} is not None and not "
+                    + (f"({test})" if rows else test),
+                    f"_t{i} is None or {test}",
                 )
             op_pay[i] = f"_t{i}"
         else:
@@ -559,6 +621,10 @@ def _emit_trigger(
     # payload once: by associativity ``(v·l₁)·l₂ = v·(l₁·l₂)`` (order
     # preserved, so non-commutative rings are safe), and the intermediate
     # lift products stay small while the accumulated payload is the big one.
+    source, supports, lifted = layout or (None, [None] * len(ops), None)
+    operands = {"_psrc": ("_psrc", source, True)}
+    for i, op in enumerate(ops):
+        operands[op_pay[i]] = (row(op_pay[i]), supports[op.target], False)
     factors = [
         "_psrc" if where == "source" else op_pay[i]
         for where, i in ir.accumulate.factors
@@ -570,15 +636,22 @@ def _emit_trigger(
             emit(depth, f"_af{j}({factor})")
         for j, (var, register) in enumerate(ir.accumulate.lifts):
             emit(depth, f"_al{j}({rname(register)})")
-        return
-    lift_lines = []
-    for j, (var, register) in enumerate(ir.accumulate.lifts):
-        term = f"{glob(f'_lift{j}', ('lift', var))}({rname(register)})"
-        lift_lines.append(f"_lv = _mul(_lv, {term})" if j else f"_lv = {term}")
+        return None
+
+    def lift_lines() -> None:
+        """``_lv`` := the product of the lifts."""
+        for j, (var, register) in enumerate(ir.accumulate.lifts):
+            term = f"{glob(f'_lift{j}', ('lift', var))}({rname(register)})"
+            lift = (row(term), lifted and lifted[j], True)
+            if j:
+                operands["_lv"] = mul("_lv", operands["_lv"], lift)
+            else:
+                emit(depth, f"_lv = {lift[0]}")
+                operands["_lv"] = ("_lv",) + lift[1:]
+
     if memo is None:
-        for line in lift_lines:
-            emit(depth, line)
-        if lift_lines:
+        lift_lines()
+        if ir.accumulate.lifts:
             factors.append("_lv")
     else:
         # Lifted-sibling memo (``Accumulate.memo``): ``sibling ⊗ lifts``
@@ -588,35 +661,46 @@ def _emit_trigger(
         # invalidation hook.  A product is admitted on the second sighting
         # of one payload (the first leaves ``id(payload)``: a sibling
         # rewritten between probes costs a marker, not a block), and a
-        # site outgrowing twice its sibling's live keys starts over.
+        # site outgrowing twice its sibling's live keys starts over.  Over
+        # block views the product is kept as ``row, support``: the row
+        # form of the one-row paths shares the memo.
         memo_d = glob("_memo", ("memo",))
         sibling = op_pay[memo]
+        rowed = blocks and blocks[ops[memo].target]
         emit(depth, f"_e = {memo_d}.get(_pk)")
         emit(depth, f"if _e.__class__ is tuple and _e[0] is {sibling}:")
-        emit(depth + 1, "_tl = _e[1]")
+        emit(depth + 1, "_tl = _payload(_e[2], _e[1])" if rowed and not rows
+             else "_tl = _e[1]")
         emit(depth, "else:")
-        for line in lift_lines:
-            emit(depth + 1, line)
-        emit(depth + 1, f"_tl = _mul({sibling}, _lv)")
+        depth += 1
+        lift_lines()
+        operands["_tl"] = mul("_tl", operands[sibling], operands["_lv"])
+        depth -= 1
+        if rows:
+            entry = f"_tl, {glob('_ms', ('const', operands['_tl'][1]))}"
+        else:
+            entry = "_tl.row, _tl.support" if rowed else "_tl"
         emit(depth + 1, f"if _e == id({sibling}):")
-        emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, _tl)")
+        emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, {entry})")
         emit(depth + 1, "else:")
         emit(depth + 2, f"if len({memo_d}) > 2 * len({data[memo]}):")
         emit(depth + 3, f"{memo_d}.clear()")
         emit(depth + 2, f"{memo_d}[_pk] = id({sibling})")
         factors = ["_psrc", "_tl"]
     if not factors:
-        emit(depth, "_v = _one")
+        emit(depth, "_v = _one.row" if rows else "_v = _one")
+        value = ("_v", (), True)
     else:
-        emit(depth, f"_v = {factors[0]}")
+        emit(depth, f"_v = {operands[factors[0]][0]}")
+        value = ("_v",) + operands[factors[0]][1:]
         for factor in factors[1:]:
-            emit(depth, f"_v = _mul(_v, {factor})")
+            value = mul("_v", value, operands[factor])
     if point:
-        emit(depth, "if _iszero(_v):")
+        emit(depth, f"if {_zero('_v', rows)}:")
         emit(depth + 1, "return")
         emit(depth, f"_key = {out_key}")
         emit(depth, "_psrc = _v")
-        return
+        return value[1]
     # Accumulation is deferred: contributions are collected per output key
     # and summed once by ``_finalize`` via ``ring.sum`` — rings with a
     # vectorized sum (the cofactor ring stacks blocks) fold a whole batch
@@ -629,6 +713,7 @@ def _emit_trigger(
     emit(depth + 1, "_out[_ok] = [_v]")
     emit(depth, "else:")
     emit(depth + 1, "_cur.append(_v)")
+    return value[1]
 
 
 # ----------------------------------------------------------------------
@@ -652,6 +737,20 @@ def _make_finalize(rsum, iszero):
         return data
 
     return _finalize
+
+
+def _finalize_rows(kops, data, support):
+    """``_finalize`` over rows laid out for ``support`` (the row form):
+    each key's rows summed, zero sums dropped, the others wrapped as
+    payloads."""
+    tolerance = kops.tolerance
+    for key, rows in list(data.items()):
+        row = rows[0] if len(rows) == 1 else np.add.reduce(rows)
+        if abs(row[0]) <= tolerance and not (np.abs(row) > tolerance).any():
+            del data[key]
+        else:
+            data[key] = kops.payload(support, row)
+    return data
 
 
 class FactorProgram:
@@ -970,11 +1069,12 @@ class PathIR(NamedTuple):
     :meth:`BlockRelation._write`; ``"add"``: through
     :meth:`Relation.add`, for a view whose map is not a fixed dict — the
     packed ℝ root; ``None``: not stored), the path's trigger IR with its
-    targets' layout, and whether the engine has a fault plan."""
+    targets' layout and, for the row form, its planned supports
+    (:func:`_emit_trigger`), and whether the engine has a fault plan."""
 
     leaf: str
     leaf_write: Optional[str]
-    steps: Tuple[Tuple[DeltaProgram, Optional[str], tuple], ...]
+    steps: Tuple[Tuple[DeltaProgram, Optional[str], tuple, Optional[tuple]], ...]
     faults: bool
 
 
@@ -984,10 +1084,14 @@ def _generate_path(path: PathIR) -> _Generated:
     It returns the root delta as a :class:`Relation`, ``None`` when the
     row's contribution is the ring zero somewhere on the way, or ``(i,
     out)`` when the ``i``-th step produced several keys: ``out`` their
-    folded payloads, not yet written to the step's view.
+    folded payloads, not yet written to the step's view.  The row form
+    first returns ``False``, before any write, unless the row's payload
+    and every view the path probes have their planned supports: the
+    general walk takes a row that would widen a view, or meet one.
     """
     requests: List[tuple] = []
     lines: List[str] = ["def _path(_key, _psrc):"]
+    rows = path.steps[0][3] is not None
 
     def emit(depth: int, text: str) -> None:
         """Append one generated source line at depth ``depth``."""
@@ -1005,8 +1109,11 @@ def _generate_path(path: PathIR) -> _Generated:
         requests.append((view, ("view", at)))
         if how == "add":
             emit(1, f"{view}.add(_key, _psrc)")
+        elif how == "row" and rows:
+            requests.append((f"_s{at}", ("layout", at)))
+            emit(1, f"{view}._write(_key, _psrc, _s{at})")
         elif how == "row":
-            emit(1, f"{view}._write(_key, _psrc)")
+            emit(1, f"{view}._write(_key, _psrc.row, _psrc.support)")
         else:
             data = f"_vd{at}"
             requests.append((data, ("vdata", at)))
@@ -1029,39 +1136,63 @@ def _generate_path(path: PathIR) -> _Generated:
         emit(1, "if _cache:")
         emit(2, f"_cache.pop({name!r}, None)")
 
+    if rows:  # _gs: the probed views' supports, bound as planned
+        stores = [
+            (f"_g{at}_{i}", ("store", at, i))
+            for at, step in enumerate(path.steps, start=1)
+            for i in range(len(step[3][1]))
+        ]
+        requests += stores
+        probed = "".join(f"{name}.support, " for name, _ in stores)
+        emit(1, f"if _psrc.support or ({probed}) != _gs:")
+        emit(2, "return False")
+        emit(1, "_psrc = _psrc.row")
     write(path.leaf, 0, path.leaf_write)
-    for at, (ir, how, blocks) in enumerate(path.steps, start=1):
+    for at, (ir, how, blocks, layout) in enumerate(path.steps, start=1):
         step: List[tuple] = []
-        if _point(ir):
-            _emit_trigger(ir, emit, step, "point", f"_{at}", blocks)
-        else:
+        sink = "point" if _point(ir) else "row"
+        if sink == "row":
             emit(1, "_out = {}")
-            _emit_trigger(ir, emit, step, "row", f"_{at}", blocks)
+        support = _emit_trigger(ir, emit, step, sink, f"_{at}", blocks, layout)
+        if sink == "row":
+            fold = "_finalize(_out)"
+            if rows:
+                requests.append((f"_o{at}", ("const", support)))
+                fold = f"_rfinalize(_out, _o{at})"
             emit(1, "if len(_out) != 1:")
-            emit(2, f"return ({at - 1}, _finalize(_out)) if _out else None")
+            emit(2, f"return ({at - 1}, {fold}) if _out else None")
             emit(1, "_key, _psrc = _out.popitem()")
-            emit(1, "_psrc = _psrc[0] if len(_psrc) == 1 else _rsum(_psrc)")
-            emit(1, "if _iszero(_psrc):")
+            total = "_rowsum" if rows else "_rsum"
+            emit(1, f"_psrc = _psrc[0] if len(_psrc) == 1 else {total}(_psrc)")
+            emit(1, f"if {_zero('_psrc', rows)}:")
             emit(2, "return")
-        # The trigger's globals are bound by the step's own program:
-        # the path shares them, lifted-sibling memos included.
+        # The trigger's globals are bound by the step's own program (the
+        # path shares them, lifted-sibling memos included); the row
+        # form's term tables and supports are constants of the code.
         requests += [
-            (name, ("step", at, name[:-len(f"_{at}")])) for name, _ in step
+            (name, spec if spec[0] == "const"
+             else ("step", at, name[:-len(f"_{at}")]))
+            for name, spec in step
         ]
         write(ir.node_name, at, how)
     emit(1, "_r = _Relation(_root, _root_keys, _ring)")
-    emit(1, "_r._data[_key] = _psrc")
+    if rows:
+        requests.append(("_sr", ("const", support)))
+    emit(1, f"_r._data[_key] = {'_payload(_sr, _psrc)' if rows else '_psrc'}")
     emit(1, "return _r")
-    return _Generated(lines, requests, None, f"path {path.leaf}")
+    consts = {name: spec[1] for name, spec in requests if spec[0] == "const"}
+    requests = [request for request in requests if request[0] not in consts]
+    return _Generated(lines, requests, consts, f"path {path.leaf}")
 
 
-def compile_path(leaf, steps, cache, faults, root, query):
+def compile_path(leaf, steps, cache, faults, root, query, supports=None):
     """Generate and bind the one-row path of ``leaf`` (its stored view or
     ``None``) up ``steps`` — ``(ir, scalar program, stored view or
     None)`` per node, leaf to root.  ``cache`` is the engine's probe
     cache, ``faults`` its fault plan, ``root`` the root node (the returned
-    delta's name and keys).  The function's ``source_text`` is its
-    generated source."""
+    delta's name and keys).  ``supports`` (per node, planned by the
+    engine) puts a path whose targets are block views in row form.  The
+    function's ``source_text`` is its generated source."""
 
     def how(view) -> Optional[str]:
         """How the generated code writes ``view``."""
@@ -1072,23 +1203,46 @@ def compile_path(leaf, steps, cache, faults, root, query):
         return "map" if type(view) is Relation else "add"
 
     leaf_name, leaf_view = leaf
+    names = [leaf_name] + [ir.node_name for ir, *_ in steps]
+    probed = [target for _, program, _ in steps for target in program.targets]
+    rows = supports is not None and all(
+        all(program.blocks) for _, program, _ in steps)
+    kops, lifts = query.ring.kernel_ops(), query.lifting.table()
     generated = _generated(_generate_path, PathIR(
         leaf_name, how(leaf_view),
-        tuple((ir, how(view), program.blocks) for ir, program, view in steps),
+        tuple(
+            (ir, how(view), program.blocks, (
+                supports[names[at]],
+                tuple(supports[target.name] for target in program.targets),
+                tuple(kops.lift_support(lifts[var])
+                      for var, _ in ir.accumulate.lifts),
+            ) if rows else None)
+            for at, (ir, program, view) in enumerate(steps)
+        ),
         faults is not None,
     ))
     views = [leaf_view] + [view for _, _, view in steps]
     env = _base_env(query.ring)
     env.update(
-        _cache=cache, _faults=faults, _Relation=Relation, _root=root.name,
-        _root_keys=root.keys, _ring=query.ring,
+        generated.meta, _cache=cache, _faults=faults, _Relation=Relation,
+        _root=root.name, _root_keys=root.keys, _ring=query.ring,
     )
+    if rows:  # _gs: the tuples the views were laid out with (identity)
+        env.update(
+            _gs=tuple(target._store.support for target in probed),
+            _tol=kops.tolerance, _abs=np.abs, _rowsum=np.add.reduce,
+            _reduceat=np.add.reduceat, _rfinalize=partial(_finalize_rows, kops),
+        )
     for name, spec in generated.requests:
         kind, at = spec[0], spec[1]
         if kind == "view":
             env[name] = views[at]
         elif kind == "vdata":
             env[name] = views[at]._data
+        elif kind == "layout":
+            env[name] = views[at]._store.support
+        elif kind == "store":
+            env[name] = steps[at - 1][1].targets[spec[2]]._store
         else:  # "step": the step program's own binding
             env[name] = steps[at - 1][1]._fn.__globals__[spec[2]]
     path = _exec(generated, env)

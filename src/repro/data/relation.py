@@ -1146,18 +1146,22 @@ class BlockRelation(Relation):
     read-only payload maps over the rows (:class:`_Payloads`) for code
     written against dicts; writes go through :meth:`add` and
     :meth:`absorb_bulk`.  A payload whose support is not the view's
-    widens the block to the union of the two.
+    widens the block to the union of the two; ``support`` lays out an
+    empty view ahead of the first (the engine plans it).  :meth:`clear`
+    keeps the layout.
     """
 
     __slots__ = ("_kops", "_slot", "_store", "_blocks", "_view")
 
-    def __init__(self, name: str, schema: Iterable[str], ring):
+    def __init__(self, name: str, schema: Iterable[str], ring, support=None):
         self.name = name
         self.schema = as_schema(schema)
         self.ring = ring
         self._kops = ring.kernel_ops()
         self._slot: Dict[Key, int] = {}
         self._store = _Rows(self._kops)
+        if support is not None:
+            self._store.reset(*self._kops.widen((), support)[:2])
         self._indexes: Dict[Tuple[str, ...], tuple] = {}
         self._blocks: Dict[Tuple[str, ...], _BlockIndex] = {}
         self._view = _Payloads(self._slot, self._store.peek)
@@ -1260,13 +1264,13 @@ class BlockRelation(Relation):
     def add(self, key: Key, payload: Payload) -> None:
         if self.ring.is_zero(payload):
             return
-        self._write(tuple(key), payload)
+        self._write(tuple(key), payload.row, payload.support)
 
-    def _write(self, key: Key, payload: Payload) -> None:
-        """:meth:`add` of a non-zero payload under a tuple key (what the
-        generated one-row paths call)."""
+    def _write(self, key: Key, row, support: tuple) -> None:
+        """:meth:`add` of a non-zero payload's ``row``, laid out for
+        ``support``, under a tuple key (what the generated one-row paths
+        call)."""
         store, slot = self._store, self._slot
-        row, support = payload.row, payload.support
         if support is not store.support and support != store.support:
             row = self._conform(row, support)
         i = slot.get(key)
@@ -1348,7 +1352,7 @@ class BlockRelation(Relation):
             return
         for key, payload in data.items():  # mixed supports
             if not self.ring.is_zero(payload):
-                self._write(key, payload)
+                self._write(key, payload.row, payload.support)
 
     def _absorb_rows(self, keys: list, rows, support: tuple) -> None:
         """Add ``rows`` (laid out for ``support``) onto distinct ``keys``:
@@ -1405,8 +1409,10 @@ class BlockRelation(Relation):
 
     def clear(self) -> None:
         self._slot.clear()
-        for index in (self._store, *self._blocks.values()):
-            index.reset(None, 1)
+        store = self._store
+        layout = (store.support, store.block.shape[1])
+        for index in (store, *self._blocks.values()):
+            index.reset(*layout)
 
     def drop_reads(self) -> None:
         """Forget the payloads cached for the triggers (detached, so

@@ -178,17 +178,18 @@ _ROW_MAPS: Dict[tuple, tuple] = {}
 
 
 def _layout(support: tuple) -> tuple:
-    """``(size, tri)`` for a support of k = size - 1 variables:
+    """``(size, tri, key)`` for a support of k = size - 1 variables:
     ``tri[r, c]`` is the row position of extended-matrix cell ``(r, c)``
     in either order (coordinate 0 is the constant, 1 + i the i-th support
-    variable)."""
+    variable); ``key`` is the memo's own tuple, which products take as
+    their support, so later lookups match it by identity."""
     layout = _ROW_MAPS.get(support)
     if layout is None:
         size = len(support) + 1
         rows, cols = np.triu_indices(size)
         tri = np.empty((size, size), dtype=np.intp)
         tri[rows, cols] = tri[cols, rows] = np.arange(rows.size)
-        layout = _ROW_MAPS[support] = (size, tri)
+        layout = _ROW_MAPS[support] = (size, tri, support)
     return layout
 
 
@@ -221,7 +222,7 @@ def _term_table(left: tuple, right: tuple) -> tuple:
     holds for every pair of disjoint supports.
     """
     union = tuple(sorted(set(left) | set(right)))
-    size, tri = _layout(union)
+    size, tri, union = _layout(union)
     ext_l = np.array([0] + [1 + union.index(i) for i in left], np.intp)
     ext_r = np.array([0] + [1 + union.index(i) for i in right], np.intp)
 
@@ -450,6 +451,21 @@ class CofactorKernelOps:
         union, width, emb, emb_other, *_ = _pair_maps(support, other)
         return union, width, emb, emb_other
 
+    @staticmethod
+    def terms(support: tuple, other: tuple) -> tuple:
+        """``(union, ia, ib, starts)``: the product's support and term
+        table for a row laid out for ``support`` times one laid out for
+        ``other`` (:func:`_term_table`, memoized process-wide)."""
+        union, _, _, _, ia, ib, starts = _pair_maps(support, other)
+        return union, ia, ib, starts
+
+    @staticmethod
+    def lift_support(lift_fn) -> Optional[tuple]:
+        """The support of what ``lift_fn`` returns if it is one of this
+        ring's lifts (``ring.lift(j)``: ``(j,)``), else ``None``."""
+        tag = getattr(lift_fn, "_kernel_lift", None)
+        return (tag[1],) if tag is not None and tag[0] == "cofactor" else None
+
     # -- packing -------------------------------------------------------
 
     def pack(self, column, n: int):
@@ -470,15 +486,15 @@ class CofactorKernelOps:
         functions this ring did not produce (custom liftings take the
         generic per-row path).
         """
-        tag = getattr(lift_fn, "_kernel_lift", None)
-        if tag is None or tag[0] != "cofactor":
+        support = self.lift_support(lift_fn)
+        if support is None:
             return None
         x = np.fromiter(map(float, values), dtype=float, count=n)
         block = np.empty((n, 3))
         block[:, 0] = 1.0
         block[:, 1] = x
         block[:, 2] = x * x
-        return (block, (tag[1],))
+        return (block, support)
 
     # -- the vectorized ring product -----------------------------------
 

@@ -56,27 +56,33 @@ def live_triples() -> int:
 
 def test_dropped_engines_release_their_memos():
     """50 create → stream → drop cycles: after a collection no generated
-    trigger survives, so no memo dict in a trigger's globals does, and the
-    process holds no more triples than before the first engine."""
+    trigger survives, so no memo dict in a trigger's globals does, no
+    product row a memo kept does, and the process holds no more triples
+    than before the first engine."""
     stream = small_stream()
     gc.collect()
     triggers_before, triples_before = live_triggers(), live_triples()
+    kept = []
     for cycle in range(50):
         engine = retailer_engine()
         for delta in stream.deltas(engine.query.ring):
             engine.apply_update(delta)
+        rows = [
+            entry[1] for memo, _ in engine._memo_sites.values()
+            for entry in memo.values() if type(entry) is tuple
+        ]
         if cycle == 0:
             sizes = engine.memo_sizes()
             assert sum(n for n, _ in sizes.values()) > 0, sizes
-            assert any(
-                type(entry) is tuple and type(entry[1]) is CofactorTriple
-                for memo, _ in engine._memo_sites.values()
-                for entry in memo.values()
-            ), "fixture: the stream must admit at least one product"
-        del engine, delta
+            assert rows and all(type(row) is np.ndarray for row in rows), (
+                "fixture: the stream must admit at least one product row"
+            )
+        kept += [weakref.ref(row) for row in rows]
+        del engine, delta, rows
     gc.collect()
     assert live_triggers() == triggers_before
     assert live_triples() <= triples_before
+    assert not [ref for ref in kept if ref() is not None]
 
 
 def test_dropped_chains_release_their_packed_roots_without_a_collection():

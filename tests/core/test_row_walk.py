@@ -7,7 +7,10 @@ absorbs; the fan-out hand-off held to the interpreter backend; the
 view-write numbering a :class:`FaultPlan` sees, the same as on the bulk
 path; which end-to-end workloads take the path at all; and the two
 things a write inlined at planning time must not freeze — an index
-registered later, and the packed ℝ root.
+registered later, and the packed ℝ root.  Over the cofactor ring the
+path multiplies rows through term tables fixed at planning: it makes no
+ring call, and a payload off the planned layout (a widened view) leaves
+the row to the general walk, exactly.
 """
 
 from __future__ import annotations
@@ -337,3 +340,97 @@ def test_the_packed_real_root_is_written_through_add(monkeypatch):
         chain.result_matrix(), mats[0] @ (mats[1] + np.outer(u, v)
         + 0.5 * np.eye(10)[:, [1]] @ np.eye(10)[[2]]) @ mats[2],
     )
+
+
+def retailer_pair():
+    """A Retailer cofactor engine and the interpreter over one query,
+    both empty, and the relations' rows in a fixed order."""
+    from repro.apps.regression import cofactor_query
+    from repro.datasets import retailer
+
+    query = cofactor_query("rows", retailer.SCHEMAS, retailer.ALL_VARIABLES)
+    workload = retailer.generate(scale=0.02, seed=3)
+    return tuple(
+        FIVMEngine(query, retailer.variable_order(), **kwargs)
+        for kwargs in ({}, {"backend": "interpreter"})
+    ) + (workload.tables,)
+
+
+def one_row(engine, rel, row, payload):
+    return engine.apply_update(Relation(
+        rel, engine.tree.leaves[rel].keys, engine.query.ring, {row: payload}
+    ))
+
+
+def test_a_widened_layout_stays_exact():
+    """An Inventory row whose payload carries a lifted variable
+    (``ring.lift(5)(2.5)``) widens ``V@inventoryunits_I`` past the support
+    planned for it, one variable to two.  Every update after it — through
+    the one-row paths where the views they probe still have their planned
+    supports, through the general walk where not — keeps every view and
+    root delta equal to the interpreter's, over 30 more one-row updates
+    per relation."""
+    walked, interpreted, tables = retailer_pair()
+    ring = walked.query.ring
+    for step in range(40):
+        for rel, table in tables.items():
+            row = table[step % len(table)]
+            got = one_row(walked, rel, row, ring.one)
+            assert got.same_as(one_row(interpreted, rel, row, ring.one))
+    row = tables["Inventory"][0]
+    for engine in (walked, interpreted):
+        one_row(engine, "Inventory", row, ring.lift(5)(2.5))
+        assert engine.views["V@inventoryunits_I"]._data[row[:3]].support == (3, 5)
+    for step in range(30):
+        for rel, table in tables.items():
+            row = table[(7 * step + 3) % len(table)]
+            payload = ring.from_int(1 if step % 3 else -1)
+            got = one_row(walked, rel, row, payload)
+            assert got.same_as(one_row(interpreted, rel, row, payload)), (
+                step, rel)
+    for name, view in interpreted.views.items():
+        assert walked.views[name].same_as(view), name
+
+
+def test_the_row_form_makes_no_ring_call(monkeypatch):
+    """Counts, not clocks: over a one-row Retailer stream the generated
+    paths multiply, add and test rows, so they call no ``CofactorRing``
+    ``mul``, ``add`` or ``is_zero`` and look up no term table — each is
+    bound at planning (a fan-out's remaining steps, run on relations by
+    the scalar triggers, are not counted)."""
+    from repro.rings import cofactor
+
+    calls, inside = [], [False]
+
+    def spy(name, fn):
+        return lambda *args: (inside[0] and calls.append(name)) or fn(*args)
+
+    for name in ("mul", "add", "is_zero"):
+        monkeypatch.setattr(
+            cofactor.CofactorRing, name,
+            spy(name, getattr(cofactor.CofactorRing, name)),
+        )
+    monkeypatch.setattr(
+        cofactor, "_pair_maps", spy("_pair_maps", cofactor._pair_maps))
+    walked, interpreted, tables = retailer_pair()
+    ring = walked.query.ring
+    for rel, path in list(walked._row_paths.items()):
+
+        def counted(key, payload, path=path):
+            inside[0] = True
+            try:
+                return path(key, payload)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setitem(walked._row_paths, rel, counted)
+    for step in range(30):
+        for rel, table in tables.items():
+            row = table[step % len(table)]
+            payload = ring.from_int(1 if step % 4 else -1)
+            got = one_row(walked, rel, row, payload)
+            assert got.same_as(one_row(interpreted, rel, row, payload))
+    assert calls == []
+    assert len(walked.views["V@locn_CIILW"]) == 1, "fixture: rows reach the root"
+    for name, view in interpreted.views.items():
+        assert walked.views[name].same_as(view), name

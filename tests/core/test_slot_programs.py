@@ -381,8 +381,9 @@ class TestLiftedSiblingMemo:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_sibling_payload_that_is_the_ring_one(self, form):
-        """``mul(one, lift)`` returns the (shared, memoized) lift object
-        itself; an entry holding it must still die with the sibling."""
+        """``one ⊗ lift`` is the (shared, memoized) lift's row itself —
+        kept over block views as ``(payload, row, support)``; an entry
+        holding it must still die with the sibling."""
         schemas = {"R": ("A", "B"), "S": ("A",)}
         order = VariableOrder.from_spec(("A", ["B"]))
 
@@ -408,9 +409,10 @@ class TestLiftedSiblingMemo:
                 memo for memo, sibling in engine._memo_sites.values()
                 if sibling is leaf
             ]
-            payload, product = memo[(1,)]
+            payload, product, support = memo[(1,)]
             assert payload is leaf._data[(1,)]
-            assert product is engine.query.lifting.get("A")(1)
+            lift = engine.query.lifting.get("A")(1)
+            assert product is lift.row and support == lift.support
 
     def test_only_rings_with_array_products_build_a_memo(self):
         """ℤ/ℝ (a ``*`` is cheaper than the dict probe) and the
