@@ -237,9 +237,14 @@ class KernelDeltaProgram:
             return self._scalar.run(delta)
         packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
         # Group rows by output key (ids assigned first-seen, so every id in
-        # range(n_groups) occurs — the reduce hooks rely on that).
+        # range(n_groups) occurs — the reduce hooks rely on that).  When
+        # every key is distinct the ids are 0..n-1 and the fold is the
+        # identity.
         unique_keys, group_ids = _encode(keys, n)
-        reduced = kops.reduce(packed, group_ids, len(unique_keys))
+        reduced = (
+            packed if len(unique_keys) == n
+            else kops.reduce(packed, group_ids, len(unique_keys))
+        )
         zero = kops.zero_mask(reduced)
         if zero.any():
             kept = np.flatnonzero(~zero)

@@ -38,7 +38,7 @@ from repro.data.schema import (
 
 __all__ = [
     "Relation", "DeferredRelation", "BlockRelation", "float_column_ops",
-    "MIN_PACKED_ROWS", "MIN_PACKED_SUM_ROWS",
+    "MIN_PACKED_ROWS", "MIN_PACKED_SUM_ROWS", "MIN_BLOCK_MERGE_ROWS",
 ]
 
 Payload = Any
@@ -54,6 +54,11 @@ MIN_PACKED_ROWS = 32
 #: The same crossover for :meth:`Relation.marginalize`, which has no match
 #: pairs to vectorize — only the per-row lifting and grouping.
 MIN_PACKED_SUM_ROWS = 512
+
+#: Below this many rows a listing delta is written into a
+#: :class:`BlockRelation` row by row: packing it and absorbing the block
+#: costs more (docs/architecture.md §3).
+MIN_BLOCK_MERGE_ROWS = 12
 
 
 class Relation:
@@ -107,12 +112,23 @@ class Relation:
         """Build a relation mapping each tuple to ``payload`` (default ``1``).
 
         Repeated tuples accumulate (payloads add up), matching multiset
-        semantics under the ℤ ring.
+        semantics under the ℤ ring.  Distinct tuples share ``payload``:
+        the map is built in one pass, with one zero test.
         """
         rel = cls(name, schema, ring)
         value = ring.one if payload is None else payload
-        for row in tuples:
-            rel.add(tuple(row), value)
+        if ring.is_zero(value):
+            return rel
+        rows = tuples if tuples.__class__ is list else list(tuples)
+        if len(rows) == 1:
+            rel._data = {tuple(rows[0]): value}
+            return rel
+        data = dict.fromkeys(map(tuple, rows), value)
+        if len(data) == len(rows):
+            rel._data = data
+        else:
+            for row in rows:
+                rel.add(row, value)
         return rel
 
     def copy(self, name: Optional[str] = None) -> "Relation":
@@ -1346,11 +1362,12 @@ class BlockRelation(Relation):
         data = delta._data
         if not data:
             return
-        packed = self._kops.pack(list(data.values()), len(data))
-        if packed is not None:
-            self._absorb_rows(list(data), *packed)
-            return
-        for key, payload in data.items():  # mixed supports
+        if len(data) >= MIN_BLOCK_MERGE_ROWS:
+            packed = self._kops.pack(list(data.values()), len(data))
+            if packed is not None:
+                self._absorb_rows(list(data), *packed)
+                return
+        for key, payload in data.items():  # few rows, or mixed supports
             if not self.ring.is_zero(payload):
                 self._write(key, payload.row, payload.support)
 

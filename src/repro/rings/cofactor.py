@@ -38,6 +38,8 @@ operand, listed once per support pair in a *term table*.
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import repeat
+from operator import is_
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -469,8 +471,13 @@ class CofactorKernelOps:
     # -- packing -------------------------------------------------------
 
     def pack(self, column, n: int):
-        """Stack a payload column; ``None`` when supports are mixed."""
-        support = column[0].support
+        """Stack a payload column; ``None`` when supports are mixed.  A
+        column that repeats one payload object (a delta's shared payload)
+        tiles its row once."""
+        first = column[0]
+        if all(map(is_, column, repeat(first))):
+            return (np.tile(first.row, (n, 1)), first.support)
+        support = first.support
         for triple in column:
             if triple.support != support:
                 return None
@@ -520,14 +527,15 @@ class CofactorKernelOps:
         ``np.add.reduceat`` over the block.  Every group id in
         ``range(n_groups)`` must occur (the kernel program assigns ids
         first-seen), so the reduceat segments line up with the group
-        numbering."""
+        numbering.  Ids in order already (first-seen ids that form one
+        run per group, as one group does) are not sorted."""
         block, support = packed
-        order = np.argsort(group_ids, kind="stable")
-        sorted_ids = group_ids[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
-        )
-        return (np.add.reduceat(block[order], starts, axis=0), support)
+        if (group_ids[1:] < group_ids[:-1]).any():
+            order = np.argsort(group_ids, kind="stable")
+            group_ids = group_ids[order]
+            block = block[order]
+        starts = np.flatnonzero(np.r_[True, group_ids[1:] != group_ids[:-1]])
+        return (np.add.reduceat(block, starts, axis=0), support)
 
     def unpack(self, reduced):
         """Per-group :class:`CofactorTriple` views over the block's rows

@@ -7,7 +7,10 @@ over a view's block are the read cache's, and once the caches are dropped
 no live triple keeps a block alive.  A kernel program's packed output is
 folded into payload objects only by a scalar trigger that reads it —
 never by dispatch or a view write; and an array-sized step makes a fixed
-number of scalar ring calls, not one per row.  Counts, not clocks.
+number of scalar ring calls, not one per row.  A 600-row delta is
+ingested without a per-row ``add``, and its leaf step neither folds nor
+reads a row per key; a 4-row delta is written row by row, never packed.
+Counts, not clocks.
 """
 
 import gc
@@ -15,12 +18,17 @@ import gc
 import numpy as np
 import pytest
 
+from repro.core.kernels import KernelDeltaProgram
 from repro.core.plan_exec import SlotProgram
 from repro.data import relation
 from repro.data.relation import BlockRelation, DeferredRelation
-from repro.rings.cofactor import CofactorRing, CofactorTriple
+from repro.rings.cofactor import CofactorKernelOps, CofactorRing, CofactorTriple
 
 from tests.conftest import pinned
+
+
+#: The Inventory leaf's view: one output key per delta row.
+LEAF = "V@inventoryunits_I"
 
 
 def quick_b600():
@@ -105,18 +113,45 @@ def watch_folds(monkeypatch):
     return folds, absorbed
 
 
-def inventory_delta(instance, engine, rows):
-    """``rows`` distinct Inventory rows of the stream, as one delta."""
+def inventory_rows(instance, rows):
+    """``rows`` distinct Inventory rows of the stream."""
     table = dict.fromkeys(
         row for rel, batch, mult in instance.ops
         if rel == "Inventory" and mult > 0 for row in batch
     )
     assert len(table) >= rows
+    return list(table)[:rows]
+
+
+def inventory_delta(instance, engine, rows):
+    """``rows`` distinct Inventory rows of the stream, as one delta."""
     ring = engine.query.ring
     return relation.Relation(
         "Inventory", engine.tree.leaves["Inventory"].keys, ring,
-        {row: ring.one for row in list(table)[:rows]},
+        {row: ring.one for row in inventory_rows(instance, rows)},
     )
+
+
+def ingest(instance, engine, rows):
+    """``rows`` distinct Inventory rows as the stream ingests them: one
+    shared payload (``Relation.from_tuples``)."""
+    ring = engine.query.ring
+    return relation.Relation.from_tuples(
+        "Inventory", engine.tree.leaves["Inventory"].keys, ring,
+        inventory_rows(instance, rows), ring.one,
+    )
+
+
+def spy(monkeypatch, cls, name, log, tag=lambda *args: None):
+    """Replace ``cls.name`` by a wrapper that appends ``tag(*args)`` to
+    ``log`` per call."""
+    method = getattr(cls, name)
+
+    def wrapper(*args):
+        log.append(tag(*args))
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, wrapper)
 
 
 def test_dispatch_and_writes_never_fold_a_packed_delta(monkeypatch):
@@ -161,3 +196,77 @@ def test_an_array_step_makes_a_fixed_number_of_ring_calls(rows, monkeypatch):
     out = engine.apply_update(delta)
     assert type(out) is DeferredRelation and out._packed_form is not None
     assert calls == {"add": 0, "is_zero": 0, "mul": 0}
+
+
+def test_a_shared_payload_delta_is_ingested_in_one_pass(monkeypatch):
+    """A 600-row delta whose rows share one payload is built without a
+    ``Relation.add`` call and with one zero test."""
+    instance, state = quick_b600()
+    adds, zero_tests = [], []
+    spy(monkeypatch, relation.Relation, "add", adds)
+    spy(monkeypatch, CofactorRing, "is_zero", zero_tests)
+    delta = ingest(instance, state.engine, 600)
+    assert len(delta) == 600
+    assert (len(adds), len(zero_tests)) == (0, 1)
+
+
+def test_the_leaf_step_of_a_600_row_insert_neither_folds_nor_reads_rows(
+    monkeypatch,
+):
+    """At ``V@inventoryunits_I`` a 600-row Inventory insert has 600
+    distinct output keys, so the array program folds nothing (zero
+    ``CofactorKernelOps.reduce`` calls there), and its source column —
+    600 times the delta's shared payload — packs from that payload's row
+    read once."""
+    instance, state = quick_b600()
+    engine = state.engine
+    delta = ingest(instance, engine, 600)
+    running, reduced, packed, row_reads = [None], [], [], []
+    run = KernelDeltaProgram.run
+
+    def watched_run(self, delta):
+        running[0] = self.node_name
+        try:
+            return run(self, delta)
+        finally:
+            running[0] = None
+
+    monkeypatch.setattr(KernelDeltaProgram, "run", watched_run)
+    spy(monkeypatch, CofactorKernelOps, "reduce", reduced,
+        lambda *args: running[0])
+    pack = CofactorKernelOps.pack
+
+    def watched_pack(self, column, n):
+        before = len(row_reads)
+        out = pack(self, column, n)
+        packed.append((running[0], len(row_reads) - before))
+        return out
+
+    monkeypatch.setattr(CofactorKernelOps, "pack", watched_pack)
+    row = CofactorTriple.__dict__["row"]
+
+    def read_row(triple):
+        row_reads.append(triple)
+        return row.__get__(triple)
+
+    monkeypatch.setattr(CofactorTriple, "row", property(read_row, row.__set__))
+    engine.apply_update(delta)
+    assert LEAF not in reduced
+    assert reduced  # nodes whose output keys collide still fold
+    assert [reads for node, reads in packed if node == LEAF] == [1]
+
+
+def test_a_small_listing_delta_is_written_row_by_row(monkeypatch):
+    """A 4-row Inventory delta takes the scalar triggers at every node,
+    and each view writes their listing output row by row: no
+    ``pack`` and no ``_absorb_rows`` call."""
+    instance, state = quick_b600()
+    engine = state.engine
+    delta = ingest(instance, engine, 4)
+    packs, absorbs, writes = [], [], []
+    spy(monkeypatch, CofactorKernelOps, "pack", packs)
+    spy(monkeypatch, BlockRelation, "_absorb_rows", absorbs)
+    spy(monkeypatch, BlockRelation, "_write", writes)
+    engine.apply_update(delta)
+    assert (len(packs), len(absorbs)) == (0, 0)
+    assert len(writes) >= 4

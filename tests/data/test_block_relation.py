@@ -14,12 +14,13 @@ real.
 """
 
 import pickle
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.data import Relation
+from repro.data import Relation, relation
 from repro.data.relation import BlockRelation, DeferredRelation
 from repro.rings.cofactor import CofactorRing, CofactorTriple, _triple
 
@@ -82,10 +83,20 @@ class BlockViews(RuleBasedStateMachine):
             view.add(key, payload)
         self.ref.add(key, payload)
 
-    @rule(batch=st.dictionaries(st.sampled_from(KEYS), triples(), max_size=8))
-    def absorb_listing(self, batch):
+    @rule(
+        batch=st.dictionaries(st.sampled_from(KEYS), triples(), max_size=8),
+        packed=st.booleans(),
+    )
+    def absorb_listing(self, batch, packed):
+        # Either form of a listing absorb: packed into one block, or
+        # written row by row (below MIN_BLOCK_MERGE_ROWS rows).
         delta = Relation("V", SCHEMA, RING, {k: make(v) for k, v in batch.items()})
-        self.absorb(delta)
+        saved = relation.MIN_BLOCK_MERGE_ROWS
+        relation.MIN_BLOCK_MERGE_ROWS = 1 if packed else sys.maxsize
+        try:
+            self.absorb(delta)
+        finally:
+            relation.MIN_BLOCK_MERGE_ROWS = saved
         self.ref.absorb_bulk(delta)
 
     @rule(

@@ -13,6 +13,19 @@ import numpy as np
 from tests.conftest import bucket_sum
 
 
+class _GF2:
+    """ℤ/2: the smallest ring in which a repeated row cancels."""
+
+    zero, one = 0, 1
+    add = staticmethod(lambda a, b: (a + b) % 2)
+    mul = staticmethod(lambda a, b: a * b)
+    neg = staticmethod(lambda a: a)
+    is_zero = staticmethod(lambda a: a % 2 == 0)
+
+
+GF2 = _GF2()
+
+
 def rel(name, schema, data):
     return Relation(name, schema, INT_RING, data)
 
@@ -35,6 +48,31 @@ class TestConstruction:
     def test_from_tuples_custom_payload(self):
         r = Relation.from_tuples("R", ("A",), INT_RING, [(1,)], payload=5)
         assert r.payload((1,)) == 5
+
+    def test_from_tuples_cancels_repeated_rows(self):
+        # Over ℤ/2 a row given twice sums to zero and is dropped.
+        r = Relation.from_tuples("R", ("A",), GF2, [(1,), (2,), (1,)])
+        assert (1,) not in r
+        assert r._data == {(2,): 1}
+
+    def test_from_tuples_takes_a_generator(self):
+        rows = ((i % 3, i) for i in range(5))
+        r = Relation.from_tuples("R", ("A", "B"), INT_RING, rows, payload=2)
+        assert r._data == {(i % 3, i): 2 for i in range(5)}
+
+    def test_from_tuples_zero_payload_is_empty(self):
+        r = Relation.from_tuples("R", ("A",), INT_RING, [(1,), (1,)], payload=0)
+        assert r.is_empty
+
+    def test_from_tuples_one_row_equals_an_add(self):
+        # List rows become tuple keys; the payload object is shared.
+        payload = 7
+        r = Relation.from_tuples("R", ("A", "B"), INT_RING, [[1, 2]], payload)
+        want = Relation("R", ("A", "B"), INT_RING)
+        want.add([1, 2], payload)
+        assert r._data == want._data
+        ((key, value),) = r.items()
+        assert type(key) is tuple and value is payload
 
     def test_empty(self):
         r = Relation("R", ("A",), INT_RING)

@@ -220,3 +220,57 @@ def test_product_requires_every_component_to_pack():
     assert ProductRing(
         [RealRing(), SquareMatrixRing(2)]
     ).kernel_ops() is None
+
+
+
+def _sorted_fold(block, ids):
+    """The grouped fold that sorts first: stable sort on the id, gather the
+    rows, one ``np.add.reduceat`` over the runs."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return np.add.reduceat(block[order], starts, axis=0)
+
+
+#: First-seen group ids (what the kernel program's encoding assigns) of
+#: twelve rows, by shape.
+GROUP_IDS = {
+    "distinct": list(range(12)),
+    "one group": [0] * 12,
+    "contiguous runs": [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3],
+    "shuffled": [0, 1, 0, 2, 1, 3, 2, 0, 3, 1, 2, 3],
+}
+
+
+def _product_block(ring, n=12):
+    """A packed column of ``n`` products of two lifted values."""
+    ops = ring.kernel_ops()
+    rng = np.random.default_rng(5)
+    return ops.mul_packed(
+        ops.pack_lift(ring.lift(0), rng.normal(size=n).tolist(), n),
+        ops.pack_lift(ring.lift(1), rng.normal(size=n).tolist(), n), n,
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(GROUP_IDS))
+def test_cofactor_reduce_without_the_sort_is_exact(shape):
+    # Ids in order (one group, contiguous runs, distinct) skip the sort
+    # and the row gather; the result is the sorted fold's bit for bit.
+    ops = CofactorRing(3).kernel_ops()
+    packed = _product_block(CofactorRing(3))
+    ids = np.array(GROUP_IDS[shape], dtype=np.intp)
+    block, support = ops.reduce(packed, ids, int(ids.max()) + 1)
+    assert support == packed[1]
+    assert np.array_equal(block, _sorted_fold(packed[0], ids))
+
+
+@pytest.mark.parametrize("ring", [CofactorRing(3), DegreeRing(3)],
+                         ids=["cofactor", "degree"])
+def test_distinct_keys_fold_to_the_block_itself(ring):
+    # The kernel program skips the fold when every output key is
+    # distinct: the ids are then 0..n-1 and the fold is the identity.
+    packed = _product_block(ring)
+    n = len(packed[0])
+    block, vocab = ring.kernel_ops().reduce(packed, np.arange(n), n)
+    assert vocab == packed[1]
+    assert np.array_equal(block, packed[0])
