@@ -51,6 +51,10 @@ a one-row delta runs it — the leaf write, every node's trigger body and
 view write, straight-line, building no relation but the root delta
 (``FIVMEngine._row_paths``); a fanned-out row continues as a relation.
 
+Over payload blocks (the cofactor ring) the layout is planned too
+(:func:`_supports`): every trigger is generated in row form for it, and
+a delta off the plan re-plans (:meth:`FIVMEngine._on_plan`).
+
 The factorized path is planned the same way, once per ``(leaf, factor
 partition)`` since partitions depend on the update stream: each rank-1
 term of a :class:`FactorizedUpdate` runs through one *factor program* per
@@ -111,6 +115,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.factorized_update import FactorizedUpdate
 from repro.core import kernels
 from repro.core.ir import (
@@ -137,7 +143,9 @@ from repro.core.view_tree import (
 )
 from repro.data.database import Database
 from repro.data.indicator import IndicatorView
-from repro.data.relation import BlockRelation, DeferredRelation, Relation
+from repro.data.relation import (
+    MIN_BLOCK_MERGE_ROWS, BlockRelation, DeferredRelation, Relation,
+)
 
 __all__ = [
     "DeferredRelation",
@@ -216,20 +224,26 @@ def _rows(delta: Relation) -> int:
     return len(packed[0]) if packed is not None else len(delta._data)
 
 
-def _supports(tree: ViewTree, lifting, kops) -> Optional[Dict[str, tuple]]:
+def _supports(
+    tree: ViewTree, lifting, kops, floor=None,
+) -> Optional[Dict[str, tuple]]:
     """Per node, the support of its payloads over a block-view ring: the
     sorted variables lifted in its subtree (§6.2), read off the lifts
-    (``kops.lift_support``).  ``None`` when a lift is not the ring's own,
-    whose support shows only when it runs."""
+    (``kops.lift_support``), and those ``floor`` (node name → variables,
+    a re-plan's) puts there.  Each is the ring's own tuple for the
+    support (``kops.widen``), so supports compare by identity.  ``None``
+    when a lift is not the ring's own, whose support shows only when it
+    runs."""
     supports: Dict[str, tuple] = {}
     for node in reversed(tree.nodes):  # children before parents
         own = {i for child in node.children for i in supports[child.name]}
+        own.update((floor or {}).get(node.name, ()))
         for lift in filter(None, map(lifting.get, node.marginalized)):
             support = kops.lift_support(lift)
             if support is None:
                 return None
             own.update(support)
-        supports[node.name] = tuple(sorted(own))
+        supports[node.name] = kops.widen((), tuple(sorted(own)))[0]
     return supports
 
 
@@ -408,11 +422,14 @@ class FIVMEngine:
         #: (see :class:`DeferredRelation`).
         kops = query.ring.kernel_ops()
         #: Per node, its payloads' planned support (:func:`_supports`):
-        #: its view's layout, and the one-row paths' term tables.
+        #: its view's layout, and the row form's term tables.  A lifting
+        #: whose lifts are not the ring's own plans none, and runs the
+        #: reference interpreter.
         self._supports = None
         if getattr(kops, "block_views", False):
             view_cls = root_cls = BlockRelation
             self._supports = _supports(self.tree, query.lifting, kops)
+            self._interpreted |= self._supports is None
         else:
             view_cls = Relation
             root_cls = (
@@ -504,34 +521,31 @@ class FIVMEngine:
         return self._indicator_views.get(node.name, [])
 
     def _compile_plans(self) -> None:
-        """Build one delta-join plan per (node, delta entry point) and
-        register the secondary indexes the probes need."""
+        """Build one delta-join plan per (node, delta entry point),
+        register the secondary indexes the probes need, lower each plan
+        to IR once, and bind the programs (:meth:`_bind`)."""
         for node in self.tree.nodes:
-            if node.is_leaf:
-                continue
-            live_children = [
-                i
-                for i, child in enumerate(node.children)
+            sources = [
+                ("child", i) for i, child in enumerate(node.children)
                 if self._sources[child.name]
-            ]
-            live_inds = [
-                i
-                for i, spec in enumerate(node.indicators)
+            ] + [
+                ("ind", i) for i, spec in enumerate(node.indicators)
                 if spec.base_name in self.updatable
             ]
-            for i in live_children:
-                self._plans[(node.name, ("child", i))] = self._plan(
-                    node, ("child", i)
+            for source in sources:
+                plan = self._plans[(node.name, source)] = self._plan(node, source)
+                targets = self._plan_targets(node, plan)
+                self._ir[(node.name, source)] = lower_delta_plan(
+                    node, source, plan, tuple(t.schema for t in targets),
+                    self.query,
                 )
-            for i in live_inds:
-                self._plans[(node.name, ("ind", i))] = self._plan(
-                    node, ("ind", i)
-                )
-        # Second pass, after every plan has registered its indexes: lower
-        # each plan to IR once and build its scalar program.  The array
-        # form is for programs with a product to vectorize (see
-        # :meth:`_joins_payloads`) over rings whose arrays beat their
-        # scalar arithmetic.
+        self._bind()
+
+    def _bind(self) -> None:
+        """Build each entry point's scalar program (and a slot for its
+        array form where :meth:`_joins_payloads` and the ring say so),
+        chain them into paths and generate the one-row paths.  A re-plan
+        reruns it; the code cache is keyed by layout."""
         by_name = {node.name: node for node in self.tree.nodes}
         kops = self.query.ring.kernel_ops()
         has_arrays = (
@@ -539,23 +553,27 @@ class FIVMEngine:
             and kops is not None
             and kops.vectorizes_triggers
         )
-        for key, plan in self._plans.items():
-            node = by_name[key[0]]
-            targets = self._plan_targets(node, plan)
-            ir = lower_delta_plan(
-                node, key[1], plan, tuple(t.schema for t in targets), self.query
-            )
-            self._ir[key] = ir
+        lifts = self.query.lifting.table()
+        self._memo_sites.clear()
+        for key, ir in self._ir.items():
+            node, (kind, idx) = by_name[key[0]], key[1]
+            targets = self._plan_targets(node, self._plans[key])
             if self._interpreted:
                 program = InterpreterDeltaProgram(ir, targets, self.query)
-            else:
-                program = compile_slot_program(ir, targets, self.query)
+            else:  # over block views in row form, for the planned supports
+                program = compile_slot_program(
+                    ir, targets, self.query, None if self._supports is None
+                    else (
+                        self._supports[node.children[idx].name]
+                        if kind == "child" else (),
+                        tuple(target._store.support for target in targets),
+                        tuple(kops.lift_support(lifts[var])
+                              for var, _ in ir.accumulate.lifts),
+                    ))
                 self._memo_sites.update(program.memo_sites)
             self._programs[key] = program
-            if has_arrays and self._joins_payloads(node, key[1], plan):
-                self._kernel_programs[key] = None
-        # Third pass: chain the entry points into one path per node whose
-        # deltas climb, and one per indicator observing an updatable base.
+            if has_arrays and self._joins_payloads(node, key[1], self._plans[key]):
+                self._kernel_programs.setdefault(key, None)
         climbs: Dict[str, _PathStep] = {}  # child name → step at its parent
         hosted: List[Tuple[IndicatorView, _PathStep]] = []
         for key, program in self._programs.items():
@@ -571,6 +589,7 @@ class FIVMEngine:
                 steps.append(climbs[at])
                 at = climbs[at].node.name
             self._paths[name] = tuple(steps)
+        self._indicator_hosts.clear()
         for iv, step in hosted:
             self._indicator_hosts.setdefault(iv.base_name, []).append(
                 (iv, (step,) + self._paths[step.node.name])
@@ -586,7 +605,7 @@ class FIVMEngine:
                         for step in self._paths[leaf.name]
                     ],
                     self._probe_cache, self._faults, self.tree.root,
-                    self.query, self._supports,
+                    self.query,
                 )
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
@@ -720,15 +739,60 @@ class FIVMEngine:
 
     def _drop_caches(self) -> None:
         """Forget everything memoized from view state (a wholesale
-        reload follows): the probe cache, the lifted-sibling memos with
-        the payload references they hold, and the payloads block views
-        cached for the triggers."""
+        reload follows): the probe cache and the lifted-sibling memos
+        with the payloads they hold (a cleared block view drops its own)."""
         self._probe_cache.clear()
         for memo, _ in self._memo_sites.values():
             memo.clear()
-        for view in self.views.values():
-            if isinstance(view, BlockRelation):
-                view.drop_reads()
+
+    # ------------------------------------------------------------------
+    # The planned layout (block views)
+    # ------------------------------------------------------------------
+
+    def _on_plan(self, leaf: ViewNode, delta: Relation) -> Relation:
+        """The guard every update over block views passes before any
+        write: ``delta`` itself when it has fewer than
+        :data:`MIN_BLOCK_MERGE_ROWS` rows, all on the leaf's planned
+        support; else the delta packed and laid out for that support,
+        re-planned (:meth:`_replan`) first when a payload is off it."""
+        planned = self._supports[leaf.name]
+        data = delta._data
+        if len(data) < MIN_BLOCK_MERGE_ROWS:
+            for payload in data.values():
+                if payload.support is not planned:
+                    break
+            else:
+                return delta
+        kops = self.query.ring.kernel_ops()
+        block, support = kops.pack(list(data.values()), len(data))
+        if support is not planned:
+            self._replan({leaf.name: support})
+            planned = self._supports[leaf.name]
+            _, width, _, emb = kops.widen(planned, support)
+            block, conformed = np.zeros((len(data), width)), block
+            block[:, emb] = conformed
+        return DeferredRelation(
+            delta.name, delta.schema, delta.ring, packed=(list(data), (block, planned)))
+
+    def _replan(self, seeds: Optional[Dict[str, set]] = None) -> None:
+        """Rerun :func:`_supports` over the planned supports, the views'
+        (a write no guard saw — :meth:`initialize`, :meth:`restore`, a
+        factorized update — may widen one) and ``seeds`` (node name →
+        variables); on a change, re-lay the views out and :meth:`_bind`."""
+        if self._supports is None:
+            return
+        floor = {name: set(support) for name, support in self._supports.items()}
+        for name, view in self.views.items():
+            floor[name].update(view._store.support or ())
+        for name, support in (seeds or {}).items():
+            floor[name].update(support)
+        supports = _supports(
+            self.tree, self.query.lifting, self.query.ring.kernel_ops(), floor)
+        if supports != self._supports:
+            self._supports = supports
+            for name, view in self.views.items():
+                view.relayout(supports[name])
+            self._bind()
 
     def _write_view(self, view_name: str, delta) -> Relation:
         """Absorb ``delta`` into a materialized view — the single choke
@@ -863,6 +927,7 @@ class FIVMEngine:
             active.total_cost = active.width * len(active.entries)
             active.dropped.clear()
         self._load(self.tree.root, db)
+        self._replan()
 
     def _load(self, node: ViewNode, db: Database) -> Relation:
         """Bottom-up (re)computation of one node from ``db`` (a method,
@@ -904,6 +969,7 @@ class FIVMEngine:
         from repro.core.checkpoint import restore_snapshot
 
         restore_snapshot(self, snapshot)
+        self._replan()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -969,15 +1035,16 @@ class FIVMEngine:
         data = delta._data
         if not data:
             return self._empty_root()
-        if len(data) == 1:
+        if self._supports is not None:
+            delta = self._on_plan(leaf, delta)
+        if _rows(delta) == 1:
             path = self._row_paths.get(rel)
             if path is not None:
-                (row,) = data.items()
+                (row,) = delta._data.items()
                 out = path(*row)
                 if out.__class__ is tuple:
                     return self._fan_out(leaf, *out)
-                if out is not False:  # False: off the planned layout
-                    return out if out is not None else self._empty_root()
+                return out if out is not None else self._empty_root()
 
         # 1. Compute indicator deltas against the pre-update base state.
         ind_tasks: List[Tuple[IndicatorView, tuple, Relation]] = []
@@ -1126,16 +1193,15 @@ class FIVMEngine:
                 return self._empty_root()
         return cur
 
-    def _fan_out(self, leaf: ViewNode, at: int, data: dict) -> Relation:
+    def _fan_out(self, leaf: ViewNode, at: int, out: dict) -> Relation:
         """Continue a one-row path whose ``at``-th step produced several
-        keys (``data``, folded): write the step's view, then run the rest
-        of the path on relations."""
-        if not data:  # every key cancelled
-            return self._empty_root()
+        keys (``out``, what its trigger collected): write the step's
+        view, then run the rest of the path on relations."""
         steps = self._paths[leaf.name]
-        node, _, _, view = steps[at]
-        cur = Relation(node.name, node.keys, self.query.ring)
-        cur._data = data
+        node, _, program, view = steps[at]
+        cur = program.output(out)
+        if not _rows(cur):  # every key cancelled
+            return self._empty_root()
         if view is not None:
             self._write_view(node.name, cur)
         return self._propagate(steps[at + 1:], cur)
@@ -1151,7 +1217,7 @@ class FIVMEngine:
                 program = kernels.kernel_delta_program(
                     self._ir[key],
                     self._plan_targets(step.node, self._plans[key]),
-                    self.query, step.program,
+                    self.query,
                 )
                 self._kernel_programs[key] = program
         else:
@@ -1206,6 +1272,7 @@ class FIVMEngine:
                 contribution if total is None
                 else total.union(contribution, name=root.name)
             )
+        self._replan()
         return total
 
     def _factored_path(

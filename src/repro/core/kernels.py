@@ -39,10 +39,10 @@ view absorbs the output as rows.
 The two phases compute exactly the scalar semantics: the product order
 within a row is the IR's reference order, and regrouping the additions is
 sound because ring addition is commutative by the ring axioms.  Rings
-without array hooks never reach this module, and a batch whose payload or
-lifting columns do not pack (mixed cofactor supports) is run by the entry
-point's scalar trigger, which each array program holds, so the array
-form is always exact, never approximate.
+without array hooks never reach this module, and every column packs (a
+cofactor column of mixed supports is laid out for their union; over
+block views the engine's plan sees that no such column arises), so the
+array form is always exact, never approximate.
 
 Array factor programs
 ---------------------
@@ -104,23 +104,20 @@ MIN_TRIGGER_ROWS = 32
 MIN_VECTOR_ROWS = 8
 
 
-def kernel_delta_program(
-    ir: DeltaProgram, targets, query, scalar
-) -> "KernelDeltaProgram":
+def kernel_delta_program(ir: DeltaProgram, targets, query) -> "KernelDeltaProgram":
     """Build the array program for one IR program over a ring with array
     hooks (``query.ring.kernel_ops()`` must not be ``None``; whether the
     array form *pays* for the ring is the engine's question, not asked
-    here).  ``scalar`` is the entry point's scalar trigger: it runs a
-    batch whose columns do not pack."""
-    blocks = tuple(isinstance(t, BlockRelation) for t in targets)
+    here)."""
+    blocks = any(isinstance(t, BlockRelation) for t in targets)
     generated = _generated(_generate_gather, ir, blocks)
     return KernelDeltaProgram(
         ir, targets, blocks, query, _bind_env(generated, targets, query),
-        generated, scalar,
+        generated,
     )
 
 
-def _generate_gather(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
+def _generate_gather(ir: DeltaProgram, blocks: bool = False) -> _Generated:
     """Generate the gather loop: the scalar trigger's probe walk
     (:func:`~repro.core.plan_exec._emit_trigger`, sink ``"gather"``) with
     the innermost arithmetic replaced by column appends.
@@ -159,10 +156,10 @@ class KernelDeltaProgram:
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_kops", "_gather", "_lift_fns",
-        "source_text", "_columns", "_scalar",
+        "source_text", "_columns",
     )
 
-    def __init__(self, ir, targets, blocks, query, gather, generated, scalar):
+    def __init__(self, ir, targets, blocks, query, gather, generated):
         self.node_name = ir.node_name
         self.out_schema = ir.out_schema
         self.ring = query.ring
@@ -172,8 +169,6 @@ class KernelDeltaProgram:
         self._lift_fns = [lift_table[var] for var, _ in ir.accumulate.lifts]
         #: The generated gather source (debugging and the test suite).
         self.source_text = generated.source_text
-        #: The entry point's scalar trigger, for a batch that does not pack.
-        self._scalar = scalar
         #: Per factor column, what it holds: ``"source"`` (the delta's
         #: payloads, or row indices into its packed block), ``None``
         #: (payload objects) or the rows (:class:`~repro.data.relation.
@@ -186,7 +181,7 @@ class KernelDeltaProgram:
                 continue
             op = ir.ops[i]
             target = targets[op.target]
-            if not blocks[op.target] or (op.aggregated and not op.probe_attrs):
+            if not blocks or (op.aggregated and not op.probe_attrs):
                 self._columns.append(None)
             elif op.aggregated and isinstance(op, IndexProbe):
                 self._columns.append(target._blocks[op.probe_attrs])
@@ -231,10 +226,6 @@ class KernelDeltaProgram:
             columns.append(
                 p if p is not None else kops.pack([lift(value) for value in col], n)
             )
-        if any(p is None for p in columns):
-            # A batch that does not pack (mixed supports): the scalar
-            # trigger runs it.
-            return self._scalar.run(delta)
         packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
         # Group rows by output key (ids assigned first-seen, so every id in
         # range(n_groups) occurs — the reduce hooks rely on that).  When

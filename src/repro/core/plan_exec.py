@@ -22,6 +22,11 @@ form every engine builds for every entry point:
   to a global of the generated function; zero payloads are dropped in one
   sweep at the end instead of being tested per accumulation.
 
+Over block views (the cofactor ring) the triggers are in **row form**
+(:func:`_emit_trigger`): they read a packed delta's block, or each
+payload's row, multiply float64 rows through term tables fixed at
+planning, and return a packed delta (:meth:`SlotProgram.output`).
+
 Binding the index dictionaries at compile time is sound because the engine
 creates all view/indicator relations before compiling and ``Relation``
 mutates its primary map and index dicts strictly in place (``clear``
@@ -64,7 +69,7 @@ consecutive updates, and invalidates per view write.
 Factorized updates require a commutative ring, so the generated code is
 free to reorder and pre-aggregate payload products; accumulation still
 goes through per-key contribution lists folded by ``ring.sum``
-(vectorized for the cofactor, degree, and product rings).
+(vectorized for the degree and product rings).
 
 Generation vs binding (code compiled once per process)
 ------------------------------------------------------
@@ -103,13 +108,13 @@ each node's trigger body (the emitter of the scalar trigger, over one
 write (primary map, index upkeep, the ``engine.write_view`` fault hook,
 the probe-cache pop).  A node whose output can have several keys hands
 them back to the engine, which continues on relations.  Over block
-views the path carries float64 rows, multiplied through term tables
-fixed at planning (the row form, :func:`_emit_trigger`).
+views the path is in row form too.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,7 +127,7 @@ from repro.core.ir import (
     SiblingMerge,
     cache_site,
 )
-from repro.data.relation import BlockRelation, Relation
+from repro.data.relation import BlockRelation, DeferredRelation, Relation
 from repro.rings.cofactor import CofactorKernelOps
 
 __all__ = [
@@ -175,16 +180,20 @@ class _Generated:
     * ``("memo",)`` — a fresh per-binding lifted-sibling memo dict (see
       :func:`_generate_slot`).
 
+    Over block views (:data:`_BLOCK_REQUESTS`) the triggers request rows
+    instead; in row form also ``("liftrow", var)``, the lift's row
+    function, and ``("const", value)``: a constant of the code (the row
+    form's term tables and supports).
+
     A one-row path (:func:`compile_path`) requests ``("view", i)`` /
     ``("vdata", i)`` — the ``i``-th stored view on the path (0 the leaf)
     and its primary map — and ``("step", i, name)``: global ``name`` of
     the ``i``-th step's bound trigger; in row form also ``("layout", i)``,
-    the support view ``i`` is laid out for, and ``("store", i, j)``, the
-    row store of step ``i``'s ``j``-th target.
+    the support view ``i`` is laid out for.
 
-    ``meta`` carries the program-class payload (the output schema for slot
-    programs, the outgoing factor partition for factor programs, a path's
-    constants: the row form's term tables and supports).
+    ``meta`` carries the program-class payload (the output schema and, in
+    row form, support for slot programs, the outgoing factor partition
+    for factor programs, a path's constants).
     ``name`` is the one function the code defines.  Construction compiles
     the source; :func:`_generated` makes that happen once per process.
     """
@@ -203,14 +212,15 @@ class _Generated:
 def _generated(generate, ir, *layout) -> _Generated:
     """``generate(ir, *layout)``, memoized process-wide: the one code
     cache every generator (slot, factor, gather, path) goes through.
-    ``layout`` is what the code depends on beside the IR: per target,
-    whether it is a block view."""
+    ``layout`` is what the code depends on beside the IR: a trigger's
+    planned supports, or whether a gather's targets are block views."""
     return generate(ir, *layout)
 
 
 def _base_env(ring) -> dict:
     """The globals every generated program binds: the ring's operations
-    (over a block-view ring also its payload constructor)."""
+    (over a block-view ring also its payload constructor and what the row
+    form computes with)."""
     env = {
         "_mul": ring.mul,
         "_add": ring.add,
@@ -225,7 +235,10 @@ def _base_env(ring) -> dict:
     }
     kops = ring.kernel_ops()
     if getattr(kops, "block_views", False):
-        env["_payload"] = kops.payload
+        env.update(
+            _payload=kops.payload, _tol=kops.tolerance, _abs=np.abs,
+            _rowsum=np.add.reduce, _reduceat=np.add.reduceat,
+        )
     return env
 
 
@@ -239,20 +252,18 @@ def _exec(generated: _Generated, env: dict):
 
 
 #: How a request against a block view (:class:`BlockRelation`) binds:
-#: its key table, its cached payloads and their reader, its items and
-#: total, and per index the buckets of rows, the sum rows, and the
-#: cached sums and their reader.
+#: its key table (key → row), its total (a payload, or a row), per index
+#: the buckets (key → row) and sums (subkey → row of its block), and the
+#: row copies cached for the triggers (:class:`~repro.data.relation.
+#: _Rows`), the view's or, given ``at``, an index's sums', and their reader.
 _BLOCK_REQUESTS = {
     "rows": lambda view: view._slot,
-    "objs": lambda view: view._store.objs,
-    "probe": lambda view: view._probe,
-    "rowprobe": lambda view: view._store.probe,
-    "items": lambda view: view.items,
     "total": lambda view: view.total,
+    "rowtotal": lambda view: lambda: view.total().row,
     "rowbuckets": lambda view, attrs: view._blocks[attrs].buckets,
     "rowsums": lambda view, attrs: view._blocks[attrs].sums,
-    "sumobjs": lambda view, attrs: view._blocks[attrs].objs,
-    "sumprobe": lambda view, attrs: view._blocks[attrs].probe,
+    "cache": lambda view, *at: (view._blocks[at[0]] if at else view._store).cache,
+    "read": lambda view, *at: (view._blocks[at[0]] if at else view._store).read,
 }
 
 
@@ -285,6 +296,10 @@ def _bind_env(generated: _Generated, targets, query):
             env[name] = target._indexes[spec[2]][2]
         elif kind == "lift":
             env[name] = lift_table[spec[1]]
+        elif kind == "liftrow":
+            env[name] = lift_table[spec[1]].rows
+        elif kind == "const":
+            env[name] = spec[1]
         elif kind == "sentinel":
             env[name] = object()
         elif kind == "memo":
@@ -294,17 +309,20 @@ def _bind_env(generated: _Generated, targets, query):
     return _exec(generated, env)
 
 
+_row = attrgetter("row")
+
+
 class SlotProgram:
     """A compiled delta trigger for one ``(node, source)`` IR program."""
 
     __slots__ = (
         "node_name", "out_schema", "ring", "_fn", "source_text", "memo_sites",
-        "blocks", "targets",
+        "layout", "_support",
     )
 
     def __init__(
         self, node_name, out_schema, ring, fn, source_text, memo_sites,
-        blocks, targets,
+        layout, support,
     ):
         self.node_name = node_name
         self.out_schema = out_schema
@@ -314,13 +332,13 @@ class SlotProgram:
         self.source_text = source_text
         #: Site (``"node:child0"``) → ``(memo dict, sibling relation)`` of
         #: a trigger that keeps a lifted-sibling memo, else empty.  The
-        #: dict holds strong references to sibling payloads; the engine
-        #: owns its lifetime.
+        #: dict holds strong references to sibling payloads (rows); the
+        #: engine owns its lifetime.
         self.memo_sites = memo_sites
-        #: Per target: whether it is a block view (the code reads rows).
-        self.blocks = blocks
-        #: The stored relations the trigger probes, by target index.
-        self.targets = targets
+        #: The planned supports the code is in row form for
+        #: (:func:`_emit_trigger`), ``None`` outside it; and the output's.
+        self.layout = layout
+        self._support = support
 
     def run(self, delta: Relation) -> Relation:
         """Evaluate the node's delta view for ``delta`` entering at the
@@ -329,13 +347,45 @@ class SlotProgram:
         The trigger collects per-key contribution lists; they are summed
         in one ``ring.sum`` per key and zero totals dropped in a final
         sweep (the interpreter's eager per-``add`` zero test, deferred).
+        In row form it reads a packed delta's block, or each payload's
+        ``row``, and returns a packed delta (:meth:`output`).
         """
-        out = Relation(self.node_name, self.out_schema, self.ring)
-        data = out._data
-        self._fn(delta._data.items(), data)
-        if data:
-            self._fn.__globals__["_finalize"](data)
-        return out
+        out: dict = {}
+        packed = delta._packed_form
+        if self.layout is None:
+            self._fn(delta._data.items(), out)
+            if out:
+                self._fn.__globals__["_finalize"](out)
+        elif packed is not None:
+            self._fn(zip(packed[0], packed[1][0]), out)
+        else:
+            self._fn(zip(delta._data, map(_row, delta._data.values())), out)
+        return self.output(out)
+
+    def output(self, out: dict) -> Relation:
+        """The node's delta for what the trigger collected: ``out``'s
+        payloads, folded, outside the row form.  In it, per key its
+        contribution rows: each key's summed, those whose sum is zero
+        (the test :meth:`BlockRelation._write` makes) dropped, the rest
+        stacked into one packed delta ``(keys, (block, support))``."""
+        if self.layout is not None:
+            tolerance = self.ring.kernel_ops().tolerance
+            keys, rows = [], []
+            for key, parts in out.items():
+                row = parts[0] if len(parts) == 1 else np.add.reduce(parts)
+                if abs(row[0]) > tolerance or (np.abs(row) > tolerance).any():
+                    keys.append(key)
+                    rows.append(row)
+            if keys:
+                block = np.array(rows) if len(rows) != 1 else rows[0][None]
+                return DeferredRelation(
+                    self.node_name, self.out_schema, self.ring,
+                    packed=(keys, (block, self._support)),
+                )
+            out = {}
+        rel = Relation(self.node_name, self.out_schema, self.ring)
+        rel._data = out
+        return rel
 
 
 def _tuple_display(registers: Sequence[str]) -> str:
@@ -347,33 +397,37 @@ def _tuple_display(registers: Sequence[str]) -> str:
     return "(" + ", ".join(registers) + ")"
 
 
-def compile_slot_program(ir: DeltaProgram, targets, query) -> SlotProgram:
+def compile_slot_program(
+    ir: DeltaProgram, targets, query, layout: Optional[tuple] = None,
+) -> SlotProgram:
     """Compile one IR delta program into a :class:`SlotProgram`.
 
     ``targets`` are the stored relations the IR's probes read, aligned with
     the ops' ``target`` indices.  Any secondary index a probe needs is
     registered at bind time (idempotent — the engine already registers them
-    while planning).  The code comes from the process-wide cache; only the
-    environment binding is per-engine.
+    while planning).  ``layout`` puts the code in row form
+    (:func:`_emit_trigger`).  The code comes from the process-wide cache;
+    only the environment binding is per-engine.
     """
-    blocks = tuple(isinstance(t, BlockRelation) for t in targets)
-    generated = _generated(_generate_slot, ir, blocks)
+    generated = _generated(_generate_slot, ir, layout)
     fn = _bind_env(generated, targets, query)
     memo = ir.accumulate.memo
     return SlotProgram(
-        ir.node_name, generated.meta, query.ring, fn, generated.source_text,
+        ir.node_name, ir.out_schema, query.ring, fn, generated.source_text,
         {} if memo is None else {
             f"{ir.node_name}:{ir.source[0]}{ir.source[1]}":
                 (fn.__globals__["_memo"], targets[ir.ops[memo].target])
         },
-        blocks, targets,
+        layout, generated.meta,
     )
 
 
-def _generate_slot(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
+def _generate_slot(
+    ir: DeltaProgram, layout: Optional[tuple] = None) -> _Generated:
     """Generate the slot-program source and environment requests from IR
     and the targets' layout (no live relation state is read — see the
-    module docstring)."""
+    module docstring).  ``meta`` is the output's support (``None``
+    outside the row form)."""
     kind, idx = ir.source
     requests: List[tuple] = []
     lines: List[str] = ["def _trigger(_items, _out):"]
@@ -382,9 +436,9 @@ def _generate_slot(ir: DeltaProgram, blocks: tuple = ()) -> _Generated:
         """Append one generated source line at ``depth``."""
         lines.append("    " * depth + text)
 
-    _emit_trigger(ir, emit, requests, "rows", blocks=blocks)
+    support = _emit_trigger(ir, emit, requests, "rows", layout=layout)
     return _Generated(
-        lines, requests, ir.out_schema, f"slot-program {ir.node_name}:{kind}{idx}"
+        lines, requests, support, f"slot-program {ir.node_name}:{kind}{idx}"
     )
 
 
@@ -408,7 +462,7 @@ def _zero(value: str, rows: bool) -> str:
 
 def _emit_trigger(
     ir: DeltaProgram, emit, requests, sink: str, tag: str = "",
-    blocks: tuple = (), layout: Optional[tuple] = None,
+    blocks: bool = False, layout: Optional[tuple] = None,
 ):
     """Emit a scalar trigger body: the probes, the payload product and
     where it goes.
@@ -423,26 +477,26 @@ def _emit_trigger(
     per match it appends the output key, each payload factor and each
     lifting input to the columns ``_ak``, ``_af<j>``, ``_al<j>``; the
     lifted-sibling memo is ignored).  ``tag`` suffixes every requested
-    global, so several bodies can share one function.  A probe of a block
-    view (``blocks[target]``) reads the view's cached payload for the key
-    and, on a miss, has the view build and cache it from the row
-    (:class:`~repro.data.relation.BlockRelation`); a gather binds the row
-    index itself (key table, bucket or sum row), which the kernel phase
-    takes from the block.
+    global, so several bodies can share one function.  Over block views
+    (``blocks``) a gather binds the row index itself — key table, bucket
+    or sum row — which the kernel phase takes from the block.
 
     ``layout``, planned — ``(source support, per-target supports,
-    per-lift supports)`` — puts a one-row body over block views in **row
-    form**: ``_psrc`` and the products are float64 rows.  A product
+    per-lift supports)`` — puts a body over block views in **row form**:
+    ``_psrc``, the probed payloads and the products are float64 rows.  A
+    probe reads the view's row for the key, a copy cached until the key's
+    next write (:class:`~repro.data.relation.BlockRelation`).  A product
     gathers through its supports' term table, a constant of the code
     (``_v = _v[_ia]; _v *= _tl[_ib]``, reduced where the supports
     overlap); a count-only operand scales the other, or passes it on at
-    count 1 unless it is a probed row (a view's block).  Returns the
-    output's support (``None`` outside the row form).
+    count 1 unless it is a probed row.  Returns the output's support
+    (``None`` outside the row form).
     """
     ops = ir.ops
     point = sink == "point"
     gather = sink == "gather"
     rows = layout is not None
+    blocks = blocks or rows  # the row form is over block views
 
     def rname(register: int) -> str:
         """Source name of a key register."""
@@ -452,10 +506,6 @@ def _emit_trigger(
         """Request a global for this body; returns its source name."""
         requests.append((name + tag, spec))
         return name + tag
-
-    def row(pay: str) -> str:
-        """A probed payload as a product operand."""
-        return f"{pay}.row" if rows else pay
 
     depth = 1
 
@@ -492,36 +542,39 @@ def _emit_trigger(
             emit(depth, f"{dest} = _reduceat({dest}, {starts})")
         return (dest, union, True)
 
-    def block(op) -> bool:
-        """Whether ``op`` probes a block view."""
-        return bool(blocks) and blocks[op.target]
-
-    def cached(op) -> bool:
-        """Whether ``op`` reads a block view's cached payloads."""
-        return block(op) and not gather
-
     # Hoist loop-invariant group-aware probes (no shared attributes): the
     # whole sibling collapses to one ring sum, computed once per trigger.
     data = [
-        glob(f"_data{i}", ("rows" if block(op) else "data", op.target))
+        glob(f"_data{i}", ("rows" if blocks else "data", op.target))
         for i, op in enumerate(ops)
     ]
     for i, op in enumerate(ops):
         if op.aggregated and not op.probe_attrs:
-            if block(op):
-                emit(1, f"_t{i} = {glob(f'_tot{i}', ('total', op.target))}()")
+            if blocks:
+                total = "rowtotal" if rows else "total"
+                emit(1, f"_t{i} = {glob(f'_tot{i}', (total, op.target))}()")
             else:
                 emit(1, f"_t{i} = _rsum({data[i]}.values())")
-            emit(1, f"if {_zero(row(f'_t{i}'), rows)}:")
+            emit(1, f"if {_zero(f'_t{i}', rows)}:")
             emit(2, "return")
 
-    def read(i: int, op, var: str, key: str) -> None:
-        """``var`` := the payload of a block view's ``key`` (``None`` when
-        absent), from its cache first."""
-        objs = glob(f"_oc{i}", ("objs", op.target))
-        emit(depth, f"{var} = {objs}.get({key})")
+    def fetch(i: int, var: str, key: str, table: str, spec: tuple,
+              at: Optional[str] = None) -> None:
+        """``var`` := ``key``'s payload in ``table`` (``None`` if absent);
+        in row form its row: the copy cached in the row store ``spec``
+        names, else row ``at`` (or ``table``'s) copied and cached."""
+        if not rows:
+            emit(depth, f"{var} = {table}.get({key})")
+            return
+        emit(depth, f"{var} = {glob(f'_rc{i}', ('cache',) + spec)}.get({key})")
         emit(depth, f"if {var} is None:")
-        emit(depth + 1, f"{var} = {glob(f'_pr{i}', ('probe', op.target))}({key})")
+        reader = glob(f"_rr{i}", ("read",) + spec)
+        if at is None:
+            emit(depth + 1, f"_j{i} = {table}.get({key})")
+            emit(depth + 1, f"if _j{i} is not None:")
+            emit(depth + 2, f"{var} = {reader}({key}, _j{i})")
+        else:
+            emit(depth + 1, f"{var} = {reader}({key}, {at})")
 
     if sink in ("rows", "gather"):
         emit(1, "for _key, _psrc in _items:")
@@ -534,11 +587,12 @@ def _emit_trigger(
     for i, op in enumerate(ops):
         probe = op.probe_attrs
         if isinstance(op, IndexProbe):
-            prefix = "row" if block(op) else ""
+            prefix = "row" if blocks else ""
             bkt = glob(f"_bkt{i}", (f"{prefix}buckets", op.target, probe))
             sums = glob(f"_sum{i}", (f"{prefix}sums", op.target, probe))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
-        if cached(op) and probe and isinstance(op, Probe) and i != memo:
+        if rows and probe and i != memo and (
+                op.aggregated or isinstance(op, Probe)):
             emit(depth, f"_q{i} = {probe_key}")
             probe_key = f"_q{i}"
         if op.aggregated:
@@ -550,65 +604,39 @@ def _emit_trigger(
                 if i == memo:
                     emit(depth, f"_pk = {probe_key}")
                     probe_key = "_pk"
-                if cached(op):
-                    read(i, op, f"_t{i}", probe_key)
-                else:
-                    emit(depth, f"_t{i} = {data[i]}.get({probe_key})")
-                guard(f"_t{i} is not None", f"_t{i} is None")
-            elif gather and block(op):
-                # A sum row that cancelled contributes zeros.
-                emit(depth, f"_t{i} = {sums}.get({probe_key})")
+                fetch(i, f"_t{i}", probe_key, data[i], (op.target,))
                 guard(f"_t{i} is not None", f"_t{i} is None")
             else:
-                # Bucket sums may hold cancelled zeros; test them.
-                if block(op):
-                    spec = (op.target, probe)
-                    objs = glob(f"_so{i}", ("sumobjs",) + spec)
-                    emit(depth, f"_sk{i} = {probe_key}")
-                    emit(depth, f"_t{i} = {objs}.get(_sk{i})")
-                    emit(depth, f"if _t{i} is None:")
-                    emit(depth + 1, f"_j{i} = {sums}.get(_sk{i})")
-                    emit(depth + 1, f"if _j{i} is not None:")
-                    reader = glob(f"_sp{i}", ("sumprobe",) + spec)
-                    emit(depth + 2, f"_t{i} = {reader}(_sk{i}, _j{i})")
+                # Bucket sums may hold cancelled zeros; test them (a
+                # gather's sum row that cancelled contributes zeros).
+                fetch(i, f"_t{i}", probe_key, sums, (op.target, probe))
+                test = _zero(f"_t{i}", rows)
+                if gather and blocks:
+                    guard(f"_t{i} is not None", f"_t{i} is None")
                 else:
-                    emit(depth, f"_t{i} = {sums}.get({probe_key})")
-                test = _zero(row(f"_t{i}"), rows)
-                guard(
-                    f"_t{i} is not None and not "
-                    + (f"({test})" if rows else test),
-                    f"_t{i} is None or {test}",
-                )
+                    guard(
+                        f"_t{i} is not None and not "
+                        + (f"({test})" if rows else test),
+                        f"_t{i} is None or {test}",
+                    )
             op_pay[i] = f"_t{i}"
         else:
             if isinstance(op, Probe) and probe:
-                if cached(op):
-                    read(i, op, f"_p{i}", probe_key)
-                else:
-                    emit(depth, f"_p{i} = {data[i]}.get({probe_key})")
+                fetch(i, f"_p{i}", probe_key, data[i], (op.target,))
                 guard(f"_p{i} is not None", f"_p{i} is None")
-            elif isinstance(op, Probe):
-                source = (
-                    f"{glob(f'_it{i}', ('items', op.target))}()" if cached(op)
-                    else f"{data[i]}.items()"
-                )
-                emit(depth, f"for _k{i}, _p{i} in {source}:")
-                depth += 1
             else:
-                emit(depth, f"_b{i} = {bkt}.get({probe_key})")
-                emit(depth, f"if _b{i}:")
-                depth += 1
-                if cached(op):
-                    objs = glob(f"_oc{i}", ("objs", op.target))
-                    emit(depth, f"for _k{i}, _j{i} in _b{i}.items():")
-                    depth += 1
-                    emit(depth, f"_p{i} = {objs}.get(_k{i})")
-                    emit(depth, f"if _p{i} is None:")
-                    reader = glob(f"_rp{i}", ("rowprobe", op.target))
-                    emit(depth + 1, f"_p{i} = {reader}(_k{i}, _j{i})")
+                if isinstance(op, Probe):
+                    emit(depth, f"for _k{i}, _{'j' if rows else 'p'}{i}"
+                         f" in {data[i]}.items():")
                 else:
-                    emit(depth, f"for _k{i}, _p{i} in _b{i}.items():")
+                    emit(depth, f"_b{i} = {bkt}.get({probe_key})")
+                    emit(depth, f"if _b{i}:")
                     depth += 1
+                    emit(depth, f"for _k{i}, _{'j' if rows else 'p'}{i}"
+                         f" in _b{i}.items():")
+                depth += 1
+                if rows:
+                    fetch(i, f"_p{i}", f"_k{i}", None, (op.target,), f"_j{i}")
             for position, register in op.extend:
                 emit(depth, f"{rname(register)} = _k{i}[{position}]")
             op_pay[i] = f"_p{i}"
@@ -624,7 +652,7 @@ def _emit_trigger(
     source, supports, lifted = layout or (None, [None] * len(ops), None)
     operands = {"_psrc": ("_psrc", source, True)}
     for i, op in enumerate(ops):
-        operands[op_pay[i]] = (row(op_pay[i]), supports[op.target], False)
+        operands[op_pay[i]] = (op_pay[i], supports[op.target], False)
     factors = [
         "_psrc" if where == "source" else op_pay[i]
         for where, i in ir.accumulate.factors
@@ -641,8 +669,8 @@ def _emit_trigger(
     def lift_lines() -> None:
         """``_lv`` := the product of the lifts."""
         for j, (var, register) in enumerate(ir.accumulate.lifts):
-            term = f"{glob(f'_lift{j}', ('lift', var))}({rname(register)})"
-            lift = (row(term), lifted and lifted[j], True)
+            fn = glob(f"_lift{j}", ("liftrow" if rows else "lift", var))
+            lift = (f"{fn}({rname(register)})", lifted and lifted[j], True)
             if j:
                 operands["_lv"] = mul("_lv", operands["_lv"], lift)
             else:
@@ -656,32 +684,25 @@ def _emit_trigger(
     else:
         # Lifted-sibling memo (``Accumulate.memo``): ``sibling ⊗ lifts``
         # is kept per probe key as ``(payload, product)``.  Payloads are
-        # immutable and every absorb installs a new object, so an entry is
-        # valid iff it holds the very payload just probed — no
-        # invalidation hook.  A product is admitted on the second sighting
-        # of one payload (the first leaves ``id(payload)``: a sibling
-        # rewritten between probes costs a marker, not a block), and a
-        # site outgrowing twice its sibling's live keys starts over.  Over
-        # block views the product is kept as ``row, support``: the row
-        # form of the one-row paths shares the memo.
+        # immutable and every absorb installs a new object (a block
+        # view's cached row is dropped), so an entry is valid iff it holds
+        # the very payload just probed — no invalidation hook.  A product
+        # is admitted on the second sighting of one payload (the first
+        # leaves ``id(payload)``: a sibling rewritten between probes costs
+        # a marker, not a block), and a site outgrowing twice its
+        # sibling's live keys starts over.  In row form both are rows.
         memo_d = glob("_memo", ("memo",))
         sibling = op_pay[memo]
-        rowed = blocks and blocks[ops[memo].target]
         emit(depth, f"_e = {memo_d}.get(_pk)")
         emit(depth, f"if _e.__class__ is tuple and _e[0] is {sibling}:")
-        emit(depth + 1, "_tl = _payload(_e[2], _e[1])" if rowed and not rows
-             else "_tl = _e[1]")
+        emit(depth + 1, "_tl = _e[1]")
         emit(depth, "else:")
         depth += 1
         lift_lines()
         operands["_tl"] = mul("_tl", operands[sibling], operands["_lv"])
         depth -= 1
-        if rows:
-            entry = f"_tl, {glob('_ms', ('const', operands['_tl'][1]))}"
-        else:
-            entry = "_tl.row, _tl.support" if rowed else "_tl"
         emit(depth + 1, f"if _e == id({sibling}):")
-        emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, {entry})")
+        emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, _tl)")
         emit(depth + 1, "else:")
         emit(depth + 2, f"if len({memo_d}) > 2 * len({data[memo]}):")
         emit(depth + 3, f"{memo_d}.clear()")
@@ -703,7 +724,7 @@ def _emit_trigger(
         return value[1]
     # Accumulation is deferred: contributions are collected per output key
     # and summed once by ``_finalize`` via ``ring.sum`` — rings with a
-    # vectorized sum (the cofactor ring stacks blocks) fold a whole batch
+    # vectorized sum (the degree ring's grouped ``np.add.at``) fold a batch
     # in a few array operations instead of pairwise allocations.  (Ring
     # addition is commutative by the ring axioms, so the regrouping is
     # sound on every ring, including non-commutative-multiplication ones.)
@@ -737,20 +758,6 @@ def _make_finalize(rsum, iszero):
         return data
 
     return _finalize
-
-
-def _finalize_rows(kops, data, support):
-    """``_finalize`` over rows laid out for ``support`` (the row form):
-    each key's rows summed, zero sums dropped, the others wrapped as
-    payloads."""
-    tolerance = kops.tolerance
-    for key, rows in list(data.items()):
-        row = rows[0] if len(rows) == 1 else np.add.reduce(rows)
-        if abs(row[0]) <= tolerance and not (np.abs(row) > tolerance).any():
-            del data[key]
-        else:
-            data[key] = kops.payload(support, row)
-    return data
 
 
 class FactorProgram:
@@ -1068,13 +1075,13 @@ class PathIR(NamedTuple):
     inline; ``"row"``: a block view's row write,
     :meth:`BlockRelation._write`; ``"add"``: through
     :meth:`Relation.add`, for a view whose map is not a fixed dict — the
-    packed ℝ root; ``None``: not stored), the path's trigger IR with its
-    targets' layout and, for the row form, its planned supports
-    (:func:`_emit_trigger`), and whether the engine has a fault plan."""
+    packed ℝ root; ``None``: not stored), the path's trigger IR with, for
+    the row form, its planned supports (:func:`_emit_trigger`), and
+    whether the engine has a fault plan."""
 
     leaf: str
     leaf_write: Optional[str]
-    steps: Tuple[Tuple[DeltaProgram, Optional[str], tuple, Optional[tuple]], ...]
+    steps: Tuple[Tuple[DeltaProgram, Optional[str], Optional[tuple]], ...]
     faults: bool
 
 
@@ -1083,15 +1090,16 @@ def _generate_path(path: PathIR) -> _Generated:
 
     It returns the root delta as a :class:`Relation`, ``None`` when the
     row's contribution is the ring zero somewhere on the way, or ``(i,
-    out)`` when the ``i``-th step produced several keys: ``out`` their
-    folded payloads, not yet written to the step's view.  The row form
-    first returns ``False``, before any write, unless the row's payload
-    and every view the path probes have their planned supports: the
-    general walk takes a row that would widen a view, or meet one.
+    out)`` when the ``i``-th step produced several keys: ``out`` what its
+    trigger collected for them — their folded payloads, in row form their
+    contribution rows — not yet written to the step's view (the step
+    program's :meth:`SlotProgram.output` makes it a delta).  The row
+    form takes a payload laid out for the leaf's planned support (the
+    engine's guard sees to it).
     """
     requests: List[tuple] = []
     lines: List[str] = ["def _path(_key, _psrc):"]
-    rows = path.steps[0][3] is not None
+    rows = bool(path.steps) and path.steps[0][2] is not None
 
     def emit(depth: int, text: str) -> None:
         """Append one generated source line at depth ``depth``."""
@@ -1109,11 +1117,9 @@ def _generate_path(path: PathIR) -> _Generated:
         requests.append((view, ("view", at)))
         if how == "add":
             emit(1, f"{view}.add(_key, _psrc)")
-        elif how == "row" and rows:
+        elif how == "row":
             requests.append((f"_s{at}", ("layout", at)))
             emit(1, f"{view}._write(_key, _psrc, _s{at})")
-        elif how == "row":
-            emit(1, f"{view}._write(_key, _psrc.row, _psrc.support)")
         else:
             data = f"_vd{at}"
             requests.append((data, ("vdata", at)))
@@ -1136,29 +1142,17 @@ def _generate_path(path: PathIR) -> _Generated:
         emit(1, "if _cache:")
         emit(2, f"_cache.pop({name!r}, None)")
 
-    if rows:  # _gs: the probed views' supports, bound as planned
-        stores = [
-            (f"_g{at}_{i}", ("store", at, i))
-            for at, step in enumerate(path.steps, start=1)
-            for i in range(len(step[3][1]))
-        ]
-        requests += stores
-        probed = "".join(f"{name}.support, " for name, _ in stores)
-        emit(1, f"if _psrc.support or ({probed}) != _gs:")
-        emit(2, "return False")
+    if rows:
         emit(1, "_psrc = _psrc.row")
     write(path.leaf, 0, path.leaf_write)
-    for at, (ir, how, blocks, layout) in enumerate(path.steps, start=1):
+    for at, (ir, how, layout) in enumerate(path.steps, start=1):
         step: List[tuple] = []
         sink = "point" if _point(ir) else "row"
         if sink == "row":
             emit(1, "_out = {}")
-        support = _emit_trigger(ir, emit, step, sink, f"_{at}", blocks, layout)
+        support = _emit_trigger(ir, emit, step, sink, f"_{at}", layout=layout)
         if sink == "row":
-            fold = "_finalize(_out)"
-            if rows:
-                requests.append((f"_o{at}", ("const", support)))
-                fold = f"_rfinalize(_out, _o{at})"
+            fold = "_out" if rows else "_finalize(_out)"
             emit(1, "if len(_out) != 1:")
             emit(2, f"return ({at - 1}, {fold}) if _out else None")
             emit(1, "_key, _psrc = _out.popitem()")
@@ -1185,14 +1179,14 @@ def _generate_path(path: PathIR) -> _Generated:
     return _Generated(lines, requests, consts, f"path {path.leaf}")
 
 
-def compile_path(leaf, steps, cache, faults, root, query, supports=None):
+def compile_path(leaf, steps, cache, faults, root, query):
     """Generate and bind the one-row path of ``leaf`` (its stored view or
     ``None``) up ``steps`` — ``(ir, scalar program, stored view or
     None)`` per node, leaf to root.  ``cache`` is the engine's probe
     cache, ``faults`` its fault plan, ``root`` the root node (the returned
-    delta's name and keys).  ``supports`` (per node, planned by the
-    engine) puts a path whose targets are block views in row form.  The
-    function's ``source_text`` is its generated source."""
+    delta's name and keys).  The path is in row form where its steps'
+    programs are.  The function's ``source_text`` is its generated
+    source."""
 
     def how(view) -> Optional[str]:
         """How the generated code writes ``view``."""
@@ -1203,21 +1197,11 @@ def compile_path(leaf, steps, cache, faults, root, query, supports=None):
         return "map" if type(view) is Relation else "add"
 
     leaf_name, leaf_view = leaf
-    names = [leaf_name] + [ir.node_name for ir, *_ in steps]
-    probed = [target for _, program, _ in steps for target in program.targets]
-    rows = supports is not None and all(
-        all(program.blocks) for _, program, _ in steps)
-    kops, lifts = query.ring.kernel_ops(), query.lifting.table()
     generated = _generated(_generate_path, PathIR(
         leaf_name, how(leaf_view),
         tuple(
-            (ir, how(view), program.blocks, (
-                supports[names[at]],
-                tuple(supports[target.name] for target in program.targets),
-                tuple(kops.lift_support(lifts[var])
-                      for var, _ in ir.accumulate.lifts),
-            ) if rows else None)
-            for at, (ir, program, view) in enumerate(steps)
+            (ir, how(view), program.layout)
+            for ir, program, view in steps
         ),
         faults is not None,
     ))
@@ -1227,12 +1211,6 @@ def compile_path(leaf, steps, cache, faults, root, query, supports=None):
         generated.meta, _cache=cache, _faults=faults, _Relation=Relation,
         _root=root.name, _root_keys=root.keys, _ring=query.ring,
     )
-    if rows:  # _gs: the tuples the views were laid out with (identity)
-        env.update(
-            _gs=tuple(target._store.support for target in probed),
-            _tol=kops.tolerance, _abs=np.abs, _rowsum=np.add.reduce,
-            _reduceat=np.add.reduceat, _rfinalize=partial(_finalize_rows, kops),
-        )
     for name, spec in generated.requests:
         kind, at = spec[0], spec[1]
         if kind == "view":
@@ -1241,8 +1219,6 @@ def compile_path(leaf, steps, cache, faults, root, query, supports=None):
             env[name] = views[at]._data
         elif kind == "layout":
             env[name] = views[at]._store.support
-        elif kind == "store":
-            env[name] = steps[at - 1][1].targets[spec[2]]._store
         else:  # "step": the step program's own binding
             env[name] = steps[at - 1][1]._fn.__globals__[spec[2]]
     path = _exec(generated, env)

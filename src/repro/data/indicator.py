@@ -12,13 +12,15 @@ Delta computation and application are split (:meth:`compute_delta` /
 the *other* indicators in their correct sequential state, matching the
 paper's "updates to one relation are followed by a sequence of updates to
 its indicator projections".
+Over payload blocks (the cofactor ring) the indicator is a block view of
+support ``()``, which the triggers read as rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from repro.data.relation import Relation
+from repro.data.relation import BlockRelation, Relation
 from repro.data.schema import key_projector
 
 __all__ = ["IndicatorView"]
@@ -34,7 +36,9 @@ class IndicatorView:
         self.ring = ring
         self._project = key_projector(tuple(base_schema), self.attrs)
         self._counts: Dict[tuple, int] = {}
-        self.relation = Relation(self.name, self.attrs, ring)
+        block = getattr(ring.kernel_ops(), "block_views", False)
+        self.relation = (BlockRelation(self.name, self.attrs, ring, ())
+                         if block else Relation(self.name, self.attrs, ring))
 
     @classmethod
     def over(cls, base: Relation, attrs: Sequence[str], name: str = "") -> "IndicatorView":

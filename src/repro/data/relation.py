@@ -953,41 +953,36 @@ class _Rows:
     ``support``, handed out and taken back: free rows are zero, and a
     freed row is reused before the block grows.
 
-    ``objs`` caches, per owner key, the payload last read from a row by a
-    trigger (:meth:`probe`); its row is a view into the block.  Before a
-    row changes in place, its cached payload is *detached* — its row
-    replaced by a copy of the same values — and dropped, so payloads
-    handed out never change and never keep an outgrown block alive.
-    The dicts are never replaced: generated triggers bind them.
+    ``cache`` holds per key a copy of its row as a trigger read it
+    (:meth:`read`) until the key's next write drops it: one object per
+    unchanged row (the lifted-sibling memo tests identity) that pins no
+    block.  Generated triggers bind the dict; it is never replaced.
     """
 
-    __slots__ = ("kops", "support", "block", "free", "top", "objs")
+    __slots__ = ("kops", "support", "block", "free", "top", "cache")
 
     def __init__(self, kops):
         self.kops = kops
-        self.objs: dict = {}
+        self.cache: dict = {}
         self.reset(None, 1)
 
     def reset(self, support, width: int) -> None:
-        self.detach_all()
+        self.cache.clear()
         self.support = support
         self.block = np.zeros((4, width))
         self.free: list = []
         self.top = 0
 
-    def probe(self, key, i: int):
-        """The payload in row ``i``, cached under ``key`` (the caller
-        looked in ``objs`` first)."""
-        obj = self.objs[key] = self.kops.payload(self.support, self.block[i])
-        return obj
+    def read(self, key, i: int):
+        """A copy of row ``i``, cached under ``key`` (not cached yet)."""
+        row = self.cache[key] = self.block[i].copy()
+        return row
 
     def peek(self, key, i: int):
-        """The payload in row ``i``: the cached one, else a fresh payload
-        over a copy of the row."""
-        obj = self.objs.get(key)
-        if obj is None:
-            obj = self.kops.payload(self.support, self.block[i].copy())
-        return obj
+        """The payload in row ``i``, over its cached copy or a new one."""
+        row = self.cache.get(key)
+        return self.kops.payload(
+            self.support, self.block[i].copy() if row is None else row)
 
     def alloc(self) -> int:
         if self.free:
@@ -1020,18 +1015,7 @@ class _Rows:
         else:
             self.free.extend(rows)
 
-    def detach(self, key) -> None:
-        obj = self.objs.pop(key, None)
-        if obj is not None:
-            obj.row = obj.row.copy()
-
-    def detach_all(self) -> None:
-        for obj in self.objs.values():
-            obj.row = obj.row.copy()
-        self.objs.clear()
-
     def _regrow(self, capacity: int) -> None:
-        self.detach_all()
         block = np.zeros((capacity, self.block.shape[1]))
         block[:self.top] = self.block[:self.top]
         self.block = block
@@ -1039,7 +1023,7 @@ class _Rows:
     def widen(self, support, width: int, emb) -> None:
         """Lay every row out for a wider ``support`` (old cells at
         ``emb``)."""
-        self.detach_all()
+        self.cache.clear()
         block = np.zeros((len(self.block), width))
         block[:, emb] = self.block
         self.block = block
@@ -1070,8 +1054,8 @@ class _Payloads(Mapping):
     """A read-only map ``key → payload`` over a map ``key → row``, each
     payload read through ``read(key, row)``: how code written against
     payload dicts (the reference interpreter, factor programs, snapshots)
-    reads a :class:`BlockRelation`.  The generated triggers read rows or
-    cached payloads instead.  Pickles as a plain dict."""
+    reads a :class:`BlockRelation`.  The generated triggers read rows
+    instead.  Pickles as a plain dict."""
 
     __slots__ = ("_rows", "_read")
 
@@ -1152,19 +1136,19 @@ class BlockRelation(Relation):
     between rows and payloads.
 
     An absorb is one indexed add and one zero test over the touched rows
-    (:meth:`_absorb_rows`); a packed delta (``_packed_form``, a kernel
-    program's output) is absorbed without any payload object.  Reads
-    build payloads on demand: the generated triggers' probes cache the
-    object per key until that row's next write, so repeated probes return
-    the same object (the lifted-sibling memo validates by identity);
-    public reads (:meth:`payload`, :meth:`items`) return the cached object
-    or a fresh copy.  ``_data`` and the indexes' bucket and sum maps are
+    (:meth:`_absorb_rows`); a packed delta (``_packed_form``, a trigger's
+    output) is absorbed without any payload object.  The generated
+    triggers read rows: a copy per key, cached until that key's next
+    write (:class:`_Rows`), so repeated reads return the same object (the
+    lifted-sibling memo validates by identity).  Public reads
+    (:meth:`payload`, :meth:`items`) build payloads over the cached copy
+    or a fresh one.  ``_data`` and the indexes' bucket and sum maps are
     read-only payload maps over the rows (:class:`_Payloads`) for code
     written against dicts; writes go through :meth:`add` and
     :meth:`absorb_bulk`.  A payload whose support is not the view's
     widens the block to the union of the two; ``support`` lays out an
-    empty view ahead of the first (the engine plans it).  :meth:`clear`
-    keeps the layout.
+    empty view ahead of the first (the engine plans it, and re-plans
+    through :meth:`relayout`).  :meth:`clear` keeps the layout.
     """
 
     __slots__ = ("_kops", "_slot", "_store", "_blocks", "_view")
@@ -1208,13 +1192,6 @@ class BlockRelation(Relation):
         )
 
     # -- reads ---------------------------------------------------------
-
-    def _probe(self, key: Key):
-        """The payload of ``key`` for a trigger (``None`` when absent),
-        cached until the row's next write; the caller looked in the cache
-        (``_store.objs``) first."""
-        i = self._slot.get(key)
-        return None if i is None else self._store.probe(key, i)
 
     def payload(self, key: Key) -> Payload:
         key = tuple(key)
@@ -1277,6 +1254,10 @@ class BlockRelation(Relation):
         out[..., emb_other] = rows
         return out
 
+    def relayout(self, support: tuple) -> None:
+        """Lay the view out for ``support``, a superset of its own."""
+        self._conform(np.zeros((0, self._kops.widen((), support)[1])), support)
+
     def add(self, key: Key, payload: Payload) -> None:
         if self.ring.is_zero(payload):
             return
@@ -1304,8 +1285,8 @@ class BlockRelation(Relation):
             if self._blocks:
                 self._index_row(key, i, row)
             return
-        if store.objs:
-            store.detach(key)
+        if store.cache:
+            store.cache.pop(key, None)
         stored = store.block[i]
         old = stored.copy() if self._blocks else None
         stored += row
@@ -1337,7 +1318,7 @@ class BlockRelation(Relation):
                     del buckets[subkey]
                     j = sums.pop(subkey, None)
                     if j is not None:
-                        index.detach(subkey)
+                        index.cache.pop(subkey, None)
                         index.release(j)
                     continue
             j = sums.get(subkey)
@@ -1346,28 +1327,31 @@ class BlockRelation(Relation):
                     j = sums[subkey] = index.alloc()
                     index.block[j] = applied
                 continue
-            if index.objs:
-                index.detach(subkey)
+            if index.cache:
+                index.cache.pop(subkey, None)
             index.block[j] += applied
 
     def _merge(self, delta: Relation) -> None:
         """``self := self ⊎ delta`` as one block update
-        (:meth:`_absorb_rows`); a packed delta's block is absorbed as is."""
+        (:meth:`_absorb_rows`); a packed delta's block is absorbed as is.
+        Below :data:`MIN_BLOCK_MERGE_ROWS` rows each is written alone (a
+        packed delta of so few rows — a scalar trigger's — holds no zero
+        row)."""
         packed = delta._packed_form
         if packed is not None:
-            keys, column = packed
-            if len(keys):
-                self._absorb_rows(list(keys), *column)
+            keys, (rows, support) = packed
+            if len(keys) >= MIN_BLOCK_MERGE_ROWS:
+                self._absorb_rows(list(keys), rows, support)
+            else:
+                for key, row in zip(keys, rows):
+                    self._write(key, row, support)
             return
         data = delta._data
-        if not data:
-            return
         if len(data) >= MIN_BLOCK_MERGE_ROWS:
-            packed = self._kops.pack(list(data.values()), len(data))
-            if packed is not None:
-                self._absorb_rows(list(data), *packed)
-                return
-        for key, payload in data.items():  # few rows, or mixed supports
+            self._absorb_rows(
+                list(data), *self._kops.pack(list(data.values()), len(data)))
+            return
+        for key, payload in data.items():
             if not self.ring.is_zero(payload):
                 self._write(key, payload.row, payload.support)
 
@@ -1384,9 +1368,9 @@ class BlockRelation(Relation):
             new = [p for p, i in enumerate(at) if i is None]
             for p, i in zip(new, store.alloc_many(len(new))):
                 at[p] = slot[keys[p]] = i
-        if store.objs:
+        if store.cache:
             for key in keys:
-                store.detach(key)
+                store.cache.pop(key, None)
         rows_at = at  # the key table's own ints, shared with the buckets
         at = np.fromiter(at, np.intp, len(keys))
         block = store.block
@@ -1431,12 +1415,6 @@ class BlockRelation(Relation):
         for index in (store, *self._blocks.values()):
             index.reset(*layout)
 
-    def drop_reads(self) -> None:
-        """Forget the payloads cached for the triggers (detached, so
-        nothing read keeps the blocks alive)."""
-        for index in (self._store, *self._blocks.values()):
-            index.detach_all()
-
 
 def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
     """The index sweep of :meth:`BlockRelation._absorb_rows`: bucket
@@ -1461,7 +1439,7 @@ def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
                 del buckets[subkey]
                 j = sums.pop(subkey, None)
                 if j is not None:
-                    index.detach(subkey)
+                    index.cache.pop(subkey, None)
                     retired.append(j)
                 targets.append(-1)
                 continue
@@ -1471,8 +1449,8 @@ def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
                 targets.append(-1)
                 continue
             j = sums[subkey] = index.alloc()
-        elif index.objs:
-            index.detach(subkey)
+        elif index.cache:
+            index.cache.pop(subkey, None)
         targets.append(j)
     targets = np.fromiter(targets, np.intp, len(targets))
     moved = targets >= 0

@@ -37,7 +37,7 @@ operand, listed once per support pair in a *term table*.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from itertools import repeat
 from operator import is_
 from typing import Callable, Dict, Optional, Sequence
@@ -323,33 +323,6 @@ class CofactorRing(Ring):
             return False
         return not a.support or not (np.abs(row) > self.tolerance).any()
 
-    def sum(self, items) -> CofactorTriple:
-        """Vectorized sum: one ``np.add.reduce`` per support, the (rare)
-        distinct supports then merged pairwise.
-
-        Same result as the base class's pairwise fold (ring addition is
-        commutative), but a batch of n same-support triples costs one
-        stacked reduction instead of n-1 allocations — the backbone of the
-        batched update trigger.
-        """
-        triples = items if isinstance(items, list) else list(items)
-        if not triples:
-            return self._zero
-        if len(triples) == 1:
-            return triples[0]
-        groups: Dict[tuple, list] = {}
-        for triple in triples:
-            groups.setdefault(triple.support, []).append(triple.row)
-        # Sharing a lone row is safe: rows are never mutated.
-        partials = [
-            _triple(
-                self.degree, support,
-                rows[0] if len(rows) == 1 else np.add.reduce(rows),
-            )
-            for support, rows in groups.items()
-        ]
-        return reduce(self.add, partials)
-
     def from_int(self, n: int) -> CofactorTriple:
         return _triple(self.degree, (), np.array([float(n)]))
 
@@ -371,27 +344,32 @@ class CofactorRing(Ring):
         support = (index,)
 
         degree = self.degree
-        #: Lifted triples memoized per value: streams revisit domain values
-        #: constantly, and lifted triples (like all triples) are immutable.
-        #: Bounded so continuous features (mostly-distinct floats) cannot
-        #: grow it without limit — on overflow the memo simply resets.
-        memo: Dict[object, CofactorTriple] = {}
+        #: Lifted rows memoized per value: streams revisit domain values
+        #: constantly, and rows are never mutated.  Bounded so continuous
+        #: features (mostly-distinct floats) cannot grow it without limit
+        #: — on overflow the memo simply resets.
+        memo: Dict[object, np.ndarray] = {}
         memo_cap = 1 << 16
 
-        def _lift(value: object) -> CofactorTriple:
-            triple = memo.get(value)
-            if triple is None:
+        def _rows(value: object) -> np.ndarray:
+            row = memo.get(value)
+            if row is None:
                 x = float(value)  # type: ignore[arg-type]
-                triple = _triple(degree, support, np.array([1.0, x, x * x]))
+                row = np.array([1.0, x, x * x])
                 if len(memo) >= memo_cap:
                     memo.clear()
-                memo[value] = triple
-            return triple
+                memo[value] = row
+            return row
+
+        def _lift(value: object) -> CofactorTriple:
+            return _triple(degree, support, _rows(value))
 
         #: Tag for the kernel backend: a whole column of lifted values
         #: packs directly from the raw floats (no per-row triples) — see
-        #: :meth:`CofactorKernelOps.pack_lift`.
+        #: :meth:`CofactorKernelOps.pack_lift`.  ``rows`` gives the row
+        #: alone, for the generated triggers' row form.
         _lift._kernel_lift = ("cofactor", index)
+        _lift.rows = _rows
         return _lift
 
 
@@ -419,17 +397,15 @@ class CofactorKernelOps:
     a triple carries its ``row`` and ``support``, and :attr:`payload`
     builds the triple over a row.
 
-    Mixed-support columns (rare: payloads at one tree node share their
+    A mixed-support column (rare: payloads at one tree node share their
     support by construction, since support = the variables lifted below)
-    return ``None`` from :meth:`pack`, signalling the kernel program to
-    fall back to the scalar ring fold for that batch — a correctness
-    escape hatch, not a soundness condition.
+    packs laid out for the union of its supports.
 
     The hooks keep the ring's degree and tolerance, not the ring, so ring
     and hooks form no reference cycle.
     """
 
-    __slots__ = ("degree", "tolerance", "payload")
+    __slots__ = ("degree", "tolerance")
 
     vectorizes_triggers = True
 
@@ -440,9 +416,10 @@ class CofactorKernelOps:
     def __init__(self, degree: int, tolerance: float):
         self.degree = degree
         self.tolerance = tolerance
-        #: ``payload(support, row)``: the triple whose row is ``row`` (not
-        #: copied).
-        self.payload = partial(_triple, degree)
+
+    def payload(self, support: tuple, row) -> CofactorTriple:
+        """The triple whose row is ``row`` (not copied)."""
+        return _triple(self.degree, support, row)
 
     # -- the block layout of a view ------------------------------------
 
@@ -471,18 +448,22 @@ class CofactorKernelOps:
     # -- packing -------------------------------------------------------
 
     def pack(self, column, n: int):
-        """Stack a payload column; ``None`` when supports are mixed.  A
-        column that repeats one payload object (a delta's shared payload)
-        tiles its row once."""
+        """Stack a payload column.  A column that repeats one payload
+        object (a delta's shared payload) tiles its row once; one of mixed
+        supports is laid out for their union."""
         first = column[0]
         if all(map(is_, column, repeat(first))):
             return (np.tile(first.row, (n, 1)), first.support)
         support = first.support
-        for triple in column:
-            if triple.support != support:
-                return None
-        rows = np.concatenate([triple.row for triple in column])
-        return (rows.reshape(n, -1), support)
+        if all(triple.support == support for triple in column):
+            rows = np.concatenate([triple.row for triple in column])
+            return (rows.reshape(n, -1), support)
+        support = reduce(
+            lambda a, b: _pair_maps(a, b)[0], {t.support for t in column})
+        block = np.zeros((n, _pair_maps(support, support)[1]))
+        for row, triple in zip(block, column):
+            row[_pair_maps(support, triple.support)[3]] = triple.row
+        return (block, support)
 
     def pack_lift(self, lift_fn, values, n: int):
         """Pack a lifted column straight from the raw values.
@@ -534,7 +515,7 @@ class CofactorKernelOps:
             order = np.argsort(group_ids, kind="stable")
             group_ids = group_ids[order]
             block = block[order]
-        starts = np.flatnonzero(np.r_[True, group_ids[1:] != group_ids[:-1]])
+        starts = np.searchsorted(group_ids, np.arange(n_groups))
         return (np.add.reduceat(block, starts, axis=0), support)
 
     def unpack(self, reduced):

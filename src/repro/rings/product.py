@@ -113,7 +113,7 @@ class ProductRing(Ring):
         """Column-wise sum: each component ring folds its own column once.
 
         Transposing the batch lets component rings with vectorized sums
-        (cofactor, degree) fold their column in one shot instead of per
+        (degree) fold their column in one shot instead of per
         pairwise ``add`` — and avoids allocating one intermediate tuple per
         element even for plain scalar components.
         """

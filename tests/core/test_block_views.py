@@ -2,12 +2,11 @@
 
 Over the ``retailer_b600 --quick`` stream: every stored view is a
 :class:`BlockRelation` whose storage — key table, index buckets, index
-sums — holds row indices, never a ``CofactorTriple``; the only triples
-over a view's block are the read cache's, and once the caches are dropped
-no live triple keeps a block alive.  A kernel program's packed output is
-folded into payload objects only by a scalar trigger that reads it —
-never by dispatch or a view write; and an array-sized step makes a fixed
-number of scalar ring calls, not one per row.  A 600-row delta is
+sums — holds row indices, never a ``CofactorTriple``; the triggers' read
+cache holds row copies, and no live triple keeps a block alive.  A
+packed delta is folded into payload objects only by a caller that reads
+it — never by dispatch, a view write or a trigger; and an array-sized
+step makes a fixed number of scalar ring calls, not one per row.  A 600-row delta is
 ingested without a per-row ``add``, and its leaf step neither folds nor
 reads a row per key; a 4-row delta is written row by row, never packed.
 Counts, not clocks.
@@ -61,23 +60,22 @@ def test_views_store_rows_and_hold_no_triple():
             assert all(type(i) is int for i in container.values()), (
                 view.name, kind,
             )
-    # A live triple over a view's block is that view's cached read.
-    blocks = [
-        (store.block, store.objs)
-        for view in views
+    # The triggers' reads are cached as row copies, of the store's
+    # layout and over no block; no live triple is over a block either.
+    stores = [
+        store for view in views
         for store in (view._store, *view._blocks.values())
     ]
-    live = [obj for obj in gc.get_objects() if type(obj) is CofactorTriple]
-    for triple in live:
-        for block, objs in blocks:
-            if np.shares_memory(triple.row, block):
-                assert any(triple is cached for cached in objs.values())
-    # Dropped caches leave no triple over any block.
-    engine._drop_caches()
-    assert not any(objs for _, objs in blocks)
+    blocks = [store.block for store in stores]
+    assert any(store.cache for store in stores)
+    for store in stores:
+        for row in store.cache.values():
+            assert type(row) is np.ndarray
+            assert row.shape == store.block.shape[1:]
+            assert not any(np.shares_memory(row, block) for block in blocks)
     live = [obj for obj in gc.get_objects() if type(obj) is CofactorTriple]
     assert not [
-        t for t in live for block, _ in blocks if np.shares_memory(t.row, block)
+        t for t in live for block in blocks if np.shares_memory(t.row, block)
     ]
 
 
@@ -156,22 +154,22 @@ def spy(monkeypatch, cls, name, log, tag=lambda *args: None):
 
 def test_dispatch_and_writes_never_fold_a_packed_delta(monkeypatch):
     """Packed deltas climb as blocks: dispatch, view writes and the next
-    array program read the key table and the block.  Over the quick
-    stream a packed delta becomes payload objects only where a scalar
-    trigger reads it; a 600-row Inventory delta, whose every step but the
-    root's is array-sized, is folded only by the root's scalar step."""
+    trigger — an array program, or a scalar one reading the block's rows
+    — take the key table and the block.  Over the quick stream no packed
+    delta becomes payload objects; a 600-row Inventory delta, whose every
+    step but the root's is array-sized, comes back packed from the root's
+    scalar step and is folded only when the caller reads it."""
     instance, state = quick_b600()
     engine = state.engine
     folds, absorbed = watch_folds(monkeypatch)
     instance.run(state)
     assert {"V@inventoryunits_I", "V@ksn_II"} <= set(absorbed)
-    assert folds and None not in folds
+    assert folds == []
 
-    del folds[:]
-    root = engine.tree.root
     out = engine.apply_update(inventory_delta(instance, engine, 600))
-    assert type(out) is not DeferredRelation
-    assert folds == [root.name]
+    assert type(out) is DeferredRelation and out._packed_form is not None
+    assert folds == []
+    assert len(out) == 1 and folds == [None]
 
 
 @pytest.mark.parametrize("rows", [300, 600])
@@ -215,9 +213,10 @@ def test_the_leaf_step_of_a_600_row_insert_neither_folds_nor_reads_rows(
 ):
     """At ``V@inventoryunits_I`` a 600-row Inventory insert has 600
     distinct output keys, so the array program folds nothing (zero
-    ``CofactorKernelOps.reduce`` calls there), and its source column —
-    600 times the delta's shared payload — packs from that payload's row
-    read once."""
+    ``CofactorKernelOps.reduce`` calls there).  The delta — 600 times its
+    shared payload — is packed once, by the engine's plan guard before
+    any write, from that payload's row read once; the leaf's write and
+    its array program take that block, and pack nothing."""
     instance, state = quick_b600()
     engine = state.engine
     delta = ingest(instance, engine, 600)
@@ -253,7 +252,8 @@ def test_the_leaf_step_of_a_600_row_insert_neither_folds_nor_reads_rows(
     engine.apply_update(delta)
     assert LEAF not in reduced
     assert reduced  # nodes whose output keys collide still fold
-    assert [reads for node, reads in packed if node == LEAF] == [1]
+    assert packed[0] == (None, 1)
+    assert [node for node, _ in packed].count(LEAF) == 0
 
 
 def test_a_small_listing_delta_is_written_row_by_row(monkeypatch):

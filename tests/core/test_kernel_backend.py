@@ -298,10 +298,10 @@ def spy_scalar_runs(monkeypatch):
 
 def test_mixed_support_batch_falls_back_exactly(monkeypatch):
     # R's base payloads alternate between multiplicities and triples that
-    # already carry a support, so the R-delta reaches the join with a
-    # payload column of mixed supports, which refuses to pack — the run
-    # must hand the batch to the scalar trigger and still match the
-    # interpreter exactly.
+    # already carry a support (variable 1, which no lift plans), so the
+    # R-delta is off the planned layout: the engine re-plans R's path to
+    # carry variable 1, and the batch then runs on arrays at every node,
+    # matching the interpreter exactly.
     runs = spy_scalar_runs(monkeypatch)
     ring = CofactorRing(3)
     lifts = {"A": ring.lift(0), "C": ring.lift(2)}
@@ -317,19 +317,19 @@ def test_mixed_support_batch_falls_back_exactly(monkeypatch):
             delta("S", ring, {(i, i % 4): ring.from_int(1) for i in range(n)})
         )
         engine.apply_update(delta("R", ring, dict(mixed)))
-    # The lift-only leaf runs the mixed column scalar, and its mixed
-    # output reaches the join.
-    assert runs == [n, n]
+    assert runs == []
+    root = arrays.tree.root.name
+    assert 1 in arrays._supports[root]
+    assert arrays.views[root]._store.support == arrays._supports[root]
     for name, view in interp.views.items():
         assert view.same_as(arrays.views[name])
 
 
 def test_lift_column_that_does_not_pack_falls_back_exactly(monkeypatch):
     # A's lift marks the value 0 "missing" with the ring's one (empty
-    # support) and lifts every other value onto variable 0, so the R-delta
-    # gathers a lifting column of mixed supports: the array program must
-    # hand the batch to the scalar trigger, not multiply an unpacked
-    # column.
+    # support) and lifts every other value onto variable 0: a lift that is
+    # not the ring's own has no support to plan, so the engine runs the
+    # reference interpreter — exact on any column.
     ring = CofactorRing(3)
     lift_a = ring.lift(0)
     lifts = {
@@ -348,9 +348,7 @@ def test_lift_column_that_does_not_pack_falls_back_exactly(monkeypatch):
         engine.apply_update(
             delta("R", ring, {(a, a % 8): ring.from_int(1) for a in range(n)})
         )
-    # The leaf's lift-only trigger falls back on the 64 rows; its 8
-    # output keys reach the join below the array threshold.
-    assert runs == [n, 8]
+    assert arrays._interpreted and runs == []
     for name, view in interp.views.items():
         assert view.same_as(arrays.views[name])
 

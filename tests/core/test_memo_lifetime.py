@@ -12,6 +12,7 @@ needed.
 
 import gc
 import random
+import tracemalloc
 import types
 import weakref
 
@@ -83,6 +84,40 @@ def test_dropped_engines_release_their_memos():
     assert live_triggers() == triggers_before
     assert live_triples() <= triples_before
     assert not [ref for ref in kept if ref() is not None]
+
+
+def test_engine_cycles_leave_traced_memory_flat():
+    """2N create → stream → drop cycles of the Retailer cofactor engine,
+    each stream once at one row per call and once at four: the bytes
+    ``tracemalloc`` traces after cycle 2N are within a fixed slack of
+    those after cycle N.  The triggers' read caches hold row copies,
+    dropped at each write of their key, so nothing a dropped engine read
+    pins its blocks; and nothing process-wide (code cache, term tables)
+    grows per engine once the first cycles have filled it."""
+    workload = retailer.generate(scale=0.02, seed=3)
+    streams = [
+        round_robin_stream(SCHEMAS, workload.tables, batch_size=rows)
+        for rows in (1, 4)
+    ]
+    cycles, slack = 4, 16 * 1024
+    traced = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(2 * cycles):
+            engine = retailer_engine()
+            for stream in streams:
+                for delta in stream.deltas(engine.query.ring):
+                    engine.apply_update(delta)
+            assert any(
+                view._store.cache for view in engine.views.values()
+            ), "fixture: the triggers read rows"
+            del engine, delta
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert traced[-1] - traced[cycles - 1] <= slack, traced
 
 
 def test_dropped_chains_release_their_packed_roots_without_a_collection():

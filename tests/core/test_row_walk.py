@@ -34,6 +34,7 @@ from tests.conftest import (
     spy_slot_runs,
     write_hits,
 )
+from repro.datasets import retailer
 from tests.core.test_differential_random import RING_FAMILIES
 
 #: Figure 2c's database with each value ``x7`` read as the number 7 (lifts
@@ -346,7 +347,6 @@ def retailer_pair():
     """A Retailer cofactor engine and the interpreter over one query,
     both empty, and the relations' rows in a fixed order."""
     from repro.apps.regression import cofactor_query
-    from repro.datasets import retailer
 
     query = cofactor_query("rows", retailer.SCHEMAS, retailer.ALL_VARIABLES)
     workload = retailer.generate(scale=0.02, seed=3)
@@ -364,12 +364,15 @@ def one_row(engine, rel, row, payload):
 
 def test_a_widened_layout_stays_exact():
     """An Inventory row whose payload carries a lifted variable
-    (``ring.lift(5)(2.5)``) widens ``V@inventoryunits_I`` past the support
-    planned for it, one variable to two.  Every update after it — through
-    the one-row paths where the views they probe still have their planned
-    supports, through the general walk where not — keeps every view and
-    root delta equal to the interpreter's, over 30 more one-row updates
-    per relation."""
+    (``ring.lift(5)(2.5)``) is off the plan, whose Inventory leaf has
+    support ``()``: the guard re-plans before any write, widening
+    ``V@inventoryunits_I`` from one variable to two and every view above
+    it.  Then a 5-row Inventory delta whose payloads mix variables 5 and 7
+    re-plans once more; and a fresh engine restores a snapshot taken
+    after the widening, re-planning to the snapshot's layout.  Every
+    update after each — 30 more one-row updates per relation, through
+    the paths of the new plan — keeps every view and root delta equal to
+    the interpreter's."""
     walked, interpreted, tables = retailer_pair()
     ring = walked.query.ring
     for step in range(40):
@@ -381,15 +384,128 @@ def test_a_widened_layout_stays_exact():
     for engine in (walked, interpreted):
         one_row(engine, "Inventory", row, ring.lift(5)(2.5))
         assert engine.views["V@inventoryunits_I"]._data[row[:3]].support == (3, 5)
+    assert walked._supports["V@inventoryunits_I"] == (3, 5)
+    assert "Inventory" in walked._row_paths
+
+    def lockstep(engines, seed):
+        for step in range(30):
+            for rel, table in tables.items():
+                row = table[(7 * step + seed) % len(table)]
+                payload = ring.from_int(1 if step % 3 else -1)
+                want = one_row(interpreted, rel, row, payload)
+                for engine in engines:
+                    got = one_row(engine, rel, row, payload)
+                    assert got.same_as(want), (step, rel)
+        for name, view in interpreted.views.items():
+            for engine in engines:
+                assert engine.views[name].same_as(view), name
+
+    lockstep([walked], 3)
+    snapshot = walked.snapshot()
+    mixed = {
+        key: ring.lift(5 if i % 2 else 7)(float(i))
+        for i, key in enumerate(tables["Inventory"][10:15])
+    }
+    want = interpreted.apply_update(
+        Relation("Inventory", walked.tree.leaves["Inventory"].keys, ring,
+                 dict(mixed)))
+    got = walked.apply_update(
+        Relation("Inventory", walked.tree.leaves["Inventory"].keys, ring,
+                 dict(mixed)))
+    assert got.same_as(want)
+    assert walked._supports["V@inventoryunits_I"] == (3, 5, 7)
+    lockstep([walked], 5)
+    restored = FIVMEngine(walked.query, retailer.variable_order())
+    restored.restore(snapshot)
+    assert restored._supports["V@inventoryunits_I"] == (3, 5)
+    # The restored engine replays what came after the snapshot.
+    restored.apply_update(
+        Relation("Inventory", walked.tree.leaves["Inventory"].keys, ring,
+                 dict(mixed)))
     for step in range(30):
         for rel, table in tables.items():
-            row = table[(7 * step + 3) % len(table)]
-            payload = ring.from_int(1 if step % 3 else -1)
-            got = one_row(walked, rel, row, payload)
-            assert got.same_as(one_row(interpreted, rel, row, payload)), (
-                step, rel)
-    for name, view in interpreted.views.items():
-        assert walked.views[name].same_as(view), name
+            row = table[(7 * step + 5) % len(table)]
+            one_row(restored, rel, row, ring.from_int(1 if step % 3 else -1))
+    lockstep([walked, restored], 9)
+
+
+@pytest.mark.parametrize("k", [2, 4, 11, 12, 31])
+def test_k_row_deltas_equal_the_interpreter(k):
+    """Deltas of ``k`` rows — both sides of ``MIN_BLOCK_MERGE_ROWS`` (12),
+    below ``MIN_TRIGGER_ROWS`` (32) — run the scalar triggers in row form
+    on packed deltas: for each relation in turn ``k`` rows are inserted,
+    then, in the same order, deleted.  Every root delta and every view
+    equals the interpreter's."""
+    walked, interpreted, tables = retailer_pair()
+    ring = walked.query.ring
+    for rel, table in tables.items():  # the whole database, one row a call
+        for row in table:
+            walked_root = one_row(walked, rel, row, ring.one)
+            assert walked_root.same_as(one_row(interpreted, rel, row, ring.one))
+    for rel, table in tables.items():
+        keys = walked.tree.leaves[rel].keys
+        for payload in (ring.one, ring.from_int(-1)):
+            delta = {row: payload for row in table[:k]}
+            got = walked.apply_update(Relation(rel, keys, ring, dict(delta)))
+            want = interpreted.apply_update(Relation(rel, keys, ring, delta))
+            assert len(want) == 1, "fixture: the delta reaches the root"
+            assert got.same_as(want), (rel, payload.count)
+            for name, view in interpreted.views.items():
+                assert walked.views[name].same_as(view), (rel, name)
+
+
+@pytest.mark.parametrize("rows", [4, 16])
+def test_k_row_calls_make_no_ring_call(rows, monkeypatch):
+    """Counts, not clocks: over the quick Retailer stream at ``rows`` rows
+    per call, ``apply_update`` calls no ``CofactorRing`` ``mul``, ``add``
+    or ``sum``, and between the call and the read of the root delta it
+    returns one ``CofactorTriple`` is built (``cofactor._triple``) per key
+    of that delta, none elsewhere."""
+    from benchmarks.e2e.harness import apply_ops
+    from benchmarks.e2e.w_retailer import SCHEMAS, RetailerB1
+    from repro.rings import cofactor
+
+    calls, triples = [], [0]
+    inside, reading = [False], [False]
+
+    def spy(name, fn):
+        return lambda *args: (inside[0] and calls.append(name)) or fn(*args)
+
+    for name in ("mul", "add", "sum"):
+        monkeypatch.setattr(
+            cofactor.CofactorRing, name,
+            spy(name, getattr(cofactor.CofactorRing, name)),
+        )
+    triple = cofactor._triple
+
+    def counted(*args):
+        triples[0] += inside[0] or reading[0]
+        return triple(*args)
+
+    monkeypatch.setattr(cofactor, "_triple", counted)
+    # Built after the spies: the generated code binds the ring's methods.
+    instance = type("Rows", (RetailerB1,), {"quick_batch": rows})(3, True)
+    _query, engine = instance.build()
+    ring = engine.query.ring
+    apply_ops(SCHEMAS, ring, engine.apply_update, instance.warm)
+    keys = 0
+    apply_update = engine.apply_update
+
+    def update(delta):
+        nonlocal keys
+        inside[0] = True
+        try:
+            out = apply_update(delta)
+        finally:
+            inside[0] = False
+        reading[0] = True
+        keys += len(dict(out.items()))
+        reading[0] = False
+        return out
+
+    apply_ops(SCHEMAS, ring, update, instance.ops)
+    assert calls == []
+    assert keys and triples[0] == keys
 
 
 def test_the_row_form_makes_no_ring_call(monkeypatch):

@@ -369,20 +369,23 @@ class TestLiftedSiblingMemo:
             assert admitted(engine, "V@C_ST:child1") == {(1,)}
             assert admitted(engine, "V@A_RST:child0") == {(1,)}
 
-    @pytest.mark.parametrize("ring_cls", [CofactorRing, DegreeRing])
-    def test_source_at_child_position_one(self, ring_cls):
+    @pytest.mark.parametrize("ring_cls, product", [
+        (CofactorRing, "_v *= _tl["),  # the row form: a term-table gather
+        (DegreeRing, "_v = _mul(_v, _tl)"),
+    ])
+    def test_source_at_child_position_one(self, ring_cls, product):
         """``[_t0, _psrc, _lv]`` programs regroup as ``_psrc ⊗ (_t0 ⊗
         _lv)`` — legal on these (commutative) rings only."""
         engine = FIVMEngine(lifted_query(ring_cls), paper_variable_order())
         for key in [("V@A_RST", ("child", 1)), ("V@C_ST", ("child", 1))]:
             assert engine._ir[key].accumulate.factors[0] == ("op", 0)
             assert engine._ir[key].accumulate.memo == 0
-            assert "_mul(_v, _tl)" in engine._programs[key].source_text
+            assert product in engine._programs[key].source_text
 
     @pytest.mark.parametrize("form", FORMS)
     def test_sibling_payload_that_is_the_ring_one(self, form):
         """``one ⊗ lift`` is the (shared, memoized) lift's row itself —
-        kept over block views as ``(payload, row, support)``; an entry
+        kept over block views as ``(sibling row, product row)``; an entry
         holding it must still die with the sibling."""
         schemas = {"R": ("A", "B"), "S": ("A",)}
         order = VariableOrder.from_spec(("A", ["B"]))
@@ -409,10 +412,10 @@ class TestLiftedSiblingMemo:
                 memo for memo, sibling in engine._memo_sites.values()
                 if sibling is leaf
             ]
-            payload, product, support = memo[(1,)]
-            assert payload is leaf._data[(1,)]
-            lift = engine.query.lifting.get("A")(1)
-            assert product is lift.row and support == lift.support
+            sibling, product = memo[(1,)]
+            assert sibling is leaf._store.cache[(1,)]
+            assert sibling is leaf._data[(1,)].row
+            assert product is engine.query.lifting.get("A")(1).row
 
     def test_only_rings_with_array_products_build_a_memo(self):
         """ℤ/ℝ (a ``*`` is cheaper than the dict probe) and the

@@ -189,13 +189,16 @@ def test_zero_mask_matches_is_zero(ring_cols):
         assert got == ring.is_zero(payload)
 
 
-def test_cofactor_mixed_support_column_does_not_pack():
+def test_cofactor_mixed_support_column_packs_for_the_union():
     ring = CofactorRing(3)
     ops = ring.kernel_ops()
-    mixed = [ring.lift(0)(1.0), ring.lift(1)(2.0)]
-    assert ops.pack(mixed, 2) is None
+    mixed = [ring.lift(0)(1.0), ring.lift(1)(2.0), ring.from_int(3)]
+    block, support = ops.pack(mixed, 3)
+    assert support == (0, 1) and block.shape == (3, 6)
+    for got, want in zip(ops.unpack((block, support)), mixed):
+        assert ring.eq(got, want)
     uniform = [ring.lift(0)(1.0), ring.lift(0)(2.0)]
-    assert ops.pack(uniform, 2) is not None
+    assert ops.pack(uniform, 2)[1] == (0,)
 
 
 def test_degree_pack_unions_vocabularies():
