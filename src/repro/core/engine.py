@@ -113,6 +113,7 @@ invalidation.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,7 +145,7 @@ from repro.core.view_tree import (
 from repro.data.database import Database
 from repro.data.indicator import IndicatorView
 from repro.data.relation import (
-    MIN_BLOCK_MERGE_ROWS, BlockRelation, DeferredRelation, Relation,
+    MIN_BLOCK_MERGE_ROWS, BlockRelation, DeferredRelation, Relation, _projected,
 )
 
 __all__ = [
@@ -812,7 +813,7 @@ class FIVMEngine:
         active = self.partial.get(view_name)
         if active is not None:
             delta = self._partial_filter(active, delta)
-            if delta.is_empty:
+            if not _rows(delta):
                 return delta
         view = self.views[view_name]
         view.absorb(delta)
@@ -821,63 +822,40 @@ class FIVMEngine:
             from repro.core.serving import active_payload_cost
 
             ring = self.query.ring
-            for key in delta.keys():
+            packed = delta._packed_form
+            for key in delta.keys() if packed is None else packed[0]:
                 active.update_cost(
                     key, active_payload_cost(ring, view.payload(key))
                 )
             self._evict_over_budget(active)
         return delta
 
-    def _partial_filter(self, active, delta: Relation) -> Relation:
+    def _partial_filter(self, active, delta: Relation, keys=None) -> Relation:
         """Split a delta for a partial view into the absorbed (active)
-        part, recording a drop per discarded key."""
-        entries = active.entries
-        data = delta._data
-        kept = Relation(delta.name, delta.schema, delta.ring)
-        kept._data = {k: v for k, v in data.items() if k in entries}
-        if len(kept._data) != len(data):
-            active.record_drops(set(data) - entries.keys())
-        return kept
-
-    def _partial_prefilter(
-        self, active, node: ViewNode, delta: Relation
-    ) -> Relation:
-        """Drop cold-key rows of a delta *entering* a partial node before
-        its probe program runs.
-
-        Only applies when every key attribute of the node appears in the
-        incoming delta's schema — then each delta row contributes to
-        exactly the root key it projects to (the lowering binds output
-        registers straight from the delta row), so rows projecting to
-        unregistered keys can be discarded without probing siblings at
-        all: the Noria saving that makes cold writes cheap.  Otherwise
-        the delta passes through and :meth:`_write_view` post-filters.
-        """
-        schema = delta.schema
-        keys = node.keys
-        data = delta._data
-        entries = active.entries
-        kept = Relation(delta.name, schema, delta.ring)
-        if tuple(keys) == tuple(schema):
-            # The usual shape — the delta entering the root is the child's
-            # marginalized output, keyed exactly by the root's group-by —
-            # filters at C speed: one dict comprehension, one set diff.
-            kept._data = {k: v for k, v in data.items() if k in entries}
-            if len(kept._data) != len(data):
-                active.record_drops(set(data) - entries.keys())
-            return kept
-        if any(attr not in schema for attr in keys):
+        part, recording a drop per discarded key; a packed delta stays
+        packed.  Given the node's ``keys``, the delta enters the node ahead
+        of its probe program (module docstring): a row counts for the key it
+        projects to, and a delta lacking a key attribute passes through."""
+        schema, positions = delta.schema, None
+        if keys is not None and tuple(keys) != tuple(schema):
+            if any(attr not in schema for attr in keys):
+                return delta
+            positions = [schema.index(attr) for attr in keys]
+        packed = delta._packed_form
+        rows = list(delta._data) if packed is None else packed[0]
+        outs = rows if positions is None else list(_projected(rows, positions))
+        keep = list(map(active.entries.__contains__, outs))
+        if all(keep):
             return delta
-        positions = [schema.index(attr) for attr in keys]
-        out = kept._data
-        dropped = set()
-        for key, payload in data.items():
-            out_key = tuple(key[p] for p in positions)
-            if out_key in entries:
-                out[key] = payload
-            else:
-                dropped.add(out_key)
-        active.record_drops(dropped)
+        active.record_drops({key for key, kept in zip(outs, keep) if not kept})
+        kept = Relation(delta.name, schema, delta.ring)
+        if packed is None:
+            kept._data = dict(compress(delta._data.items(), keep))
+        elif any(keep):
+            kept = DeferredRelation(delta.name, schema, delta.ring, packed=(
+                list(compress(rows, keep)),
+                delta.ring.kernel_ops().take(packed[1], np.flatnonzero(keep)),
+            ))
         return kept
 
     def _evict_over_budget(self, active) -> None:
@@ -1183,8 +1161,8 @@ class FIVMEngine:
             if active is not None:
                 # Cold-key rows die here, before the node's probe program
                 # runs — the Noria write saving (see the module docstring).
-                cur = self._partial_prefilter(active, node, cur)
-                if cur.is_empty:
+                cur = self._partial_filter(active, cur, node.keys)
+                if not _rows(cur):
                     return self._empty_root()
             cur = self._delta_at_node(step, cur)
             if step.view is not None and _rows(cur):

@@ -226,6 +226,10 @@ class KernelDeltaProgram:
             columns.append(
                 p if p is not None else kops.pack([lift(value) for value in col], n)
             )
+        if self.ring.is_commutative and "source" in self._columns:
+            # The delta's own column last: δ ⊗ (siblings ⊗ lifts), as the
+            # scalar memo multiplies (the narrower intermediate).
+            columns.append(columns.pop(self._columns.index("source")))
         packed = reduce(lambda a, b: kops.mul_packed(a, b, n), columns)
         # Group rows by output key (ids assigned first-seen, so every id in
         # range(n_groups) occurs — the reduce hooks rely on that).  When

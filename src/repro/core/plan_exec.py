@@ -253,15 +253,16 @@ def _exec(generated: _Generated, env: dict):
 
 #: How a request against a block view (:class:`BlockRelation`) binds:
 #: its key table (key → row), its total (a payload, or a row), per index
-#: the buckets (key → row) and sums (subkey → row of its block), and the
-#: row copies cached for the triggers (:class:`~repro.data.relation.
-#: _Rows`), the view's or, given ``at``, an index's sums', and their reader.
+#: the buckets (key → row) and sums (subkey → row of its block, kept from
+#: this request on), and the row copies cached for the triggers
+#: (:class:`~repro.data.relation._Rows`), the view's or, given ``at``, an
+#: index's sums', and their reader.
 _BLOCK_REQUESTS = {
     "rows": lambda view: view._slot,
     "total": lambda view: view.total,
     "rowtotal": lambda view: lambda: view.total().row,
     "rowbuckets": lambda view, attrs: view._blocks[attrs].buckets,
-    "rowsums": lambda view, attrs: view._blocks[attrs].sums,
+    "rowsums": lambda view, attrs: view._blocks[attrs].keep_sums(),
     "cache": lambda view, *at: (view._blocks[at[0]] if at else view._store).cache,
     "read": lambda view, *at: (view._blocks[at[0]] if at else view._store).read,
 }
@@ -586,10 +587,10 @@ def _emit_trigger(
     op_pay: Dict[int, str] = {}
     for i, op in enumerate(ops):
         probe = op.probe_attrs
-        if isinstance(op, IndexProbe):
-            prefix = "row" if blocks else ""
-            bkt = glob(f"_bkt{i}", (f"{prefix}buckets", op.target, probe))
-            sums = glob(f"_sum{i}", (f"{prefix}sums", op.target, probe))
+        if isinstance(op, IndexProbe):  # its bucket sums, or its buckets
+            name, kind = ("_sum", "sums") if op.aggregated else ("_bkt", "buckets")
+            index = glob(f"{name}{i}", (
+                ("row" if blocks else "") + kind, op.target, probe))
         probe_key = _tuple_display([rname(r) for r in op.probe_regs])
         if rows and probe and i != memo and (
                 op.aggregated or isinstance(op, Probe)):
@@ -609,7 +610,7 @@ def _emit_trigger(
             else:
                 # Bucket sums may hold cancelled zeros; test them (a
                 # gather's sum row that cancelled contributes zeros).
-                fetch(i, f"_t{i}", probe_key, sums, (op.target, probe))
+                fetch(i, f"_t{i}", probe_key, index, (op.target, probe))
                 test = _zero(f"_t{i}", rows)
                 if gather and blocks:
                     guard(f"_t{i} is not None", f"_t{i} is None")
@@ -629,7 +630,7 @@ def _emit_trigger(
                     emit(depth, f"for _k{i}, _{'j' if rows else 'p'}{i}"
                          f" in {data[i]}.items():")
                 else:
-                    emit(depth, f"_b{i} = {bkt}.get({probe_key})")
+                    emit(depth, f"_b{i} = {index}.get({probe_key})")
                     emit(depth, f"if _b{i}:")
                     depth += 1
                     emit(depth, f"for _k{i}, _{'j' if rows else 'p'}{i}"
@@ -677,6 +678,7 @@ def _emit_trigger(
                 emit(depth, f"_lv = {lift[0]}")
                 operands["_lv"] = ("_lv",) + lift[1:]
 
+    gathered = None  # the memo's term table, where it keeps rows gathered
     if memo is None:
         lift_lines()
         if ir.accumulate.lifts:
@@ -690,7 +692,9 @@ def _emit_trigger(
         # is admitted on the second sighting of one payload (the first
         # leaves ``id(payload)``: a sibling rewritten between probes costs
         # a marker, not a block), and a site outgrowing twice its
-        # sibling's live keys starts over.  In row form both are rows.
+        # sibling's live keys starts over.  In row form both are rows; where
+        # the product with ``_psrc`` is over disjoint supports, the row is
+        # kept gathered for it, so a hit multiplies without a gather.
         memo_d = glob("_memo", ("memo",))
         sibling = op_pay[memo]
         emit(depth, f"_e = {memo_d}.get(_pk)")
@@ -700,6 +704,12 @@ def _emit_trigger(
         depth += 1
         lift_lines()
         operands["_tl"] = mul("_tl", operands[sibling], operands["_lv"])
+        tl = operands["_tl"][1]
+        terms = rows and source and tl and CofactorKernelOps.terms(source, tl)
+        if terms and terms[3] is None:  # disjoint supports
+            gathered = terms
+            ib = glob(f"_ib{len(requests)}", ("const", terms[2]))
+            emit(depth, f"_tl = _tl[{ib}]")
         depth -= 1
         emit(depth + 1, f"if _e == id({sibling}):")
         emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, _tl)")
@@ -708,7 +718,12 @@ def _emit_trigger(
         emit(depth + 3, f"{memo_d}.clear()")
         emit(depth + 2, f"{memo_d}[_pk] = id({sibling})")
         factors = ["_psrc", "_tl"]
-    if not factors:
+    if gathered:
+        ia = glob(f"_ia{len(requests)}", ("const", gathered[1]))
+        emit(depth, f"_v = _psrc[{ia}]")
+        emit(depth, "_v *= _tl")
+        value = ("_v", gathered[0], True)
+    elif not factors:
         emit(depth, "_v = _one.row" if rows else "_v = _one")
         value = ("_v", (), True)
     else:

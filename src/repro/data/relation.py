@@ -1032,22 +1032,34 @@ class _Rows:
 
 class _BlockIndex(_Rows):
     """A secondary index of a :class:`BlockRelation`: per subkey the
-    bucket of its keys (key → row of the view's block) and the bucket's
-    payload sum, a row of this index's own block."""
+    bucket of its keys (key → row of the view's block ``rows``) and, from
+    the first request on (:meth:`keep_sums`), the bucket's payload sum, a
+    row of this index's own block."""
 
-    __slots__ = ("projector", "positions", "buckets", "sums")
+    __slots__ = ("projector", "positions", "buckets", "sums", "rows")
 
-    def __init__(self, kops, schema, attrs):
+    def __init__(self, kops, schema, attrs, rows):
         self.projector = key_projector(schema, attrs)
         self.positions = schema_positions(schema, attrs)
         self.buckets: Dict[tuple, Dict[Key, int]] = {}
-        self.sums: Dict[tuple, int] = {}
+        self.sums: Optional[Dict[tuple, int]] = None
+        self.rows = rows
         super().__init__(kops)
 
     def reset(self, support, width: int) -> None:
         super().reset(support, width)
         self.buckets.clear()
-        self.sums.clear()
+        if self.sums is not None:
+            self.sums.clear()
+
+    def keep_sums(self) -> dict:
+        """The bucket sums: built from the buckets at the first call, kept."""
+        if self.sums is None:
+            self.sums = {}
+            for subkey, bucket in self.buckets.items():
+                j = self.sums[subkey] = self.alloc()
+                self.block[j] = np.add.reduce(self.rows.block[list(bucket.values())])
+        return self.sums
 
 
 class _Payloads(Mapping):
@@ -1081,6 +1093,18 @@ class _Payloads(Mapping):
 
     def __reduce__(self):
         return dict, (list(self.items()),)
+
+
+class _Sums(_Payloads):
+    """A block view's ``_indexes[attrs][2]``: an index's bucket sums as a
+    read-only payload map, kept from the first read on."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: _BlockIndex):
+        self._index, self._read = index, index.peek
+
+    _rows = property(lambda self: self._index.keep_sums())
 
 
 class _Frozen(Mapping):
@@ -1288,14 +1312,13 @@ class BlockRelation(Relation):
         if store.cache:
             store.cache.pop(key, None)
         stored = store.block[i]
-        old = stored.copy() if self._blocks else None
         stored += row
         tolerance = self._kops.tolerance
         if abs(stored[0]) <= tolerance and not (np.abs(stored) > tolerance).any():
+            if self._blocks:  # the sums lose the old row: row - what is left
+                self._index_row(key, None, row - stored)
             del slot[key]
             store.release(i)
-            if self._blocks:
-                self._index_row(key, None, -old)
         elif self._blocks:
             self._index_row(key, i, row)
 
@@ -1316,11 +1339,13 @@ class BlockRelation(Relation):
                 if not bucket:
                     # The bucket's sum goes with it, as in Relation.
                     del buckets[subkey]
-                    j = sums.pop(subkey, None)
+                    j = None if sums is None else sums.pop(subkey, None)
                     if j is not None:
                         index.cache.pop(subkey, None)
                         index.release(j)
                     continue
+            if sums is None:
+                continue
             j = sums.get(subkey)
             if j is None:
                 if i is not None:
@@ -1374,19 +1399,18 @@ class BlockRelation(Relation):
         rows_at = at  # the key table's own ints, shared with the buckets
         at = np.fromiter(at, np.intp, len(keys))
         block = store.block
-        old = block[at] if self._blocks else None
         block[at] += rows
         tolerance = self._kops.tolerance
         dead = (np.abs(block[at]) <= tolerance).all(axis=1)
         applied = rows
         if dead.any():
             dead_at = np.flatnonzero(dead)
+            if self._blocks:  # a dead row's sums lose the old row
+                applied = rows.copy()
+                applied[dead_at] -= block[at[dead_at]]
             for p in dead_at.tolist():
                 del slot[keys[p]]
             store.release(at[dead_at].tolist())
-            if self._blocks:
-                applied = rows.copy()
-                applied[dead_at] = -old[dead_at]
         for index in self._blocks.values():
             _index_rows(index, keys, rows_at, dead.tolist(), applied)
 
@@ -1395,14 +1419,14 @@ class BlockRelation(Relation):
         if attrs == self.schema or attrs in self._indexes:
             return
         store = self._store
-        index = _BlockIndex(self._kops, self.schema, attrs)
+        index = _BlockIndex(self._kops, self.schema, attrs, store)
         index.reset(store.support, store.block.shape[1])
         self._blocks[attrs] = index
         peek = store.peek
         self._indexes[attrs] = (
             index.projector,
             _Payloads(index.buckets, lambda _, bucket: _Payloads(bucket, peek)),
-            _Payloads(index.sums, index.peek),
+            _Sums(index),
         )
         if self._slot:
             keys, at = list(self._slot), list(self._slot.values())
@@ -1437,12 +1461,14 @@ def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
             bucket.pop(key, None)
             if not bucket:
                 del buckets[subkey]
-                j = sums.pop(subkey, None)
+                j = None if sums is None else sums.pop(subkey, None)
                 if j is not None:
                     index.cache.pop(subkey, None)
                     retired.append(j)
                 targets.append(-1)
                 continue
+        if sums is None:
+            continue
         j = sums.get(subkey)
         if j is None:
             if gone:
@@ -1452,6 +1478,8 @@ def _index_rows(index: _BlockIndex, keys, at, dead, applied) -> None:
         elif index.cache:
             index.cache.pop(subkey, None)
         targets.append(j)
+    if sums is None:
+        return
     targets = np.fromiter(targets, np.intp, len(targets))
     moved = targets >= 0
     if moved.all():

@@ -509,14 +509,26 @@ class CofactorKernelOps:
         ``range(n_groups)`` must occur (the kernel program assigns ids
         first-seen), so the reduceat segments line up with the group
         numbering.  Ids in order already (first-seen ids that form one
-        run per group, as one group does) are not sorted."""
+        run per group, as one group does) are not sorted.  Over more than
+        two groups per three rows most groups are one row: those rows
+        are copied and only the colliding groups' rows reduced — the same
+        segments in the same order, so the same bits."""
         block, support = packed
+        order = None
         if (group_ids[1:] < group_ids[:-1]).any():
             order = np.argsort(group_ids, kind="stable")
             group_ids = group_ids[order]
-            block = block[order]
         starts = np.searchsorted(group_ids, np.arange(n_groups))
-        return (np.add.reduceat(block, starts, axis=0), support)
+        if 3 * n_groups <= 2 * len(group_ids):
+            block = block if order is None else block[order]
+            return (np.add.reduceat(block, starts, axis=0), support)
+        sizes = np.diff(starts, append=len(group_ids))
+        multi = sizes > 1
+        rows = np.arange(len(group_ids)) if order is None else order
+        out, runs = block[rows[starts]], sizes[multi]
+        out[multi] = np.add.reduceat(
+            block[rows[np.repeat(multi, sizes)]], np.cumsum(runs) - runs, axis=0)
+        return (out, support)
 
     def unpack(self, reduced):
         """Per-group :class:`CofactorTriple` views over the block's rows

@@ -35,8 +35,8 @@ class ScalarKernelOps:
     whose columns multiply as plain arrays
     (:func:`repro.data.relation.float_column_ops`): array factor
     programs, the resident root, and bulk evaluation's packed join and
-    grouped sum use ``pack`` / ``reduce`` / ``zero_mask`` / ``unpack``,
-    and the resident root adds columns with ``add_packed``.
+    grouped sum use ``pack`` / ``reduce`` / ``zero_mask`` / ``unpack``, a
+    partial view's filter ``take``, the resident root ``add_packed``.
     """
 
     __slots__ = ("tolerance",)
@@ -59,6 +59,9 @@ class ScalarKernelOps:
 
     def add_packed(self, a, b):
         return a + b
+
+    def take(self, packed, rows):
+        return packed[rows]
 
     def zero_mask(self, packed):
         if self.tolerance:

@@ -42,7 +42,8 @@ def storage(view: BlockRelation):
     """Every container of the view's stored state, by kind."""
     yield "key table", view._slot
     for attrs, index in view._blocks.items():
-        yield f"sums on {attrs}", index.sums
+        if index.sums is not None:  # kept only where a probe reads them
+            yield f"sums on {attrs}", index.sums
         for bucket in index.buckets.values():
             yield f"bucket on {attrs}", bucket
 
@@ -270,3 +271,72 @@ def test_a_small_listing_delta_is_written_row_by_row(monkeypatch):
     engine.apply_update(delta)
     assert (len(packs), len(absorbs)) == (0, 0)
     assert len(writes) >= 4
+
+
+#: The two Retailer indexes only non-aggregated probes read (the Item and
+#: Census triggers walk their buckets).
+BUCKET_ONLY = [("V@inventoryunits_I", ("ksn",)), ("V@rgn_cd_L", ("zip",))]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_an_index_no_probe_sums_keeps_no_sum_row(rows, monkeypatch):
+    """Over the quick Retailer stream at one and at four rows per call,
+    no sum row of a bucket-only index is allocated or written: no probe
+    of the Retailer triggers reads a bucket sum, so no index keeps any."""
+    from benchmarks.e2e.harness import apply_ops
+    from benchmarks.e2e.w_retailer import SCHEMAS, RetailerB1
+
+    allocated, kept = [], []
+    spy(monkeypatch, relation._BlockIndex, "alloc", allocated, lambda ix: ix)
+    spy(monkeypatch, relation._BlockIndex, "keep_sums", kept, lambda ix: ix)
+    instance = type("Rows", (RetailerB1,), {"quick_batch": rows})(3, True)
+    _query, engine = instance.build()
+    apply_ops(
+        SCHEMAS, engine.query.ring, engine.apply_update,
+        instance.warm + instance.ops,
+    )
+    indexes = [engine.views[name]._blocks[attrs] for name, attrs in BUCKET_ONLY]
+    assert all(index.buckets for index in indexes), "fixture: indexes in use"
+    for index in indexes:
+        assert index.sums is None
+        assert index.top == 0 and not index.block.any()
+        assert not any(ix is index for ix in allocated + kept)
+    assert all(
+        index.sums is None
+        for view in engine.views.values() for index in view._blocks.values()
+    )
+
+
+def test_sums_requested_over_held_data_sum_the_buckets():
+    """An aggregated probe bound after the view holds data (its binding's
+    ``rowsums`` request, or the interpreter's read of ``_indexes``) reads
+    each bucket's rows summed, and the view's later writes move them."""
+    from repro.core.plan_exec import _BLOCK_REQUESTS
+    from tests.conftest import bucket_sum
+
+    instance, state = quick_b600()
+    half = len(instance.ops) // 2
+    ops = instance.ops
+    instance.ops = ops[:half]
+    instance.run(state)
+    engine, ring = state.engine, state.engine.query.ring
+    (name, attrs), (other, other_attrs) = BUCKET_ONLY
+    view = engine.views[name]
+    sums = _BLOCK_REQUESTS["rowsums"](view, attrs)
+    index = view._blocks[attrs]
+    assert sums is index.sums
+
+    def check():
+        assert sums.keys() == index.buckets.keys()
+        for subkey, bucket in index.buckets.items():
+            want = ring.sum([view.payload(key) for key in bucket])
+            assert ring.eq(index.peek(subkey, sums[subkey]), want)
+
+    check()
+    instance.ops = ops[half:]
+    instance.run(state)
+    check()
+    far = engine.views[other]
+    for subkey, bucket in list(far._blocks[other_attrs].buckets.items())[:20]:
+        want = ring.sum([far.payload(key) for key in bucket])
+        assert ring.eq(bucket_sum(far, other_attrs, subkey), want)

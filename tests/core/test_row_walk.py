@@ -15,6 +15,8 @@ the row to the general walk, exactly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -550,3 +552,43 @@ def test_the_row_form_makes_no_ring_call(monkeypatch):
     assert len(walked.views["V@locn_CIILW"]) == 1, "fixture: rows reach the root"
     for name, view in interpreted.views.items():
         assert walked.views[name].same_as(view), name
+
+
+def memo_hits(source):
+    """Per lifted-sibling memo site of a generated path, the lines a hit
+    runs: the hit branch, then the product up to the step's write."""
+    lines, sites = source.splitlines(), []
+    for at, line in enumerate(lines):
+        if "_e.__class__ is tuple" not in line:
+            continue
+        indent = len(line) - len(line.lstrip())
+        hit, skipping = [lines[at + 1]], False
+        for text in lines[at + 2:]:
+            depth = len(text) - len(text.lstrip())
+            if depth == indent and text.strip() == "else:":
+                skipping = True
+            elif depth <= indent:
+                skipping = False
+            if not skipping and depth <= indent:
+                hit.append(text)
+                if "_write(" in text:
+                    break
+        sites.append(hit)
+    return sites
+
+
+def test_a_memo_hit_on_the_inventory_path_gathers_once():
+    """The memo keeps ``sibling ⊗ lifts`` gathered for the product with
+    the path's row (their supports are disjoint), so a hit multiplies it
+    on after one term-table gather, of the row; a miss gathers it once,
+    when it is stored."""
+    walked, _, _ = retailer_pair()
+    source = walked._row_paths["Inventory"].source_text
+    sites = memo_hits(source)
+    assert len(sites) == 3
+    for hit in sites:
+        gathers = [line for line in hit if re.search(r"\[_i[ab]\d", line)]
+        assert [line.strip() for line in gathers] == [gathers[0].strip()]
+        assert re.fullmatch(r"_v = _psrc\[_ia\d+_\d+\]", gathers[0].strip())
+        assert "_v *= _tl" in [line.strip() for line in hit]
+    assert len(re.findall(r"_tl = _tl\[_ib\d+_\d+\]", source)) == 3

@@ -244,6 +244,62 @@ def test_unregistered_deltas_drop_with_a_record(form):
     assert part.views[root].payload(victim) == full_root.payload(victim)
 
 
+def test_packed_cofactor_deltas_stay_packed_through_the_filters(monkeypatch):
+    """A partial cofactor engine fed deltas of 12 rows or more — packed
+    by the engine's guard, packed out of every trigger — filters them at
+    the partial root without folding one into payload objects (the
+    filters keep the packed key table's active rows), and the keys it
+    serves equal full materialization's."""
+    from repro.data import relation
+    from repro.rings import CofactorRing, Lifting
+
+    schemas = {"R": ("A", "B"), "S": ("A", "C"), "T": ("A", "D")}
+
+    def query(tag):
+        ring = CofactorRing(3)
+        lifts = {"B": ring.lift(0), "C": ring.lift(1), "D": ring.lift(2)}
+        return Query(tag, schemas, free=("A",), ring=ring,
+                     lifting=Lifting(ring, lifts))
+
+    order = VariableOrder.from_spec(("A", ["B", "C", "D"]))
+    full = FIVMEngine(query("Qf"), order)
+    part = FIVMEngine(query("Qp"), order, materialization="partial")
+    ring = part.query.ring
+    client = ViewClient(part)
+    root = part.tree.root.name
+    rng = random.Random(12)
+
+    def deltas(steps):
+        for step in range(steps):
+            rel = "RST"[step % 3]
+            rows = {(rng.randrange(10), rng.randrange(40)) for _ in range(60)}
+            rows = sorted(rows)[:(12, 40)[step % 2]]
+            for sign in (2, -1):
+                yield Relation.from_tuples(
+                    rel, schemas[rel], ring, rows, ring.from_int(sign))
+
+    def feed(steps):
+        for delta in deltas(steps):
+            full.apply_update(delta.copy())
+            part.apply_update(delta)
+
+    feed(6)
+    served = [(a,) for a in range(0, 10, 3)]
+    for key in served:
+        client.lookup(root, key)
+    folds = []
+    fold = relation._fold_packed
+    monkeypatch.setattr(
+        relation, "_fold_packed", lambda *args: folds.append(1) or fold(*args))
+    feed(12)
+    monkeypatch.undo()
+    assert folds == []
+    assert part.partial[root].stats["dropped_deltas"], "fixture: keys dropped"
+    for key in served:
+        assert ring.eq(client.lookup(root, key), full.views[root].payload(key))
+    assert set(part.views[root].keys()) <= set(part.partial[root].entries)
+
+
 # ----------------------------------------------------------------------
 # The write/invalidation choke point (initialize regression)
 # ----------------------------------------------------------------------

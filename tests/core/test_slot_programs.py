@@ -36,6 +36,8 @@ from repro.rings import (
     SquareMatrixRing,
 )
 
+from repro.rings.cofactor import CofactorKernelOps
+
 from tests.conftest import (
     chain_order,
     FORMS,
@@ -370,7 +372,8 @@ class TestLiftedSiblingMemo:
             assert admitted(engine, "V@A_RST:child0") == {(1,)}
 
     @pytest.mark.parametrize("ring_cls, product", [
-        (CofactorRing, "_v *= _tl["),  # the row form: a term-table gather
+        # The row form: the memo keeps its row gathered for the product.
+        (CofactorRing, "_v *= _tl\n"),
         (DegreeRing, "_v = _mul(_v, _tl)"),
     ])
     def test_source_at_child_position_one(self, ring_cls, product):
@@ -384,9 +387,10 @@ class TestLiftedSiblingMemo:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_sibling_payload_that_is_the_ring_one(self, form):
-        """``one ⊗ lift`` is the (shared, memoized) lift's row itself —
-        kept over block views as ``(sibling row, product row)``; an entry
-        holding it must still die with the sibling."""
+        """``one ⊗ lift`` is the (shared, memoized) lift's row itself,
+        kept over block views as ``(sibling row, product row)`` with the
+        product gathered for its product with R's row; an entry holding
+        it must still die with the sibling."""
         schemas = {"R": ("A", "B"), "S": ("A",)}
         order = VariableOrder.from_spec(("A", ["B"]))
 
@@ -408,14 +412,19 @@ class TestLiftedSiblingMemo:
         lockstep(engine, oracle, script, schemas)
         if form == "scalar":
             leaf = engine.views[engine.tree.leaves["S"].name]
-            [memo] = [
-                memo for memo, sibling in engine._memo_sites.values()
+            [(memo, source)] = [
+                (memo, program.layout[0])
+                for program in engine._programs.values()
+                for memo, sibling in program.memo_sites.values()
                 if sibling is leaf
             ]
             sibling, product = memo[(1,)]
             assert sibling is leaf._store.cache[(1,)]
             assert sibling is leaf._data[(1,)].row
-            assert product is engine.query.lifting.get("A")(1).row
+            _, _, ib, starts = CofactorKernelOps.terms(source, (0,))
+            assert starts is None  # disjoint supports: kept gathered
+            lift = engine.query.lifting.get("A")(1).row
+            assert np.array_equal(product, lift[ib])
 
     def test_only_rings_with_array_products_build_a_memo(self):
         """ℤ/ℝ (a ``*`` is cheaper than the dict probe) and the

@@ -3,12 +3,14 @@ against a plain :class:`Relation` of triples fed the same changes.
 
 Random sequences of one-row adds, listing and packed bulk absorbs,
 cancellations to zero and batches that grow the block past its capacity
-run on a view with zero, one and two secondary indexes.  After every
-step the block view must read like the dict of triples under the ring's
-tolerance — ``payload``, ``items``, ``lookup`` and the bucket sums the
-triggers read — keep
-every used row live and every free row zero, and survive a snapshot
-(``frozen``, pickled as the version-3 dict of payloads) and restore.
+run on a view with zero, one and two secondary indexes whose sums are
+requested up front, and on one whose index keeps buckets only until a
+step requests its sums.  After every step the block view must read like
+the dict of triples under the ring's tolerance — ``payload``, ``items``,
+``lookup`` and the bucket sums the triggers read — keep every used row
+live and every free row zero, hold no sum row on an index whose sums no
+one requested, and survive a snapshot (``frozen``, pickled as the
+version-3 dict of payloads) and restore.
 Payload cells are multiples of ½, so sums are exact and cancellations
 real.
 """
@@ -51,25 +53,37 @@ def make(drawn) -> CofactorTriple:
     return _triple(RING.degree, support, np.array(cells))
 
 
-#: The indexes of the three views each machine step drives: none, one,
-#: two.
-INDEXES = [(), (("A",),), (("A",), ("B",))]
+#: The indexes of the views each machine step drives: none, one, two
+#: (sums requested at construction, as a trigger's binding does), and
+#: one whose sums only :meth:`BlockViews.request_late_sums` requests.
+INDEXES = [(), (("A",),), (("A",), ("B",)), (("A",),)]
+LATE = 3
+
+
+def request_sums(view, attrs) -> None:
+    """Ask for an index's sums the way an aggregated probe's binding
+    does."""
+    view._blocks[attrs].keep_sums()
 
 
 class BlockViews(RuleBasedStateMachine):
-    """Three block views (zero, one and two indexes) and the dict of
-    triples, fed the same changes."""
+    """Four block views (zero, one and two indexes summed from the start,
+    one index summed on request) and the dict of triples, fed the same
+    changes."""
 
     def __init__(self):
         super().__init__()
         self.views = []
-        for indexes in INDEXES:
+        for at, indexes in enumerate(INDEXES):
             view = BlockRelation("V", SCHEMA, RING)
             for attrs in indexes:
                 view.register_index(attrs)
+                if at != LATE:
+                    request_sums(view, attrs)
             self.views.append(view)
+        self.late = False
         self.ref = Relation("V", SCHEMA, RING)
-        for attrs in INDEXES[-1]:
+        for attrs in INDEXES[2]:
             self.ref.register_index(attrs)
 
     def absorb(self, delta):
@@ -167,6 +181,15 @@ class BlockViews(RuleBasedStateMachine):
         self.ref.absorb_bulk(Relation("V", SCHEMA, RING, minus))
 
     @rule()
+    def request_late_sums(self):
+        """The late view's sums, requested over whatever it holds now:
+        each bucket's rows summed once, then moved by every write."""
+        if not self.late:
+            self.late = True
+            for attrs in INDEXES[LATE]:
+                request_sums(self.views[LATE], attrs)
+
+    @rule()
     def snapshot_round_trip(self):
         for view, indexes in zip(self.views, INDEXES):
             frozen = view.frozen()
@@ -175,6 +198,7 @@ class BlockViews(RuleBasedStateMachine):
             restored = BlockRelation("V", SCHEMA, RING)
             for attrs in indexes:
                 restored.register_index(attrs)
+                request_sums(restored, attrs)
             loaded = Relation("V", SCHEMA, RING)
             loaded._data = dict(saved)
             restored.absorb_bulk(loaded)
@@ -183,8 +207,18 @@ class BlockViews(RuleBasedStateMachine):
 
     @invariant()
     def reads_like_the_dict_of_triples(self):
-        for view, indexes in zip(self.views, INDEXES):
-            same(view, self.ref, indexes)
+        for at, (view, indexes) in enumerate(zip(self.views, INDEXES)):
+            same(view, self.ref, indexes, sums=at != LATE or self.late)
+
+    @invariant()
+    def a_bucket_only_index_holds_no_sums(self):
+        for attrs, index in self.views[LATE]._blocks.items():
+            if not self.late:
+                assert index.sums is None
+                assert index.top == 0 and not index.free
+                assert not index.block.any()
+            else:
+                assert index.sums is not None
 
     @invariant()
     def used_rows_are_live_and_free_rows_zero(self):
@@ -197,7 +231,8 @@ class BlockViews(RuleBasedStateMachine):
             assert not store.block[store.free].any()
             assert not store.block[store.top:].any()
             for index in view._blocks.values():
-                assert index.top - len(index.free) == len(index.sums)
+                kept = 0 if index.sums is None else len(index.sums)
+                assert index.top - len(index.free) == kept
                 assert not index.block[index.free].any()
 
 
@@ -207,8 +242,9 @@ def eq(a, b) -> bool:
     return bool(gap <= RING.tolerance)
 
 
-def same(view, ref, indexes):
-    """``view`` reads like ``ref`` under the ring's tolerance."""
+def same(view, ref, indexes, sums=True):
+    """``view`` reads like ``ref`` under the ring's tolerance (its bucket
+    sums too, given ``sums``)."""
     assert len(view) == len(ref)
     got = dict(view.items())
     assert set(got) == set(ref.keys())
@@ -224,7 +260,9 @@ def same(view, ref, indexes):
             have = dict(view.lookup(attrs, subkey))
             assert set(have) == set(want)
             assert all(eq(have[k], want[k]) for k in want)
-            assert eq(bucket_sum(view, attrs, subkey), bucket_sum(ref, attrs, subkey))
+            if sums:
+                assert eq(
+                    bucket_sum(view, attrs, subkey), bucket_sum(ref, attrs, subkey))
 
 
 BlockViews.TestCase.settings = SELECTED

@@ -242,6 +242,9 @@ GROUP_IDS = {
     "one group": [0] * 12,
     "contiguous runs": [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3],
     "shuffled": [0, 1, 0, 2, 1, 3, 2, 0, 3, 1, 2, 3],
+    # Most groups one row: only the colliding ones are reduced.
+    "mostly unique": [0, 1, 2, 1, 3, 4, 5, 6, 4, 7, 8, 9],
+    "mostly unique, in order": [0, 1, 1, 2, 3, 4, 5, 5, 5, 6, 7, 8],
 }
 
 
