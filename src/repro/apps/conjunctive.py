@@ -28,9 +28,9 @@ views the triggers probe, plus the views enumeration reads
 from __future__ import annotations
 
 from functools import partial
-from itertools import product, repeat
+from itertools import chain, cycle, repeat, takewhile
 from math import prod
-from operator import itemgetter
+from operator import concat, itemgetter, mul
 from typing import (
     Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
     Tuple,
@@ -122,6 +122,34 @@ def _count(counted: _Counted, binding: tuple) -> int:
     for view, key_of in counted:
         total *= view.payload(key_of(binding))
     return total
+
+
+def _product(head: tuple, count: int, buckets) -> Tuple[Iterator, Iterator]:
+    """The rows and multiplicities of ``{(head, count)}`` × the tail
+    buckets, each a (values, stored counts) pair of lists, as C iterators.
+    A one-entry bucket is folded into its left neighbour, the head into
+    the first bucket with more entries; each other bucket multiplies the
+    rows before it.  Where the first level's counts are equal and every
+    later one is one, that count is the whole run's multiplicity.
+    docs/architecture.md §9."""
+    levels = [([head], [count])]
+    for values, stored in buckets:
+        left, factors = levels[-1]
+        if len(values) == 1 or len(left) == 1:  # the product is no larger
+            levels[-1] = (
+                [prefix + value for prefix in left for value in values],
+                [factor * n for factor in factors for n in stored],
+            )
+        else:
+            levels.append((values, stored))
+    rows, mults = levels[0]
+    constant = len(set(mults)) == 1 and all(  # set semantics below the head
+        stored.count(1) == len(stored) for _, stored in levels[1:])
+    for values, stored in levels[1:]:  # each outer row n times × n values
+        n = repeat(len(values))
+        rows = map(concat, chain.from_iterable(map(repeat, rows, n)), cycle(values))
+        mults = map(mul, chain.from_iterable(map(repeat, mults, n)), cycle(stored))
+    return rows, repeat(levels[0][1][0]) if constant else mults
 
 
 class _FreeView:
@@ -275,7 +303,7 @@ class _EnumerationPlan:
 
     def runs(self) -> Iterator[Iterable[Tuple[tuple, int]]]:
         """The result as a union of products: per binding of the streamed
-        views, one iterable of the (row, multiplicity) pairs under it."""
+        views, one C iterator of the (row, multiplicity) pairs under it."""
         streamed, tail, reorder = self.streamed, self.tail, self.reorder
         count = _count(self.counted, ())
         if not count:
@@ -332,20 +360,26 @@ class _EnumerationPlan:
             if depth < last:
                 cursors[depth] = iter(bucket(depth, streamed[depth]))
                 continue
-            if tail:
-                values, factors = [(row[last],)], [(counts[last],)]
-                for index, plan_view in enumerate(tail, last):
-                    bound_values, stored = bucket(index, plan_view)
-                    values.append(bound_values)
-                    factors.append(stored)
-                rows = map(sum, product(*values), repeat(()))  # concatenated
-                if reorder is not None:
-                    rows = map(reorder, rows)
-                yield zip(rows, map(prod, product(*factors)))
-            else:
-                out = row[last] if reorder is None else reorder(row[last])
-                yield ((out, counts[last]),)
+            rows, mults = _product(row[last], counts[last], [
+                bucket(index, plan_view)
+                for index, plan_view in enumerate(tail, last)
+            ])
+            yield zip(rows if reorder is None else map(reorder, rows), mults)
             depth -= 1
+
+
+def _gated(runs: Iterator[Iterable], live: bytearray) -> Iterator[Iterator]:
+    """``runs``, each behind a C gate over ``live``'s bytes that is read
+    before every pair and closes when ``live`` is cleared; then, before
+    ``runs`` is advanced again, the ``RuntimeError``."""
+    gate = chain.from_iterable(takewhile(len, repeat(live)))
+    while live:
+        run = next(runs, None)
+        if run is None:
+            return
+        yield map(itemgetter(1), zip(gate, run))
+    raise RuntimeError(
+        "the result changed under this enumeration; call enumerate() again")
 
 
 class ConjunctiveQuery:
@@ -392,9 +426,8 @@ class ConjunctiveQuery:
         self.output_schema = self.engine.tree.order.canonical_sort(self.free)
         #: Factorized mode: derived from the view tree on first use.
         self._plan: Optional[_EnumerationPlan] = None
-        #: Updates applied so far; a live enumeration compares it to the
-        #: value it started from.
-        self._writes = 0
+        #: Gate of the open enumerations, cleared by the next update.
+        self._live = bytearray()
 
     # ------------------------------------------------------------------
 
@@ -404,7 +437,7 @@ class ConjunctiveQuery:
         return self.query.ring
 
     def apply_update(self, delta: Relation) -> None:
-        self._writes += 1
+        self._live.clear()
         self.engine.apply_update(delta)
 
     def memory(self) -> int:
@@ -479,18 +512,7 @@ class ConjunctiveQuery:
         if self.mode == "factorized":
             runs = self._enumeration_plan().runs()
         else:
-            runs = (self.result_relation().items(),)
-        return self._while_unchanged(runs, self._writes)
-
-    def _while_unchanged(
-        self, runs: Iterable[Iterable[Tuple[tuple, int]]], writes: int
-    ) -> Iterator[Tuple[tuple, int]]:
-        stale = "the result changed under this enumeration; call enumerate() again"
-        if self._writes != writes:
-            raise RuntimeError(stale)
-        for run in runs:
-            for pair in run:
-                yield pair
-                # Checked on resumption, before any stored bucket is touched.
-                if self._writes != writes:
-                    raise RuntimeError(stale)
+            runs = iter((self.result_relation().items(),))
+        if not self._live:
+            self._live = bytearray(256)
+        return chain.from_iterable(_gated(runs, self._live))

@@ -708,8 +708,16 @@ def _emit_trigger(
         terms = rows and source and tl and CofactorKernelOps.terms(source, tl)
         if terms and terms[3] is None:  # disjoint supports
             gathered = terms
-            ib = glob(f"_ib{len(requests)}", ("const", terms[2]))
-            emit(depth, f"_tl = _tl[{ib}]")
+            (_, sa, _), (_, sb, _) = operands[sibling], operands["_lv"]
+            if sa and sb and CofactorKernelOps.terms(sa, sb)[3] is None:
+                # No reduceat: compose the gather into the tables mul requested.
+                requests[-2:] = [
+                    (name, ("const", table[terms[2]]))
+                    for name, (_, table) in requests[-2:]
+                ]
+            else:
+                ib = glob(f"_ib{len(requests)}", ("const", terms[2]))
+                emit(depth, f"_tl = _tl[{ib}]")
         depth -= 1
         emit(depth + 1, f"if _e == id({sibling}):")
         emit(depth + 2, f"{memo_d}[_pk] = ({sibling}, _tl)")

@@ -591,4 +591,16 @@ def test_a_memo_hit_on_the_inventory_path_gathers_once():
         assert [line.strip() for line in gathers] == [gathers[0].strip()]
         assert re.fullmatch(r"_v = _psrc\[_ia\d+_\d+\]", gathers[0].strip())
         assert "_v *= _tl" in [line.strip() for line in hit]
-    assert len(re.findall(r"_tl = _tl\[_ib\d+_\d+\]", source)) == 3
+
+
+def test_a_memo_miss_on_the_inventory_path_gathers_twice():
+    """The sibling, the lifts and the path's row have pairwise disjoint
+    supports, so a miss builds ``sibling ⊗ lifts`` already gathered for
+    the row: the row's gather is composed into the product's two term
+    tables when the path is planned, and there is no third gather."""
+    walked, _, _ = retailer_pair()
+    source = walked._row_paths["Inventory"].source_text
+    misses = re.findall(
+        r"_tl = (\w+)\[_ia\d+_\d+\]\n\s+_tl \*= (\w+)\[_ib\d+_\d+\]\n", source)
+    assert len(misses) == 3 and all(lv == "_lv" for _, lv in misses), misses
+    assert "_tl = _tl[" not in source

@@ -1,6 +1,7 @@
 """Cross-cutting property tests: numeric stability, enumeration, batching."""
 
 import random
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,28 @@ def query_shape(draw):
     return schemas, VariableOrder.from_spec(spec(0)), tuple(free)
 
 
+def churn(data, schemas, engines, values):
+    """A drawn stream of single-row inserts and deletes of live rows,
+    over attribute values in ``range(values)``, applied to each engine."""
+    names = sorted(schemas)
+    live = []
+    for _ in range(data.draw(st.integers(0, 25))):
+        if live and data.draw(st.integers(0, 3)) == 0:
+            rel, row = live.pop(data.draw(st.integers(0, len(live) - 1)))
+            sign = -1
+        else:
+            rel = data.draw(st.sampled_from(names))
+            row = tuple(
+                data.draw(st.integers(0, values - 1)) for _ in schemas[rel]
+            )
+            live.append((rel, row))
+            sign = 1
+        for engine in engines:
+            engine.apply_update(
+                Relation(rel, schemas[rel], engine.ring, {row: sign})
+            )
+
+
 @given(query_shape(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_factorized_enumeration_matches_listing_on_any_free_top(shape, data):
@@ -148,25 +171,30 @@ def test_factorized_enumeration_matches_listing_on_any_free_top(shape, data):
     schemas, order, free = shape
     fact = ConjunctiveQuery("Q", schemas, free, mode="factorized", order=order)
     listing = ConjunctiveQuery("Q", schemas, free, mode="listing_keys", order=order)
-    names = sorted(schemas)
-    live = []
-    for _ in range(data.draw(st.integers(0, 25))):
-        if live and data.draw(st.integers(0, 3)) == 0:
-            rel, row = live.pop(data.draw(st.integers(0, len(live) - 1)))
-            sign = -1
-        else:
-            rel = data.draw(st.sampled_from(names))
-            row = tuple(data.draw(st.integers(0, 1)) for _ in schemas[rel])
-            live.append((rel, row))
-            sign = 1
-        for engine in (fact, listing):
-            engine.apply_update(
-                Relation(rel, schemas[rel], engine.ring, {row: sign})
-            )
+    churn(data, schemas, (fact, listing), 2)
     expected = dict(listing.result_relation().items())
     enumerated = list(fact.enumerate())
     assert dict(enumerated) == expected
     assert len(enumerated) == len(expected) == fact.result_size()
+
+
+@given(query_shape(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_factorized_pages_match_listing_with_mixed_bucket_sizes(shape, data):
+    """Hypothesis: with values drawn from {0, 1, 2}, buckets of one entry
+    (folded into a neighbour when a run starts) and of several (nested)
+    mix within one run.  The whole enumeration is the listing result, and
+    a page of any length is that many distinct pairs of it."""
+    schemas, order, free = shape
+    fact = ConjunctiveQuery("Q", schemas, free, mode="factorized", order=order)
+    listing = ConjunctiveQuery("Q", schemas, free, mode="listing_keys", order=order)
+    churn(data, schemas, (fact, listing), 3)
+    expected = set(listing.result_relation().items())
+    enumerated = list(fact.enumerate())
+    assert set(enumerated) == expected and len(enumerated) == len(expected)
+    k = data.draw(st.integers(0, len(expected)))
+    page = list(islice(fact.enumerate(), k))
+    assert len(set(page)) == k and set(page) <= expected
 
 
 @given(st.integers(0, 100_000))
