@@ -3,15 +3,13 @@
 Not a paper figure — the transport companion to the shard-scaling bench:
 the fig7 retailer cofactor ONE workload (dimensions preloaded, the
 ``Inventory`` fact relation streaming) driven through
-:class:`ShardedFIVMEngine` at S=4 in three configurations:
+:class:`ShardedFIVMEngine` at S=4 in two configurations:
 
 * ``per-update``: multiprocessing executor, ``pipeline_depth=0`` — every
   update is a full send/await round trip per shard, the PR-8 behaviour;
 * ``pipelined``: the same executor with a send-ahead window
   (``pipeline_depth=32``) and deferred root-delta collection — acks drain
-  opportunistically, the clock stops blocking on the scheduler;
-* ``socket``: the pipelined window over the loopback TCP transport
-  (length-prefixed pickle frames), the off-box deployment shape.
+  opportunistically, the clock stops blocking on the scheduler.
 
 Reported: throughput per configuration and the pipelined/per-update
 speedup; ``BENCH_shard_pipeline.json`` feeds the CI bench-regression
@@ -64,7 +62,6 @@ def test_fig_shard_pipeline(benchmark):
     configs = {
         "per-update": {"executor": "process", "pipeline_depth": 0},
         "pipelined": {"executor": "process", "pipeline_depth": PIPELINE_DEPTH},
-        "socket": {"executor": "socket", "pipeline_depth": PIPELINE_DEPTH},
     }
 
     def experiment():
@@ -108,7 +105,7 @@ def test_fig_shard_pipeline(benchmark):
 
     results, totals = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    # Ring-merge soundness: pipelined and socket arms included.
+    # Ring-merge soundness: the pipelined arm included.
     expected = totals["single"]
     for name, got in totals.items():
         assert ring.eq(expected, got), (
@@ -119,7 +116,6 @@ def test_fig_shard_pipeline(benchmark):
     cpu_count = os.cpu_count() or 1
     per_update = results["per-update"].average_throughput
     speedup = results["pipelined"].average_throughput / per_update
-    socket_speedup = results["socket"].average_throughput / per_update
 
     rows: List[List[object]] = []
     for name, result in results.items():
@@ -151,7 +147,6 @@ def test_fig_shard_pipeline(benchmark):
                 for name, result in results.items()
             },
             "speedup": speedup,
-            "socket_speedup": socket_speedup,
             "merge_equal": True,  # asserted above; recorded for the ratchet
             "min_speedup": MIN_SPEEDUP,
             "ok": True,

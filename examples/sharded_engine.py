@@ -8,13 +8,10 @@ rest, and merges per-shard root deltas with ring addition; the totals
 match update for update.  A second section runs the multiprocessing
 executor on the retailer cofactor workload, the configuration the
 shard-scaling benchmark measures — first per-update, then with a
-pipelined send-ahead window and lazily resolved root deltas.  A final
-section drives a loopback :class:`repro.serve.ShardHost` over the
-socket transport: the same engine, off one box.
+pipelined send-ahead window and lazily resolved root deltas.
 """
 
 import random
-import threading
 
 from repro.apps.regression import cofactor_query
 from repro.core import FIVMEngine, Query, ShardedFIVMEngine, VariableOrder
@@ -107,39 +104,6 @@ def main() -> None:
         print(f"pipelined cofactor count after flush: {count}")
     finally:
         pipelined.close()
-
-    # Socket transport: the coordinator dials a ShardHost per shard over
-    # TCP.  Here both hosts are loopback threads; in production each runs
-    # on its own machine (`ShardHost(factory, host="0.0.0.0").serve()`).
-    from repro.serve import ShardHost
-
-    hosts = [
-        ShardHost(lambda: FIVMEngine(cof_query, workload.variable_order))
-        for _ in range(2)
-    ]
-    threads = [
-        threading.Thread(target=h.serve, kwargs={"sessions": 1}, daemon=True)
-        for h in hosts
-    ]
-    for t in threads:
-        t.start()
-    remote = ShardedFIVMEngine(
-        cof_query, order=workload.variable_order, shards=2,
-        executor="socket", pipeline_depth=8,
-        shard_addresses=[h.address for h in hosts],
-    )
-    try:
-        for rel, rows in workload.tables.items():
-            remote.apply_update(Relation.from_tuples(
-                rel, workload.schemas[rel], cof_query.ring, rows[:40]
-            ))
-        count = int(remote.result().payload(()).count)
-        addresses = ", ".join(f"{h}:{p}" for h, p in (h.address for h in hosts))
-        print(f"socket shards at [{addresses}]: count={count}")
-    finally:
-        remote.close()
-        for h in hosts:
-            h.close()
 
 
 if __name__ == "__main__":

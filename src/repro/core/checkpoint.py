@@ -299,11 +299,8 @@ def tail_handoff(
     ``snapshot`` is the supervisor's ``(base_seq, snapshot_data)`` pair
     (or ``None`` when no checkpoint has been taken); the handoff carries
     the snapshot plus the journal entries strictly after ``base_seq`` —
-    the exact replay set that rebuilds the lost state.  Every recovery
-    transport (pipe respawn, socket reconnect) consumes the same bundle,
-    so the restart contract cannot drift between executors, and because
-    the bundle is plain picklable data it can cross a wire to a remote
-    :class:`~repro.serve.ShardHost` unchanged.
+    the exact replay set that rebuilds the lost state: the process
+    executor's supervisor replays it onto every worker it respawns.
     """
     base_seq = snapshot[0] if snapshot is not None else 0
     return {

@@ -40,21 +40,18 @@ trigger code is generated once and only re-bound per shard.
 ``executor="process"`` forks one worker per shard (requires the ``fork``
 start method; silently falls back to inline elsewhere): deltas are routed
 in the coordinator, shipped as plain ``(name, schema, {key: payload})``
-triples, and the per-shard root deltas come back the same way — true
-parallel maintenance on multi-core hosts, measured by
-``benchmarks/test_fig_shard_scaling.py``.
-``executor="socket"`` speaks the identical request protocol over TCP
-(length-prefixed pickle frames, :class:`FrameConn`): by default it forks
-loopback shard hosts, and with ``shard_addresses=`` it connects to
-:class:`~repro.serve.ShardHost` processes on other machines — the same
-coordinator, off one box.
+triples in length-prefixed pickle frames (:class:`FrameConn`) over a
+``socketpair`` the worker inherits, and the per-shard root deltas come
+back the same way — true parallel maintenance on multi-core hosts,
+measured by ``benchmarks/test_fig_shard_scaling.py``.  No shard accepts a
+connection: the only wire is the one each fork inherits.
 
 Pipelining
 ----------
 
 A synchronous executor round-trips the transport on *every* update call,
-so per-update latency — scheduler wake-ups on a pipe, RTT on a socket —
-caps throughput regardless of how fast the shards compute.  With
+so per-update latency — a scheduler wake-up per round trip — caps
+throughput regardless of how fast the shards compute.  With
 ``pipeline_depth=N`` (env ``FIVM_SHARD_PIPELINE``) the coordinator keeps
 a send-ahead window of up to ``N`` unacknowledged mutating requests per
 shard: ``apply_update`` / ``apply_batch`` journal, send, and return a
@@ -67,8 +64,8 @@ preserved verbatim, a worker lost mid-window is recovered exactly as in
 the synchronous path — snapshot restore plus journal-tail replay — and
 the replay replies answer every request that was still in flight.
 
-Fault tolerance (process and socket executors)
-----------------------------------------------
+Fault tolerance (process executor)
+----------------------------------
 
 Forked workers die and hang; the coordinator survives both.  Every
 request crosses the pipe under a coordinator-assigned **sequence
@@ -79,10 +76,13 @@ deadline (``recv_timeout`` / ``FIVM_SHARD_TIMEOUT``); a missed deadline,
 a dead pipe, or an injected fault hands the shard to the **supervisor**,
 which forks a fresh worker and rebuilds its state as shard snapshot +
 journal-tail replay — the same cheap incremental path the paper uses for
-maintenance, here used for recovery.  The restarted worker's state is a
-fresh lineage (snapshot + replay), and a live worker deduplicates
-retried sequence numbers, so each update group lands exactly once even
-when the crash hit the applied-but-not-acked window.  Periodic
+maintenance, here used for recovery.  A replacement that dies or misses
+the deadline during that replay (it builds its engine first, which can be
+slow under load) is replaced in turn, within the same ``max_restarts``
+budget.  The restarted worker's state is a fresh lineage (snapshot +
+replay), and a live worker deduplicates retried sequence numbers, so
+each update group lands exactly once even when the crash hit the
+applied-but-not-acked window.  Periodic
 checkpoints (``checkpoint_every``) snapshot each worker and truncate its
 journal, bounding both coordinator memory and replay length.
 Deterministic failures are planted with :class:`repro.core.faults.
@@ -330,54 +330,42 @@ def _shard_worker(conn, factory: Callable[[], FIVMEngine], faults=None) -> None:
 
 
 # ----------------------------------------------------------------------
-# Socket transport: length-prefixed pickle frames with batched writes
+# The wire: length-prefixed pickle frames with batched writes
 # ----------------------------------------------------------------------
 
 
 class FrameConn:
     """Length-prefixed pickle frames over a stream socket.
 
-    The Connection-shaped transport behind ``executor="socket"`` and
-    :class:`~repro.serve.ShardHost`: the same ``send`` / ``poll`` /
-    ``recv`` / ``close`` surface as a :mod:`multiprocessing` pipe, so the
-    worker loop and the supervisor drive both transports through one code
-    path.  Each frame is a 4-byte big-endian length followed by the
-    pickled object.
+    The process executor's transport, over the ``socketpair`` each forked
+    worker inherits: the same ``send`` / ``poll`` / ``recv`` / ``close``
+    surface as a :mod:`multiprocessing` pipe.  Each frame is a 4-byte
+    big-endian length followed by the pickled object.
 
     Writes are **buffered**: ``send`` appends a frame to an output buffer
     and :meth:`flush` ships the whole buffer in one ``sendall`` — the
-    coordinator's send-ahead window thus crosses the network as a handful
-    of large writes instead of one small packet per request.  Any wait
-    for input (``poll`` / ``recv``) flushes first, so a request the
-    caller is about to await can never be stuck in the buffer — but a
-    ``poll`` that can be answered from already-received bytes does *not*
-    flush, so both sides batch: the worker draining a burst of windowed
-    requests accumulates its acks and ships them in one write when its
-    input runs dry.  ``autoflush=True`` opts out of buffering entirely
-    (every ``send`` ships immediately) for callers outside the
-    supervised seq/ack loop.
+    coordinator's send-ahead window thus crosses as a handful of large
+    writes instead of one small write per request.  Any wait for input
+    (``poll`` / ``recv``) flushes first, so a request the caller is about
+    to await can never be stuck in the buffer — but a ``poll`` that can be
+    answered from already-received bytes does *not* flush, so both sides
+    batch: the worker draining a burst of windowed requests accumulates
+    its acks and ships them in one write when its input runs dry.
     """
 
     _HEADER = struct.Struct(">I")
 
-    def __init__(self, sock: socket.socket, autoflush: bool = False):
+    def __init__(self, sock: socket.socket):
         sock.setblocking(True)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP socket (e.g. AF_UNIX)
-            pass
         self._sock = sock
         self._out = bytearray()
         self._in = bytearray()
-        self._autoflush = autoflush
 
     def send(self, obj) -> None:
-        """Buffer one frame (ships immediately under ``autoflush``)."""
+        """Buffer one frame."""
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self._out += self._HEADER.pack(len(payload))
         self._out += payload
-        if self._autoflush:
-            self.flush()
 
     def flush(self) -> None:
         """Ship every buffered frame in one write."""
@@ -437,30 +425,6 @@ class FrameConn:
         except OSError:
             pass
         self._sock.close()
-
-
-def _host_loop(listener: socket.socket, factory, faults=None, sessions=None):
-    """Accept-and-serve loop of a shard host: one coordinator session at
-    a time, each served by :func:`_shard_worker` over a fresh engine.
-
-    A session ends on ``stop`` or EOF; the next accepted connection gets
-    a newly built engine, which the coordinator re-seeds with snapshot +
-    journal-tail replay — socket failover is therefore *reconnect* where
-    the process executor's is *respawn*, over the same handoff.  The
-    fault plan arms the first session only: a reconnected session models
-    the healed worker, which must run fault-free exactly like a respawned
-    process.  ``sessions`` bounds how many sessions to serve (``None``
-    means serve until the listener closes).
-    """
-    served = 0
-    while sessions is None or served < sessions:
-        try:
-            sock, _addr = listener.accept()
-        except OSError:
-            return
-        _shard_worker(FrameConn(sock), factory, faults)
-        faults = None
-        served += 1
 
 
 # ----------------------------------------------------------------------
@@ -558,17 +522,24 @@ def _pipeline_env() -> int:
     return int(raw) if raw else 0
 
 
-class _SupervisedShards:
-    """Out-of-process shard executors: seq/ack protocol + supervision.
+def _process_worker(parent_sock, sock, factory, faults=None) -> None:
+    """Forked-worker entry: drop the coordinator's socket end, then serve."""
+    parent_sock.close()
+    _shard_worker(FrameConn(sock), factory, faults)
 
-    The transport-agnostic half of the process and socket executors.
-    Requests for an operation are sent to every involved worker first and
-    the replies collected afterwards, so the workers compute in parallel
-    while the coordinator blocks only on the slowest one; with
-    ``pipeline_depth > 0``, mutating operations go through
-    :meth:`submit` instead — a per-shard send-ahead window of up to that
-    many unacknowledged requests, drained opportunistically and forced by
-    :meth:`flush` (reads and snapshots always flush first).
+
+class _ProcessShards:
+    """One forked worker per shard: seq/ack protocol + supervision.
+
+    Each worker is forked with its end of a ``socketpair`` and speaks
+    :class:`FrameConn` frames over it.  Requests for an operation are
+    sent to every involved worker first and the replies collected
+    afterwards, so the workers compute in parallel while the coordinator
+    blocks only on the slowest one; with ``pipeline_depth > 0``, mutating
+    operations go through :meth:`submit` instead — a per-shard send-ahead
+    window of up to that many unacknowledged requests, drained
+    opportunistically and forced by :meth:`flush` (reads and snapshots
+    always flush first).
 
     The coordinator keeps, per shard, everything recovery needs: a
     :class:`UpdateJournal` of the packed mutating requests since the last
@@ -576,7 +547,7 @@ class _SupervisedShards:
     shipped back, truncating the journal), and the last applied sequence
     number.  When a worker dies (EOF/broken pipe), hangs past
     ``recv_timeout``, or reports an injected fault, the supervisor reaps
-    it, spawns a replacement *without* the fault plan (the environmental
+    it, forks a replacement *without* the fault plan (the environmental
     event already happened; recovery must not re-plant it), and replays
     the :func:`~repro.core.checkpoint.tail_handoff` bundle — snapshot
     restore plus journal tail.  Because every windowed request was
@@ -584,12 +555,9 @@ class _SupervisedShards:
     everything that was still in flight, so callers never see the
     failure.  With ``supervise=False`` the same detection paths raise an
     error naming the failed shard instead.
-
-    Subclasses provide the transport: :meth:`_spawn` (start a worker and
-    install its connection) and :meth:`_reap` (tear one down).
     """
 
-    kind = "supervised"
+    kind = "process"
 
     def __init__(
         self,
@@ -611,11 +579,12 @@ class _SupervisedShards:
         self.max_restarts = max_restarts
         self._faults = faults
         self._factories = list(factories)
+        self._ctx = multiprocessing.get_context("fork")
         if pipeline_depth is None:
             pipeline_depth = _pipeline_env()
         self.pipeline_depth = max(0, int(pipeline_depth))
         count = len(self._factories)
-        self._conns: List[object] = [None] * count
+        self._conns: List[Optional[FrameConn]] = [None] * count
         self._procs: List[object] = [None] * count
         self._seq = 0
         self._journals = [UpdateJournal() for _ in range(count)]
@@ -636,6 +605,19 @@ class _SupervisedShards:
         if isinstance(self._faults, dict):
             return self._faults.get(shard)
         return self._faults
+
+    def _spawn(self, shard: int, faults) -> None:
+        """Fork ``shard``'s worker over a fresh socketpair."""
+        parent_sock, child_sock = socket.socketpair()
+        proc = self._ctx.Process(
+            target=_process_worker,
+            args=(parent_sock, child_sock, self._factories[shard], faults),
+            daemon=True,
+        )
+        proc.start()
+        child_sock.close()
+        self._conns[shard] = FrameConn(parent_sock)
+        self._procs[shard] = proc
 
     # -- the pipelined window -------------------------------------------
 
@@ -676,10 +658,7 @@ class _SupervisedShards:
             seq = self._next_seq()
             self._journals[shard].append(seq, packed)
             window.append(_Inflight(seq, group))
-            try:
-                self._conns[shard].send((seq, packed))
-            except (BrokenPipeError, OSError) as exc:
-                self._recover_window(shard, reason=f"send failed ({exc!r})")
+            self._conns[shard].send((seq, packed))
         # No opportunistic poll here: polling after every enqueue would
         # cost a syscall per shard per update and force-flush the framed
         # transport's write buffer, defeating its batching.  Acks are
@@ -778,29 +757,20 @@ class _SupervisedShards:
         and pipelining compose with no extra bookkeeping.
         """
         window = self._windows[shard]
-        entries = {entry.seq: entry for entry in window}
+        entries = list(window)
         window.clear()
-        self._restart(shard, reason)
-        handoff = tail_handoff(self._snapshots[shard], self._journals[shard])
-        self._restore(shard, handoff)
-        for jseq, jpacked in handoff["tail"]:
-            tag, payload = self._replay_exchange(shard, jseq, jpacked)
+        replies = self._rebuild(shard, reason)
+        failure = None
+        for entry in entries:
+            tag, payload = replies[entry.seq]
             if tag == "error":
-                if jseq in entries:
-                    # the in-flight group itself fails; surface it exactly
-                    # as the original synchronous send would have
-                    self._deliver(shard, entries.pop(jseq), None)
-                    raise RuntimeError(f"shard {shard} failed:\n{payload}")
-                continue
-            self._applied[shard] = max(self._applied[shard], jseq)
-            entry = entries.pop(jseq, None)
-            if entry is not None:
-                self._deliver(shard, entry, payload)
-        if entries:  # pragma: no cover - journal invariant violated
-            raise RuntimeError(
-                f"shard {shard} window entries {sorted(entries)} missing "
-                "from the journal tail"
-            )
+                # the in-flight group itself fails; surface it exactly as
+                # the original synchronous send would have
+                failure = failure or payload
+                payload = None
+            self._deliver(shard, entry, payload)
+        if failure is not None:
+            raise RuntimeError(f"shard {shard} failed:\n{failure}")
 
     # -- the request protocol -------------------------------------------
 
@@ -826,13 +796,8 @@ class _SupervisedShards:
                 self._snapshots[shard] = None
             if packed[0] in _MUTATING:
                 self._journals[shard].append(seq, packed)
-            try:
-                self._conns[shard].send((seq, packed))
-                pending[shard] = (seq, packed)
-            except (BrokenPipeError, OSError) as exc:
-                replies[shard] = self._recover(
-                    shard, seq, packed, reason=f"send failed ({exc!r})"
-                )
+            self._conns[shard].send((seq, packed))
+            pending[shard] = (seq, packed)
         # Ship every buffered request before awaiting any reply: awaiting
         # shard 0 with shard 1's request still in its write buffer would
         # serialize workers that should run in parallel.
@@ -880,7 +845,17 @@ class _SupervisedShards:
     # -- supervision ----------------------------------------------------
 
     def _restart(self, shard: int, reason: str) -> None:
-        """Budget-check, reap, and respawn ``shard``'s worker fault-free."""
+        """Reap ``shard``'s lost worker, then budget-check and respawn it
+        fault-free.  Reaping comes first, so a fatal error leaves no hung
+        or slow worker running until :meth:`close`."""
+        try:
+            self._conns[shard].close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        proc = self._procs[shard]
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=2.0)
         if not self.supervise:
             raise RuntimeError(
                 f"shard worker {shard} failed ({reason}); supervision is "
@@ -892,81 +867,74 @@ class _SupervisedShards:
                 f"shard worker {shard} failed ({reason}) after exhausting "
                 f"its restart budget ({self.max_restarts})"
             )
-        self._reap(shard)
         # The restarted worker runs fault-free: the environmental event
         # happened; deterministic replay must not re-plant it.
         self._spawn(shard, None)
 
-    def _restore(self, shard: int, handoff: dict) -> None:
-        """Restore a freshly spawned worker from the handoff's snapshot."""
-        if handoff["snapshot"] is None:
-            return
-        tag, payload = self._replay_exchange(
-            shard, handoff["base_seq"], ("restore", handoff["snapshot"])
-        )
-        if tag != "ok":
-            raise RuntimeError(
-                f"shard worker {shard} failed to restore its "
-                f"snapshot:\n{payload}"
+    def _rebuild(self, shard: int, reason: str, read=None) -> dict:
+        """Restart ``shard``'s worker and replay its handoff: snapshot
+        restore, the journal tail, then ``read`` — a read-only in-flight
+        ``(seq, packed)`` request — if given.
+
+        Returns ``{seq: (tag, payload)}`` for every replayed request, in
+        replay order.  A replacement that dies or misses the deadline
+        during the replay (it builds its engine first, which can be slow
+        under load) is replaced in turn and the handoff redone, within
+        the same ``max_restarts`` budget.
+        """
+        while True:
+            self._restart(shard, reason)
+            handoff = tail_handoff(
+                self._snapshots[shard], self._journals[shard]
             )
+            requests = handoff["tail"] + ([read] if read is not None else [])
+            try:
+                if handoff["snapshot"] is not None:
+                    tag, payload = self._replay_exchange(
+                        shard, handoff["base_seq"],
+                        ("restore", handoff["snapshot"]),
+                    )
+                    if tag != "ok":
+                        raise RuntimeError(
+                            f"shard worker {shard} failed to restore its "
+                            f"snapshot:\n{payload}"
+                        )
+                replies = {
+                    seq: self._replay_exchange(shard, seq, packed)
+                    for seq, packed in requests
+                }
+            except (EOFError, OSError) as exc:
+                reason = f"lost during recovery replay ({exc!r})"
+                continue
+            for seq, _packed in handoff["tail"]:
+                # a group that failed here failed identically when first
+                # applied — the state evolution matches
+                if replies[seq][0] != "error":
+                    self._applied[shard] = max(self._applied[shard], seq)
+            return replies
 
     def _recover(self, shard: int, seq: int, packed: tuple, reason: str):
         """Heal ``shard`` after a failure and answer its in-flight request.
 
-        Fresh worker, restored snapshot, journal-tail replay; the
-        in-flight request is either part of the tail (mutating — its
-        replay reply is the answer) or re-sent afterwards (read-only).
+        The in-flight request is either part of the journal tail
+        (mutating — its replay reply is the answer) or re-sent after it
+        (read-only).
         """
-        self._restart(shard, reason)
-        handoff = tail_handoff(self._snapshots[shard], self._journals[shard])
-        self._restore(shard, handoff)
-        result = None
-        answered = False
-        for jseq, jpacked in handoff["tail"]:
-            tag, payload = self._replay_exchange(shard, jseq, jpacked)
-            if tag == "error":
-                if jseq == seq:
-                    # the in-flight group itself fails; surface it exactly
-                    # as the original send would have
-                    raise RuntimeError(f"shard {shard} failed:\n{payload}")
-                # this group failed identically when first applied — the
-                # state evolution matches; keep replaying
-                continue
-            self._applied[shard] = max(self._applied[shard], jseq)
-            if jseq == seq:
-                answered = True
-                result = payload
-        if not answered:
-            # the in-flight request was read-only (view/sizes/snapshot/…)
-            tag, payload = self._replay_exchange(shard, seq, packed)
-            if tag == "error":
-                raise RuntimeError(f"shard {shard} failed:\n{payload}")
-            result = payload
-        return result
+        read = None if packed[0] in _MUTATING else (seq, packed)
+        tag, payload = self._rebuild(shard, reason, read)[seq]
+        if tag == "error":
+            raise RuntimeError(f"shard {shard} failed:\n{payload}")
+        return payload
 
     def _replay_exchange(self, shard: int, seq: int, packed: tuple):
-        """One request to a freshly restarted worker.  Failures here mean
-        recovery itself failed and are fatal (the worker is fault-free,
-        so they indicate a real bug or a dead host)."""
+        """One request to a freshly restarted worker.  A lost worker
+        raises ``EOFError`` or ``OSError`` (``TimeoutError`` past the
+        deadline) for :meth:`_rebuild` to retry."""
         conn = self._conns[shard]
-        try:
-            conn.send((seq, packed))
-        except (BrokenPipeError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {shard} died again during recovery ({exc!r})"
-            ) from exc
-        timeout = self.recv_timeout
-        try:
-            if timeout is not None and not conn.poll(timeout):
-                raise RuntimeError(
-                    f"shard worker {shard} hung during recovery replay "
-                    f"(no reply within {timeout}s)"
-                )
-            tag, _rseq, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {shard} died again during recovery"
-            ) from exc
+        conn.send((seq, packed))
+        if self.recv_timeout is not None and not conn.poll(self.recv_timeout):
+            raise TimeoutError(f"no reply within {self.recv_timeout}s")
+        tag, _rseq, payload = conn.recv()
         return tag, payload
 
     # -- checkpointing --------------------------------------------------
@@ -980,13 +948,8 @@ class _SupervisedShards:
             return
         seq = self._next_seq()
         packed = ("snapshot",)
-        try:
-            self._conns[shard].send((seq, packed))
-            snap = self._await_reply(shard, seq, packed)
-        except (BrokenPipeError, OSError) as exc:
-            snap = self._recover(
-                shard, seq, packed, reason=f"send failed ({exc!r})"
-            )
+        self._conns[shard].send((seq, packed))
+        snap = self._await_reply(shard, seq, packed)
         # The worker is quiescent between requests, so the snapshot
         # reflects exactly the groups applied so far.
         self._snapshots[shard] = (self._applied[shard], snap)
@@ -1001,10 +964,7 @@ class _SupervisedShards:
         for conn in self._conns:
             if conn is None:
                 continue
-            try:
-                conn.send((0, ("stop",)))
-            except (BrokenPipeError, OSError):
-                pass
+            conn.send((0, ("stop",)))
         for conn in self._conns:
             if conn is None:
                 continue
@@ -1027,199 +987,6 @@ class _SupervisedShards:
         self._conns = []
         self._procs = []
         self._windows = []
-
-
-def _process_worker(parent_sock, sock, factory, faults=None) -> None:
-    """Forked-worker entry: drop the coordinator's socket end, then serve."""
-    parent_sock.close()
-    _shard_worker(FrameConn(sock), factory, faults)
-
-
-class _ProcessShards(_SupervisedShards):
-    """One forked worker per shard over a local socketpair (the
-    supervised seq/ack protocol of :class:`_SupervisedShards`).
-
-    The duplex channel is the same :class:`FrameConn` framing the socket
-    executor uses — which is also what a :mod:`multiprocessing` pipe is
-    underneath — so the send-ahead window gets buffered batched writes on
-    this executor too, and both out-of-process transports exercise one
-    wire protocol.
-    """
-
-    kind = "process"
-
-    def __init__(self, factories: Sequence[Callable[[], FIVMEngine]], **kw):
-        self._ctx = multiprocessing.get_context("fork")
-        super().__init__(factories, **kw)
-
-    def _spawn(self, shard: int, faults) -> None:
-        parent_sock, child_sock = socket.socketpair()
-        proc = self._ctx.Process(
-            target=_process_worker,
-            args=(parent_sock, child_sock, self._factories[shard], faults),
-            daemon=True,
-        )
-        proc.start()
-        child_sock.close()
-        self._conns[shard] = FrameConn(parent_sock)
-        self._procs[shard] = proc
-
-    def _reap(self, shard: int) -> None:
-        try:
-            self._conns[shard].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=2.0)
-
-
-class _SocketShards(_SupervisedShards):
-    """The seq/ack protocol over TCP: each shard behind a :class:`FrameConn`.
-
-    Two deployment shapes share this executor:
-
-    * **loopback self-hosting** (default) — the coordinator binds one
-      listener per shard, forks a host process serving it
-      (:func:`_host_loop`), and connects.  The listener stays open in
-      the coordinator, so supervision heals crashes *and* hangs by
-      terminating the host and forking a replacement on the same port —
-      functionally the process executor, but every byte crosses the
-      socket framing that remote deployment uses.
-    * **remote hosts** (``shard_addresses=``) — the coordinator connects
-      to already-running :class:`~repro.serve.ShardHost` processes on
-      other machines.  A lost connection heals by *reconnecting*: the
-      host serves the fresh session with a fresh engine, which the
-      coordinator re-seeds with the same snapshot + journal-tail
-      handoff.  A hung remote worker cannot be terminated from here —
-      give remote hosts their own process supervision.
-    """
-
-    kind = "socket"
-
-    def __init__(
-        self,
-        factories: Sequence[Callable[[], FIVMEngine]],
-        shard_addresses: Optional[Sequence[Tuple[str, int]]] = None,
-        connect_timeout: float = 5.0,
-        faults=None,
-        **kw,
-    ):
-        count = len(factories)
-        if shard_addresses is not None:
-            shard_addresses = [tuple(addr) for addr in shard_addresses]
-            if len(shard_addresses) != count:
-                raise ValueError(
-                    f"shard_addresses names {len(shard_addresses)} hosts "
-                    f"for {count} shards"
-                )
-            if faults is not None:
-                raise ValueError(
-                    "fault plans cannot be shipped to remote shard hosts; "
-                    "arm them on the ShardHost side instead"
-                )
-        self._addresses = shard_addresses
-        self.connect_timeout = connect_timeout
-        self._listeners: List[Optional[socket.socket]] = [None] * count
-        self._ctx = (
-            multiprocessing.get_context("fork")
-            if shard_addresses is None else None
-        )
-        super().__init__(factories, faults=faults, **kw)
-
-    def _spawn(self, shard: int, faults) -> None:
-        if self._addresses is not None:
-            address = self._addresses[shard]
-            proc = None
-        else:
-            listener = self._listeners[shard]
-            if listener is None:
-                listener = socket.create_server(("127.0.0.1", 0))
-                self._listeners[shard] = listener
-            proc = self._ctx.Process(
-                target=_host_loop,
-                args=(listener, self._factories[shard], faults),
-                daemon=True,
-            )
-            proc.start()
-            address = listener.getsockname()
-        self._conns[shard] = FrameConn(self._connect(shard, address))
-        self._procs[shard] = proc
-
-    def _connect(self, shard: int, address) -> socket.socket:
-        deadline = time.monotonic() + self.connect_timeout
-        while True:
-            try:
-                return socket.create_connection(
-                    address, timeout=self.connect_timeout
-                )
-            except OSError as exc:
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"cannot reach shard host {shard} at {address!r} "
-                        f"({exc!r})"
-                    ) from exc
-                time.sleep(0.05)
-
-    def _reap(self, shard: int) -> None:
-        conn = self._conns[shard]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        proc = self._procs[shard]
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=2.0)
-
-    def close(self) -> None:
-        """Stop worker sessions, terminate loopback hosts, release ports.
-
-        Unlike the process executor, a self-hosted shard does not exit on
-        ``stop`` — its host loops back to ``accept`` for the next
-        coordinator session — so hosts are terminated rather than joined.
-        Remote hosts (no local process) are simply disconnected and keep
-        serving.
-        """
-        try:
-            self.flush()
-        except Exception:  # pragma: no cover - shutdown is best-effort
-            pass
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send((0, ("stop",)))
-            except (BrokenPipeError, OSError):
-                pass
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                if conn.poll(1.0):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=2.0)
-        for listener in self._listeners:
-            if listener is not None:
-                listener.close()
-        self._conns = []
-        self._procs = []
-        self._windows = []
-        self._listeners = []
 
 
 # ----------------------------------------------------------------------
@@ -1250,46 +1017,37 @@ class ShardedFIVMEngine:
         the component tuple); relations missing any component are
         replicated.  At least one relation must contain the full key.
     executor:
-        ``"inline"`` (in-process, deterministic), ``"process"`` (one
-        forked worker per shard), or
-        ``"socket"`` (the same protocol over TCP frames — forked
-        loopback hosts by default, remote :class:`~repro.serve.
-        ShardHost` processes via ``shard_addresses``).  ``"process"``
-        and self-hosted ``"socket"`` fall back to inline on platforms
-        without the ``fork`` start method.
+        ``"inline"`` (in-process, deterministic) or ``"process"`` (one
+        forked worker per shard).  ``"process"`` falls back to inline on
+        platforms without the ``fork`` start method.
     pipeline_depth:
-        Process/socket executors: send-ahead window size per shard.  ``0``
+        Process executor: send-ahead window size per shard.  ``0``
         (default; env fallback ``FIVM_SHARD_PIPELINE``) keeps the
         synchronous one-round-trip-per-update protocol; ``N > 0`` lets
         ``apply_update`` / ``apply_batch`` return after enqueuing, with
         a lazily resolved root delta — see :meth:`flush`.
-    shard_addresses:
-        Socket executor only: one ``(host, port)`` per shard naming an
-        already-running :class:`~repro.serve.ShardHost`.  Omitted, the
-        engine self-hosts loopback shards.
     recv_timeout:
-        Process/socket executors: seconds to wait for a worker's reply
-        before declaring it hung (default: ``FIVM_SHARD_TIMEOUT`` env
-        var, else 30; ``<= 0`` waits forever).
+        Process executor: seconds to wait for a worker's reply before
+        declaring it hung (default: ``FIVM_SHARD_TIMEOUT`` env var, else
+        30; ``<= 0`` waits forever).
     supervise:
-        Process/socket executors: heal dead/hung workers by restarting
-        them from their shard snapshot + journal tail (default).  With
-        ``False``, a worker failure raises an error naming the shard.
+        Process executor: heal dead/hung workers by restarting them from
+        their shard snapshot + journal tail (default).  With ``False``, a
+        worker failure raises an error naming the shard.
     checkpoint_every:
-        Process/socket executors: snapshot a worker and truncate its
-        journal once that many mutating requests have accumulated
-        (``None`` disables checkpoints; recovery then replays the whole
-        journal).
+        Process executor: snapshot a worker and truncate its journal once
+        that many mutating requests have accumulated (``None`` disables
+        checkpoints; recovery then replays the whole journal).
     max_restarts:
-        Process/socket executors: per-shard restart budget before the
-        supervisor gives up.
+        Process executor: per-shard restart budget before the supervisor
+        gives up.  A worker lost again during its recovery replay spends
+        another restart.
     faults:
-        Process/socket executors, test-surface: a
+        Process executor, test-surface: a
         :class:`repro.core.faults.FaultPlan` (or zero-argument factory,
         or ``{shard: plan}`` dict) handed to the forked workers —
         deterministic crash/hang/error injection for the crash-recovery
-        oracle.  Restarted workers never inherit it.  Rejected with
-        ``shard_addresses`` (arm remote hosts on their side).
+        oracle.  Restarted workers never inherit it.
     hasher:
         Value-level hash used for routing; must be deterministic across
         processes (default :func:`stable_hash`).
@@ -1314,7 +1072,6 @@ class ShardedFIVMEngine:
         max_restarts: int = 3,
         faults=None,
         pipeline_depth: Optional[int] = None,
-        shard_addresses: Optional[Sequence[Tuple[str, int]]] = None,
     ):
         if shards < 1:
             raise ValueError("shard count must be >= 1")
@@ -1382,19 +1139,10 @@ class ShardedFIVMEngine:
             if self.flags[node.name] and (node.relations & self.partitioned)
         )
 
-        forkless = "fork" not in multiprocessing.get_all_start_methods()
-        if executor == "process" and forkless:
+        if executor not in ("inline", "process"):
+            raise ValueError("executor must be 'inline' or 'process'")
+        if "fork" not in multiprocessing.get_all_start_methods():
             executor = "inline"
-        if executor == "socket" and shard_addresses is None and forkless:
-            executor = "inline"  # self-hosting forks its loopback hosts
-        if executor not in ("inline", "process", "socket"):
-            raise ValueError(
-                "executor must be 'inline', 'process', or 'socket'"
-            )
-        if shard_addresses is not None and executor != "socket":
-            raise ValueError(
-                "shard_addresses requires executor='socket'"
-            )
 
         # Locals, not ``self``: the factories outlive set-up inside the
         # executor, and a closure over ``self`` would make the engine a
@@ -1415,20 +1163,9 @@ class ShardedFIVMEngine:
         factories = [factory] * self.shards
         if executor == "inline":
             self._exec = _InlineShards(factories)
-        elif executor == "process":
+        else:
             self._exec = _ProcessShards(
                 factories,
-                recv_timeout=recv_timeout,
-                supervise=supervise,
-                checkpoint_every=checkpoint_every,
-                max_restarts=max_restarts,
-                faults=faults,
-                pipeline_depth=pipeline_depth,
-            )
-        else:
-            self._exec = _SocketShards(
-                factories,
-                shard_addresses=shard_addresses,
                 recv_timeout=recv_timeout,
                 supervise=supervise,
                 checkpoint_every=checkpoint_every,

@@ -44,82 +44,17 @@ client.
 from __future__ import annotations
 
 import asyncio
-import socket
 from contextlib import asynccontextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.serving import ViewClient
 
 __all__ = [
     "Backpressure",
     "EpochLock",
-    "ShardHost",
     "ViewServer",
     "WriterCrashed",
 ]
-
-
-class ShardHost:
-    """Serve one shard engine over TCP — the remote end of
-    ``ShardedFIVMEngine(executor="socket", shard_addresses=...)``.
-
-    Binds a listener (``port=0`` picks a free port; read it back from
-    :attr:`address`) and, in :meth:`serve`, accepts coordinator sessions
-    one at a time, each served by the shard worker loop over
-    length-prefixed pickle frames (:class:`repro.core.sharded.FrameConn`)
-    — the exact protocol the process executor speaks over pipes.  Every
-    session builds a fresh engine via ``factory`` and is re-seeded by the
-    coordinator with its snapshot + journal-tail handoff, which is what
-    makes a plain reconnect a full failover.  Run one host per shard, on
-    any machine the coordinator can reach::
-
-        host = ShardHost(lambda: FIVMEngine(query))   # on the shard box
-        print(host.address)                            # ("0.0.0.0", 7421)
-        host.serve()                                   # blocks
-
-    ``faults`` arms a :class:`repro.core.faults.FaultPlan` for the first
-    session only (recovered sessions model the healed worker and run
-    fault-free), mirroring the forked executors' test surface.  The host
-    itself is deliberately dumb — no engine state outlives a session —
-    so give it OS-level supervision (systemd, a supervisor tree) for
-    crash restarts; coordinator-side journaling makes the restart safe.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], object],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        faults=None,
-    ):
-        self._factory = factory
-        self._faults = faults
-        self._listener = socket.create_server((host, port))
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — hand this to the coordinator."""
-        return self._listener.getsockname()[:2]
-
-    def serve(self, sessions: Optional[int] = None) -> None:
-        """Accept and serve coordinator sessions (blocks).
-
-        ``sessions`` bounds how many sessions to serve — handy in tests;
-        ``None`` serves until :meth:`close` (or process death).
-        """
-        from repro.core.sharded import _host_loop
-
-        _host_loop(self._listener, self._factory, self._faults, sessions)
-
-    def close(self) -> None:
-        """Close the listener; a blocked :meth:`serve` returns."""
-        self._listener.close()
-
-    def __enter__(self) -> "ShardHost":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class Backpressure(RuntimeError):

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
+import repro.core.sharded as sharded_module
 from repro.core import FIVMEngine, Query, ShardedFIVMEngine, VariableOrder
 from repro.core.faults import (
     ACTIONS,
@@ -136,9 +138,9 @@ def run_crash_case(
     pipeline_depth: int = 0,
 ):
     """Replay one random stream through a fault-free engine and a
-    supervised, fault-injected sharded engine (process or socket
-    executor, synchronous or pipelined); return a divergence description
-    or None."""
+    supervised, fault-injected process-executor sharded engine
+    (synchronous or pipelined); return a divergence description or
+    None."""
     schemas = case["schemas"]
     attrs = tuple(sorted({a for s in schemas.values() for a in s}))
     ring, lifts = ring_family(attrs)
@@ -265,16 +267,18 @@ def test_crash_recovery_oracle(ring_name, shards):
 
 
 #: Executor shapes the oracle re-runs beyond the synchronous process
-#: executor: the send-ahead window and the TCP transport must be exactly
-#: as invisible to correctness as supervision itself.
-PIPELINED_SHAPES = (("process", 4), ("socket", 4))
+#: executor: the send-ahead window must be exactly as invisible to
+#: correctness as supervision itself, both shallow and as deep as the
+#: nightly soak's (``FIVM_SHARD_PIPELINE=16``), where a fault can strand
+#: a longer run of unacked updates.
+PIPELINED_SHAPES = (("process", 4), ("process", 16))
 
 
 @requires_fork
 @pytest.mark.parametrize("executor,depth", PIPELINED_SHAPES)
 @pytest.mark.parametrize("ring_name", ("int", "cofactor"))
 def test_crash_recovery_oracle_pipelined(ring_name, executor, depth):
-    """The oracle over a pipelined window (process and socket executors):
+    """The oracle over a pipelined window of the process executor:
     seeded faults land mid-window and every deferred root delta must
     still resolve to the fault-free engine's."""
     ring_family = RING_FAMILIES[ring_name]
@@ -379,6 +383,97 @@ def test_restart_budget_exhaustion_raises():
                 sharded.apply_update(delta)
 
 
+def count_builds(monkeypatch, path, slow):
+    """Make every shard engine build append one byte to ``path`` and,
+    when ``slow(n)`` holds for its build number ``n``, sleep past the
+    reply deadline first.  The count lives in a file because each build
+    runs in a forked worker."""
+
+    class CountedEngine(FIVMEngine):
+        def __init__(self, *args, **kwargs):
+            with open(path, "ab") as counter:
+                counter.write(b".")
+            if slow(os.path.getsize(path)):
+                time.sleep(4 * RECV_TIMEOUT)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sharded_module, "FIVMEngine", CountedEngine)
+
+
+@requires_fork
+def test_slow_rebuild_after_a_crash_costs_one_more_restart(
+    monkeypatch, tmp_path
+):
+    """Builds 1–2 are the two initial workers; build 3 replaces shard 0
+    after its planted crash and misses the deadline while it builds its
+    engine.  The supervisor replaces it again (build 4) and replays the
+    handoff, so the stream matches the single engine at two restarts."""
+    count_builds(monkeypatch, tmp_path / "builds", lambda n: n == 3)
+    reference = FIVMEngine(small_query("ref"))
+    reference.initialize(small_db())
+    with make_sharded(
+        faults={0: FaultPlan.parse("worker.pre_apply@2=crash")},
+    ) as sharded:
+        sharded.initialize(small_db())
+        for delta in deltas(6):
+            expect = reference.apply_update(delta.copy())
+            got = sharded.apply_update(delta)
+            assert expect.same_as(got.copy(name=expect.name))
+        assert sharded.result().same_as(
+            reference.result().copy(name=sharded.tree.root.name)
+        )
+        assert sharded.shard_restarts == [2, 0]
+
+
+@requires_fork
+def test_slow_rebuilds_spend_the_restart_budget(monkeypatch, tmp_path):
+    """Every replacement misses the deadline while it builds: each costs
+    a restart, and the supervisor gives up at the budget."""
+    count_builds(monkeypatch, tmp_path / "builds", lambda n: n >= 3)
+    with make_sharded(
+        faults={0: FaultPlan.parse("worker.pre_apply@2=crash")},
+        max_restarts=2,
+    ) as sharded:
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="restart budget"):
+            sharded.initialize(small_db())
+            for delta in deltas(6):
+                sharded.apply_update(delta)
+        assert sharded.shard_restarts == [3, 0]
+        # every slow replacement is reaped, the last one too
+        assert set(multiprocessing.active_children()) - before == set()
+
+
+@requires_fork
+@pytest.mark.parametrize(
+    "policy,message",
+    [
+        ({"supervise": False}, "supervision is disabled"),
+        ({"max_restarts": 0}, "restart budget"),
+    ],
+    ids=["unsupervised", "budget-spent"],
+)
+def test_a_fatal_failure_reaps_the_lost_worker(policy, message):
+    """When the supervisor gives up on a hung worker it terminates it
+    before raising: at the error only the healthy shard's worker is
+    alive, and closing the engine waits on no one."""
+    before = set(multiprocessing.active_children())
+    with make_sharded(
+        faults={0: FaultPlan.parse(
+            "worker.recv@2=hang", hang_seconds=20 * RECV_TIMEOUT
+        )},
+        **policy,
+    ) as sharded:
+        with pytest.raises(RuntimeError, match=message):
+            sharded.initialize(small_db())
+            for delta in deltas(4):
+                sharded.apply_update(delta)
+            sharded.result()  # a read reaches every shard
+        alive = set(multiprocessing.active_children()) - before
+        assert len(alive) == 1
+    assert set(multiprocessing.active_children()) - before == set()
+
+
 @requires_fork
 def test_shard_timeout_env_is_honored(monkeypatch):
     monkeypatch.setenv("FIVM_SHARD_TIMEOUT", "0.4")
@@ -410,8 +505,7 @@ def test_injected_error_is_recovered_like_a_crash():
 
 
 @requires_fork
-@pytest.mark.parametrize("executor", ["process", "socket"])
-def test_mid_window_crash_is_exactly_once(executor):
+def test_mid_window_crash_is_exactly_once():
     """A worker killed with several applied-but-unacked updates in the
     send-ahead window is rebuilt from snapshot + journal-tail replay,
     and every deferred root delta still resolves fault-free."""
@@ -419,7 +513,6 @@ def test_mid_window_crash_is_exactly_once(executor):
     reference.initialize(small_db())
     expected = [reference.apply_update(d) for d in deltas(8)]
     with make_sharded(
-        executor=executor,
         pipeline_depth=4,
         checkpoint_every=3,
         faults=FaultPlan.parse("worker.post_apply@3=crash"),
@@ -436,8 +529,7 @@ def test_mid_window_crash_is_exactly_once(executor):
 
 
 @requires_fork
-@pytest.mark.parametrize("executor", ["process", "socket"])
-def test_mid_window_hang_trips_the_deadline_and_recovers(executor):
+def test_mid_window_hang_trips_the_deadline_and_recovers():
     """A hung worker holding half a window of unacked updates reads as
     dead at the recv deadline; the window is replayed onto its successor."""
     reference = FIVMEngine(small_query("ref"))
@@ -445,7 +537,6 @@ def test_mid_window_hang_trips_the_deadline_and_recovers(executor):
     for d in deltas(8):
         reference.apply_update(d)
     with make_sharded(
-        executor=executor,
         pipeline_depth=4,
         checkpoint_every=None,
         faults=FaultPlan.parse("worker.recv@4=hang", hang_seconds=4.0),

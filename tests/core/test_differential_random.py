@@ -26,7 +26,7 @@ state of every materialized view:
   views.  The
   executor defaults to ``inline``; ``FIVM_SHARD_EXECUTOR`` (with
   ``FIVM_SHARD_PIPELINE`` for the send-ahead window) swaps in the
-  process or socket transport so CI sweeps the wire protocol too,
+  process executor so CI runs the wire protocol too,
 * :class:`RecursiveIVM` (the DBToaster-style baseline) on commutative
   rings, plus from-scratch factorized recomputation on every ring.
 
@@ -346,8 +346,8 @@ def run_case(case: dict, ring_family) -> Optional[str]:
             )
     # The sharded engine keeps the default size-based selection.
     # ``FIVM_SHARD_EXECUTOR`` swaps the sharded rider's executor (CI runs
-    # the differential suite once per transport); ``FIVM_SHARD_PIPELINE``
-    # is inherited by the engine itself.
+    # the differential suite once more on ``process``);
+    # ``FIVM_SHARD_PIPELINE`` is inherited by the engine itself.
     sharded_executor = (
         os.environ.get("FIVM_SHARD_EXECUTOR", "inline").strip() or "inline"
     )

@@ -192,7 +192,7 @@ E2E_WORKLOADS = [
 
 
 @pytest.mark.parametrize(
-    "subject", [*E2E_WORKLOADS, "inline", "process", "socket"])
+    "subject", [*E2E_WORKLOADS, "inline", "process"])
 def test_a_dropped_engine_leaves_no_cyclic_garbage(subject):
     """The e2e ``--quick`` set-up of each workload, closed, and a bare S=2
     Retailer-cofactor :class:`ShardedFIVMEngine` per executor, closed,
