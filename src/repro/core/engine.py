@@ -47,9 +47,9 @@ The entry points are then chained into one **path plan** per node whose
 deltas climb: a tuple of steps up to the root, each holding the node, its
 trigger and its stored view.  Each updatable relation's path is also
 generated as one function (:func:`~repro.core.plan_exec.compile_path`):
-a one-row delta runs it — the leaf write, every node's trigger body and
-view write, straight-line, building no relation but the root delta
-(``FIVMEngine._row_paths``); a fanned-out row continues as a relation.
+a delta below the array threshold runs it — the leaf write, every node's
+trigger body and view write, building no relation but the root delta
+(``FIVMEngine._row_paths``); a larger one takes the general walk.
 
 Over payload blocks (the cofactor ring) the layout is planned too
 (:func:`_supports`): every trigger is generated in row form for it, and
@@ -106,8 +106,8 @@ Every write into a materialized view — delta absorbs on the propagate
 paths, factorized flattens, stored-base absorbs, and :meth:`initialize`'s
 loads — flows through the single :meth:`_write_view` choke point, which
 applies the partial filter and the probe-cache invalidation together so
-no write path can bypass either.  The generated one-row paths, which
-never run with partial views, inline the same write: fault hook, absorb,
+no write path can bypass either.  The generated paths, which never run
+with partial views, inline the same write: fault hook, absorb,
 invalidation.
 """
 
@@ -469,11 +469,10 @@ class FIVMEngine:
         self._paths: Dict[str, Tuple[_PathStep, ...]] = {
             self.tree.root.name: ()
         }
-        #: Per updatable relation: its one-row path, generated (see
-        #: :func:`~repro.core.plan_exec.compile_path`).  Absent on the
-        #: interpreter, under a partial view's prefilter, when one row
-        #: already selects a node's array program, and for a relation
-        #: indicators observe.
+        #: Per updatable relation: its generated path, for its deltas of
+        #: fewer than ``_trigger_rows`` rows (see :func:`~repro.core.
+        #: plan_exec.compile_path`).  Absent on the interpreter, under a
+        #: partial view's prefilter, and for a relation indicators observe.
         self._row_paths: Dict[str, object] = {}
         self._plans: Dict[Tuple[str, Source], List[_PlanStep]] = {}
         #: Lowered IR per (node, source) — the single program every
@@ -545,8 +544,8 @@ class FIVMEngine:
     def _bind(self) -> None:
         """Build each entry point's scalar program (and a slot for its
         array form where :meth:`_joins_payloads` and the ring say so),
-        chain them into paths and generate the one-row paths.  A re-plan
-        reruns it; the code cache is keyed by layout."""
+        chain them into paths and generate each relation's path.  A
+        re-plan reruns it; the code cache is keyed by layout."""
         by_name = {node.name: node for node in self.tree.nodes}
         kops = self.query.ring.kernel_ops()
         has_arrays = (
@@ -595,19 +594,15 @@ class FIVMEngine:
             self._indicator_hosts.setdefault(iv.base_name, []).append(
                 (iv, (step,) + self._paths[step.node.name])
             )
-        if self._interpreted or self.partial or self._trigger_rows <= 1:
+        if self._interpreted or self.partial:
             return
         for rel, leaf in self.tree.leaves.items():
-            if rel in self.updatable and rel not in self._indicator_hosts:
+            if self._paths.get(leaf.name) and rel not in self._indicator_hosts:
                 self._row_paths[rel] = compile_path(
                     (leaf.name, self.views.get(leaf.name)),
-                    [
-                        (self._ir[step.key], step.program, step.view)
-                        for step in self._paths[leaf.name]
-                    ],
-                    self._probe_cache, self._faults, self.tree.root,
-                    self.query,
-                )
+                    [(self._ir[step.key], step.program, step.view)
+                     for step in self._paths[leaf.name]],
+                    self._probe_cache, self._faults, self.tree.root, self.query)
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
         return [self._plan_target_relation(node, step) for step in plan]
@@ -750,11 +745,11 @@ class FIVMEngine:
     # The planned layout (block views)
     # ------------------------------------------------------------------
 
-    def _on_plan(self, leaf: ViewNode, delta: Relation) -> Relation:
+    def _on_plan(self, leaf: ViewNode, delta: Relation) -> Optional[tuple]:
         """The guard every update over block views passes before any
-        write: ``delta`` itself when it has fewer than
+        write: ``None`` when ``delta`` has fewer than
         :data:`MIN_BLOCK_MERGE_ROWS` rows, all on the leaf's planned
-        support; else the delta packed and laid out for that support,
+        support; else its packed form, laid out for that support,
         re-planned (:meth:`_replan`) first when a payload is off it."""
         planned = self._supports[leaf.name]
         data = delta._data
@@ -763,7 +758,7 @@ class FIVMEngine:
                 if payload.support is not planned:
                     break
             else:
-                return delta
+                return None
         kops = self.query.ring.kernel_ops()
         block, support = kops.pack(list(data.values()), len(data))
         if support is not planned:
@@ -772,8 +767,7 @@ class FIVMEngine:
             _, width, _, emb = kops.widen(planned, support)
             block, conformed = np.zeros((len(data), width)), block
             block[:, emb] = conformed
-        return DeferredRelation(
-            delta.name, delta.schema, delta.ring, packed=(list(data), (block, planned)))
+        return list(data), (block, planned)
 
     def _replan(self, seeds: Optional[Dict[str, set]] = None) -> None:
         """Rerun :func:`_supports` over the planned supports, the views'
@@ -1013,16 +1007,13 @@ class FIVMEngine:
         data = delta._data
         if not data:
             return self._empty_root()
-        if self._supports is not None:
-            delta = self._on_plan(leaf, delta)
-        if _rows(delta) == 1:
+        packed = None if self._supports is None else self._on_plan(leaf, delta)
+        if len(data) < self._trigger_rows:
             path = self._row_paths.get(rel)
             if path is not None:
-                (row,) = delta._data.items()
-                out = path(*row)
-                if out.__class__ is tuple:
-                    return self._fan_out(leaf, *out)
-                return out if out is not None else self._empty_root()
+                return path(delta, packed)
+        if packed is not None:
+            delta = DeferredRelation(rel, delta.schema, delta.ring, packed=packed)
 
         # 1. Compute indicator deltas against the pre-update base state.
         ind_tasks: List[Tuple[IndicatorView, tuple, Relation]] = []
@@ -1170,19 +1161,6 @@ class FIVMEngine:
             if node is not root and not _rows(cur):
                 return self._empty_root()
         return cur
-
-    def _fan_out(self, leaf: ViewNode, at: int, out: dict) -> Relation:
-        """Continue a one-row path whose ``at``-th step produced several
-        keys (``out``, what its trigger collected): write the step's
-        view, then run the rest of the path on relations."""
-        steps = self._paths[leaf.name]
-        node, _, program, view = steps[at]
-        cur = program.output(out)
-        if not _rows(cur):  # every key cancelled
-            return self._empty_root()
-        if view is not None:
-            self._write_view(node.name, cur)
-        return self._propagate(steps[at + 1:], cur)
 
     def _delta_at_node(self, step: _PathStep, delta: Relation) -> Relation:
         """Evaluate a path step's delta view: through the entry point's

@@ -98,22 +98,20 @@ entries): shard engines, multi-view registrations and repeated set-ups of
 one query compile each trigger once per process and each bind their own
 copy.
 
-One-row paths
--------------
+Paths
+-----
 
-:func:`compile_path` generates one function per updatable relation: the
-relation's one-row leaf-to-root path, straight-line — the leaf write,
-each node's trigger body (the emitter of the scalar trigger, over one
-``(key, payload)`` row), an early exit on zero, and each stored view's
-write (primary map, index upkeep, the ``engine.write_view`` fault hook,
-the probe-cache pop).  A node whose output can have several keys hands
-them back to the engine, which continues on relations.  Over block
-views the path is in row form too.
+:func:`compile_path` generates one function per updatable relation, for
+a delta of any number of rows: the leaf write, then per node the scalar
+trigger's body over the rows in hand, their sums per key (zero sums
+dropped) and their writes into the node's view (the fault hook and the
+probe-cache pop included).  It builds no relation but the root delta.
+Over block views the path is in row form too.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -185,11 +183,11 @@ class _Generated:
     function, and ``("const", value)``: a constant of the code (the row
     form's term tables and supports).
 
-    A one-row path (:func:`compile_path`) requests ``("view", i)`` /
-    ``("vdata", i)`` — the ``i``-th stored view on the path (0 the leaf)
-    and its primary map — and ``("step", i, name)``: global ``name`` of
-    the ``i``-th step's bound trigger; in row form also ``("layout", i)``,
-    the support view ``i`` is laid out for.
+    A path (:func:`compile_path`) requests ``("view", i)`` — the
+    ``i``-th stored view on the path (0 the leaf) — or its bound
+    :meth:`Relation._put`, ``("put", i)``, and ``("step", i, name)``:
+    global ``name`` of the ``i``-th step's bound trigger; in row form
+    also ``("layout", i)``, the support view ``i`` is laid out for.
 
     ``meta`` carries the program-class payload (the output schema and, in
     row form, support for slot programs, the outgoing factor partition
@@ -237,7 +235,7 @@ def _base_env(ring) -> dict:
     if getattr(kops, "block_views", False):
         env.update(
             _payload=kops.payload, _tol=kops.tolerance, _abs=np.abs,
-            _rowsum=np.add.reduce, _reduceat=np.add.reduceat,
+            _reduceat=np.add.reduceat,
         )
     return env
 
@@ -446,7 +444,7 @@ def _generate_slot(
 def _point(ir: DeltaProgram) -> bool:
     """Whether the trigger runs no loop per delta row — every probe a
     point lookup or a bucket sum — so one row yields at most one output
-    row."""
+    row, which a path takes on in place (:func:`_generate_path`)."""
     return all(
         op.aggregated or (isinstance(op, Probe) and op.probe_attrs)
         for op in ir.ops
@@ -463,24 +461,25 @@ def _zero(value: str, rows: bool) -> str:
 
 def _emit_trigger(
     ir: DeltaProgram, emit, requests, sink: str, tag: str = "",
-    blocks: bool = False, layout: Optional[tuple] = None,
+    blocks: bool = False, layout: Optional[tuple] = None, head=None,
 ):
     """Emit a scalar trigger body: the probes, the payload product and
     where it goes.
 
-    ``sink`` is ``"rows"`` (the trigger: loop over ``_items``, collect
-    per-key contribution lists in ``_out``), ``"row"`` (the one row
-    ``(_key, _psrc)`` already bound, contributions into ``_out``) or
-    ``"point"`` (the one row through a :func:`_point` program: a failed
-    probe or a zero product returns ``None`` from the function, the output
-    row is left in ``(_key, _psrc)``) or ``"gather"`` (the array form's
-    loop over ``_items``, :mod:`repro.core.kernels`: no ring arithmetic —
-    per match it appends the output key, each payload factor and each
-    lifting input to the columns ``_ak``, ``_af<j>``, ``_al<j>``; the
-    lifted-sibling memo is ignored).  ``tag`` suffixes every requested
-    global, so several bodies can share one function.  Over block views
-    (``blocks``) a gather binds the row index itself — key table, bucket
-    or sum row — which the kernel phase takes from the block.
+    The body runs per ``(key, payload)`` row of ``_items`` in its own
+    loop, or, given ``head``, in a path's, ahead of which ``head(line)``
+    puts the hoisted sums.  ``sink`` is ``"rows"`` (collect per-key
+    contributions in ``_out``: lists, in a path their sums),
+    ``"point"`` (a :func:`_point` body in a path: a failed probe or a
+    zero product skips the row, the output row is left in ``(_key,
+    _psrc)``) or ``"gather"`` (the array form's, :mod:`repro.core.kernels`:
+    no ring arithmetic — per match it appends the output key, each
+    payload factor and each lifting input to the columns ``_ak``,
+    ``_af<j>``, ``_al<j>``; the lifted-sibling memo is ignored).  ``tag``
+    suffixes every requested global and hoisted sum, so several bodies
+    can share one function.  Over block views (``blocks``) a gather binds
+    the row index itself — key table, bucket or sum row — which the
+    kernel phase takes from the block.
 
     ``layout``, planned — ``(source support, per-target supports,
     per-lift supports)`` — puts a body over block views in **row form**:
@@ -512,11 +511,11 @@ def _emit_trigger(
 
     def guard(test: str, fail: str) -> None:
         """Continue only where ``test`` holds: nest under it, or — for a
-        point body — return where ``fail`` (its negation) holds."""
+        point body — skip the row where ``fail`` (its negation) holds."""
         nonlocal depth
         if point:
             emit(depth, f"if {fail}:")
-            emit(depth + 1, "return")
+            emit(depth + 1, "continue")
         else:
             emit(depth, f"if {test}:")
             depth += 1
@@ -551,13 +550,13 @@ def _emit_trigger(
     ]
     for i, op in enumerate(ops):
         if op.aggregated and not op.probe_attrs:
-            if blocks:
-                total = "rowtotal" if rows else "total"
-                emit(1, f"_t{i} = {glob(f'_tot{i}', (total, op.target))}()")
-            else:
-                emit(1, f"_t{i} = _rsum({data[i]}.values())")
-            emit(1, f"if {_zero(f'_t{i}', rows)}:")
-            emit(2, "return")
+            total = "rowtotal" if rows else "total"
+            (head or partial(emit, 1))(f"_h{i}{tag} = " + (
+                f"{glob(f'_tot{i}', (total, op.target))}()" if blocks
+                else f"_rsum({data[i]}.values())"))
+            if head is None:
+                emit(1, f"if {_zero(f'_h{i}{tag}', rows)}:")
+                emit(2, "return")
 
     def fetch(i: int, var: str, key: str, table: str, spec: tuple,
               at: Optional[str] = None) -> None:
@@ -577,9 +576,9 @@ def _emit_trigger(
         else:
             emit(depth + 1, f"{var} = {reader}({key}, {at})")
 
-    if sink in ("rows", "gather"):
+    if head is None:
         emit(1, "for _key, _psrc in _items:")
-        depth = 2
+    depth = 2
     for position, register in ir.loads:
         emit(depth, f"{rname(register)} = _key[{position}]")
 
@@ -597,8 +596,10 @@ def _emit_trigger(
             emit(depth, f"_q{i} = {probe_key}")
             probe_key = f"_q{i}"
         if op.aggregated:
-            if not probe:
-                pass  # hoisted above the delta loop; payload is _t{i}
+            if not probe:  # hoisted above the delta loop
+                if head is not None:
+                    test = _zero(f"_h{i}{tag}", rows)
+                    guard(f"not ({test})" if rows else f"not {test}", test)
             elif isinstance(op, Probe):
                 # Full-key probe: the stored payload *is* the bucket sum
                 # (primary-map entries are never zero).
@@ -620,7 +621,7 @@ def _emit_trigger(
                         + (f"({test})" if rows else test),
                         f"_t{i} is None or {test}",
                     )
-            op_pay[i] = f"_t{i}"
+            op_pay[i] = f"_h{i}{tag}" if not probe else f"_t{i}"
         else:
             if isinstance(op, Probe) and probe:
                 fetch(i, f"_p{i}", probe_key, data[i], (op.target,))
@@ -741,18 +742,23 @@ def _emit_trigger(
             value = mul("_v", value, operands[factor])
     if point:
         emit(depth, f"if {_zero('_v', rows)}:")
-        emit(depth + 1, "return")
+        emit(depth + 1, "continue")
         emit(depth, f"_key = {out_key}")
         emit(depth, "_psrc = _v")
         return value[1]
-    # Accumulation is deferred: contributions are collected per output key
-    # and summed once by ``_finalize`` via ``ring.sum`` — rings with a
+    # A trigger defers accumulation: contributions are collected per output
+    # key and summed once by ``_finalize`` via ``ring.sum`` — rings with a
     # vectorized sum (the degree ring's grouped ``np.add.at``) fold a batch
-    # in a few array operations instead of pairwise allocations.  (Ring
+    # in a few array operations instead of pairwise allocations.  A path,
+    # whose deltas are below the array threshold, sums as they come.  (Ring
     # addition is commutative by the ring axioms, so the regrouping is
     # sound on every ring, including non-commutative-multiplication ones.)
     emit(depth, f"_ok = {out_key}")
     emit(depth, "_cur = _out.get(_ok)")
+    if head is not None:
+        emit(depth, "_out[_ok] = _v if _cur is None else " + (
+            "_cur + _v" if rows else "_add(_cur, _v)"))
+        return value[1]
     emit(depth, "if _cur is None:")
     emit(depth + 1, "_out[_ok] = [_v]")
     emit(depth, "else:")
@@ -1088,19 +1094,17 @@ def _generate_factor(ir: FactorProgramIR) -> _Generated:
 
 
 # ----------------------------------------------------------------------
-# One-row paths (one generated function per updatable relation)
+# Paths (one generated function per updatable relation)
 # ----------------------------------------------------------------------
 
 
 class PathIR(NamedTuple):
-    """What a one-row path's code depends on: the leaf view's name, how
-    each stored view is written (``"map"``: merged into its primary map
-    inline; ``"row"``: a block view's row write,
-    :meth:`BlockRelation._write`; ``"add"``: through
-    :meth:`Relation.add`, for a view whose map is not a fixed dict — the
-    packed ℝ root; ``None``: not stored), the path's trigger IR with, for
-    the row form, its planned supports (:func:`_emit_trigger`), and
-    whether the engine has a fault plan."""
+    """What a path's code depends on: the leaf view's name, how each
+    stored view is written (``"row"``: a block view's row write,
+    :meth:`BlockRelation._write`; ``"put"``: :meth:`Relation._put`;
+    ``None``: not stored), the path's trigger IR with, for the row form,
+    its planned supports (:func:`_emit_trigger`), and whether the engine
+    has a fault plan."""
 
     leaf: str
     leaf_write: Optional[str]
@@ -1109,80 +1113,100 @@ class PathIR(NamedTuple):
 
 
 def _generate_path(path: PathIR) -> _Generated:
-    """Generate a one-row path function ``_path(_key, _psrc)``.
+    """Generate ``_path(_delta, _pf)``, which returns the root delta as
+    one :class:`Relation`; ``_pf`` is a block view's packed leaf delta,
+    absorbed whole (``None``: the rows are read off the payloads).
 
-    It returns the root delta as a :class:`Relation`, ``None`` when the
-    row's contribution is the ring zero somewhere on the way, or ``(i,
-    out)`` when the ``i``-th step produced several keys: ``out`` what its
-    trigger collected for them — their folded payloads, in row form their
-    contribution rows — not yet written to the step's view (the step
-    program's :meth:`SlotProgram.output` makes it a delta).  The row
-    form takes a payload laid out for the leaf's planned support (the
-    engine's guard sees to it).
+    A loop over the rows in hand, ``(key, payload)`` (in row form ``(key,
+    row)``), takes each from the step below — a zero sum skipped — and
+    writes it into that step's view; then the steps' bodies run in it.  A
+    :func:`_point` body below the root maps the row to at most one row,
+    written at once, and the loop goes on; another body sums its output
+    per key in ``_out`` and ends the loop.  The root delta is read off
+    the last ``_out``.  Under a fault plan every body sums, so a loop
+    writes one view: its hook fires once, before its first row, and a
+    fault leaves the views below it whole, as ``_write_view`` does.
     """
     requests: List[tuple] = []
-    lines: List[str] = ["def _path(_key, _psrc):"]
-    rows = bool(path.steps) and path.steps[0][2] is not None
+    lines: List[str] = ["def _path(_delta, _pf):"]
+    rows = path.steps[0][2] is not None  # the row form, over block views
+    names = [path.leaf] + [ir.node_name for ir, _, _ in path.steps]
+    loop: List[str] = []  # the open loop: its ``for`` line and body
+    ahead: List[str] = []  # what runs before it: the hoisted sums, flags
+    written: List[str] = []  # the views it writes
 
     def emit(depth: int, text: str) -> None:
-        """Append one generated source line at depth ``depth``."""
-        lines.append("    " * depth + text)
+        """Append a source line, to the open loop if there is one."""
+        (loop if loop else lines).append("    " * depth + text)
 
-    def write(name: str, at: int, how: Optional[str]) -> None:
-        """Absorb the row ``(_key, _psrc)`` into stored view ``at``
-        exactly as :meth:`Relation.add` does, then drop the view's
-        probe-cache entries."""
+    def head(text: str) -> None:
+        """Put a line of depth 1 ahead of the open loop."""
+        ahead.append("    " + text)
+
+    def write(at: int, how: Optional[str], depth: int = 2) -> None:
+        """Add the row ``(_key, _psrc)`` into stored view ``at``."""
         if how is None:
             return
-        if path.faults:
-            emit(1, '_faults.fire("engine.write_view")')
-        view = f"_v{at}"
-        requests.append((view, ("view", at)))
-        if how == "add":
-            emit(1, f"{view}.add(_key, _psrc)")
-        elif how == "row":
-            requests.append((f"_s{at}", ("layout", at)))
-            emit(1, f"{view}._write(_key, _psrc, _s{at})")
+        written.append(names[at])
+        if path.faults and at:  # the leaf's fires ahead of every loop
+            head("_w = True")
+            emit(depth, 'if _w: _faults.fire("engine.write_view"); _w = False')
+        if how == "row":
+            requests.extend(((f"_v{at}", ("view", at)), (f"_s{at}", ("layout", at))))
+            emit(depth, f"_v{at}._write(_key, _psrc, _s{at})")
         else:
-            data = f"_vd{at}"
-            requests.append((data, ("vdata", at)))
-            emit(1, f"_c = {data}.get(_key)")
-            emit(1, "if _c is None:")
-            emit(2, f"{data}[_key] = _c = _psrc")
-            emit(1, "else:")
-            emit(2, "_c2 = _add(_c, _psrc)")
-            emit(2, "if _iszero(_c2):")
-            emit(3, f"del {data}[_key]")
-            emit(3, f"if {view}._indexes:")
-            emit(4, f"{view}._index_drop(_key, _neg(_c))")
-            emit(3, "_c = None")
-            emit(2, "else:")
-            emit(3, f"{data}[_key] = _c = _c2")
-            # Indexes registered after binding (a reader's) are found
-            # here at run time: the index dict is read per write.
-            emit(1, f"if _c is not None and {view}._indexes:")
-            emit(2, f"{view}._index_set(_key, _c, _psrc)")
-        emit(1, "if _cache:")
-        emit(2, f"_cache.pop({name!r}, None)")
+            requests.append((f"_put{at}", ("put", at)))
+            emit(depth, f"_put{at}(_key, _psrc)")
 
+    def open_loop(below: int, how: Optional[str], items: str) -> None:
+        """Open a loop over ``items``, each row taken from step ``below``."""
+        loop.append(f"    for _key, _psrc in {items}:")
+        if below:
+            emit(2, f"if {_zero('_psrc', rows)}:")
+            emit(3, "continue")
+        elif rows:
+            emit(2, "if _pf is None:")
+            emit(3, "_psrc = _psrc.row")
+        write(below, how, 3 if rows and not below else 2)
+
+    def close() -> None:
+        """Emit what runs ahead, the loop, then its probe-cache pops."""
+        lines.extend(ahead + loop)
+        del ahead[:], loop[:]
+        if written:
+            emit(1, "if _cache:")
+            for name in written:
+                emit(2, f"_cache.pop({name!r}, None)")
+            written.clear()
+
+    if path.leaf_write is not None and path.faults:
+        emit(1, '_faults.fire("engine.write_view")')
+    emit(1, "_items = _delta._data.items()")
     if rows:
-        emit(1, "_psrc = _psrc.row")
-    write(path.leaf, 0, path.leaf_write)
-    for at, (ir, how, layout) in enumerate(path.steps, start=1):
+        emit(1, "if _pf is not None:")
+        emit(2, "_items = zip(_pf[0], _pf[1][0])")
+        if path.leaf_write is not None:  # a packed leaf delta: whole
+            requests.append(("_v0", ("view", 0)))
+            emit(2, "_v0._absorb_rows(_pf[0], *_pf[1])")
+    below, how = 0, path.leaf_write  # the rows' step, its view's write
+    for at, (ir, step_how, layout) in enumerate(path.steps, start=1):
+        if not loop:
+            if below:
+                emit(1, "if not _out:")
+                emit(2, "return _Relation(_root, _root_keys, _ring)")
+                emit(1, "_items = _out.items()")
+            open_loop(below, how, "_items")
+            head("_out = {}")
         step: List[tuple] = []
-        sink = "point" if _point(ir) else "row"
-        if sink == "row":
-            emit(1, "_out = {}")
-        support = _emit_trigger(ir, emit, step, sink, f"_{at}", layout=layout)
-        if sink == "row":
-            fold = "_out" if rows else "_finalize(_out)"
-            emit(1, "if len(_out) != 1:")
-            emit(2, f"return ({at - 1}, {fold}) if _out else None")
-            emit(1, "_key, _psrc = _out.popitem()")
-            total = "_rowsum" if rows else "_rsum"
-            emit(1, f"_psrc = _psrc[0] if len(_psrc) == 1 else {total}(_psrc)")
-            emit(1, f"if {_zero('_psrc', rows)}:")
-            emit(2, "return")
+        point = _point(ir) and not path.faults and at < len(path.steps)
+        support = _emit_trigger(
+            ir, emit, step, "point" if point else "rows", f"_{at}",
+            layout=layout, head=head)
+        if point:
+            write(at, step_how)
+        else:
+            close()
+        below, how = at, None if point else step_how
         # The trigger's globals are bound by the step's own program (the
         # path shares them, lifted-sibling memos included); the row
         # form's term tables and supports are constants of the code.
@@ -1191,11 +1215,13 @@ def _generate_path(path: PathIR) -> _Generated:
              else ("step", at, name[:-len(f"_{at}")]))
             for name, spec in step
         ]
-        write(ir.node_name, at, how)
     emit(1, "_r = _Relation(_root, _root_keys, _ring)")
+    emit(1, "_rd = _r._data")
+    open_loop(below, how, "_out.items()")
     if rows:
         requests.append(("_sr", ("const", support)))
-    emit(1, f"_r._data[_key] = {'_payload(_sr, _psrc)' if rows else '_psrc'}")
+    emit(2, "_rd[_key] = " + ("_payload(_sr, _psrc)" if rows else "_psrc"))
+    close()
     emit(1, "return _r")
     consts = {name: spec[1] for name, spec in requests if spec[0] == "const"}
     requests = [request for request in requests if request[0] not in consts]
@@ -1203,7 +1229,7 @@ def _generate_path(path: PathIR) -> _Generated:
 
 
 def compile_path(leaf, steps, cache, faults, root, query):
-    """Generate and bind the one-row path of ``leaf`` (its stored view or
+    """Generate and bind the path of ``leaf`` (its stored view or
     ``None``) up ``steps`` — ``(ir, scalar program, stored view or
     None)`` per node, leaf to root.  ``cache`` is the engine's probe
     cache, ``faults`` its fault plan, ``root`` the root node (the returned
@@ -1211,24 +1237,17 @@ def compile_path(leaf, steps, cache, faults, root, query):
     programs are.  The function's ``source_text`` is its generated
     source."""
 
-    def how(view) -> Optional[str]:
-        """How the generated code writes ``view``."""
-        if view is None:
-            return None
-        if isinstance(view, BlockRelation):
-            return "row"
-        return "map" if type(view) is Relation else "add"
-
-    leaf_name, leaf_view = leaf
+    views = [leaf[1]] + [view for _, _, view in steps]
+    hows = [  # how the generated code writes each view
+        view if view is None else "row" if isinstance(view, BlockRelation)
+        else "put" for view in views
+    ]
     generated = _generated(_generate_path, PathIR(
-        leaf_name, how(leaf_view),
-        tuple(
-            (ir, how(view), program.layout)
-            for ir, program, view in steps
-        ),
+        leaf[0], hows[0],
+        tuple((ir, how, program.layout)
+              for (ir, program, _), how in zip(steps, hows[1:])),
         faults is not None,
     ))
-    views = [leaf_view] + [view for _, _, view in steps]
     env = _base_env(query.ring)
     env.update(
         generated.meta, _cache=cache, _faults=faults, _Relation=Relation,
@@ -1238,8 +1257,8 @@ def compile_path(leaf, steps, cache, faults, root, query):
         kind, at = spec[0], spec[1]
         if kind == "view":
             env[name] = views[at]
-        elif kind == "vdata":
-            env[name] = views[at]._data
+        elif kind == "put":  # bound; it reads the view's map per call
+            env[name] = views[at]._put
         elif kind == "layout":
             env[name] = views[at]._store.support
         else:  # "step": the step program's own binding

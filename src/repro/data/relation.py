@@ -166,10 +166,12 @@ class Relation:
         keys land on the same entry that :meth:`payload` and
         ``__contains__`` (which coerce too) will find.
         """
+        if not self.ring.is_zero(payload):
+            self._put(tuple(key), payload)
+
+    def _put(self, key: Key, payload: Payload) -> None:
+        """:meth:`add` of a non-zero payload under a tuple key."""
         ring = self.ring
-        if ring.is_zero(payload):
-            return
-        key = tuple(key)
         data = self._data
         current = data.get(key)
         if current is None:
@@ -1289,7 +1291,7 @@ class BlockRelation(Relation):
 
     def _write(self, key: Key, row, support: tuple) -> None:
         """:meth:`add` of a non-zero payload's ``row``, laid out for
-        ``support``, under a tuple key (what the generated one-row paths
+        ``support``, under a tuple key (what the generated paths
         call)."""
         store, slot = self._store, self._slot
         if support is not store.support and support != store.support:
@@ -1383,7 +1385,8 @@ class BlockRelation(Relation):
     def _absorb_rows(self, keys: list, rows, support: tuple) -> None:
         """Add ``rows`` (laid out for ``support``) onto distinct ``keys``:
         one indexed add, one zero test over the touched rows, and one
-        sweep per index.  Rows that are zero afterwards are freed."""
+        sweep per index.  Rows that are zero afterwards are freed.  (A
+        generated path absorbs a packed leaf delta through it.)"""
         store = self._store
         if support != store.support:
             rows = self._conform(rows, support)

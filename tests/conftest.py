@@ -105,14 +105,14 @@ def make_engine(form: str, query: Query, order=None, **kwargs) -> FIVMEngine:
 
 
 def spy_paths(engine: FIVMEngine, monkeypatch) -> List[str]:
-    """Record the relation of every generated one-row path the engine
-    runs from now on (``engine._row_paths``)."""
+    """Record the relation of every generated path the engine runs from
+    now on (``engine._row_paths``)."""
     calls: List[str] = []
     for rel, path in list(engine._row_paths.items()):
         monkeypatch.setitem(
             engine._row_paths, rel,
-            lambda key, payload, path=path, rel=rel:
-            calls.append(rel) or path(key, payload),
+            lambda delta, packed, path=path, rel=rel:
+            calls.append(rel) or path(delta, packed),
         )
     return calls
 

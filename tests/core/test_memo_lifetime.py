@@ -120,6 +120,35 @@ def test_engine_cycles_leave_traced_memory_flat():
     assert traced[-1] - traced[cycles - 1] <= slack, traced
 
 
+@pytest.mark.parametrize("workload", ["join_factorized", "multiview_n100"])
+def test_path_cycles_leave_traced_memory_flat(workload):
+    """2N create → run → close → drop cycles of the e2e ``--quick``
+    set-up of a workload whose updates run generated paths
+    (``join_factorized``'s one-row ℤ updates, ``multiview_n100``'s ℤ
+    deltas of 10–16 rows in every engine of its set): the bytes
+    ``tracemalloc`` traces after cycle 2N are within a fixed slack of
+    those after cycle N.  A path's globals — its views, its steps' bound
+    triggers and memos, the probe cache — die with its engine."""
+    from benchmarks.e2e import run as e2e
+
+    cycles, slack = 3, 16 * 1024
+    traced = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(2 * cycles):
+            instance = e2e.WORKLOADS[workload](3, True)
+            state = instance.setup()
+            instance.run(state)
+            instance.close(state)
+            del instance, state
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert traced[-1] - traced[cycles - 1] <= slack, traced
+
+
 def test_dropped_chains_release_their_packed_roots_without_a_collection():
     """50 create → stream → drop cycles of the ℝ chain at n = 48, whose
     root keeps its packed column (2 304 float64s): with the collector

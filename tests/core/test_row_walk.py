@@ -1,16 +1,19 @@
-"""The generated one-row path: :meth:`FIVMEngine.apply_update` of a
-one-row delta runs the relation's path function (``engine._row_paths``),
-which writes the leaf and every stored view up to the root in one call.
+"""The generated path: :meth:`FIVMEngine.apply_update` of a delta below
+the array threshold (``MIN_TRIGGER_ROWS``, 32 rows) runs the relation's
+path function (``engine._row_paths``), which writes the leaf and every
+stored view up to the root in one call and builds no relation but the
+root delta.
 
 Count-based guards, no clocks: what one such update calls, builds and
-absorbs; the fan-out hand-off held to the interpreter backend; the
-view-write numbering a :class:`FaultPlan` sees, the same as on the bulk
-path; which end-to-end workloads take the path at all; and the two
-things a write inlined at planning time must not freeze — an index
-registered later, and the packed ℝ root.  Over the cofactor ring the
-path multiplies rows through term tables fixed at planning: it makes no
-ring call, and a payload off the planned layout (a widened view) leaves
-the row to the general walk, exactly.
+absorbs, at one row and at k; a fanned-out row and contributions that
+fold, held to the interpreter backend; the view-write numbering a
+:class:`FaultPlan` sees, the same as on the bulk path; which end-to-end
+workloads take the path at all; and the two things a write inlined at
+planning time must not freeze — an index registered later, and the
+packed ℝ root.  Over the cofactor ring the path multiplies rows through
+term tables fixed at planning: it makes no ring call, and a payload off
+the planned layout (a widened view) re-plans before any write, then
+runs the path of the new plan, exactly.
 """
 
 from __future__ import annotations
@@ -91,88 +94,158 @@ def paper_engine(ring=INT_RING, lifts=None, **kwargs):
     )
 
 
+def count_work(monkeypatch):
+    """Record, from now on in any engine: each ``Relation`` built (its
+    name), each ``absorb_bulk`` (the view's name), each scalar trigger
+    run on relations and each ``SlotProgram.output`` (the node), and each
+    ``CofactorKernelOps.pack`` (its row count)."""
+    from repro.core.plan_exec import SlotProgram
+    from repro.rings.cofactor import CofactorKernelOps
+
+    work = {"built": [], "bulk": [], "output": [], "pack": []}
+    init, absorb_bulk = Relation.__init__, Relation.absorb_bulk
+    output, pack = SlotProgram.output, CofactorKernelOps.pack
+    monkeypatch.setattr(
+        Relation, "__init__",
+        lambda self, name, *args, **kwargs: work["built"].append(name)
+        or init(self, name, *args, **kwargs),
+    )
+    monkeypatch.setattr(
+        Relation, "absorb_bulk",
+        lambda self, delta: work["bulk"].append(self.name)
+        or absorb_bulk(self, delta),
+    )
+    monkeypatch.setattr(
+        SlotProgram, "output",
+        lambda self, out: work["output"].append(self.node_name)
+        or output(self, out),
+    )
+    monkeypatch.setattr(
+        CofactorKernelOps, "pack",
+        lambda self, payloads, n: work["pack"].append(n)
+        or pack(self, payloads, n),
+    )
+    work["runs"] = spy_slot_runs(monkeypatch)
+    return work
+
+
 def test_one_row_update_builds_only_its_root_delta(monkeypatch):
-    """On the Retailer cofactor engine: one path call per one-row update
-    and, unless a node's output fans out, no trigger run on relations,
-    one ``Relation`` built (the returned root delta) and no
-    ``absorb_bulk``; a fan-out runs the rest of the path on relations."""
+    """On the Retailer cofactor engine: one path call per one-row update,
+    no trigger run on relations, one ``Relation`` built (the returned
+    root delta) and no ``absorb_bulk`` — also for an Item or Census row,
+    whose output fans out: the step after the fan-out is just a step
+    with several rows."""
     engine, rows = retailer_b1()
     ring = engine.query.ring
     deltas = {
         rel: Relation(rel, engine.tree.leaves[rel].keys, ring, {row: ring.one})
         for rel, row in rows.items()
     }
-    built, bulk = [], []
-    init, absorb_bulk = Relation.__init__, Relation.absorb_bulk
-    monkeypatch.setattr(
-        Relation, "__init__",
-        lambda self, name, *args, **kwargs: built.append(name)
-        or init(self, name, *args, **kwargs),
-    )
-    monkeypatch.setattr(
-        Relation, "absorb_bulk",
-        lambda self, delta: bulk.append(self.name) or absorb_bulk(self, delta),
-    )
+    work = count_work(monkeypatch)
     calls = spy_paths(engine, monkeypatch)
-    runs = spy_slot_runs(monkeypatch)
-    fanned, fan_out = [], engine._fan_out
-    monkeypatch.setattr(
-        engine, "_fan_out",
-        lambda leaf, at, data: fanned.append(at) or fan_out(leaf, at, data),
-    )
     for rel, delta in deltas.items():
-        del built[:], bulk[:], calls[:], runs[:], fanned[:]
+        for done in (calls, *work.values()):
+            del done[:]
         assert len(engine.apply_update(delta)) == 1
         assert calls == [rel]
-        path = [step.node.name for step in engine._paths[rel]]
-        if rel in ("Item", "Census"):
-            # A ksn (zip) row probes Inventory (Location) on it and
-            # extends keys its node keeps: the output fans out and every
-            # step after it runs on relations.
-            assert len(fanned) == 1, rel
-            at = fanned[0]
-            assert at + 1 < len(path), rel
-            assert len(built) > 1 and bulk, rel
-            assert runs == path[at + 1:], rel
-        else:
-            assert fanned == [] and built == [engine.tree.root.name], rel
-            assert bulk == [] and runs == [], rel
+        assert work["built"] == [engine.tree.root.name], rel
+        assert work["bulk"] == work["runs"] == work["output"] == [], rel
+        assert work["pack"] == [], rel
+
+
+@pytest.mark.parametrize("k", [2, 4, 11, 12, 31])
+def test_a_k_row_update_builds_only_its_root_delta(k, monkeypatch):
+    """Counts, not clocks: a ``k``-row delta to each Retailer relation
+    (its first ``k`` rows: Item has 17) — both sides of
+    ``MIN_BLOCK_MERGE_ROWS`` (12), below ``MIN_TRIGGER_ROWS`` (32) —
+    makes one path call, no scalar trigger run and no
+    ``SlotProgram.output`` (nothing packed per node), no ``pack`` but
+    the guard's one of a delta of 12 rows or more, and builds one
+    ``Relation``: the root delta."""
+    walked, _, tables = retailer_pair()
+    ring = walked.query.ring
+    for rel, table in tables.items():
+        for row in table:
+            one_row(walked, rel, row, ring.one)
+    work = count_work(monkeypatch)
+    calls = spy_paths(walked, monkeypatch)
+    for rel, table in tables.items():
+        for done in (calls, *work.values()):
+            del done[:]
+        keys, rows = walked.tree.leaves[rel].keys, table[:k]
+        root = walked.apply_update(
+            Relation(rel, keys, ring, {row: ring.one for row in rows}))
+        del work["built"][0]  # the delta itself
+        assert len(root) == 1, "fixture: the delta reaches the root"
+        assert calls == [rel]
+        assert work["built"] == [walked.tree.root.name], rel
+        assert work["runs"] == work["output"] == work["bulk"] == [], rel
+        assert work["pack"] == ([len(rows)] if len(rows) >= 12 else []), rel
+
+
+def test_a_13_row_int_update_builds_only_its_root_delta(monkeypatch):
+    """The ℤ twin on the Figure 2 query: a 13-row ``S`` delta runs the
+    path — no trigger run on relations, no ``SlotProgram.output``, one
+    ``Relation`` built — and equals the interpreter's."""
+    walked = paper_engine()
+    interpreted = paper_engine(backend="interpreter")
+
+    def delta():
+        return Relation.from_tuples(
+            "S", PAPER_SCHEMAS["S"], INT_RING,
+            [(1 + i % 2, 1 + i % 3, 10 + i) for i in range(13)])
+
+    work = count_work(monkeypatch)
+    calls = spy_paths(walked, monkeypatch)
+    want, given = interpreted.apply_update(delta()), delta()
+    for done in (calls, *work.values()):
+        del done[:]
+    got = walked.apply_update(given)
+    assert calls == ["S"]
+    assert work["built"] == [walked.tree.root.name]
+    assert work["runs"] == work["output"] == work["bulk"] == []
+    assert got.same_as(want)
+    for name, view in interpreted.views.items():
+        assert view.same_as(walked.views[name]), name
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_a_fanned_out_row_equals_the_interpreter(ring_name, monkeypatch):
     """A ``T`` row probes the bucket of ``V@E_S`` on ``C`` and extends
-    ``A``, which ``V@C_ST`` keeps: two keys leave that node and the path
-    hands a relation to the general walk for the root."""
+    ``A``, which ``V@C_ST`` keeps: two keys leave that node, and the path
+    carries both to the root."""
     ring, lifts = RING_FAMILIES[ring_name](("A", "B", "C", "D", "E"))
     walked = paper_engine(ring, lifts)
     interpreted = paper_engine(ring, lifts, backend="interpreter")
-    fanned, fan_out = [], walked._fan_out
-    monkeypatch.setattr(
-        walked, "_fan_out",
-        lambda leaf, at, data: fanned.append(
-            (walked._paths["T"][at].node.name, len(data))
-        ) or fan_out(leaf, at, data),
-    )
+    calls = spy_paths(walked, monkeypatch)
+    before = dict(walked.views["V@C_ST"].items())
 
     def delta():
         return Relation("T", ("C", "D"), ring, {(2, 9): ring.one})
 
     walked_root = walked.apply_update(delta())
-    assert fanned == [("V@C_ST", 2)]
+    assert calls == ["T"]
+    after = walked.views["V@C_ST"]
+    assert len([key for key, payload in after.items()
+                if not ring.eq(before.get(key, ring.zero), payload)]) == 2
     assert interpreted.apply_update(delta()).same_as(walked_root)
     for name, view in interpreted.views.items():
         assert view.same_as(walked.views[name]), name
 
 
-def test_several_contributions_to_one_key_fold_like_the_interpreter():
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_several_contributions_to_one_key_fold_like_the_interpreter(ring_name):
     """Without group-aware probes a star root iterates its sibling's
     bucket: one row puts one contribution per matching ``S`` row on the
-    same key, which the path folds with ``ring.sum``."""
+    same key, which the path folds.  And on the Figure 2 query a 2-row
+    ``T`` delta whose rows cancel on their ``V@D_T`` key puts opposite
+    contributions on each key of ``V@C_ST``: the fold drops every one,
+    so the root delta is empty and no view changes."""
     from repro.apps.conjunctive import _factorize_tree
 
     schemas = {"R": ("P", "X"), "S": ("P", "Y")}
-    query = Query("star", schemas, ring=INT_RING)
+    ring, lifts = RING_FAMILIES[ring_name](("P", "X", "Y"))
+    query = Query("star", schemas, ring=ring, lifting=Lifting(ring, lifts))
     rows = {"R": [(1, 1), (2, 1)], "S": [(1, 1), (1, 2), (1, 3), (2, 1)]}
 
     def engine(**kwargs):
@@ -181,15 +254,35 @@ def test_several_contributions_to_one_key_fold_like_the_interpreter():
         )
         return FIVMEngine(
             query, tree=tree, group_aware=False,
-            db=make_database(schemas, INT_RING, rows), **kwargs,
+            db=make_database(schemas, ring, rows), **kwargs,
         )
 
     walked, interpreted = engine(), engine(backend="interpreter")
-    for target in (walked, interpreted):
-        got = target.apply_update(Relation("R", ("P", "X"), INT_RING, {(1, 7): 1}))
-        assert dict(got.items()) == {(1,): 3}
+    got, want = (
+        target.apply_update(Relation("R", ("P", "X"), ring, {(1, 7): ring.one}))
+        for target in (walked, interpreted)
+    )
+    assert list(got.keys()) == [(1,)] and got.same_as(want)
+    if ring_name == "int":  # the three S rows of P = 1, one each
+        assert dict(got.items()) == dict(want.items()) == {(1,): 3}
     for name, view in interpreted.views.items():
         assert view.same_as(walked.views[name]), name
+
+    # p·L(9) and -q·L(8), p = L(8) and q = L(9) where D is lifted: the
+    # lifts of one variable commute (the matrix ring's are I + t·N).
+    lift = lifts.get("D", lambda value: ring.one)
+    walked = paper_engine(ring, lifts)
+    interpreted = paper_engine(ring, lifts, backend="interpreter")
+    views = {name: dict(view.items()) for name, view in walked.views.items()}
+    for target in (walked, interpreted):
+        root = target.apply_update(Relation("T", ("C", "D"), ring, {
+            (2, 9): lift(8), (2, 8): ring.neg(lift(9)),
+        }))
+        assert len(root) == 0
+    assert set(walked.views["V@C_ST"].keys()) == set(views["V@C_ST"])
+    for name, view in interpreted.views.items():
+        assert view.same_as(walked.views[name]), name
+        assert view.same_as(Relation(name, view.schema, ring, views[name])), name
 
 
 @pytest.mark.parametrize("rel, row", [
@@ -231,27 +324,47 @@ def test_a_write_fault_lands_on_the_same_view_as_on_the_bulk_path(rel, row):
 
 
 @pytest.mark.parametrize("workload, share", [
-    ("retailer_b1", 1), ("join_factorized", 1),
-    ("retailer_b600", 0), ("chain_rank1", 0),
+    ("retailer_b1", 1), ("join_factorized", 1), ("multiview_n100", 1),
+    ("retailer_b600", None), ("chain_rank1", 0),
 ])
 def test_which_workloads_take_the_generated_path(workload, share, monkeypatch):
-    """Every update of the single-tuple workloads runs a generated path,
-    none of the others': ``retailer_b600`` sends deltas of 3–40 rows at
-    this size (≥ 20 at full size) and ``chain_rank1`` factorized updates."""
+    """Every non-empty update of fewer than ``MIN_TRIGGER_ROWS`` (32) rows
+    runs a generated path, and no other: all of the single-tuple
+    workloads' and of ``multiview_n100``'s ℤ deltas of 10–16 rows (in
+    every engine of its multi-view set), those of ``retailer_b600``'s
+    3–40-row deltas at this size that are below 32 rows (``share``
+    ``None``: some, not all), and none of ``chain_rank1``'s factorized
+    updates."""
     from benchmarks.e2e import run as e2e
+    from repro.core import engine as engine_module
+    from repro.core.kernels import MIN_TRIGGER_ROWS
 
+    calls = []
+    compile_path = engine_module.compile_path
+
+    def counted(*args):
+        path = compile_path(*args)
+        return lambda delta, packed: calls.append(1) or path(delta, packed)
+
+    monkeypatch.setattr(engine_module, "compile_path", counted)
     instance = e2e.WORKLOADS[workload](3, True)
     state = instance.setup()
-    updates = []
+    sizes = []
     apply_update = FIVMEngine.apply_update
     monkeypatch.setattr(
         FIVMEngine, "apply_update",
-        lambda self, delta: updates.append(1) or apply_update(self, delta),
+        lambda self, delta: sizes.append(len(delta._data))
+        or apply_update(self, delta),
     )
-    calls = spy_paths(state.engine, monkeypatch)
+    del calls[:]
     instance.run(state)
-    assert len(calls) == share * len(updates)
-    assert calls or not share
+    small = sum(1 for n in sizes if 0 < n < MIN_TRIGGER_ROWS)
+    assert len(calls) == small
+    if share is None:
+        assert 0 < small < len(sizes)
+    else:
+        assert small == share * len(sizes)
+        assert calls or not share
 
 
 def test_an_index_registered_after_binding_stays_exact():
@@ -310,7 +423,8 @@ def test_an_index_registered_after_binding_stays_exact():
 def test_the_packed_real_root_is_written_through_add(monkeypatch):
     """Over ℝ the root is a :class:`DeferredRelation` that a rank-1 update
     leaves packed; a one-row update after it must fold the column first
-    (it writes through ``Relation.add``, not a map bound at planning
+    (it writes through ``Relation._put``, the body of ``Relation.add``,
+    which reads the map at each write, not a map bound at planning
     time), and a read then equals the interpreter's."""
     from repro.apps import MatrixChainIVM
 
@@ -328,15 +442,14 @@ def test_the_packed_real_root_is_written_through_add(monkeypatch):
     assert isinstance(root, DeferredRelation)
     assert root._packed_form is not None, "fixture: the root is left packed"
     calls = spy_paths(chain.engine, monkeypatch)
-    fanned = []
-    monkeypatch.setattr(
-        chain.engine, "_fan_out", lambda *args: fanned.append(args)
+    runs = spy_slot_runs(monkeypatch)
+    chain.engine.apply_update(
+        Relation("A2", ("X2", "X3"), REAL_RING, {(1, 2): 0.5})
     )
-    for target in (chain, oracle):
-        target.engine.apply_update(
-            Relation("A2", ("X2", "X3"), REAL_RING, {(1, 2): 0.5})
-        )
-    assert calls == ["A2"] and fanned == []
+    assert calls == ["A2"] and runs == []
+    oracle.engine.apply_update(
+        Relation("A2", ("X2", "X3"), REAL_RING, {(1, 2): 0.5})
+    )
     assert root._packed_form is None
     np.testing.assert_allclose(chain.result_matrix(), oracle.result_matrix())
     np.testing.assert_allclose(
@@ -514,8 +627,7 @@ def test_the_row_form_makes_no_ring_call(monkeypatch):
     """Counts, not clocks: over a one-row Retailer stream the generated
     paths multiply, add and test rows, so they call no ``CofactorRing``
     ``mul``, ``add`` or ``is_zero`` and look up no term table — each is
-    bound at planning (a fan-out's remaining steps, run on relations by
-    the scalar triggers, are not counted)."""
+    bound at planning (a fan-out's remaining steps included)."""
     from repro.rings import cofactor
 
     calls, inside = [], [False]
@@ -534,10 +646,10 @@ def test_the_row_form_makes_no_ring_call(monkeypatch):
     ring = walked.query.ring
     for rel, path in list(walked._row_paths.items()):
 
-        def counted(key, payload, path=path):
+        def counted(delta, packed, path=path):
             inside[0] = True
             try:
-                return path(key, payload)
+                return path(delta, packed)
             finally:
                 inside[0] = False
 

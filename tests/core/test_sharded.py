@@ -330,7 +330,7 @@ def test_explicit_shard_key_and_validation_errors():
 
 def test_inline_shards_compile_each_trigger_once(monkeypatch):
     """S = 3 inline shards (and the single engine beside them) compile
-    each trigger and each one-row path once, through the process-wide
+    each trigger and each path once, through the process-wide
     code cache, and bind their own copies of the one code object."""
     import builtins
 

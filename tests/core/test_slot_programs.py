@@ -466,7 +466,7 @@ class TestLiftedSiblingMemo:
 
     def test_engines_sharing_code_hold_their_own_memos(self):
         """Two engines over one query run every trigger and every
-        one-row path from one code object (the process-wide cache), but
+        path from one code object (the process-wide cache), but
         each binds its own views, memo dicts and cache sentinels; a
         path binds the very memo dicts of its steps' triggers."""
         order = paper_variable_order()
