@@ -282,18 +282,21 @@ class _PathStep(NamedTuple):
     view: Optional[Relation]
 
 
-class _FactorStep(NamedTuple):
+class _FactorStep:
     """One node of a planned factored path: the permutation that puts the
     incoming factors in canonical order (``None`` when they arrive in
     it), the node's factor program IR over the canonical partition, the
-    siblings it merges, and the key ``(node name, source, canonical
-    partition)`` its scalar and array programs are registered under."""
+    siblings it merges, the key ``(node name, source, canonical
+    partition)`` its scalar and array programs are registered under, and
+    those programs once bound (``False`` until a term needs them; an
+    ``array`` of ``None`` is a program with no array form)."""
 
-    node: ViewNode
-    perm: Optional[Tuple[int, ...]]
-    ir: object
-    targets: list
-    key: tuple
+    __slots__ = ("node", "perm", "ir", "targets", "key", "array", "scalar")
+
+    def __init__(self, node, perm, ir, targets, key):
+        self.node, self.perm, self.ir = node, perm, ir
+        self.targets, self.key = targets, key
+        self.array = self.scalar = False
 
 
 class FIVMEngine:
@@ -1221,7 +1224,7 @@ class FIVMEngine:
                         leaf.keys, name=rel
                     ),
                 )
-            contribution = self._propagate_factored(leaf, list(term))
+            contribution = self._propagate_factored(leaf, term)
             # One term's root delta is returned as propagated (read-only,
             # possibly still packed); only further terms pay a merge.
             total = (
@@ -1270,24 +1273,26 @@ class FIVMEngine:
         return tuple(steps)
 
     def _factor_program(self, step: _FactorStep, packed: bool = False):
-        """Build and register a planned step's factor program — its array
-        form when ``packed``, which is ``None`` for a program that has
-        none.  The walk calls this when ``step.key`` is not registered
-        yet, so programs are built on first use and the paths of different
-        terms share them."""
+        """Bind a planned step's factor program — its array form when
+        ``packed``, which is ``None`` for a program that has none —
+        built and registered under ``step.key`` unless another path's step
+        already was.  The walk calls this when the step has not bound the
+        form, so programs are built on first use and shared."""
         ir, targets = step.ir, step.targets
-        if packed:
-            program = self._array_factor_programs[step.key] = (
+        registry = (
+            self._array_factor_programs if packed else self._factor_programs
+        )
+        program = registry.get(step.key, False)
+        if program is False:
+            program = registry[step.key] = (
                 kernels.array_factor_program(
                     ir, targets, self.query, self._factor_kops
-                )
-            )
-        else:
-            program = self._factor_programs[step.key] = (
-                InterpreterFactorProgram(ir, targets, self.query)
+                ) if packed
+                else InterpreterFactorProgram(ir, targets, self.query)
                 if self._interpreted
                 else compile_factor_program(ir, targets, self.query)
             )
+        setattr(step, "array" if packed else "scalar", program)
         return program
 
     def _propagate_factored(
@@ -1297,11 +1302,11 @@ class FIVMEngine:
         (:meth:`_factored_path`): one factor program per node, the factors
         flowing between them as dicts or — over a ring that packs, into
         every node some factor reaches with at least ``_vector_rows`` rows
-        and whose program has an array form — as ``(key tuple, column)``
-        pairs; sibling collapses are shared through the probe cache."""
+        and whose program has an array form — as key tuples and columns;
+        sibling collapses are shared through the probe cache."""
         if not factors:
             return self._empty_root()
-        key = (leaf.name, tuple(f.schema for f in factors))
+        key = (leaf.name, tuple([f.schema for f in factors]))
         plan = self._factored_paths.get(key)
         if plan is None:
             plan = self._factored_paths[key] = self._factored_path(
@@ -1309,48 +1314,50 @@ class FIVMEngine:
             )
         ring = self.query.ring
         kops = self._factor_kops
-        fdatas = tuple((kops and f._packed_form) or f._data for f in factors)
+        # The term's factors: their key tuples and payload columns, or
+        # (``keys`` is ``None``) their payload dicts.
+        forms = [f._packed_form for f in factors] if kops else [None]
+        if None in forms:
+            keys, payloads = None, [f._data for f in factors]
+        else:
+            keys, payloads = map(list, zip(*forms))
         cache = self._probe_cache
-        arrays, scalars = self._array_factor_programs, self._factor_programs
         root_delta = None
         for step in plan:
             if step.perm is not None:
-                fdatas = tuple(fdatas[i] for i in step.perm)
+                payloads = [payloads[i] for i in step.perm]
+                if keys is not None:
+                    keys = [keys[i] for i in step.perm]
             # Chosen per node, from the rows it is handed: a one-row factor
             # of one node is an n-row factor of the next.
             program = None
-            if kops is not None and self._vector_rows <= max(
-                len(f) if type(f) is dict else len(f[0]) for f in fdatas
-            ):
-                try:
-                    program = arrays[step.key]
-                except KeyError:
+            if kops and self._vector_rows <= max(map(len, keys or payloads)):
+                program = step.array
+                if program is False:
                     program = self._factor_program(step, packed=True)
-            packed = program is not None
-            if packed:
-                fdatas = tuple(kernels.packed_factor(f, kops) for f in fdatas)
-            else:
-                try:
-                    program = scalars[step.key]
-                except KeyError:
-                    program = self._factor_program(step)
-                if kops is not None:
-                    fdatas = tuple(kernels.factor_dict(f, kops) for f in fdatas)
-            fdatas, flat = program.run(fdatas, cache)
-            if fdatas is None:
-                return self._empty_root()
             node = step.node
+            if program is not None:
+                if keys is None:
+                    keys, payloads = kernels.packed_factors(payloads, kops)
+                keys, payloads, flat = program.run(keys, payloads, cache)
+                if keys is None:
+                    return self._empty_root()
+                if flat is not None:
+                    root_delta = self._write_view(node.name, flat)
+                continue
+            if keys is not None:
+                keys, payloads = None, kernels.factor_dicts(keys, payloads, kops)
+            payloads, flat = (step.scalar or self._factor_program(step)).run(
+                payloads, cache
+            )
+            if payloads is None:
+                return self._empty_root()
             if flat is not None:
-                if not packed:
-                    flat_data, flat = flat, Relation(node.name, node.keys, ring)
-                    flat._data = flat_data
-                if packed or flat_data:
+                flat_data, flat = flat, Relation(node.name, node.keys, ring)
+                flat._data = flat_data
+                if flat_data:
                     flat = self._write_view(node.name, flat)
                 root_delta = flat
-            if (
-                not packed
-                and any(not d for d in fdatas)
-                and node is not self.tree.root
-            ):
+            if any(not d for d in payloads) and node is not self.tree.root:
                 return self._empty_root()
         return root_delta if root_delta is not None else self._empty_root()

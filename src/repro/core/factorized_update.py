@@ -14,12 +14,29 @@ matrix-vector instead of matrix-matrix work (Example 6.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.data.relation import Relation
 from repro.data.schema import SchemaError
 
 __all__ = ["FactorizedUpdate"]
+
+
+@lru_cache(maxsize=256)
+def _cover(schemas: Tuple[Tuple[str, ...], ...]) -> frozenset:
+    """The attributes a term's factor schemas cover, validated once per
+    schema tuple (an invalid one raises, and is not cached)."""
+    seen: set = set()
+    for schema in schemas:
+        overlap = seen.intersection(schema)
+        if overlap:
+            raise SchemaError(
+                f"factors overlap on {sorted(overlap)}; factor schemas "
+                "must be disjoint"
+            )
+        seen.update(schema)
+    return frozenset(seen)
 
 
 class FactorizedUpdate:
@@ -46,26 +63,13 @@ class FactorizedUpdate:
         if not self.terms:
             self.attributes: frozenset = frozenset()
             return
-        reference = self._term_schema(self.terms[0])
+        reference = _cover(tuple([f.schema for f in self.terms[0]]))
         for term in self.terms[1:]:
-            if self._term_schema(term) != reference:
+            if _cover(tuple([f.schema for f in term])) != reference:
                 raise SchemaError(
                     "all terms must cover the same attribute set"
                 )
         self.attributes = reference
-
-    @staticmethod
-    def _term_schema(term: Sequence[Relation]) -> frozenset:
-        seen: set = set()
-        for factor in term:
-            overlap = seen & set(factor.schema)
-            if overlap:
-                raise SchemaError(
-                    f"factors overlap on {sorted(overlap)}; factor schemas "
-                    "must be disjoint"
-                )
-            seen |= set(factor.schema)
-        return frozenset(seen)
 
     @classmethod
     def rank_one(

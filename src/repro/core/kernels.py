@@ -85,8 +85,8 @@ __all__ = [
     "ArrayFactorProgram",
     "array_factor_program",
     "factor_column_ops",
-    "packed_factor",
-    "factor_dict",
+    "packed_factors",
+    "factor_dicts",
     "MIN_TRIGGER_ROWS",
     "MIN_VECTOR_ROWS",
 ]
@@ -258,20 +258,16 @@ class KernelDeltaProgram:
 # ----------------------------------------------------------------------
 
 
-def packed_factor(factor, kops) -> tuple:
-    """A term factor — a dict, or packed already — as ``(key tuple,
-    payload column)``."""
-    if type(factor) is dict:
-        return tuple(factor), kops.pack(list(factor.values()), len(factor))
-    return factor
+def packed_factors(factors, kops) -> tuple:
+    """Term factor dicts as ``(key tuples, payload columns)``."""
+    return [tuple(f) for f in factors], [
+        kops.pack(list(f.values()), len(f)) for f in factors
+    ]
 
 
-def factor_dict(factor, kops) -> dict:
-    """The inverse of :func:`packed_factor`."""
-    if type(factor) is dict:
-        return factor
-    keys, column = factor
-    return dict(zip(keys, kops.unpack(column)))
+def factor_dicts(keys, columns, kops) -> list:
+    """The inverse of :func:`packed_factors`."""
+    return [dict(zip(k, kops.unpack(c))) for k, c in zip(keys, columns)]
 
 
 def _merges_packed(op) -> bool:
@@ -303,13 +299,13 @@ def array_factor_program(
 class ArrayFactorProgram:
     """A :class:`~repro.core.ir.FactorProgramIR` executed over packed
     factors — the run contract of
-    :class:`~repro.core.plan_exec.FactorProgram` with ``(key tuple,
-    column)`` pairs for the factor dicts and a packed
+    :class:`~repro.core.plan_exec.FactorProgram` with the factors' key
+    tuples and columns for the factor dicts and a packed
     :class:`~repro.data.relation.DeferredRelation` for the flat dict."""
 
     __slots__ = (
-        "ir", "out_partition", "ring", "_kops", "_lifts", "_merges",
-        "_flat_from", "_table",
+        "ir", "out_partition", "ring", "_kops", "_lifts", "_merges", "_out",
+        "_flat", "_flat_from", "_table",
     )
 
     def __init__(self, ir, targets, query, kops):
@@ -318,17 +314,26 @@ class ArrayFactorProgram:
         self.ring = query.ring
         self._kops = kops
         self._lifts = query.lifting.table()
-        #: Per merge: the op, the sibling's bucket index it probes, and
-        #: this binding's own probe-cache site (its memo rows are arrays,
-        #: the scalar program's are tuples).
+        #: Where each slot sits in a run's lists: the incoming factors,
+        #: then each merge's output.
+        at = {slot.id: i for i, slot in enumerate(ir.initial_slots)}
+        #: Per merge: the op, its input's position, the sibling's bucket
+        #: index it probes, and the probe-cache view and site it keeps its
+        #: memo rows in (its own site: they are arrays, the scalar
+        #: program's are tuples).
         self._merges = []
         for op in ir.ops:
             target = targets[op.target]
             target.register_index(op.probe_attrs)
-            self._merges.append(
-                (op, target._indexes[op.probe_attrs][1], object())
-            )
+            self._merges.append((
+                op, at[op.inputs[0].id], target._indexes[op.probe_attrs][1],
+                op.target_name, object(),
+            ))
+            at[op.out.id] = len(at)
+        self._out = [at[s.id] for s in ir.out_slots]
+        self._flat = None
         if ir.flatten is not None:
+            self._flat = [at[s.id] for s in ir.flatten.inputs]
             attrs = [a for slot in ir.flatten.inputs for a in slot.schema]
             #: Where each output key component sits in the concatenated
             #: factor keys.
@@ -348,22 +353,20 @@ class ArrayFactorProgram:
             self._kops.pack([payload for _, payload in rows], len(rows)),
         )
 
-    def _merge(self, op, buckets, site, keys, column):
-        """``out[extends] = Σ_key column[key] · sibling[key, extends]``;
-        ``None`` when the result is the ring zero."""
-        # Besides the memo rows the site holds, under ``None``: the
-        # numbering of output keys (first-seen order; it lives and dies
-        # with the rows that refer to it), the last factor key tuple, its
-        # rows gathered as one zero-filled ``(len(keys), n_slots)`` block
-        # — the merge is then a vector–matrix contraction — and the output
-        # key tuple.  Dense updates present the same keys every time.
-        if not keys:
-            return None
+    def _gather(self, op, buckets, site, keys):
+        """The site's state with the rows of factor key tuple ``keys``
+        gathered: ``[numbering of output keys, keys, block, output key
+        tuple]``, kept in the site under ``None``."""
+        # The numbering is first-seen order (it lives and dies with the
+        # memo rows that refer to it); the block is zero-filled, one line
+        # per factor key and one column per output key, so the merge is
+        # a vector–matrix contraction.  Dense updates present the same
+        # keys every time.
         state = site.get(None)
         if state is None:
             state = site[None] = [{}, None, None, ()]
-        slot_of = state[0]
-        if keys is not state[1] and keys != state[1]:
+        if keys != state[1]:
+            slot_of = state[0]
             rows = list(map(site.get, keys))
             for i, row in enumerate(rows):
                 if row is None:
@@ -377,23 +380,11 @@ class ArrayFactorProgram:
                 np.arange(len(rows)).repeat([len(slots) for slots, _ in rows]),
                 np.concatenate([slots for slots, _ in rows]),
             ] = np.concatenate([payloads for _, payloads in rows])
-        if not slot_of:  # no row at the site has a surviving extend
-            return None
-        acc = np.einsum("i,ij->j", column, state[2])
-        zero = self._kops.zero_mask(acc)
-        if not zero.any():
-            if len(state[3]) != len(slot_of):
-                state[3] = tuple(slot_of)
-            return state[3], acc
-        if zero.all():
-            return None
-        live = ~zero
-        return tuple(compress(slot_of, live.tolist())), acc[live]
+        return state
 
-    def _flatten(self, factors):
+    def _flatten(self, keys, columns):
         """The factor product as a packed delta in the node's key order."""
-        flatten = self.ir.flatten
-        key_lists = tuple(keys for keys, _ in factors)
+        key_lists = tuple(keys)
         # Tuple comparison tests each factor's key table by identity
         # first: the merges and full-support vectors keep theirs.
         if key_lists != self._table[0]:
@@ -402,31 +393,53 @@ class ArrayFactorProgram:
                 tuple([flat[i] for i in take])
                 for flat in map(sum, product(*key_lists), repeat(()))
             ))
-        table = self._table[1]
-        column = reduce(np.multiply.outer, [col for _, col in factors]).ravel()
+        column = reduce(np.multiply.outer, columns).ravel()
         # Products of non-zeros can still cancel: explicit zeros, which
         # neither the packed absorb nor the resolved map lets through.
         zero = self._kops.zero_mask(column)
-        if zero.any():
+        if np.count_nonzero(zero):
             column = np.where(zero, 0.0, column)
         return DeferredRelation(
-            self.ir.node_name, flatten.out_keys, self.ring,
-            packed=(table, column),
+            self.ir.node_name, self.ir.flatten.out_keys, self.ring,
+            packed=(self._table[1], column),
         )
 
-    def run(self, factors, cache):
-        """Propagate one rank-1 term's packed factors through the node."""
-        ir = self.ir
-        slots = {slot.id: factors[i] for i, slot in enumerate(ir.initial_slots)}
-        for op, buckets, sentinel in self._merges:
-            merged = self._merge(
-                op, buckets, cache_site(cache, op.target_name, sentinel),
-                *slots[op.inputs[0].id],
+    def run(self, keys, columns, cache):
+        """Propagate one rank-1 term through the node: its factors' key
+        tuples and columns, aligned with the partition (the lists grow by
+        the merges' outputs), to the outgoing ones and the flattened
+        delta; ``(None, None, None)`` when a merge is the ring zero."""
+        zero_mask = self._kops.zero_mask
+        for op, at, buckets, view, sentinel in self._merges:
+            site = cache_site(cache, view, sentinel)
+            state = site.get(None)
+            factor_keys = keys[at]
+            if state is None or factor_keys is not state[1]:
+                if not factor_keys:
+                    return None, None, None
+                state = self._gather(op, buckets, site, factor_keys)
+            slot_of = state[0]
+            if not slot_of:  # no row at the site has a surviving extend
+                return None, None, None
+            # out[extends] = Σ_key column[key] · sibling[key, extends]
+            acc = np.einsum("i,ij->j", columns[at], state[2])
+            zero = zero_mask(acc)
+            dead = np.count_nonzero(zero)
+            if not dead:
+                if len(state[3]) != len(slot_of):
+                    state[3] = tuple(slot_of)
+                keys.append(state[3])
+            elif dead == len(acc):
+                return None, None, None
+            else:
+                live = ~zero
+                keys.append(tuple(compress(slot_of, live.tolist())))
+                acc = acc[live]
+            columns.append(acc)
+        flat = self._flat
+        if flat is not None:
+            flat = self._flatten(
+                [keys[i] for i in flat], [columns[i] for i in flat]
             )
-            if merged is None:
-                return (None, None)
-            slots[op.out.id] = merged
-        flat = None
-        if ir.flatten is not None:
-            flat = self._flatten([slots[s.id] for s in ir.flatten.inputs])
-        return tuple(slots[s.id] for s in ir.out_slots), flat
+        out = self._out
+        return [keys[i] for i in out], [columns[i] for i in out], flat

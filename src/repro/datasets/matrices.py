@@ -34,19 +34,13 @@ def random_matrix(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndar
     return rng.uniform(-1.0, 1.0, size=(n_rows, n_cols))
 
 
-def _support(array: np.ndarray, ring) -> Tuple[np.ndarray, ...]:
-    """Index arrays of the entries a relation over the scalar ``ring``
-    keeps: all but those its ``is_zero`` holds (exact zeros; over ℝ also
-    what its tolerance covers)."""
-    return np.nonzero(~ring.kernel_ops().zero_mask(array))
-
-
 def matrix_as_relation(
     name: str, matrix: np.ndarray, row_var: str, col_var: str, ring=REAL_RING
 ) -> Relation:
     """Encode a matrix as a binary relation with scalar payloads."""
     matrix = np.asarray(matrix, dtype=float)
-    rows, cols = _support(matrix, ring)
+    # All entries but those ``ring.is_zero`` holds (over ℝ: its tolerance).
+    rows, cols = np.nonzero(~ring.kernel_ops().zero_mask(matrix))
     rel = Relation(name, (row_var, col_var), ring)
     rel._data = dict(
         zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist())
@@ -54,12 +48,12 @@ def matrix_as_relation(
     return rel
 
 
-def _key_index(keys) -> Tuple[np.ndarray, np.ndarray]:
-    """``(row, col)`` keys as a pair of index arrays."""
+def _flat_index(keys, shape) -> np.ndarray:
+    """``(row, col)`` keys as flat indices into an array of ``shape``."""
     index = np.fromiter(
         chain.from_iterable(keys), np.intp, 2 * len(keys)
     ).reshape(-1, 2)
-    return index[:, 0], index[:, 1]
+    return np.ravel_multi_index(index.T, shape)
 
 
 def relation_as_matrix(
@@ -69,19 +63,20 @@ def relation_as_matrix(
 
     A relation that is packed (:class:`DeferredRelation`) is read from its
     column and keeps its map unbuilt; ``scatter``, a dict the caller keeps
-    between calls, then holds the index arrays of the last key table."""
+    between calls over one ``shape``, then holds the flat index of the
+    last key table."""
     out = np.zeros(shape)
     packed = rel._packed_form
-    if packed is None:
+    if packed is None:  # a map is no key table: nothing to keep
         data = rel._data
-        out[_key_index(data)] = np.fromiter(data.values(), float, len(data))
-        return out
+        packed = data, np.fromiter(data.values(), float, len(data))
+        scatter = None
     keys, column = packed
     if scatter is None:
         scatter = {}
     if scatter.get("keys") is not keys:
-        scatter.update(keys=keys, index=_key_index(keys))
-    out[scatter["index"]] = column
+        scatter.update(keys=keys, index=_flat_index(keys, shape))
+    out.reshape(-1)[scatter["index"]] = column
     return out
 
 
@@ -101,13 +96,14 @@ def vector_as_relation(
     The relation is born packed — keys plus one float64 column, what the
     array factor programs consume — and builds its map only if read.  A
     vector with full support shares its key table (:func:`_full_keys`)."""
-    vector = np.asarray(vector, dtype=float)
-    (support,) = _support(vector, ring)
-    keys = (
-        _full_keys(len(vector)) if len(support) == len(vector)
-        else tuple(zip(support.tolist()))
-    )
-    return DeferredRelation(name, (var,), ring, packed=(keys, vector[support]))
+    column = np.array(vector, dtype=float)
+    zero = ring.kernel_ops().zero_mask(column)
+    if np.count_nonzero(zero):
+        (support,) = np.nonzero(~zero)
+        keys, column = tuple(zip(support.tolist())), column[support]
+    else:
+        keys = _full_keys(len(column))
+    return DeferredRelation(name, (var,), ring, packed=(keys, column))
 
 
 def row_update(

@@ -1,6 +1,8 @@
 """Tests for matrix chain multiplication (Section 6.1 / LINVIEW)."""
 
+import gc
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.apps import (
 )
 import repro.apps.matrix_chain as matrix_chain_module
 import repro.core.engine as engine_module
+import repro.core.kernels as kernels_module
 from repro.apps.matrix_chain import chain_database, rank_one_update
 from repro.bench.memory import strategy_scalars
 from repro.core import (
@@ -26,7 +29,7 @@ from repro.core import (
     ShardedFIVMEngine,
     ViewClient,
 )
-from repro.data import Database, Relation, relation
+from repro.data import Database, Relation, SchemaError, relation
 from repro.data.relation import _DATA_SLOT, DeferredRelation
 from repro.datasets.matrices import (
     _full_keys,
@@ -37,7 +40,7 @@ from repro.datasets.matrices import (
     row_update,
     vector_as_relation,
 )
-from repro.rings import INT_RING, RealRing
+from repro.rings import INT_RING, REAL_RING, RealRing
 
 from tests.conftest import FORMS, bucket_sum, pinned
 
@@ -775,6 +778,135 @@ class TestPlannedFactoredWalk:
         assert term(*rank_r_update(n, 1, np_rng)[0]).shape == (n, n)
         assert np.allclose(chains["array"].result_matrix(), product(current))
 
+    def test_steady_state_dense_terms_count_one_contraction_per_merge(
+        self, np_rng, monkeypatch
+    ):
+        """Per steady-state dense term at n = 48: one ``np.einsum`` per
+        merge, no memo row reduced, nothing planned or built, and no
+        relation but the two factors and the root delta."""
+        n = 48
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        warm = rank_r_update(n, 1, np_rng)[0]
+        chain.apply_rank_one(2, *warm)
+        calls = Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(np, "einsum")
+        spy(kernels_module, "reduce_bucket")
+        spy(kernels_module.ArrayFactorProgram, "_memo_row")
+        spy(engine_module, "canonical_partition")
+        spy(FIVMEngine, "_factor_program")
+        built = []
+        for cls in (Relation, DeferredRelation):
+            def recording(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        terms = rank_r_update(n, 10, np_rng)
+        for u, v in terms:
+            chain.apply_rank_one(2, u, v)
+        merges = sum(len(p._merges) for p in array_programs(chain))
+        assert merges == 2
+        assert calls == {"einsum": merges * len(terms)}
+        # ``built`` holds every relation, so no two share an id.
+        relations = list({id(rel): rel for rel in built}.values())
+        root = chain.engine.tree.root.name
+        assert [rel.name for rel in relations] == (
+            ["A2_u", "A2_v", root] * len(terms)
+        )
+        mats[1] = mats[1] + sum(np.outer(u, v) for u, v in [warm] + terms)
+        assert np.allclose(chain.result_matrix(), product(mats))
+
+    def test_bad_terms_raise_every_time(self, np_rng):
+        """The cover of a factor-schema tuple is validated once, but a bad
+        term raises on every call, before and after a valid one; one-row
+        and exact-zero ``u`` stay held to the interpreter."""
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        chains = chains_per_form(mats, updatable=["A2"])
+        current = [m.copy() for m in mats]
+
+        def overlapping():
+            return FactorizedUpdate.rank_one("A2", [
+                vector_as_relation("u", np.ones(n), "X2"),
+                matrix_as_relation("w", np.ones((n, n)), "X2", "X3"),
+            ])
+
+        def wrong_cover():
+            return FactorizedUpdate.rank_one("A2", [
+                vector_as_relation("u", np.ones(n), "X2"),
+                vector_as_relation("v", np.ones(n), "X4"),
+            ])
+
+        def valid(u, v):
+            for chain in chains.values():
+                chain.apply_rank_one(2, u, v)
+            current[1] = current[1] + np.outer(u, v)
+            assert_held_to_interpreter(chains)
+
+        for _ in range(2):
+            for chain in chains.values():
+                with pytest.raises(SchemaError):
+                    overlapping()
+                with pytest.raises(ValueError) as raised:
+                    chain.engine.apply_factorized_update(wrong_cover())
+                assert raised.type is ValueError
+            valid(*rank_r_update(n, 1, np_rng)[0])
+        valid(*row_update(n, 4, np_rng))
+        u, v = rank_r_update(n, 1, np_rng)[0]
+        u[2] = 0.0
+        valid(u, v)
+        assert np.allclose(chains["array"].result_matrix(), product(current))
+
+
+class TestChainMemory:
+    def test_rank_one_stream_keeps_traced_memory_flat(self, np_rng):
+        """2 000 rank-1 terms after a warm-up: the bytes ``tracemalloc``
+        traces stay within a fixed slack, so no cache of the factored
+        walk — step bindings, flatten tables, the read's scatter index —
+        grows per term.  Row 0 of A1 has one entry, at column 0; every
+        100th ``u`` is zero there, so its merge drops output key 0 and the
+        flatten builds a new key table, and so does the dense term after
+        it, whose table the root holds and the read scatters."""
+        n, slack = 48, 64 * 1024
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        mats[0][0, 1:] = 0.0
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        terms = rank_r_update(n, 2200, np_rng)
+        for u, _ in terms[::100]:
+            u[0] = 0.0
+
+        def stream(part):
+            for i, (u, v) in enumerate(part):
+                chain.apply_rank_one(2, u, v)
+                if i % 100 == 1:
+                    chain.result_matrix()
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stream(terms[:200])
+            gc.collect()
+            warm = tracemalloc.get_traced_memory()[0]
+            stream(terms[200:])
+            gc.collect()
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end - warm <= slack, (warm, end)
+        mats[1] = mats[1] + sum(np.outer(u, v) for u, v in terms)
+        assert np.allclose(chain.result_matrix(), product(mats))
+
 
 class CountingReals(RealRing):
     """ℝ that counts the scalar operations asked of it."""
@@ -937,3 +1069,41 @@ class TestMatrixRelationCodecs:
         clone = pickle.loads(pickle.dumps(vector_as_relation("u", vector, "X")))
         assert type(clone) is Relation and clone.same_as(rel)
         assert vector_as_relation("u", np.zeros(3), "X").is_empty
+
+    def test_packed_read_of_a_sparse_table_out_of_row_major_order(
+        self, np_rng
+    ):
+        """A packed relation whose key table skips cells and runs in no
+        row-major order reads back as its dense matrix, through a flat
+        index the scatter dict keeps for the last table."""
+        n, m = 4, 5
+        dense = random_matrix(n, m, np_rng)
+        dense[1, :] = 0.0
+        dense[2, 3] = 0.0
+        cells = [(i, j) for j in range(m) for i in range(n) if dense[i, j]]
+        scatter = {}
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(cells))
+            keys = tuple(cells[k] for k in order)
+            rel = DeferredRelation("A", ("X", "Y"), REAL_RING, packed=(
+                keys, np.array([dense[cell] for cell in keys]),
+            ))
+            assert np.array_equal(relation_as_matrix(rel, (n, m), scatter), dense)
+            assert rel._packed_form is not None
+            assert scatter["keys"] is keys
+        assert np.array_equal(relation_as_matrix(rel, (n, m)), dense)
+
+    def test_chain_root_read_from_a_column_major_sparse_table(self, np_rng):
+        """The root's key table comes from the flatten (X4-major) and lacks
+        the row a zero row of A1 leaves empty; the packed read is held to
+        the dense product."""
+        n = 9
+        mats = [random_matrix(n, n, np_rng) for _ in range(3)]
+        mats[0][2, :] = 0.0
+        chain = MatrixChainIVM(mats, updatable=["A2"])
+        for u, v in rank_r_update(n, 3, np_rng):
+            chain.apply_rank_one(2, u, v)
+            mats[1] = mats[1] + np.outer(u, v)
+            keys, _ = chain.engine.result()._packed_form
+            assert len(keys) == n * (n - 1) and list(keys) != sorted(keys)
+            assert np.allclose(chain.result_matrix(), product(mats))
