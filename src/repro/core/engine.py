@@ -114,7 +114,9 @@ invalidation.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -132,6 +134,7 @@ from repro.core.plan_exec import (
     compile_factor_program,
     compile_path,
     compile_slot_program,
+    _base_env,
 )
 from repro.core.query import Query
 from repro.core.variable_order import VariableOrder
@@ -557,6 +560,8 @@ class FIVMEngine:
             and kops.vectorizes_triggers
         )
         lifts = self.query.lifting.table()
+        base = _base_env(self.query.ring)
+        lifted = self._lifted_subtrees() if has_arrays else None
         self._memo_sites.clear()
         for key, ir in self._ir.items():
             node, (kind, idx) = by_name[key[0]], key[1]
@@ -565,8 +570,8 @@ class FIVMEngine:
                 program = InterpreterDeltaProgram(ir, targets, self.query)
             else:  # over block views in row form, for the planned supports
                 program = compile_slot_program(
-                    ir, targets, self.query, None if self._supports is None
-                    else (
+                    ir, targets, self.query, base,
+                    None if self._supports is None else (
                         self._supports[node.children[idx].name]
                         if kind == "child" else (),
                         tuple(target._store.support for target in targets),
@@ -575,7 +580,8 @@ class FIVMEngine:
                     ))
                 self._memo_sites.update(program.memo_sites)
             self._programs[key] = program
-            if has_arrays and self._joins_payloads(node, key[1], self._plans[key]):
+            if has_arrays and self._joins_payloads(
+                    node, key[1], self._plans[key], lifted):
                 self._kernel_programs.setdefault(key, None)
         climbs: Dict[str, _PathStep] = {}  # child name → step at its parent
         hosted: List[Tuple[IndicatorView, _PathStep]] = []
@@ -605,15 +611,30 @@ class FIVMEngine:
                     (leaf.name, self.views.get(leaf.name)),
                     [(self._ir[step.key], step.program, step.view)
                      for step in self._paths[leaf.name]],
-                    self._probe_cache, self._faults, self.tree.root, self.query)
+                    self._probe_cache, self._faults, self.tree.root,
+                    self.query, base)
 
     def _plan_targets(self, node: ViewNode, plan) -> List[Relation]:
         return [self._plan_target_relation(node, step) for step in plan]
 
-    def _joins_payloads(self, node: ViewNode, source: Source, plan) -> bool:
+    def _lifted_subtrees(self) -> Dict[str, bool]:
+        """Per node, whether a variable marginalized in its subtree is
+        lifted (one bottom-up pass)."""
+        lifting = self.query.lifting
+        lifted: Dict[str, bool] = {}
+        for node in reversed(self.tree.nodes):  # children before parents
+            lifted[node.name] = any(
+                lifting.get(var) is not None for var in node.marginalized
+            ) or any(lifted[child.name] for child in node.children)
+        return lifted
+
+    def _joins_payloads(
+        self, node: ViewNode, source: Source, plan, lifted: Dict[str, bool],
+    ) -> bool:
         """Whether the node's payload product has something to vectorize:
         at least two of its view factors (the delta's source and the
-        probed siblings) come from subtrees that lift a variable.
+        probed siblings) come from subtrees that lift a variable
+        (``lifted``, :meth:`_lifted_subtrees`).
 
         A factor from a subtree without lifts is the ring image of a
         multiplicity, and a lift is a memoized singleton; multiplying by
@@ -627,23 +648,16 @@ class FIVMEngine:
         a probing program whose only lifted payload is its own (the
         triangle root) stays scalar.
         """
-        lifting = self.query.lifting
-
-        def lifts(view: ViewNode) -> bool:
-            """Whether any variable marginalized in the subtree is lifted."""
-            return any(
-                lifting.get(var) is not None for var in view.marginalized
-            ) or any(lifts(child) for child in view.children)
-
         children = [step.index for step in plan if step.kind == "child"]
         if source[0] == "child":
             children.append(source[1])
         if not plan:
             # Probe-free: the node's own lifts are the product.
             return any(
-                lifting.get(var) is not None for var in node.marginalized
+                self.query.lifting.get(var) is not None
+                for var in node.marginalized
             )
-        return sum(lifts(node.children[i]) for i in children) >= 2
+        return sum(lifted[node.children[i].name] for i in children) >= 2
 
     def _plan(self, node: ViewNode, source: Source) -> List[_PlanStep]:
         kind, idx = source
@@ -651,27 +665,24 @@ class FIVMEngine:
             accumulated = set(node.children[idx].keys)
         else:
             accumulated = set(node.indicators[idx].attrs)
-        pending: List[Tuple[str, int, Tuple[str, ...]]] = []
+        # Each candidate target: (kind, index, schema, schema as a set).
+        pending: List[Tuple[str, int, Tuple[str, ...], Set[str]]] = []
         for i, child in enumerate(node.children):
             if not (kind == "child" and i == idx):
-                pending.append(("child", i, child.keys))
+                pending.append(("child", i, child.keys, set(child.keys)))
         for i, spec in enumerate(node.indicators):
             if not (kind == "ind" and i == idx):
-                pending.append(("ind", i, spec.attrs))
+                pending.append(("ind", i, spec.attrs, set(spec.attrs)))
 
         steps: List[_PlanStep] = []
         while pending:
             # Prefer the target sharing the most attributes with what we
             # already have (greedy left-deep plan); deterministic tie-break.
-            def overlap(entry: Tuple[str, int, Tuple[str, ...]]) -> int:
-                """Attributes the candidate shares with the accumulated set."""
-                return len(accumulated & set(entry[2]))
-
             best = max(
                 range(len(pending)),
-                key=lambda i: (overlap(pending[i]), -i),
+                key=lambda i: (len(accumulated & pending[i][3]), -i),
             )
-            t_kind, t_idx, t_schema = pending.pop(best)
+            t_kind, t_idx, t_schema, _ = pending.pop(best)
             probe_attrs = tuple(a for a in t_schema if a in accumulated)
             extend_attrs = tuple(a for a in t_schema if a not in accumulated)
             steps.append(_PlanStep(t_kind, t_idx, probe_attrs, extend_attrs))

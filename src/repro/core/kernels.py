@@ -71,6 +71,7 @@ from repro.core.ir import (
     reduce_bucket,
 )
 from repro.core.plan_exec import (
+    _base_env,
     _bind_env,
     _emit_trigger,
     _Generated,
@@ -112,7 +113,8 @@ def kernel_delta_program(ir: DeltaProgram, targets, query) -> "KernelDeltaProgra
     blocks = any(isinstance(t, BlockRelation) for t in targets)
     generated = _generated(_generate_gather, ir, blocks)
     return KernelDeltaProgram(
-        ir, targets, blocks, query, _bind_env(generated, targets, query),
+        ir, targets, blocks, query,
+        _bind_env(generated, targets, query, _base_env(query.ring)),
         generated,
     )
 

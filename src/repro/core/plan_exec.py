@@ -266,15 +266,15 @@ _BLOCK_REQUESTS = {
 }
 
 
-def _bind_env(generated: _Generated, targets, query):
+def _bind_env(generated: _Generated, targets, query, env: dict):
     """Realize a generated program's environment against live targets.
 
-    Registers any secondary index the requests name (idempotent), then
-    execs the code object so the trigger's globals point straight at this
-    engine's dictionaries.  Returns the function; its ``__globals__`` is
-    the environment.
+    ``env`` is the program's own copy of :func:`_base_env`, which this
+    fills.  Registers any secondary index the requests name (idempotent),
+    then execs the code object so the trigger's globals point straight at
+    this engine's dictionaries.  Returns the function; its ``__globals__``
+    is the environment.
     """
-    env = _base_env(query.ring)
     lift_table = query.lifting.table()
     for name, spec in generated.requests:
         kind = spec[0]
@@ -397,19 +397,21 @@ def _tuple_display(registers: Sequence[str]) -> str:
 
 
 def compile_slot_program(
-    ir: DeltaProgram, targets, query, layout: Optional[tuple] = None,
+    ir: DeltaProgram, targets, query, base: dict,
+    layout: Optional[tuple] = None,
 ) -> SlotProgram:
     """Compile one IR delta program into a :class:`SlotProgram`.
 
     ``targets`` are the stored relations the IR's probes read, aligned with
     the ops' ``target`` indices.  Any secondary index a probe needs is
     registered at bind time (idempotent — the engine already registers them
-    while planning).  ``layout`` puts the code in row form
+    while planning).  ``base`` is the ring's :func:`_base_env`, built once
+    per engine and copied here.  ``layout`` puts the code in row form
     (:func:`_emit_trigger`).  The code comes from the process-wide cache;
     only the environment binding is per-engine.
     """
     generated = _generated(_generate_slot, ir, layout)
-    fn = _bind_env(generated, targets, query)
+    fn = _bind_env(generated, targets, query, dict(base))
     memo = ir.accumulate.memo
     return SlotProgram(
         ir.node_name, ir.out_schema, query.ring, fn, generated.source_text,
@@ -833,7 +835,8 @@ def compile_factor_program(
     generated = _generated(_generate_factor, ir)
     return FactorProgram(
         ir.node_name, generated.meta, query.ring,
-        _bind_env(generated, targets, query), generated.source_text,
+        _bind_env(generated, targets, query, _base_env(query.ring)),
+        generated.source_text,
     )
 
 
@@ -1228,14 +1231,14 @@ def _generate_path(path: PathIR) -> _Generated:
     return _Generated(lines, requests, consts, f"path {path.leaf}")
 
 
-def compile_path(leaf, steps, cache, faults, root, query):
+def compile_path(leaf, steps, cache, faults, root, query, base):
     """Generate and bind the path of ``leaf`` (its stored view or
     ``None``) up ``steps`` — ``(ir, scalar program, stored view or
     None)`` per node, leaf to root.  ``cache`` is the engine's probe
     cache, ``faults`` its fault plan, ``root`` the root node (the returned
-    delta's name and keys).  The path is in row form where its steps'
-    programs are.  The function's ``source_text`` is its generated
-    source."""
+    delta's name and keys), ``base`` the ring's :func:`_base_env` (copied).
+    The path is in row form where its steps' programs are.  The
+    function's ``source_text`` is its generated source."""
 
     views = [leaf[1]] + [view for _, _, view in steps]
     hows = [  # how the generated code writes each view
@@ -1248,7 +1251,7 @@ def compile_path(leaf, steps, cache, faults, root, query):
               for (ir, program, _), how in zip(steps, hows[1:])),
         faults is not None,
     ))
-    env = _base_env(query.ring)
+    env = dict(base)
     env.update(
         generated.meta, _cache=cache, _faults=faults, _Relation=Relation,
         _root=root.name, _root_keys=root.keys, _ring=query.ring,

@@ -9,7 +9,9 @@ subtree rooted at ``X`` depends — determines the keys of the view created at
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.query import Query
 from repro.data.schema import SchemaError
@@ -43,24 +45,45 @@ def _parse_spec(spec: Spec) -> VONode:
 
 
 class VariableOrder:
-    """A rooted forest over query variables with derived structure caches."""
+    """A rooted forest over query variables.
+
+    An order does not change once built: its depth-first positions,
+    ancestor tuples and subtree sets are derived once, by
+    :meth:`_tables`, and every structure query reads them.
+    """
 
     def __init__(self, roots: Sequence[VONode]):
         self.roots: Tuple[VONode, ...] = tuple(roots)
-        self._parent: Dict[str, Optional[str]] = {}
-        self._nodes: Dict[str, VONode] = {}
-        self._order: List[str] = []  # depth-first, pre-order
-        for root in self.roots:
-            self._index(root, None)
+        self._tables()
 
-    def _index(self, node: VONode, parent: Optional[str]) -> None:
-        if node.var in self._nodes:
-            raise SchemaError(f"variable {node.var!r} occurs twice in order")
-        self._nodes[node.var] = node
-        self._parent[node.var] = parent
-        self._order.append(node.var)
-        for child in node.children:
-            self._index(child, node.var)
+    def _tables(self) -> None:
+        """Derive every lookup table in one depth-first pass over the
+        roots (raising if a variable occurs twice)."""
+        self._nodes: Dict[str, VONode] = {}
+        self._parent: Dict[str, Optional[str]] = {}
+        #: Per variable its ancestors, root first.
+        self._ancestors: Dict[str, Tuple[str, ...]] = {}
+        self._order: List[str] = []  # depth-first, pre-order
+        stack = [(root, None, ()) for root in reversed(self.roots)]
+        while stack:
+            node, parent, above = stack.pop()
+            if node.var in self._nodes:
+                raise SchemaError(f"variable {node.var!r} occurs twice in order")
+            self._nodes[node.var] = node
+            self._parent[node.var] = parent
+            self._ancestors[node.var] = above
+            self._order.append(node.var)
+            above += (node.var,)
+            stack.extend(
+                (child, node.var, above) for child in reversed(node.children)
+            )
+        self._position = {var: i for i, var in enumerate(self._order)}
+        #: Per variable the variables of its subtree (itself included).
+        self._subtree: Dict[str, FrozenSet[str]] = {}
+        for var in reversed(self._order):  # children before parents
+            self._subtree[var] = frozenset([var]).union(
+                *(self._subtree[child.var] for child in self._nodes[var].children)
+            )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -147,27 +170,15 @@ class VariableOrder:
 
     def ancestors(self, var: str) -> Tuple[str, ...]:
         """Ancestors of ``var``, root first."""
-        chain: List[str] = []
-        current = self._parent[var]
-        while current is not None:
-            chain.append(current)
-            current = self._parent[current]
-        return tuple(reversed(chain))
+        return self._ancestors[var]
 
-    def subtree_vars(self, var: str) -> Set[str]:
+    def subtree_vars(self, var: str) -> FrozenSet[str]:
         """Variables in the subtree rooted at ``var`` (inclusive)."""
-        result: Set[str] = set()
-        stack = [self.node(var)]
-        while stack:
-            node = stack.pop()
-            result.add(node.var)
-            stack.extend(node.children)
-        return result
+        return self._subtree[var]
 
     def canonical_sort(self, attrs: Iterable[str]) -> Tuple[str, ...]:
         """Sort attributes by their depth-first position (stable key order)."""
-        position = {v: i for i, v in enumerate(self._order)}
-        return tuple(sorted(attrs, key=lambda a: position[a]))
+        return tuple(sorted(attrs, key=self._position.__getitem__))
 
     # ------------------------------------------------------------------
     # Query-specific structure
@@ -175,24 +186,14 @@ class VariableOrder:
 
     def validate(self, query: Query) -> None:
         """Check Definition 3.1 for ``query`` (raising on violations)."""
-        order_vars = set(self._order)
-        query_vars = set(query.variables)
-        if order_vars != query_vars:
+        if self._position.keys() != set(query.variables):
             raise SchemaError(
-                f"order covers {sorted(order_vars)} but query has "
-                f"{sorted(query_vars)}"
+                f"order covers {sorted(self._order)} but query has "
+                f"{sorted(set(query.variables))}"
             )
-        for rel, schema in query.relations.items():
-            if not schema:
-                continue
-            anchor = self.anchor(schema)
-            on_path = set(self.ancestors(anchor)) | {anchor}
-            stray = set(schema) - on_path
-            if stray:
-                raise SchemaError(
-                    f"relation {rel}{list(schema)} is not on one root-to-leaf "
-                    f"path: {sorted(stray)} not above {anchor}"
-                )
+        for schema in query.relations.values():
+            if schema:
+                self.anchor(schema)  # raises unless on one path
 
     def anchor(self, schema: Sequence[str]) -> str:
         """The lowest (deepest) variable of ``schema`` in the order.
@@ -201,10 +202,9 @@ class VariableOrder:
         order into a view tree.  Raises if the schema is not totally ordered
         by the ancestor relation (i.e. not on one path).
         """
-        depth = {v: len(self.ancestors(v)) for v in schema}
-        anchor = max(schema, key=lambda v: depth[v])
-        above = set(self.ancestors(anchor)) | {anchor}
-        if not set(schema) <= above:
+        # On one path the deepest variable comes last in pre-order.
+        anchor = max(schema, key=self._position.__getitem__)
+        if not all(anchor in self._subtree[v] for v in schema):
             raise SchemaError(
                 f"schema {list(schema)} does not lie on one path"
             )
@@ -214,7 +214,9 @@ class VariableOrder:
         """``dep(X)``: ancestors of ``X`` relevant to the subtree at ``X``.
 
         Computed as ancestors(X) ∩ vars(relations having a variable in the
-        subtree of X), matching the examples of Figure 2a.
+        subtree of X), matching the examples of Figure 2a.  The reference
+        definition: :func:`~repro.core.view_tree.build_view_tree` derives
+        the same sets for all variables at once, bottom-up.
         """
         subtree = self.subtree_vars(var)
         touched: Set[str] = set()

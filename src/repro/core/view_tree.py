@@ -251,6 +251,7 @@ def build_view_tree(
             top_level.append(rel)
 
     used_names: Set[str] = set()
+    initial = {rel: rel[:1] for rel in query.relations}
 
     def unique_name(base: str) -> str:
         """``base``, suffixed ``#n`` if already used."""
@@ -272,10 +273,17 @@ def build_view_tree(
             leaf_of=rel,
         )
 
-    def build(vo_node: VONode) -> ViewNode:
-        """The view (sub)tree for one variable-order node."""
-        children = [build(child) for child in vo_node.children]
-        children += [leaf(rel) for rel in sorted(anchored.get(vo_node.var, ()))]
+    def build(vo_node: VONode) -> Tuple[ViewNode, Set[str]]:
+        """The view (sub)tree for one variable-order node, and the union
+        of the schemas of the relations anchored in its subtree."""
+        built = [build(child) for child in vo_node.children]
+        children = [view for view, _ in built]
+        touched = built[0][1] if built else set()
+        for _, below in built[1:]:
+            touched |= below
+        for rel in sorted(anchored.get(vo_node.var, ())):
+            children.append(leaf(rel))
+            touched.update(query.schema_of(rel))
         if not children:
             raise SchemaError(
                 f"variable {vo_node.var} has no relation below it"
@@ -283,9 +291,13 @@ def build_view_tree(
         relations = frozenset().union(*(c.relations for c in children))
         child_key_union: Set[str] = set()
         for child in children:
-            child_key_union |= set(child.keys)
+            child_key_union.update(child.keys)
+        # dep(X) (VariableOrder.dep): a relation meets the subtree at X
+        # exactly when it is anchored in it, its variables lying on one
+        # root-to-leaf path.
         keys = order.canonical_sort(
-            order.dep(query, vo_node.var) | (free & child_key_union)
+            touched.intersection(order.ancestors(vo_node.var))
+            | (free & child_key_union)
         )
         is_free = vo_node.var in free
 
@@ -294,7 +306,7 @@ def build_view_tree(
             if set(child.keys) == set(keys) and not child.is_leaf:
                 # Identical view: keep only the child ("store the top view").
                 child.at_vars = child.at_vars + (vo_node.var,)
-                return child
+                return child, touched
 
         marginalized = () if is_free else (vo_node.var,)
         node = ViewNode(
@@ -321,11 +333,11 @@ def build_view_tree(
                 used_names.discard(child.name)
 
         top_var = node.at_vars[-1]
-        rel_tag = "".join(sorted(r[:1] for r in relations))
+        rel_tag = "".join(sorted(map(initial.__getitem__, relations)))
         node.name = unique_name(f"V@{top_var}_{rel_tag}")
-        return node
+        return node, touched
 
-    roots = [build(r) for r in order.roots]
+    roots = [build(r)[0] for r in order.roots]
     roots += [leaf(rel) for rel in top_level]
 
     if len(roots) == 1 and not roots[0].is_leaf:

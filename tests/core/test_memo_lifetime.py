@@ -389,3 +389,52 @@ def test_a_site_stays_within_twice_its_siblings_live_keys():
     assert largest["V@dateid_IIW:child0"] > len(rain), (
         "fixture: the site must have outlived some of its sibling's keys"
     )
+
+
+def test_multiview_register_cycles_leave_traced_memory_flat():
+    """2N register → ``apply_batch`` → ``drain`` → ``result`` →
+    ``deregister`` cycles of one view beside two permanent views that
+    share its {R, S} core: the bytes ``tracemalloc`` traces after cycle
+    2N are within a fixed slack of those after cycle N.  Each cycle plans
+    a whole engine and subscribes it to the shared core; what it planned,
+    published and subscribed goes when the view does.  The batches
+    alternate insert and delete, so the shared database is the same at
+    both readings."""
+    from repro.core import MultiViewEngine, Query
+    from repro.rings import INT_RING
+
+    def query(name, extra):
+        return Query(
+            name, {"R": ("A", "B"), "S": ("B", "C"), extra: ("A", "D")},
+            free=("A",), ring=INT_RING,
+        )
+
+    mv = MultiViewEngine()
+    mv.register(query("Q1", "T1"))
+    mv.register(query("Q2", "T2"))
+    assert len(mv.shared_stats()) == 1, "fixture: the core is shared"
+    cycles, slack = 6, 16 * 1024
+    traced = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cycle in range(2 * cycles):
+            mv.register(query("Q3", "T3"), target_lag=60.0)
+            (shared,) = mv.shared_stats().values()
+            assert shared["subscribers"] == 3
+            sign = 1 if cycle % 2 == 0 else -1
+            mv.apply_batch([
+                ("R", {(a, 10): sign for a in range(4)}),
+                ("S", {(10, c): sign for c in range(3)}),
+                ("T3", {(a, 0): sign for a in range(2)}),
+            ])
+            assert "Q3" in mv.drain()
+            expected = {(a,): 3 for a in range(2)} if sign > 0 else {}
+            assert dict(mv.result("Q3").items()) == expected
+            mv.deregister("Q3")
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert mv.view_names() == ("Q1", "Q2")
+    assert traced[-1] - traced[cycles - 1] <= slack, traced

@@ -44,6 +44,13 @@ class TestStructure:
         vo = paper_variable_order()
         assert vo.subtree_vars("C") == {"C", "D", "E"}
 
+    def test_subtree_table_is_read_only(self):
+        vo = paper_variable_order()
+        with pytest.raises(AttributeError):
+            vo.subtree_vars("C").add("A")
+        assert vo.subtree_vars("C") == {"C", "D", "E"}
+        assert vo.subtree_vars("A") == set(vo.variables)
+
     def test_canonical_sort(self):
         vo = paper_variable_order()
         assert vo.canonical_sort({"E", "A", "C"}) == ("A", "C", "E")

@@ -218,6 +218,62 @@ class TestEdgeCases:
         assert tree.view_count() == 3  # V@X2, V@X4, V@X3 (X5/X1 elided)
 
 
+def path_query(n):
+    """R_i(X_i, X_{i+1}) for i < n - 1, over the one-path order X0 → … →
+    X_{n-1}: each view below the root keyed by its parent variable."""
+    variables = [f"X{i}" for i in range(n)]
+    relations = {
+        f"R{i}": (variables[i], variables[i + 1]) for i in range(n - 1)
+    }
+    return Query("path", relations, ring=INT_RING), chain_order(variables)
+
+
+class TestPlanningPasses:
+    """A variable order derives its tables once, when it is built, and
+    the view tree derives every dep(X) from them in one bottom-up pass."""
+
+    def test_path_tree_calls_neither_dep_nor_subtree_walks(self, monkeypatch):
+        query, order = path_query(201)
+        calls = []
+        for method in ("dep", "subtree_vars"):
+            original = getattr(VariableOrder, method)
+
+            def spy(self, *args, _original=original, _method=method):
+                calls.append(_method)
+                return _original(self, *args)
+
+            monkeypatch.setattr(VariableOrder, method, spy)
+        tree = build_view_tree(query, order)
+        assert calls == []
+        # X0 and X1 share one view (no relation is anchored at X0).
+        assert [node.keys for node in tree.inner_views()] == [()] + [
+            (f"X{i}",) for i in range(1, 200)
+        ]
+        assert order.dep(query, "X7") == {"X6"}  # the spies are live
+        assert calls == ["dep", "subtree_vars"]
+
+    def test_engines_over_one_order_derive_its_tables_once(self, monkeypatch):
+        from repro.apps.regression import cofactor_query
+        from repro.core import FIVMEngine
+        from repro.datasets import retailer
+
+        built = []
+        original = VariableOrder._tables
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(VariableOrder, "_tables", spy)
+        order = retailer.variable_order()
+        assert built == [order]
+        query = cofactor_query("r", retailer.SCHEMAS, retailer.ALL_VARIABLES)
+        first = FIVMEngine(query, order)
+        second = FIVMEngine(query, order)
+        assert built == [order]
+        assert first.tree.order is second.tree.order is order
+
+
 def joined_then_marginalized(node, inputs, query):
     """The unfused reference: list the whole join, then sum out."""
     current = inputs[0]
