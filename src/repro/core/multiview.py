@@ -445,24 +445,26 @@ class MultiViewEngine:
     # Ring conversion of the count-based base state
     # ------------------------------------------------------------------
 
-    def _base_relation(self, rel: str, schema, ring) -> Relation:
-        """The shared database's contents for ``rel``, embedded in
-        ``ring`` via ``from_int`` (the multiplicity homomorphism)."""
+    @staticmethod
+    def _in_ring(rel: str, schema, counts: Mapping, ring) -> Relation:
+        """ℤ ``counts`` as a relation over ``ring``, embedded via
+        ``from_int`` (the multiplicity homomorphism), zeros dropped."""
         out = Relation(rel, schema, ring)
-        if rel in self._db:
-            counts = self._db.relation(rel)._data
-            if ring is INT_RING:
-                out._data = dict(counts)
-            else:
-                from_int = ring.from_int
-                is_zero = ring.is_zero
-                data = {}
-                for key, count in counts.items():
-                    payload = from_int(count)
-                    if not is_zero(payload):
-                        data[key] = payload
-                out._data = data
+        if ring is INT_RING:
+            out._data = dict(counts)
+        else:
+            from_int, is_zero = ring.from_int, ring.is_zero
+            out._data = {
+                key: payload
+                for key, count in counts.items()
+                if not is_zero(payload := from_int(count))
+            }
         return out
+
+    def _base_relation(self, rel: str, schema, ring) -> Relation:
+        """The shared database's contents for ``rel``, in ``ring``."""
+        counts = self._db.relation(rel)._data if rel in self._db else {}
+        return self._in_ring(rel, schema, counts, ring)
 
     def _ring_database(self, relations: Mapping[str, Tuple[str, ...]], ring):
         return Database(
@@ -531,10 +533,10 @@ class MultiViewEngine:
                         sub.pending_since = now
             for subscriber in self._rel_users.get(rel, ()):
                 view = self._views[subscriber]
-                ring = view.query.ring
-                view.inbox.append(
-                    self._count_delta(rel, delta._data, view, ring)
-                )
+                view.inbox.append(self._in_ring(
+                    rel, view.rewritten.relations[rel], delta._data,
+                    view.query.ring,
+                ))
                 if view.pending_since is None:
                     view.pending_since = now
         return self.tick(now=now)
@@ -545,22 +547,6 @@ class MultiViewEngine:
             return item.name, item._data
         rel, counts = item
         return rel, counts
-
-    def _count_delta(self, rel: str, counts, view: RegisteredView, ring):
-        schema = view.rewritten.relations[rel]
-        out = Relation(rel, schema, ring)
-        if ring is INT_RING:
-            out._data = dict(counts)
-        else:
-            from_int = ring.from_int
-            is_zero = ring.is_zero
-            data = {}
-            for key, count in counts.items():
-                payload = from_int(count)
-                if not is_zero(payload):
-                    data[key] = payload
-            out._data = data
-        return out
 
     # ------------------------------------------------------------------
     # The lag scheduler
@@ -673,20 +659,10 @@ class MultiViewEngine:
             shared.stats["recomputes"] += 1
             root_data = self._diff(before, shared.engine.result(), ring)
         else:
-            items = []
-            for rel, counts in pending:
-                delta = Relation(rel, shared.query.relations[rel], ring)
-                if ring is INT_RING:
-                    delta._data = dict(counts)
-                else:
-                    from_int = ring.from_int
-                    is_zero = ring.is_zero
-                    delta._data = {
-                        key: payload
-                        for key, count in counts.items()
-                        if not is_zero(payload := from_int(count))
-                    }
-                items.append(delta)
+            items = [
+                self._in_ring(rel, shared.query.relations[rel], counts, ring)
+                for rel, counts in pending
+            ]
             root_data = dict(shared.engine.apply_batch(items)._data)
         if not root_data:
             return

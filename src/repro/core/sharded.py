@@ -49,20 +49,23 @@ connection: the only wire is the one each fork inherits.
 Pipelining
 ----------
 
-A synchronous executor round-trips the transport on *every* update call,
-so per-update latency — a scheduler wake-up per round trip — caps
-throughput regardless of how fast the shards compute.  With
-``pipeline_depth=N`` (env ``FIVM_SHARD_PIPELINE``) the coordinator keeps
-a send-ahead window of up to ``N`` unacknowledged mutating requests per
-shard: ``apply_update`` / ``apply_batch`` journal, send, and return a
-**lazily resolved** root delta (:class:`~repro.core.engine.
-DeferredRelation`) whose payloads materialize on first read.  Acks drain
-opportunistically on every submit; a full window blocks for the oldest
-ack only; reads, snapshots, and :meth:`ShardedFIVMEngine.flush` are
-barriers that collect every straggler.  Because journal-before-send is
-preserved verbatim, a worker lost mid-window is recovered exactly as in
-the synchronous path — snapshot restore plus journal-tail replay — and
-the replay replies answer every request that was still in flight.
+Every request reaches a worker through one per-shard **send-ahead
+window** of unacknowledged requests.  A synchronous executor would
+round-trip the transport on *every* update call, so per-update latency —
+a scheduler wake-up per round trip — caps throughput regardless of how
+fast the shards compute.  With ``pipeline_depth=N > 0`` the window holds
+up to ``N`` mutating requests per shard: ``apply_update`` /
+``apply_batch`` journal, send, and return a **lazily resolved** root
+delta (:class:`~repro.core.engine.DeferredRelation`) whose payloads
+materialize on first read.  A full window blocks for the oldest ack
+only; at ``pipeline_depth=0`` each operation's acks are collected before
+the call returns.  Reads, snapshots, and
+:meth:`ShardedFIVMEngine.flush` are barriers that collect every
+straggler; a read then travels the same window as an entry that is not
+journaled.  Because journal-before-send holds for every mutating
+request, a worker lost with requests in flight is recovered by snapshot
+restore plus journal-tail replay, and the replay replies (then the
+re-sent read, if one was in flight) answer every request of the window.
 
 Fault tolerance (process executor)
 ----------------------------------
@@ -72,10 +75,10 @@ request crosses the pipe under a coordinator-assigned **sequence
 number**, every state-mutating request is journaled (packed, in the
 :mod:`repro.core.checkpoint` wire format) before it is sent, and workers
 ack the sequence number they applied.  Replies are awaited under a
-deadline (``recv_timeout`` / ``FIVM_SHARD_TIMEOUT``); a missed deadline,
-a dead pipe, or an injected fault hands the shard to the **supervisor**,
-which forks a fresh worker and rebuilds its state as shard snapshot +
-journal-tail replay — the same cheap incremental path the paper uses for
+deadline (``recv_timeout``); a missed deadline, a dead pipe, or an
+injected fault hands the shard to the **supervisor**, which forks a
+fresh worker and rebuilds its state as shard snapshot + journal-tail
+replay — the same cheap incremental path the paper uses for
 maintenance, here used for recovery.  A replacement that dies or misses
 the deadline during that replay (it builds its engine first, which can be
 slow under load) is replaced in turn, within the same ``max_restarts``
@@ -93,7 +96,6 @@ drives this as a differential oracle against a fault-free engine.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import select
 import socket
@@ -157,8 +159,7 @@ def stable_hash(value) -> int:
     normalized to one representative before hashing (a bool/int/float
     split across shards would silently drop join matches); compound
     shard keys route on a *tuple* of component values, normalized
-    component-wise.  Custom key types with equality wider than ``repr``
-    need a custom ``hasher=``.
+    component-wise.
     """
     value = _hash_normalize(value)
     return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
@@ -433,7 +434,7 @@ class FrameConn:
 
 
 class _PendingGroup:
-    """The deferred replies of one submitted mutating operation.
+    """The deferred replies of one submitted operation.
 
     One payload per involved shard; :meth:`resolve` drains whatever is
     still in flight (through the owning executor) and returns the full
@@ -457,13 +458,20 @@ class _PendingGroup:
 
 
 class _Inflight:
-    """One unacknowledged request in a shard's send-ahead window."""
+    """One unacknowledged request in a shard's send-ahead window.
 
-    __slots__ = ("seq", "group")
+    ``read`` is ``None`` for a journaled (mutating) request, whose reply
+    the journal-tail replay re-produces, and the packed request itself
+    for one that is not journaled (a read or a checkpoint snapshot),
+    which recovery re-sends after the tail.
+    """
 
-    def __init__(self, seq: int, group: _PendingGroup):
+    __slots__ = ("seq", "group", "read")
+
+    def __init__(self, seq: int, group: _PendingGroup, read=None):
         self.seq = seq
         self.group = group
+        self.read = read
 
 
 class _InlineShards:
@@ -503,23 +511,9 @@ class _InlineShards:
 
 
 #: Default reply deadline (seconds) for process-shard workers; override
-#: per engine with ``recv_timeout=`` or globally with the
-#: ``FIVM_SHARD_TIMEOUT`` environment variable.  ``<= 0`` disables the
-#: deadline (wait forever — the pre-supervision behaviour).
+#: per engine with ``recv_timeout=``.  ``None`` or ``<= 0`` disables the
+#: deadline (wait forever).
 DEFAULT_SHARD_TIMEOUT = 30.0
-
-
-def _shard_timeout() -> Optional[float]:
-    raw = os.environ.get("FIVM_SHARD_TIMEOUT", "").strip()
-    timeout = float(raw) if raw else DEFAULT_SHARD_TIMEOUT
-    return timeout if timeout > 0 else None
-
-
-def _pipeline_env() -> int:
-    """Default send-ahead window depth (``FIVM_SHARD_PIPELINE``, else 0:
-    the synchronous one-round-trip-per-update protocol)."""
-    raw = os.environ.get("FIVM_SHARD_PIPELINE", "").strip()
-    return int(raw) if raw else 0
 
 
 def _process_worker(parent_sock, sock, factory, faults=None) -> None:
@@ -532,14 +526,18 @@ class _ProcessShards:
     """One forked worker per shard: seq/ack protocol + supervision.
 
     Each worker is forked with its end of a ``socketpair`` and speaks
-    :class:`FrameConn` frames over it.  Requests for an operation are
-    sent to every involved worker first and the replies collected
-    afterwards, so the workers compute in parallel while the coordinator
-    blocks only on the slowest one; with ``pipeline_depth > 0``, mutating
-    operations go through :meth:`submit` instead — a per-shard send-ahead
-    window of up to that many unacknowledged requests, drained
-    opportunistically and forced by :meth:`flush` (reads and snapshots
-    always flush first).
+    :class:`FrameConn` frames over it.  Every request — update, read,
+    ``initialize`` or checkpoint snapshot — enters a per-shard send-ahead
+    window (:meth:`submit`) and leaves it through one reply path
+    (:meth:`_drain_one`), so there is one deadline, EOF, fault and error
+    handler.  An operation's requests are sent to every involved worker
+    before any reply is awaited, so the workers compute in parallel while
+    the coordinator blocks only on the slowest one.  With
+    ``pipeline_depth > 0`` a mutating operation returns with its replies
+    in flight (up to that many unacknowledged requests per shard); with
+    ``0`` it collects them before returning.  Reads are :meth:`run`: a
+    barrier over every window, then the read through the window,
+    resolved.
 
     The coordinator keeps, per shard, everything recovery needs: a
     :class:`UpdateJournal` of the packed mutating requests since the last
@@ -550,11 +548,11 @@ class _ProcessShards:
     it, forks a replacement *without* the fault plan (the environmental
     event already happened; recovery must not re-plant it), and replays
     the :func:`~repro.core.checkpoint.tail_handoff` bundle — snapshot
-    restore plus journal tail.  Because every windowed request was
-    journaled before it was sent, the replay replies also answer
-    everything that was still in flight, so callers never see the
-    failure.  With ``supervise=False`` the same detection paths raise an
-    error naming the failed shard instead.
+    restore plus journal tail — then re-sends the read in flight, if any.
+    Because every mutating request was journaled before it was sent, the
+    replay replies answer everything that was still in flight, so callers
+    never see the failure.  With ``max_restarts=0`` the first failure
+    raises an error naming the shard instead.
     """
 
     kind = "process"
@@ -562,27 +560,25 @@ class _ProcessShards:
     def __init__(
         self,
         factories: Sequence[Callable[[], FIVMEngine]],
-        recv_timeout: Optional[float] = None,
-        supervise: bool = True,
+        recv_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
         checkpoint_every: Optional[int] = 64,
         max_restarts: int = 3,
         faults=None,
-        pipeline_depth: Optional[int] = None,
+        pipeline_depth: int = 0,
     ):
-        if recv_timeout is None:
-            recv_timeout = _shard_timeout()
-        elif recv_timeout <= 0:
+        if recv_timeout is not None and recv_timeout <= 0:
             recv_timeout = None
         self.recv_timeout = recv_timeout
-        self.supervise = supervise
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
         self._faults = faults
         self._factories = list(factories)
         self._ctx = multiprocessing.get_context("fork")
-        if pipeline_depth is None:
-            pipeline_depth = _pipeline_env()
         self.pipeline_depth = max(0, int(pipeline_depth))
+        #: Requests a shard's window holds before a send blocks for the
+        #: oldest ack (one at depth 0, whose windows each operation
+        #: empties before it returns).
+        self._capacity = max(1, self.pipeline_depth)
         count = len(self._factories)
         self._conns: List[Optional[FrameConn]] = [None] * count
         self._procs: List[object] = [None] * count
@@ -591,7 +587,7 @@ class _ProcessShards:
         self._snapshots: List[Optional[Tuple[int, dict]]] = [None] * count
         self._applied = [0] * count
         #: Per-shard send-ahead windows of :class:`_Inflight` entries,
-        #: oldest first (always empty when ``pipeline_depth == 0``).
+        #: oldest first.
         self._windows: List[deque] = [deque() for _ in range(count)]
         #: Per-shard supervisor restart counts (the liveness telemetry
         #: tests and operators read).
@@ -619,64 +615,75 @@ class _ProcessShards:
         self._conns[shard] = FrameConn(parent_sock)
         self._procs[shard] = proc
 
-    # -- the pipelined window -------------------------------------------
+    # -- the window: the one way a request reaches a worker -------------
+
+    def run(self, requests: Dict[int, tuple]) -> Dict[int, object]:
+        """A barrier, then ``requests`` through the window, resolved —
+        so ``initialize``, reads and snapshots observe every update
+        submitted before them."""
+        self.flush()
+        return self.submit(requests).resolve()
 
     def submit(self, requests: Dict[int, tuple]) -> _PendingGroup:
-        """Enqueue one mutating operation into the send-ahead window.
+        """Send one operation's per-shard requests through the windows.
 
-        Journal-before-send is preserved verbatim: each per-shard request
-        is packed, journaled, *then* shipped, and only then recorded as
-        in flight — so a worker lost at any point of the window is
-        rebuilt from state the coordinator already holds.  A full window
-        blocks for its oldest ack; otherwise this returns immediately
-        with a :class:`_PendingGroup` that resolves lazily.  With
-        ``pipeline_depth == 0`` it degenerates to the synchronous
-        :meth:`run` protocol (already-resolved group).
+        Returns a :class:`_PendingGroup` that resolves lazily; at
+        ``pipeline_depth == 0`` it is resolved before this returns.  Each
+        shard whose journal has reached ``checkpoint_every`` is then
+        checkpointed.
         """
-        if self.pipeline_depth <= 0:
-            group = _PendingGroup(self, requests)
-            group.payloads = self.run(requests)
-            group.waiting.clear()
-            return group
         group = _PendingGroup(self, requests)
         for shard, request in requests.items():
-            packed = _pack_request(request, copy=True)
-            if packed[0] not in _MUTATING:  # pragma: no cover - facade bug
-                raise ValueError(
-                    f"only mutating requests may be pipelined, got "
-                    f"{packed[0]!r}"
-                )
-            window = self._windows[shard]
-            if len(window) >= self.pipeline_depth:
-                # Window full: block for the oldest ack, then harvest the
-                # burst of acks the worker batched behind it — one
-                # blocking wait (and one write-buffer flush) per window
-                # of requests rather than per request.
-                while len(window) >= self.pipeline_depth:
-                    self._drain_one(shard)
-                self._drain_ready_shard(shard)
-            seq = self._next_seq()
+            self._enqueue(shard, _pack_request(request, copy=True), group)
+        if not self.pipeline_depth:
+            self._drain_group(group)
+        for shard in requests:
+            self._maybe_checkpoint(shard)
+        return group
+
+    def _enqueue(self, shard: int, packed: tuple, group: _PendingGroup):
+        """Send one packed request and record it in flight.
+
+        Journal-before-send: a mutating request is journaled, *then*
+        shipped, so a worker lost at any point of the window is rebuilt
+        from state the coordinator already holds.  ``init`` first clears
+        the journal and the snapshot — the journal describes updates
+        since an initialize, never across one (:meth:`run` has emptied
+        every window).  A full window blocks for its oldest ack, then
+        harvests the acks the worker batched behind it — one blocking
+        wait (and one write-buffer flush) per window of requests rather
+        than per request.
+        """
+        window = self._windows[shard]
+        if len(window) >= self._capacity:
+            while len(window) >= self._capacity:
+                self._drain_one(shard)
+            self._drain_ready_shard(shard)
+        seq = self._next_seq()
+        journaled = packed[0] in _MUTATING
+        if packed[0] == "init":
+            self._journals[shard].clear()
+            self._snapshots[shard] = None
+        if journaled:
             self._journals[shard].append(seq, packed)
-            window.append(_Inflight(seq, group))
-            self._conns[shard].send((seq, packed))
+        window.append(_Inflight(seq, group, None if journaled else packed))
         # No opportunistic poll here: polling after every enqueue would
         # cost a syscall per shard per update and force-flush the framed
         # transport's write buffer, defeating its batching.  Acks are
         # collected when a window fills (above) — the window bound, not
         # the poll cadence, is what keeps memory finite.
-        if self.checkpoint_every is not None:
-            for shard in requests:
-                if len(self._journals[shard]) >= self.checkpoint_every:
-                    self._drain_shard(shard)
-                    self._maybe_checkpoint(shard)
-        return group
+        self._conns[shard].send((seq, packed))
+
+    def _next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
 
     def _deliver(self, shard: int, entry: _Inflight, payload) -> None:
         entry.group.payloads[shard] = payload
         entry.group.waiting.discard(shard)
 
     def _drain_one(self, shard: int) -> None:
-        """Consume the oldest outstanding ack of ``shard`` (blocking)."""
+        """Consume the oldest outstanding reply of ``shard`` (blocking)."""
         window = self._windows[shard]
         if not window:
             return
@@ -687,8 +694,8 @@ class _ProcessShards:
                 self._recover_window(
                     shard,
                     reason=(
-                        f"no ack within {timeout}s — dead or hung worker; "
-                        "raise FIVM_SHARD_TIMEOUT if it is merely slow"
+                        f"no reply within {timeout}s — dead or hung worker; "
+                        "raise recv_timeout if it is merely slow"
                     ),
                 )
                 return
@@ -711,11 +718,12 @@ class _ProcessShards:
             raise RuntimeError(
                 f"shard {shard} acked seq {rseq}, expected {entry.seq}"
             )
-        self._applied[shard] = max(self._applied[shard], entry.seq)
+        if entry.read is None:
+            self._applied[shard] = max(self._applied[shard], entry.seq)
         self._deliver(shard, entry, payload)
 
     def _drain_ready_shard(self, shard: int) -> None:
-        """Consume every ack of ``shard`` that is already waiting."""
+        """Consume every reply of ``shard`` that is already waiting."""
         window = self._windows[shard]
         while window:
             try:
@@ -733,8 +741,20 @@ class _ProcessShards:
         while self._windows[shard]:
             self._drain_one(shard)
 
+    def _ship(self, shards: Iterable[int]) -> None:
+        """Write every buffered request of ``shards`` before any reply is
+        awaited: awaiting shard 0 with shard 1's request still in its
+        write buffer would serialize workers that should run in
+        parallel."""
+        for shard in shards:
+            try:
+                self._conns[shard].flush()
+            except OSError as exc:
+                self._recover_window(shard, reason=f"send failed ({exc!r})")
+
     def _drain_group(self, group: _PendingGroup) -> None:
         """Drain windows until every shard of ``group`` has answered."""
+        self._ship(sorted(group.waiting))
         while group.waiting:
             shard = next(iter(group.waiting))
             if not self._windows[shard]:  # pragma: no cover - invariant
@@ -743,106 +763,42 @@ class _ProcessShards:
             self._drain_one(shard)
 
     def flush(self) -> None:
-        """Barrier: collect every outstanding pipelined ack."""
+        """Barrier: collect every outstanding reply."""
+        self._ship(range(len(self._conns)))
         for shard in range(len(self._conns)):
             self._drain_shard(shard)
 
-    def _recover_window(self, shard: int, reason: str) -> None:
-        """Heal ``shard`` after a mid-window failure and answer every
-        request that was still in flight.
+    # -- supervision ----------------------------------------------------
 
-        The window is a suffix of the journal (journal-before-send), so
-        the snapshot + journal-tail replay that rebuilds the worker also
-        re-produces the reply of every unacknowledged request — recovery
-        and pipelining compose with no extra bookkeeping.
+    def _recover_window(self, shard: int, reason: str) -> None:
+        """Heal ``shard`` after a failure and answer every request that
+        was still in flight.
+
+        The window's journaled entries are a suffix of the journal
+        (journal-before-send), and a read only enters an empty window
+        (reads follow a barrier, snapshots a drain), so the snapshot +
+        journal-tail replay, then the re-sent read, re-produce the reply
+        of every unacknowledged request — recovery and pipelining compose
+        with no extra bookkeeping.
         """
         window = self._windows[shard]
         entries = list(window)
         window.clear()
-        replies = self._rebuild(shard, reason)
+        replies = self._rebuild(
+            shard, reason,
+            [(e.seq, e.read) for e in entries if e.read is not None],
+        )
         failure = None
         for entry in entries:
             tag, payload = replies[entry.seq]
             if tag == "error":
                 # the in-flight group itself fails; surface it exactly as
-                # the original synchronous send would have
+                # the original send would have
                 failure = failure or payload
                 payload = None
             self._deliver(shard, entry, payload)
         if failure is not None:
             raise RuntimeError(f"shard {shard} failed:\n{failure}")
-
-    # -- the request protocol -------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def run(self, requests: Dict[int, tuple]) -> Dict[int, object]:
-        """Send each request to its worker and gather replies, restarting
-        and replaying crashed workers under the supervision policy.
-        A barrier: every in-flight windowed request is collected first,
-        so reads and snapshots observe all previously submitted updates."""
-        self.flush()
-        pending: Dict[int, Tuple[int, tuple]] = {}
-        replies: Dict[int, object] = {}
-        for shard, request in requests.items():
-            packed = _pack_request(request, copy=True)
-            seq = self._next_seq()
-            if packed[0] == "init":
-                # the journal describes updates since an initialize,
-                # never across one
-                self._journals[shard].clear()
-                self._snapshots[shard] = None
-            if packed[0] in _MUTATING:
-                self._journals[shard].append(seq, packed)
-            self._conns[shard].send((seq, packed))
-            pending[shard] = (seq, packed)
-        # Ship every buffered request before awaiting any reply: awaiting
-        # shard 0 with shard 1's request still in its write buffer would
-        # serialize workers that should run in parallel.
-        for shard in list(pending):
-            try:
-                self._conns[shard].flush()
-            except (BrokenPipeError, OSError) as exc:
-                seq, packed = pending.pop(shard)
-                replies[shard] = self._recover(
-                    shard, seq, packed, reason=f"send failed ({exc!r})"
-                )
-        for shard, (seq, packed) in pending.items():
-            replies[shard] = self._await_reply(shard, seq, packed)
-        for shard in requests:
-            self._maybe_checkpoint(shard)
-        return replies
-
-    def _await_reply(self, shard: int, seq: int, packed: tuple):
-        conn = self._conns[shard]
-        timeout = self.recv_timeout
-        try:
-            if timeout is not None and not conn.poll(timeout):
-                return self._recover(
-                    shard, seq, packed,
-                    reason=(
-                        f"no reply within {timeout}s — dead or hung worker; "
-                        "raise FIVM_SHARD_TIMEOUT if it is merely slow"
-                    ),
-                )
-            tag, rseq, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            return self._recover(
-                shard, seq, packed, reason=f"worker died mid-request ({exc!r})"
-            )
-        if tag == "fault":
-            return self._recover(
-                shard, seq, packed, reason=f"injected fault: {payload}"
-            )
-        if tag == "error":
-            raise RuntimeError(f"shard {shard} failed:\n{payload}")
-        if packed[0] in _MUTATING:
-            self._applied[shard] = max(self._applied[shard], seq)
-        return payload
-
-    # -- supervision ----------------------------------------------------
 
     def _restart(self, shard: int, reason: str) -> None:
         """Reap ``shard``'s lost worker, then budget-check and respawn it
@@ -856,11 +812,6 @@ class _ProcessShards:
         if proc.is_alive():
             proc.terminate()
         proc.join(timeout=2.0)
-        if not self.supervise:
-            raise RuntimeError(
-                f"shard worker {shard} failed ({reason}); supervision is "
-                "disabled, so the sharded engine cannot continue"
-            )
         self.restarts[shard] += 1
         if self.restarts[shard] > self.max_restarts:
             raise RuntimeError(
@@ -871,10 +822,10 @@ class _ProcessShards:
         # happened; deterministic replay must not re-plant it.
         self._spawn(shard, None)
 
-    def _rebuild(self, shard: int, reason: str, read=None) -> dict:
+    def _rebuild(self, shard: int, reason: str, reads) -> dict:
         """Restart ``shard``'s worker and replay its handoff: snapshot
-        restore, the journal tail, then ``read`` — a read-only in-flight
-        ``(seq, packed)`` request — if given.
+        restore, the journal tail, then ``reads`` — the in-flight
+        ``(seq, packed)`` requests that are not journaled.
 
         Returns ``{seq: (tag, payload)}`` for every replayed request, in
         replay order.  A replacement that dies or misses the deadline
@@ -887,7 +838,6 @@ class _ProcessShards:
             handoff = tail_handoff(
                 self._snapshots[shard], self._journals[shard]
             )
-            requests = handoff["tail"] + ([read] if read is not None else [])
             try:
                 if handoff["snapshot"] is not None:
                     tag, payload = self._replay_exchange(
@@ -901,7 +851,7 @@ class _ProcessShards:
                         )
                 replies = {
                     seq: self._replay_exchange(shard, seq, packed)
-                    for seq, packed in requests
+                    for seq, packed in handoff["tail"] + reads
                 }
             except (EOFError, OSError) as exc:
                 reason = f"lost during recovery replay ({exc!r})"
@@ -912,19 +862,6 @@ class _ProcessShards:
                 if replies[seq][0] != "error":
                     self._applied[shard] = max(self._applied[shard], seq)
             return replies
-
-    def _recover(self, shard: int, seq: int, packed: tuple, reason: str):
-        """Heal ``shard`` after a failure and answer its in-flight request.
-
-        The in-flight request is either part of the journal tail
-        (mutating — its replay reply is the answer) or re-sent after it
-        (read-only).
-        """
-        read = None if packed[0] in _MUTATING else (seq, packed)
-        tag, payload = self._rebuild(shard, reason, read)[seq]
-        if tag == "error":
-            raise RuntimeError(f"shard {shard} failed:\n{payload}")
-        return payload
 
     def _replay_exchange(self, shard: int, seq: int, packed: tuple):
         """One request to a freshly restarted worker.  A lost worker
@@ -946,10 +883,10 @@ class _ProcessShards:
             return
         if len(self._journals[shard]) < self.checkpoint_every:
             return
-        seq = self._next_seq()
-        packed = ("snapshot",)
-        self._conns[shard].send((seq, packed))
-        snap = self._await_reply(shard, seq, packed)
+        self._drain_shard(shard)
+        group = _PendingGroup(self, (shard,))
+        self._enqueue(shard, ("snapshot",), group)
+        snap = group.resolve()[shard]
         # The worker is quiescent between requests, so the snapshot
         # reflects exactly the groups applied so far.
         self._snapshots[shard] = (self._applied[shard], snap)
@@ -1022,35 +959,32 @@ class ShardedFIVMEngine:
         platforms without the ``fork`` start method.
     pipeline_depth:
         Process executor: send-ahead window size per shard.  ``0``
-        (default; env fallback ``FIVM_SHARD_PIPELINE``) keeps the
-        synchronous one-round-trip-per-update protocol; ``N > 0`` lets
-        ``apply_update`` / ``apply_batch`` return after enqueuing, with
-        a lazily resolved root delta — see :meth:`flush`.
+        (default) collects each update's replies before the call
+        returns; ``N > 0`` lets ``apply_update`` / ``apply_batch`` return
+        after enqueuing, with a lazily resolved root delta — see
+        :meth:`flush`.
     recv_timeout:
         Process executor: seconds to wait for a worker's reply before
-        declaring it hung (default: ``FIVM_SHARD_TIMEOUT`` env var, else
-        30; ``<= 0`` waits forever).
-    supervise:
-        Process executor: heal dead/hung workers by restarting them from
-        their shard snapshot + journal tail (default).  With ``False``, a
-        worker failure raises an error naming the shard.
+        declaring it hung (default 30; ``None`` or ``<= 0`` waits
+        forever).
     checkpoint_every:
         Process executor: snapshot a worker and truncate its journal once
         that many mutating requests have accumulated (``None`` disables
         checkpoints; recovery then replays the whole journal).
     max_restarts:
         Process executor: per-shard restart budget before the supervisor
-        gives up.  A worker lost again during its recovery replay spends
-        another restart.
+        gives up (``0``: the first failure raises, naming the shard).  A
+        worker lost again during its recovery replay spends another
+        restart.
     faults:
         Process executor, test-surface: a
         :class:`repro.core.faults.FaultPlan` (or zero-argument factory,
         or ``{shard: plan}`` dict) handed to the forked workers —
         deterministic crash/hang/error injection for the crash-recovery
         oracle.  Restarted workers never inherit it.
-    hasher:
-        Value-level hash used for routing; must be deterministic across
-        processes (default :func:`stable_hash`).
+
+    Routing hashes values with :func:`stable_hash`; every shard engine is
+    a default :class:`FIVMEngine` over the shared order.
     """
 
     def __init__(
@@ -1062,16 +996,11 @@ class ShardedFIVMEngine:
         updatable: Optional[Iterable[str]] = None,
         db: Optional[Database] = None,
         executor: str = "inline",
-        collapse_chains: bool = True,
-        materialize: str = "auto",
-        group_aware: bool = True,
-        hasher: Callable[[object], int] = stable_hash,
-        recv_timeout: Optional[float] = None,
-        supervise: bool = True,
+        recv_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
         checkpoint_every: Optional[int] = 64,
         max_restarts: int = 3,
         faults=None,
-        pipeline_depth: Optional[int] = None,
+        pipeline_depth: int = 0,
     ):
         if shards < 1:
             raise ValueError("shard count must be >= 1")
@@ -1104,8 +1033,8 @@ class ShardedFIVMEngine:
         #: one-element tuple here and the bare attribute in `shard_key`.
         self._key_attrs = key_attrs
         #: What Relation.partition / Database.partition route on: the
-        #: bare attribute for single keys (compat with custom hashers),
-        #: the component tuple for compound keys.
+        #: bare attribute for single keys, the component tuple for
+        #: compound keys.
         self._partition_attr = key_attrs[0] if len(key_attrs) == 1 else key_attrs
         self.partitioned = frozenset(
             rel for rel, schema in query.relations.items()
@@ -1117,15 +1046,12 @@ class ShardedFIVMEngine:
                 "sharding would replicate everything"
             )
         self.replicated = frozenset(query.relations) - self.partitioned
-        self._hasher = hasher
 
         # Stateless reference tree: the coordinator needs the tree *shape*
         # (leaf schemas for routing, per-node relation sets for the merge
         # rule) but holds no views — state lives in the shards.
-        self.tree = elide_copies(build_view_tree(
-            query, self.order, collapse_chains=collapse_chains
-        ))
-        self.flags = resolve_flags(self.tree, self.updatable, materialize)
+        self.tree = elide_copies(build_view_tree(query, self.order))
+        self.flags = resolve_flags(self.tree, self.updatable, "auto")
         self._nodes: Dict[str, ViewNode] = {
             node.name: node for node in self.tree.nodes
         }
@@ -1151,14 +1077,7 @@ class ShardedFIVMEngine:
 
         def factory() -> FIVMEngine:
             """One shard-local engine of the shared configuration."""
-            return FIVMEngine(
-                query,
-                order=order,
-                updatable=updatable,
-                collapse_chains=collapse_chains,
-                materialize=materialize,
-                group_aware=group_aware,
-            )
+            return FIVMEngine(query, order=order, updatable=updatable)
 
         factories = [factory] * self.shards
         if executor == "inline":
@@ -1167,14 +1086,14 @@ class ShardedFIVMEngine:
             self._exec = _ProcessShards(
                 factories,
                 recv_timeout=recv_timeout,
-                supervise=supervise,
                 checkpoint_every=checkpoint_every,
                 max_restarts=max_restarts,
                 faults=faults,
                 pipeline_depth=pipeline_depth,
             )
         self.executor = self._exec.kind
-        #: Effective send-ahead window depth (0 = synchronous protocol).
+        #: Effective send-ahead window depth (0: each update's replies
+        #: are collected before the call returns).
         self.pipeline_depth = self._exec.pipeline_depth
         if db is not None:
             self.initialize(db)
@@ -1189,7 +1108,7 @@ class ShardedFIVMEngine:
         if delta.name in self.replicated:
             return {shard: delta for shard in range(self.shards)}
         fragments = delta.partition(
-            self._partition_attr, self.shards, self._hasher
+            self._partition_attr, self.shards, stable_hash
         )
         return {
             shard: fragment
@@ -1226,14 +1145,14 @@ class ShardedFIVMEngine:
                     rel, [term], ring=self.query.ring
                 ).flatten(schema, name=rel)
                 fragments = flat.partition(
-                    self._partition_attr, self.shards, self._hasher
+                    self._partition_attr, self.shards, stable_hash
                 )
                 for shard, fragment in enumerate(fragments):
                     if not fragment.is_empty:
                         per_shard[shard].append([fragment])
                 continue
             fragments = term[pivot].partition(
-                self._partition_attr, self.shards, self._hasher
+                self._partition_attr, self.shards, stable_hash
             )
             for shard, fragment in enumerate(fragments):
                 if fragment.is_empty:
@@ -1353,7 +1272,7 @@ class ShardedFIVMEngine:
     def flush(self) -> None:
         """Barrier: collect every outstanding pipelined root-delta ack.
 
-        A no-op for synchronous executors.  Reads (:meth:`result`,
+        A no-op for the inline executor and at ``pipeline_depth=0``.  Reads (:meth:`result`,
         :meth:`contents`, …) and :meth:`initialize`
         flush implicitly, so they always observe every update submitted
         before them; call this explicitly to bound the in-flight window
@@ -1367,7 +1286,7 @@ class ShardedFIVMEngine:
             rel: (self._partition_attr if rel in self.partitioned else None)
             for rel in self.query.relations
         }
-        shard_dbs = db.partition(shard_attrs, self.shards, self._hasher)
+        shard_dbs = db.partition(shard_attrs, self.shards, stable_hash)
         self._exec.run({
             shard: ("init", list(shard_dbs[shard]))
             for shard in range(self.shards)

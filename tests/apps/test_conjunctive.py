@@ -344,12 +344,18 @@ class TestEnumeration:
                 if event == "call":
                     counted.append(frame.f_code.co_name)
 
+            # A cyclic collection inside the page would add the frames of
+            # whatever ``gc.callbacks`` holds (Hypothesis registers one).
+            collecting = gc.isenabled()
+            gc.disable()
             outer = sys.getprofile()
             sys.setprofile(profile)
             try:
                 page = list(itertools.islice(engine.enumerate(), k))
             finally:
                 sys.setprofile(outer)
+                if collecting:
+                    gc.enable()
             assert len(set(page)) == k
             return counted
 

@@ -266,12 +266,14 @@ def test_crash_recovery_oracle(ring_name, shards):
         )
 
 
-#: Executor shapes the oracle re-runs beyond the synchronous process
-#: executor: the send-ahead window must be exactly as invisible to
-#: correctness as supervision itself, both shallow and as deep as the
-#: nightly soak's (``FIVM_SHARD_PIPELINE=16``), where a fault can strand
-#: a longer run of unacked updates.
-PIPELINED_SHAPES = (("process", 4), ("process", 16))
+#: Executor shapes the oracle re-runs beyond ``pipeline_depth=0``: the
+#: send-ahead window must be exactly as invisible to correctness as
+#: supervision itself — shallow, as deep as the nightly soak's
+#: (``FIVM_SHARD_PIPELINE=16``), where a fault can strand a longer run
+#: of unacked updates, and a window of one, which holds what depth 0
+#: holds but resolves it lazily.  New shapes go last: a shape's index
+#: seeds its streams.
+PIPELINED_SHAPES = (("process", 4), ("process", 16), ("process", 1))
 
 
 @requires_fork
@@ -363,7 +365,7 @@ def test_unsupervised_hang_raises_naming_the_shard():
         faults=FaultPlan.parse(
             "worker.recv@2=hang", hang_seconds=3 * RECV_TIMEOUT
         ),
-        supervise=False,
+        max_restarts=0,
     ) as sharded:
         with pytest.raises(RuntimeError, match=r"shard worker \d"):
             sharded.initialize(small_db())
@@ -447,11 +449,8 @@ def test_slow_rebuilds_spend_the_restart_budget(monkeypatch, tmp_path):
 @requires_fork
 @pytest.mark.parametrize(
     "policy,message",
-    [
-        ({"supervise": False}, "supervision is disabled"),
-        ({"max_restarts": 0}, "restart budget"),
-    ],
-    ids=["unsupervised", "budget-spent"],
+    [({"max_restarts": 0}, "restart budget")],
+    ids=["budget-spent"],
 )
 def test_a_fatal_failure_reaps_the_lost_worker(policy, message):
     """When the supervisor gives up on a hung worker it terminates it
@@ -475,15 +474,14 @@ def test_a_fatal_failure_reaps_the_lost_worker(policy, message):
 
 
 @requires_fork
-def test_shard_timeout_env_is_honored(monkeypatch):
-    monkeypatch.setenv("FIVM_SHARD_TIMEOUT", "0.4")
+def test_recv_timeout_is_honored_and_named_in_the_error():
     with make_sharded(
-        recv_timeout=None,  # fall back to the env var
+        recv_timeout=0.4,
         faults=FaultPlan.parse("worker.recv@3=hang", hang_seconds=1.2),
-        supervise=False,
+        max_restarts=0,
     ) as sharded:
         assert sharded._exec.recv_timeout == 0.4
-        with pytest.raises(RuntimeError, match="FIVM_SHARD_TIMEOUT"):
+        with pytest.raises(RuntimeError, match="raise recv_timeout"):
             sharded.initialize(small_db())
             for delta in deltas(4):
                 sharded.apply_update(delta)

@@ -347,12 +347,13 @@ def run_case(case: dict, ring_family) -> Optional[str]:
     # The sharded engine keeps the default size-based selection.
     # ``FIVM_SHARD_EXECUTOR`` swaps the sharded rider's executor (CI runs
     # the differential suite once more on ``process``);
-    # ``FIVM_SHARD_PIPELINE`` is inherited by the engine itself.
+    # ``FIVM_SHARD_PIPELINE`` sets its send-ahead window depth.
     sharded_executor = (
         os.environ.get("FIVM_SHARD_EXECUTOR", "inline").strip() or "inline"
     )
     sharded = ShardedFIVMEngine(
-        make_query("s"), order, shards=3, executor=sharded_executor
+        make_query("s"), order, shards=3, executor=sharded_executor,
+        pipeline_depth=int(os.environ.get("FIVM_SHARD_PIPELINE") or 0),
     )
     try:
         recursive = RecursiveIVM(make_query("r")) if commutative else None

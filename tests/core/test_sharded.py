@@ -10,6 +10,7 @@ views, and totals must equal the single-engine run key for key.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import socket
 
@@ -555,6 +556,72 @@ def test_pipelined_reads_sit_behind_the_flush_barrier():
         assert_equal_state(single, sharded)
     finally:
         sharded.close()
+
+
+def requests_per_worker(monkeypatch, depth):
+    """Drive one stream — load, updates, a batch, a factorized update and
+    three kinds of read, with checkpoints every three journaled requests —
+    through a two-shard process engine at ``depth``; return each worker's
+    ``(seq, kind)`` requests, as the coordinator's ``FrameConn.send`` saw
+    them."""
+    sent = {}
+    send = FrameConn.send
+    coordinator = os.getpid()
+
+    def spy(conn, obj):
+        if os.getpid() == coordinator:  # the forked workers inherit it
+            sent.setdefault(conn, []).append((obj[0], obj[1][0]))
+        send(conn, obj)
+
+    monkeypatch.setattr(FrameConn, "send", spy)
+    _single, sharded, ring = make_pair(
+        _int_family, shards=2, executor="process", pipeline_depth=depth,
+        checkpoint_every=3,
+    )
+    try:
+        sharded.initialize(Database(
+            Relation(rel, schema, ring, {(0,) * len(schema): 1})
+            for rel, schema in SCHEMAS.items()
+        ))
+        rng = random.Random(11)
+        for step in range(16):
+            rel = rng.choice(sorted(SCHEMAS))
+            key = tuple(rng.randint(0, 3) for _ in SCHEMAS[rel])
+            sharded.apply_update(Relation(rel, SCHEMAS[rel], ring, {key: 1}))
+            if step % 6 == 5:
+                sharded.result()
+        sharded.apply_batch([
+            Relation("S", SCHEMAS["S"], ring, {(1, 2): 1}),
+            Relation("T", SCHEMAS["T"], ring, {(2, 3): 1}),
+        ])
+        sharded.apply_factorized_update(FactorizedUpdate("R", [[
+            Relation("R_u", ("A",), ring, {(1,): 1, (2,): 1}),
+            Relation("R_v", ("B",), ring, {(5,): 1}),
+        ]], ring=ring))
+        sharded.merged_views()
+        sharded.logical_scalars()
+        return [list(sent[conn]) for conn in sharded._exec._conns]
+    finally:
+        sharded.close()
+
+
+@needs_fork
+def test_every_depth_sends_each_worker_the_same_requests(monkeypatch):
+    """Counts, not clocks: the send-ahead window is the only way a request
+    reaches a worker, so the depth changes when replies are collected but
+    not what each worker receives — the same sequence numbers and request
+    kinds in the same order at depths 0, 1 and 8 (which is what lets a
+    seeded fault plan fire at the same request at every depth)."""
+    per_depth = {
+        depth: requests_per_worker(monkeypatch, depth) for depth in (0, 1, 8)
+    }
+    assert per_depth[0] == per_depth[1] == per_depth[8]
+    for requests in per_depth[0]:
+        kinds = [kind for _seq, kind in requests]
+        assert kinds[0] == "init"
+        assert {"update", "snapshot", "view", "views", "scalars"} <= set(kinds)
+        seqs = [seq for seq, _kind in requests]
+        assert seqs == sorted(seqs)
 
 
 # ---------------------------------------------------------------------------
